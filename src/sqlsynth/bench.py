@@ -33,13 +33,9 @@ from .search import (
     SearchStatus,
     collect_complete,
     run_search,
+    search_task_text,
 )
-from .tasks import (
-    DatabaseSchema,
-    TaskInstance,
-    open_database,
-    serialize_task,
-)
+from .tasks import DatabaseSchema, TaskInstance, open_database
 
 
 @dataclass(frozen=True)
@@ -402,7 +398,7 @@ def run_checker_experiment(
         schema = schemas[task.db_id]
         examples = tuple(task.sorted_examples())
         example = examples[0] if examples else None
-        task_text = serialize_task(task, schema)
+        task_text = search_task_text(task, schema, config)
         texts = collect_complete(task_text, model, per_task, config)
         db = open_database(db_root, task.db_id)
         with closing(db.connect()) as conn:

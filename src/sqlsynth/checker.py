@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .nsql.errors import ClauseOrderViolation, ParseError
-from .nsql.grammar import (
-    parse_condition_body,
-    parse_from_body,
-    parse_group_body,
-    parse_order_body,
-    parse_select_body,
-    validate_clause_body,
-)
+from .nsql.grammar import parse_clause_body
 from .nsql.lexemes import (
     AGGREGATIONS,
     COMPARISONS,
@@ -42,7 +35,6 @@ from .nsql.query import (
     ColumnRef,
     Condition,
     NormalizedQuery,
-    Predicate,
     SelectItem,
     Star,
 )
@@ -265,14 +257,11 @@ def check_vocabulary(
 # -- Scope ------------------------------------------------------------------
 
 
-def _from_tables(partial: PartialParse) -> tuple[str, ...] | None:
-    body = partial.completed.get(ClauseKind.FROM)
-    if body is None:
-        return None
-    try:
-        return parse_from_body(body).tables
-    except ParseError:
-        return None
+def _expr_column(expr: object) -> ColumnRef | None:
+    """The column an output, sort or predicate expression reads, if any."""
+    if isinstance(expr, AggExpr):
+        expr = expr.arg
+    return expr if isinstance(expr, ColumnRef) else None
 
 
 def _collect_condition_refs(
@@ -286,21 +275,17 @@ def _collect_condition_refs(
             _collect_condition_refs(operand, out, extra_tables)
         return
     predicate = condition
-    for expr in (predicate.lhs,):
-        if isinstance(expr, ColumnRef):
-            out.append((expr, extra_tables))
-        elif isinstance(expr, AggExpr) and isinstance(expr.arg, ColumnRef):
-            out.append((expr.arg, extra_tables))
+    for expr in (predicate.lhs, predicate.rhs):
+        column = _expr_column(expr)
+        if column is not None:
+            out.append((column, extra_tables))
     rhs = predicate.rhs
-    if isinstance(rhs, ColumnRef):
-        out.append((rhs, extra_tables))
-    elif isinstance(rhs, NormalizedQuery):
+    if isinstance(rhs, NormalizedQuery):
         sub_tables = frozenset(t.lower() for t in rhs.from_clause.tables)
         for item in rhs.select:
-            if isinstance(item.expr, ColumnRef):
-                out.append((item.expr, sub_tables))
-            elif isinstance(item.expr, AggExpr) and isinstance(item.expr.arg, ColumnRef):
-                out.append((item.expr.arg, sub_tables))
+            column = _expr_column(item.expr)
+            if column is not None:
+                out.append((column, sub_tables))
         for join in rhs.from_clause.joins:
             for a, b in join.conditions:
                 out.append((a, sub_tables))
@@ -309,52 +294,30 @@ def _collect_condition_refs(
 
 
 def _clause_refs(
-    kind: ClauseKind, body: Sequence[str]
+    kind: ClauseKind, parsed: object
 ) -> list[tuple[ColumnRef, frozenset[str] | None]]:
+    """Column references of one parsed clause (see ``parse_clause_body``),
+    each with the subquery tables in scope beside the outer FROM."""
     refs: list[tuple[ColumnRef, frozenset[str] | None]] = []
-    try:
-        if kind is ClauseKind.SELECT:
-            _, items = parse_select_body(body)
-            for item in items:
-                if isinstance(item.expr, ColumnRef):
-                    refs.append((item.expr, None))
-                elif isinstance(item.expr, AggExpr) and isinstance(
-                    item.expr.arg, ColumnRef
-                ):
-                    refs.append((item.expr.arg, None))
-        elif kind is ClauseKind.FROM:
-            clause = parse_from_body(body)
-            for join in clause.joins:
-                for a, b in join.conditions:
-                    refs.append((a, None))
-                    refs.append((b, None))
-        elif kind in (ClauseKind.WHERE, ClauseKind.HAVING):
-            condition = parse_condition_body(body, clause=kind.value)
-            _collect_condition_refs(condition, refs)
-        elif kind is ClauseKind.GROUP_BY:
-            for column in parse_group_body(body):
-                refs.append((column, None))
-        elif kind is ClauseKind.ORDER_BY:
-            for item in parse_order_body(body):
-                if isinstance(item.expr, ColumnRef):
-                    refs.append((item.expr, None))
-                elif isinstance(item.expr, AggExpr) and isinstance(
-                    item.expr.arg, ColumnRef
-                ):
-                    refs.append((item.expr.arg, None))
-    except ParseError:
-        return []  # malformed bodies are the syntax checks' problem
+    if kind in (ClauseKind.WHERE, ClauseKind.HAVING):
+        _collect_condition_refs(parsed, refs)
+        return refs
+    exprs: Sequence[object] = ()
+    if kind is ClauseKind.SELECT:
+        exprs = [item.expr for item in parsed[1]]
+    elif kind is ClauseKind.FROM:
+        exprs = [
+            ref for join in parsed.joins for pair in join.conditions for ref in pair
+        ]
+    elif kind is ClauseKind.GROUP_BY:
+        exprs = parsed
+    elif kind is ClauseKind.ORDER_BY:
+        exprs = [item.expr for item in parsed]
+    for expr in exprs:
+        column = _expr_column(expr)
+        if column is not None:
+            refs.append((column, None))
     return refs
-
-
-_SCOPED_CLAUSES = (
-    ClauseKind.SELECT,
-    ClauseKind.FROM,
-    ClauseKind.WHERE,
-    ClauseKind.GROUP_BY,
-    ClauseKind.HAVING,
-    ClauseKind.ORDER_BY,
-)
 
 
 @dataclass
@@ -420,22 +383,22 @@ def _scan_partial_scope(
     return PASS
 
 
-def check_scope(query_so_far: PartialParse) -> CheckVerdict:
+def check_scope(
+    query_so_far: PartialParse, clauses: Mapping[ClauseKind, object]
+) -> CheckVerdict:
     """Reject column references whose table is absent from FROM.
 
-    Inert until the FROM clause is terminated; afterwards completed
-    clauses are checked via their parsed structure and the current
+    ``clauses`` maps each terminated clause of ``query_so_far`` to its
+    ``parse_clause_body`` result.  Inert until the FROM clause is
+    terminated; afterwards the parsed clauses are walked and the current
     clause body is scanned eagerly.
     """
-    tables = _from_tables(query_so_far)
-    if tables is None:
+    from_clause = clauses.get(ClauseKind.FROM)
+    if from_clause is None:
         return PASS
-    outer = frozenset(t.lower() for t in tables)
-    for kind in _SCOPED_CLAUSES:
-        body = query_so_far.completed.get(kind)
-        if body is None:
-            continue
-        for ref, local in _clause_refs(kind, body):
+    outer = frozenset(t.lower() for t in from_clause.tables)
+    for kind, parsed in clauses.items():
+        for ref, local in _clause_refs(kind, parsed):
             allowed = outer if local is None else local | outer
             if ref.table.lower() not in allowed:
                 return CheckVerdict.rejected(
@@ -556,13 +519,15 @@ def check_partial(
         return CheckVerdict.rejected(
             ErrorKind.SYNTAX, partial.current_clause, partial.syntax_error
         )
+    clauses: dict[ClauseKind, object] = {}
     for kind, body in partial.completed.items():
         verdict = check_vocabulary(kind, body, None, schema)
         if not verdict.ok:
             return verdict
-        error = validate_clause_body(kind, body)
-        if error is not None:
-            return CheckVerdict.rejected(ErrorKind.SYNTAX, kind, error)
+        try:
+            clauses[kind] = parse_clause_body(kind, body)
+        except ParseError as exc:
+            return CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc))
     current = partial.current_clause
     if current is not None:
         if partial.keyword_remaining:
@@ -581,20 +546,19 @@ def check_partial(
             )
             if not verdict.ok:
                 return verdict
-    verdict = check_scope(partial)
+    verdict = check_scope(partial, clauses)
     if not verdict.ok:
         return verdict
-    if example is not None and ClauseKind.SELECT in partial.completed:
-        try:
-            _, items = parse_select_body(partial.completed[ClauseKind.SELECT])
-        except ParseError:
-            items = ()
-        if items:
-            verdict = check_types(
-                items, schema, example, from_tables=_from_tables(partial)
-            )
-            if not verdict.ok:
-                return verdict
+    if example is not None and ClauseKind.SELECT in clauses:
+        from_clause = clauses.get(ClauseKind.FROM)
+        verdict = check_types(
+            clauses[ClauseKind.SELECT][1],
+            schema,
+            example,
+            from_tables=from_clause.tables if from_clause is not None else None,
+        )
+        if not verdict.ok:
+            return verdict
     if partial.eos_seen and not partial.all_terminated:
         return CheckVerdict.rejected(
             ErrorKind.SYNTAX, current, "generation ended before the LIMIT line"

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .bench import (
     run_ablation,
@@ -24,6 +25,7 @@ from .nsql.errors import SqlError
 from .nsql.normalize import normalize, rewrite_dataset
 from .search import AttemptMode, SearchConfig, run_search
 from .tasks import (
+    DatabaseSchema,
     DatasetError,
     ExampleTuple,
     TaskInstance,
@@ -31,6 +33,7 @@ from .tasks import (
     load_schemas,
     load_tasks,
     open_database,
+    refine_schema,
 )
 
 
@@ -86,11 +89,21 @@ def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--limit", type=int, default=None, help="use only the first N tasks")
 
 
+def _refine_schemas(
+    schemas: dict[str, DatabaseSchema], db_root: str, db_ids: Iterable[str]
+) -> None:
+    """Widen the named schemas from their databases (``refine_schema``),
+    so the CLI searches with the column types the library uses."""
+    for db_id in set(db_ids):
+        schemas[db_id] = refine_schema(open_database(db_root, db_id), schemas[db_id])
+
+
 def _load_dataset(args: argparse.Namespace):
     schemas = load_schemas(args.tables)
     tasks = load_tasks(args.tasks, schemas)
     if args.limit is not None:
         tasks = tasks[: args.limit]
+    _refine_schemas(schemas, args.db_root, (task.db_id for task in tasks))
     return schemas, tasks
 
 
@@ -108,6 +121,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     schemas = load_schemas(args.tables)
     if args.db_id not in schemas:
         raise CliError(f"unknown database id {args.db_id!r}")
+    _refine_schemas(schemas, args.db_root, [args.db_id])
     examples = frozenset(_parse_example(raw) for raw in args.example or [])
     task = TaskInstance(
         id=f"{args.db_id}-cli",

@@ -18,6 +18,8 @@ from typing import Mapping, Sequence
 
 import requests
 
+from .nsql.lexemes import split_line
+
 EOS_TOKEN_ID = "<eos>"
 
 _PROB_SUM_SLACK = 1e-9
@@ -33,10 +35,6 @@ class AdapterUnavailable(AdapterError):
 
 class ProtocolError(AdapterError):
     """The model backend replied with something unusable."""
-
-
-class UnknownToken(AdapterError):
-    """A token sequence contains a token this adapter never produced."""
 
 
 @dataclass(frozen=True)
@@ -62,35 +60,18 @@ def lexeme_tokens(text: str) -> tuple[str, ...]:
     """Split canonical query text into lexeme tokens.
 
     Each token carries its trailing separator (space or newline), so the
-    concatenation of tokens reproduces the text exactly.  String
-    constants stay single tokens even when they contain spaces.
+    concatenation of tokens reproduces the text exactly.  Lexemes are
+    the ones ``split_line`` finds on each line, so string constants stay
+    single tokens even when they contain spaces.
     """
     tokens: list[str] = []
-    buf: list[str] = []
-    in_string = False
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if in_string:
-            buf.append(ch)
-            if ch == "'":
-                if i + 1 < n and text[i + 1] == "'":
-                    buf.append("'")
-                    i += 1
-                else:
-                    in_string = False
-        elif ch in " \n":
-            buf.append(ch)
-            tokens.append("".join(buf))
-            buf = []
-        else:
-            if ch == "'" and not buf:
-                in_string = True
-            buf.append(ch)
-        i += 1
-    if buf:
-        tokens.append("".join(buf))
+    for line in text.split("\n"):
+        lexemes, fragment = split_line(line, terminated=False)
+        tokens += [lexeme + " " for lexeme in lexemes]
+        tokens.append((fragment or "") + "\n")
+    last = tokens.pop()[:-1]  # the text's last line has no newline
+    if last:
+        tokens.append(last)
     return tuple(tokens)
 
 
@@ -218,12 +199,6 @@ class ScriptedModel:
         candidates.sort(key=lambda c: (-c.prob, c.token_id))
         return candidates[:k]
 
-    def decode(self, tokens: Sequence[str]) -> str:
-        for token in tokens:
-            if token not in self._vocabulary:
-                raise UnknownToken(repr(token))
-        return "".join(token for token in tokens if token != EOS_TOKEN_ID)
-
 
 class ScriptedRouter:
     """Routes task texts to scripted models by substring match."""
@@ -251,9 +226,6 @@ class ScriptedRouter:
         self, session: GenerationSession, k: int
     ) -> list[TokenCandidate]:
         return self._model_for(session.task_text).top_candidates(session, k)
-
-    def decode(self, tokens: Sequence[str]) -> str:
-        return "".join(token for token in tokens if token != EOS_TOKEN_ID)
 
 
 def _model_from_mapping(data: Mapping) -> ScriptedModel:
@@ -339,7 +311,7 @@ class HttpCompletionModel:
     ) -> list[TokenCandidate]:
         payload = {
             "task": session.task_text,
-            "prefix": self.decode(session.prefix),
+            "prefix": "".join(t for t in session.prefix if t != EOS_TOKEN_ID),
             "k": k,
         }
         try:
@@ -373,9 +345,3 @@ class HttpCompletionModel:
             candidates.append(TokenCandidate(EOS_TOKEN_ID, "", prob))
         candidates.sort(key=lambda c: (-c.prob, c.token_id))
         return candidates[:k]
-
-    def decode(self, tokens: Sequence[str]) -> str:
-        for token in tokens:
-            if not isinstance(token, str):
-                raise UnknownToken(repr(token))
-        return "".join(token for token in tokens if token != EOS_TOKEN_ID)

@@ -10,8 +10,9 @@ normalizer resolves against a schema.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ParseError
 from .lexemes import (
@@ -453,24 +454,25 @@ def parse_limit_body(lexemes: Sequence[str]) -> Constant | None:
 
 # -- Whole-query parsing ----------------------------------------------------
 
-_BODY_VALIDATORS = {
-    ClauseKind.SELECT: lambda body: parse_select_body(body),
-    ClauseKind.FROM: lambda body: parse_from_body(body),
-    ClauseKind.WHERE: lambda body: parse_condition_body(body, clause="WHERE"),
-    ClauseKind.GROUP_BY: lambda body: parse_group_body(body),
-    ClauseKind.HAVING: lambda body: parse_condition_body(body, clause="HAVING"),
-    ClauseKind.ORDER_BY: lambda body: parse_order_body(body),
-    ClauseKind.LIMIT: lambda body: parse_limit_body(body),
+_CLAUSE_GRAMMARS: dict[ClauseKind, Callable[[Sequence[str]], object]] = {
+    ClauseKind.SELECT: parse_select_body,
+    ClauseKind.FROM: parse_from_body,
+    ClauseKind.WHERE: functools.partial(parse_condition_body, clause="WHERE"),
+    ClauseKind.GROUP_BY: parse_group_body,
+    ClauseKind.HAVING: functools.partial(parse_condition_body, clause="HAVING"),
+    ClauseKind.ORDER_BY: parse_order_body,
+    ClauseKind.LIMIT: parse_limit_body,
 }
 
 
-def validate_clause_body(kind: ClauseKind, body: Sequence[str]) -> str | None:
-    """Strict-parse one terminated clause body; return the error, if any."""
-    try:
-        _BODY_VALIDATORS[kind](list(body))
-    except ParseError as exc:
-        return str(exc)
-    return None
+def parse_clause_body(kind: ClauseKind, body: Sequence[str]) -> object:
+    """Strict-parse one terminated clause body (keyword stripped).
+
+    ``_CLAUSE_GRAMMARS`` is the single place that knows which grammar
+    parses which clause.  The result is ``(distinct, items)`` for SELECT
+    and the matching ``parse_*_body`` result for every other clause.
+    """
+    return _CLAUSE_GRAMMARS[kind](body)
 
 
 def parse_complete(text: str) -> NormalizedQuery:
@@ -484,15 +486,17 @@ def parse_complete(text: str) -> NormalizedQuery:
         raise ParseError(partial.syntax_error)
     if not partial.all_terminated:
         raise ParseError("query text is incomplete")
-    bodies = partial.completed
-    distinct, items = parse_select_body(bodies[ClauseKind.SELECT])
+    clauses = {
+        kind: parse_clause_body(kind, body) for kind, body in partial.completed.items()
+    }
+    distinct, items = clauses[ClauseKind.SELECT]
     return NormalizedQuery(
         select=items,
-        from_clause=parse_from_body(bodies[ClauseKind.FROM]),
-        where=parse_condition_body(bodies[ClauseKind.WHERE], clause="WHERE"),
-        group_by=parse_group_body(bodies[ClauseKind.GROUP_BY]),
-        having=parse_condition_body(bodies[ClauseKind.HAVING], clause="HAVING"),
-        order_by=parse_order_body(bodies[ClauseKind.ORDER_BY]),
-        limit=parse_limit_body(bodies[ClauseKind.LIMIT]),
+        from_clause=clauses[ClauseKind.FROM],
+        where=clauses[ClauseKind.WHERE],
+        group_by=clauses[ClauseKind.GROUP_BY],
+        having=clauses[ClauseKind.HAVING],
+        order_by=clauses[ClauseKind.ORDER_BY],
+        limit=clauses[ClauseKind.LIMIT],
         distinct=distinct,
     )

@@ -80,6 +80,12 @@ def unquote_string(lexeme: str) -> str:
     return lexeme[1:-1].replace("''", "'")
 
 
+# One lexeme: a string constant (doubled quotes escape, an unclosed one
+# runs to the end of the line) and anything glued to it, or a run of
+# non-space characters.  A quote only opens a string at a lexeme's start.
+_LEXEME_RE = re.compile(r"(?:'(?:[^']|'')*(?:'|\Z))?[^ ]*")
+
+
 def split_line(line: str, terminated: bool) -> tuple[list[str], str | None]:
     """Split one clause line into lexemes.
 
@@ -89,35 +95,20 @@ def split_line(line: str, terminated: bool) -> tuple[list[str], str | None]:
     contain spaces and escaped quotes (``''``).
     """
     complete: list[str] = []
-    buf: list[str] = []
-    in_string = False
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if in_string:
-            buf.append(ch)
-            if ch == "'":
-                if i + 1 < n and line[i + 1] == "'":
-                    buf.append("'")
-                    i += 1
-                else:
-                    in_string = False
-        elif ch == " ":
-            complete.append("".join(buf))
-            buf = []
-        else:
-            if ch == "'" and not buf:
-                in_string = True
-            buf.append(ch)
-        i += 1
+    start = 0
+    while True:
+        end = _LEXEME_RE.match(line, start).end()
+        if end == len(line):
+            break
+        complete.append(line[start:end])  # line[end] is the separating space
+        start = end + 1
+    trailing = line[start:]
+    if not trailing:
+        return complete, None
     if terminated:
-        if buf:
-            complete.append("".join(buf))
+        complete.append(trailing)
         return complete, None
-    if not buf:
-        return complete, None
-    return complete, "".join(buf)
+    return complete, trailing
 
 
 def _scan_string(text: str, i: int, quote: str) -> tuple[str, int]:

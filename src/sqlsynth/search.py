@@ -12,11 +12,12 @@ from __future__ import annotations
 import dataclasses
 import enum
 import heapq
+import itertools
 import math
 import sqlite3
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 from .checker import CheckVerdict, make_checker
 from .lm import AdapterError, EOS_TOKEN_ID, GenerationSession, TokenCandidate
@@ -172,33 +173,65 @@ def _is_direct_child(parent: SearchNode | None, node: SearchNode) -> bool:
     )
 
 
-def _expand(
-    node: SearchNode,
+class _DeadlinePassed(Exception):
+    """The time budget ran out before the frontier did."""
+
+
+def _best_first(
     session: GenerationSession,
     model: CompletionModel,
-    frontier: Frontier,
     stats: SearchStats,
     config: SearchConfig,
     checker: Checker | None,
-) -> None:
-    candidates = model.top_candidates(
-        dataclasses.replace(session, prefix=node.tokens), config.k
-    )
-    stats.nodes_expanded += 1
-    stats.candidates_generated += len(candidates)
-    for candidate in candidates:
-        if candidate.prob <= 0.0:
+    deadline: float,
+) -> Iterator[SearchNode]:
+    """Pop nodes best first; yield each end-of-sequence node and expand
+    the rest with the model's top-k continuations that pass ``checker``.
+    Ends when the frontier is empty and raises ``_DeadlinePassed`` when
+    time runs out first."""
+    frontier = Frontier()
+    frontier.push(ROOT)
+    previous: SearchNode | None = None
+    while True:
+        if time.monotonic() > deadline:
+            raise _DeadlinePassed
+        node = frontier.pop_best()
+        if node is None:
+            return
+        if not _is_direct_child(previous, node):
+            stats.backtracks += 1
+        previous = node
+        if node.tokens and node.tokens[-1] == EOS_TOKEN_ID:
+            yield node
             continue
-        eos = candidate.is_eos
-        child = extend(node, candidate)
-        if not eos and child.depth >= config.max_tokens:
-            continue
-        if checker is not None:
-            verdict = checker(child.text, eos)
-            if not verdict.ok:
-                stats.pruned_by_checker += 1
+        candidates = model.top_candidates(
+            dataclasses.replace(session, prefix=node.tokens), config.k
+        )
+        stats.nodes_expanded += 1
+        stats.candidates_generated += len(candidates)
+        for candidate in candidates:
+            if candidate.prob <= 0.0:
                 continue
-        frontier.push(child)
+            eos = candidate.is_eos
+            child = extend(node, candidate)
+            if not eos and child.depth >= config.max_tokens:
+                continue
+            if checker is not None:
+                verdict = checker(child.text, eos)
+                if not verdict.ok:
+                    stats.pruned_by_checker += 1
+                    continue
+            frontier.push(child)
+
+
+def search_task_text(
+    task: TaskInstance, schema: DatabaseSchema, config: SearchConfig
+) -> str:
+    """The task description the model sees, without examples when the
+    config hides them."""
+    if not config.include_examples:
+        task = dataclasses.replace(task, examples=frozenset())
+    return serialize_task(task, schema)
 
 
 def run_search(
@@ -227,11 +260,6 @@ def run_search(
     if checker is None:
         checker = make_checker(schema, example)
     prune: Checker | None = checker if config.pqc_enabled else None
-
-    task_for_text = (
-        task if config.include_examples else dataclasses.replace(task, examples=frozenset())
-    )
-    task_text = serialize_task(task_for_text, schema)
 
     conn: sqlite3.Connection | None = None
     close_conn = False
@@ -268,24 +296,8 @@ def run_search(
 
     try:
         try:
-            session = model.start_session(task_text)
-        except AdapterError as exc:
-            stats.adapter_error = str(exc)
-            return finish(SearchStatus.ADAPTER_FAILURE)
-
-        frontier = Frontier()
-        frontier.push(ROOT)
-        previous: SearchNode | None = None
-        while True:
-            if time.monotonic() > deadline:
-                return finish(SearchStatus.TIMED_OUT)
-            node = frontier.pop_best()
-            if node is None:
-                return finish(SearchStatus.EXHAUSTED)
-            if not _is_direct_child(previous, node):
-                stats.backtracks += 1
-            previous = node
-            if node.tokens and node.tokens[-1] == EOS_TOKEN_ID:
+            session = model.start_session(search_task_text(task, schema, config))
+            for node in _best_first(session, model, stats, config, prune, deadline):
                 if not is_complete(node):
                     continue  # ended mid-query; only reachable with checks off
                 stats.complete_queries_tested += 1
@@ -294,7 +306,7 @@ def run_search(
                 except ParseError:
                     stats.failed_queries.append(node.text)
                     if config.attempt_mode is AttemptMode.SINGLE:
-                        return finish(SearchStatus.EXHAUSTED)
+                        break
                     continue
                 outcome = tester(query, deadline)
                 if outcome.satisfied:
@@ -306,13 +318,13 @@ def run_search(
                     )
                 stats.failed_queries.append(query.render())
                 if config.attempt_mode is AttemptMode.SINGLE:
-                    return finish(SearchStatus.EXHAUSTED)
-                continue
-            try:
-                _expand(node, session, model, frontier, stats, config, prune)
-            except AdapterError as exc:
-                stats.adapter_error = str(exc)
-                return finish(SearchStatus.ADAPTER_FAILURE)
+                    break
+        except AdapterError as exc:
+            stats.adapter_error = str(exc)
+            return finish(SearchStatus.ADAPTER_FAILURE)
+        except _DeadlinePassed:
+            return finish(SearchStatus.TIMED_OUT)
+        return finish(SearchStatus.EXHAUSTED)
     finally:
         if close_conn and conn is not None:
             conn.close()
@@ -332,16 +344,11 @@ def collect_complete(
     config = config or SearchConfig()
     deadline = time.monotonic() + config.time_limit
     session = model.start_session(task_text)
-    frontier = Frontier()
-    frontier.push(ROOT)
-    stats = SearchStats()
+    nodes = _best_first(session, model, SearchStats(), config, None, deadline)
     collected: list[str] = []
-    while len(collected) < n and time.monotonic() < deadline:
-        node = frontier.pop_best()
-        if node is None:
-            break
-        if node.tokens and node.tokens[-1] == EOS_TOKEN_ID:
+    try:
+        for node in itertools.islice(nodes, n):
             collected.append(node.text)
-            continue
-        _expand(node, session, model, frontier, stats, config, None)
+    except _DeadlinePassed:
+        pass
     return collected

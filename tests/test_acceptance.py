@@ -252,7 +252,7 @@ def _enumerate_sequences(model, task_text):
     def walk(prefix: tuple[str, ...], prob: float) -> None:
         for cand in model.top_candidates(GenerationSession(task_text, prefix), 1000):
             if cand.is_eos:
-                leaves.append((prob * cand.prob, model.decode(prefix)))
+                leaves.append((prob * cand.prob, "".join(prefix)))
             else:
                 walk(prefix + (cand.token_id,), prob * cand.prob)
 

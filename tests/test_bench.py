@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -18,7 +19,7 @@ from sqlsynth.bench import (
 from sqlsynth.checker import Label
 from sqlsynth.lm import ScriptedModel, ScriptedRouter
 from sqlsynth.nsql.normalize import normalize
-from sqlsynth.search import AttemptMode, SearchConfig
+from sqlsynth.search import AttemptMode, SearchConfig, search_task_text
 from sqlsynth.tasks import ExampleTuple, TaskInstance
 
 CONFIG = SearchConfig(k=8, time_limit=10.0)
@@ -179,9 +180,6 @@ class _CrashingModel:
     def top_candidates(self, session, k):
         raise RuntimeError("boom")
 
-    def decode(self, tokens):
-        return ""
-
 
 def test_benchmark_contains_model_crash(schemas, fixture_paths):
     task = _task("bench-001", "count every singer", "select count(*) from singer", [5])
@@ -276,6 +274,35 @@ def test_run_checker_experiment_agrees_on_gold(schemas, fixture_paths, router):
     assert experiment.matrix[Label.CORRECT][Label.CORRECT] == 1
 
 
+class _RecordingModel:
+    """Passes calls through to a model and keeps each task text shown."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.task_texts: list[str] = []
+
+    def start_session(self, task_text):
+        self.task_texts.append(task_text)
+        return self.inner.start_session(task_text)
+
+    def top_candidates(self, session, k):
+        return self.inner.top_candidates(session, k)
+
+
+def test_run_checker_experiment_hides_examples_when_asked(
+    schemas, fixture_paths, router
+):
+    task = _task("bench-001", "count every singer", "select count(*) from singer", [5])
+    config = dataclasses.replace(CONFIG, include_examples=False)
+    model = _RecordingModel(router)
+    experiment = run_checker_experiment(
+        [task], schemas, fixture_paths.db_root, model, per_task=1, config=config
+    )
+    assert experiment.total == 1
+    assert model.task_texts == [search_task_text(task, schemas["concerts"], config)]
+    assert model.task_texts[0].endswith("---\nno examples")
+
+
 # -- CLI -------------------------------------------------------------------
 
 
@@ -356,6 +383,43 @@ def test_cli_generate_prints_solution(tmp_path, capsys, fixture_paths, canon):
     assert payload["rows"] == [[5]]
     assert payload["repaired"] is False
     assert payload["stats"]["nodes_expanded"] > 0
+
+
+def test_cli_generate_sees_refined_column_types(tmp_path, capsys, fixture_paths, schemas):
+    # The schema file declares pets.weight a number; only the stored
+    # values show it is Real, and the router answers only that text.
+    query = normalize(
+        "select weight from pets where pettype = 'cat'", schemas["pets"]
+    ).render()
+    spec = _write_json(
+        tmp_path / "router.json",
+        {
+            "routes": [
+                {"match": "weight : Real", "paths": [{"query": query, "weight": 0.9}]}
+            ]
+        },
+    )
+    code = cli.main(
+        [
+            "generate",
+            "--tables",
+            str(fixture_paths.tables),
+            "--db-root",
+            str(fixture_paths.db_root),
+            "--db-id",
+            "pets",
+            "--question",
+            "how heavy is the cat",
+            "--example",
+            "[12.5]",
+            "--model",
+            f"scripted:{spec}",
+        ]
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "solved"
+    assert payload["rows"] == [[12.5]]
 
 
 def test_cli_generate_rejects_malformed_example(tmp_path, capsys, fixture_paths, canon):

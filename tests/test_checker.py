@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from sqlsynth import checker
 from sqlsynth.checker import (
     CLAUSE_VOCABULARY,
     ErrorKind,
@@ -13,7 +14,8 @@ from sqlsynth.checker import (
     make_checker,
     predict_label,
 )
-from sqlsynth.nsql.grammar import parse_select_body
+from sqlsynth.nsql import grammar
+from sqlsynth.nsql.grammar import parse_clause_body, parse_select_body
 from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import ClauseKind
 from sqlsynth.tasks import ExampleTuple
@@ -110,16 +112,23 @@ def test_dead_fragments_are_rejected(concerts):
 # -- scope ------------------------------------------------------------------
 
 
+def _check_scope(partial):
+    clauses = {
+        kind: parse_clause_body(kind, body) for kind, body in partial.completed.items()
+    }
+    return check_scope(partial, clauses)
+
+
 def test_scope_inert_until_from_is_closed(concerts):
     partial = parse_partial("SELECT concert.venue\nFROM sing")
-    assert check_scope(partial).ok
+    assert _check_scope(partial).ok
 
 
 def test_scope_checks_select_once_from_is_known(concerts):
     ok = parse_partial("SELECT singer.name\nFROM singer\nWHERE ")
-    assert check_scope(ok).ok
+    assert _check_scope(ok).ok
     bad = parse_partial("SELECT concert.venue\nFROM singer\nWHERE ")
-    verdict = check_scope(bad)
+    verdict = _check_scope(bad)
     assert not verdict.ok
     assert verdict.kind is ErrorKind.RUNTIME
     assert verdict.clause is ClauseKind.SELECT
@@ -127,9 +136,9 @@ def test_scope_checks_select_once_from_is_known(concerts):
 
 def test_scope_scans_the_open_clause(concerts):
     bad = parse_partial("SELECT singer.name\nFROM singer\nWHERE concert.year ")
-    assert not check_scope(bad).ok
+    assert not _check_scope(bad).ok
     ok = parse_partial("SELECT singer.name\nFROM singer\nWHERE singer.age ")
-    assert check_scope(ok).ok
+    assert _check_scope(ok).ok
 
 
 def test_scope_defers_subquery_columns_until_their_from(concerts):
@@ -137,12 +146,12 @@ def test_scope_defers_subquery_columns_until_their_from(concerts):
         "SELECT singer.name\nFROM singer\n"
         "WHERE singer.singer_id IN ( SELECT singer_in_concert.singer_id "
     )
-    assert check_scope(parse_partial(prefix)).ok
+    assert _check_scope(parse_partial(prefix)).ok
     closed = prefix + "FROM singer_in_concert ) "
-    assert check_scope(parse_partial(closed)).ok
+    assert _check_scope(parse_partial(closed)).ok
     # Under the subquery's FROM the outer table stays visible.
     correlated = prefix + "FROM singer_in_concert WHERE singer.age "
-    assert check_scope(parse_partial(correlated)).ok
+    assert _check_scope(parse_partial(correlated)).ok
 
 
 def test_scope_rejects_strays_inside_subqueries(concerts):
@@ -151,7 +160,7 @@ def test_scope_rejects_strays_inside_subqueries(concerts):
         "WHERE singer.singer_id IN ( SELECT singer_in_concert.singer_id "
         "FROM singer_in_concert WHERE concert.year "
     )
-    verdict = check_scope(parse_partial(text))
+    verdict = _check_scope(parse_partial(text))
     assert not verdict.ok
     assert verdict.kind is ErrorKind.RUNTIME
 
@@ -161,7 +170,7 @@ def test_scope_covers_order_by(concerts):
         "SELECT singer.name\nFROM singer\nWHERE\nGROUP BY\nHAVING\n"
         "ORDER BY concert.year "
     )
-    assert not check_scope(bad).ok
+    assert not _check_scope(bad).ok
 
 
 # -- types ------------------------------------------------------------------
@@ -267,6 +276,38 @@ def test_checker_passes_every_prefix_of_a_gold(concerts):
         verdict = check(gold[:cut], False)
         assert verdict.ok, (gold[:cut], verdict)
     assert check(gold, True).ok
+
+
+def test_each_finished_clause_is_parsed_once_per_check(
+    monkeypatch, normalized_tasks, schemas
+):
+    parsed: list[tuple[str, ...]] = []
+
+    def counting(original):
+        def parse(body, *args, **kwargs):
+            parsed.append(tuple(body))
+            return original(body, *args, **kwargs)
+
+        return parse
+
+    for kind, parse in list(grammar._CLAUSE_GRAMMARS.items()):
+        monkeypatch.setitem(grammar._CLAUSE_GRAMMARS, kind, counting(parse))
+    # A grammar the checker imports directly would bypass the count.
+    imported = {name for name in vars(checker) if name.endswith("_body")}
+    assert imported == {"parse_clause_body"}
+    checks = 0
+    for task in normalized_tasks:
+        check = make_checker(schemas[task.db_id], task.sorted_examples()[0])
+        text = task.gold_query
+        for cut in range(len(text) + 1):
+            for eos in (False, True):
+                parsed.clear()
+                verdict = check(text[:cut], eos)
+                assert verdict.ok is (not eos or cut == len(text)), verdict
+                bodies = parse_partial(text[:cut]).completed.values()
+                assert sorted(parsed) == sorted(bodies), text[:cut]
+                checks += 1
+    assert checks > 5000
 
 
 # -- labels -----------------------------------------------------------------

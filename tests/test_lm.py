@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -18,10 +19,11 @@ from sqlsynth.lm import (
     ProtocolError,
     ScriptedModel,
     ScriptedRouter,
-    UnknownToken,
     lexeme_tokens,
     load_scripted_model,
 )
+from sqlsynth.nsql.lexemes import split_line
+from tests.fixtures.randqueries import distinct_queries
 
 QUERY_A = "SELECT t.a\nFROM t\nWHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
 QUERY_B = "SELECT t.b\nFROM t\nWHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
@@ -44,10 +46,25 @@ def test_lexeme_tokens_keep_spaced_strings_whole():
     assert "".join(tokens) == text
 
 
-@given(st.lists(st.sampled_from(["A ", "b.c ", "'x y' ", "7\n"]), min_size=1))
-def test_lexeme_tokens_roundtrip(parts):
-    text = "".join(parts)
+@given(st.text())
+def test_lexeme_tokens_roundtrip(text):
     assert "".join(lexeme_tokens(text)) == text
+
+
+def test_lexeme_tokens_are_split_line_lexemes(normalized_tasks, schemas):
+    rng = random.Random(5)
+    texts = [task.gold_query for task in normalized_tasks]
+    for schema in schemas.values():
+        texts.extend(query.render() for query in distinct_queries(schema, rng, 40))
+    for text in texts:
+        lines: list[list[str]] = [[]]
+        for token in lexeme_tokens(text):
+            assert token[-1] in " \n"
+            lines[-1].append(token[:-1])
+            if token.endswith("\n"):
+                lines.append([])
+        expected = [split_line(line, terminated=True)[0] for line in text.split("\n")]
+        assert lines == expected, text
 
 
 # -- scripted trie model ----------------------------------------------------
@@ -100,14 +117,6 @@ def test_scripted_rejects_continuing_after_eos():
     model = ScriptedModel.from_queries([(QUERY_A, 1.0)])
     with pytest.raises(ProtocolError):
         model.top_candidates(_session(model, ("SELECT ", EOS_TOKEN_ID)), 10)
-
-
-def test_scripted_decode_and_unknown_token():
-    model = ScriptedModel.from_queries([(QUERY_A, 1.0)])
-    tokens = lexeme_tokens(QUERY_A) + (EOS_TOKEN_ID,)
-    assert model.decode(tokens) == QUERY_A
-    with pytest.raises(UnknownToken):
-        model.decode(("never-seen ",))
 
 
 def test_scripted_weight_validation():

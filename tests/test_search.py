@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
@@ -356,3 +358,16 @@ def test_collect_complete_orders_by_probability():
     assert collected == [texts[1], texts[2], texts[0]]
     assert collect_complete("task", model, 2) == [texts[1], texts[2]]
     assert collect_complete("task", model, 10) == [texts[1], texts[2], texts[0]]
+
+
+def test_benchmark_entry_points_still_resolve():
+    # perfbench/tracer.py patches these attributes to time each layer; a
+    # name that stops resolving would turn its layer into "missing".
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.ENTRY_POINTS
+    for module, attribute, span, _ in tracer.ENTRY_POINTS:
+        found = getattr(importlib.import_module(module), attribute, None)
+        assert callable(found), (module, attribute, span)
