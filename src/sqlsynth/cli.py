@@ -23,7 +23,7 @@ from .bench import (
 from .lm import AdapterError, HttpCompletionModel, load_scripted_model
 from .nsql.errors import SqlError
 from .nsql.normalize import normalize, rewrite_dataset
-from .search import AttemptMode, SearchConfig, run_search
+from .search import AttemptMode, SearchConfig, SearchStatus, run_search
 from .tasks import (
     DatabaseSchema,
     DatasetError,
@@ -145,7 +145,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         "stats": result.stats.as_dict(),
     }
     print(json.dumps(payload, indent=2))
-    return 0
+    # run_search reports model adapter errors as a status, not an exception.
+    return 1 if result.status is SearchStatus.ADAPTER_FAILURE else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -5,7 +5,9 @@ result is compared with the user-supplied example tuples.  When the
 candidate misses, close variants are tried: every query whose rendered
 form differs in exactly one lexeme, where the changed lexeme is an
 aggregation function, a connective, a comparison operator, or a column
-reference.  Constants are never touched.
+reference.  A column reference is only swapped for a column of a table
+the query names (in its FROM or an IN-subquery's FROM); any other table
+fails the scope check and SQLite alike.  Constants are never touched.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .nsql.lexemes import (
     is_column_ref,
     split_line,
 )
-from .nsql.query import NormalizedQuery, denormalize_text
+from .nsql.query import BoolOp, Condition, NormalizedQuery, Predicate, denormalize_text
 from .tasks import DatabaseSchema, ExampleTuple
 
 ROW_LIMIT = 100_000
@@ -157,7 +159,22 @@ _CONNECTIVE_MEMBERS = tuple(CONNECTIVES)
 _COMPARISON_MEMBERS = tuple(COMPARISONS)
 
 
-def _alternatives(lexeme: str, schema: DatabaseSchema) -> tuple[str, ...]:
+def _named_tables(query: NormalizedQuery) -> set[str]:
+    """Lower-cased tables in FROM and, recursively, in IN-subqueries."""
+    named = {table.lower() for table in query.from_clause.tables}
+    pending: list[Condition | None] = [query.where, query.having]
+    while pending:
+        condition = pending.pop()
+        if isinstance(condition, BoolOp):
+            pending.extend(condition.operands)
+        elif isinstance(condition, Predicate) and isinstance(
+            condition.rhs, NormalizedQuery
+        ):
+            named |= _named_tables(condition.rhs)
+    return named
+
+
+def _alternatives(lexeme: str, column_refs: tuple[str, ...]) -> tuple[str, ...]:
     if lexeme in AGGREGATIONS:
         pool: tuple[str, ...] = _AGG_MEMBERS
     elif lexeme in CONNECTIVES:
@@ -165,7 +182,7 @@ def _alternatives(lexeme: str, schema: DatabaseSchema) -> tuple[str, ...]:
     elif lexeme in COMPARISONS:
         pool = _COMPARISON_MEMBERS
     elif is_column_ref(lexeme):
-        pool = schema.column_refs()
+        pool = column_refs
     else:
         return ()
     return tuple(member for member in pool if member != lexeme)
@@ -177,10 +194,19 @@ def hamming_one_queries(
     """Yield every parseable query one lexeme-substitution away.
 
     Positions are visited left to right through the rendered text;
-    alternatives keep their declaration order.  Substitutions that do
-    not parse (for instance turning a join condition's ``=`` into
-    ``!=``) are dropped silently.
+    alternatives keep their declaration order.  Column references are
+    swapped only for columns of the tables the query names, so the
+    neighbourhood grows with the query rather than the schema.
+    Substitutions that do not parse (for instance turning a join
+    condition's ``=`` into ``!=``) are dropped silently.
     """
+    named = _named_tables(query)
+    column_refs = tuple(
+        f"{table.name}.{column.name}"
+        for table in schema.tables
+        if table.name.lower() in named
+        for column in table.columns
+    )
     lines = query.render().rstrip("\n").split("\n")
     split_lines: list[list[str]] = []
     for line in lines:
@@ -188,7 +214,7 @@ def hamming_one_queries(
         split_lines.append(list(lexemes))
     for line_index, lexemes in enumerate(split_lines):
         for position, lexeme in enumerate(lexemes):
-            for replacement in _alternatives(lexeme, schema):
+            for replacement in _alternatives(lexeme, column_refs):
                 patched = list(lexemes)
                 patched[position] = replacement
                 candidate_lines = [

@@ -13,6 +13,7 @@ import json
 import sqlite3
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -77,12 +78,15 @@ class Table:
     name: str
     columns: tuple[Column, ...]
 
-    def column(self, name: str) -> Column | None:
-        lowered = name.lower()
+    @cached_property
+    def _by_name(self) -> dict[str, Column]:
+        index: dict[str, Column] = {}
         for column in self.columns:
-            if column.name.lower() == lowered:
-                return column
-        return None
+            index.setdefault(column.name.lower(), column)
+        return index
+
+    def column(self, name: str) -> Column | None:
+        return self._by_name.get(name.lower())
 
 
 @dataclass(frozen=True)
@@ -91,12 +95,23 @@ class DatabaseSchema:
     tables: tuple[Table, ...]
     foreign_keys: tuple[tuple[str, str], ...] = ()
 
-    def table(self, name: str) -> Table | None:
-        lowered = name.lower()
+    @cached_property
+    def _by_name(self) -> dict[str, Table]:
+        index: dict[str, Table] = {}
         for table in self.tables:
-            if table.name.lower() == lowered:
-                return table
-        return None
+            index.setdefault(table.name.lower(), table)
+        return index
+
+    @cached_property
+    def _column_refs(self) -> tuple[str, ...]:
+        return tuple(
+            f"{table.name}.{column.name}"
+            for table in self.tables
+            for column in table.columns
+        )
+
+    def table(self, name: str) -> Table | None:
+        return self._by_name.get(name.lower())
 
     def column_type(self, table: str, column: str) -> ColumnType | None:
         owner = self.table(table)
@@ -107,11 +122,7 @@ class DatabaseSchema:
 
     def column_refs(self) -> tuple[str, ...]:
         """All ``table.column`` lexemes in declaration order."""
-        refs = []
-        for table in self.tables:
-            for column in table.columns:
-                refs.append(f"{table.name}.{column.name}")
-        return tuple(refs)
+        return self._column_refs
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import socket
 
 import pytest
 
@@ -420,6 +421,37 @@ def test_cli_generate_sees_refined_column_types(tmp_path, capsys, fixture_paths,
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "solved"
     assert payload["rows"] == [[12.5]]
+
+
+def test_cli_generate_exits_1_when_the_model_server_is_unreachable(
+    monkeypatch, capsys, fixture_paths
+):
+    # A port that was bound and released refuses connections, so the
+    # search ends in adapter_failure without any traffic leaving the host.
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    code = cli.main(
+        [
+            "generate",
+            "--tables",
+            str(fixture_paths.tables),
+            "--db-root",
+            str(fixture_paths.db_root),
+            "--db-id",
+            "concerts",
+            "--question",
+            "how many singers",
+            "--example",
+            "[5]",
+            "--model",
+            f"http://127.0.0.1:{port}",
+        ]
+    )
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "adapter_failure"
 
 
 def test_cli_generate_rejects_malformed_example(tmp_path, capsys, fixture_paths, canon):

@@ -4,8 +4,19 @@ import time
 
 import pytest
 
-from sqlsynth.checker import Label
+from sqlsynth import repair
+from sqlsynth.checker import ErrorKind, Label, make_checker
+from sqlsynth.nsql.errors import ParseError
 from sqlsynth.nsql.grammar import parse_complete
+from sqlsynth.nsql.lexemes import (
+    AGGREGATIONS,
+    COMPARISONS,
+    CONNECTIVES,
+    is_column_ref,
+    split_line,
+)
+from sqlsynth.nsql.normalize import normalize
+from sqlsynth.nsql.query import denormalize_text
 from sqlsynth.repair import (
     ExecutionStatus,
     canonical_row,
@@ -148,7 +159,151 @@ def test_hamming_counts_column_alternatives(schemas):
         "SELECT singer.name\nFROM singer\nWHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
     )
     variants = list(hamming_one_queries(simple, schema))
-    assert len(variants) == len(schema.column_refs()) - 1
+    assert len(variants) == len(schema.table("singer").columns) - 1
+
+
+def _swapped_refs(query, variants) -> set[str]:
+    """The column references the variants put in place of another one."""
+    before = query.render().split()
+    swapped = set()
+    for variant in variants:
+        after = variant.render().split()
+        assert len(after) == len(before)
+        for old, new in zip(before, after):
+            if old != new and is_column_ref(new):
+                swapped.add(new)
+    return swapped
+
+
+@pytest.mark.parametrize(
+    ("db_id", "sql", "named"),
+    [
+        (
+            "concerts",
+            "select singer.name from singer join singer_in_concert "
+            "on singer.singer_id = singer_in_concert.singer_id",
+            ("singer", "singer_in_concert"),
+        ),
+        (
+            "pets",
+            "select pettype from pets where petid in (select petid from has_pet)",
+            ("pets", "has_pet"),
+        ),
+    ],
+)
+def test_hamming_offers_columns_of_the_named_tables_only(schemas, db_id, sql, named):
+    schema = schemas[db_id]
+    query = normalize(sql, schema)
+    swapped = _swapped_refs(query, hamming_one_queries(query, schema))
+    expected = {
+        f"{table.name}.{column.name}"
+        for table in schema.tables
+        if table.name in named
+        for column in table.columns
+    }
+    assert swapped == expected
+    # The schema has a table the query does not name; none of its
+    # columns are offered.
+    assert len(schema.tables) > len(named)
+
+
+# -- scope-bounded neighbourhood against the full-schema reference ----------
+
+
+def _reference_alternatives(lexeme: str, schema) -> tuple[str, ...]:
+    if lexeme in AGGREGATIONS:
+        pool: tuple[str, ...] = tuple(AGGREGATIONS)
+    elif lexeme in CONNECTIVES:
+        pool = tuple(CONNECTIVES)
+    elif lexeme in COMPARISONS:
+        pool = tuple(COMPARISONS)
+    elif is_column_ref(lexeme):
+        pool = schema.column_refs()
+    else:
+        return ()
+    return tuple(member for member in pool if member != lexeme)
+
+
+def _reference_neighbours(query, schema):
+    """The full-schema one-edit enumerator: every column of every table
+    is offered at each column-reference position."""
+    lines = query.render().rstrip("\n").split("\n")
+    split_lines: list[list[str]] = []
+    for line in lines:
+        lexemes, _ = split_line(line, terminated=True)
+        split_lines.append(list(lexemes))
+    for line_index, lexemes in enumerate(split_lines):
+        for position, lexeme in enumerate(lexemes):
+            for replacement in _reference_alternatives(lexeme, schema):
+                patched = list(lexemes)
+                patched[position] = replacement
+                candidate_lines = [
+                    " ".join(split_lines[i]) if i != line_index else " ".join(patched)
+                    for i in range(len(split_lines))
+                ]
+                text = "\n".join(candidate_lines) + "\n"
+                try:
+                    yield parse_complete(text)
+                except ParseError:
+                    continue
+
+
+def test_bounded_neighbourhood_drops_only_failing_variants(
+    normalized_tasks, schemas, connect
+):
+    conns = {db_id: connect(db_id) for db_id in schemas}
+    totals = {"reference": 0, "bounded": 0, "dropped": 0}
+    for task in normalized_tasks:
+        schema = schemas[task.db_id]
+        check = make_checker(schema, None)
+        gold = parse_complete(task.gold_query)
+        bounded = [q.render() for q in hamming_one_queries(gold, schema)]
+        reference = [q.render() for q in _reference_neighbours(gold, schema)]
+        kept = 0
+        for text in reference:
+            if kept < len(bounded) and bounded[kept] == text:
+                kept += 1
+                continue
+            verdict = check(text, True)
+            assert not verdict.ok and verdict.kind is ErrorKind.RUNTIME, text
+            result = execute_text(conns[task.db_id], denormalize_text(text))
+            assert result.status is ExecutionStatus.ERROR, text
+            assert "no such column" in result.error, (text, result.error)
+            totals["dropped"] += 1
+        # The bounded sequence is an order-preserving subsequence.
+        assert kept == len(bounded), task.id
+        totals["reference"] += len(reference)
+        totals["bounded"] += len(bounded)
+    assert totals == {"reference": 1429, "bounded": 881, "dropped": 548}
+
+
+def test_bounded_repair_matches_reference_repair(
+    monkeypatch, normalized_tasks, schemas, connect
+):
+    conns = {db_id: connect(db_id) for db_id in schemas}
+    compared = 0
+    for task in normalized_tasks:
+        schema = schemas[task.db_id]
+        conn = conns[task.db_id]
+        examples = task.sorted_examples()
+        prefilters = (make_checker(schema, examples[0]), None)
+        gold = parse_complete(task.gold_query)
+        for corrupted in _reference_neighbours(gold, schema):
+            for prefilter in prefilters:
+                outcomes = []
+                for enumerate_variants in (hamming_one_queries, _reference_neighbours):
+                    monkeypatch.setattr(
+                        repair, "hamming_one_queries", enumerate_variants
+                    )
+                    outcome = run_with_repair(
+                        corrupted, conn, schema, examples, prefilter=prefilter
+                    )
+                    outcomes.append(
+                        (outcome.satisfied, outcome.repaired, outcome.query.render())
+                    )
+                assert outcomes[0] == outcomes[1], (task.id, corrupted.render())
+                compared += 1
+    assert compared == 2 * 1429
 
 
 # -- test and repair --------------------------------------------------------

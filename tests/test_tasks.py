@@ -6,12 +6,15 @@ import sqlite3
 import pytest
 
 from sqlsynth.tasks import (
+    Column,
     ColumnType,
+    DatabaseSchema,
     DatasetError,
     DuplicateDbId,
     EmptyResult,
     ExampleTuple,
     ExecutionError,
+    Table,
     TaskInstance,
     UnknownDbId,
     database_path,
@@ -46,6 +49,19 @@ def test_schema_lookups_are_case_insensitive(raw_schemas):
     assert schema.column_type("Singer", "AGE") is ColumnType.INTEGER
     assert schema.column_type("singer", "no_such") is None
     assert schema.column_type("no_such", "age") is None
+
+
+def test_schema_lookups_take_the_first_of_names_equal_but_for_case():
+    first = Table(
+        "Item", (Column("Price", ColumnType.REAL), Column("price", ColumnType.TEXT))
+    )
+    second = Table("item", (Column("price", ColumnType.INTEGER),))
+    schema = DatabaseSchema("dup", (first, second))
+    assert schema.table("ITEM") is first
+    assert schema.table("item") is first
+    assert schema.column_type("item", "PRICE") is ColumnType.REAL
+    assert second.column("Price").type is ColumnType.INTEGER
+    assert schema.column_refs() == ("Item.Price", "Item.price", "item.price")
 
 
 def test_column_refs_follow_declaration_order(raw_schemas):
