@@ -7,6 +7,12 @@ unfinished lexeme), scope (every referenced table must appear in FROM),
 and output types against the example.  Verdicts carry the error kind an
 execution of the finished query would raise, which also powers the
 4-label classifier used by the checker-comparison experiment.
+
+Search checks a child of every expanded prefix, and children share
+their terminated lines.  The checker ``make_checker`` returns therefore
+memoizes, per distinct head (the text up to and including the last
+newline), every verdict that depends only on the terminated clauses;
+checking a child parses and checks only its current line.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .nsql.lexemes import (
     is_number,
     is_string_const,
 )
-from .nsql.partial import PartialParse, parse_partial
+from .nsql.partial import LineParse, PartialParse, parse_line, parse_partial
 from .nsql.query import (
     AggExpr,
     BoolOp,
@@ -383,6 +389,40 @@ def _scan_partial_scope(
     return PASS
 
 
+_SCANNED_CLAUSES = frozenset(
+    {ClauseKind.WHERE, ClauseKind.GROUP_BY, ClauseKind.HAVING, ClauseKind.ORDER_BY}
+)
+
+
+def _outer_scope(
+    clauses: Mapping[ClauseKind, object]
+) -> tuple[frozenset[str] | None, CheckVerdict]:
+    """The outer FROM tables of the parsed clauses, lower-cased (None
+    until FROM is terminated), and the verdict on their column refs."""
+    from_clause = clauses.get(ClauseKind.FROM)
+    if from_clause is None:
+        return None, PASS
+    outer = frozenset(t.lower() for t in from_clause.tables)
+    for kind, parsed in clauses.items():
+        for ref, local in _clause_refs(kind, parsed):
+            allowed = outer if local is None else local | outer
+            if ref.table.lower() not in allowed:
+                return outer, CheckVerdict.rejected(
+                    ErrorKind.RUNTIME,
+                    kind,
+                    f"table {ref.table!r} not in FROM",
+                )
+    return outer, PASS
+
+
+def _scan_current(
+    current: ClauseKind | None, body: Sequence[str], outer: frozenset[str] | None
+) -> CheckVerdict:
+    if outer is not None and current in _SCANNED_CLAUSES:
+        return _scan_partial_scope(current, body, outer)
+    return PASS
+
+
 def check_scope(
     query_so_far: PartialParse, clauses: Mapping[ClauseKind, object]
 ) -> CheckVerdict:
@@ -393,28 +433,10 @@ def check_scope(
     terminated; afterwards the parsed clauses are walked and the current
     clause body is scanned eagerly.
     """
-    from_clause = clauses.get(ClauseKind.FROM)
-    if from_clause is None:
-        return PASS
-    outer = frozenset(t.lower() for t in from_clause.tables)
-    for kind, parsed in clauses.items():
-        for ref, local in _clause_refs(kind, parsed):
-            allowed = outer if local is None else local | outer
-            if ref.table.lower() not in allowed:
-                return CheckVerdict.rejected(
-                    ErrorKind.RUNTIME,
-                    kind,
-                    f"table {ref.table!r} not in FROM",
-                )
-    current = query_so_far.current_clause
-    if current in (
-        ClauseKind.WHERE,
-        ClauseKind.GROUP_BY,
-        ClauseKind.HAVING,
-        ClauseKind.ORDER_BY,
-    ):
-        return _scan_partial_scope(current, query_so_far.current_body, outer)
-    return PASS
+    outer, verdict = _outer_scope(clauses)
+    if not verdict.ok:
+        return verdict
+    return _scan_current(query_so_far.current_clause, query_so_far.current_body, outer)
 
 
 # -- Types ------------------------------------------------------------------
@@ -509,74 +531,155 @@ def check_types(
 # -- Orchestration ----------------------------------------------------------
 
 
-def check_partial(
-    partial: PartialParse,
+@dataclass(frozen=True)
+class _Head:
+    """What the terminated lines of a prefix decide, whatever line follows.
+
+    ``fatal`` is a structural error that ends every continuation.
+    Otherwise ``next_clause`` is the clause the following line belongs
+    to (None after LIMIT) and ``clause_error`` the first vocabulary or
+    grammar failure among the terminated clauses; ``outer``, ``scope``
+    and ``types`` are meaningful only without one.
+    """
+
+    next_clause: ClauseKind | None = None
+    fatal: CheckVerdict | None = None
+    clause_error: CheckVerdict | None = None
+    outer: frozenset[str] | None = None
+    scope: CheckVerdict = PASS
+    types: CheckVerdict = PASS
+
+
+def _check_head(
+    next_clause: ClauseKind | None,
+    completed: Mapping[ClauseKind, Sequence[str]],
     schema: DatabaseSchema,
-    example: ExampleTuple | None = None,
-) -> CheckVerdict:
-    """Run vocabulary, structure, scope and type checks on a partial."""
-    if partial.syntax_error is not None:
-        return CheckVerdict.rejected(
-            ErrorKind.SYNTAX, partial.current_clause, partial.syntax_error
-        )
+    example: ExampleTuple | None,
+) -> _Head:
+    """Check and parse each terminated clause once, then run the scope
+    and type checks that read only the parsed clauses."""
     clauses: dict[ClauseKind, object] = {}
-    for kind, body in partial.completed.items():
+    for kind, body in completed.items():
         verdict = check_vocabulary(kind, body, None, schema)
-        if not verdict.ok:
-            return verdict
-        try:
-            clauses[kind] = parse_clause_body(kind, body)
-        except ParseError as exc:
-            return CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc))
-    current = partial.current_clause
+        if verdict.ok:
+            try:
+                clauses[kind] = parse_clause_body(kind, body)
+                continue
+            except ParseError as exc:
+                verdict = CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc))
+        return _Head(next_clause, clause_error=verdict)
+    outer, scope = _outer_scope(clauses)
+    types = PASS
+    if scope.ok and example is not None and ClauseKind.SELECT in clauses:
+        from_clause = clauses.get(ClauseKind.FROM)
+        types = check_types(
+            clauses[ClauseKind.SELECT][1],
+            schema,
+            example,
+            from_tables=from_clause.tables if from_clause is not None else None,
+        )
+    return _Head(next_clause, outer=outer, scope=scope, types=types)
+
+
+def _check_line(
+    head: _Head, line: LineParse, eos_seen: bool, schema: DatabaseSchema
+) -> CheckVerdict:
+    """Check the current line and slot the head's verdicts in around it.
+
+    The order of the verdicts is the order of the checks: line structure,
+    terminated clause vocabulary and grammar, current-line vocabulary,
+    scope of the terminated clauses, scope of the current line, output
+    types, and whether generation may end here.
+    """
+    current = head.next_clause
+    keyword_remaining, body, fragment, syntax_error = line
+    if syntax_error is not None:
+        return CheckVerdict.rejected(ErrorKind.SYNTAX, current, syntax_error)
+    if head.clause_error is not None:
+        return head.clause_error
     if current is not None:
-        if partial.keyword_remaining:
-            fragment = partial.fragment
-            if fragment is not None and not partial.keyword_remaining[0].startswith(
-                fragment
-            ):
+        if keyword_remaining:
+            if fragment is not None and not keyword_remaining[0].startswith(fragment):
                 return CheckVerdict.rejected(
                     ErrorKind.SYNTAX,
                     current,
                     f"{fragment!r} cannot start the {current.value} line",
                 )
         else:
-            verdict = check_vocabulary(
-                current, partial.current_body, partial.fragment, schema
-            )
+            verdict = check_vocabulary(current, body, fragment, schema)
             if not verdict.ok:
                 return verdict
-    verdict = check_scope(partial, clauses)
+    if not head.scope.ok:
+        return head.scope
+    verdict = _scan_current(current, body, head.outer)
     if not verdict.ok:
         return verdict
-    if example is not None and ClauseKind.SELECT in clauses:
-        from_clause = clauses.get(ClauseKind.FROM)
-        verdict = check_types(
-            clauses[ClauseKind.SELECT][1],
-            schema,
-            example,
-            from_tables=from_clause.tables if from_clause is not None else None,
-        )
-        if not verdict.ok:
-            return verdict
-    if partial.eos_seen and not partial.all_terminated:
+    if not head.types.ok:
+        return head.types
+    if eos_seen and current is not None:
         return CheckVerdict.rejected(
             ErrorKind.SYNTAX, current, "generation ended before the LIMIT line"
         )
     return PASS
 
 
+def check_partial(
+    partial: PartialParse,
+    schema: DatabaseSchema,
+    example: ExampleTuple | None = None,
+) -> CheckVerdict:
+    """Run vocabulary, structure, scope and type checks on a partial."""
+    head = _check_head(partial.current_clause, partial.completed, schema, example)
+    line = (
+        partial.keyword_remaining,
+        partial.current_body,
+        partial.fragment,
+        partial.syntax_error,
+    )
+    return _check_line(head, line, partial.eos_seen, schema)
+
+
+def _parse_head(
+    text: str, schema: DatabaseSchema, example: ExampleTuple | None
+) -> _Head:
+    """Parse and check a head: text that is empty or ends in a newline."""
+    try:
+        partial = parse_partial(text)
+    except ClauseOrderViolation as exc:
+        return _Head(fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc)))
+    if partial.syntax_error is not None:
+        return _Head(
+            fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, partial.syntax_error)
+        )
+    return _check_head(partial.current_clause, partial.completed, schema, example)
+
+
 def make_checker(
     schema: DatabaseSchema, example: ExampleTuple | None
 ) -> Callable[[str, bool], CheckVerdict]:
-    """Bind schema and example into a text-level checking function."""
+    """Bind schema and example into a text-level checking function.
+
+    The function keeps, for each distinct head it has seen (the text up
+    to and including the last newline), what the terminated lines
+    decide.  A child of an already-checked prefix therefore costs only
+    its current line.  The memo lives as long as the function and holds
+    one entry per distinct head.
+    """
+    heads: dict[str, _Head] = {}
 
     def check(text: str, eos_seen: bool) -> CheckVerdict:
+        cut = text.rfind("\n") + 1
+        key = text[:cut]
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = _parse_head(key, schema, example)
+        if head.fatal is not None:
+            return head.fatal
         try:
-            partial = parse_partial(text, eos_seen=eos_seen)
+            line = parse_line(head.next_clause, text[cut:])
         except ClauseOrderViolation as exc:
             return CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc))
-        return check_partial(partial, schema, example)
+        return _check_line(head, line, eos_seen, schema)
 
     return check
 

@@ -164,7 +164,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.output:
         Path(args.output).write_text(report.to_json())
         print(f"wrote {args.output}")
-    return 0
+    failed = SearchStatus.ADAPTER_FAILURE.value
+    return 1 if any(task.status == failed for task in report.reports) else 0
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:

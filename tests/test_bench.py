@@ -454,6 +454,38 @@ def test_cli_generate_exits_1_when_the_model_server_is_unreachable(
     assert payload["status"] == "adapter_failure"
 
 
+def test_cli_bench_exits_1_when_the_model_server_is_unreachable(
+    monkeypatch, capsys, tmp_path, fixture_paths
+):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    output = tmp_path / "report.json"
+    code = cli.main(
+        [
+            "bench",
+            "--tables",
+            str(fixture_paths.tables),
+            "--tasks",
+            str(fixture_paths.tasks),
+            "--db-root",
+            str(fixture_paths.db_root),
+            "--model",
+            f"http://127.0.0.1:{port}",
+            "--limit",
+            "2",
+            "--output",
+            str(output),
+        ]
+    )
+    assert code == 1
+    # The report is still printed and written before the exit code.
+    assert f"wrote {output}" in capsys.readouterr().out
+    data = json.loads(output.read_text())
+    assert [task["status"] for task in data["tasks"]] == ["adapter_failure"] * 2
+
+
 def test_cli_generate_rejects_malformed_example(tmp_path, capsys, fixture_paths, canon):
     spec = _single_model_spec(tmp_path, canon["count"])
     code = cli.main(

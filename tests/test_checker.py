@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sqlsynth import checker
 from sqlsynth.checker import (
     CLAUSE_VOCABULARY,
+    CheckVerdict,
     ErrorKind,
     Label,
     check_partial,
@@ -14,11 +19,17 @@ from sqlsynth.checker import (
     make_checker,
     predict_label,
 )
+from sqlsynth.lm import lexeme_tokens
 from sqlsynth.nsql import grammar
-from sqlsynth.nsql.grammar import parse_clause_body, parse_select_body
+from sqlsynth.nsql.errors import ClauseOrderViolation, ParseError
+from sqlsynth.nsql.grammar import parse_clause_body, parse_complete, parse_select_body
 from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import ClauseKind
+from sqlsynth.repair import hamming_one_queries
 from sqlsynth.tasks import ExampleTuple
+from tests.fixtures.build import DATABASES
+from tests.fixtures.randqueries import distinct_queries, random_query
+from tests.test_acceptance import _MUTATION_FAMILIES
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +289,7 @@ def test_checker_passes_every_prefix_of_a_gold(concerts):
     assert check(gold, True).ok
 
 
-def test_each_finished_clause_is_parsed_once_per_check(
+def test_each_head_clause_is_parsed_once_per_checker(
     monkeypatch, normalized_tasks, schemas
 ):
     parsed: list[tuple[str, ...]] = []
@@ -299,15 +310,191 @@ def test_each_finished_clause_is_parsed_once_per_check(
     for task in normalized_tasks:
         check = make_checker(schemas[task.db_id], task.sorted_examples()[0])
         text = task.gold_query
-        for cut in range(len(text) + 1):
+        texts = [text[:cut] for cut in range(len(text) + 1)]
+        for prefix in texts:
             for eos in (False, True):
-                parsed.clear()
-                verdict = check(text[:cut], eos)
-                assert verdict.ok is (not eos or cut == len(text)), verdict
-                bodies = parse_partial(text[:cut]).completed.values()
-                assert sorted(parsed) == sorted(bodies), text[:cut]
+                verdict = check(prefix, eos)
+                assert verdict.ok is (not eos or prefix == text), verdict
                 checks += 1
+        # Each distinct head (text up to its last newline) parses each of
+        # its terminated clauses once; no other check parses anything.
+        heads = {prefix[: prefix.rfind("\n") + 1] for prefix in texts}
+        expected = [
+            body for head in heads for body in parse_partial(head).completed.values()
+        ]
+        assert sorted(parsed) == sorted(expected), task.id
+        parsed.clear()
+        for prefix in texts:
+            check(prefix, False)
+        assert parsed == [], task.id
     assert checks > 5000
+
+
+# -- incremental checker against the whole-prefix reference ---------------
+
+
+def _reference_partial(partial, schema, example=None):
+    """The whole-prefix orchestration the incremental checker replaced:
+    every check re-runs every terminated clause."""
+    if partial.syntax_error is not None:
+        return CheckVerdict.rejected(
+            ErrorKind.SYNTAX, partial.current_clause, partial.syntax_error
+        )
+    clauses: dict[ClauseKind, object] = {}
+    for kind, body in partial.completed.items():
+        verdict = check_vocabulary(kind, body, None, schema)
+        if not verdict.ok:
+            return verdict
+        try:
+            clauses[kind] = parse_clause_body(kind, body)
+        except ParseError as exc:
+            return CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc))
+    current = partial.current_clause
+    if current is not None:
+        if partial.keyword_remaining:
+            fragment = partial.fragment
+            if fragment is not None and not partial.keyword_remaining[0].startswith(
+                fragment
+            ):
+                return CheckVerdict.rejected(
+                    ErrorKind.SYNTAX,
+                    current,
+                    f"{fragment!r} cannot start the {current.value} line",
+                )
+        else:
+            verdict = check_vocabulary(
+                current, partial.current_body, partial.fragment, schema
+            )
+            if not verdict.ok:
+                return verdict
+    verdict = check_scope(partial, clauses)
+    if not verdict.ok:
+        return verdict
+    if example is not None and ClauseKind.SELECT in clauses:
+        from_clause = clauses.get(ClauseKind.FROM)
+        verdict = check_types(
+            clauses[ClauseKind.SELECT][1],
+            schema,
+            example,
+            from_tables=from_clause.tables if from_clause is not None else None,
+        )
+        if not verdict.ok:
+            return verdict
+    if partial.eos_seen and not partial.all_terminated:
+        return CheckVerdict.rejected(
+            ErrorKind.SYNTAX, current, "generation ended before the LIMIT line"
+        )
+    return checker.PASS
+
+
+def _reference_check(schema, example):
+    def check(text, eos_seen):
+        try:
+            partial = parse_partial(text, eos_seen=eos_seen)
+        except ClauseOrderViolation as exc:
+            return CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc))
+        return _reference_partial(partial, schema, example)
+
+    return check
+
+
+_EDITS = (
+    "\n", " ", "(", ")", ",", "'", ".", "*", "x", "\n\n", "  ",
+    "SELECT", "FROM", "WHERE", "GROUP", "BY", "GROUP BY", "HAVING",
+    "ORDER BY", "LIMIT", "COUNT", "IN", "=",
+)
+
+
+def _edited(rng: random.Random, text: str) -> tuple[int, str]:
+    """One seeded single-place edit: an insertion from ``_EDITS`` or a
+    deletion of one to three characters.  Returns where it happened."""
+    at = rng.randrange(len(text) + 1)
+    if at < len(text) and rng.random() < 0.35:
+        return at, text[:at] + text[at + rng.randint(1, 3) :]
+    return at, text[:at] + rng.choice(_EDITS) + text[at:]
+
+
+def _differential_texts(normalized_tasks, schemas) -> dict[str, list[str]]:
+    """Inputs for each task: every character prefix of the gold, of the
+    criterion-03 mutations drawn for it, of generated queries on its
+    schema and of seeded edits of those (from the edit on), plus the
+    gold's one-edit repair variants as complete texts."""
+    rng = random.Random(5)
+    texts = {task.id: [] for task in normalized_tasks}
+    bases = {task.id: [task.gold_query] for task in normalized_tasks}
+    for _, mutate, _ in _MUTATION_FAMILIES:
+        for _ in range(10):
+            task = rng.choice(normalized_tasks)
+            mutated = mutate(rng, task, schemas[task.db_id])
+            if mutated is not None:
+                bases[task.id].append(mutated)
+    for index, task in enumerate(normalized_tasks[::10]):
+        generated = distinct_queries(schemas[task.db_id], random.Random(index), 2)
+        bases[task.id].extend(query.render() for query in generated)
+    for task in normalized_tasks:
+        schema = schemas[task.db_id]
+        out = texts[task.id]
+        for base in bases[task.id]:
+            out.extend(base[:cut] for cut in range(len(base) + 1))
+            for _ in range(2):
+                at, edited = _edited(rng, base)
+                out.extend(edited[:cut] for cut in range(at, len(edited) + 1))
+        for variant in hamming_one_queries(parse_complete(task.gold_query), schema):
+            out.append(variant.render())
+        rng.shuffle(out)
+        # Repeats come back after other heads have been seen.
+        out.extend(rng.sample(out, len(out) // 5))
+    return texts
+
+
+def test_incremental_checker_matches_the_whole_prefix_reference(
+    normalized_tasks, schemas
+):
+    """Same (ok, kind, clause, detail) as the reference for ``make_checker``,
+    sharing one memo across each task's inputs so that head hits and
+    misses interleave, and for ``check_partial`` on every tenth input."""
+    texts = _differential_texts(normalized_tasks, schemas)
+    kinds: set[ErrorKind | None] = set()
+    checks = 0
+    for task in normalized_tasks:
+        schema = schemas[task.db_id]
+        example = task.sorted_examples()[0]
+        check = make_checker(schema, example)
+        reference = _reference_check(schema, example)
+        for index, text in enumerate(texts[task.id]):
+            for eos in (False, True):
+                got = check(text, eos)
+                want = reference(text, eos)
+                if got != want:
+                    pytest.fail(f"{task.id} eos={eos} {text!r}: {got} != {want}")
+                kinds.add(got.kind)
+                checks += 1
+                if index % 10 == 0:
+                    try:
+                        partial = parse_partial(text, eos_seen=eos)
+                    except ClauseOrderViolation:
+                        continue
+                    assert check_partial(partial, schema, example) == want, text
+    assert kinds == {None, *ErrorKind}
+    assert checks > 50_000
+
+
+@pytest.mark.parametrize("db_id", sorted(DATABASES))
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_checker_accepts_every_prefix_of_a_random_query(db_id, seed, schemas):
+    schema = schemas[db_id]
+    text = random_query(schema, random.Random(seed)).render()
+    check = make_checker(schema, None)
+    tokens = lexeme_tokens(text)
+    for end in range(len(tokens) + 1):
+        verdict = check("".join(tokens[:end]), False)
+        assert verdict.ok, (text, end, verdict)
+    assert check(text, True).ok, text
 
 
 # -- labels -----------------------------------------------------------------
