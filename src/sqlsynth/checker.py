@@ -10,9 +10,14 @@ execution of the finished query would raise, which also powers the
 
 Search checks a child of every expanded prefix, and children share
 their terminated lines.  The checker ``make_checker`` returns therefore
-memoizes, per distinct head (the text up to and including the last
+keeps, per distinct head (the text up to and including the last
 newline), every verdict that depends only on the terminated clauses;
-checking a child parses and checks only its current line.
+checking a child parses and checks only its current line.  A new head is
+its parent head plus one terminated line, and heads with equal verdicts
+merge, so a text that differs from a checked one in one line (a repair
+variant) rejoins its heads after that line.  Clause bodies are checked
+and parsed through the search's clause memo, which the end-of-sequence
+parse and repair share, so each distinct body is parsed once a search.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .nsql.errors import ClauseOrderViolation, ParseError
-from .nsql.grammar import parse_clause_body
+from .nsql.grammar import ClauseMemo
 from .nsql.lexemes import (
     AGGREGATIONS,
     COMPARISONS,
@@ -35,6 +40,7 @@ from .nsql.lexemes import (
 )
 from .nsql.partial import LineParse, PartialParse, parse_line, parse_partial
 from .nsql.query import (
+    CLAUSE_ORDER,
     AggExpr,
     BoolOp,
     ClauseKind,
@@ -394,25 +400,18 @@ _SCANNED_CLAUSES = frozenset(
 )
 
 
-def _outer_scope(
-    clauses: Mapping[ClauseKind, object]
-) -> tuple[frozenset[str] | None, CheckVerdict]:
-    """The outer FROM tables of the parsed clauses, lower-cased (None
-    until FROM is terminated), and the verdict on their column refs."""
-    from_clause = clauses.get(ClauseKind.FROM)
-    if from_clause is None:
-        return None, PASS
-    outer = frozenset(t.lower() for t in from_clause.tables)
-    for kind, parsed in clauses.items():
-        for ref, local in _clause_refs(kind, parsed):
-            allowed = outer if local is None else local | outer
-            if ref.table.lower() not in allowed:
-                return outer, CheckVerdict.rejected(
-                    ErrorKind.RUNTIME,
-                    kind,
-                    f"table {ref.table!r} not in FROM",
-                )
-    return outer, PASS
+def _clause_scope(
+    kind: ClauseKind, parsed: object, outer: frozenset[str]
+) -> CheckVerdict:
+    """The verdict on one parsed clause's column refs against the outer
+    FROM tables, lower-cased."""
+    for ref, local in _clause_refs(kind, parsed):
+        allowed = outer if local is None else local | outer
+        if ref.table.lower() not in allowed:
+            return CheckVerdict.rejected(
+                ErrorKind.RUNTIME, kind, f"table {ref.table!r} not in FROM"
+            )
+    return PASS
 
 
 def _scan_current(
@@ -433,9 +432,14 @@ def check_scope(
     terminated; afterwards the parsed clauses are walked and the current
     clause body is scanned eagerly.
     """
-    outer, verdict = _outer_scope(clauses)
-    if not verdict.ok:
-        return verdict
+    from_clause = clauses.get(ClauseKind.FROM)
+    if from_clause is None:
+        return PASS
+    outer = frozenset(t.lower() for t in from_clause.tables)
+    for kind, parsed in clauses.items():
+        verdict = _clause_scope(kind, parsed, outer)
+        if not verdict.ok:
+            return verdict
     return _scan_current(query_so_far.current_clause, query_so_far.current_body, outer)
 
 
@@ -530,6 +534,10 @@ def check_types(
 
 # -- Orchestration ----------------------------------------------------------
 
+_FOLLOWING: Mapping[ClauseKind, ClauseKind | None] = dict(
+    zip(CLAUSE_ORDER, (*CLAUSE_ORDER[1:], None))
+)
+
 
 @dataclass(frozen=True)
 class _Head:
@@ -538,47 +546,103 @@ class _Head:
     ``fatal`` is a structural error that ends every continuation.
     Otherwise ``next_clause`` is the clause the following line belongs
     to (None after LIMIT) and ``clause_error`` the first vocabulary or
-    grammar failure among the terminated clauses; ``outer``, ``scope``
-    and ``types`` are meaningful only without one.
+    grammar failure among the terminated clauses; ``outer``, ``scope``,
+    ``types`` and ``select`` are meaningful only without one.  ``select``
+    is the SELECT body while FROM is still open: SELECT's scope, and its
+    types against the FROM tables, are decided when FROM terminates.
+
+    Heads compare by these fields, so prefixes that decide the same merge
+    into one head; ``steps`` maps each terminated line seen after a
+    merged head to the head that line leads to.
     """
 
-    next_clause: ClauseKind | None = None
+    next_clause: ClauseKind | None = ClauseKind.SELECT
     fatal: CheckVerdict | None = None
     clause_error: CheckVerdict | None = None
     outer: frozenset[str] | None = None
     scope: CheckVerdict = PASS
     types: CheckVerdict = PASS
+    select: tuple[str, ...] | None = None
+    steps: dict[str, "_Head"] = field(default_factory=dict, compare=False, repr=False)
 
 
-def _check_head(
-    next_clause: ClauseKind | None,
-    completed: Mapping[ClauseKind, Sequence[str]],
+def _terminated_clause(
+    kind: ClauseKind, body: tuple[str, ...], schema: DatabaseSchema, memo: ClauseMemo
+) -> tuple[CheckVerdict, object]:
+    """The vocabulary-then-grammar verdict on a terminated clause, and its
+    AST when both pass."""
+    key = (kind, body)
+    verdict = memo.vocabulary.get(key)
+    if verdict is None:
+        verdict = memo.vocabulary[key] = check_vocabulary(kind, body, None, schema)
+    if not verdict.ok:
+        return verdict, None
+    try:
+        return verdict, memo.parse(kind, body)
+    except ParseError as exc:
+        return CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc)), None
+
+
+def _advance(
+    head: _Head,
+    kind: ClauseKind,
+    body: tuple[str, ...],
     schema: DatabaseSchema,
     example: ExampleTuple | None,
+    memo: ClauseMemo,
 ) -> _Head:
-    """Check and parse each terminated clause once, then run the scope
-    and type checks that read only the parsed clauses."""
-    clauses: dict[ClauseKind, object] = {}
-    for kind, body in completed.items():
-        verdict = check_vocabulary(kind, body, None, schema)
-        if verdict.ok:
-            try:
-                clauses[kind] = parse_clause_body(kind, body)
-                continue
-            except ParseError as exc:
-                verdict = CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc))
-        return _Head(next_clause, clause_error=verdict)
-    outer, scope = _outer_scope(clauses)
-    types = PASS
-    if scope.ok and example is not None and ClauseKind.SELECT in clauses:
-        from_clause = clauses.get(ClauseKind.FROM)
-        types = check_types(
-            clauses[ClauseKind.SELECT][1],
-            schema,
-            example,
-            from_tables=from_clause.tables if from_clause is not None else None,
+    """The head after one more terminated clause: ``head.next_clause``
+    with ``body``.  Checks run in clause order, as over a whole prefix:
+    vocabulary and grammar first, then scope once FROM is known, then
+    the output types."""
+    following = _FOLLOWING[kind]
+    if head.clause_error is not None:
+        return _Head(following, clause_error=head.clause_error)
+    verdict, parsed = _terminated_clause(kind, body, schema, memo)
+    if not verdict.ok:
+        return _Head(following, clause_error=verdict)
+    if kind is ClauseKind.SELECT:
+        types = PASS
+        if example is not None:
+            types = check_types(parsed[1], schema, example)
+        return _Head(following, types=types, select=body)
+    if kind is ClauseKind.FROM:
+        outer = frozenset(t.lower() for t in parsed.tables)
+        select = memo.parse(ClauseKind.SELECT, head.select)
+        scope = _clause_scope(ClauseKind.SELECT, select, outer)
+        if scope.ok:
+            scope = _clause_scope(kind, parsed, outer)
+        types = PASS
+        if scope.ok and example is not None:
+            types = check_types(select[1], schema, example, from_tables=parsed.tables)
+        return _Head(following, outer=outer, scope=scope, types=types)
+    scope = head.scope
+    if scope.ok:
+        scope = _clause_scope(kind, parsed, head.outer)
+    types = head.types if scope.ok else PASS
+    return _Head(following, outer=head.outer, scope=scope, types=types)
+
+
+def _step(
+    head: _Head,
+    line: str,
+    schema: DatabaseSchema,
+    example: ExampleTuple | None,
+    memo: ClauseMemo,
+) -> _Head:
+    """The head after one more terminated ``line`` (newline included)."""
+    if head.fatal is not None:
+        return head
+    try:
+        partial = parse_partial(line, first=head.next_clause)
+    except ClauseOrderViolation as exc:
+        return _Head(fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc)))
+    if partial.syntax_error is not None:
+        return _Head(
+            fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, partial.syntax_error)
         )
-    return _Head(next_clause, outer=outer, scope=scope, types=types)
+    ((kind, body),) = partial.completed.items()
+    return _advance(head, kind, body, schema, example, memo)
 
 
 def _check_line(
@@ -629,50 +693,60 @@ def check_partial(
     example: ExampleTuple | None = None,
 ) -> CheckVerdict:
     """Run vocabulary, structure, scope and type checks on a partial."""
-    head = _check_head(partial.current_clause, partial.completed, schema, example)
-    line = (
-        partial.keyword_remaining,
-        partial.current_body,
-        partial.fragment,
-        partial.syntax_error,
-    )
+    if partial.syntax_error is not None:
+        return CheckVerdict.rejected(
+            ErrorKind.SYNTAX, partial.current_clause, partial.syntax_error
+        )
+    head, memo = _Head(), ClauseMemo()
+    for kind, body in partial.completed.items():
+        head = _advance(head, kind, body, schema, example, memo)
+    line = (partial.keyword_remaining, partial.current_body, partial.fragment, None)
     return _check_line(head, line, partial.eos_seen, schema)
 
 
-def _parse_head(
-    text: str, schema: DatabaseSchema, example: ExampleTuple | None
-) -> _Head:
-    """Parse and check a head: text that is empty or ends in a newline."""
-    try:
-        partial = parse_partial(text)
-    except ClauseOrderViolation as exc:
-        return _Head(fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc)))
-    if partial.syntax_error is not None:
-        return _Head(
-            fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, partial.syntax_error)
-        )
-    return _check_head(partial.current_clause, partial.completed, schema, example)
-
-
 def make_checker(
-    schema: DatabaseSchema, example: ExampleTuple | None
+    schema: DatabaseSchema,
+    example: ExampleTuple | None,
+    memo: ClauseMemo | None = None,
 ) -> Callable[[str, bool], CheckVerdict]:
     """Bind schema and example into a text-level checking function.
 
-    The function keeps, for each distinct head it has seen (the text up
-    to and including the last newline), what the terminated lines
-    decide.  A child of an already-checked prefix therefore costs only
-    its current line.  The memo lives as long as the function and holds
-    one entry per distinct head.
+    The function keeps the head of each text it has seen (the text up to
+    and including the last newline), built from the head one line
+    shorter.  A child of an already-checked prefix therefore costs
+    only its current line, and a new head costs one line split plus
+    lookups in ``memo``, the clause memo of the search (a fresh one when
+    None).  Equal heads merge, so a text that differs from a seen one in
+    one line rejoins its heads right after that line (after FROM, for a
+    SELECT line).  Everything lives as long as the function.
     """
-    heads: dict[str, _Head] = {}
+    memo = memo if memo is not None else ClauseMemo()
+    merged: dict[_Head, _Head] = {}
+    heads: dict[str, _Head] = {"": _Head()}
+
+    def head_of(text: str, cut: int) -> _Head:
+        """The head of ``text[:cut]``, stepped one line at a time from
+        its longest prefix head already known."""
+        cuts = [cut]
+        while True:
+            cut = text.rfind("\n", 0, cut - 1) + 1
+            head = heads.get(text[:cut])
+            if head is not None:
+                break
+            cuts.append(cut)
+        for end in reversed(cuts):
+            line = text[cut:end]
+            following = head.steps.get(line)
+            if following is None:
+                following = _step(head, line, schema, example, memo)
+                following = head.steps[line] = merged.setdefault(following, following)
+            head = heads[text[:end]] = following
+            cut = end
+        return head
 
     def check(text: str, eos_seen: bool) -> CheckVerdict:
         cut = text.rfind("\n") + 1
-        key = text[:cut]
-        head = heads.get(key)
-        if head is None:
-            head = heads[key] = _parse_head(key, schema, example)
+        head = heads.get(text[:cut]) or head_of(text, cut)
         if head.fatal is not None:
             return head.fatal
         try:

@@ -11,7 +11,11 @@ class ParseError(SqlError):
     """Input text cannot be parsed into a query structure."""
 
 
-class ClauseOrderViolation(ParseError):
+class StructureError(ParseError):
+    """Text does not split into the seven clause lines of a finished query."""
+
+
+class ClauseOrderViolation(StructureError):
     """A clause line appears outside the fixed canonical clause order."""
 
 

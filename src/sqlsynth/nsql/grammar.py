@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, StructureError
 from .lexemes import (
     AGGREGATIONS,
     COMPARISONS,
@@ -475,20 +475,50 @@ def parse_clause_body(kind: ClauseKind, body: Sequence[str]) -> object:
     return _CLAUSE_GRAMMARS[kind](body)
 
 
-def parse_complete(text: str) -> NormalizedQuery:
-    """Parse fully rendered canonical text back into a query structure.
+_ClauseKey = tuple[ClauseKind, tuple[str, ...]]
 
-    Raises :class:`ParseError` (or :class:`ClauseOrderViolation`) when
-    the text is not a complete well-formed canonical query.
+
+class ClauseMemo:
+    """What one search knows about each distinct clause body.
+
+    A search checks prefixes, parses its end-of-sequence texts and
+    enumerates repair variants, and all three meet the same clause bodies
+    again and again.  ``parse`` runs ``parse_clause_body`` once per
+    ``(kind, body)`` and afterwards returns the same AST, or raises the
+    same ``ParseError`` message.  ``vocabulary`` holds the checker's
+    vocabulary verdict per ``(kind, body)``; it depends on the schema, so
+    a memo serves one schema.  The memo lives as long as its search and
+    holds one entry per distinct body.
     """
-    partial = parse_partial(text, eos_seen=True)
-    if partial.syntax_error is not None:
-        raise ParseError(partial.syntax_error)
-    if not partial.all_terminated:
-        raise ParseError("query text is incomplete")
-    clauses = {
-        kind: parse_clause_body(kind, body) for kind, body in partial.completed.items()
-    }
+
+    __slots__ = ("_parsed", "vocabulary")
+
+    def __init__(self) -> None:
+        self._parsed: dict[_ClauseKey, object] = {}
+        self.vocabulary: dict[_ClauseKey, object] = {}
+
+    def parse(self, kind: ClauseKind, body: tuple[str, ...]) -> object:
+        key = (kind, body)
+        try:
+            parsed = self._parsed[key]
+        except KeyError:
+            try:
+                parsed = parse_clause_body(kind, body)
+            except ParseError as exc:
+                parsed = exc.with_traceback(None)
+            self._parsed[key] = parsed
+        if isinstance(parsed, ParseError):
+            raise ParseError(str(parsed))
+        return parsed
+
+
+def parse_clause_bodies(
+    bodies: Mapping[ClauseKind, tuple[str, ...]], memo: ClauseMemo | None = None
+) -> NormalizedQuery:
+    """Parse the seven clause bodies of a finished query into a query
+    structure, through ``memo`` when one is given."""
+    parse = memo.parse if memo is not None else parse_clause_body
+    clauses = {kind: parse(kind, body) for kind, body in bodies.items()}
     distinct, items = clauses[ClauseKind.SELECT]
     return NormalizedQuery(
         select=items,
@@ -500,3 +530,18 @@ def parse_complete(text: str) -> NormalizedQuery:
         limit=clauses[ClauseKind.LIMIT],
         distinct=distinct,
     )
+
+
+def parse_complete(text: str, memo: ClauseMemo | None = None) -> NormalizedQuery:
+    """Parse fully rendered canonical text back into a query structure.
+
+    Raises :class:`StructureError` (:class:`ClauseOrderViolation` among
+    them) when the text is not seven terminated clause lines, and
+    :class:`ParseError` when a clause body does not parse.
+    """
+    partial = parse_partial(text, eos_seen=True)
+    if partial.syntax_error is not None:
+        raise StructureError(partial.syntax_error)
+    if not partial.all_terminated:
+        raise StructureError("query text is incomplete")
+    return parse_clause_bodies(partial.completed, memo)

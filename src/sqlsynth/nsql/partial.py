@@ -106,23 +106,34 @@ def _clause_after(terminated: int) -> ClauseKind | None:
     return CLAUSE_ORDER[terminated] if terminated < len(CLAUSE_ORDER) else None
 
 
-def parse_partial(text: str, *, eos_seen: bool = False) -> PartialParse:
+_POSITION = {kind: index for index, kind in enumerate(CLAUSE_ORDER)}
+
+
+def parse_partial(
+    text: str,
+    *,
+    eos_seen: bool = False,
+    first: ClauseKind | None = ClauseKind.SELECT,
+) -> PartialParse:
     """Split generated text into terminated clauses and the current line.
 
+    ``first`` is the clause the first line of ``text`` belongs to (None
+    after LIMIT); the checker splits the one new line of a head this way.
     Raises :class:`ClauseOrderViolation` when a line starts with a known
     clause keyword other than the one due at that position.  Other
     structural damage is reported through ``syntax_error`` so the caller
     can map it to a rejection instead of an exception.
     """
+    start = _POSITION[first] if first is not None else len(CLAUSE_ORDER)
     *terminated, current = text.split("\n")
     completed: dict[ClauseKind, tuple[str, ...]] = {}
-    for index, line in enumerate(terminated):
+    for index, line in enumerate(terminated, start):
         kind = _clause_after(index)
         _, body, _, error = parse_line(kind, line, terminated=True)
         if error is not None:
             return PartialParse(completed=completed, eos_seen=eos_seen, syntax_error=error)
         completed[kind] = body
-    kind = _clause_after(len(completed))
+    kind = _clause_after(start + len(completed))
     keyword_remaining, body, fragment, error = parse_line(kind, current)
     return PartialParse(
         completed=completed,

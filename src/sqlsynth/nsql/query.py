@@ -24,6 +24,9 @@ class ClauseKind(enum.Enum):
     ORDER_BY = "ORDER BY"
     LIMIT = "LIMIT"
 
+    # Members are singletons that compare by identity; Enum.__hash__ is Python.
+    __hash__ = object.__hash__
+
     @property
     def keyword_lexemes(self) -> tuple[str, ...]:
         return tuple(self.value.split(" "))

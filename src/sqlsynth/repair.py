@@ -20,14 +20,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .checker import Label
 from .nsql.errors import ParseError
-from .nsql.grammar import parse_complete
-from .nsql.lexemes import (
-    AGGREGATIONS,
-    COMPARISONS,
-    CONNECTIVES,
-    is_column_ref,
-    split_line,
-)
+from .nsql.grammar import ClauseMemo, parse_clause_bodies
+from .nsql.lexemes import AGGREGATIONS, COMPARISONS, CONNECTIVES, is_column_ref
+from .nsql.partial import parse_line, parse_partial
 from .nsql.query import BoolOp, Condition, NormalizedQuery, Predicate, denormalize_text
 from .tasks import DatabaseSchema, ExampleTuple
 
@@ -189,7 +184,9 @@ def _alternatives(lexeme: str, column_refs: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def hamming_one_queries(
-    query: NormalizedQuery, schema: DatabaseSchema
+    query: NormalizedQuery,
+    schema: DatabaseSchema,
+    memo: ClauseMemo | None = None,
 ) -> Iterator[NormalizedQuery]:
     """Yield every parseable query one lexeme-substitution away.
 
@@ -198,7 +195,9 @@ def hamming_one_queries(
     swapped only for columns of the tables the query names, so the
     neighbourhood grows with the query rather than the schema.
     Substitutions that do not parse (for instance turning a join
-    condition's ``=`` into ``!=``) are dropped silently.
+    condition's ``=`` into ``!=``) are dropped silently.  A variant
+    re-splits only its edited line; its clauses are parsed through
+    ``memo``, so the six it shares with the query cost a lookup.
     """
     named = _named_tables(query)
     column_refs = tuple(
@@ -207,25 +206,21 @@ def hamming_one_queries(
         if table.name.lower() in named
         for column in table.columns
     )
-    lines = query.render().rstrip("\n").split("\n")
-    split_lines: list[list[str]] = []
-    for line in lines:
-        lexemes, _ = split_line(line, terminated=True)
-        split_lines.append(list(lexemes))
-    for line_index, lexemes in enumerate(split_lines):
-        for position, lexeme in enumerate(lexemes):
+    memo = memo if memo is not None else ClauseMemo()
+    clauses = parse_partial(query.render(), eos_seen=True).completed
+    for kind, body in clauses.items():
+        for position, lexeme in enumerate(body):
             for replacement in _alternatives(lexeme, column_refs):
-                patched = list(lexemes)
-                patched[position] = replacement
-                candidate_lines = [
-                    " ".join(split_lines[i]) if i != line_index else " ".join(patched)
-                    for i in range(len(split_lines))
-                ]
-                text = "\n".join(candidate_lines) + "\n"
+                patched = (*body[:position], replacement, *body[position + 1 :])
+                line = " ".join((*kind.keyword_lexemes, *patched))
                 try:
-                    yield parse_complete(text)
+                    _, relexed, _, error = parse_line(kind, line, terminated=True)
+                    if error is not None:
+                        continue
+                    variant = parse_clause_bodies({**clauses, kind: relexed}, memo)
                 except ParseError:
                     continue
+                yield variant
 
 
 # -- Test and repair --------------------------------------------------------
@@ -250,6 +245,7 @@ def test_and_repair(
     prefilter: Callable[[str, bool], object] | None = None,
     per_variant_timeout: float = 1.0,
     deadline: float | None = None,
+    memo: ClauseMemo | None = None,
 ) -> RepairOutcome:
     """Execute the candidate; on a miss, walk its one-edit neighbours.
 
@@ -257,6 +253,8 @@ def test_and_repair(
     returns a verdict with an ``ok`` attribute; variants it rejects are
     skipped without touching the database.  ``deadline`` is an absolute
     ``time.monotonic`` value past which no further variant runs.
+    ``memo`` is the search's clause memo, which the variants are parsed
+    through.
     """
     example_list = tuple(examples)
 
@@ -276,7 +274,7 @@ def test_and_repair(
         return RepairOutcome(query, original, False, False, 0)
 
     tried = 0
-    for variant in hamming_one_queries(query, schema):
+    for variant in hamming_one_queries(query, schema, memo):
         if deadline is not None and time.monotonic() >= deadline:
             break
         if prefilter is not None:

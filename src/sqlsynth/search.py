@@ -21,8 +21,8 @@ from typing import Callable, Iterator, Protocol, Sequence
 
 from .checker import CheckVerdict, make_checker
 from .lm import AdapterError, EOS_TOKEN_ID, GenerationSession, TokenCandidate
-from .nsql.errors import ParseError
-from .nsql.grammar import parse_complete
+from .nsql.errors import ParseError, StructureError
+from .nsql.grammar import ClauseMemo, parse_complete
 from .nsql.partial import parse_partial
 from .nsql.query import NormalizedQuery
 from .repair import ExecutionResult, RepairOutcome, test_and_repair
@@ -248,7 +248,10 @@ def run_search(
 
     ``checker`` and ``tester`` default to the schema-bound static checks
     and the execute-then-repair tester over ``db``; tests may inject
-    either.  ``db`` may be omitted only when ``tester`` is given.
+    either.  ``db`` may be omitted only when ``tester`` is given.  One
+    clause memo serves the search: the default checker, the parse of
+    each end-of-sequence text and the repair variants each parse a
+    distinct clause body at most once between them.
     """
     config = config or SearchConfig()
     stats = SearchStats()
@@ -257,8 +260,9 @@ def run_search(
 
     examples = tuple(task.sorted_examples()) if config.include_examples else ()
     example = examples[0] if examples else None
+    memo = ClauseMemo()
     if checker is None:
-        checker = make_checker(schema, example)
+        checker = make_checker(schema, example, memo)
     prune: Checker | None = checker if config.pqc_enabled else None
 
     conn: sqlite3.Connection | None = None
@@ -283,6 +287,7 @@ def run_search(
                 prefilter=prune,
                 per_variant_timeout=config.per_variant_timeout,
                 deadline=until,
+                memo=memo,
             )
 
     def finish(
@@ -298,12 +303,14 @@ def run_search(
         try:
             session = model.start_session(search_task_text(task, schema, config))
             for node in _best_first(session, model, stats, config, prune, deadline):
-                if not is_complete(node):
-                    continue  # ended mid-query; only reachable with checks off
-                stats.complete_queries_tested += 1
                 try:
-                    query = parse_complete(node.text)
+                    query = parse_complete(node.text, memo)
+                except StructureError:
+                    continue  # ended mid-query; only reachable with checks off
                 except ParseError:
+                    query = None
+                stats.complete_queries_tested += 1
+                if query is None:
                     stats.failed_queries.append(node.text)
                     if config.attempt_mode is AttemptMode.SINGLE:
                         break

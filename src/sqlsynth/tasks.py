@@ -110,6 +110,16 @@ class DatabaseSchema:
             for column in table.columns
         )
 
+    @cached_property
+    def _declaration(self) -> tuple[str, ...]:
+        """One ``name ( column : Type , ... )`` line per table."""
+        return tuple(
+            f"{table.name} ( "
+            + " , ".join(f"{c.name} : {c.type.value}" for c in table.columns)
+            + " )"
+            for table in self.tables
+        )
+
     def table(self, name: str) -> Table | None:
         return self._by_name.get(name.lower())
 
@@ -416,9 +426,7 @@ def serialize_task(task: TaskInstance, schema: DatabaseSchema) -> str:
     declaration and the example tuples.
     """
     lines = [task.question, _SECTION_DELIMITER]
-    for table in schema.tables:
-        columns = " , ".join(f"{c.name} : {c.type.value}" for c in table.columns)
-        lines.append(f"{table.name} ( {columns} )")
+    lines.extend(schema._declaration)
     lines.append(_SECTION_DELIMITER)
     examples = task.sorted_examples()
     if examples:

@@ -20,7 +20,6 @@ from sqlsynth.checker import (
     predict_label,
 )
 from sqlsynth.lm import lexeme_tokens
-from sqlsynth.nsql import grammar
 from sqlsynth.nsql.errors import ClauseOrderViolation, ParseError
 from sqlsynth.nsql.grammar import parse_clause_body, parse_complete, parse_select_body
 from sqlsynth.nsql.partial import parse_partial
@@ -289,45 +288,14 @@ def test_checker_passes_every_prefix_of_a_gold(concerts):
     assert check(gold, True).ok
 
 
-def test_each_head_clause_is_parsed_once_per_checker(
-    monkeypatch, normalized_tasks, schemas
-):
-    parsed: list[tuple[str, ...]] = []
-
-    def counting(original):
-        def parse(body, *args, **kwargs):
-            parsed.append(tuple(body))
-            return original(body, *args, **kwargs)
-
-        return parse
-
-    for kind, parse in list(grammar._CLAUSE_GRAMMARS.items()):
-        monkeypatch.setitem(grammar._CLAUSE_GRAMMARS, kind, counting(parse))
-    # A grammar the checker imports directly would bypass the count.
-    imported = {name for name in vars(checker) if name.endswith("_body")}
-    assert imported == {"parse_clause_body"}
-    checks = 0
-    for task in normalized_tasks:
-        check = make_checker(schemas[task.db_id], task.sorted_examples()[0])
-        text = task.gold_query
-        texts = [text[:cut] for cut in range(len(text) + 1)]
-        for prefix in texts:
-            for eos in (False, True):
-                verdict = check(prefix, eos)
-                assert verdict.ok is (not eos or prefix == text), verdict
-                checks += 1
-        # Each distinct head (text up to its last newline) parses each of
-        # its terminated clauses once; no other check parses anything.
-        heads = {prefix[: prefix.rfind("\n") + 1] for prefix in texts}
-        expected = [
-            body for head in heads for body in parse_partial(head).completed.values()
-        ]
-        assert sorted(parsed) == sorted(expected), task.id
-        parsed.clear()
-        for prefix in texts:
-            check(prefix, False)
-        assert parsed == [], task.id
-    assert checks > 5000
+def test_one_body_in_two_clauses_keeps_two_verdicts(concerts):
+    # The clause memo is keyed by kind and body: the same lexemes are
+    # wrong in SELECT and right in WHERE.
+    check = make_checker(concerts, None)
+    body = "singer.age > 30"
+    verdict = check(f"SELECT {body}\nFROM singer\n", False)
+    assert not verdict.ok and verdict.clause is ClauseKind.SELECT
+    assert check(f"SELECT singer.name\nFROM singer\nWHERE {body}\n", False).ok
 
 
 # -- incremental checker against the whole-prefix reference ---------------

@@ -224,7 +224,7 @@ def _reference_alternatives(lexeme: str, schema) -> tuple[str, ...]:
     return tuple(member for member in pool if member != lexeme)
 
 
-def _reference_neighbours(query, schema):
+def _reference_neighbours(query, schema, memo=None):
     """The full-schema one-edit enumerator: every column of every table
     is offered at each column-reference position."""
     lines = query.render().rstrip("\n").split("\n")

@@ -1,20 +1,32 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
 import pytest
 
+from sqlsynth import checker, repair, search
+from sqlsynth.checker import make_checker
 from sqlsynth.lm import (
     EOS_TOKEN_ID,
     AdapterUnavailable,
+    DistractorSpec,
     GenerationSession,
     ScriptedModel,
     TokenCandidate,
     lexeme_tokens,
 )
-from sqlsynth.repair import ExecutionResult, RepairOutcome
+from sqlsynth.nsql import grammar
+from sqlsynth.nsql.grammar import ClauseMemo, parse_clause_body, parse_complete
+from sqlsynth.repair import (
+    ExecutionResult,
+    RepairOutcome,
+    execute_query,
+    hamming_one_queries,
+    satisfies_examples,
+)
 from sqlsynth.search import (
     ROOT,
     AttemptMode,
@@ -34,6 +46,7 @@ from tests.fixtures.corpus import (
     TWO_PATH_EXAMPLE,
     TWO_PATH_SECOND,
 )
+from tests.test_checker import _reference_check
 
 GOLD = (
     "SELECT singer.name\nFROM singer\nWHERE singer.age > 30\n"
@@ -293,6 +306,27 @@ def test_run_search_skips_malformed_eos_with_checks_off(schemas):
     assert result.stats.complete_queries_tested == 1
 
 
+def test_run_search_skips_misordered_eos_with_checks_off(schemas):
+    lines = GOLD.splitlines(keepends=True)
+    misordered = "".join([lines[2], lines[0], lines[1], *lines[3:]])
+    model = ScriptedModel([
+        (lexeme_tokens(misordered), 0.6),
+        (lexeme_tokens(GOLD), 0.4),
+    ])
+    result = run_search(
+        _task(),
+        schemas["concerts"],
+        None,
+        model,
+        tester=_accept_all,
+        config=SearchConfig(pqc_enabled=False),
+    )
+    assert result.status is SearchStatus.SOLVED
+    assert result.query_text == GOLD
+    assert result.stats.complete_queries_tested == 1
+    assert result.stats.failed_queries == []
+
+
 def test_run_search_prunes_malformed_paths_with_checks_on(schemas):
     bad = GOLD.replace("singer.age", "singer.wingspan")
     model = ScriptedModel([
@@ -371,3 +405,107 @@ def test_benchmark_entry_points_still_resolve():
     for module, attribute, span, _ in tracer.ENTRY_POINTS:
         found = getattr(importlib.import_module(module), attribute, None)
         assert callable(found), (module, attribute, span)
+
+
+# -- the clause memo shared by checks, end-of-sequence parses and repair ----
+
+_NOISE = DistractorSpec(surface="frobnicate ", mass=0.2)
+
+
+def _near_miss(task, schema, conn) -> str | None:
+    """The first one-edit variant of the gold that passes the static
+    checks but misses the examples, so that repair must recover it."""
+    examples = task.sorted_examples()
+    check = make_checker(schema, examples[0])
+    for variant in hamming_one_queries(parse_complete(task.gold_query), schema):
+        text = variant.render()
+        if check(text, True).ok and not satisfies_examples(
+            execute_query(conn, variant), examples
+        ):
+            return text
+    return None
+
+
+def _parse_afresh(memo, kind, body):
+    return parse_clause_body(kind, body)
+
+
+def _outcome(result) -> tuple:
+    stats = result.stats.as_dict()
+    del stats["elapsed_seconds"]
+    return result.status, result.query_text, result.repaired, stats
+
+
+def test_each_clause_is_parsed_once_per_search(
+    monkeypatch, normalized_tasks, schemas, fixture_paths, connect
+):
+    """A clause body met by a search check, an end-of-sequence parse and
+    a repair variant is parsed once between them."""
+    parsed: list[tuple[object, tuple[str, ...]]] = []
+
+    def counting(kind, original):
+        def parse(body, *args, **kwargs):
+            parsed.append((kind, tuple(body)))
+            return original(body, *args, **kwargs)
+
+        return parse
+
+    for kind, parse in list(grammar._CLAUSE_GRAMMARS.items()):
+        monkeypatch.setitem(grammar._CLAUSE_GRAMMARS, kind, counting(kind, parse))
+    # A grammar imported directly would bypass the count.
+    for module in (checker, search, repair):
+        imported = {name for name in vars(module) if name.endswith("_body")}
+        assert imported <= {"parse_clause_body"}, module
+    conns = {db_id: connect(db_id) for db_id in schemas}
+    repaired = total = 0
+    for task in normalized_tasks:
+        schema = schemas[task.db_id]
+        near = _near_miss(task, schema, conns[task.db_id])
+        if near is None:
+            continue
+        parsed.clear()
+        model = ScriptedModel.from_queries([(near, 0.7)], _NOISE)
+        db = open_database(fixture_paths.db_root, task.db_id)
+        result = run_search(
+            task, schema, db, model, config=SearchConfig(k=8, time_limit=20.0)
+        )
+        assert result.status is SearchStatus.SOLVED, task.id
+        assert len(parsed) == len(set(parsed)), task.id
+        repaired += result.repaired
+        total += len(parsed)
+    assert repaired >= 40
+    assert total > 300
+
+
+@pytest.mark.parametrize("scripted", ["noisy", "near-miss"])
+def test_run_search_with_the_clause_memo_matches_the_reference(
+    scripted, monkeypatch, normalized_tasks, schemas, fixture_paths, connect
+):
+    """Same status, query, repair flag and statistics as the same search
+    through the whole-prefix reference checker, with every clause parsed
+    afresh, for pruning and repair each on and off."""
+    conns = {db_id: connect(db_id) for db_id in schemas}
+    searches = 0
+    for task in normalized_tasks:
+        schema = schemas[task.db_id]
+        text = task.gold_query
+        if scripted == "near-miss":
+            text = _near_miss(task, schema, conns[task.db_id])
+            if text is None:
+                continue
+        model = ScriptedModel.from_queries([(text, 0.7)], _NOISE)
+        db = open_database(fixture_paths.db_root, task.db_id)
+        reference = _reference_check(schema, task.sorted_examples()[0])
+        for pqc, repair_enabled in itertools.product((True, False), repeat=2):
+            config = SearchConfig(
+                k=8, pqc_enabled=pqc, repair_enabled=repair_enabled, time_limit=20.0
+            )
+            got = run_search(task, schema, db, model, config=config)
+            with monkeypatch.context() as patch:
+                patch.setattr(ClauseMemo, "parse", _parse_afresh)
+                want = run_search(
+                    task, schema, db, model, checker=reference, config=config
+                )
+            assert _outcome(got) == _outcome(want), (task.id, pqc, repair_enabled)
+            searches += 1
+    assert searches >= 160
