@@ -612,9 +612,13 @@ def _advance(
         scope = _clause_scope(ClauseKind.SELECT, select, outer)
         if scope.ok:
             scope = _clause_scope(kind, parsed, outer)
+        # Only a bare star's types depend on the FROM tables.
         types = PASS
-        if scope.ok and example is not None:
-            types = check_types(select[1], schema, example, from_tables=parsed.tables)
+        if scope.ok:
+            types = head.types
+            items = select[1]
+            if example is not None and any(isinstance(i.expr, Star) for i in items):
+                types = check_types(items, schema, example, from_tables=parsed.tables)
         return _Head(following, outer=outer, scope=scope, types=types)
     scope = head.scope
     if scope.ok:

@@ -68,6 +68,7 @@ class SearchStats:
     pruned_by_checker: int = 0
     complete_queries_tested: int = 0
     backtracks: int = 0
+    repair_variants_tried: int = 0
     elapsed_seconds: float = 0.0
     adapter_error: str | None = None
     failed_queries: list[str] = field(default_factory=list)
@@ -79,6 +80,7 @@ class SearchStats:
             "pruned_by_checker": self.pruned_by_checker,
             "complete_queries_tested": self.complete_queries_tested,
             "backtracks": self.backtracks,
+            "repair_variants_tried": self.repair_variants_tried,
             "elapsed_seconds": self.elapsed_seconds,
             "adapter_error": self.adapter_error,
             "failed_queries": list(self.failed_queries),
@@ -316,6 +318,7 @@ def run_search(
                         break
                     continue
                 outcome = tester(query, deadline)
+                stats.repair_variants_tried += outcome.variants_tried
                 if outcome.satisfied:
                     return finish(
                         SearchStatus.SOLVED,

@@ -298,6 +298,36 @@ def test_one_body_in_two_clauses_keeps_two_verdicts(concerts):
     assert check(f"SELECT singer.name\nFROM singer\nWHERE {body}\n", False).ok
 
 
+def test_select_types_are_checked_once_per_head(monkeypatch, concerts):
+    """A SELECT without a bare star keeps the types verdict it got when
+    SELECT terminated; only a star is checked again once FROM is known."""
+    calls: list[bool] = []
+
+    def counting(items, schema, example, from_tables=None):
+        calls.append(from_tables is not None)
+        return check_types(items, schema, example, from_tables)
+
+    monkeypatch.setattr(checker, "check_types", counting)
+    example = ExampleTuple.from_values((1,))
+    check = make_checker(concerts, example)
+    reference = _reference_check(concerts, example)
+    texts = {
+        "SELECT singer.name\nFROM singer\nWHERE": [False],
+        "SELECT singer.age\nFROM singer\nWHERE": [False],
+        "SELECT *\nFROM singer\nWHERE": [False, True],
+        "SELECT *\nFROM singer_in_concert\nWHERE": [True],
+    }
+    for text, expected_calls in texts.items():
+        calls.clear()
+        verdict = check(text, False)
+        assert calls == expected_calls, text
+        assert verdict == reference(text, False), text
+    assert not check("SELECT singer.name\nFROM singer\nWHERE", False).ok
+    assert check("SELECT singer.age\nFROM singer\nWHERE", False).ok
+    # singer has five columns, the example one.
+    assert check("SELECT *\nFROM singer\nWHERE", False).kind is ErrorKind.EXAMPLE
+
+
 # -- incremental checker against the whole-prefix reference ---------------
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,9 @@ from sqlsynth.nsql.lexemes import (
 from sqlsynth.nsql.normalize import normalize
 from sqlsynth.nsql.query import denormalize_text
 from sqlsynth.repair import (
+    ExecutionResult,
     ExecutionStatus,
+    RepairOutcome,
     canonical_row,
     canonical_value,
     execute_query,
@@ -304,6 +307,198 @@ def test_bounded_repair_matches_reference_repair(
                 assert outcomes[0] == outcomes[1], (task.id, corrupted.render())
                 compared += 1
     assert compared == 2 * 1429
+
+
+# -- the widened scan against the per-variant reference -----------------------
+
+
+def _reference_repair(
+    query, conn, schema, examples, *, prefilter=None, per_variant_timeout=1.0
+):
+    """The per-variant repair loop: the original and every admitted
+    variant each run as a statement of their own."""
+    example_list = tuple(examples)
+    original = repair.execute_query(conn, query, timeout=per_variant_timeout)
+    if satisfies_examples(original, example_list):
+        return RepairOutcome(query, original, True, False, 0)
+    tried = 0
+    for variant in repair.hamming_one_queries(query, schema):
+        if prefilter is not None and not prefilter(variant.render(), True).ok:
+            continue
+        tried += 1
+        result = repair.execute_query(conn, variant, timeout=per_variant_timeout)
+        if satisfies_examples(result, example_list):
+            return RepairOutcome(variant, result, True, True, tried)
+    return RepairOutcome(query, original, False, False, tried)
+
+
+def _observed(outcome) -> tuple:
+    result = outcome.result
+    return (
+        outcome.satisfied,
+        outcome.repaired,
+        outcome.query.render(),
+        outcome.variants_tried,
+        result.status,
+        result.error,
+        Counter(result.rows),
+    )
+
+
+def _counting_execute(monkeypatch) -> list:
+    """Record every statement ``test_and_repair`` sends to SQLite."""
+    statements: list = []
+
+    def counting(conn, query, **kwargs):
+        statements.append(query)
+        return execute_query(conn, query, **kwargs)
+
+    monkeypatch.setattr(repair, "execute_query", counting)
+    return statements
+
+
+def test_widened_scan_matches_the_per_variant_reference(
+    monkeypatch, normalized_tasks, schemas, connect
+):
+    statements = _counting_execute(monkeypatch)
+    conns = {db_id: connect(db_id) for db_id in schemas}
+    compared = 0
+    executed = {"scan": 0, "reference": 0}
+    for task in normalized_tasks:
+        schema = schemas[task.db_id]
+        conn = conns[task.db_id]
+        examples = task.sorted_examples()
+        prefilters = (make_checker(schema, examples[0]), None)
+        gold = parse_complete(task.gold_query)
+        for corrupted in _reference_neighbours(gold, schema):
+            for prefilter in prefilters:
+                observed = []
+                for name, run in (
+                    ("scan", run_with_repair),
+                    ("reference", _reference_repair),
+                ):
+                    statements.clear()
+                    outcome = run(corrupted, conn, schema, examples, prefilter=prefilter)
+                    executed[name] += len(statements)
+                    observed.append(_observed(outcome))
+                assert observed[0] == observed[1], (task.id, corrupted.render())
+                compared += 1
+    assert compared == 2 * 1429
+    # The scan answers some variants without a statement of their own.
+    assert executed["scan"] < executed["reference"]
+
+
+# -- test and repair --------------------------------------------------------
+
+
+def _concerts_query(schemas, sql):
+    return normalize(sql, schemas["concerts"])
+
+
+def test_eligible_select_column_near_miss_runs_one_statement(
+    monkeypatch, connect, schemas
+):
+    # The gold selects names; the example wants an age, two SELECT swaps on.
+    statements = _counting_execute(monkeypatch)
+    outcome = run_with_repair(
+        parse_complete(GOLD),
+        connect("concerts"),
+        schemas["concerts"],
+        [ExampleTuple.from_values((40,))],
+    )
+    assert outcome.satisfied and outcome.repaired
+    assert outcome.variants_tried == 2
+    assert outcome.query.render() == GOLD.replace("SELECT singer.name", "SELECT singer.age")
+    assert Counter(outcome.result.rows) == Counter([(40,), (35,)])
+    assert len(statements) == 1
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "select distinct name from singer where age > 30",
+        "select name from singer where age > 30 order by name",
+        "select min(age) from singer where age > 30",
+    ],
+    ids=["distinct", "order-by", "aggregate"],
+)
+def test_ineligible_query_runs_one_statement_per_variant(
+    monkeypatch, connect, schemas, sql
+):
+    statements = _counting_execute(monkeypatch)
+    query = _concerts_query(schemas, sql)
+    outcome = run_with_repair(
+        query,
+        connect("concerts"),
+        schemas["concerts"],
+        [ExampleTuple.from_values(("nobody",))],
+    )
+    assert not outcome.satisfied
+    assert outcome.variants_tried > 0
+    assert statements[0] == query
+    assert len(statements) == 1 + outcome.variants_tried
+
+
+def test_scan_answers_only_a_lone_select_column_swap(schemas):
+    schema = schemas["concerts"]
+    scan = repair._SelectScan.of(parse_complete(GOLD), schema)
+    assert scan is not None
+    age = GOLD.replace("SELECT singer.name", "SELECT singer.age")
+    assert scan.swap(parse_complete(age)) == (0, 2)
+    # A second edit outside SELECT, or a column the widened rows lack,
+    # needs a statement of its own.
+    assert scan.swap(parse_complete(age.replace("> 30", ">= 30"))) is None
+    assert scan.swap(parse_complete(GOLD.replace("> 30", ">= 30"))) is None
+    assert scan.swap(parse_complete(GOLD.replace("singer.name", "concert.venue", 1))) is None
+
+
+class _Reject:
+    ok = False
+
+
+def test_failed_widened_statement_reports_the_originals_own_error(
+    monkeypatch, connect, schemas
+):
+    conn = connect("concerts")
+    query = parse_complete(GOLD.replace("SELECT singer.name", "SELECT singer.wingspan"))
+    alone = execute_query(conn, query)
+    assert alone.status is ExecutionStatus.ERROR
+    statements = _counting_execute(monkeypatch)
+    outcome = run_with_repair(
+        query,
+        conn,
+        schemas["concerts"],
+        [ExampleTuple.from_values(("Chris",))],
+        prefilter=lambda text, eos: _Reject(),
+    )
+    assert not outcome.satisfied and outcome.variants_tried == 0
+    assert outcome.result == alone
+    # The widened statement, then the original on its own.
+    assert len(statements) == 2 and statements[1] == query
+
+
+def test_failed_widened_statement_falls_back_to_per_variant_runs(
+    monkeypatch, connect, schemas
+):
+    """When only the widened statement fails (here a forced timeout), the
+    original and its variants run as in the per-variant loop."""
+    conn = connect("concerts")
+    query = parse_complete(GOLD)
+    statements: list = []
+
+    def widened_times_out(conn, statement, **kwargs):
+        statements.append(statement)
+        if len(statement.select) > len(query.select):
+            return ExecutionResult.timed_out()
+        return execute_query(conn, statement, **kwargs)
+
+    examples = [ExampleTuple.from_values((40,))]
+    expected = _reference_repair(query, conn, schemas["concerts"], examples)
+    monkeypatch.setattr(repair, "execute_query", widened_times_out)
+    outcome = run_with_repair(query, conn, schemas["concerts"], examples)
+    assert _observed(outcome) == _observed(expected)
+    assert len(statements) == 2 + outcome.variants_tried
+    assert statements[1] == query
 
 
 # -- test and repair --------------------------------------------------------

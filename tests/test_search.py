@@ -159,6 +159,7 @@ def test_run_search_repairs_a_near_miss(schemas, fixture_paths):
     result = run_search(_task(example=("Ali",)), schemas["concerts"], db, model)
     assert result.status is SearchStatus.SOLVED
     assert result.repaired
+    assert result.stats.repair_variants_tried >= 1
 
 
 def test_run_search_repair_disabled(schemas, fixture_paths):
@@ -189,6 +190,33 @@ def test_run_search_multiple_attempts_reach_the_second_path(
     assert result.stats.complete_queries_tested == 2
     assert result.stats.backtracks >= 1
     assert TWO_PATH_BEST in result.stats.failed_queries
+
+
+def test_run_search_sums_the_repair_variants_tried(schemas):
+    """``repair_variants_tried`` adds up the variants each tested
+    candidate's repair ran, failed candidates included."""
+    model = ScriptedModel.from_queries(
+        [(TWO_PATH_BEST, 0.55), (TWO_PATH_SECOND, 0.40)]
+    )
+    outcomes = iter((False, True))
+    tried = iter((3, 4))
+
+    def tester(query, until):
+        return RepairOutcome(
+            query, ExecutionResult.success(()), next(outcomes), False, next(tried)
+        )
+
+    result = run_search(
+        _task(db_id=TWO_PATH_DB, example=TWO_PATH_EXAMPLE),
+        schemas[TWO_PATH_DB],
+        None,
+        model,
+        tester=tester,
+    )
+    assert result.status is SearchStatus.SOLVED
+    assert result.stats.complete_queries_tested == 2
+    assert result.stats.repair_variants_tried == 7
+    assert result.stats.as_dict()["repair_variants_tried"] == 7
 
 
 def test_run_search_single_attempt_stops_after_first_complete(
