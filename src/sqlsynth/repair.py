@@ -243,18 +243,6 @@ def hamming_one_queries(
 # -- Test and repair --------------------------------------------------------
 
 
-def _outside_select(query: NormalizedQuery) -> tuple:
-    return (
-        query.from_clause,
-        query.where,
-        query.group_by,
-        query.having,
-        query.order_by,
-        query.limit,
-        query.distinct,
-    )
-
-
 @dataclass(frozen=True)
 class _SelectScan:
     """The widened statement of an eligible query, which answers the
@@ -301,11 +289,14 @@ class _SelectScan:
         """The SELECT position ``variant`` edits and the offset of the
         column it puts there, when that is its only difference from the
         original and the widened rows carry that column."""
-        if _outside_select(variant) != _outside_select(self.original):
+        original = self.original
+        if len(variant.select) != self.width:
             return None
-        pairs = zip(self.original.select, variant.select)
+        if dataclasses.replace(variant, select=original.select) != original:
+            return None
+        pairs = zip(original.select, variant.select)
         edited = [position for position, (old, new) in enumerate(pairs) if old != new]
-        if len(variant.select) != self.width or len(edited) != 1:
+        if len(edited) != 1:
             return None
         offset = self.columns.get(variant.select[edited[0]].expr)
         return None if offset is None else (edited[0], offset)
