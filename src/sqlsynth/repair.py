@@ -11,11 +11,11 @@ fails the scope check and SQLite alike.  Constants are never touched.
 
 One scan answers every SELECT-column swap of an eligible query: a query
 that selects plain columns, with no DISTINCT, grouping, ordering or
-limit.  Its original runs once with every column of its FROM tables
-appended to the SELECT list, and a variant that swaps one SELECT column
-for one of those is answered by projecting the widened rows.  Dropping
-a column from such a query leaves its multiset of rows unchanged, and
-its row order is unspecified anyway.
+limit.  When its walk reaches the first such swap, the query runs once
+more with every column of its FROM tables appended to the SELECT list,
+and that swap and each later one is answered by projecting the widened
+rows.  Dropping a column from such a query leaves its multiset of rows
+unchanged, and its row order is unspecified anyway.
 """
 
 from __future__ import annotations
@@ -243,73 +243,56 @@ def hamming_one_queries(
 # -- Test and repair --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SelectScan:
-    """The widened statement of an eligible query, which answers the
-    query and each of its swaps of one SELECT column for a FROM column.
+def _widened(
+    query: NormalizedQuery, schema: DatabaseSchema
+) -> tuple[NormalizedQuery, dict[ColumnRef, int]] | None:
+    """The widened statement of an eligible ``query``, or None.
 
-    A widened row is the query's own ``width`` values followed by one
-    value for each FROM column; ``columns`` maps a FROM column to its
-    offset among those.
+    The statement appends every column of the FROM tables to the SELECT
+    list; the map gives each such column's index in a widened row.
     """
-
-    original: NormalizedQuery
-    statement: NormalizedQuery
-    columns: Mapping[ColumnRef, int]
-
-    @property
-    def width(self) -> int:
-        return len(self.original.select)
-
-    @classmethod
-    def of(cls, query: NormalizedQuery, schema: DatabaseSchema) -> "_SelectScan | None":
-        """The scan of ``query``, or None when it is not eligible."""
-        if (
-            query.distinct
-            or query.group_by
-            or query.having is not None
-            or query.order_by
-            or query.limit is not None
-            or not all(isinstance(item.expr, ColumnRef) for item in query.select)
-        ):
+    if (
+        query.distinct
+        or query.group_by
+        or query.having is not None
+        or query.order_by
+        or query.limit is not None
+        or not all(isinstance(item.expr, ColumnRef) for item in query.select)
+    ):
+        return None
+    columns: dict[ColumnRef, int] = {}
+    for name in query.from_clause.tables:
+        table = schema.table(name)
+        if table is None:
             return None
-        columns: dict[ColumnRef, int] = {}
-        for name in query.from_clause.tables:
-            table = schema.table(name)
-            if table is None:
-                return None
-            for column in table.columns:
-                columns.setdefault(ColumnRef(table.name, column.name), len(columns))
-        statement = dataclasses.replace(
-            query, select=query.select + tuple(SelectItem(ref) for ref in columns)
-        )
-        return cls(query, statement, columns)
+        for column in table.columns:
+            columns.setdefault(
+                ColumnRef(table.name, column.name), len(query.select) + len(columns)
+            )
+    statement = dataclasses.replace(
+        query, select=query.select + tuple(SelectItem(ref) for ref in columns)
+    )
+    return statement, columns
 
-    def swap(self, variant: NormalizedQuery) -> tuple[int, int] | None:
-        """The SELECT position ``variant`` edits and the offset of the
-        column it puts there, when that is its only difference from the
-        original and the widened rows carry that column."""
-        original = self.original
-        if len(variant.select) != self.width:
-            return None
-        if dataclasses.replace(variant, select=original.select) != original:
-            return None
-        pairs = zip(original.select, variant.select)
-        edited = [position for position, (old, new) in enumerate(pairs) if old != new]
-        if len(edited) != 1:
-            return None
-        offset = self.columns.get(variant.select[edited[0]].expr)
-        return None if offset is None else (edited[0], offset)
 
-    def project(
-        self, rows: Sequence[tuple], position: int, offset: int
-    ) -> tuple[tuple, ...]:
-        """The rows of the variant that puts column ``offset`` at ``position``."""
-        width = self.width
-        at = width + offset
-        return tuple(
-            row[:position] + (row[at],) + row[position + 1 : width] for row in rows
-        )
+def _select_swap(
+    original: NormalizedQuery,
+    variant: NormalizedQuery,
+    columns: Mapping[ColumnRef, int],
+) -> tuple[int, int] | None:
+    """The SELECT position ``variant`` edits and the widened-row index of
+    the column it puts there, when that is its only difference from
+    ``original`` and ``columns`` holds that column."""
+    if len(variant.select) != len(original.select):
+        return None
+    if dataclasses.replace(variant, select=original.select) != original:
+        return None
+    pairs = zip(original.select, variant.select)
+    edited = [position for position, (old, new) in enumerate(pairs) if old != new]
+    if len(edited) != 1:
+        return None
+    index = columns.get(variant.select[edited[0]].expr)
+    return None if index is None else (edited[0], index)
 
 
 @dataclass(frozen=True)
@@ -342,11 +325,12 @@ def test_and_repair(
     ``memo`` is the search's clause memo, which the variants are parsed
     through.
 
-    With repair on, an eligible query (see the module docstring) runs
-    once as its widened statement, within one variant's budget, and its
-    SELECT-column swaps are answered from those rows.  When the widened
-    statement fails, the original runs on its own and so does every
-    variant.
+    For an eligible query (see the module docstring) whose original
+    ran, the first admitted SELECT-column swap runs the widened
+    statement within its own budget, and that swap and every later one
+    are answered from the widened rows.  When the widened statement
+    fails, the swap runs on its own with what is left of its budget, and
+    so does every later variant.
     """
     example_list = tuple(examples)
 
@@ -355,25 +339,20 @@ def test_and_repair(
             return per_variant_timeout
         return min(per_variant_timeout, deadline - time.monotonic())
 
-    def run(statement: NormalizedQuery) -> ExecutionResult:
-        remaining = budget()
+    def run(statement: NormalizedQuery, remaining: float) -> ExecutionResult:
         if remaining <= 0:
             return ExecutionResult.timed_out()
         return execute_query(conn, statement, timeout=remaining)
 
-    scan = _SelectScan.of(query, schema) if attempt_repair else None
-    wide = run(scan.statement) if scan is not None else None
-    if scan is not None and wide is not None and wide.ok:
-        own = tuple(row[: scan.width] for row in wide.rows)
-        original = ExecutionResult.success(own)
-    else:
-        scan = None
-        original = run(query)
+    original = run(query, budget())
     if satisfies_examples(original, example_list):
         return RepairOutcome(query, original, True, False, 0)
     if not attempt_repair:
         return RepairOutcome(query, original, False, False, 0)
 
+    widened = _widened(query, schema) if original.ok else None
+    wide_rows: tuple[tuple, ...] | None = None
+    width = len(query.select)
     tried = 0
     for variant in hamming_one_queries(query, schema, memo):
         if deadline is not None and time.monotonic() >= deadline:
@@ -386,11 +365,25 @@ def test_and_repair(
         if remaining <= 0:
             break
         tried += 1
-        swap = scan.swap(variant) if scan is not None else None
+        swap = _select_swap(query, variant, widened[1]) if widened else None
+        if swap is not None and wide_rows is None:
+            started = time.monotonic()
+            wide = run(widened[0], remaining)
+            if wide.ok:
+                wide_rows = wide.rows
+            else:
+                widened = swap = None
+                remaining -= time.monotonic() - started
         if swap is None:
-            result = execute_query(conn, variant, timeout=remaining)
+            result = run(variant, remaining)
         else:
-            result = ExecutionResult.success(scan.project(wide.rows, *swap))
+            position, index = swap
+            result = ExecutionResult.success(
+                tuple(
+                    row[:position] + (row[index],) + row[position + 1 : width]
+                    for row in wide_rows
+                )
+            )
         if satisfies_examples(result, example_list):
             return RepairOutcome(variant, result, True, True, tried)
     return RepairOutcome(query, original, False, False, tried)

@@ -395,13 +395,18 @@ def _concerts_query(schemas, sql):
     return normalize(sql, schemas["concerts"])
 
 
-def test_eligible_select_column_near_miss_runs_one_statement(
+def _is_widened(statement, query) -> bool:
+    return len(statement.select) > len(query.select)
+
+
+def test_eligible_select_column_near_miss_runs_one_widened_statement(
     monkeypatch, connect, schemas
 ):
     # The gold selects names; the example wants an age, two SELECT swaps on.
     statements = _counting_execute(monkeypatch)
+    query = parse_complete(GOLD)
     outcome = run_with_repair(
-        parse_complete(GOLD),
+        query,
         connect("concerts"),
         schemas["concerts"],
         [ExampleTuple.from_values((40,))],
@@ -410,7 +415,22 @@ def test_eligible_select_column_near_miss_runs_one_statement(
     assert outcome.variants_tried == 2
     assert outcome.query.render() == GOLD.replace("SELECT singer.name", "SELECT singer.age")
     assert Counter(outcome.result.rows) == Counter([(40,), (35,)])
-    assert len(statements) == 1
+    # The original on its own, then one widened statement for both swaps.
+    assert len(statements) == 2
+    assert statements[0] == query and _is_widened(statements[1], query)
+
+
+def test_satisfied_eligible_query_is_not_widened(monkeypatch, connect, schemas):
+    statements = _counting_execute(monkeypatch)
+    query = parse_complete(GOLD)
+    outcome = run_with_repair(
+        query,
+        connect("concerts"),
+        schemas["concerts"],
+        [ExampleTuple.from_values(("Chris",))],
+    )
+    assert outcome.satisfied and not outcome.repaired
+    assert statements == [query]
 
 
 @pytest.mark.parametrize(
@@ -441,64 +461,112 @@ def test_ineligible_query_runs_one_statement_per_variant(
 
 def test_scan_answers_only_a_lone_select_column_swap(schemas):
     schema = schemas["concerts"]
-    scan = repair._SelectScan.of(parse_complete(GOLD), schema)
-    assert scan is not None
+    query = parse_complete(GOLD)
+    widened = repair._widened(query, schema)
+    assert widened is not None
+    statement, columns = widened
+    assert statement.select[:1] == query.select
+    assert len(statement.select) == 1 + len(columns)
     age = GOLD.replace("SELECT singer.name", "SELECT singer.age")
-    assert scan.swap(parse_complete(age)) == (0, 2)
+    assert repair._select_swap(query, parse_complete(age), columns) == (0, 3)
     # A second edit outside SELECT, or a column the widened rows lack,
     # needs a statement of its own.
-    assert scan.swap(parse_complete(age.replace("> 30", ">= 30"))) is None
-    assert scan.swap(parse_complete(GOLD.replace("> 30", ">= 30"))) is None
-    assert scan.swap(parse_complete(GOLD.replace("singer.name", "concert.venue", 1))) is None
+    for sql in (
+        age.replace("> 30", ">= 30"),
+        GOLD.replace("> 30", ">= 30"),
+        GOLD.replace("singer.name", "concert.venue", 1),
+    ):
+        assert repair._select_swap(query, parse_complete(sql), columns) is None
 
 
-class _Reject:
-    ok = False
-
-
-def test_failed_widened_statement_reports_the_originals_own_error(
-    monkeypatch, connect, schemas
-):
+def test_failed_original_is_not_widened(monkeypatch, connect, schemas):
     conn = connect("concerts")
     query = parse_complete(GOLD.replace("SELECT singer.name", "SELECT singer.wingspan"))
-    alone = execute_query(conn, query)
-    assert alone.status is ExecutionStatus.ERROR
+    assert execute_query(conn, query).status is ExecutionStatus.ERROR
+    examples = [ExampleTuple.from_values(("Chris",))]
+    expected = _reference_repair(query, conn, schemas["concerts"], examples)
     statements = _counting_execute(monkeypatch)
-    outcome = run_with_repair(
-        query,
-        conn,
-        schemas["concerts"],
-        [ExampleTuple.from_values(("Chris",))],
-        prefilter=lambda text, eos: _Reject(),
-    )
-    assert not outcome.satisfied and outcome.variants_tried == 0
-    assert outcome.result == alone
-    # The widened statement, then the original on its own.
-    assert len(statements) == 2 and statements[1] == query
+    outcome = run_with_repair(query, conn, schemas["concerts"], examples)
+    assert outcome.satisfied and outcome.repaired
+    assert _observed(outcome) == _observed(expected)
+    assert len(statements) == 1 + outcome.variants_tried
+    assert not any(_is_widened(statement, query) for statement in statements)
+
+
+def _widened_fails(monkeypatch, query, failure) -> list:
+    """Record every statement; the widened one of ``query`` fails by
+    calling ``failure`` with its timeout."""
+    statements: list = []
+
+    def execute(conn, statement, **kwargs):
+        statements.append(statement)
+        if _is_widened(statement, query):
+            return failure(kwargs["timeout"])
+        return execute_query(conn, statement, **kwargs)
+
+    monkeypatch.setattr(repair, "execute_query", execute)
+    return statements
 
 
 def test_failed_widened_statement_falls_back_to_per_variant_runs(
     monkeypatch, connect, schemas
 ):
-    """When only the widened statement fails (here a forced timeout), the
-    original and its variants run as in the per-variant loop."""
+    """When the widened statement fails at once, the swap that ran it and
+    every later variant run as in the per-variant loop."""
     conn = connect("concerts")
     query = parse_complete(GOLD)
-    statements: list = []
-
-    def widened_times_out(conn, statement, **kwargs):
-        statements.append(statement)
-        if len(statement.select) > len(query.select):
-            return ExecutionResult.timed_out()
-        return execute_query(conn, statement, **kwargs)
-
     examples = [ExampleTuple.from_values((40,))]
     expected = _reference_repair(query, conn, schemas["concerts"], examples)
-    monkeypatch.setattr(repair, "execute_query", widened_times_out)
+    statements = _widened_fails(
+        monkeypatch, query, lambda timeout: ExecutionResult.failure("widened")
+    )
     outcome = run_with_repair(query, conn, schemas["concerts"], examples)
     assert _observed(outcome) == _observed(expected)
+    assert statements[0] == query and _is_widened(statements[1], query)
     assert len(statements) == 2 + outcome.variants_tried
-    assert statements[1] == query
+    assert not any(_is_widened(statement, query) for statement in statements[2:])
+
+
+def _times_out(timeout: float) -> ExecutionResult:
+    time.sleep(timeout)
+    return ExecutionResult.timed_out()
+
+
+def test_widened_timeout_spends_only_its_swaps_budget(monkeypatch, connect, schemas):
+    """A widened statement that uses up its budget leaves the swap that
+    ran it timed out, with no second statement; later variants run."""
+    conn = connect("concerts")
+    schema = schemas["concerts"]
+    query = parse_complete(GOLD)
+    examples = [ExampleTuple.from_values((40,))]
+    variants = list(hamming_one_queries(query, schema))
+    statements = _widened_fails(monkeypatch, query, _times_out)
+    outcome = run_with_repair(
+        query, conn, schema, examples, per_variant_timeout=0.05
+    )
+    assert outcome.satisfied and outcome.variants_tried == 2
+    assert statements == [query, statements[1], variants[1]]
+
+
+def test_widened_timeout_under_a_deadline_leaves_the_original(
+    monkeypatch, connect, schemas
+):
+    """The original runs on its own before any widening, so a widened
+    statement that runs into the search deadline cannot change it."""
+    conn = connect("concerts")
+    query = parse_complete(GOLD)
+    original = execute_query(conn, query)
+    statements = _widened_fails(monkeypatch, query, _times_out)
+    outcome = run_with_repair(
+        query,
+        conn,
+        schemas["concerts"],
+        [ExampleTuple.from_values((40,))],
+        deadline=time.monotonic() + 0.2,
+    )
+    assert not outcome.satisfied and outcome.variants_tried == 1
+    assert outcome.result == original
+    assert len(statements) == 2 and statements[0] == query
 
 
 # -- test and repair --------------------------------------------------------
