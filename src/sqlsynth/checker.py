@@ -8,16 +8,18 @@ and output types against the example.  Verdicts carry the error kind an
 execution of the finished query would raise, which also powers the
 4-label classifier used by the checker-comparison experiment.
 
+``make_checker`` is the one entry point: search, the repair prefilter
+and ``predict_label`` all check text through the function it returns.
 Search checks a child of every expanded prefix, and children share
-their terminated lines.  The checker ``make_checker`` returns therefore
-keeps, per distinct head (the text up to and including the last
-newline), every verdict that depends only on the terminated clauses;
-checking a child parses and checks only its current line.  A new head is
-its parent head plus one terminated line, and heads with equal verdicts
-merge, so a text that differs from a checked one in one line (a repair
-variant) rejoins its heads after that line.  Clause bodies are checked
-and parsed through the search's clause memo, which the end-of-sequence
-parse and repair share, so each distinct body is parsed once a search.
+their terminated lines, so that function keeps, per distinct head (the
+text up to and including the last newline), every verdict that depends
+only on the terminated clauses; checking a child parses and checks only
+its current line.  A new head is its parent head plus one terminated
+line, and heads with equal verdicts merge, so a text that differs from
+a checked one in one line (a repair variant) rejoins its heads after
+that line.  Clause bodies are checked and parsed through the search's
+clause memo, which the end-of-sequence parse and repair share, so each
+distinct body is parsed once a search.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .nsql.lexemes import (
     is_number,
     is_string_const,
 )
-from .nsql.partial import LineParse, PartialParse, parse_line, parse_partial
+from .nsql.partial import parse_line, parse_partial
 from .nsql.query import (
     CLAUSE_ORDER,
     AggExpr,
@@ -414,35 +416,6 @@ def _clause_scope(
     return PASS
 
 
-def _scan_current(
-    current: ClauseKind | None, body: Sequence[str], outer: frozenset[str] | None
-) -> CheckVerdict:
-    if outer is not None and current in _SCANNED_CLAUSES:
-        return _scan_partial_scope(current, body, outer)
-    return PASS
-
-
-def check_scope(
-    query_so_far: PartialParse, clauses: Mapping[ClauseKind, object]
-) -> CheckVerdict:
-    """Reject column references whose table is absent from FROM.
-
-    ``clauses`` maps each terminated clause of ``query_so_far`` to its
-    ``parse_clause_body`` result.  Inert until the FROM clause is
-    terminated; afterwards the parsed clauses are walked and the current
-    clause body is scanned eagerly.
-    """
-    from_clause = clauses.get(ClauseKind.FROM)
-    if from_clause is None:
-        return PASS
-    outer = frozenset(t.lower() for t in from_clause.tables)
-    for kind, parsed in clauses.items():
-        verdict = _clause_scope(kind, parsed, outer)
-        if not verdict.ok:
-            return verdict
-    return _scan_current(query_so_far.current_clause, query_so_far.current_body, outer)
-
-
 # -- Types ------------------------------------------------------------------
 
 
@@ -583,18 +556,29 @@ def _terminated_clause(
         return CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc)), None
 
 
-def _advance(
+def _step(
     head: _Head,
-    kind: ClauseKind,
-    body: tuple[str, ...],
+    line: str,
     schema: DatabaseSchema,
     example: ExampleTuple | None,
     memo: ClauseMemo,
 ) -> _Head:
-    """The head after one more terminated clause: ``head.next_clause``
-    with ``body``.  Checks run in clause order, as over a whole prefix:
+    """The head after one more terminated ``line`` (newline included).
+
+    Checks run in clause order, as over a whole prefix: line structure,
     vocabulary and grammar first, then scope once FROM is known, then
     the output types."""
+    if head.fatal is not None:
+        return head
+    try:
+        partial = parse_partial(line, first=head.next_clause)
+    except ClauseOrderViolation as exc:
+        return _Head(fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc)))
+    if partial.syntax_error is not None:
+        return _Head(
+            fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, partial.syntax_error)
+        )
+    ((kind, body),) = partial.completed.items()
     following = _FOLLOWING[kind]
     if head.clause_error is not None:
         return _Head(following, clause_error=head.clause_error)
@@ -627,32 +611,10 @@ def _advance(
     return _Head(following, outer=head.outer, scope=scope, types=types)
 
 
-def _step(
-    head: _Head,
-    line: str,
-    schema: DatabaseSchema,
-    example: ExampleTuple | None,
-    memo: ClauseMemo,
-) -> _Head:
-    """The head after one more terminated ``line`` (newline included)."""
-    if head.fatal is not None:
-        return head
-    try:
-        partial = parse_partial(line, first=head.next_clause)
-    except ClauseOrderViolation as exc:
-        return _Head(fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc)))
-    if partial.syntax_error is not None:
-        return _Head(
-            fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, partial.syntax_error)
-        )
-    ((kind, body),) = partial.completed.items()
-    return _advance(head, kind, body, schema, example, memo)
-
-
 def _check_line(
-    head: _Head, line: LineParse, eos_seen: bool, schema: DatabaseSchema
+    head: _Head, line: str, eos_seen: bool, schema: DatabaseSchema
 ) -> CheckVerdict:
-    """Check the current line and slot the head's verdicts in around it.
+    """Check the current ``line`` and slot the head's verdicts in around it.
 
     The order of the verdicts is the order of the checks: line structure,
     terminated clause vocabulary and grammar, current-line vocabulary,
@@ -660,7 +622,10 @@ def _check_line(
     types, and whether generation may end here.
     """
     current = head.next_clause
-    keyword_remaining, body, fragment, syntax_error = line
+    try:
+        keyword_remaining, body, fragment, syntax_error = parse_line(current, line)
+    except ClauseOrderViolation as exc:
+        return CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc))
     if syntax_error is not None:
         return CheckVerdict.rejected(ErrorKind.SYNTAX, current, syntax_error)
     if head.clause_error is not None:
@@ -679,9 +644,10 @@ def _check_line(
                 return verdict
     if not head.scope.ok:
         return head.scope
-    verdict = _scan_current(current, body, head.outer)
-    if not verdict.ok:
-        return verdict
+    if head.outer is not None and current in _SCANNED_CLAUSES:
+        verdict = _scan_partial_scope(current, body, head.outer)
+        if not verdict.ok:
+            return verdict
     if not head.types.ok:
         return head.types
     if eos_seen and current is not None:
@@ -689,23 +655,6 @@ def _check_line(
             ErrorKind.SYNTAX, current, "generation ended before the LIMIT line"
         )
     return PASS
-
-
-def check_partial(
-    partial: PartialParse,
-    schema: DatabaseSchema,
-    example: ExampleTuple | None = None,
-) -> CheckVerdict:
-    """Run vocabulary, structure, scope and type checks on a partial."""
-    if partial.syntax_error is not None:
-        return CheckVerdict.rejected(
-            ErrorKind.SYNTAX, partial.current_clause, partial.syntax_error
-        )
-    head, memo = _Head(), ClauseMemo()
-    for kind, body in partial.completed.items():
-        head = _advance(head, kind, body, schema, example, memo)
-    line = (partial.keyword_remaining, partial.current_body, partial.fragment, None)
-    return _check_line(head, line, partial.eos_seen, schema)
 
 
 def make_checker(
@@ -753,11 +702,7 @@ def make_checker(
         head = heads.get(text[:cut]) or head_of(text, cut)
         if head.fatal is not None:
             return head.fatal
-        try:
-            line = parse_line(head.next_clause, text[cut:])
-        except ClauseOrderViolation as exc:
-            return CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc))
-        return _check_line(head, line, eos_seen, schema)
+        return _check_line(head, text[cut:], eos_seen, schema)
 
     return check
 

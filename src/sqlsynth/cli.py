@@ -67,11 +67,24 @@ def _build_config(args: argparse.Namespace) -> SearchConfig:
     )
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def _add_search_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True, help="scripted:<path> or http(s) URL")
-    parser.add_argument("--k", type=int, default=5, help="continuations per expansion")
+    parser.add_argument(
+        "--k", type=_at_least(1), default=5, help="continuations per expansion"
+    )
     parser.add_argument("--time-limit", type=float, default=60.0)
-    parser.add_argument("--max-tokens", type=int, default=128)
+    parser.add_argument("--max-tokens", type=_at_least(1), default=128)
     parser.add_argument(
         "--mode", choices=[mode.value for mode in AttemptMode], default="multiple"
     )
@@ -86,7 +99,7 @@ def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tables", required=True, help="schema file (tables.json)")
     parser.add_argument("--tasks", required=True, help="task dataset file")
     parser.add_argument("--db-root", required=True, help="directory of SQLite files")
-    parser.add_argument("--limit", type=int, default=None, help="use only the first N tasks")
+    parser.add_argument("--limit", type=_at_least(0), help="use only the first N tasks")
 
 
 def _refine_schemas(
@@ -284,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_dataset_options(exp)
     _add_search_options(exp)
-    exp.add_argument("--per-task", type=int, default=4)
+    exp.add_argument("--per-task", type=_at_least(1), default=4)
     exp.add_argument("--output", help="write the matrix as JSON")
     exp.set_defaults(func=_cmd_checker_exp)
     return parser

@@ -275,6 +275,17 @@ def load_scripted_model(path: Path | str) -> ScriptedModel | ScriptedRouter:
 # -- HTTP completion client -------------------------------------------------
 
 
+def _probability(logprob: object) -> float:
+    """``exp(logprob)`` when it is a probability in (0, 1]."""
+    try:
+        prob = math.exp(float(logprob))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"malformed logprob {logprob!r}: {exc}") from exc
+    if not 0 < prob <= 1:
+        raise ProtocolError(f"logprob {logprob!r} out of range")
+    return prob
+
+
 class HttpCompletionModel:
     """Client for a JSON-over-HTTP completion server.
 
@@ -324,24 +335,16 @@ class HttpCompletionModel:
             raise ProtocolError(f"server returned HTTP {response.status_code}")
         try:
             body = response.json()
-            raw = body["candidates"]
+            entries = [(c["text"], c["logprob"]) for c in body["candidates"]]
+            eos = body.get("eos_logprob")
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed server reply: {exc}") from exc
         candidates = []
-        for entry in raw:
-            try:
-                text = entry["text"]
-                prob = math.exp(float(entry["logprob"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ProtocolError(f"malformed candidate: {exc}") from exc
-            if not isinstance(text, str) or not 0 < prob <= 1:
-                raise ProtocolError(f"candidate out of range: {entry!r}")
-            candidates.append(TokenCandidate(text, text, prob))
-        eos_logprob = body.get("eos_logprob")
-        if eos_logprob is not None:
-            prob = math.exp(float(eos_logprob))
-            if not 0 < prob <= 1:
-                raise ProtocolError("eos probability out of range")
-            candidates.append(TokenCandidate(EOS_TOKEN_ID, "", prob))
+        for text, logprob in entries:
+            if not isinstance(text, str):
+                raise ProtocolError(f"candidate text is not a string: {text!r}")
+            candidates.append(TokenCandidate(text, text, _probability(logprob)))
+        if eos is not None:
+            candidates.append(TokenCandidate(EOS_TOKEN_ID, "", _probability(eos)))
         candidates.sort(key=lambda c: (-c.prob, c.token_id))
         return candidates[:k]

@@ -539,9 +539,9 @@ def parse_complete(text: str, memo: ClauseMemo | None = None) -> NormalizedQuery
     them) when the text is not seven terminated clause lines, and
     :class:`ParseError` when a clause body does not parse.
     """
-    partial = parse_partial(text, eos_seen=True)
+    partial = parse_partial(text)
     if partial.syntax_error is not None:
         raise StructureError(partial.syntax_error)
-    if not partial.all_terminated:
+    if partial.current_clause is not None:
         raise StructureError("query text is incomplete")
     return parse_clause_bodies(partial.completed, memo)

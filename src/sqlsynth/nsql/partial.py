@@ -2,8 +2,10 @@
 
 Generation builds a query left to right, so at any point the text is a
 run of terminated clause lines followed by one line still being typed.
-``parse_partial`` recovers that structure without judging clause bodies;
-body validation belongs to the clause grammars and the checker.
+``parse_partial`` recovers that structure without judging clause bodies,
+and ``parse_line`` splits one line.  Body validation belongs to the
+clause grammars and to the checker, whose one entry point is
+``checker.make_checker``.
 """
 
 from __future__ import annotations
@@ -23,35 +25,13 @@ class PartialParse:
     """Clause-line structure of a text prefix.
 
     ``completed`` maps each terminated clause to its body lexemes with
-    the clause keyword stripped.  The current line is described by the
-    clause it must belong to, the keyword lexemes still owed, the body
-    lexemes finished so far and the final unterminated fragment.
+    the clause keyword stripped; ``current_clause`` is the clause the
+    line still being typed must belong to (None after LIMIT).
     """
 
     completed: dict[ClauseKind, tuple[str, ...]] = field(default_factory=dict)
     current_clause: ClauseKind | None = None
-    keyword_remaining: tuple[str, ...] = ()
-    current_body: tuple[str, ...] = ()
-    fragment: str | None = None
-    eos_seen: bool = False
     syntax_error: str | None = None
-
-    @property
-    def all_terminated(self) -> bool:
-        return (
-            len(self.completed) == len(CLAUSE_ORDER)
-            and self.syntax_error is None
-            and not self.current_body
-            and self.fragment is None
-        )
-
-    @property
-    def keyword_done(self) -> bool:
-        return self.current_clause is not None and not self.keyword_remaining
-
-    @property
-    def is_complete(self) -> bool:
-        return self.eos_seen and self.all_terminated
 
 
 # One clause line: (keyword lexemes still owed, body lexemes after the
@@ -110,10 +90,7 @@ _POSITION = {kind: index for index, kind in enumerate(CLAUSE_ORDER)}
 
 
 def parse_partial(
-    text: str,
-    *,
-    eos_seen: bool = False,
-    first: ClauseKind | None = ClauseKind.SELECT,
+    text: str, *, first: ClauseKind | None = ClauseKind.SELECT
 ) -> PartialParse:
     """Split generated text into terminated clauses and the current line.
 
@@ -131,16 +108,8 @@ def parse_partial(
         kind = _clause_after(index)
         _, body, _, error = parse_line(kind, line, terminated=True)
         if error is not None:
-            return PartialParse(completed=completed, eos_seen=eos_seen, syntax_error=error)
+            return PartialParse(completed=completed, syntax_error=error)
         completed[kind] = body
     kind = _clause_after(start + len(completed))
-    keyword_remaining, body, fragment, error = parse_line(kind, current)
-    return PartialParse(
-        completed=completed,
-        current_clause=kind,
-        keyword_remaining=keyword_remaining,
-        current_body=body,
-        fragment=fragment,
-        eos_seen=eos_seen,
-        syntax_error=error,
-    )
+    error = parse_line(kind, current)[3]
+    return PartialParse(completed=completed, current_clause=kind, syntax_error=error)

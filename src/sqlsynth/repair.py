@@ -224,7 +224,7 @@ def hamming_one_queries(
         for column in table.columns
     )
     memo = memo if memo is not None else ClauseMemo()
-    clauses = parse_partial(query.render(), eos_seen=True).completed
+    clauses = parse_partial(query.render()).completed
     for kind, body in clauses.items():
         for position, lexeme in enumerate(body):
             for replacement in _alternatives(lexeme, column_refs):

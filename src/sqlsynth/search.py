@@ -23,7 +23,8 @@ from .checker import CheckVerdict, make_checker
 from .lm import AdapterError, EOS_TOKEN_ID, GenerationSession, TokenCandidate
 from .nsql.errors import ParseError, StructureError
 from .nsql.grammar import ClauseMemo, parse_complete
-from .nsql.partial import parse_partial
+# Unused here: perfbench/tracer.py looks this name up in this module.
+from .nsql.partial import parse_partial  # noqa: F401
 from .nsql.query import NormalizedQuery
 from .repair import ExecutionResult, RepairOutcome, test_and_repair
 from .tasks import DatabaseSchema, TaskDatabase, TaskInstance, serialize_task
@@ -141,13 +142,6 @@ class Frontier:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-
-def is_complete(node: SearchNode) -> bool:
-    """An end-of-sequence marker was produced and all 7 lines closed."""
-    if not node.tokens or node.tokens[-1] != EOS_TOKEN_ID:
-        return False
-    return parse_partial(node.text, eos_seen=True).is_complete
 
 
 @dataclass(frozen=True)

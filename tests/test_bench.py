@@ -18,10 +18,16 @@ from sqlsynth.bench import (
     run_checker_experiment,
 )
 from sqlsynth.checker import Label
-from sqlsynth.lm import ScriptedModel, ScriptedRouter
+from sqlsynth.lm import (
+    HttpCompletionModel,
+    ScriptedModel,
+    ScriptedRouter,
+    lexeme_tokens,
+)
 from sqlsynth.nsql.normalize import normalize
 from sqlsynth.search import AttemptMode, SearchConfig, search_task_text
 from sqlsynth.tasks import ExampleTuple, TaskInstance
+from tests.test_lm import _CannedHandler, canned_server  # noqa: F401 (fixture)
 
 CONFIG = SearchConfig(k=8, time_limit=10.0)
 
@@ -206,6 +212,42 @@ def test_benchmark_records_adapter_failure(schemas, fixture_paths, router):
     assert row.status == "adapter_failure"
     assert row.solved is False
     assert row.exact is False
+
+
+def test_benchmark_contains_a_malformed_http_reply(
+    bench_tasks, canon, schemas, fixture_paths, canned_server
+):
+    """Under two workers, the task whose model reply is malformed reads
+    adapter_failure and the tasks beside it still grade."""
+    answers = {
+        "count every singer": lexeme_tokens(canon["count"]),
+        "names from France": lexeme_tokens(canon["france"]),
+    }
+
+    def reply(request):
+        tokens = next((t for q, t in answers.items() if q in request["task"]), None)
+        if tokens is None:
+            return {"candidates": 5}
+        step = len(lexeme_tokens(request["prefix"]))
+        if step == len(tokens):
+            return {"candidates": [], "eos_logprob": 0.0}
+        return {"candidates": [{"text": tokens[step], "logprob": 0.0}]}
+
+    _CannedHandler.payload = reply
+    broken = _task("bench-010", "a broken reply", "select count(*) from singer", [5])
+    result = run_benchmark(
+        [*bench_tasks[:2], broken],
+        schemas,
+        fixture_paths.db_root,
+        HttpCompletionModel(canned_server),
+        config=CONFIG,
+        jobs=2,
+    )
+    rows = {row.task_id: row for row in result.reports}
+    assert rows["bench-010"].status == "adapter_failure"
+    for task_id in ("bench-001", "bench-002"):
+        assert rows[task_id].status == "solved"
+        assert rows[task_id].execution_match is True
 
 
 def test_ablation_grid_covers_every_switch_combination():
@@ -560,6 +602,23 @@ def test_cli_bench_limit(tmp_path, capsys, fixture_paths, canon):
     )
     assert code == 0
     assert "tasks: 1\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("bench", "--k", "0"),
+        ("bench", "--max-tokens", "0"),
+        ("bench", "--limit", "-1"),
+        ("checker-exp", "--per-task", "0"),
+    ],
+)
+def test_cli_rejects_counts_out_of_range(command, flag, value, capsys):
+    args = ["--tables", "t.json", "--tasks", "d.json", "--db-root", "db"]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, *args, "--model", "scripted:m.json", flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
 
 
 def test_cli_normalize_single_statement(capsys, fixture_paths):

@@ -12,8 +12,6 @@ from sqlsynth.checker import (
     CheckVerdict,
     ErrorKind,
     Label,
-    check_partial,
-    check_scope,
     check_types,
     check_vocabulary,
     make_checker,
@@ -22,7 +20,7 @@ from sqlsynth.checker import (
 from sqlsynth.lm import lexeme_tokens
 from sqlsynth.nsql.errors import ClauseOrderViolation, ParseError
 from sqlsynth.nsql.grammar import parse_clause_body, parse_complete, parse_select_body
-from sqlsynth.nsql.partial import parse_partial
+from sqlsynth.nsql.partial import parse_line, parse_partial
 from sqlsynth.nsql.query import ClauseKind
 from sqlsynth.repair import hamming_one_queries
 from sqlsynth.tasks import ExampleTuple
@@ -122,33 +120,27 @@ def test_dead_fragments_are_rejected(concerts):
 # -- scope ------------------------------------------------------------------
 
 
-def _check_scope(partial):
-    clauses = {
-        kind: parse_clause_body(kind, body) for kind, body in partial.completed.items()
-    }
-    return check_scope(partial, clauses)
+def _check(schema, text):
+    return make_checker(schema, None)(text, False)
 
 
 def test_scope_inert_until_from_is_closed(concerts):
-    partial = parse_partial("SELECT concert.venue\nFROM sing")
-    assert _check_scope(partial).ok
+    assert _check(concerts, "SELECT concert.venue\nFROM sing").ok
 
 
 def test_scope_checks_select_once_from_is_known(concerts):
-    ok = parse_partial("SELECT singer.name\nFROM singer\nWHERE ")
-    assert _check_scope(ok).ok
-    bad = parse_partial("SELECT concert.venue\nFROM singer\nWHERE ")
-    verdict = _check_scope(bad)
+    assert _check(concerts, "SELECT singer.name\nFROM singer\nWHERE ").ok
+    verdict = _check(concerts, "SELECT concert.venue\nFROM singer\nWHERE ")
     assert not verdict.ok
     assert verdict.kind is ErrorKind.RUNTIME
     assert verdict.clause is ClauseKind.SELECT
 
 
 def test_scope_scans_the_open_clause(concerts):
-    bad = parse_partial("SELECT singer.name\nFROM singer\nWHERE concert.year ")
-    assert not _check_scope(bad).ok
-    ok = parse_partial("SELECT singer.name\nFROM singer\nWHERE singer.age ")
-    assert _check_scope(ok).ok
+    verdict = _check(concerts, "SELECT singer.name\nFROM singer\nWHERE concert.year ")
+    assert not verdict.ok
+    assert verdict.kind is ErrorKind.RUNTIME and verdict.clause is ClauseKind.WHERE
+    assert _check(concerts, "SELECT singer.name\nFROM singer\nWHERE singer.age ").ok
 
 
 def test_scope_defers_subquery_columns_until_their_from(concerts):
@@ -156,12 +148,12 @@ def test_scope_defers_subquery_columns_until_their_from(concerts):
         "SELECT singer.name\nFROM singer\n"
         "WHERE singer.singer_id IN ( SELECT singer_in_concert.singer_id "
     )
-    assert _check_scope(parse_partial(prefix)).ok
+    assert _check(concerts, prefix).ok
     closed = prefix + "FROM singer_in_concert ) "
-    assert _check_scope(parse_partial(closed)).ok
+    assert _check(concerts, closed).ok
     # Under the subquery's FROM the outer table stays visible.
     correlated = prefix + "FROM singer_in_concert WHERE singer.age "
-    assert _check_scope(parse_partial(correlated)).ok
+    assert _check(concerts, correlated).ok
 
 
 def test_scope_rejects_strays_inside_subqueries(concerts):
@@ -170,17 +162,20 @@ def test_scope_rejects_strays_inside_subqueries(concerts):
         "WHERE singer.singer_id IN ( SELECT singer_in_concert.singer_id "
         "FROM singer_in_concert WHERE concert.year "
     )
-    verdict = _check_scope(parse_partial(text))
+    verdict = _check(concerts, text)
     assert not verdict.ok
     assert verdict.kind is ErrorKind.RUNTIME
+    assert "subquery's FROM" in verdict.detail
 
 
 def test_scope_covers_order_by(concerts):
-    bad = parse_partial(
+    verdict = _check(
+        concerts,
         "SELECT singer.name\nFROM singer\nWHERE\nGROUP BY\nHAVING\n"
-        "ORDER BY concert.year "
+        "ORDER BY concert.year ",
     )
-    assert not _check_scope(bad).ok
+    assert not verdict.ok
+    assert verdict.kind is ErrorKind.RUNTIME and verdict.clause is ClauseKind.ORDER_BY
 
 
 # -- types ------------------------------------------------------------------
@@ -244,8 +239,7 @@ def test_types_boolean_column_accepts_integer_examples(concerts):
 
 
 def test_check_partial_prefers_structural_errors(concerts):
-    partial = parse_partial("SELECT singer.name \nFROM singer\n")
-    verdict = check_partial(partial, concerts)
+    verdict = _check(concerts, "SELECT singer.name \nFROM singer\n")
     assert not verdict.ok and verdict.kind is ErrorKind.SYNTAX
 
 
@@ -331,67 +325,85 @@ def test_select_types_are_checked_once_per_head(monkeypatch, concerts):
 # -- incremental checker against the whole-prefix reference ---------------
 
 
-def _reference_partial(partial, schema, example=None):
-    """The whole-prefix orchestration the incremental checker replaced:
-    every check re-runs every terminated clause."""
-    if partial.syntax_error is not None:
-        return CheckVerdict.rejected(
-            ErrorKind.SYNTAX, partial.current_clause, partial.syntax_error
-        )
-    clauses: dict[ClauseKind, object] = {}
-    for kind, body in partial.completed.items():
-        verdict = check_vocabulary(kind, body, None, schema)
+_SCANNED_CLAUSES = frozenset(
+    {ClauseKind.WHERE, ClauseKind.GROUP_BY, ClauseKind.HAVING, ClauseKind.ORDER_BY}
+)
+
+
+def _reference_scope(current, body, clauses):
+    """Every parsed clause's column refs against the FROM tables, then an
+    eager scan of the current line; inert until FROM is terminated."""
+    from_clause = clauses.get(ClauseKind.FROM)
+    if from_clause is None:
+        return checker.PASS
+    outer = frozenset(t.lower() for t in from_clause.tables)
+    for kind, parsed in clauses.items():
+        verdict = checker._clause_scope(kind, parsed, outer)
         if not verdict.ok:
             return verdict
-        try:
-            clauses[kind] = parse_clause_body(kind, body)
-        except ParseError as exc:
-            return CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc))
-    current = partial.current_clause
-    if current is not None:
-        if partial.keyword_remaining:
-            fragment = partial.fragment
-            if fragment is not None and not partial.keyword_remaining[0].startswith(
-                fragment
-            ):
-                return CheckVerdict.rejected(
-                    ErrorKind.SYNTAX,
-                    current,
-                    f"{fragment!r} cannot start the {current.value} line",
-                )
-        else:
-            verdict = check_vocabulary(
-                current, partial.current_body, partial.fragment, schema
-            )
-            if not verdict.ok:
-                return verdict
-    verdict = check_scope(partial, clauses)
-    if not verdict.ok:
-        return verdict
-    if example is not None and ClauseKind.SELECT in clauses:
-        from_clause = clauses.get(ClauseKind.FROM)
-        verdict = check_types(
-            clauses[ClauseKind.SELECT][1],
-            schema,
-            example,
-            from_tables=from_clause.tables if from_clause is not None else None,
-        )
-        if not verdict.ok:
-            return verdict
-    if partial.eos_seen and not partial.all_terminated:
-        return CheckVerdict.rejected(
-            ErrorKind.SYNTAX, current, "generation ended before the LIMIT line"
-        )
+    if current in _SCANNED_CLAUSES:
+        return checker._scan_partial_scope(current, body, outer)
     return checker.PASS
 
 
 def _reference_check(schema, example):
+    """The whole-prefix orchestration the incremental checker replaced:
+    every check re-runs every terminated clause."""
+
     def check(text, eos_seen):
         try:
-            partial = parse_partial(text, eos_seen=eos_seen)
+            partial = parse_partial(text)
         except ClauseOrderViolation as exc:
             return CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc))
-        return _reference_partial(partial, schema, example)
+        if partial.syntax_error is not None:
+            return CheckVerdict.rejected(
+                ErrorKind.SYNTAX, partial.current_clause, partial.syntax_error
+            )
+        clauses: dict[ClauseKind, object] = {}
+        for kind, body in partial.completed.items():
+            verdict = check_vocabulary(kind, body, None, schema)
+            if not verdict.ok:
+                return verdict
+            try:
+                clauses[kind] = parse_clause_body(kind, body)
+            except ParseError as exc:
+                return CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc))
+        current = partial.current_clause
+        keyword_remaining, body, fragment, _ = parse_line(
+            current, text[text.rfind("\n") + 1 :]
+        )
+        if current is not None:
+            if keyword_remaining:
+                if fragment is not None and not keyword_remaining[0].startswith(
+                    fragment
+                ):
+                    return CheckVerdict.rejected(
+                        ErrorKind.SYNTAX,
+                        current,
+                        f"{fragment!r} cannot start the {current.value} line",
+                    )
+            else:
+                verdict = check_vocabulary(current, body, fragment, schema)
+                if not verdict.ok:
+                    return verdict
+        verdict = _reference_scope(current, body, clauses)
+        if not verdict.ok:
+            return verdict
+        if example is not None and ClauseKind.SELECT in clauses:
+            from_clause = clauses.get(ClauseKind.FROM)
+            verdict = check_types(
+                clauses[ClauseKind.SELECT][1],
+                schema,
+                example,
+                from_tables=from_clause.tables if from_clause is not None else None,
+            )
+            if not verdict.ok:
+                return verdict
+        if eos_seen and current is not None:
+            return CheckVerdict.rejected(
+                ErrorKind.SYNTAX, current, "generation ended before the LIMIT line"
+            )
+        return checker.PASS
 
     return check
 
@@ -450,7 +462,7 @@ def test_incremental_checker_matches_the_whole_prefix_reference(
 ):
     """Same (ok, kind, clause, detail) as the reference for ``make_checker``,
     sharing one memo across each task's inputs so that head hits and
-    misses interleave, and for ``check_partial`` on every tenth input."""
+    misses interleave."""
     texts = _differential_texts(normalized_tasks, schemas)
     kinds: set[ErrorKind | None] = set()
     checks = 0
@@ -459,7 +471,7 @@ def test_incremental_checker_matches_the_whole_prefix_reference(
         example = task.sorted_examples()[0]
         check = make_checker(schema, example)
         reference = _reference_check(schema, example)
-        for index, text in enumerate(texts[task.id]):
+        for text in texts[task.id]:
             for eos in (False, True):
                 got = check(text, eos)
                 want = reference(text, eos)
@@ -467,12 +479,6 @@ def test_incremental_checker_matches_the_whole_prefix_reference(
                     pytest.fail(f"{task.id} eos={eos} {text!r}: {got} != {want}")
                 kinds.add(got.kind)
                 checks += 1
-                if index % 10 == 0:
-                    try:
-                        partial = parse_partial(text, eos_seen=eos)
-                    except ClauseOrderViolation:
-                        continue
-                    assert check_partial(partial, schema, example) == want, text
     assert kinds == {None, *ErrorKind}
     assert checks > 50_000
 

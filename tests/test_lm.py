@@ -238,10 +238,13 @@ class _CannedHandler(BaseHTTPRequestHandler):
         type(self).requests_seen.append(
             {"body": body, "auth": self.headers.get("Authorization")}
         )
+        payload = type(self).payload
+        if callable(payload):  # a reply that depends on the request
+            payload = payload(body)
         self.send_response(type(self).status)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
-        self.wfile.write(json.dumps(type(self).payload).encode())
+        self.wfile.write(json.dumps(payload).encode())
 
     def log_message(self, *args):
         pass
@@ -287,6 +290,13 @@ def test_http_model_rejects_bad_payloads(canned_server):
         {"no_candidates": []},
         {"candidates": [{"text": "a"}]},
         {"candidates": [{"text": "a", "logprob": 1.0}]},  # prob > 1
+        {"candidates": [{"text": 7, "logprob": -1.0}]},
+        {"candidates": 5},
+        {"candidates": [], "eos_logprob": "x"},
+        {"candidates": [{"text": "a", "logprob": 1000}]},  # exp overflows
+        {"candidates": [], "eos_logprob": 1000},
+        {"candidates": [], "eos_logprob": 0.5},
+        [],
     ):
         _CannedHandler.payload = payload
         with pytest.raises(ProtocolError):

@@ -22,7 +22,7 @@ from sqlsynth.nsql.lexemes import (
     unquote_string,
 )
 from sqlsynth.nsql.normalize import normalize, rewrite_dataset
-from sqlsynth.nsql.partial import parse_partial
+from sqlsynth.nsql.partial import parse_line, parse_partial
 from sqlsynth.nsql.query import (
     ClauseKind,
     denormalize_text,
@@ -108,17 +108,16 @@ def test_parse_partial_tracks_completed_clauses():
     assert partial.completed[ClauseKind.SELECT] == ("singer.name",)
     assert partial.completed[ClauseKind.FROM] == ("singer",)
     assert partial.current_clause is ClauseKind.WHERE
-    assert partial.keyword_remaining == ()
-    assert partial.fragment == "singer."
-    assert not partial.all_terminated
+    assert partial.syntax_error is None
+    assert parse_line(ClauseKind.WHERE, "WHERE singer.") == ((), (), "singer.", None)
 
 
 def test_parse_partial_two_word_keywords():
     partial = parse_partial("SELECT singer.name\nFROM singer\nWHERE\nGROUP ")
     assert partial.current_clause is ClauseKind.GROUP_BY
-    assert partial.keyword_remaining == ("BY",)
-    partial = parse_partial("SELECT singer.name\nFROM singer\nWHERE\nGROUP BY ")
-    assert partial.keyword_done
+    assert partial.syntax_error is None
+    assert parse_line(ClauseKind.GROUP_BY, "GROUP ")[0] == ("BY",)
+    assert parse_line(ClauseKind.GROUP_BY, "GROUP BY ")[0] == ()
 
 
 def test_parse_partial_clause_order_violation():
@@ -136,11 +135,11 @@ def test_parse_partial_reports_structural_damage():
 
 
 def test_parse_partial_complete_query():
-    done = parse_partial(_GOLD, eos_seen=True)
-    assert done.all_terminated
-    assert done.is_complete
-    assert not parse_partial(_GOLD, eos_seen=False).is_complete
-    assert not parse_partial(_GOLD[:-8], eos_seen=True).is_complete
+    done = parse_partial(_GOLD)
+    assert len(done.completed) == 7
+    assert done.current_clause is None and done.syntax_error is None
+    early = parse_partial(_GOLD[:-8])
+    assert early.current_clause is ClauseKind.LIMIT and early.syntax_error is None
 
 
 def test_parse_complete_roundtrip():

@@ -36,7 +36,6 @@ from sqlsynth.search import (
     SearchStatus,
     collect_complete,
     extend,
-    is_complete,
     run_search,
 )
 from sqlsynth.tasks import ExampleTuple, TaskInstance, open_database
@@ -118,19 +117,6 @@ def test_frontier_dedups_token_sequences():
     assert frontier.push(node)
     assert not frontier.push(node)
     assert len(frontier) == 1
-
-
-def test_is_complete_requires_terminal_eos_and_closed_lines():
-    done = SearchNode(GOLD, lexeme_tokens(GOLD) + (EOS_TOKEN_ID,), 0.0, 16)
-    assert is_complete(done)
-    assert not is_complete(SearchNode(GOLD, lexeme_tokens(GOLD), 0.0, 15))
-    early = SearchNode(
-        "SELECT singer.name\n",
-        lexeme_tokens("SELECT singer.name\n") + (EOS_TOKEN_ID,),
-        0.0,
-        3,
-    )
-    assert not is_complete(early)
 
 
 # -- end-to-end over scripted models ----------------------------------------
