@@ -15,7 +15,6 @@ import dataclasses
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -35,7 +34,7 @@ from .search import (
     run_search,
     search_task_text,
 )
-from .tasks import DatabaseSchema, TaskInstance, open_database
+from .tasks import DatabaseSchema, TaskDatabase, TaskInstance, open_database
 
 
 @dataclass(frozen=True)
@@ -145,14 +144,23 @@ def _normalized_gold(task: TaskInstance, schema: DatabaseSchema) -> NormalizedQu
         return normalize(task.gold_query, schema)
 
 
+def _open_databases(
+    tasks: Sequence[TaskInstance], db_root: Path | str
+) -> dict[str, TaskDatabase]:
+    """One ``TaskDatabase`` per database the tasks name, for a whole run."""
+    return {
+        db_id: open_database(db_root, db_id)
+        for db_id in dict.fromkeys(task.db_id for task in tasks)
+    }
+
+
 def _grade_task(
     task: TaskInstance,
     schema: DatabaseSchema,
-    db_root: Path | str,
+    db: TaskDatabase,
     model: CompletionModel,
     config: SearchConfig,
 ) -> TaskReport:
-    db = open_database(db_root, task.db_id)
     started = time.monotonic()
     try:
         result = run_search(task, schema, db, model, config=config)
@@ -204,11 +212,11 @@ def _grade_task(
 
 
 def _execution_match(
-    db, found: NormalizedQuery, gold: NormalizedQuery
+    db: TaskDatabase, found: NormalizedQuery, gold: NormalizedQuery
 ) -> bool | None:
-    with closing(db.connect()) as conn:
-        gold_result = execute_query(conn, gold, timeout=5.0)
-        found_result = execute_query(conn, found, timeout=5.0)
+    conn = db.connection()
+    gold_result = execute_query(conn, gold, timeout=5.0)
+    found_result = execute_query(conn, found, timeout=5.0)
     if not gold_result.ok or not found_result.ok:
         return None
     ordered = bool(gold.order_by)
@@ -227,20 +235,25 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Search every task and grade the answers against gold queries.
 
-    With ``jobs`` above one, tasks run on a thread pool; each worker
-    opens its own database handle so SQLite stays on one thread.
+    Each database is opened once for the run, and every search and
+    grading query on one thread borrows that thread's connection to it.
+    With ``jobs`` above one, tasks run on a thread pool, and each worker
+    thread opens its own connection, so SQLite stays on one thread.
     """
     config = config or SearchConfig()
     report = BenchmarkReport(label=label)
+    dbs = _open_databases(tasks, db_root)
     if jobs <= 1:
         for task in tasks:
             report.reports.append(
-                _grade_task(task, schemas[task.db_id], db_root, model, config)
+                _grade_task(task, schemas[task.db_id], dbs[task.db_id], model, config)
             )
         return report
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [
-            pool.submit(_grade_task, task, schemas[task.db_id], db_root, model, config)
+            pool.submit(
+                _grade_task, task, schemas[task.db_id], dbs[task.db_id], model, config
+            )
             for task in tasks
         ]
         report.reports.extend(future.result() for future in futures)
@@ -394,27 +407,27 @@ def run_checker_experiment(
     """
     config = dataclasses.replace(config or SearchConfig(), pqc_enabled=False)
     experiment = CheckerExperiment()
+    dbs = _open_databases(tasks, db_root)
     for task in tasks:
         schema = schemas[task.db_id]
         examples = tuple(task.sorted_examples())
         example = examples[0] if examples else None
         task_text = search_task_text(task, schema, config)
         texts = collect_complete(task_text, model, per_task, config)
-        db = open_database(db_root, task.db_id)
-        with closing(db.connect()) as conn:
-            gold_rows = None
-            if task.gold_query:
-                try:
-                    gold = _normalized_gold(task, schema)
-                    gold_result = execute_query(conn, gold, timeout=5.0)
-                    if gold_result.ok:
-                        gold_rows = gold_result.rows
-                except SqlError:
-                    gold_rows = None
-            for text in texts:
-                predicted = predict_label(text, schema, example)
-                truth = label_by_execution(
-                    text, conn, gold_rows=gold_rows, examples=examples
-                )
-                experiment.record(text, truth, predicted)
+        conn = dbs[task.db_id].connection()
+        gold_rows = None
+        if task.gold_query:
+            try:
+                gold = _normalized_gold(task, schema)
+                gold_result = execute_query(conn, gold, timeout=5.0)
+                if gold_result.ok:
+                    gold_rows = gold_result.rows
+            except SqlError:
+                gold_rows = None
+        for text in texts:
+            predicted = predict_label(text, schema, example)
+            truth = label_by_execution(
+                text, conn, gold_rows=gold_rows, examples=examples
+            )
+            experiment.record(text, truth, predicted)
     return experiment

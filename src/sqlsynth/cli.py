@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -78,12 +79,24 @@ def _at_least(minimum: int):
     return integer
 
 
+def _positive_seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds above zero."""
+    seconds = float(text)
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}"
+        )
+    return seconds
+
+
 def _add_search_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True, help="scripted:<path> or http(s) URL")
     parser.add_argument(
         "--k", type=_at_least(1), default=5, help="continuations per expansion"
     )
-    parser.add_argument("--time-limit", type=float, default=60.0)
+    parser.add_argument(
+        "--time-limit", type=_positive_seconds, default=60.0, help="seconds per task"
+    )
     parser.add_argument("--max-tokens", type=_at_least(1), default=128)
     parser.add_argument(
         "--mode", choices=[mode.value for mode in AttemptMode], default="multiple"

@@ -24,6 +24,7 @@ import dataclasses
 import enum
 import sqlite3
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -83,7 +84,12 @@ def execute_text(
     timeout: float = 1.0,
     row_limit: int = ROW_LIMIT,
 ) -> ExecutionResult:
-    """Run one statement with a wall-clock budget and a row cap."""
+    """Run one statement with a wall-clock budget and a row cap.
+
+    The cursor is closed and the progress handler cleared on every exit,
+    so a connection reused across searches carries no unfinished
+    statement or stale watchdog into the next one.
+    """
     deadline = time.monotonic() + timeout
     timed_out = False
 
@@ -96,17 +102,18 @@ def execute_text(
 
     conn.set_progress_handler(watchdog, _PROGRESS_EVERY)
     try:
-        cursor = conn.execute(sql)
-        rows: list[tuple] = []
-        while True:
-            chunk = cursor.fetchmany(1024)
-            if not chunk:
-                break
-            rows.extend(tuple(row) for row in chunk)
-            if len(rows) > row_limit:
-                return ExecutionResult.failure(
-                    f"result exceeds {row_limit} rows"
-                )
+        with closing(conn.cursor()) as cursor:
+            cursor.execute(sql)
+            rows: list[tuple] = []
+            while True:
+                chunk = cursor.fetchmany(1024)
+                if not chunk:
+                    break
+                rows.extend(tuple(row) for row in chunk)
+                if len(rows) > row_limit:
+                    return ExecutionResult.failure(
+                        f"result exceeds {row_limit} rows"
+                    )
         return ExecutionResult.success(tuple(rows))
     except sqlite3.Error as exc:
         if timed_out:

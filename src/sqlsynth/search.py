@@ -206,9 +206,9 @@ def _best_first(
         stats.nodes_expanded += 1
         stats.candidates_generated += len(candidates)
         for candidate in candidates:
-            if candidate.prob <= 0.0:
-                continue
             eos = candidate.is_eos
+            if candidate.prob <= 0.0 or not (eos or candidate.surface):
+                continue  # an empty token adds no text, so no new verdict
             child = extend(node, candidate)
             if not eos and child.depth >= config.max_tokens:
                 continue
@@ -244,7 +244,9 @@ def run_search(
 
     ``checker`` and ``tester`` default to the schema-bound static checks
     and the execute-then-repair tester over ``db``; tests may inject
-    either.  ``db`` may be omitted only when ``tester`` is given.  One
+    either.  ``db`` may be omitted only when ``tester`` is given.  A
+    ``TaskDatabase`` lends this thread's connection and a raw connection
+    is used as given; neither is closed here.  One
     clause memo serves the search: the default checker, the parse of
     each end-of-sequence text and the repair variants each parse a
     distinct clause body at most once between them.
@@ -261,19 +263,15 @@ def run_search(
         checker = make_checker(schema, example, memo)
     prune: Checker | None = checker if config.pqc_enabled else None
 
-    conn: sqlite3.Connection | None = None
-    close_conn = False
     if tester is None:
         if isinstance(db, TaskDatabase):
-            conn = db.connect()
-            close_conn = True
+            conn = db.connection()
         elif isinstance(db, sqlite3.Connection):
             conn = db
         else:
             raise ValueError("run_search needs a database or an injected tester")
 
         def tester(query: NormalizedQuery, until: float | None) -> RepairOutcome:
-            assert conn is not None
             return test_and_repair(
                 query,
                 conn,
@@ -296,42 +294,38 @@ def run_search(
         return SearchResult(status, query, execution, repaired, stats)
 
     try:
-        try:
-            session = model.start_session(search_task_text(task, schema, config))
-            for node in _best_first(session, model, stats, config, prune, deadline):
-                try:
-                    query = parse_complete(node.text, memo)
-                except StructureError:
-                    continue  # ended mid-query; only reachable with checks off
-                except ParseError:
-                    query = None
-                stats.complete_queries_tested += 1
-                if query is None:
-                    stats.failed_queries.append(node.text)
-                    if config.attempt_mode is AttemptMode.SINGLE:
-                        break
-                    continue
-                outcome = tester(query, deadline)
-                stats.repair_variants_tried += outcome.variants_tried
-                if outcome.satisfied:
-                    return finish(
-                        SearchStatus.SOLVED,
-                        outcome.query,
-                        outcome.result,
-                        outcome.repaired,
-                    )
-                stats.failed_queries.append(query.render())
+        session = model.start_session(search_task_text(task, schema, config))
+        for node in _best_first(session, model, stats, config, prune, deadline):
+            try:
+                query = parse_complete(node.text, memo)
+            except StructureError:
+                continue  # ended mid-query; only reachable with checks off
+            except ParseError:
+                query = None
+            stats.complete_queries_tested += 1
+            if query is None:
+                stats.failed_queries.append(node.text)
                 if config.attempt_mode is AttemptMode.SINGLE:
                     break
-        except AdapterError as exc:
-            stats.adapter_error = str(exc)
-            return finish(SearchStatus.ADAPTER_FAILURE)
-        except _DeadlinePassed:
-            return finish(SearchStatus.TIMED_OUT)
-        return finish(SearchStatus.EXHAUSTED)
-    finally:
-        if close_conn and conn is not None:
-            conn.close()
+                continue
+            outcome = tester(query, deadline)
+            stats.repair_variants_tried += outcome.variants_tried
+            if outcome.satisfied:
+                return finish(
+                    SearchStatus.SOLVED,
+                    outcome.query,
+                    outcome.result,
+                    outcome.repaired,
+                )
+            stats.failed_queries.append(query.render())
+            if config.attempt_mode is AttemptMode.SINGLE:
+                break
+    except AdapterError as exc:
+        stats.adapter_error = str(exc)
+        return finish(SearchStatus.ADAPTER_FAILURE)
+    except _DeadlinePassed:
+        return finish(SearchStatus.TIMED_OUT)
+    return finish(SearchStatus.EXHAUSTED)
 
 
 def collect_complete(

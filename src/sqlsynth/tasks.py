@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import sqlite3
+import threading
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -196,15 +197,33 @@ def _check_example_consistency(examples: Iterable[ExampleTuple]) -> None:
 
 @dataclass(frozen=True)
 class TaskDatabase:
-    """Locator for a task's SQLite file; every user opens its own
-    read-only connection so handles are never shared across threads."""
+    """A task's SQLite file and the read-only handle each thread borrows.
+
+    ``connection()`` opens one read-only connection per thread on first
+    use and hands the same one back for as long as the instance lives,
+    so repeated searches skip the connect and the schema load and find a
+    warm page cache.  sqlite3's same-thread check stays on: a handle is
+    never used from a thread other than the one that opened it.
+    ``connect()`` opens a fresh connection the caller owns and closes.
+    Equality and hashing see only ``db_id`` and ``path``.
+    """
 
     db_id: str
     path: Path
+    _local: threading.local = field(
+        default_factory=threading.local, init=False, repr=False, compare=False
+    )
 
     def connect(self) -> sqlite3.Connection:
         uri = f"file:{self.path}?mode=ro"
         return sqlite3.connect(uri, uri=True)
+
+    def connection(self) -> sqlite3.Connection:
+        """This thread's borrowed connection; callers must not close it."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self.connect()
+        return conn
 
 
 # -- Loading ----------------------------------------------------------------

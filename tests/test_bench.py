@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import socket
+import sqlite3
+import sys
+import threading
 
 import pytest
 
@@ -26,7 +30,7 @@ from sqlsynth.lm import (
 )
 from sqlsynth.nsql.normalize import normalize
 from sqlsynth.search import AttemptMode, SearchConfig, search_task_text
-from sqlsynth.tasks import ExampleTuple, TaskInstance
+from sqlsynth.tasks import ExampleTuple, TaskDatabase, TaskInstance
 from tests.test_lm import _CannedHandler, canned_server  # noqa: F401 (fixture)
 
 CONFIG = SearchConfig(k=8, time_limit=10.0)
@@ -172,10 +176,67 @@ def test_benchmark_parallel_matches_serial(
         jobs=2,
         label="unit",
     )
-    key = lambda row: (row.task_id, row.status, row.execution_match, row.exact)
+    key = lambda row: (
+        row.task_id, row.status, row.solved, row.execution_match, row.exact
+    )
     assert [key(row) for row in parallel.reports] == [
         key(row) for row in report.reports
     ]
+
+
+class _PairedModel:
+    """Holds its first two sessions until both have started, so two
+    worker threads are searching at once."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.barrier = threading.Barrier(2, timeout=10)
+        self.started = itertools.count()
+
+    def start_session(self, task_text):
+        if next(self.started) < 2:
+            self.barrier.wait()
+        return self.inner.start_session(task_text)
+
+    def top_candidates(self, session, k):
+        return self.inner.top_candidates(session, k)
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_benchmark_workers_hold_their_own_connections(
+    monkeypatch, jobs, bench_tasks, schemas, fixture_paths, router, report
+):
+    opened: list[tuple[int, sqlite3.Connection]] = []
+    connect = TaskDatabase.connect
+
+    def recording(self):
+        opened.append((threading.get_ident(), connect(self)))
+        return opened[-1][1]
+
+    monkeypatch.setattr(TaskDatabase, "connect", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run_benchmark(
+            bench_tasks * jobs,
+            schemas,
+            fixture_paths.db_root,
+            _PairedModel(router),
+            config=CONFIG,
+            jobs=jobs,
+            label="unit",
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    # A handle used from a second thread would raise ProgrammingError,
+    # which grading turns into an "error" row.
+    assert [row.status for row in parallel.reports] == [
+        row.status for row in report.reports
+    ] * jobs
+    # Every task names one database: one connection per worker thread.
+    threads = [thread for thread, _ in opened]
+    assert 2 <= len(set(threads)) == len(threads) <= jobs
+    assert len({id(conn) for _, conn in opened}) == len(opened)
 
 
 class _CrashingModel:
@@ -619,6 +680,27 @@ def test_cli_rejects_counts_out_of_range(command, flag, value, capsys):
         cli.main([command, *args, "--model", "scripted:m.json", flag, value])
     assert exit_info.value.code == 2
     assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+_BENCH_ARGS = [
+    "bench", "--tables", "t.json", "--tasks", "d.json", "--db-root", "db",
+    "--model", "scripted:m.json",
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_cli_rejects_a_time_limit_that_is_not_positive_and_finite(value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*_BENCH_ARGS, "--time-limit", value])
+    assert exit_info.value.code == 2
+    assert "argument --time-limit: must be a positive finite number" in (
+        capsys.readouterr().err
+    )
+
+
+def test_cli_accepts_a_fractional_time_limit():
+    args = cli.build_parser().parse_args([*_BENCH_ARGS, "--time-limit", "2.5"])
+    assert args.time_limit == 2.5
 
 
 def test_cli_normalize_single_statement(capsys, fixture_paths):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import math
+import sqlite3
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -38,7 +40,16 @@ from sqlsynth.search import (
     extend,
     run_search,
 )
-from sqlsynth.tasks import ExampleTuple, TaskInstance, open_database
+from sqlsynth.tasks import (
+    Column,
+    ColumnType,
+    DatabaseSchema,
+    ExampleTuple,
+    Table,
+    TaskDatabase,
+    TaskInstance,
+    open_database,
+)
 from tests.fixtures.corpus import (
     TWO_PATH_BEST,
     TWO_PATH_DB,
@@ -261,6 +272,109 @@ def test_run_search_accepts_a_raw_connection(schemas, connect):
     assert conn.execute("SELECT 1").fetchone() == (1,)
 
 
+def test_searches_on_one_database_share_one_connection(
+    monkeypatch, schemas, fixture_paths
+):
+    opened = []
+    connect = TaskDatabase.connect
+
+    def counting(self):
+        opened.append(connect(self))
+        return opened[-1]
+
+    monkeypatch.setattr(TaskDatabase, "connect", counting)
+    db = open_database(fixture_paths.db_root, "concerts")
+    model = ScriptedModel.from_queries([(GOLD, 1.0)])
+    for example in (("Dina",), ("Ali",), ("Dina",)):
+        result = run_search(_task(example=example), schemas["concerts"], db, model)
+        assert result.status is SearchStatus.SOLVED
+    assert opened == [db.connection()]
+    # The borrowed connection outlives the searches.
+    assert opened[0].execute("SELECT 1").fetchone() == (1,)
+
+
+_ROWS = "SELECT n.v\nFROM n\nWHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+_SEVEN = "SELECT n.v\nFROM n\nWHERE n.v = 7\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+
+
+@pytest.fixture(scope="module")
+def numbers(tmp_path_factory):
+    """A database whose one table holds twice the row cap, so a scan
+    that hits the cap stops partway."""
+    path = tmp_path_factory.mktemp("numbers") / "numbers.sqlite"
+    with closing(sqlite3.connect(path)) as conn:
+        conn.execute("CREATE TABLE n (v INTEGER)")
+        conn.execute(
+            "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+            "WHERE x < ?) INSERT INTO n SELECT x FROM c",
+            (2 * repair.ROW_LIMIT,),
+        )
+        conn.commit()
+    table = Table("n", (Column("v", ColumnType.INTEGER),))
+    schema = DatabaseSchema("numbers", (table,))
+    return path, schema
+
+
+def _unlocked(path) -> bool:
+    """True when no connection holds a read lock on ``path``, as an
+    unfinished statement would."""
+    with closing(sqlite3.connect(path, timeout=0, isolation_level=None)) as probe:
+        try:
+            probe.execute("BEGIN EXCLUSIVE")
+        except sqlite3.OperationalError:
+            return False
+        probe.execute("ROLLBACK")
+        return True
+
+
+@pytest.mark.parametrize(
+    "config, status",
+    [
+        (SearchConfig(), repair.ExecutionStatus.ERROR),
+        (SearchConfig(per_variant_timeout=1e-6), repair.ExecutionStatus.TIMEOUT),
+    ],
+    ids=["row-cap", "timeout"],
+)
+def test_a_failed_statement_leaves_the_shared_connection_usable(
+    monkeypatch, numbers, config, status
+):
+    path, schema = numbers
+    db = TaskDatabase("numbers", path)
+    results: list[ExecutionResult] = []
+    execute_text = repair.execute_text
+
+    def recording(*args, **kwargs):
+        results.append(execute_text(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(repair, "execute_text", recording)
+    first = run_search(
+        _task(db_id="numbers", example=(0,)),
+        schema,
+        db,
+        ScriptedModel.from_queries([(_ROWS, 1.0)]),
+        config=config,
+    )
+    assert first.status is SearchStatus.EXHAUSTED
+    assert results[0].status is status
+    if status is repair.ExecutionStatus.ERROR:
+        assert "exceeds" in results[0].error
+    assert _unlocked(path)
+    # No watchdog is left behind to interrupt a full scan.
+    conn = db.connection()
+    count = conn.execute("SELECT count(*) FROM n").fetchone()[0]
+    assert count == 2 * repair.ROW_LIMIT
+    second = run_search(
+        _task(db_id="numbers", example=(7,)),
+        schema,
+        db,
+        ScriptedModel.from_queries([(_SEVEN, 1.0)]),
+    )
+    assert second.status is SearchStatus.SOLVED
+    assert second.execution.rows == ((7,),)
+    assert db.connection() is conn
+
+
 class _FailingModel:
     def __init__(self, when: str) -> None:
         self._when = when
@@ -353,6 +467,42 @@ def test_run_search_prunes_malformed_paths_with_checks_on(schemas):
     assert result.status is SearchStatus.SOLVED
     assert result.query_text == GOLD
     assert result.stats.pruned_by_checker >= 1
+
+
+class _EmptyTokenModel:
+    """Walks GOLD one lexeme a step at 0.1, optionally beside a token
+    with no text at 0.9 that does not advance the walk."""
+
+    EMPTY = "<empty>"
+
+    def __init__(self, offer_empty: bool) -> None:
+        self.offer_empty = offer_empty
+        self.tokens = (*lexeme_tokens(GOLD), EOS_TOKEN_ID)
+
+    def start_session(self, task_text):
+        return GenerationSession(task_text)
+
+    def top_candidates(self, session, k):
+        token = self.tokens[sum(t != self.EMPTY for t in session.prefix)]
+        surface = "" if token == EOS_TOKEN_ID else token
+        candidates = [TokenCandidate(token, surface, 0.1)]
+        if self.offer_empty:
+            candidates.insert(0, TokenCandidate(self.EMPTY, "", 0.9))
+        return candidates
+
+
+def test_run_search_skips_candidates_without_text(schemas, fixture_paths):
+    db = open_database(fixture_paths.db_root, "concerts")
+    config = SearchConfig(time_limit=10.0)
+    plain, padded = (
+        run_search(
+            _task(), schemas["concerts"], db, _EmptyTokenModel(offer), config=config
+        )
+        for offer in (False, True)
+    )
+    assert plain.status is padded.status is SearchStatus.SOLVED
+    assert padded.query_text == GOLD
+    assert padded.stats.nodes_expanded == plain.stats.nodes_expanded
 
 
 class _CapturingModel:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import threading
 
 import pytest
 
@@ -235,6 +236,38 @@ def test_connections_are_read_only(fixture_paths):
             conn.execute("insert into customers values (9, 'Evil', 'X')")
     finally:
         conn.close()
+
+
+def test_each_thread_borrows_its_own_connection(fixture_paths):
+    db = open_database(fixture_paths.db_root, "shop")
+    conn = db.connection()
+    assert db.connection() is conn
+    seen = {}
+
+    def worker():
+        seen["own"] = db.connection()
+        try:
+            conn.execute("SELECT 1")
+        except sqlite3.ProgrammingError:
+            seen["refused"] = True
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join()
+    assert seen["own"] is not conn
+    assert seen["refused"]
+    with pytest.raises(sqlite3.OperationalError):
+        conn.execute("insert into customers values (9, 'Evil', 'X')")
+
+
+def test_task_database_identity_ignores_its_connections(fixture_paths):
+    db = open_database(fixture_paths.db_root, "shop")
+    twin = open_database(fixture_paths.db_root, "shop")
+    db.connection()
+    assert db == twin
+    assert hash(db) == hash(twin)
+    assert {db: 1}[twin] == 1
+    assert repr(db) == f"TaskDatabase(db_id='shop', path={db.path!r})"
 
 
 def test_validate_database_clean(fixture_paths, raw_schemas):
