@@ -8,6 +8,11 @@ and output types against the example.  Verdicts carry the error kind an
 execution of the finished query would raise, which also powers the
 4-label classifier used by the checker-comparison experiment.
 
+One scope scan, ``_scope``, serves terminated clause bodies and the line
+still being typed.  Inside an IN-subquery a reference may also name the
+subquery's own FROM tables, so its output columns and ``ON`` references
+wait until its table list is final: at its WHERE or its closing ``)``.
+
 ``make_checker`` is the one entry point: search, the repair prefilter
 and ``predict_label`` all check text through the function it returns.
 Search checks a child of every expanded prefix, and children share
@@ -44,11 +49,8 @@ from .nsql.partial import parse_line, parse_partial
 from .nsql.query import (
     CLAUSE_ORDER,
     AggExpr,
-    BoolOp,
     ClauseKind,
     ColumnRef,
-    Condition,
-    NormalizedQuery,
     SelectItem,
     Star,
 )
@@ -271,148 +273,70 @@ def check_vocabulary(
 # -- Scope ------------------------------------------------------------------
 
 
-def _expr_column(expr: object) -> ColumnRef | None:
-    """The column an output, sort or predicate expression reads, if any."""
-    if isinstance(expr, AggExpr):
-        expr = expr.arg
-    return expr if isinstance(expr, ColumnRef) else None
+class _Subquery:
+    """An IN-subquery open in a clause body: the tables its FROM names so
+    far and, until that list is final, the references waiting for it."""
+
+    __slots__ = ("tables", "waiting")
+
+    def __init__(self) -> None:
+        self.tables: set[str] = set()
+        self.waiting: list[str] | None = []
+
+    def close_tables(self) -> list[str]:
+        """Mark the table list final and hand back the waiting references."""
+        waiting, self.waiting = self.waiting or [], None
+        return waiting
 
 
-def _collect_condition_refs(
-    condition: Condition | None, out: list[tuple[ColumnRef, "frozenset[str] | None"]],
-    extra_tables: frozenset[str] | None = None,
-) -> None:
-    if condition is None:
-        return
-    if isinstance(condition, BoolOp):
-        for operand in condition.operands:
-            _collect_condition_refs(operand, out, extra_tables)
-        return
-    predicate = condition
-    for expr in (predicate.lhs, predicate.rhs):
-        column = _expr_column(expr)
-        if column is not None:
-            out.append((column, extra_tables))
-    rhs = predicate.rhs
-    if isinstance(rhs, NormalizedQuery):
-        sub_tables = frozenset(t.lower() for t in rhs.from_clause.tables)
-        for item in rhs.select:
-            column = _expr_column(item.expr)
-            if column is not None:
-                out.append((column, sub_tables))
-        for join in rhs.from_clause.joins:
-            for a, b in join.conditions:
-                out.append((a, sub_tables))
-                out.append((b, sub_tables))
-        _collect_condition_refs(rhs.where, out, sub_tables)
-
-
-def _clause_refs(
-    kind: ClauseKind, parsed: object
-) -> list[tuple[ColumnRef, frozenset[str] | None]]:
-    """Column references of one parsed clause (see ``parse_clause_body``),
-    each with the subquery tables in scope beside the outer FROM."""
-    refs: list[tuple[ColumnRef, frozenset[str] | None]] = []
-    if kind in (ClauseKind.WHERE, ClauseKind.HAVING):
-        _collect_condition_refs(parsed, refs)
-        return refs
-    exprs: Sequence[object] = ()
-    if kind is ClauseKind.SELECT:
-        exprs = [item.expr for item in parsed[1]]
-    elif kind is ClauseKind.FROM:
-        exprs = [
-            ref for join in parsed.joins for pair in join.conditions for ref in pair
-        ]
-    elif kind is ClauseKind.GROUP_BY:
-        exprs = parsed
-    elif kind is ClauseKind.ORDER_BY:
-        exprs = [item.expr for item in parsed]
-    for expr in exprs:
-        column = _expr_column(expr)
-        if column is not None:
-            refs.append((column, None))
-    return refs
-
-
-@dataclass
-class _ParenContext:
-    seen_first: bool = False
-    is_subquery: bool = False
-    after_from: bool = False
-    expect_table: bool = False
-    tables: set[str] = field(default_factory=set)
-
-
-def _scan_partial_scope(
+def _scope(
     kind: ClauseKind, lexemes: Sequence[str], outer: frozenset[str]
 ) -> CheckVerdict:
-    """Eagerly scope-check an unterminated clause body.
+    """The verdict on the column references of one clause body, terminated
+    or still being typed, against the outer FROM tables (lower-cased).
 
-    Deferred cases (subquery output columns before the subquery's FROM
-    is visible) are skipped; the AST walk re-checks everything when the
-    line terminates.
+    A reference must name an outer FROM table or, inside an IN-subquery,
+    one of the subquery's own FROM tables.  A subquery's output columns
+    and ON references wait until its table list is final, at its WHERE or
+    its closing ``)``; on a line still being typed they may wait past the
+    end of the line.
     """
-    stack: list[_ParenContext] = []
-    for lexeme in lexemes:
+    parens: list[_Subquery | None] = []  # per open paren, the subquery it opens
+    subqueries: list[_Subquery] = []
+    for index, lexeme in enumerate(lexemes):
+        sub = subqueries[-1] if subqueries else None
+        refs: Sequence[str] = ()
         if lexeme == "(":
-            stack.append(_ParenContext())
-            continue
-        if lexeme == ")":
-            if stack:
-                stack.pop()
-            continue
-        if stack and not stack[-1].seen_first:
-            stack[-1].seen_first = True
-            if lexeme == "SELECT":
-                stack[-1].is_subquery = True
-                continue
-        subquery = next((c for c in reversed(stack) if c.is_subquery), None)
-        if subquery is not None:
-            if lexeme == "FROM":
-                subquery.after_from = True
-                subquery.expect_table = True
-                continue
-            if lexeme == "JOIN":
-                subquery.expect_table = True
-                continue
-            if subquery.expect_table and is_identifier(lexeme):
-                subquery.tables.add(lexeme.lower())
-                subquery.expect_table = False
-                continue
-        if is_column_ref(lexeme):
-            table = lexeme.split(".", 1)[0].lower()
-            if subquery is not None:
-                if not subquery.after_from:
-                    continue  # output column of a subquery still being typed
-                if table not in subquery.tables | outer:
+            opened = None
+            if index + 1 < len(lexemes) and lexemes[index + 1] == "SELECT":
+                opened = _Subquery()
+                subqueries.append(opened)
+            parens.append(opened)
+        elif lexeme == ")":
+            if parens and parens.pop() is not None:
+                subqueries.pop()
+                refs = sub.close_tables()
+        elif sub is None:
+            if is_column_ref(lexeme):
+                refs = (lexeme,)
+        elif lexeme == "WHERE":
+            refs = sub.close_tables()
+        elif lexemes[index - 1] in ("FROM", "JOIN") and is_identifier(lexeme):
+            sub.tables.add(lexeme.lower())
+        elif is_column_ref(lexeme):
+            if sub.waiting is None:
+                refs = (lexeme,)
+            else:
+                sub.waiting.append(lexeme)
+        if refs:
+            tables = outer if sub is None else sub.tables | outer
+            for ref in refs:
+                table = ref.split(".", 1)[0]
+                if table.lower() not in tables:
+                    where = "FROM" if sub is None else "the subquery's FROM"
                     return CheckVerdict.rejected(
-                        ErrorKind.RUNTIME,
-                        kind,
-                        f"table {table!r} not in the subquery's FROM",
+                        ErrorKind.RUNTIME, kind, f"table {table!r} not in {where}"
                     )
-            elif table not in outer:
-                return CheckVerdict.rejected(
-                    ErrorKind.RUNTIME, kind, f"table {table!r} not in FROM"
-                )
-    return PASS
-
-
-_SCANNED_CLAUSES = frozenset(
-    {ClauseKind.WHERE, ClauseKind.GROUP_BY, ClauseKind.HAVING, ClauseKind.ORDER_BY}
-)
-
-
-def _clause_scope(
-    kind: ClauseKind, parsed: object, outer: frozenset[str]
-) -> CheckVerdict:
-    """The verdict on one parsed clause's column refs against the outer
-    FROM tables, lower-cased."""
-    for ref, local in _clause_refs(kind, parsed):
-        allowed = outer if local is None else local | outer
-        if ref.table.lower() not in allowed:
-            return CheckVerdict.rejected(
-                ErrorKind.RUNTIME, kind, f"table {ref.table!r} not in FROM"
-            )
     return PASS
 
 
@@ -592,21 +516,20 @@ def _step(
         return _Head(following, types=types, select=body)
     if kind is ClauseKind.FROM:
         outer = frozenset(t.lower() for t in parsed.tables)
-        select = memo.parse(ClauseKind.SELECT, head.select)
-        scope = _clause_scope(ClauseKind.SELECT, select, outer)
+        scope = _scope(ClauseKind.SELECT, head.select, outer)
         if scope.ok:
-            scope = _clause_scope(kind, parsed, outer)
+            scope = _scope(kind, body, outer)
         # Only a bare star's types depend on the FROM tables.
         types = PASS
         if scope.ok:
             types = head.types
-            items = select[1]
+            items = memo.parse(ClauseKind.SELECT, head.select)[1]
             if example is not None and any(isinstance(i.expr, Star) for i in items):
                 types = check_types(items, schema, example, from_tables=parsed.tables)
         return _Head(following, outer=outer, scope=scope, types=types)
     scope = head.scope
     if scope.ok:
-        scope = _clause_scope(kind, parsed, head.outer)
+        scope = _scope(kind, body, head.outer)
     types = head.types if scope.ok else PASS
     return _Head(following, outer=head.outer, scope=scope, types=types)
 
@@ -644,8 +567,8 @@ def _check_line(
                 return verdict
     if not head.scope.ok:
         return head.scope
-    if head.outer is not None and current in _SCANNED_CLAUSES:
-        verdict = _scan_partial_scope(current, body, head.outer)
+    if head.outer is not None and body:
+        verdict = _scope(current, body, head.outer)
         if not verdict.ok:
             return verdict
     if not head.types.ok:

@@ -286,14 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a dataset and report accuracy")
     _add_dataset_options(bench)
     _add_search_options(bench)
-    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--jobs", type=_at_least(1), default=1)
     bench.add_argument("--output", help="write the full JSON report here")
     bench.set_defaults(func=_cmd_bench)
 
     ablate = sub.add_parser("ablate", help="sweep the feature switches")
     _add_dataset_options(ablate)
     _add_search_options(ablate)
-    ablate.add_argument("--jobs", type=int, default=1)
+    ablate.add_argument("--jobs", type=_at_least(1), default=1)
     ablate.add_argument("--output", help="write all run reports as JSON")
     ablate.set_defaults(func=_cmd_ablate)
 

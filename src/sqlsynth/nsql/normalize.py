@@ -258,8 +258,6 @@ class _Normalizer:
             rhs = scope.resolve_column(rhs)
         elif isinstance(rhs, LooseSubquery):
             rhs = self._subquery(rhs, scope)
-        elif isinstance(rhs, NormalizedQuery):
-            rhs = self._requalify_subquery(rhs, scope)
         return Predicate(lhs, predicate.op, rhs, predicate.negated)
 
     def _subquery(self, loose: LooseSubquery, outer: _Scope) -> NormalizedQuery:
@@ -273,19 +271,6 @@ class _Normalizer:
             from_clause=from_clause,
             where=where,
             distinct=loose.distinct,
-        )
-
-    def _requalify_subquery(
-        self, subquery: NormalizedQuery, outer: _Scope
-    ) -> NormalizedQuery:
-        loose = LooseFrom(base=LooseTable(subquery.from_clause.first))
-        for join in subquery.from_clause.joins:
-            loose.joined.append(
-                (LooseTable(join.table), list(join.conditions))
-            )
-        return self._subquery(
-            LooseSubquery(subquery.distinct, subquery.select, loose, subquery.where),
-            outer,
         )
 
     # -- FROM assembly ------------------------------------------------------

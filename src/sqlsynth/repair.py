@@ -32,7 +32,7 @@ from .checker import Label
 from .nsql.errors import ParseError
 from .nsql.grammar import ClauseMemo, parse_clause_bodies
 from .nsql.lexemes import AGGREGATIONS, COMPARISONS, CONNECTIVES, is_column_ref
-from .nsql.partial import parse_line, parse_partial
+from .nsql.partial import parse_partial
 from .nsql.query import (
     BoolOp,
     ColumnRef,
@@ -219,9 +219,9 @@ def hamming_one_queries(
     swapped only for columns of the tables the query names, so the
     neighbourhood grows with the query rather than the schema.
     Substitutions that do not parse (for instance turning a join
-    condition's ``=`` into ``!=``) are dropped silently.  A variant
-    re-splits only its edited line; its clauses are parsed through
-    ``memo``, so the six it shares with the query cost a lookup.
+    condition's ``=`` into ``!=``) are dropped silently.  A variant's
+    clauses are parsed through ``memo``, so the six it shares with the
+    query cost a lookup.
     """
     named = _named_tables(query)
     column_refs = tuple(
@@ -236,12 +236,8 @@ def hamming_one_queries(
         for position, lexeme in enumerate(body):
             for replacement in _alternatives(lexeme, column_refs):
                 patched = (*body[:position], replacement, *body[position + 1 :])
-                line = " ".join((*kind.keyword_lexemes, *patched))
                 try:
-                    _, relexed, _, error = parse_line(kind, line, terminated=True)
-                    if error is not None:
-                        continue
-                    variant = parse_clause_bodies({**clauses, kind: relexed}, memo)
+                    variant = parse_clause_bodies({**clauses, kind: patched}, memo)
                 except ParseError:
                     continue
                 yield variant

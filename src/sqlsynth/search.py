@@ -75,17 +75,7 @@ class SearchStats:
     failed_queries: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "nodes_expanded": self.nodes_expanded,
-            "candidates_generated": self.candidates_generated,
-            "pruned_by_checker": self.pruned_by_checker,
-            "complete_queries_tested": self.complete_queries_tested,
-            "backtracks": self.backtracks,
-            "repair_variants_tried": self.repair_variants_tried,
-            "elapsed_seconds": self.elapsed_seconds,
-            "adapter_error": self.adapter_error,
-            "failed_queries": list(self.failed_queries),
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)

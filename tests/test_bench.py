@@ -672,6 +672,10 @@ def test_cli_bench_limit(tmp_path, capsys, fixture_paths, canon):
         ("bench", "--max-tokens", "0"),
         ("bench", "--limit", "-1"),
         ("checker-exp", "--per-task", "0"),
+        ("bench", "--jobs", "0"),
+        ("bench", "--jobs", "-1"),
+        ("ablate", "--jobs", "0"),
+        ("ablate", "--jobs", "-1"),
     ],
 )
 def test_cli_rejects_counts_out_of_range(command, flag, value, capsys):

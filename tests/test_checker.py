@@ -21,12 +21,13 @@ from sqlsynth.lm import lexeme_tokens
 from sqlsynth.nsql.errors import ClauseOrderViolation, ParseError
 from sqlsynth.nsql.grammar import parse_clause_body, parse_complete, parse_select_body
 from sqlsynth.nsql.partial import parse_line, parse_partial
-from sqlsynth.nsql.query import ClauseKind
-from sqlsynth.repair import hamming_one_queries
+from sqlsynth.nsql.query import ClauseKind, denormalize_text
+from sqlsynth.repair import ExecutionStatus, execute_text, hamming_one_queries
 from sqlsynth.tasks import ExampleTuple
 from tests.fixtures.build import DATABASES
 from tests.fixtures.randqueries import distinct_queries, random_query
 from tests.test_acceptance import _MUTATION_FAMILIES
+from tests.test_repair import _reference_neighbours
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +167,21 @@ def test_scope_rejects_strays_inside_subqueries(concerts):
     assert not verdict.ok
     assert verdict.kind is ErrorKind.RUNTIME
     assert "subquery's FROM" in verdict.detail
+
+
+def test_scope_judges_subquery_columns_at_its_where(concerts):
+    # Until WHERE a JOIN could still bring concert into the subquery.
+    prefix = (
+        "SELECT singer.name\nFROM singer\n"
+        "WHERE singer.singer_id IN ( SELECT concert.year "
+        "FROM singer_in_concert "
+    )
+    assert _check(concerts, prefix).ok
+    verdict = _check(concerts, prefix + "WHERE ")
+    assert not verdict.ok
+    assert verdict.kind is ErrorKind.RUNTIME and verdict.clause is ClauseKind.WHERE
+    assert "subquery's FROM" in verdict.detail
+    assert not _check(concerts, prefix + ") ").ok
 
 
 def test_scope_covers_order_by(concerts):
@@ -325,25 +341,20 @@ def test_select_types_are_checked_once_per_head(monkeypatch, concerts):
 # -- incremental checker against the whole-prefix reference ---------------
 
 
-_SCANNED_CLAUSES = frozenset(
-    {ClauseKind.WHERE, ClauseKind.GROUP_BY, ClauseKind.HAVING, ClauseKind.ORDER_BY}
-)
-
-
-def _reference_scope(current, body, clauses):
-    """Every parsed clause's column refs against the FROM tables, then an
-    eager scan of the current line; inert until FROM is terminated."""
-    from_clause = clauses.get(ClauseKind.FROM)
-    if from_clause is None:
+def _reference_scope(current, body, partial):
+    """Every terminated body's column refs against the FROM tables, then
+    the current line's; inert until FROM is terminated."""
+    from_body = partial.completed.get(ClauseKind.FROM)
+    if from_body is None:
         return checker.PASS
-    outer = frozenset(t.lower() for t in from_clause.tables)
-    for kind, parsed in clauses.items():
-        verdict = checker._clause_scope(kind, parsed, outer)
+    outer = frozenset(
+        t.lower() for t in parse_clause_body(ClauseKind.FROM, from_body).tables
+    )
+    for kind, lexemes in partial.completed.items():
+        verdict = checker._scope(kind, lexemes, outer)
         if not verdict.ok:
             return verdict
-    if current in _SCANNED_CLAUSES:
-        return checker._scan_partial_scope(current, body, outer)
-    return checker.PASS
+    return checker._scope(current, body, outer)
 
 
 def _reference_check(schema, example):
@@ -386,7 +397,7 @@ def _reference_check(schema, example):
                 verdict = check_vocabulary(current, body, fragment, schema)
                 if not verdict.ok:
                     return verdict
-        verdict = _reference_scope(current, body, clauses)
+        verdict = _reference_scope(current, body, partial)
         if not verdict.ok:
             return verdict
         if example is not None and ClauseKind.SELECT in clauses:
@@ -499,6 +510,120 @@ def test_checker_accepts_every_prefix_of_a_random_query(db_id, seed, schemas):
         verdict = check("".join(tokens[:end]), False)
         assert verdict.ok, (text, end, verdict)
     assert check(text, True).ok, text
+
+
+# -- scope against SQLite --------------------------------------------------
+
+
+def _subquery_text(schema, rng: random.Random) -> str:
+    """A seeded IN-subquery text over ``schema``.
+
+    The subquery joins one to three tables.  Column references, in its
+    SELECT, its ON conditions, its WHERE with an optional parenthesised
+    OR, and an outer conjunct, are drawn mostly from the tables the text
+    names and otherwise from any table of the schema.
+    """
+    names = [table.name for table in schema.tables]
+    outer = rng.choice(names)
+    inner = rng.sample(names, rng.randint(1, min(3, len(names))))
+    named = [outer, *inner]
+
+    def ref() -> str:
+        table = schema.table(rng.choice(named if rng.random() < 0.85 else names))
+        return f"{table.name}.{rng.choice(table.columns).name}"
+
+    joins = "".join(f" JOIN {table} ON {ref()} = {ref()}" for table in inner[1:])
+    where = ""
+    if rng.random() < 0.7:
+        where = f" WHERE {ref()} = {ref()}"
+        if rng.random() < 0.5:
+            where += f" AND ( {ref()} = 1 OR {ref()} > 2 )"
+    conjunct = f" AND {ref()} > 0" if rng.random() < 0.5 else ""
+    return (
+        f"SELECT {ref()}\nFROM {outer}\nWHERE {ref()} IN ( SELECT {ref()} "
+        f"FROM {inner[0]}{joins}{where} ){conjunct}\n"
+        "GROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def scope_corpus(normalized_tasks, schemas):
+    """(db_id, text) pairs: seeded IN-subquery texts on every fixture
+    schema, and every gold query with its full-schema one-edit variants."""
+    corpus = []
+    for index, db_id in enumerate(sorted(schemas)):
+        rng = random.Random(index)
+        corpus += [(db_id, _subquery_text(schemas[db_id], rng)) for _ in range(150)]
+    for task in normalized_tasks:
+        gold = parse_complete(task.gold_query)
+        variants = _reference_neighbours(gold, schemas[task.db_id])
+        corpus.append((task.db_id, task.gold_query))
+        corpus += [(task.db_id, variant.render()) for variant in variants]
+    return corpus
+
+
+def _runs(conn, text) -> bool | None:
+    """True when SQLite runs ``text``, False on ``no such column``, and
+    None on any other failure."""
+    result = execute_text(conn, denormalize_text(text))
+    if result.status is ExecutionStatus.OK:
+        return True
+    return False if "no such column" in result.error else None
+
+
+def test_scope_rejects_exactly_what_sqlite_cannot_resolve(
+    scope_corpus, schemas, connect
+):
+    """A complete text is RUNTIME exactly when SQLite reports ``no such
+    column``; no other verdict is possible without an example."""
+    conns = {db_id: connect(db_id) for db_id in schemas}
+    seen = set()
+    for db_id, text in scope_corpus:
+        verdict = make_checker(schemas[db_id], None)(text, True)
+        assert verdict.ok or verdict.kind is ErrorKind.RUNTIME, (text, verdict)
+        runs = _runs(conns[db_id], text)
+        assert (verdict.kind is ErrorKind.RUNTIME) == (runs is False), (text, verdict)
+        seen.add((verdict.clause, runs))
+    # Strays in the outer SELECT and in subqueries, and runnable texts.
+    assert {(ClauseKind.SELECT, False), (ClauseKind.WHERE, False), (None, True)} <= seen
+
+
+def test_checker_accepts_every_prefix_of_a_runnable_text(
+    scope_corpus, schemas, connect
+):
+    conns = {db_id: connect(db_id) for db_id in schemas}
+    checks = {db_id: make_checker(schema, None) for db_id, schema in schemas.items()}
+    runnable = 0
+    for db_id, text in scope_corpus:
+        check = checks[db_id]
+        if not check(text, True).ok or not _runs(conns[db_id], text):
+            continue
+        runnable += 1
+        for cut in range(len(text)):
+            verdict = check(text[:cut], False)
+            assert verdict.ok, (text[:cut], verdict)
+    assert runnable > 1000
+
+
+_LATER_JOINED = (
+    "SELECT singer.age\nFROM singer\n"
+    "WHERE singer.name IN ( SELECT singer_in_concert.concert_id FROM singer "
+    "JOIN singer_in_concert ON concert.capacity = singer_in_concert.concert_id "
+    "JOIN concert ON concert.year = singer.age )\n"
+    "GROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+)
+
+
+def test_subquery_on_may_name_a_table_joined_later(concerts, connect):
+    """SQLite resolves an ON reference against every table of the
+    subquery's FROM, so the checker must not prune it while the table
+    it names has yet to be joined."""
+    assert _runs(connect("concerts"), _LATER_JOINED)
+    check = make_checker(concerts, None)
+    assert check(_LATER_JOINED, True).ok
+    for cut in range(len(_LATER_JOINED)):
+        verdict = check(_LATER_JOINED[:cut], False)
+        assert verdict.ok, (_LATER_JOINED[:cut], verdict)
 
 
 # -- labels -----------------------------------------------------------------

@@ -260,6 +260,7 @@ def canned_server():
     yield f"http://127.0.0.1:{server.server_port}/complete"
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 def test_http_model_round_trip(canned_server):
