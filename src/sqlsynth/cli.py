@@ -13,8 +13,9 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .bench import (
     run_ablation,
@@ -42,18 +43,28 @@ class CliError(Exception):
     """Bad command-line input; maps to exit code 2."""
 
 
-def _build_model(spec: str):
+@contextmanager
+def _model(spec: str) -> Iterator:
+    """The model ``--model`` names; an HTTP model's connections close on exit."""
     if spec.startswith("scripted:"):
         path = Path(spec[len("scripted:") :])
         if not path.exists():
             raise CliError(f"scripted model file not found: {path}")
-        return load_scripted_model(path)
-    if spec.startswith(("http://", "https://")):
+        yield load_scripted_model(path)
+    elif spec.startswith(("http://", "https://")):
         token = os.environ.get("SQLSYNTH_HTTP_TOKEN")
-        return HttpCompletionModel(spec, auth_token=token)
-    raise CliError(
-        f"unrecognized model spec {spec!r}; use scripted:<path> or an http(s) URL"
-    )
+        try:
+            model = HttpCompletionModel(spec, auth_token=token)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+        try:
+            yield model
+        finally:
+            model.close()
+    else:
+        raise CliError(
+            f"unrecognized model spec {spec!r}; use scripted:<path> or an http(s) URL"
+        )
 
 
 def _build_config(args: argparse.Namespace) -> SearchConfig:
@@ -156,11 +167,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         gold_query=args.gold or "",
         examples=examples,
     )
-    model = _build_model(args.model)
     db = open_database(args.db_root, args.db_id)
-    result = run_search(
-        task, schemas[args.db_id], db, model, config=_build_config(args)
-    )
+    with _model(args.model) as model:
+        result = run_search(
+            task, schemas[args.db_id], db, model, config=_build_config(args)
+        )
     payload = {
         "status": result.status.value,
         "query": result.query_text,
@@ -177,15 +188,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     schemas, tasks = _load_dataset(args)
-    model = _build_model(args.model)
-    report = run_benchmark(
-        tasks,
-        schemas,
-        args.db_root,
-        model,
-        config=_build_config(args),
-        jobs=args.jobs,
-    )
+    with _model(args.model) as model:
+        report = run_benchmark(
+            tasks,
+            schemas,
+            args.db_root,
+            model,
+            config=_build_config(args),
+            jobs=args.jobs,
+        )
     print(report.render_text())
     if args.output:
         Path(args.output).write_text(report.to_json())
@@ -196,15 +207,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     schemas, tasks = _load_dataset(args)
-    model = _build_model(args.model)
-    runs = run_ablation(
-        tasks,
-        schemas,
-        args.db_root,
-        model,
-        base_config=_build_config(args),
-        jobs=args.jobs,
-    )
+    with _model(args.model) as model:
+        runs = run_ablation(
+            tasks,
+            schemas,
+            args.db_root,
+            model,
+            base_config=_build_config(args),
+            jobs=args.jobs,
+        )
     width = max(len(run.label) for run in runs)
     for run in runs:
         print(
@@ -246,15 +257,15 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 def _cmd_checker_exp(args: argparse.Namespace) -> int:
     schemas, tasks = _load_dataset(args)
-    model = _build_model(args.model)
-    experiment = run_checker_experiment(
-        tasks,
-        schemas,
-        args.db_root,
-        model,
-        per_task=args.per_task,
-        config=_build_config(args),
-    )
+    with _model(args.model) as model:
+        experiment = run_checker_experiment(
+            tasks,
+            schemas,
+            args.db_root,
+            model,
+            per_task=args.per_task,
+            config=_build_config(args),
+        )
     print(experiment.render_text())
     if args.output:
         Path(args.output).write_text(json.dumps(experiment.as_dict(), indent=2))

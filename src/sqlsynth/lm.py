@@ -6,17 +6,25 @@ deterministic scripted model used by tests and demos, and an HTTP client
 for completion servers.  Tokenization is adapter-owned; the scripted
 model tokenizes at lexeme granularity, which exercises exactly the same
 control flow as sub-word tokens.
+
+The HTTP client is built on ``http.client`` alone.  It keeps idle
+keep-alive connections in a pool, so a serial search uses one TCP
+connection and each worker thread holds at most one at a time.  It reads
+no proxy variables and no ``~/.netrc``, and HTTPS verifies against the
+system CA store through ``ssl``'s default context.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
-from dataclasses import dataclass, field
+import ssl
+import threading
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .nsql.lexemes import split_line
 
@@ -292,6 +300,12 @@ class HttpCompletionModel:
     Request: ``{"task": str, "prefix": str, "k": int}``.  Response:
     ``{"candidates": [{"text": str, "logprob": float}], "eos_logprob":
     float|null}``.  Probabilities are exp(logprob), used raw.
+
+    Idle connections wait in a pool.  A call takes one (or opens one) and
+    returns it only after reading a whole reply, so no connection is ever
+    shared by two threads.  A reused connection that the server dropped
+    while idle is reopened once; a timeout is never retried.  ``close()``
+    closes the idle connections.
     """
 
     def __init__(
@@ -299,21 +313,74 @@ class HttpCompletionModel:
         endpoint: str,
         timeout: float = 10.0,
         auth_token: str | None = None,
-        session: requests.Session | None = None,
     ) -> None:
-        self._endpoint = endpoint
+        url = urlsplit(endpoint)
+        try:
+            port = url.port
+        except ValueError as exc:
+            raise ValueError(f"bad model endpoint {endpoint!r}: {exc}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"bad model endpoint {endpoint!r}: need http(s)://host")
+        self._address = (url.hostname, port)
+        self._context = ssl.create_default_context() if url.scheme == "https" else None
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._timeout = timeout
-        self._http = session or requests.Session()
+        self._headers = {"Content-Type": "application/json"}
         if auth_token:
-            self._http.headers["Authorization"] = f"Bearer {auth_token}"
+            self._headers["Authorization"] = f"Bearer {auth_token}"
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
         self._reachable = False
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+        host, port = self._address
+        if self._context is not None:
+            return http.client.HTTPSConnection(
+                host, port, timeout=self._timeout, context=self._context
+            )
+        return http.client.HTTPConnection(host, port, timeout=self._timeout)
+
+    def _exchange(self, method: str, body: bytes | None = None) -> tuple[int, bytes]:
+        """Send one request and read its whole reply: ``(status, body)``."""
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            while True:
+                try:
+                    # http.client sets TCP_NODELAY on connect, so its two
+                    # sends (headers, then body) do not wait on Nagle's
+                    # algorithm against the server's delayed ACK.
+                    conn.request(method, self._path, body, self._headers)
+                    response = conn.getresponse()
+                    break
+                except (ConnectionResetError, BrokenPipeError):
+                    # The server closed the idle connection; the request
+                    # is a pure function of its payload, so resend once.
+                    if not reused:
+                        raise
+                    conn.close()
+                    reused = False
+            data = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise AdapterUnavailable(str(exc)) from exc
+        with self._lock:
+            self._idle.append(conn)
+        return response.status, data
 
     def start_session(self, task_text: str) -> GenerationSession:
         if not self._reachable:
-            try:
-                self._http.head(self._endpoint, timeout=self._timeout)
-            except requests.RequestException as exc:
-                raise AdapterUnavailable(str(exc)) from exc
+            self._exchange("HEAD")
             self._reachable = True
         return GenerationSession(task_text)
 
@@ -325,16 +392,11 @@ class HttpCompletionModel:
             "prefix": "".join(t for t in session.prefix if t != EOS_TOKEN_ID),
             "k": k,
         }
+        status, data = self._exchange("POST", json.dumps(payload).encode())
+        if status != 200:
+            raise ProtocolError(f"server returned HTTP {status}")
         try:
-            response = self._http.post(
-                self._endpoint, json=payload, timeout=self._timeout
-            )
-        except requests.RequestException as exc:
-            raise AdapterUnavailable(str(exc)) from exc
-        if response.status_code != 200:
-            raise ProtocolError(f"server returned HTTP {response.status_code}")
-        try:
-            body = response.json()
+            body = json.loads(data)
             entries = [(c["text"], c["logprob"]) for c in body["candidates"]]
             eos = body.get("eos_logprob")
         except (ValueError, KeyError, TypeError) as exc:

@@ -76,10 +76,6 @@ def quote_string(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
 
 
-def unquote_string(lexeme: str) -> str:
-    return lexeme[1:-1].replace("''", "'")
-
-
 # One lexeme: a string constant (doubled quotes escape, an unclosed one
 # runs to the end of the line) and anything glued to it, or a run of
 # non-space characters.  A quote only opens a string at a lexeme's start.

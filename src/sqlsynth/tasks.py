@@ -376,29 +376,6 @@ def derive_example(db: TaskDatabase, gold_query: str) -> ExampleTuple:
     return ExampleTuple.from_values(tuple(row))
 
 
-def validate_database(db: TaskDatabase, schema: DatabaseSchema) -> list[str]:
-    """Check the live database agrees with the declared schema; returns
-    a list of problems, empty when everything declared exists."""
-    problems: list[str] = []
-    with closing(db.connect()) as connection:
-        for table in schema.tables:
-            try:
-                rows = connection.execute(
-                    f'PRAGMA table_info("{table.name}")'
-                ).fetchall()
-            except sqlite3.Error as exc:
-                problems.append(f"table {table.name}: {exc}")
-                continue
-            if not rows:
-                problems.append(f"missing table {table.name}")
-                continue
-            live_columns = {str(row[1]).lower() for row in rows}
-            for column in table.columns:
-                if column.name.lower() not in live_columns:
-                    problems.append(f"missing column {table.name}.{column.name}")
-    return problems
-
-
 def refine_schema(db: TaskDatabase, schema: DatabaseSchema) -> DatabaseSchema:
     """Widen provisional Integer columns to Real when stored values have
     fractional parts; Spider's type strings are too coarse to tell."""

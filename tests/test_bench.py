@@ -31,7 +31,13 @@ from sqlsynth.lm import (
 from sqlsynth.nsql.normalize import normalize
 from sqlsynth.search import AttemptMode, SearchConfig, search_task_text
 from sqlsynth.tasks import ExampleTuple, TaskDatabase, TaskInstance
-from tests.test_lm import _CannedHandler, canned_server  # noqa: F401 (fixture)
+from tests.test_lm import (  # noqa: F401 (fixtures)
+    DROP,
+    STALL,
+    _CannedHandler,
+    canned_server,
+    keepalive_server,
+)
 
 CONFIG = SearchConfig(k=8, time_limit=10.0)
 
@@ -296,19 +302,109 @@ def test_benchmark_contains_a_malformed_http_reply(
 
     _CannedHandler.payload = reply
     broken = _task("bench-010", "a broken reply", "select count(*) from singer", [5])
-    result = run_benchmark(
-        [*bench_tasks[:2], broken],
-        schemas,
-        fixture_paths.db_root,
-        HttpCompletionModel(canned_server),
-        config=CONFIG,
-        jobs=2,
-    )
+    model = HttpCompletionModel(canned_server)
+    try:
+        result = run_benchmark(
+            [*bench_tasks[:2], broken],
+            schemas,
+            fixture_paths.db_root,
+            model,
+            config=CONFIG,
+            jobs=2,
+        )
+    finally:
+        model.close()
     rows = {row.task_id: row for row in result.reports}
     assert rows["bench-010"].status == "adapter_failure"
     for task_id in ("bench-001", "bench-002"):
         assert rows[task_id].status == "solved"
         assert rows[task_id].execution_match is True
+
+
+def _scripted_reply(answers, faults=None):
+    """A server reply that spells out ``answers[question]`` token by token.
+
+    ``faults`` maps a question to the reply it gets from the third step on,
+    so that task fails in the middle of its search.
+    """
+    faults = faults or {}
+
+    def reply(request):
+        question = next(q for q in answers if q in request["task"])
+        tokens = answers[question]
+        step = len(lexeme_tokens(request["prefix"]))
+        if question in faults and step >= 2:
+            return faults[question]
+        if step == len(tokens):
+            return {"candidates": [], "eos_logprob": 0.0}
+        return {"candidates": [{"text": tokens[step], "logprob": 0.0}]}
+
+    return reply
+
+
+def test_benchmark_contains_http_faults_under_two_workers(
+    bench_tasks, canon, schemas, fixture_paths, keepalive_server
+):
+    """A timeout, a 500, a dropped connection and a malformed reply, each in
+    the middle of one task's search, end only that task."""
+    faults = {
+        "a stalled reply": STALL,
+        "a server error": (500, {"error": "boom"}),
+        "a dropped connection": DROP,
+        "a malformed reply": (200, b"{not json"),
+    }
+    answers = {
+        "count every singer": lexeme_tokens(canon["count"]),
+        "names from France": lexeme_tokens(canon["france"]),
+        **dict.fromkeys(faults, lexeme_tokens(canon["count"])),
+    }
+    broken = [
+        _task(f"bench-02{i}", question, "select count(*) from singer", [5])
+        for i, question in enumerate(faults)
+    ]
+    server = keepalive_server(_scripted_reply(answers, faults))
+    model = HttpCompletionModel(server.url, timeout=0.2)
+    try:
+        result = run_benchmark(
+            [*broken[:2], *bench_tasks[:2], *broken[2:]],
+            schemas,
+            fixture_paths.db_root,
+            model,
+            config=CONFIG,
+            jobs=2,
+        )
+    finally:
+        model.close()
+    rows = {row.task_id: row for row in result.reports}
+    assert [rows[task.id].status for task in broken] == ["adapter_failure"] * 4
+    for task_id in ("bench-001", "bench-002"):
+        assert rows[task_id].status == "solved"
+        assert rows[task_id].execution_match is True
+
+
+def test_serial_benchmark_uses_one_http_connection(
+    bench_tasks, canon, schemas, fixture_paths, keepalive_server
+):
+    answers = {
+        "count every singer": lexeme_tokens(canon["count"]),
+        "names from France": lexeme_tokens(canon["france"]),
+        "no reference": lexeme_tokens(canon["count"]),
+    }
+    server = keepalive_server(_scripted_reply(answers))
+    model = HttpCompletionModel(server.url)
+    try:
+        result = run_benchmark(
+            [*bench_tasks[:2], bench_tasks[3]],
+            schemas,
+            fixture_paths.db_root,
+            model,
+            config=CONFIG,
+        )
+    finally:
+        model.close()
+    assert [row.status for row in result.reports] == ["solved"] * 3
+    assert len(server.posted) > 3
+    assert server.accepted == 1
 
 
 def test_ablation_grid_covers_every_switch_combination():
@@ -527,14 +623,13 @@ def test_cli_generate_sees_refined_column_types(tmp_path, capsys, fixture_paths,
 
 
 def test_cli_generate_exits_1_when_the_model_server_is_unreachable(
-    monkeypatch, capsys, fixture_paths
+    capsys, fixture_paths
 ):
     # A port that was bound and released refuses connections, so the
     # search ends in adapter_failure without any traffic leaving the host.
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
-    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     code = cli.main(
         [
             "generate",
@@ -558,12 +653,11 @@ def test_cli_generate_exits_1_when_the_model_server_is_unreachable(
 
 
 def test_cli_bench_exits_1_when_the_model_server_is_unreachable(
-    monkeypatch, capsys, tmp_path, fixture_paths
+    capsys, tmp_path, fixture_paths
 ):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
-    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     output = tmp_path / "report.json"
     code = cli.main(
         [
@@ -856,6 +950,25 @@ def test_cli_rejects_unknown_model_scheme(tmp_path, capsys, fixture_paths):
     )
     assert code == 2
     assert "unrecognized model spec" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_http_model_without_a_host(tmp_path, capsys, fixture_paths):
+    dataset = _dataset_file(tmp_path, [COUNT_RECORD])
+    code = cli.main(
+        [
+            "bench",
+            "--tables",
+            str(fixture_paths.tables),
+            "--tasks",
+            dataset,
+            "--db-root",
+            str(fixture_paths.db_root),
+            "--model",
+            "http://",
+        ]
+    )
+    assert code == 2
+    assert "bad model endpoint" in capsys.readouterr().err
 
 
 def test_cli_rejects_missing_scripted_file(tmp_path, capsys, fixture_paths):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import random
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -263,6 +266,88 @@ def canned_server():
     server.server_close()
 
 
+# A keep-alive server: HTTP/1.1 with Content-Length, so a client may send
+# many requests over one connection.  ``reply(request)`` decides each POST:
+# a JSON value is a 200 reply, ``(status, body)`` sets the status (a bytes
+# body is sent as is), DROP closes the connection without a reply, and
+# STALL holds the request until the server stops, then drops it.
+DROP = "drop"
+STALL = "stall"
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    timeout = 10  # a connection a test forgot to close cannot hang teardown
+
+    def _send(self, status, body):
+        # One write for headers and body, or Nagle's algorithm against the
+        # client's delayed ACK stalls each reply by about 40 ms.
+        head = (
+            f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        self.wfile.write(head.encode() + body)
+        if self.server.close_after_reply:
+            self.close_connection = True  # without saying Connection: close
+
+    def do_HEAD(self):
+        self._send(200, b"")
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.posted.append(request)  # one call, safe across handler threads
+        reply = self.server.reply(request)
+        if reply == STALL:
+            self.server.stopped.wait()
+            reply = DROP
+        if reply == DROP:
+            self.close_connection = True
+            return
+        status, body = reply if isinstance(reply, tuple) else (200, reply)
+        self._send(status, body if isinstance(body, bytes) else json.dumps(body).encode())
+
+    def log_message(self, *args):
+        pass
+
+
+class _KeepAliveServer(ThreadingHTTPServer):
+    def __init__(self, reply, close_after_reply):
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        self.reply = reply
+        self.close_after_reply = close_after_reply
+        self.accepted = 0  # counted by the one thread that accepts
+        self.posted: list[dict] = []
+        self.stopped = threading.Event()
+        self.url = f"http://127.0.0.1:{self.server_port}/complete"
+
+    def get_request(self):
+        self.accepted += 1
+        return super().get_request()
+
+
+@pytest.fixture()
+def keepalive_server():
+    """Start a keep-alive server: ``keepalive_server(reply, close_after_reply=False)``."""
+    started = []
+
+    def start(reply, close_after_reply=False):
+        server = _KeepAliveServer(reply, close_after_reply)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in started:
+        server.stopped.set()
+        server.shutdown()
+        thread.join()
+        server.server_close()
+
+
 def test_http_model_round_trip(canned_server):
     _CannedHandler.payload = {
         "candidates": [
@@ -276,6 +361,7 @@ def test_http_model_round_trip(canned_server):
     cands = model.top_candidates(
         GenerationSession(session.task_text, ("SELECT ",)), 3
     )
+    model.close()
     assert [c.token_id for c in cands] == ["SELECT ", EOS_TOKEN_ID, "WITH "]
     assert cands[0].prob == pytest.approx(0.7)
     assert cands[1].surface == ""
@@ -306,9 +392,109 @@ def test_http_model_rejects_bad_payloads(canned_server):
     _CannedHandler.status = 500
     with pytest.raises(ProtocolError):
         model.top_candidates(session, 2)
+    model.close()
 
 
 def test_http_model_unreachable_host():
     model = HttpCompletionModel("http://127.0.0.1:1/nothing", timeout=0.2)
     with pytest.raises(AdapterUnavailable):
         model.start_session("t")
+
+
+def _echo(request):
+    """A reply that names its request, so crossed replies would show."""
+    return {"candidates": [{"text": request["prefix"] + "x ", "logprob": 0.0}]}
+
+
+def test_http_model_reopens_a_connection_the_server_closed(keepalive_server):
+    server = keepalive_server(_echo, close_after_reply=True)
+    model = HttpCompletionModel(server.url)
+    try:
+        model.start_session("t")
+        for prefix in ("a ", "b ", "c "):
+            cands = model.top_candidates(GenerationSession("t", (prefix,)), 2)
+            assert [c.token_id for c in cands] == [prefix + "x "]
+    finally:
+        model.close()
+    # The HEAD, then one fresh connection for each call; nothing is sent twice.
+    assert (server.accepted, len(server.posted)) == (4, 3)
+
+
+def test_http_model_timeout_is_not_retried(keepalive_server):
+    server = keepalive_server(lambda request: STALL)
+    timeout = 0.5
+    model = HttpCompletionModel(server.url, timeout=timeout)
+    try:
+        session = model.start_session("t")
+        start = time.monotonic()
+        with pytest.raises(AdapterUnavailable):
+            model.top_candidates(session, 2)
+        elapsed = time.monotonic() - start
+    finally:
+        model.close()
+    assert timeout <= elapsed < 1.5 * timeout
+    assert (server.accepted, len(server.posted)) == (1, 1)
+
+
+def test_http_model_close_drops_the_idle_connection(keepalive_server):
+    server = keepalive_server(_echo)
+    model = HttpCompletionModel(server.url)
+    try:
+        session = model.start_session("t")
+        model.top_candidates(session, 2)
+        model.top_candidates(session, 2)
+        assert server.accepted == 1
+        model.close()
+        model.top_candidates(session, 2)
+        assert server.accepted == 2
+    finally:
+        model.close()
+
+
+def test_http_model_threads_never_share_a_connection(keepalive_server):
+    """More threads than cores, each checking that every reply answers its
+    own request; a connection shared by two threads would cross replies."""
+    server = keepalive_server(_echo)
+    model = HttpCompletionModel(server.url)
+    mismatches: list[str] = []
+
+    def worker(name):
+        for step in range(15):
+            prefix = f"{name}{step} "
+            cands = model.top_candidates(GenerationSession("t", (prefix,)), 2)
+            if [c.token_id for c in cands] != [prefix + "x "]:
+                mismatches.append(prefix)
+
+    threads = [threading.Thread(target=worker, args=(name,)) for name in "abcd"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads' calls
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        model.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    assert len(server.posted) == 60
+    assert 1 <= server.accepted <= 4
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["http://", "ftp://host/complete", "http://host:port/complete"]
+)
+def test_http_model_rejects_a_bad_endpoint(endpoint):
+    with pytest.raises(ValueError):
+        HttpCompletionModel(endpoint)
+
+
+def test_http_model_picks_the_connection_class_from_the_scheme():
+    # Building a connection object opens no socket.
+    for endpoint, kind in (
+        ("https://models.invalid/complete", http.client.HTTPSConnection),
+        ("http://models.invalid:8080/complete", http.client.HTTPConnection),
+    ):
+        conn = HttpCompletionModel(endpoint)._connection()
+        assert type(conn) is kind and conn.sock is None

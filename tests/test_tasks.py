@@ -26,7 +26,6 @@ from sqlsynth.tasks import (
     open_database,
     refine_schema,
     serialize_task,
-    validate_database,
     value_type,
 )
 
@@ -268,25 +267,6 @@ def test_task_database_identity_ignores_its_connections(fixture_paths):
     assert hash(db) == hash(twin)
     assert {db: 1}[twin] == 1
     assert repr(db) == f"TaskDatabase(db_id='shop', path={db.path!r})"
-
-
-def test_validate_database_clean(fixture_paths, raw_schemas):
-    db = open_database(fixture_paths.db_root, "pets")
-    assert validate_database(db, raw_schemas["pets"]) == []
-
-
-def test_validate_database_reports_missing_names(fixture_paths, raw_schemas):
-    from sqlsynth.tasks import Column, DatabaseSchema, Table
-
-    schema = raw_schemas["pets"]
-    tampered = DatabaseSchema(
-        schema.db_id,
-        schema.tables
-        + (Table("phantom", (Column("id", ColumnType.INTEGER),)),),
-    )
-    db = open_database(fixture_paths.db_root, "pets")
-    problems = validate_database(db, tampered)
-    assert problems == ["missing table phantom"]
 
 
 def test_refine_schema_widens_fractional_number_columns(
