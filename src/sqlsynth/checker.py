@@ -22,9 +22,9 @@ only on the terminated clauses; checking a child parses and checks only
 its current line.  A new head is its parent head plus one terminated
 line, and heads with equal verdicts merge, so a text that differs from
 a checked one in one line (a repair variant) rejoins its heads after
-that line.  Clause bodies are checked and parsed through the search's
-clause memo, which the end-of-sequence parse and repair share, so each
-distinct body is parsed once a search.
+that line.  Clause bodies are parsed through ``nsql.grammar``'s
+process-wide clause cache, which the end-of-sequence parse and repair
+share, and each body's vocabulary verdict is kept as long as the checker.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .nsql.errors import ClauseOrderViolation, ParseError
-from .nsql.grammar import ClauseMemo
+from .nsql.grammar import parse_clause_cached
 from .nsql.lexemes import (
     AGGREGATIONS,
     COMPARISONS,
@@ -463,19 +463,25 @@ class _Head:
     steps: dict[str, "_Head"] = field(default_factory=dict, compare=False, repr=False)
 
 
+_Vocabulary = dict[tuple[ClauseKind, tuple[str, ...]], CheckVerdict]
+
+
 def _terminated_clause(
-    kind: ClauseKind, body: tuple[str, ...], schema: DatabaseSchema, memo: ClauseMemo
+    kind: ClauseKind,
+    body: tuple[str, ...],
+    schema: DatabaseSchema,
+    vocabulary: _Vocabulary,
 ) -> tuple[CheckVerdict, object]:
     """The vocabulary-then-grammar verdict on a terminated clause, and its
-    AST when both pass."""
+    AST when both pass.  ``vocabulary`` keeps the verdict per body."""
     key = (kind, body)
-    verdict = memo.vocabulary.get(key)
+    verdict = vocabulary.get(key)
     if verdict is None:
-        verdict = memo.vocabulary[key] = check_vocabulary(kind, body, None, schema)
+        verdict = vocabulary[key] = check_vocabulary(kind, body, None, schema)
     if not verdict.ok:
         return verdict, None
     try:
-        return verdict, memo.parse(kind, body)
+        return verdict, parse_clause_cached(kind, body)
     except ParseError as exc:
         return CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc)), None
 
@@ -485,7 +491,7 @@ def _step(
     line: str,
     schema: DatabaseSchema,
     example: ExampleTuple | None,
-    memo: ClauseMemo,
+    vocabulary: _Vocabulary,
 ) -> _Head:
     """The head after one more terminated ``line`` (newline included).
 
@@ -506,7 +512,7 @@ def _step(
     following = _FOLLOWING[kind]
     if head.clause_error is not None:
         return _Head(following, clause_error=head.clause_error)
-    verdict, parsed = _terminated_clause(kind, body, schema, memo)
+    verdict, parsed = _terminated_clause(kind, body, schema, vocabulary)
     if not verdict.ok:
         return _Head(following, clause_error=verdict)
     if kind is ClauseKind.SELECT:
@@ -523,7 +529,7 @@ def _step(
         types = PASS
         if scope.ok:
             types = head.types
-            items = memo.parse(ClauseKind.SELECT, head.select)[1]
+            items = parse_clause_cached(ClauseKind.SELECT, head.select)[1]
             if example is not None and any(isinstance(i.expr, Star) for i in items):
                 types = check_types(items, schema, example, from_tables=parsed.tables)
         return _Head(following, outer=outer, scope=scope, types=types)
@@ -581,22 +587,21 @@ def _check_line(
 
 
 def make_checker(
-    schema: DatabaseSchema,
-    example: ExampleTuple | None,
-    memo: ClauseMemo | None = None,
+    schema: DatabaseSchema, example: ExampleTuple | None
 ) -> Callable[[str, bool], CheckVerdict]:
     """Bind schema and example into a text-level checking function.
 
     The function keeps the head of each text it has seen (the text up to
     and including the last newline), built from the head one line
     shorter.  A child of an already-checked prefix therefore costs
-    only its current line, and a new head costs one line split plus
-    lookups in ``memo``, the clause memo of the search (a fresh one when
-    None).  Equal heads merge, so a text that differs from a seen one in
+    only its current line, and a new head costs one line split, a
+    lookup of the line's vocabulary verdict and a lookup in the clause
+    cache.  Equal heads merge, so a text that differs from a seen one in
     one line rejoins its heads right after that line (after FROM, for a
-    SELECT line).  Everything lives as long as the function.
+    SELECT line).  Heads and vocabulary verdicts live as long as the
+    function.
     """
-    memo = memo if memo is not None else ClauseMemo()
+    vocabulary: _Vocabulary = {}
     merged: dict[_Head, _Head] = {}
     heads: dict[str, _Head] = {"": _Head()}
 
@@ -614,7 +619,7 @@ def make_checker(
             line = text[cut:end]
             following = head.steps.get(line)
             if following is None:
-                following = _step(head, line, schema, example, memo)
+                following = _step(head, line, schema, example, vocabulary)
                 following = head.steps[line] = merged.setdefault(following, following)
             head = heads[text[:end]] = following
             cut = end

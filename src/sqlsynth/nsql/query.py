@@ -221,9 +221,10 @@ class NormalizedQuery:
 
 def denormalize_text(rendered: str) -> str:
     """Collapse canonical text to one executable line, dropping the
-    bare keyword lines that stand for empty clauses."""
+    bare keyword lines that stand for empty clauses.  Lines end at
+    ``"\n"`` only: a string constant may hold any other line break."""
     keep = []
-    for line in rendered.splitlines():
+    for line in rendered.split("\n"):
         kind = _line_kind(line)
         if kind is not None and line == kind.value:
             continue

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .checker import Label
 from .nsql.errors import ParseError
-from .nsql.grammar import ClauseMemo, parse_clause_bodies
+from .nsql.grammar import parse_clause_bodies
 from .nsql.lexemes import AGGREGATIONS, COMPARISONS, CONNECTIVES, is_column_ref
 from .nsql.partial import parse_partial
 from .nsql.query import (
@@ -208,9 +208,7 @@ def _alternatives(lexeme: str, column_refs: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def hamming_one_queries(
-    query: NormalizedQuery,
-    schema: DatabaseSchema,
-    memo: ClauseMemo | None = None,
+    query: NormalizedQuery, schema: DatabaseSchema
 ) -> Iterator[NormalizedQuery]:
     """Yield every parseable query one lexeme-substitution away.
 
@@ -220,8 +218,8 @@ def hamming_one_queries(
     neighbourhood grows with the query rather than the schema.
     Substitutions that do not parse (for instance turning a join
     condition's ``=`` into ``!=``) are dropped silently.  A variant's
-    clauses are parsed through ``memo``, so the six it shares with the
-    query cost a lookup.
+    clauses are parsed through the clause cache, so the six it shares
+    with the query cost a lookup.
     """
     named = _named_tables(query)
     column_refs = tuple(
@@ -230,14 +228,13 @@ def hamming_one_queries(
         if table.name.lower() in named
         for column in table.columns
     )
-    memo = memo if memo is not None else ClauseMemo()
     clauses = parse_partial(query.render()).completed
     for kind, body in clauses.items():
         for position, lexeme in enumerate(body):
             for replacement in _alternatives(lexeme, column_refs):
                 patched = (*body[:position], replacement, *body[position + 1 :])
                 try:
-                    variant = parse_clause_bodies({**clauses, kind: patched}, memo)
+                    variant = parse_clause_bodies({**clauses, kind: patched})
                 except ParseError:
                     continue
                 yield variant
@@ -317,7 +314,6 @@ def test_and_repair(
     prefilter: Callable[[str, bool], object] | None = None,
     per_variant_timeout: float = 1.0,
     deadline: float | None = None,
-    memo: ClauseMemo | None = None,
 ) -> RepairOutcome:
     """Execute the candidate; on a miss, walk its one-edit neighbours.
 
@@ -325,8 +321,6 @@ def test_and_repair(
     returns a verdict with an ``ok`` attribute; variants it rejects are
     skipped without touching the database.  ``deadline`` is an absolute
     ``time.monotonic`` value past which no further variant runs.
-    ``memo`` is the search's clause memo, which the variants are parsed
-    through.
 
     For an eligible query (see the module docstring) whose original
     ran, the first admitted SELECT-column swap runs the widened
@@ -357,7 +351,7 @@ def test_and_repair(
     wide_rows: tuple[tuple, ...] | None = None
     width = len(query.select)
     tried = 0
-    for variant in hamming_one_queries(query, schema, memo):
+    for variant in hamming_one_queries(query, schema):
         if deadline is not None and time.monotonic() >= deadline:
             break
         if prefilter is not None:

@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Protocol, Sequence
 from .checker import CheckVerdict, make_checker
 from .lm import AdapterError, EOS_TOKEN_ID, GenerationSession, TokenCandidate
 from .nsql.errors import ParseError, StructureError
-from .nsql.grammar import ClauseMemo, parse_complete
+from .nsql.grammar import parse_complete
 # Unused here: perfbench/tracer.py looks this name up in this module.
 from .nsql.partial import parse_partial  # noqa: F401
 from .nsql.query import NormalizedQuery
@@ -236,10 +236,10 @@ def run_search(
     and the execute-then-repair tester over ``db``; tests may inject
     either.  ``db`` may be omitted only when ``tester`` is given.  A
     ``TaskDatabase`` lends this thread's connection and a raw connection
-    is used as given; neither is closed here.  One
-    clause memo serves the search: the default checker, the parse of
-    each end-of-sequence text and the repair variants each parse a
-    distinct clause body at most once between them.
+    is used as given; neither is closed here.  The default checker, the
+    parse of each end-of-sequence text and the repair variants parse
+    clause bodies through one process-wide cache, so a body any earlier
+    search met is not parsed again.
     """
     config = config or SearchConfig()
     stats = SearchStats()
@@ -248,9 +248,8 @@ def run_search(
 
     examples = tuple(task.sorted_examples()) if config.include_examples else ()
     example = examples[0] if examples else None
-    memo = ClauseMemo()
     if checker is None:
-        checker = make_checker(schema, example, memo)
+        checker = make_checker(schema, example)
     prune: Checker | None = checker if config.pqc_enabled else None
 
     if tester is None:
@@ -271,7 +270,6 @@ def run_search(
                 prefilter=prune,
                 per_variant_timeout=config.per_variant_timeout,
                 deadline=until,
-                memo=memo,
             )
 
     def finish(
@@ -287,7 +285,7 @@ def run_search(
         session = model.start_session(search_task_text(task, schema, config))
         for node in _best_first(session, model, stats, config, prune, deadline):
             try:
-                query = parse_complete(node.text, memo)
+                query = parse_complete(node.text)
             except StructureError:
                 continue  # ended mid-query; only reachable with checks off
             except ParseError:

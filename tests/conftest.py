@@ -4,6 +4,7 @@ import sqlite3
 
 import pytest
 
+from sqlsynth.nsql import grammar
 from sqlsynth.nsql.normalize import rewrite_dataset
 from sqlsynth.tasks import (
     DatabaseSchema,
@@ -14,6 +15,13 @@ from sqlsynth.tasks import (
     refine_schema,
 )
 from tests.fixtures.build import FixturePaths, write_fixture_tree
+
+
+@pytest.fixture(autouse=True)
+def empty_clause_cache():
+    """Start every test from an empty clause-parse cache, so that no test
+    depends on which tests ran before it."""
+    grammar._parsed_clause.cache_clear()
 
 
 @pytest.fixture(scope="session")

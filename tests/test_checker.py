@@ -299,8 +299,8 @@ def test_checker_passes_every_prefix_of_a_gold(concerts):
 
 
 def test_one_body_in_two_clauses_keeps_two_verdicts(concerts):
-    # The clause memo is keyed by kind and body: the same lexemes are
-    # wrong in SELECT and right in WHERE.
+    # Verdicts and parses are keyed by kind and body: the same lexemes
+    # are wrong in SELECT and right in WHERE.
     check = make_checker(concerts, None)
     body = "singer.age > 30"
     verdict = check(f"SELECT {body}\nFROM singer\n", False)

@@ -256,7 +256,9 @@ class _CannedHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def canned_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _CannedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     _CannedHandler.requests_seen = []
     _CannedHandler.status = 200

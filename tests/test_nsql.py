@@ -16,7 +16,8 @@ from sqlsynth.nsql.errors import (
     SetOperationUnsupported,
     UnknownName,
 )
-from sqlsynth.nsql.grammar import parse_complete
+from sqlsynth.nsql import grammar
+from sqlsynth.nsql.grammar import parse_clause_cached, parse_complete
 from sqlsynth.nsql.lexemes import quote_string, scan_sql, split_line
 from sqlsynth.nsql.normalize import normalize, rewrite_dataset
 from sqlsynth.nsql.partial import parse_line, parse_partial
@@ -156,6 +157,25 @@ def test_parse_complete_rejects_damage():
         parse_complete(_GOLD.replace("> 30", ">"))  # dangling operator
     with pytest.raises(ParseError):
         parse_complete(_GOLD.replace("LIMIT 5", "LIMIT 5.5"))
+
+
+def test_a_failing_clause_body_is_parsed_once_and_fails_alike(monkeypatch):
+    calls = []
+
+    def counting(body):
+        calls.append(tuple(body))
+        return grammar.parse_limit_body(body)
+
+    monkeypatch.setitem(grammar._CLAUSE_GRAMMARS, ClauseKind.LIMIT, counting)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as caught:
+            parse_clause_cached(ClauseKind.LIMIT, ("5.5",))
+        raised.append(caught.value)
+    assert calls == [("5.5",)]
+    assert str(raised[0]) == str(raised[1]) != ""
+    # Each raise is a fresh exception, with its own traceback.
+    assert raised[0] is not raised[1]
 
 
 def test_parse_complete_star_only_under_count():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import sqlite3
 import time
 from collections import Counter
+from contextlib import closing
 
 import pytest
 
@@ -14,6 +16,7 @@ from sqlsynth.nsql.lexemes import (
     COMPARISONS,
     CONNECTIVES,
     is_column_ref,
+    quote_string,
     split_line,
 )
 from sqlsynth.nsql.normalize import normalize
@@ -86,6 +89,24 @@ def test_execute_query_drops_empty_clauses(connect):
     conn = connect("concerts")
     result = execute_query(conn, parse_complete(GOLD))
     assert result.ok and len(result.rows) == 2
+
+
+# Every line break str.splitlines() knows besides "\n", which the
+# canonical text keeps out of string constants.
+_OTHER_LINE_BREAKS = [
+    "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
+
+
+@pytest.mark.parametrize("line_break", _OTHER_LINE_BREAKS)
+def test_a_line_break_inside_a_constant_reaches_sqlite_intact(line_break):
+    value = f"a{line_break}b"
+    text = GOLD.replace("singer.age > 30", f"singer.name = {quote_string(value)}")
+    with closing(sqlite3.connect(":memory:")) as conn:
+        conn.execute("CREATE TABLE singer (name TEXT)")
+        conn.executemany("INSERT INTO singer VALUES (?)", [(value,), ("a b",)])
+        assert execute_query(conn, parse_complete(text)).rows == ((value,),)
+        assert label_by_execution(text, conn, gold_rows=[(value,)]) is Label.CORRECT
 
 
 # -- row comparison ---------------------------------------------------------
@@ -227,7 +248,7 @@ def _reference_alternatives(lexeme: str, schema) -> tuple[str, ...]:
     return tuple(member for member in pool if member != lexeme)
 
 
-def _reference_neighbours(query, schema, memo=None):
+def _reference_neighbours(query, schema):
     """The full-schema one-edit enumerator: every column of every table
     is offered at each column-reference position."""
     lines = query.render().rstrip("\n").split("\n")

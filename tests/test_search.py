@@ -4,12 +4,14 @@ import importlib.util
 import itertools
 import math
 import sqlite3
+import sys
 from contextlib import closing
 from pathlib import Path
 
 import pytest
 
 from sqlsynth import checker, repair, search
+from sqlsynth.bench import run_benchmark
 from sqlsynth.checker import make_checker
 from sqlsynth.lm import (
     EOS_TOKEN_ID,
@@ -17,11 +19,12 @@ from sqlsynth.lm import (
     DistractorSpec,
     GenerationSession,
     ScriptedModel,
+    ScriptedRouter,
     TokenCandidate,
     lexeme_tokens,
 )
 from sqlsynth.nsql import grammar
-from sqlsynth.nsql.grammar import ClauseMemo, parse_clause_body, parse_complete
+from sqlsynth.nsql.grammar import parse_clause_body, parse_complete
 from sqlsynth.repair import (
     ExecutionResult,
     RepairOutcome,
@@ -571,7 +574,7 @@ def test_benchmark_entry_points_still_resolve():
         assert callable(found), (module, attribute, span)
 
 
-# -- the clause memo shared by checks, end-of-sequence parses and repair ----
+# -- the clause cache shared by checks, end-of-sequence parses and repair ---
 
 _NOISE = DistractorSpec(surface="frobnicate ", mass=0.2)
 
@@ -590,7 +593,7 @@ def _near_miss(task, schema, conn) -> str | None:
     return None
 
 
-def _parse_afresh(memo, kind, body):
+def _parse_afresh(kind, body):
     return parse_clause_body(kind, body)
 
 
@@ -600,16 +603,14 @@ def _outcome(result) -> tuple:
     return result.status, result.query_text, result.repaired, stats
 
 
-def test_each_clause_is_parsed_once_per_search(
-    monkeypatch, normalized_tasks, schemas, fixture_paths, connect
-):
-    """A clause body met by a search check, an end-of-sequence parse and
-    a repair variant is parsed once between them."""
-    parsed: list[tuple[object, tuple[str, ...]]] = []
+@pytest.fixture()
+def parsed(monkeypatch) -> list[tuple[object, tuple[str, ...]]]:
+    """Every ``(kind, body)`` a clause grammar runs on, in order."""
+    seen: list[tuple[object, tuple[str, ...]]] = []
 
     def counting(kind, original):
         def parse(body, *args, **kwargs):
-            parsed.append((kind, tuple(body)))
+            seen.append((kind, tuple(body)))
             return original(body, *args, **kwargs)
 
         return parse
@@ -620,16 +621,34 @@ def test_each_clause_is_parsed_once_per_search(
     for module in (checker, search, repair):
         imported = {name for name in vars(module) if name.endswith("_body")}
         assert imported <= {"parse_clause_body"}, module
+    return seen
+
+
+def _near_miss_searches(normalized_tasks, schemas, fixture_paths, connect):
+    """``(task, schema, db, model)`` for every task with a near miss,
+    whose model puts the near miss at 0.7 among noise."""
     conns = {db_id: connect(db_id) for db_id in schemas}
-    repaired = total = 0
     for task in normalized_tasks:
         schema = schemas[task.db_id]
         near = _near_miss(task, schema, conns[task.db_id])
-        if near is None:
-            continue
+        if near is not None:
+            model = ScriptedModel.from_queries([(near, 0.7)], _NOISE)
+            db = open_database(fixture_paths.db_root, task.db_id)
+            yield task, schema, db, model
+
+
+def test_each_clause_is_parsed_once_per_search(
+    parsed, normalized_tasks, schemas, fixture_paths, connect
+):
+    """From an empty clause cache, a clause body met by a search check,
+    an end-of-sequence parse and a repair variant is parsed once between
+    them."""
+    repaired = total = 0
+    for task, schema, db, model in _near_miss_searches(
+        normalized_tasks, schemas, fixture_paths, connect
+    ):
+        grammar._parsed_clause.cache_clear()
         parsed.clear()
-        model = ScriptedModel.from_queries([(near, 0.7)], _NOISE)
-        db = open_database(fixture_paths.db_root, task.db_id)
         result = run_search(
             task, schema, db, model, config=SearchConfig(k=8, time_limit=20.0)
         )
@@ -639,6 +658,71 @@ def test_each_clause_is_parsed_once_per_search(
         total += len(parsed)
     assert repaired >= 40
     assert total > 300
+
+
+def test_a_second_search_of_a_task_parses_no_clause(
+    parsed, normalized_tasks, schemas, fixture_paths, connect
+):
+    """Parses outlive their search: the same search again, repair
+    included, finds every clause body in the cache."""
+    searches = 0
+    for task, schema, db, model in _near_miss_searches(
+        normalized_tasks, schemas, fixture_paths, connect
+    ):
+        config = SearchConfig(k=8, time_limit=20.0)
+        first = run_search(task, schema, db, model, config=config)
+        parsed.clear()
+        second = run_search(task, schema, db, model, config=config)
+        assert parsed == [], task.id
+        assert _outcome(second) == _outcome(first), task.id
+        searches += 1
+    assert searches >= 40
+
+
+def test_parallel_benchmark_from_an_empty_clause_cache_matches_serial(
+    normalized_tasks, schemas, fixture_paths, connect
+):
+    """Four worker threads filling one clause cache at once, switching
+    as often as the interpreter allows, report the same statistics as
+    a serial run."""
+    routes = {}
+    for task, _, _, model in _near_miss_searches(
+        normalized_tasks, schemas, fixture_paths, connect
+    ):
+        routes.setdefault(task.question, (task, model))
+    tasks = [task for task, _ in routes.values()]
+    # Longest question first: a task whose question contains another
+    # task's question still meets its own route first.
+    router = ScriptedRouter(
+        sorted(
+            ((question, model) for question, (_, model) in routes.items()),
+            key=lambda route: -len(route[0]),
+        )
+    )
+    config = SearchConfig(k=8, time_limit=20.0)
+
+    def outcomes(jobs):
+        grammar._parsed_clause.cache_clear()
+        report = run_benchmark(
+            tasks, schemas, fixture_paths.db_root, router, config=config, jobs=jobs
+        )
+        rows = []
+        for row in report.reports:
+            stats = dict(row.stats)
+            del stats["elapsed_seconds"]
+            rows.append((row.task_id, row.status, row.query_text, row.repaired, stats))
+        return rows
+
+    serial = outcomes(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = outcomes(4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
+    assert len(serial) >= 30
+    assert sum(repaired for _, _, _, repaired, _ in serial) >= 20
 
 
 @pytest.mark.parametrize("scripted", ["noisy", "near-miss"])
@@ -666,7 +750,7 @@ def test_run_search_with_the_clause_memo_matches_the_reference(
             )
             got = run_search(task, schema, db, model, config=config)
             with monkeypatch.context() as patch:
-                patch.setattr(ClauseMemo, "parse", _parse_afresh)
+                patch.setattr(grammar, "parse_clause_cached", _parse_afresh)
                 want = run_search(
                     task, schema, db, model, checker=reference, config=config
                 )
