@@ -260,15 +260,16 @@ def run_benchmark(
     return report
 
 
-def ablation_grid() -> list[SearchConfig]:
-    """Every combination of the four feature switches."""
+def ablation_grid(base: SearchConfig | None = None) -> list[SearchConfig]:
+    """Every combination of the four feature switches, over ``base``."""
     configs = []
     for mode in (AttemptMode.MULTIPLE, AttemptMode.SINGLE):
         for pqc in (True, False):
             for repair in (True, False):
                 for examples in (True, False):
                     configs.append(
-                        SearchConfig(
+                        dataclasses.replace(
+                            base or SearchConfig(),
                             attempt_mode=mode,
                             pqc_enabled=pqc,
                             repair_enabled=repair,
@@ -298,16 +299,8 @@ def run_ablation(
     base_config: SearchConfig | None = None,
     jobs: int = 1,
 ) -> list[BenchmarkReport]:
-    base = base_config or SearchConfig()
     runs = []
-    for grid_config in ablation_grid():
-        config = dataclasses.replace(
-            base,
-            attempt_mode=grid_config.attempt_mode,
-            pqc_enabled=grid_config.pqc_enabled,
-            repair_enabled=grid_config.repair_enabled,
-            include_examples=grid_config.include_examples,
-        )
+    for config in ablation_grid(base_config):
         runs.append(
             run_benchmark(
                 tasks,

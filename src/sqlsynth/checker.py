@@ -13,25 +13,22 @@ still being typed.  Inside an IN-subquery a reference may also name the
 subquery's own FROM tables, so its output columns and ``ON`` references
 wait until its table list is final: at its WHERE or its closing ``)``.
 
-``make_checker`` is the one entry point: search, the repair prefilter
-and ``predict_label`` all check text through the function it returns.
-Search checks a child of every expanded prefix, and children share
-their terminated lines, so that function keeps, per distinct head (the
-text up to and including the last newline), every verdict that depends
-only on the terminated clauses; checking a child parses and checks only
-its current line.  A new head is its parent head plus one terminated
-line, and heads with equal verdicts merge, so a text that differs from
-a checked one in one line (a repair variant) rejoins its heads after
-that line.  Clause bodies are parsed through ``nsql.grammar``'s
-process-wide clause cache, which the end-of-sequence parse and repair
-share, and each body's vocabulary verdict is kept as long as the checker.
+Search and ``predict_label`` check text through the function
+``make_checker`` returns.  Search checks a child of every expanded
+prefix, and children share their terminated lines, so that function
+keeps, per distinct head (the text up to and including the last
+newline), every verdict that depends only on the terminated clauses;
+checking a child parses and checks only its current line.  A new head
+is its parent head plus one terminated line.  Clause bodies are parsed
+through ``nsql.grammar``'s process-wide clause cache.  Repair checks
+each finished variant from its clause bodies through ``make_query_check``.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .nsql.errors import ClauseOrderViolation, ParseError
@@ -51,6 +48,7 @@ from .nsql.query import (
     AggExpr,
     ClauseKind,
     ColumnRef,
+    NormalizedQuery,
     SelectItem,
     Star,
 )
@@ -447,10 +445,6 @@ class _Head:
     ``types`` and ``select`` are meaningful only without one.  ``select``
     is the SELECT body while FROM is still open: SELECT's scope, and its
     types against the FROM tables, are decided when FROM terminates.
-
-    Heads compare by these fields, so prefixes that decide the same merge
-    into one head; ``steps`` maps each terminated line seen after a
-    merged head to the head that line leads to.
     """
 
     next_clause: ClauseKind | None = ClauseKind.SELECT
@@ -460,30 +454,6 @@ class _Head:
     scope: CheckVerdict = PASS
     types: CheckVerdict = PASS
     select: tuple[str, ...] | None = None
-    steps: dict[str, "_Head"] = field(default_factory=dict, compare=False, repr=False)
-
-
-_Vocabulary = dict[tuple[ClauseKind, tuple[str, ...]], CheckVerdict]
-
-
-def _terminated_clause(
-    kind: ClauseKind,
-    body: tuple[str, ...],
-    schema: DatabaseSchema,
-    vocabulary: _Vocabulary,
-) -> tuple[CheckVerdict, object]:
-    """The vocabulary-then-grammar verdict on a terminated clause, and its
-    AST when both pass.  ``vocabulary`` keeps the verdict per body."""
-    key = (kind, body)
-    verdict = vocabulary.get(key)
-    if verdict is None:
-        verdict = vocabulary[key] = check_vocabulary(kind, body, None, schema)
-    if not verdict.ok:
-        return verdict, None
-    try:
-        return verdict, parse_clause_cached(kind, body)
-    except ParseError as exc:
-        return CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc)), None
 
 
 def _step(
@@ -491,7 +461,6 @@ def _step(
     line: str,
     schema: DatabaseSchema,
     example: ExampleTuple | None,
-    vocabulary: _Vocabulary,
 ) -> _Head:
     """The head after one more terminated ``line`` (newline included).
 
@@ -512,8 +481,13 @@ def _step(
     following = _FOLLOWING[kind]
     if head.clause_error is not None:
         return _Head(following, clause_error=head.clause_error)
-    verdict, parsed = _terminated_clause(kind, body, schema, vocabulary)
+    verdict = check_vocabulary(kind, body, None, schema)
     if not verdict.ok:
+        return _Head(following, clause_error=verdict)
+    try:
+        parsed = parse_clause_cached(kind, body)
+    except ParseError as exc:
+        verdict = CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc))
         return _Head(following, clause_error=verdict)
     if kind is ClauseKind.SELECT:
         types = PASS
@@ -593,16 +567,12 @@ def make_checker(
 
     The function keeps the head of each text it has seen (the text up to
     and including the last newline), built from the head one line
-    shorter.  A child of an already-checked prefix therefore costs
-    only its current line, and a new head costs one line split, a
-    lookup of the line's vocabulary verdict and a lookup in the clause
-    cache.  Equal heads merge, so a text that differs from a seen one in
-    one line rejoins its heads right after that line (after FROM, for a
-    SELECT line).  Heads and vocabulary verdicts live as long as the
-    function.
+    shorter.  A child of an already-checked prefix therefore costs only
+    its current line, and a new head costs one line split, the line's
+    vocabulary check and a lookup in the clause cache.  A text whose
+    head is unknown, such as a whole query, steps from its longest known
+    head one line at a time.  Heads live as long as the function.
     """
-    vocabulary: _Vocabulary = {}
-    merged: dict[_Head, _Head] = {}
     heads: dict[str, _Head] = {"": _Head()}
 
     def head_of(text: str, cut: int) -> _Head:
@@ -616,12 +586,7 @@ def make_checker(
                 break
             cuts.append(cut)
         for end in reversed(cuts):
-            line = text[cut:end]
-            following = head.steps.get(line)
-            if following is None:
-                following = _step(head, line, schema, example, vocabulary)
-                following = head.steps[line] = merged.setdefault(following, following)
-            head = heads[text[:end]] = following
+            head = heads[text[:end]] = _step(head, text[cut:end], schema, example)
             cut = end
         return head
 
@@ -631,6 +596,39 @@ def make_checker(
         if head.fatal is not None:
             return head.fatal
         return _check_line(head, text[cut:], eos_seen, schema)
+
+    return check
+
+
+def make_query_check(
+    schema: DatabaseSchema, example: ExampleTuple | None
+) -> Callable[[Mapping[ClauseKind, tuple[str, ...]], NormalizedQuery], bool]:
+    """Bind schema and example into a check of a finished query given as
+    its seven clause bodies and their parse.
+
+    The function accepts exactly what ``make_checker(schema, example)``
+    accepts as the query's rendered text at end of sequence.  It keeps
+    each clause's vocabulary and scope verdict per body and FROM tables,
+    so a one-edit variant of a checked query costs its edited clause and
+    the type check.
+    """
+    clauses: dict[tuple[ClauseKind, tuple[str, ...], frozenset[str]], bool] = {}
+
+    def check(
+        bodies: Mapping[ClauseKind, tuple[str, ...]], query: NormalizedQuery
+    ) -> bool:
+        tables = query.from_clause.tables
+        outer = frozenset(table.lower() for table in tables)
+        for kind, body in bodies.items():
+            ok = clauses.get((kind, body, outer))
+            if ok is None:
+                ok = clauses[kind, body, outer] = (
+                    check_vocabulary(kind, body, None, schema).ok
+                    and _scope(kind, body, outer).ok
+                )
+            if not ok:
+                return False
+        return example is None or check_types(query.select, schema, example, tables).ok
 
     return check
 

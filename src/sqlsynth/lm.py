@@ -4,8 +4,8 @@ The search engine only ever sees ``TokenCandidate`` lists, so anything
 that can produce them can drive generation.  Two adapters live here: a
 deterministic scripted model used by tests and demos, and an HTTP client
 for completion servers.  Tokenization is adapter-owned; the scripted
-model tokenizes at lexeme granularity, which exercises exactly the same
-control flow as sub-word tokens.
+model's lexeme tokens, unlike sub-word tokens, never end a prefix inside
+a lexeme, so they never reach the checker's fragment path.
 
 The HTTP client is built on ``http.client`` alone.  It keeps idle
 keep-alive connections in a pool, so a serial search uses one TCP

@@ -8,6 +8,8 @@ aggregation function, a connective, a comparison operator, or a column
 reference.  A column reference is only swapped for a column of a table
 the query names (in its FROM or an IN-subquery's FROM); any other table
 fails the scope check and SQLite alike.  Constants are never touched.
+The static checks judge each variant from its clause bodies, and only
+a variant that executes is rendered.
 
 One scan answers every SELECT-column swap of an eligible query: a query
 that selects plain columns, with no DISTINCT, grouping, ordering or
@@ -26,15 +28,16 @@ import sqlite3
 import time
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .checker import Label
+from .checker import Label, make_query_check
 from .nsql.errors import ParseError
 from .nsql.grammar import parse_clause_bodies
 from .nsql.lexemes import AGGREGATIONS, COMPARISONS, CONNECTIVES, is_column_ref
 from .nsql.partial import parse_partial
 from .nsql.query import (
     BoolOp,
+    ClauseKind,
     ColumnRef,
     Condition,
     NormalizedQuery,
@@ -209,8 +212,11 @@ def _alternatives(lexeme: str, column_refs: tuple[str, ...]) -> tuple[str, ...]:
 
 def hamming_one_queries(
     query: NormalizedQuery, schema: DatabaseSchema
-) -> Iterator[NormalizedQuery]:
-    """Yield every parseable query one lexeme-substitution away.
+) -> Iterator[tuple[NormalizedQuery, ClauseKind, dict[ClauseKind, tuple[str, ...]]]]:
+    """Yield every parseable query one lexeme-substitution away, as
+    ``(variant, kind, bodies)``: ``kind`` is the edited clause and
+    ``bodies`` maps each clause to the body lexemes ``variant`` parses
+    from.
 
     Positions are visited left to right through the rendered text;
     alternatives keep their declaration order.  Column references are
@@ -233,11 +239,12 @@ def hamming_one_queries(
         for position, lexeme in enumerate(body):
             for replacement in _alternatives(lexeme, column_refs):
                 patched = (*body[:position], replacement, *body[position + 1 :])
+                bodies = {**clauses, kind: patched}
                 try:
-                    variant = parse_clause_bodies({**clauses, kind: patched})
+                    variant = parse_clause_bodies(bodies)
                 except ParseError:
                     continue
-                yield variant
+                yield variant, kind, bodies
 
 
 # -- Test and repair --------------------------------------------------------
@@ -280,19 +287,14 @@ def _select_swap(
     variant: NormalizedQuery,
     columns: Mapping[ColumnRef, int],
 ) -> tuple[int, int] | None:
-    """The SELECT position ``variant`` edits and the widened-row index of
-    the column it puts there, when that is its only difference from
-    ``original`` and ``columns`` holds that column."""
-    if len(variant.select) != len(original.select):
-        return None
-    if dataclasses.replace(variant, select=original.select) != original:
-        return None
-    pairs = zip(original.select, variant.select)
-    edited = [position for position, (old, new) in enumerate(pairs) if old != new]
-    if len(edited) != 1:
-        return None
-    index = columns.get(variant.select[edited[0]].expr)
-    return None if index is None else (edited[0], index)
+    """The SELECT position that ``variant``, a one-edit SELECT variant of
+    ``original``, edits and the widened-row index of the column it puts
+    there, when ``columns`` holds that column."""
+    for position, (old, new) in enumerate(zip(original.select, variant.select)):
+        if old != new:
+            index = columns.get(new.expr)
+            return None if index is None else (position, index)
+    return None
 
 
 @dataclass(frozen=True)
@@ -311,15 +313,15 @@ def test_and_repair(
     examples: Iterable[ExampleTuple],
     *,
     attempt_repair: bool = True,
-    prefilter: Callable[[str, bool], object] | None = None,
+    prefilter: bool = False,
     per_variant_timeout: float = 1.0,
     deadline: float | None = None,
 ) -> RepairOutcome:
     """Execute the candidate; on a miss, walk its one-edit neighbours.
 
-    ``prefilter`` takes rendered text plus an end-of-sequence flag and
-    returns a verdict with an ``ok`` attribute; variants it rejects are
-    skipped without touching the database.  ``deadline`` is an absolute
+    With ``prefilter``, a variant that ``make_query_check`` rejects,
+    against the schema and the first example, is skipped without
+    touching the database.  ``deadline`` is an absolute
     ``time.monotonic`` value past which no further variant runs.
 
     For an eligible query (see the module docstring) whose original
@@ -347,22 +349,25 @@ def test_and_repair(
     if not attempt_repair:
         return RepairOutcome(query, original, False, False, 0)
 
+    check = None
+    if prefilter:
+        check = make_query_check(schema, example_list[0] if example_list else None)
     widened = _widened(query, schema) if original.ok else None
     wide_rows: tuple[tuple, ...] | None = None
     width = len(query.select)
     tried = 0
-    for variant in hamming_one_queries(query, schema):
+    for variant, kind, bodies in hamming_one_queries(query, schema):
         if deadline is not None and time.monotonic() >= deadline:
             break
-        if prefilter is not None:
-            verdict = prefilter(variant.render(), True)
-            if not getattr(verdict, "ok", True):
-                continue
+        if check is not None and not check(bodies, variant):
+            continue
         remaining = budget()
         if remaining <= 0:
             break
         tried += 1
-        swap = _select_swap(query, variant, widened[1]) if widened else None
+        swap = None
+        if widened is not None and kind is ClauseKind.SELECT:
+            swap = _select_swap(query, variant, widened[1])
         if swap is not None and wide_rows is None:
             started = time.monotonic()
             wide = run(widened[0], remaining)

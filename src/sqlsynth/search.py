@@ -234,12 +234,12 @@ def run_search(
 
     ``checker`` and ``tester`` default to the schema-bound static checks
     and the execute-then-repair tester over ``db``; tests may inject
-    either.  ``db`` may be omitted only when ``tester`` is given.  A
-    ``TaskDatabase`` lends this thread's connection and a raw connection
-    is used as given; neither is closed here.  The default checker, the
-    parse of each end-of-sequence text and the repair variants parse
-    clause bodies through one process-wide cache, so a body any earlier
-    search met is not parsed again.
+    either.  ``checker`` vets prefixes only: the default tester checks
+    repair variants from their clause bodies.  ``db`` may be omitted only
+    when ``tester`` is given.  A ``TaskDatabase`` lends this thread's
+    connection and a raw connection is used as given; neither is closed
+    here.  Checks, end-of-sequence parses and repair variants parse
+    clause bodies through one process-wide cache.
     """
     config = config or SearchConfig()
     stats = SearchStats()
@@ -267,7 +267,7 @@ def run_search(
                 schema,
                 examples,
                 attempt_repair=config.repair_enabled,
-                prefilter=prune,
+                prefilter=config.pqc_enabled,
                 per_variant_timeout=config.per_variant_timeout,
                 deadline=until,
             )

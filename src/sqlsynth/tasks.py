@@ -145,6 +145,9 @@ class ExampleTuple:
     def __post_init__(self) -> None:
         if not self.entries:
             raise DatasetError("example tuples must have arity >= 1")
+        for value, _ in self.entries:  # what SQLite returns; a BLOB is bytes
+            if not isinstance(value, (type(None), int, float, str, bytes)):
+                raise DatasetError(f"example value {value!r} is not a scalar")
 
     @classmethod
     def from_values(cls, values: Sequence[object]) -> ExampleTuple:

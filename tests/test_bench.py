@@ -706,6 +706,33 @@ def test_cli_generate_rejects_malformed_example(tmp_path, capsys, fixture_paths,
     assert capsys.readouterr().err.startswith("error: example is not valid JSON")
 
 
+def test_cli_generate_rejects_a_nested_example_value(
+    tmp_path, capsys, fixture_paths, canon
+):
+    spec = _single_model_spec(tmp_path, canon["count"])
+    code = cli.main(
+        [
+            "generate",
+            "--tables",
+            str(fixture_paths.tables),
+            "--db-root",
+            str(fixture_paths.db_root),
+            "--db-id",
+            "concerts",
+            "--question",
+            "how many singers",
+            "--example",
+            "[[1, 2]]",
+            "--model",
+            f"scripted:{spec}",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: example value [1, 2]")
+    assert "Traceback" not in err
+
+
 def test_cli_bench_writes_report(tmp_path, capsys, fixture_paths, canon):
     dataset = _dataset_file(tmp_path, [COUNT_RECORD, FRANCE_RECORD])
     output = tmp_path / "report.json"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +16,7 @@ from sqlsynth.checker import (
     check_types,
     check_vocabulary,
     make_checker,
+    make_query_check,
     predict_label,
 )
 from sqlsynth.lm import lexeme_tokens
@@ -23,11 +25,17 @@ from sqlsynth.nsql.grammar import parse_clause_body, parse_complete, parse_selec
 from sqlsynth.nsql.partial import parse_line, parse_partial
 from sqlsynth.nsql.query import ClauseKind, denormalize_text
 from sqlsynth.repair import ExecutionStatus, execute_text, hamming_one_queries
-from sqlsynth.tasks import ExampleTuple
+from sqlsynth.tasks import (
+    EmptyResult,
+    ExampleTuple,
+    ExecutionError,
+    derive_example,
+    open_database,
+)
 from tests.fixtures.build import DATABASES
 from tests.fixtures.randqueries import distinct_queries, random_query
 from tests.test_acceptance import _MUTATION_FAMILIES
-from tests.test_repair import _reference_neighbours
+from tests.test_repair import _reference_neighbours, _reference_variants
 
 
 @pytest.fixture(scope="module")
@@ -460,7 +468,7 @@ def _differential_texts(normalized_tasks, schemas) -> dict[str, list[str]]:
             for _ in range(2):
                 at, edited = _edited(rng, base)
                 out.extend(edited[:cut] for cut in range(at, len(edited) + 1))
-        for variant in hamming_one_queries(parse_complete(task.gold_query), schema):
+        for variant, _, _ in hamming_one_queries(parse_complete(task.gold_query), schema):
             out.append(variant.render())
         rng.shuffle(out)
         # Repeats come back after other heads have been seen.
@@ -624,6 +632,58 @@ def test_subquery_on_may_name_a_table_joined_later(concerts, connect):
     for cut in range(len(_LATER_JOINED)):
         verdict = check(_LATER_JOINED[:cut], False)
         assert verdict.ok, (_LATER_JOINED[:cut], verdict)
+
+
+# -- the repair check from clause bodies against the text checker ----------
+
+
+def test_query_check_matches_the_text_checker(
+    normalized_tasks, schemas, fixture_paths
+):
+    """``make_query_check`` on a variant's bodies gives what ``make_checker``
+    gives its rendered text at end of sequence, for the gold corpus,
+    seeded random queries and IN-subquery texts, each original with its
+    one-edit variants from the repair enumerator and from the full-schema
+    reference, with an example derived from SQLite and without one."""
+    originals = [(t.db_id, parse_complete(t.gold_query)) for t in normalized_tasks]
+    for index, db_id in enumerate(sorted(schemas)):
+        schema = schemas[db_id]
+        generated = distinct_queries(schema, random.Random(index), 10)
+        originals += [(db_id, query) for query in generated]
+        rng = random.Random(index)
+        originals += [
+            (db_id, parse_complete(_subquery_text(schema, rng))) for _ in range(10)
+        ]
+    compared: Counter[tuple[bool, bool]] = Counter()
+    for db_id, original in originals:
+        schema = schemas[db_id]
+        sql = denormalize_text(original.render())
+        try:
+            derived = derive_example(open_database(fixture_paths.db_root, db_id), sql)
+        except (EmptyResult, ExecutionError):  # no row to take an example from
+            derived = None
+        bodies = parse_partial(original.render()).completed
+        cases = [
+            (original, bodies),
+            *((v, b) for v, _, b in hamming_one_queries(original, schema)),
+            *((v, b) for v, _, b in _reference_variants(original, schema)),
+        ]
+        for example in {derived, None}:
+            query_check = make_query_check(schema, example)
+            text_check = make_checker(schema, example)
+            original_ok = text_check(original.render(), True).ok
+            for variant, variant_bodies in cases:
+                want = text_check(variant.render(), True).ok
+                assert query_check(variant_bodies, variant) == want, variant.render()
+                compared[original_ok, want] += 1
+    # Keyed by (original accepted, variant accepted): variants of
+    # originals that fail a check are among them.
+    assert compared == {
+        (True, True): 5066,
+        (True, False): 2278,
+        (False, True): 96,
+        (False, False): 4198,
+    }
 
 
 # -- labels -----------------------------------------------------------------

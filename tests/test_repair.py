@@ -20,6 +20,7 @@ from sqlsynth.nsql.lexemes import (
     split_line,
 )
 from sqlsynth.nsql.normalize import normalize
+from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import denormalize_text
 from sqlsynth.repair import (
     ExecutionResult,
@@ -146,7 +147,9 @@ def test_hamming_variants_cover_the_four_classes(schemas):
         "WHERE singer.age > 30 AND singer.age < 50\n"
         "GROUP BY\nHAVING\nORDER BY\nLIMIT\n"
     )
-    variants = [q.render() for q in hamming_one_queries(parse_complete(text), schemas["concerts"])]
+    variants = [
+        q.render() for q, _, _ in hamming_one_queries(parse_complete(text), schemas["concerts"])
+    ]
     assert text.replace("MIN", "MAX") in variants
     assert text.replace("AND", "OR") in variants
     assert text.replace("> 30", ">= 30") in variants
@@ -158,7 +161,7 @@ def test_hamming_variants_cover_the_four_classes(schemas):
 
 def test_hamming_variants_visit_positions_left_to_right(schemas):
     query = parse_complete(GOLD)
-    variants = list(hamming_one_queries(query, schemas["concerts"]))
+    variants = [q for q, _, _ in hamming_one_queries(query, schemas["concerts"])]
     # First edits rewrite the SELECT column, in schema declaration order.
     assert variants[0].select[0].expr.render() == "singer.singer_id"
     assert variants[1].select[0].expr.render() == "singer.age"
@@ -171,7 +174,7 @@ def test_hamming_skips_unparseable_substitutions(schemas):
         "singer.singer_id = singer_in_concert.singer_id\n"
         "WHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
     )
-    variants = list(hamming_one_queries(parse_complete(text), schemas["concerts"]))
+    variants = [q for q, _, _ in hamming_one_queries(parse_complete(text), schemas["concerts"])]
     # The join's '=' has comparison alternatives, but none of them parse,
     # so every variant is still a well-formed join query.
     assert all(v.from_clause.joins for v in variants)
@@ -182,7 +185,7 @@ def test_hamming_counts_column_alternatives(schemas):
     simple = parse_complete(
         "SELECT singer.name\nFROM singer\nWHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
     )
-    variants = list(hamming_one_queries(simple, schema))
+    variants = [q for q, _, _ in hamming_one_queries(simple, schema)]
     assert len(variants) == len(schema.table("singer").columns) - 1
 
 
@@ -218,7 +221,7 @@ def _swapped_refs(query, variants) -> set[str]:
 def test_hamming_offers_columns_of_the_named_tables_only(schemas, db_id, sql, named):
     schema = schemas[db_id]
     query = normalize(sql, schema)
-    swapped = _swapped_refs(query, hamming_one_queries(query, schema))
+    swapped = _swapped_refs(query, (q for q, _, _ in hamming_one_queries(query, schema)))
     expected = {
         f"{table.name}.{column.name}"
         for table in schema.tables
@@ -272,6 +275,16 @@ def _reference_neighbours(query, schema):
                     continue
 
 
+def _reference_variants(query, schema):
+    """``_reference_neighbours`` as ``hamming_one_queries`` yields them:
+    each variant with its edited clause and its clause bodies."""
+    original = parse_partial(query.render()).completed
+    for variant in _reference_neighbours(query, schema):
+        bodies = parse_partial(variant.render()).completed
+        (kind,) = [kind for kind, body in bodies.items() if body != original[kind]]
+        yield variant, kind, bodies
+
+
 def test_bounded_neighbourhood_drops_only_failing_variants(
     normalized_tasks, schemas, connect
 ):
@@ -281,7 +294,7 @@ def test_bounded_neighbourhood_drops_only_failing_variants(
         schema = schemas[task.db_id]
         check = make_checker(schema, None)
         gold = parse_complete(task.gold_query)
-        bounded = [q.render() for q in hamming_one_queries(gold, schema)]
+        bounded = [q.render() for q, _, _ in hamming_one_queries(gold, schema)]
         reference = [q.render() for q in _reference_neighbours(gold, schema)]
         kept = 0
         for text in reference:
@@ -310,12 +323,11 @@ def test_bounded_repair_matches_reference_repair(
         schema = schemas[task.db_id]
         conn = conns[task.db_id]
         examples = task.sorted_examples()
-        prefilters = (make_checker(schema, examples[0]), None)
         gold = parse_complete(task.gold_query)
         for corrupted in _reference_neighbours(gold, schema):
-            for prefilter in prefilters:
+            for prefilter in (True, False):
                 outcomes = []
-                for enumerate_variants in (hamming_one_queries, _reference_neighbours):
+                for enumerate_variants in (hamming_one_queries, _reference_variants):
                     monkeypatch.setattr(
                         repair, "hamming_one_queries", enumerate_variants
                     )
@@ -343,7 +355,7 @@ def _reference_repair(
     if satisfies_examples(original, example_list):
         return RepairOutcome(query, original, True, False, 0)
     tried = 0
-    for variant in repair.hamming_one_queries(query, schema):
+    for variant, _, _ in repair.hamming_one_queries(query, schema):
         if prefilter is not None and not prefilter(variant.render(), True).ok:
             continue
         tried += 1
@@ -389,17 +401,18 @@ def test_widened_scan_matches_the_per_variant_reference(
         schema = schemas[task.db_id]
         conn = conns[task.db_id]
         examples = task.sorted_examples()
-        prefilters = (make_checker(schema, examples[0]), None)
+        text_check = make_checker(schema, examples[0])
         gold = parse_complete(task.gold_query)
         for corrupted in _reference_neighbours(gold, schema):
-            for prefilter in prefilters:
+            for prefilter in (True, False):
                 observed = []
-                for name, run in (
-                    ("scan", run_with_repair),
-                    ("reference", _reference_repair),
+                # The scan checks variants from their bodies, the reference as text.
+                for name, run, check in (
+                    ("scan", run_with_repair, prefilter),
+                    ("reference", _reference_repair, text_check if prefilter else None),
                 ):
                     statements.clear()
-                    outcome = run(corrupted, conn, schema, examples, prefilter=prefilter)
+                    outcome = run(corrupted, conn, schema, examples, prefilter=check)
                     executed[name] += len(statements)
                     observed.append(_observed(outcome))
                 assert observed[0] == observed[1], (task.id, corrupted.render())
@@ -490,14 +503,9 @@ def test_scan_answers_only_a_lone_select_column_swap(schemas):
     assert len(statement.select) == 1 + len(columns)
     age = GOLD.replace("SELECT singer.name", "SELECT singer.age")
     assert repair._select_swap(query, parse_complete(age), columns) == (0, 3)
-    # A second edit outside SELECT, or a column the widened rows lack,
-    # needs a statement of its own.
-    for sql in (
-        age.replace("> 30", ">= 30"),
-        GOLD.replace("> 30", ">= 30"),
-        GOLD.replace("singer.name", "concert.venue", 1),
-    ):
-        assert repair._select_swap(query, parse_complete(sql), columns) is None
+    # A column the widened rows lack needs a statement of its own.
+    venue = GOLD.replace("singer.name", "concert.venue", 1)
+    assert repair._select_swap(query, parse_complete(venue), columns) is None
 
 
 def test_failed_original_is_not_widened(monkeypatch, connect, schemas):
@@ -560,7 +568,7 @@ def test_widened_timeout_spends_only_its_swaps_budget(monkeypatch, connect, sche
     schema = schemas["concerts"]
     query = parse_complete(GOLD)
     examples = [ExampleTuple.from_values((40,))]
-    variants = list(hamming_one_queries(query, schema))
+    variants = [q for q, _, _ in hamming_one_queries(query, schema)]
     statements = _widened_fails(monkeypatch, query, _times_out)
     outcome = run_with_repair(
         query, conn, schema, examples, per_variant_timeout=0.05
@@ -641,16 +649,13 @@ def test_repair_disabled_reports_the_miss(connect, schemas):
 
 def test_repair_prefilter_skips_rejected_variants(connect, schemas):
     conn = connect("concerts")
-
-    class _Reject:
-        ok = False
-
+    # Every variant selects one column, so an example of arity 2 rejects all.
     outcome = run_with_repair(
         parse_complete(GOLD),
         conn,
         schemas["concerts"],
-        [ExampleTuple.from_values(("Ali",))],
-        prefilter=lambda text, eos: _Reject(),
+        [ExampleTuple.from_values(("Ali", 30))],
+        prefilter=True,
     )
     assert not outcome.satisfied
     assert outcome.variants_tried == 0

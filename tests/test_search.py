@@ -584,7 +584,7 @@ def _near_miss(task, schema, conn) -> str | None:
     checks but misses the examples, so that repair must recover it."""
     examples = task.sorted_examples()
     check = make_checker(schema, examples[0])
-    for variant in hamming_one_queries(parse_complete(task.gold_query), schema):
+    for variant, _, _ in hamming_one_queries(parse_complete(task.gold_query), schema):
         text = variant.render()
         if check(text, True).ok and not satisfies_examples(
             execute_query(conn, variant), examples
@@ -723,6 +723,46 @@ def test_parallel_benchmark_from_an_empty_clause_cache_matches_serial(
     assert parallel == serial
     assert len(serial) >= 30
     assert sum(repaired for _, _, _, repaired, _ in serial) >= 20
+
+
+def test_repair_checks_variants_without_the_text_checker(
+    monkeypatch, normalized_tasks, schemas, fixture_paths, connect
+):
+    """With pruning and repair on, a near-miss search checks its repair
+    variants from their clause bodies: the text checker ``run_search``
+    builds is not called while ``test_and_repair`` runs."""
+    calls = {"search": 0, "repair": 0}
+    repairing = False
+
+    def counting_make_checker(*args):
+        check = make_checker(*args)
+
+        def counting(text, eos):
+            calls["repair" if repairing else "search"] += 1
+            return check(text, eos)
+
+        return counting
+
+    def flagged_test_and_repair(*args, **kwargs):
+        nonlocal repairing
+        repairing = True
+        try:
+            return repair.test_and_repair(*args, **kwargs)
+        finally:
+            repairing = False
+
+    monkeypatch.setattr(search, "make_checker", counting_make_checker)
+    monkeypatch.setattr(search, "test_and_repair", flagged_test_and_repair)
+    tried = 0
+    for task, schema, db, model in _near_miss_searches(
+        normalized_tasks, schemas, fixture_paths, connect
+    ):
+        config = SearchConfig(k=8, time_limit=20.0)
+        result = run_search(task, schema, db, model, config=config)
+        assert result.status is SearchStatus.SOLVED, task.id
+        tried += result.stats.repair_variants_tried
+    assert calls["search"] > 0 and tried > 0
+    assert calls["repair"] == 0
 
 
 @pytest.mark.parametrize("scripted", ["noisy", "near-miss"])

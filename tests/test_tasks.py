@@ -115,6 +115,15 @@ def test_load_tasks_unknown_db_id(tmp_path, raw_schemas):
         load_tasks(path, raw_schemas)
 
 
+@pytest.mark.parametrize("value", [[1, 2], {"a": 1}])
+def test_load_tasks_rejects_a_nested_example_value(tmp_path, raw_schemas, value):
+    path = tmp_path / "tasks.json"
+    record = {"db_id": "shop", "question": "?", "examples": [[value]]}
+    path.write_text(json.dumps([record]))
+    with pytest.raises(DatasetError, match="example value"):
+        load_tasks(path, raw_schemas)
+
+
 def test_load_tasks_accepts_both_gold_field_names(tmp_path, raw_schemas):
     records = [
         {"db_id": "shop", "question": "a", "query": "select 1"},
@@ -153,6 +162,11 @@ def test_example_tuple_from_values():
 def test_example_tuple_must_not_be_empty():
     with pytest.raises(DatasetError):
         ExampleTuple(())
+
+
+def test_example_tuple_keeps_every_value_sqlite_returns():
+    values = (None, True, 3, 2.5, "x", b"\x00")
+    assert ExampleTuple.from_values(values).values == values
 
 
 def test_task_rejects_examples_with_mixed_arity():
