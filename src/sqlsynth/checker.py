@@ -42,7 +42,7 @@ from .nsql.lexemes import (
     is_number,
     is_string_const,
 )
-from .nsql.partial import parse_line, parse_partial
+from .nsql.partial import parse_partial
 from .nsql.query import (
     CLAUSE_ORDER,
     AggExpr,
@@ -469,15 +469,13 @@ def _step(
     the output types."""
     if head.fatal is not None:
         return head
+    kind = head.next_clause
     try:
-        partial = parse_partial(line, first=head.next_clause)
+        _, body, _, error = parse_partial(kind, line[:-1], terminated=True)
     except ClauseOrderViolation as exc:
         return _Head(fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc)))
-    if partial.syntax_error is not None:
-        return _Head(
-            fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, partial.syntax_error)
-        )
-    ((kind, body),) = partial.completed.items()
+    if error is not None:
+        return _Head(fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, error))
     following = _FOLLOWING[kind]
     if head.clause_error is not None:
         return _Head(following, clause_error=head.clause_error)
@@ -526,7 +524,7 @@ def _check_line(
     """
     current = head.next_clause
     try:
-        keyword_remaining, body, fragment, syntax_error = parse_line(current, line)
+        keyword_remaining, body, fragment, syntax_error = parse_partial(current, line)
     except ClauseOrderViolation as exc:
         return CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc))
     if syntax_error is not None:

@@ -33,6 +33,7 @@ from .partial import parse_partial
 from .query import (
     AggExpr,
     BoolOp,
+    CLAUSE_ORDER,
     ClauseKind,
     ColumnRef,
     Condition,
@@ -529,16 +530,29 @@ def parse_clause_bodies(
     )
 
 
+# The clause each line of a text belongs to, by position; None after LIMIT.
+_LINE_CLAUSES = (*CLAUSE_ORDER, None)
+
+
 def parse_complete(text: str) -> NormalizedQuery:
     """Parse fully rendered canonical text back into a query structure.
 
-    Raises :class:`StructureError` (:class:`ClauseOrderViolation` among
-    them) when the text is not seven terminated clause lines, and
+    Splits the lines in clause order with ``parse_partial``.  Raises
+    :class:`StructureError` (:class:`ClauseOrderViolation` among them)
+    when the text is not seven terminated clause lines, and
     :class:`ParseError` when a clause body does not parse.
     """
-    partial = parse_partial(text)
-    if partial.syntax_error is not None:
-        raise StructureError(partial.syntax_error)
-    if partial.current_clause is not None:
+    *lines, current = text.split("\n")
+    bodies: dict[ClauseKind, tuple[str, ...]] = {}
+    for kind, line in zip(_LINE_CLAUSES, lines):
+        _, body, _, error = parse_partial(kind, line, terminated=True)
+        if error is not None:
+            raise StructureError(error)
+        bodies[kind] = body
+    kind = _LINE_CLAUSES[len(bodies)]
+    error = parse_partial(kind, current)[3]
+    if error is not None:
+        raise StructureError(error)
+    if kind is not None:
         raise StructureError("query text is incomplete")
-    return parse_clause_bodies(partial.completed)
+    return parse_clause_bodies(bodies)

@@ -37,6 +37,7 @@ from .query import (
     AggExpr,
     BoolOp,
     CLAUSE_ORDER,
+    CLAUSE_STARTS,
     ClauseKind,
     ColumnRef,
     Condition,
@@ -49,8 +50,6 @@ from .query import (
     SelectItem,
     Star,
 )
-
-_SECTION_STARTS = {kind.keyword_lexemes[0]: kind for kind in CLAUSE_ORDER}
 
 
 def _split_sections(lexemes: Sequence[str]) -> dict[ClauseKind, list[str]]:
@@ -69,7 +68,7 @@ def _split_sections(lexemes: Sequence[str]) -> dict[ClauseKind, list[str]]:
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced parentheses")
-        kind = _SECTION_STARTS.get(lexeme) if depth == 0 else None
+        kind = CLAUSE_STARTS.get(lexeme) if depth == 0 else None
         if kind is not None:
             keyword = kind.keyword_lexemes
             if len(keyword) == 2:

@@ -1,37 +1,22 @@
-"""Structural view of possibly unfinished canonical query text.
+"""Structural view of one line of possibly unfinished canonical text.
 
 Generation builds a query left to right, so at any point the text is a
-run of terminated clause lines followed by one line still being typed.
-``parse_partial`` recovers that structure without judging clause bodies,
-and ``parse_line`` splits one line.  Body validation belongs to the
-clause grammars and to the checker, whose one entry point is
-``checker.make_checker``.
+run of terminated clause lines followed by one line still being typed,
+and the line at position ``i`` belongs to ``CLAUSE_ORDER[i]``.
+``parse_partial`` splits one such line into the keyword lexemes still
+owed and the body lexemes, without judging the body; the checker and
+``grammar.parse_complete`` read every clause line through it.  Body
+validation belongs to the clause grammars and to the checker, whose
+one entry point is ``checker.make_checker``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ClauseOrderViolation
 from .lexemes import split_line
-from .query import CLAUSE_ORDER, ClauseKind
+from .query import CLAUSE_ORDER, CLAUSE_STARTS, ClauseKind
 
 _KEYWORDS = {kind: kind.keyword_lexemes for kind in CLAUSE_ORDER}
-_CLAUSE_STARTS = {keyword[0]: kind for kind, keyword in _KEYWORDS.items()}
-
-
-@dataclass(frozen=True)
-class PartialParse:
-    """Clause-line structure of a text prefix.
-
-    ``completed`` maps each terminated clause to its body lexemes with
-    the clause keyword stripped; ``current_clause`` is the clause the
-    line still being typed must belong to (None after LIMIT).
-    """
-
-    completed: dict[ClauseKind, tuple[str, ...]] = field(default_factory=dict)
-    current_clause: ClauseKind | None = None
-    syntax_error: str | None = None
 
 
 # One clause line: (keyword lexemes still owed, body lexemes after the
@@ -41,16 +26,16 @@ class PartialParse:
 LineParse = tuple[tuple[str, ...], tuple[str, ...], str | None, str | None]
 
 
-def parse_line(
+def parse_partial(
     kind: ClauseKind | None, line: str, *, terminated: bool = False
 ) -> LineParse:
     """Split one line that must belong to clause ``kind``.
 
     ``kind`` is None once the LIMIT line has terminated, when any
-    further text is an error.  A ``terminated`` line must be canonically
-    spaced and carry its whole keyword.  Raises
-    :class:`ClauseOrderViolation` when the line starts with the keyword
-    of another clause.
+    further text is an error.  A ``terminated`` line (given without its
+    newline) must be canonically spaced and carry its whole keyword.
+    Raises :class:`ClauseOrderViolation` when the line starts with the
+    keyword of another clause.
     """
     if kind is None:
         if line or terminated:
@@ -63,7 +48,7 @@ def parse_line(
     matched = 0
     for lexeme in lexemes[: len(keyword)]:
         if lexeme != keyword[matched]:
-            other = _CLAUSE_STARTS.get(lexeme) if matched == 0 else None
+            other = CLAUSE_STARTS.get(lexeme) if matched == 0 else None
             if other is not None and other is not kind:
                 raise ClauseOrderViolation(
                     f"{other.value} line where {kind.value} was expected"
@@ -79,37 +64,3 @@ def parse_line(
     if terminated and matched < len(keyword):
         error = f"{kind.value} line does not start with its keyword"
     return keyword[matched:], tuple(lexemes[matched:]), fragment, error
-
-
-def _clause_after(terminated: int) -> ClauseKind | None:
-    """The clause due after ``terminated`` clause lines; None after LIMIT."""
-    return CLAUSE_ORDER[terminated] if terminated < len(CLAUSE_ORDER) else None
-
-
-_POSITION = {kind: index for index, kind in enumerate(CLAUSE_ORDER)}
-
-
-def parse_partial(
-    text: str, *, first: ClauseKind | None = ClauseKind.SELECT
-) -> PartialParse:
-    """Split generated text into terminated clauses and the current line.
-
-    ``first`` is the clause the first line of ``text`` belongs to (None
-    after LIMIT); the checker splits the one new line of a head this way.
-    Raises :class:`ClauseOrderViolation` when a line starts with a known
-    clause keyword other than the one due at that position.  Other
-    structural damage is reported through ``syntax_error`` so the caller
-    can map it to a rejection instead of an exception.
-    """
-    start = _POSITION[first] if first is not None else len(CLAUSE_ORDER)
-    *terminated, current = text.split("\n")
-    completed: dict[ClauseKind, tuple[str, ...]] = {}
-    for index, line in enumerate(terminated, start):
-        kind = _clause_after(index)
-        _, body, _, error = parse_line(kind, line, terminated=True)
-        if error is not None:
-            return PartialParse(completed=completed, syntax_error=error)
-        completed[kind] = body
-    kind = _clause_after(start + len(completed))
-    error = parse_line(kind, current)[3]
-    return PartialParse(completed=completed, current_clause=kind, syntax_error=error)

@@ -42,6 +42,11 @@ CLAUSE_ORDER: tuple[ClauseKind, ...] = (
     ClauseKind.LIMIT,
 )
 
+# The clause each clause keyword's first lexeme starts.
+CLAUSE_STARTS: dict[str, ClauseKind] = {
+    kind.keyword_lexemes[0]: kind for kind in CLAUSE_ORDER
+}
+
 
 @dataclass(frozen=True)
 class ColumnRef:
@@ -219,26 +224,17 @@ class NormalizedQuery:
         return " ".join(parts)
 
 
+_KEYWORD_LINES = frozenset(kind.value for kind in CLAUSE_ORDER)
+
+
 def denormalize_text(rendered: str) -> str:
     """Collapse canonical text to one executable line, dropping the
     bare keyword lines that stand for empty clauses.  Lines end at
-    ``"\n"`` only: a string constant may hold any other line break."""
-    keep = []
-    for line in rendered.split("\n"):
-        kind = _line_kind(line)
-        if kind is not None and line == kind.value:
-            continue
-        if line:
-            keep.append(line)
-    return " ".join(keep)
-
-
-def _line_kind(line: str) -> ClauseKind | None:
-    for kind in CLAUSE_ORDER:
-        kw = kind.value
-        if line == kw or line.startswith(kw + " "):
-            return kind
-    return None
+    ``"\n"`` only: a string constant may hold any other line break.
+    A parsed query gives the same line through ``render_compact``."""
+    return " ".join(
+        line for line in rendered.split("\n") if line and line not in _KEYWORD_LINES
+    )
 
 
 # -- Constant-insensitive structural equality -------------------------------

@@ -33,9 +33,15 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .checker import Label, make_query_check
 from .nsql.errors import ParseError
 from .nsql.grammar import parse_clause_bodies
-from .nsql.lexemes import AGGREGATIONS, COMPARISONS, CONNECTIVES, is_column_ref
-from .nsql.partial import parse_partial
+from .nsql.lexemes import (
+    AGGREGATIONS,
+    COMPARISONS,
+    CONNECTIVES,
+    is_column_ref,
+    split_line,
+)
 from .nsql.query import (
+    CLAUSE_ORDER,
     BoolOp,
     ClauseKind,
     ColumnRef,
@@ -133,8 +139,9 @@ def execute_query(
     timeout: float = 1.0,
     row_limit: int = ROW_LIMIT,
 ) -> ExecutionResult:
-    sql = denormalize_text(query.render())
-    return execute_text(conn, sql, timeout=timeout, row_limit=row_limit)
+    return execute_text(
+        conn, query.render_compact(), timeout=timeout, row_limit=row_limit
+    )
 
 
 def canonical_value(value: object) -> object:
@@ -218,14 +225,14 @@ def hamming_one_queries(
     ``bodies`` maps each clause to the body lexemes ``variant`` parses
     from.
 
-    Positions are visited left to right through the rendered text;
-    alternatives keep their declaration order.  Column references are
-    swapped only for columns of the tables the query names, so the
-    neighbourhood grows with the query rather than the schema.
-    Substitutions that do not parse (for instance turning a join
-    condition's ``=`` into ``!=``) are dropped silently.  A variant's
-    clauses are parsed through the clause cache, so the six it shares
-    with the query cost a lookup.
+    Positions are visited left to right through the clause bodies, in
+    clause order; alternatives keep their declaration order.  Column
+    references are swapped only for columns of the tables the query
+    names, so the neighbourhood grows with the query rather than the
+    schema.  Substitutions that do not parse (for instance turning a
+    join condition's ``=`` into ``!=``) are dropped silently.  A
+    variant's clauses are parsed through the clause cache, so the six it
+    shares with the query cost a lookup.
     """
     named = _named_tables(query)
     column_refs = tuple(
@@ -234,7 +241,10 @@ def hamming_one_queries(
         if table.name.lower() in named
         for column in table.columns
     )
-    clauses = parse_partial(query.render()).completed
+    clauses = {
+        kind: tuple(split_line(query.clause_body(kind), terminated=True)[0])
+        for kind in CLAUSE_ORDER
+    }
     for kind, body in clauses.items():
         for position, lexeme in enumerate(body):
             for replacement in _alternatives(lexeme, column_refs):

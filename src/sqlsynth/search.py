@@ -110,20 +110,18 @@ def extend(node: SearchNode, candidate: TokenCandidate) -> SearchNode:
 
 
 class Frontier:
-    """Max-probability heap with ties broken toward deeper prefixes."""
+    """Max-probability heap with ties broken toward deeper prefixes.
+
+    Token sequences must be distinct; the search pushes each at most once.
+    """
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, tuple[str, ...], SearchNode]] = []
-        self._seen: set[tuple[str, ...]] = set()
 
-    def push(self, node: SearchNode) -> bool:
-        if node.tokens in self._seen:
-            return False
-        self._seen.add(node.tokens)
+    def push(self, node: SearchNode) -> None:
         heapq.heappush(
             self._heap, (-node.log_prob, -node.depth, node.tokens, node)
         )
-        return True
 
     def pop_best(self) -> SearchNode | None:
         if not self._heap:
@@ -195,6 +193,9 @@ def _best_first(
         )
         stats.nodes_expanded += 1
         stats.candidates_generated += len(candidates)
+        # Each node is popped once, so a token sequence repeats only when
+        # one reply names a token id twice: its first passing child wins.
+        pushed: set[str] = set()
         for candidate in candidates:
             eos = candidate.is_eos
             if candidate.prob <= 0.0 or not (eos or candidate.surface):
@@ -207,6 +208,9 @@ def _best_first(
                 if not verdict.ok:
                     stats.pruned_by_checker += 1
                     continue
+            if candidate.token_id in pushed:
+                continue
+            pushed.add(candidate.token_id)
             frontier.push(child)
 
 

@@ -22,7 +22,7 @@ from sqlsynth.checker import (
 from sqlsynth.lm import lexeme_tokens
 from sqlsynth.nsql.errors import ClauseOrderViolation, ParseError
 from sqlsynth.nsql.grammar import parse_clause_body, parse_complete, parse_select_body
-from sqlsynth.nsql.partial import parse_line, parse_partial
+from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import ClauseKind, denormalize_text
 from sqlsynth.repair import ExecutionStatus, execute_text, hamming_one_queries
 from sqlsynth.tasks import (
@@ -34,6 +34,7 @@ from sqlsynth.tasks import (
 )
 from tests.fixtures.build import DATABASES
 from tests.fixtures.randqueries import distinct_queries, random_query
+from tests.fixtures.textsplit import split_text
 from tests.test_acceptance import _MUTATION_FAMILIES
 from tests.test_repair import _reference_neighbours, _reference_variants
 
@@ -371,7 +372,7 @@ def _reference_check(schema, example):
 
     def check(text, eos_seen):
         try:
-            partial = parse_partial(text)
+            partial = split_text(text)
         except ClauseOrderViolation as exc:
             return CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc))
         if partial.syntax_error is not None:
@@ -388,7 +389,7 @@ def _reference_check(schema, example):
             except ParseError as exc:
                 return CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc))
         current = partial.current_clause
-        keyword_remaining, body, fragment, _ = parse_line(
+        keyword_remaining, body, fragment, _ = parse_partial(
             current, text[text.rfind("\n") + 1 :]
         )
         if current is not None:
@@ -662,7 +663,7 @@ def test_query_check_matches_the_text_checker(
             derived = derive_example(open_database(fixture_paths.db_root, db_id), sql)
         except (EmptyResult, ExecutionError):  # no row to take an example from
             derived = None
-        bodies = parse_partial(original.render()).completed
+        bodies = split_text(original.render()).completed
         cases = [
             (original, bodies),
             *((v, b) for v, _, b in hamming_one_queries(original, schema)),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sqlite3
+from collections import Counter
 from contextlib import closing
 
 import pytest
@@ -14,20 +15,24 @@ from sqlsynth.nsql.errors import (
     ParseError,
     SelfJoinUnsupported,
     SetOperationUnsupported,
+    SqlError,
+    StructureError,
     UnknownName,
 )
 from sqlsynth.nsql import grammar
 from sqlsynth.nsql.grammar import parse_clause_cached, parse_complete
 from sqlsynth.nsql.lexemes import quote_string, scan_sql, split_line
 from sqlsynth.nsql.normalize import normalize, rewrite_dataset
-from sqlsynth.nsql.partial import parse_line, parse_partial
+from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import (
+    CLAUSE_ORDER,
     ClauseKind,
     denormalize_text,
     exact_match,
     query_skeleton,
 )
 from tests.fixtures.randqueries import distinct_queries
+from tests.fixtures.textsplit import parse_complete_reference
 
 # -- lexemes ----------------------------------------------------------------
 
@@ -105,42 +110,80 @@ _GOLD = (
 
 
 def test_parse_partial_tracks_completed_clauses():
-    partial = parse_partial("SELECT singer.name\nFROM singer\nWHERE singer.")
-    assert partial.completed[ClauseKind.SELECT] == ("singer.name",)
-    assert partial.completed[ClauseKind.FROM] == ("singer",)
-    assert partial.current_clause is ClauseKind.WHERE
-    assert partial.syntax_error is None
-    assert parse_line(ClauseKind.WHERE, "WHERE singer.") == ((), (), "singer.", None)
+    text = "SELECT singer.name\nFROM singer\nWHERE singer."
+    select, from_, where = text.split("\n")
+    assert parse_partial(ClauseKind.SELECT, select, terminated=True) == (
+        (),
+        ("singer.name",),
+        None,
+        None,
+    )
+    assert parse_partial(ClauseKind.FROM, from_, terminated=True) == (
+        (),
+        ("singer",),
+        None,
+        None,
+    )
+    assert parse_partial(ClauseKind.WHERE, where) == ((), (), "singer.", None)
+    with pytest.raises(StructureError, match="incomplete"):
+        parse_complete(text)
 
 
 def test_parse_partial_two_word_keywords():
-    partial = parse_partial("SELECT singer.name\nFROM singer\nWHERE\nGROUP ")
-    assert partial.current_clause is ClauseKind.GROUP_BY
-    assert partial.syntax_error is None
-    assert parse_line(ClauseKind.GROUP_BY, "GROUP ")[0] == ("BY",)
-    assert parse_line(ClauseKind.GROUP_BY, "GROUP BY ")[0] == ()
+    assert parse_partial(ClauseKind.WHERE, "WHERE", terminated=True) == (
+        (),
+        (),
+        None,
+        None,
+    )
+    assert parse_partial(ClauseKind.GROUP_BY, "GROUP ") == (("BY",), (), None, None)
+    assert parse_partial(ClauseKind.GROUP_BY, "GROUP BY ")[0] == ()
+    assert parse_partial(ClauseKind.GROUP_BY, "GROUP", terminated=True)[3] == (
+        "GROUP BY line does not start with its keyword"
+    )
+    with pytest.raises(StructureError, match="incomplete"):
+        parse_complete("SELECT singer.name\nFROM singer\nWHERE\nGROUP ")
 
 
 def test_parse_partial_clause_order_violation():
     with pytest.raises(ClauseOrderViolation):
-        parse_partial("SELECT singer.name\nWHERE singer.age > 3\n")
+        parse_partial(ClauseKind.FROM, "WHERE singer.age > 3", terminated=True)
     with pytest.raises(ClauseOrderViolation):
-        parse_partial("SELECT singer.name\nFROM singer\nGROUP ")
+        parse_complete("SELECT singer.name\nWHERE singer.age > 3\n")
+    with pytest.raises(ClauseOrderViolation):
+        parse_partial(ClauseKind.WHERE, "GROUP ")
+    with pytest.raises(ClauseOrderViolation):
+        parse_complete("SELECT singer.name\nFROM singer\nGROUP ")
 
 
 def test_parse_partial_reports_structural_damage():
-    assert parse_partial(_GOLD + "extra").syntax_error is not None
-    assert parse_partial("SELECT singer.name \nFROM singer\n").syntax_error is not None
-    bad = parse_partial("SELECTX singer.name\nFROM singer\n")
-    assert bad.syntax_error is not None
+    after_limit = "text continues after the LIMIT line"
+    assert parse_partial(None, "extra")[3] == after_limit
+    assert parse_partial(None, "", terminated=True)[3] == after_limit
+    spacing = parse_partial(ClauseKind.SELECT, "SELECT singer.name ", terminated=True)
+    assert spacing[3] == "non-canonical spacing in SELECT line"
+    bad = parse_partial(ClauseKind.SELECT, "SELECTX singer.name", terminated=True)
+    assert bad[3] == "SELECT line does not start with its keyword"
+    for text, message in [
+        (_GOLD + "extra", after_limit),
+        (_GOLD + "\n", after_limit),
+        ("SELECT singer.name \nFROM singer\n", spacing[3]),
+        ("SELECTX singer.name\nFROM singer\n", bad[3]),
+    ]:
+        with pytest.raises(StructureError) as raised:
+            parse_complete(text)
+        assert type(raised.value) is StructureError
+        assert str(raised.value) == message
 
 
 def test_parse_partial_complete_query():
-    done = parse_partial(_GOLD)
-    assert len(done.completed) == 7
-    assert done.current_clause is None and done.syntax_error is None
-    early = parse_partial(_GOLD[:-8])
-    assert early.current_clause is ClauseKind.LIMIT and early.syntax_error is None
+    for kind, line in zip(CLAUSE_ORDER, _GOLD.split("\n")):
+        assert parse_partial(kind, line, terminated=True)[3] is None
+    assert parse_partial(None, "") == ((), (), None, None)
+    assert parse_partial(ClauseKind.LIMIT, "") == (("LIMIT",), (), None, None)
+    assert parse_complete(_GOLD).render() == _GOLD
+    with pytest.raises(StructureError, match="incomplete"):
+        parse_complete(_GOLD[:-8])
 
 
 def test_parse_complete_roundtrip():
@@ -213,6 +256,63 @@ def test_render_parse_roundtrip_over_random_queries(schemas):
         for query in distinct_queries(schema, rng, 40):
             text = query.render()
             assert parse_complete(text).render() == text
+
+
+def _parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the rendering of its query, or
+    the type and message of what it raised."""
+    try:
+        return "query", parse(text).render()
+    except SqlError as exc:
+        return type(exc), str(exc)
+
+
+_EDIT_ALPHABET = "\n ()',.*=<>aSFWGHOL5"
+
+
+def _one_character_edits(text, rng, count):
+    """``count`` seeded edits of ``text``: a character deleted, inserted
+    or replaced at a random position."""
+    for _ in range(count):
+        position = rng.randrange(len(text) + 1)
+        char = rng.choice(_EDIT_ALPHABET)
+        action = rng.choice(("delete", "insert", "replace"))
+        if action == "insert" or position == len(text):
+            yield text[:position] + char + text[position:]
+        elif action == "delete":
+            yield text[:position] + text[position + 1 :]
+        else:
+            yield text[:position] + char + text[position + 1 :]
+
+
+def test_parse_complete_matches_the_whole_text_splitter(schemas, normalized_tasks):
+    """``parse_complete`` splits a text line by line, in clause order; it
+    returns the same query, or raises the same error with the same
+    message, as a parse through the whole-text splitter.  The texts are
+    every character prefix of the gold corpus and of seeded random
+    queries, and seeded one-character edits of each whole text and of
+    random prefixes of it."""
+    texts = [task.gold_query for task in normalized_tasks]
+    for index, db_id in enumerate(sorted(schemas)):
+        generated = distinct_queries(schemas[db_id], random.Random(index), 30)
+        texts += [query.render() for query in generated]
+    rng = random.Random(17)
+    outcomes: Counter[str] = Counter()
+    for text in texts:
+        cases = [text[:end] for end in range(len(text) + 1)]
+        cases += _one_character_edits(text, rng, 50)
+        for _ in range(50):
+            cases += _one_character_edits(text[: rng.randrange(len(text))], rng, 1)
+        for case in cases:
+            want = _parse_outcome(parse_complete_reference, case)
+            assert _parse_outcome(parse_complete, case) == want, case
+            outcomes[want[0] if want[0] == "query" else want[0].__name__] += 1
+    assert outcomes == {
+        "query": 1934,
+        "ParseError": 1877,
+        "StructureError": 27903,
+        "ClauseOrderViolation": 145,
+    }
 
 
 # -- normalization ----------------------------------------------------------

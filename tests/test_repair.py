@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import sqlite3
 import time
 from collections import Counter
@@ -10,7 +11,7 @@ import pytest
 from sqlsynth import repair
 from sqlsynth.checker import ErrorKind, Label, make_checker
 from sqlsynth.nsql.errors import ParseError
-from sqlsynth.nsql.grammar import parse_complete
+from sqlsynth.nsql.grammar import parse_clause_bodies, parse_complete
 from sqlsynth.nsql.lexemes import (
     AGGREGATIONS,
     COMPARISONS,
@@ -20,7 +21,6 @@ from sqlsynth.nsql.lexemes import (
     split_line,
 )
 from sqlsynth.nsql.normalize import normalize
-from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import denormalize_text
 from sqlsynth.repair import (
     ExecutionResult,
@@ -37,6 +37,8 @@ from sqlsynth.repair import (
 )
 from sqlsynth.repair import test_and_repair as run_with_repair
 from sqlsynth.tasks import ExampleTuple
+from tests.fixtures.randqueries import distinct_queries
+from tests.fixtures.textsplit import split_text
 
 GOLD = (
     "SELECT singer.name\nFROM singer\nWHERE singer.age > 30\n"
@@ -278,9 +280,9 @@ def _reference_neighbours(query, schema):
 def _reference_variants(query, schema):
     """``_reference_neighbours`` as ``hamming_one_queries`` yields them:
     each variant with its edited clause and its clause bodies."""
-    original = parse_partial(query.render()).completed
+    original = split_text(query.render()).completed
     for variant in _reference_neighbours(query, schema):
-        bodies = parse_partial(variant.render()).completed
+        bodies = split_text(variant.render()).completed
         (kind,) = [kind for kind, body in bodies.items() if body != original[kind]]
         yield variant, kind, bodies
 
@@ -340,6 +342,65 @@ def test_bounded_repair_matches_reference_repair(
                 assert outcomes[0] == outcomes[1], (task.id, corrupted.render())
                 compared += 1
     assert compared == 2 * 1429
+
+
+# -- clause bodies and statements against the whole-text split ------------
+
+
+def _whole_text_variants(query, schema):
+    """``hamming_one_queries`` with its clause bodies taken from the
+    whole-text split of the query's rendering, as it once took them."""
+    named = repair._named_tables(query)
+    column_refs = tuple(
+        f"{table.name}.{column.name}"
+        for table in schema.tables
+        if table.name.lower() in named
+        for column in table.columns
+    )
+    clauses = split_text(query.render()).completed
+    for kind, body in clauses.items():
+        for position, lexeme in enumerate(body):
+            for replacement in repair._alternatives(lexeme, column_refs):
+                patched = (*body[:position], replacement, *body[position + 1 :])
+                bodies = {**clauses, kind: patched}
+                try:
+                    variant = parse_clause_bodies(bodies)
+                except ParseError:
+                    continue
+                yield variant, kind, bodies
+
+
+def test_variants_and_statements_match_the_whole_text_split(normalized_tasks, schemas):
+    """Repair splits clause bodies and builds statements without a round
+    trip through the rendered text.  Over the gold corpus, seeded random
+    queries and every one-edit variant of either, ``hamming_one_queries``
+    yields the same variants, edits and bodies in the same order as from
+    the whole-text split, each variant's bodies are the split of its
+    rendering, and ``render_compact`` is the statement
+    ``denormalize_text`` makes of the rendering."""
+    originals = [(t.db_id, parse_complete(t.gold_query)) for t in normalized_tasks]
+    for index, db_id in enumerate(sorted(schemas)):
+        generated = distinct_queries(schemas[db_id], random.Random(index), 10)
+        originals += [(db_id, query) for query in generated]
+    queries = originals + [
+        (db_id, variant)
+        for db_id, original in originals
+        for variant, _, _ in hamming_one_queries(original, schemas[db_id])
+    ]
+    counts = Counter()
+    for db_id, query in queries:
+        schema = schemas[db_id]
+        text = query.render()
+        assert query.render_compact() == denormalize_text(text), text
+        variants = list(hamming_one_queries(query, schema))
+        assert variants == list(_whole_text_variants(query, schema)), text
+        for variant, _, bodies in variants:
+            variant_text = variant.render()
+            assert bodies == split_text(variant_text).completed, variant_text
+            assert variant.render_compact() == denormalize_text(variant_text)
+        counts["query"] += 1
+        counts["variant"] += len(variants)
+    assert counts == {"query": 1472, "variant": 40910}
 
 
 # -- the widened scan against the per-variant reference -----------------------

@@ -125,14 +125,6 @@ def test_frontier_breaks_ties_toward_deeper_nodes():
     assert frontier.pop_best() is deep
 
 
-def test_frontier_dedups_token_sequences():
-    frontier = Frontier()
-    node = extend(ROOT, TokenCandidate("a ", "a ", 0.5))
-    assert frontier.push(node)
-    assert not frontier.push(node)
-    assert len(frontier) == 1
-
-
 # -- end-to-end over scripted models ----------------------------------------
 
 
@@ -506,6 +498,49 @@ def test_run_search_skips_candidates_without_text(schemas, fixture_paths):
     assert plain.status is padded.status is SearchStatus.SOLVED
     assert padded.query_text == GOLD
     assert padded.stats.nodes_expanded == plain.stats.nodes_expanded
+
+
+class _RepeatingModel:
+    """Names every candidate of ``inner`` twice in each reply."""
+
+    def __init__(self, inner: ScriptedModel) -> None:
+        self.inner = inner
+
+    def start_session(self, task_text):
+        return self.inner.start_session(task_text)
+
+    def top_candidates(self, session, k):
+        return [c for c in self.inner.top_candidates(session, k) for _ in range(2)]
+
+
+@pytest.mark.parametrize("pqc_enabled", [True, False])
+def test_search_pushes_a_token_named_twice_in_one_reply_once(schemas, pqc_enabled):
+    """A token sequence repeats only when one reply names a token id
+    twice; the search expands and tests it once, and the checker still
+    judges, and counts, every candidate it is offered."""
+    inner = ScriptedModel.from_queries(
+        [(GOLD, 0.6), (GOLD.replace("singer.age", "singer.wingspan"), 0.4)]
+    )
+    config = SearchConfig(pqc_enabled=pqc_enabled, time_limit=10.0)
+    plain, repeated = (
+        run_search(
+            _task(),
+            schemas["concerts"],
+            None,
+            model,
+            tester=_reject_all,
+            config=config,
+        ).stats
+        for model in (inner, _RepeatingModel(inner))
+    )
+    assert repeated.complete_queries_tested == plain.complete_queries_tested
+    assert repeated.nodes_expanded == plain.nodes_expanded
+    assert repeated.backtracks == plain.backtracks
+    assert repeated.failed_queries == plain.failed_queries
+    assert repeated.candidates_generated == 2 * plain.candidates_generated
+    assert repeated.pruned_by_checker == 2 * plain.pruned_by_checker
+    assert plain.complete_queries_tested == (1 if pqc_enabled else 2)
+    assert plain.pruned_by_checker == (1 if pqc_enabled else 0)
 
 
 class _CapturingModel:

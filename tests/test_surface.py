@@ -1,6 +1,6 @@
 """The package's public names, and the entry points the benchmark's tracer
 patches by name (``perfbench/tracer.py``), which the tier-1 suite would
-otherwise not notice going missing."""
+otherwise not notice going missing or going uncalled."""
 
 from __future__ import annotations
 
@@ -9,9 +9,13 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import sqlsynth
+from sqlsynth.lm import ScriptedModel
+from sqlsynth.search import SearchStatus, run_search
+from sqlsynth.tasks import ExampleTuple, TaskInstance, open_database
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -20,16 +24,63 @@ def test_every_public_name_resolves():
     assert [name for name in sqlsynth.__all__ if not hasattr(sqlsynth, name)] == []
 
 
-def test_every_tracer_entry_point_resolves():
+def _tracer_entry_points():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)  # the tracer imports only the standard library
+    return tracer.ENTRY_POINTS
+
+
+def test_every_tracer_entry_point_resolves():
+    entry_points = _tracer_entry_points()
     missing = [
         (module, attribute)
-        for module, attribute, *_ in tracer.ENTRY_POINTS
+        for module, attribute, *_ in entry_points
         if not hasattr(importlib.import_module(module), attribute)
     ]
-    assert tracer.ENTRY_POINTS and missing == []
+    assert entry_points and missing == []
+
+
+def test_a_near_miss_search_reaches_every_required_tracer_entry_point(
+    monkeypatch, schemas, fixture_paths
+):
+    """The tracer reports a required entry point that a search never
+    calls as missing, so one repaired search must call each of them
+    under the name the tracer patches."""
+    calls: Counter[tuple[str, str]] = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    required = [(m, a) for m, a, _, needed in _tracer_entry_points() if needed]
+    for key in required:
+        module = importlib.import_module(key[0])
+        monkeypatch.setattr(module, key[1], counted(key, getattr(module, key[1])))
+    # The scripted query misses Ali (age exactly 30); repair closes the gap.
+    model = ScriptedModel.from_queries(
+        [
+            (
+                "SELECT singer.name\nFROM singer\nWHERE singer.age > 30\n"
+                "GROUP BY\nHAVING\nORDER BY\nLIMIT\n",
+                1.0,
+            )
+        ]
+    )
+    task = TaskInstance(
+        id="near-miss",
+        db_id="concerts",
+        question="who?",
+        gold_query="",
+        examples=frozenset({ExampleTuple.from_values(("Ali",))}),
+    )
+    db = open_database(fixture_paths.db_root, "concerts")
+    result = run_search(task, schemas["concerts"], db, model)
+    assert result.status is SearchStatus.SOLVED and result.repaired
+    assert required and [key for key in required if calls[key] == 0] == []
 
 
 def test_import_loads_no_third_party_http_stack():
