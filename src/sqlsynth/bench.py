@@ -237,19 +237,21 @@ def run_benchmark(
 
     Each database is opened once for the run, and every search and
     grading query on one thread borrows that thread's connection to it.
-    With ``jobs`` above one, tasks run on a thread pool, and each worker
-    thread opens its own connection, so SQLite stays on one thread.
+    With ``jobs`` above one, tasks run on a thread pool of at most one
+    worker per task, and each worker thread opens its own connection, so
+    SQLite stays on one thread.
     """
     config = config or SearchConfig()
     report = BenchmarkReport(label=label)
     dbs = _open_databases(tasks, db_root)
-    if jobs <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         for task in tasks:
             report.reports.append(
                 _grade_task(task, schemas[task.db_id], dbs[task.db_id], model, config)
             )
         return report
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(
                 _grade_task, task, schemas[task.db_id], dbs[task.db_id], model, config

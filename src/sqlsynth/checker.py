@@ -19,15 +19,23 @@ prefix, and children share their terminated lines, so that function
 keeps, per distinct head (the text up to and including the last
 newline), every verdict that depends only on the terminated clauses;
 checking a child parses and checks only its current line.  A new head
-is its parent head plus one terminated line.  Clause bodies are parsed
-through ``nsql.grammar``'s process-wide clause cache.  Repair checks
-each finished variant from its clause bodies through ``make_query_check``.
+is its parent head plus one terminated line.
+
+Searches over one schema object reach the same heads and lines again,
+so what they derive is shared rather than per search: lexeme verdicts,
+interned heads and the steps between heads live in bounded tables kept
+on the schema, and the verdict on a head plus its current line in one
+bounded process-wide cache.  Clause bodies are parsed through
+``nsql.grammar``'s process-wide clause cache.  Repair checks each
+finished variant from its clause bodies through ``make_query_check``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -151,13 +159,13 @@ def _schema_has_ref(schema: DatabaseSchema, lexeme: str) -> bool:
 def _lexeme_verdict(
     lexeme: str,
     clause: ClauseKind,
-    depth: int,
+    nested: bool,
     schema: DatabaseSchema,
 ) -> CheckVerdict:
     vocabulary = CLAUSE_VOCABULARY[clause]
-    if lexeme in vocabulary.fixed_at(depth):
+    if lexeme in vocabulary.fixed_at(nested):
         return PASS
-    classes = vocabulary.classes_at(depth)
+    classes = vocabulary.classes_at(nested)
     if "aggregation" in classes and lexeme in AGGREGATIONS:
         return PASS
     if "comparison" in classes and lexeme in COMPARISONS:
@@ -249,7 +257,10 @@ def check_vocabulary(
     last_incomplete: str | None,
     schema: DatabaseSchema,
 ) -> CheckVerdict:
-    """Check a clause body (keyword already stripped) lexeme by lexeme."""
+    """Check a clause body (keyword already stripped) lexeme by lexeme.
+
+    Each lexeme's verdict is kept in the schema's shared tables."""
+    verdicts = _tables_of(schema).lexemes
     depth = 0
     for lexeme in lexemes:
         if lexeme == ")":
@@ -258,7 +269,10 @@ def check_vocabulary(
                 return CheckVerdict.rejected(
                     ErrorKind.SYNTAX, clause, "unbalanced ')'"
                 )
-        verdict = _lexeme_verdict(lexeme, clause, depth if lexeme != ")" else depth + 1, schema)
+        key = (lexeme, clause, depth > 0 or lexeme == ")")
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = _remember(verdicts, key, _lexeme_verdict(*key, schema))
         if not verdict.ok:
             return verdict
         if lexeme == "(":
@@ -434,7 +448,7 @@ _FOLLOWING: Mapping[ClauseKind, ClauseKind | None] = dict(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class _Head:
     """What the terminated lines of a prefix decide, whatever line follows.
 
@@ -445,6 +459,9 @@ class _Head:
     ``types`` and ``select`` are meaningful only without one.  ``select``
     is the SELECT body while FROM is still open: SELECT's scope, and its
     types against the FROM tables, are decided when FROM terminates.
+
+    Heads compare and hash by identity: a schema's shared tables keep
+    one object per distinct value (``_SchemaTables.step``).
     """
 
     next_clause: ClauseKind | None = ClauseKind.SELECT
@@ -512,8 +529,81 @@ def _step(
     return _Head(following, outer=head.outer, scope=scope, types=types)
 
 
+# Bounds on what checks remember across searches: entries of each table
+# of one schema, and entries of the process-wide line-verdict cache.
+_TABLE_LIMIT = 4096
+_LINE_CACHE_SIZE = 4096
+
+
+def _remember(table: dict, key: object, value: object):
+    """``table.setdefault(key, value)``, emptying ``table`` first when it
+    holds ``_TABLE_LIMIT`` entries."""
+    if len(table) >= _TABLE_LIMIT:
+        table.clear()
+    return table.setdefault(key, value)
+
+
+class _SchemaTables:
+    """What checks on one schema remember across searches.
+
+    - ``lexemes``: each lexeme's vocabulary verdict per clause and
+      nesting, so a rejection is one object however often it recurs;
+    - ``heads``: one head object per distinct head value, so equal heads
+      of different searches are one object, and ``steps`` and the
+      line-verdict cache hash them by identity;
+    - ``steps``: per example type signature, the head after a head and
+      one more terminated line.
+
+    An entry is a pure function of its key and the schema, so threads
+    share the tables without a lock: a lost race recomputes an entry.
+    Each table is emptied when it reaches ``_TABLE_LIMIT`` entries.
+    """
+
+    __slots__ = ("schema", "lexemes", "heads", "steps", "root")
+
+    def __init__(self, schema: DatabaseSchema) -> None:
+        self.schema = schema
+        self.lexemes: dict[tuple[str, ClauseKind, bool], CheckVerdict] = {}
+        self.heads: dict[tuple, _Head] = {}
+        self.steps: dict[tuple[object, _Head, str], _Head] = {}
+        self.root = _Head()
+
+    def step(
+        self,
+        head: _Head,
+        line: str,
+        types: tuple[ColumnType, ...] | None,
+        example: ExampleTuple | None,
+    ) -> _Head:
+        """The head after ``head`` and one more terminated ``line``, for
+        an example with ``types`` (a step reads only the example's
+        types)."""
+        key = (types, head, line)
+        stepped = self.steps.get(key)
+        if stepped is None:
+            new = _step(head, line, self.schema, example)
+            value = (
+                new.next_clause, new.fatal, new.clause_error, new.outer,
+                new.scope, new.types, new.select,
+            )
+            # One string per distinct line: the same lines follow many heads.
+            key = (types, head, sys.intern(line))
+            stepped = _remember(self.steps, key, _remember(self.heads, value, new))
+        return stepped
+
+
+def _tables_of(schema: DatabaseSchema) -> _SchemaTables:
+    """The check tables every search over ``schema`` shares, kept on the
+    schema object so that they live as long as it does."""
+    tables = schema.derived.get(__name__)
+    if tables is None:
+        tables = schema.derived.setdefault(__name__, _SchemaTables(schema))
+    return tables
+
+
+@functools.lru_cache(maxsize=_LINE_CACHE_SIZE)
 def _check_line(
-    head: _Head, line: str, eos_seen: bool, schema: DatabaseSchema
+    tables: _SchemaTables, head: _Head, line: str, eos_seen: bool
 ) -> CheckVerdict:
     """Check the current ``line`` and slot the head's verdicts in around it.
 
@@ -521,7 +611,12 @@ def _check_line(
     terminated clause vocabulary and grammar, current-line vocabulary,
     scope of the terminated clauses, scope of the current line, output
     types, and whether generation may end here.
+
+    The verdict depends only on the head's value, the line, ``eos_seen``
+    and the schema, so one process-wide cache of bounded size answers
+    repeats across searches; heads and tables key it by identity.
     """
+    schema = tables.schema
     current = head.next_clause
     try:
         keyword_remaining, body, fragment, syntax_error = parse_partial(current, line)
@@ -565,13 +660,16 @@ def make_checker(
 
     The function keeps the head of each text it has seen (the text up to
     and including the last newline), built from the head one line
-    shorter.  A child of an already-checked prefix therefore costs only
-    its current line, and a new head costs one line split, the line's
-    vocabulary check and a lookup in the clause cache.  A text whose
-    head is unknown, such as a whole query, steps from its longest known
-    head one line at a time.  Heads live as long as the function.
+    shorter.  Heads and the steps between them come from tables shared
+    by every search over the same schema object and example types, and
+    the verdict on a head plus its current line from one process-wide
+    cache, so a check that an earlier search already made costs two
+    lookups.  A text whose head is unknown, such as a whole query, steps
+    from its longest known head one line at a time.
     """
-    heads: dict[str, _Head] = {"": _Head()}
+    tables = _tables_of(schema)
+    types = None if example is None else example.types
+    heads: dict[str, _Head] = {"": tables.root}
 
     def head_of(text: str, cut: int) -> _Head:
         """The head of ``text[:cut]``, stepped one line at a time from
@@ -584,7 +682,7 @@ def make_checker(
                 break
             cuts.append(cut)
         for end in reversed(cuts):
-            head = heads[text[:end]] = _step(head, text[cut:end], schema, example)
+            head = heads[text[:end]] = tables.step(head, text[cut:end], types, example)
             cut = end
         return head
 
@@ -593,7 +691,8 @@ def make_checker(
         head = heads.get(text[:cut]) or head_of(text, cut)
         if head.fatal is not None:
             return head.fatal
-        return _check_line(head, text[cut:], eos_seen, schema)
+        # Cached keys share one string per distinct line.
+        return _check_line(tables, head, sys.intern(text[cut:]), eos_seen)
 
     return check
 

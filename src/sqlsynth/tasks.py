@@ -135,6 +135,14 @@ class DatabaseSchema:
         """All ``table.column`` lexemes in declaration order."""
         return self._column_refs
 
+    @cached_property
+    def derived(self) -> dict[str, object]:
+        """State other modules derive from this schema alone and share
+        among all its users, keyed by the owning module's name.  It lives
+        as long as the schema and is found through it, so no one has to
+        hash the schema to reach it."""
+        return {}
+
 
 @dataclass(frozen=True)
 class ExampleTuple:

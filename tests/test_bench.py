@@ -9,10 +9,11 @@ import socket
 import sqlite3
 import sys
 import threading
+from concurrent.futures import Future
 
 import pytest
 
-from sqlsynth import cli
+from sqlsynth import bench, cli
 from sqlsynth.bench import (
     CheckerExperiment,
     ablation_grid,
@@ -243,6 +244,49 @@ def test_benchmark_workers_hold_their_own_connections(
     threads = [thread for thread, _ in opened]
     assert 2 <= len(set(threads)) == len(threads) <= jobs
     assert len({id(conn) for _, conn in opened}) == len(opened)
+
+
+class _InlineExecutor:
+    """Stands in for ``ThreadPoolExecutor``: records the pool size asked
+    for and runs each submitted call at once, starting no thread."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+    def submit(self, fn, *args):
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize(
+    "jobs, count, sizes", [(64, 3, [3]), (2, 4, [2]), (64, 1, []), (4, 0, [])]
+)
+def test_benchmark_starts_no_more_workers_than_tasks(
+    monkeypatch, jobs, count, sizes, bench_tasks, schemas, fixture_paths, router
+):
+    monkeypatch.setattr(bench, "ThreadPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlineExecutor, "sizes", [])
+    result = run_benchmark(
+        bench_tasks[:count],
+        schemas,
+        fixture_paths.db_root,
+        router,
+        config=CONFIG,
+        jobs=jobs,
+    )
+    assert _InlineExecutor.sizes == sizes
+    assert [row.task_id for row in result.reports] == [
+        task.id for task in bench_tasks[:count]
+    ]
 
 
 class _CrashingModel:
@@ -826,6 +870,29 @@ def test_cli_rejects_a_time_limit_that_is_not_positive_and_finite(value, capsys)
 def test_cli_accepts_a_fractional_time_limit():
     args = cli.build_parser().parse_args([*_BENCH_ARGS, "--time-limit", "2.5"])
     assert args.time_limit == 2.5
+
+
+@pytest.mark.parametrize("command", ["bench", "ablate"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_cli_rejects_a_per_variant_timeout_that_is_not_positive_and_finite(
+    command, value, capsys
+):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, *_BENCH_ARGS[1:], "--per-variant-timeout", value])
+    assert exit_info.value.code == 2
+    assert "argument --per-variant-timeout: must be a positive finite number" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("command", ["bench", "ablate"])
+def test_cli_per_variant_timeout_sets_the_search_config(command):
+    parser = cli.build_parser()
+    flag = ["--per-variant-timeout", "0.25"]
+    args = parser.parse_args([command, *_BENCH_ARGS[1:], *flag])
+    assert cli._build_config(args).per_variant_timeout == 0.25
+    default = parser.parse_args([command, *_BENCH_ARGS[1:]])
+    assert cli._build_config(default) == SearchConfig()
 
 
 def test_cli_normalize_single_statement(capsys, fixture_paths):

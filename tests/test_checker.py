@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -501,6 +504,112 @@ def test_incremental_checker_matches_the_whole_prefix_reference(
                 checks += 1
     assert kinds == {None, *ErrorKind}
     assert checks > 50_000
+
+
+def _schema_copies(schemas):
+    """An equal copy of each schema: a reference run on a copy shares no
+    check table with the checkers under test."""
+    return {db_id: dataclasses.replace(schema) for db_id, schema in schemas.items()}
+
+
+def test_checkers_sharing_warm_tables_match_the_whole_prefix_reference(
+    normalized_tasks, schemas
+):
+    """Checkers over one schema object share its tables and the
+    process-wide line-verdict cache.  After a first pass has warmed both,
+    a replay in a shuffled task order, with every other task's example
+    hidden, still gives the reference's verdict on every input."""
+    texts = _differential_texts(normalized_tasks, schemas)
+    copies = _schema_copies(schemas)
+    want: dict[tuple, CheckVerdict] = {}
+    rng = random.Random(11)
+    order = list(normalized_tasks)
+    checks = 0
+    for replay in range(2):
+        rng.shuffle(order)
+        for position, task in enumerate(order):
+            hidden = replay == 1 and position % 2 == 1
+            example = None if hidden else task.sorted_examples()[0]
+            check = make_checker(schemas[task.db_id], example)
+            reference = _reference_check(copies[task.db_id], example)
+            for text in texts[task.id]:
+                for eos in (False, True):
+                    key = (task.id, hidden, text, eos)
+                    if key not in want:
+                        want[key] = reference(text, eos)
+                    got = check(text, eos)
+                    if got != want[key]:
+                        pytest.fail(f"{key}: {got} != {want[key]}")
+                    checks += 1
+    assert checks > 100_000
+    assert checker._check_line.cache_info().hits > checks // 5
+
+
+def test_threads_sharing_tables_match_the_whole_prefix_reference(
+    normalized_tasks, schemas
+):
+    """Threads that check one text set at once, through checkers sharing
+    each schema's tables and the line-verdict cache, each get the
+    reference's verdict on every input."""
+    texts = _differential_texts(normalized_tasks, schemas)
+    tasks = normalized_tasks[::3]
+    copies = _schema_copies(schemas)
+    want = {}
+    for task in tasks:
+        reference = _reference_check(copies[task.db_id], task.sorted_examples()[0])
+        want[task.id] = [
+            (reference(text, False), reference(text, True)) for text in texts[task.id]
+        ]
+    workers = 4
+    barrier = threading.Barrier(workers, timeout=30)
+    done: list[int] = []
+    wrong: list[str] = []
+
+    def work() -> None:
+        try:
+            barrier.wait()
+            checks = 0
+            for task in tasks:
+                check = make_checker(schemas[task.db_id], task.sorted_examples()[0])
+                for text, expected in zip(texts[task.id], want[task.id]):
+                    if (check(text, False), check(text, True)) != expected:
+                        wrong.append(f"{task.id} {text!r}")
+                    checks += 2
+            done.append(checks)
+        except Exception as exc:  # reported by the assertions below
+            wrong.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(done) == workers and min(done) > 10_000
+
+
+def test_shared_check_state_stays_within_its_bounds(concerts):
+    """More distinct lexemes, heads, steps and current lines than any
+    bound leaves every shared table within its bound, and the verdicts
+    equal the reference's."""
+    count = max(checker._TABLE_LIMIT, checker._LINE_CACHE_SIZE) + 100
+    example = ExampleTuple.from_values(("Ali",))
+    reference = _reference_check(dataclasses.replace(concerts), example)
+    for index in range(count):
+        # A new lexeme, so a new rejection, head, step and line-cache key.
+        text = f"SELECT v{index}\nFROM"
+        assert make_checker(concerts, example)(text, False) == reference(text, False)
+    info = checker._check_line.cache_info()
+    assert info.misses >= count > info.maxsize >= info.currsize
+    tables = checker._tables_of(concerts)
+    for table in (tables.lexemes, tables.heads, tables.steps):
+        assert 0 < len(table) <= checker._TABLE_LIMIT < count
 
 
 @pytest.mark.parametrize("db_id", sorted(DATABASES))
