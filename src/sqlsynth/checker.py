@@ -21,13 +21,14 @@ newline), every verdict that depends only on the terminated clauses;
 checking a child parses and checks only its current line.  A new head
 is its parent head plus one terminated line.
 
-Searches over one schema object reach the same heads and lines again,
-so what they derive is shared rather than per search: lexeme verdicts,
-interned heads and the steps between heads live in bounded tables kept
-on the schema, and the verdict on a head plus its current line in one
-bounded process-wide cache.  Clause bodies are parsed through
-``nsql.grammar``'s process-wide clause cache.  Repair checks each
-finished variant from its clause bodies through ``make_query_check``.
+Searches over one schema object reach the same heads, lines and
+lexemes again, so what they derive is shared rather than per search:
+interned heads and the steps between them live in one bounded
+process-wide table, and lexeme verdicts and the verdict on a head plus
+its current line in bounded process-wide caches.  Clause bodies are
+parsed through ``nsql.grammar``'s process-wide clause cache.  Repair
+checks each finished variant from its clause bodies through
+``make_query_check``.
 """
 
 from __future__ import annotations
@@ -157,10 +158,10 @@ def _schema_has_ref(schema: DatabaseSchema, lexeme: str) -> bool:
 
 
 def _lexeme_verdict(
+    schema: DatabaseSchema,
     lexeme: str,
     clause: ClauseKind,
     nested: bool,
-    schema: DatabaseSchema,
 ) -> CheckVerdict:
     vocabulary = CLAUSE_VOCABULARY[clause]
     if lexeme in vocabulary.fixed_at(nested):
@@ -257,10 +258,20 @@ def check_vocabulary(
     last_incomplete: str | None,
     schema: DatabaseSchema,
 ) -> CheckVerdict:
-    """Check a clause body (keyword already stripped) lexeme by lexeme.
+    """Check a clause body (keyword already stripped) lexeme by lexeme."""
+    verdict_of = functools.partial(_lexeme_verdict, schema)
+    return _check_lexemes(clause, lexemes, last_incomplete, schema, verdict_of)
 
-    Each lexeme's verdict is kept in the schema's shared tables."""
-    verdicts = _tables_of(schema).lexemes
+
+def _check_lexemes(
+    clause: ClauseKind,
+    lexemes: Sequence[str],
+    last_incomplete: str | None,
+    schema: DatabaseSchema,
+    verdict_of: Callable[[str, ClauseKind, bool], CheckVerdict],
+) -> CheckVerdict:
+    """``check_vocabulary`` with each lexeme's verdict taken from
+    ``verdict_of(lexeme, clause, nested)``."""
     depth = 0
     for lexeme in lexemes:
         if lexeme == ")":
@@ -269,10 +280,7 @@ def check_vocabulary(
                 return CheckVerdict.rejected(
                     ErrorKind.SYNTAX, clause, "unbalanced ')'"
                 )
-        key = (lexeme, clause, depth > 0 or lexeme == ")")
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = _remember(verdicts, key, _lexeme_verdict(*key, schema))
+        verdict = verdict_of(lexeme, clause, depth > 0 or lexeme == ")")
         if not verdict.ok:
             return verdict
         if lexeme == "(":
@@ -460,8 +468,8 @@ class _Head:
     is the SELECT body while FROM is still open: SELECT's scope, and its
     types against the FROM tables, are decided when FROM terminates.
 
-    Heads compare and hash by identity: a schema's shared tables keep
-    one object per distinct value (``_SchemaTables.step``).
+    Heads compare and hash by identity: the shared step table keeps one
+    object per distinct value (``_HEADS``).
     """
 
     next_clause: ClauseKind | None = ClauseKind.SELECT
@@ -476,7 +484,7 @@ class _Head:
 def _step(
     head: _Head,
     line: str,
-    schema: DatabaseSchema,
+    key: _SchemaKey,
     example: ExampleTuple | None,
 ) -> _Head:
     """The head after one more terminated ``line`` (newline included).
@@ -486,6 +494,7 @@ def _step(
     the output types."""
     if head.fatal is not None:
         return head
+    schema = key.schema
     kind = head.next_clause
     try:
         _, body, _, error = parse_partial(kind, line[:-1], terminated=True)
@@ -496,7 +505,7 @@ def _step(
     following = _FOLLOWING[kind]
     if head.clause_error is not None:
         return _Head(following, clause_error=head.clause_error)
-    verdict = check_vocabulary(kind, body, None, schema)
+    verdict = _check_lexemes(kind, body, None, schema, key.verdict_of)
     if not verdict.ok:
         return _Head(following, clause_error=verdict)
     try:
@@ -529,81 +538,87 @@ def _step(
     return _Head(following, outer=head.outer, scope=scope, types=types)
 
 
-# Bounds on what checks remember across searches: entries of each table
-# of one schema, and entries of the process-wide line-verdict cache.
-_TABLE_LIMIT = 4096
+# Bounds on what checks remember across searches, for the whole process
+# however many schemas it loads: steps between heads, and entries of the
+# lexeme-verdict and line-verdict caches.  Filled, they hold about 4 MB
+# of heap on CPython 3.11 (tracemalloc): 2.5 MB of steps when every step
+# reaches a new head, 1.1 MB of line verdicts, 0.5 MB of lexeme verdicts.
+_STEP_LIMIT = 4096
+_LEXEME_CACHE_SIZE = 2048
 _LINE_CACHE_SIZE = 4096
 
+# Shared by every search in the process.  ``_STEPS`` maps a schema, an
+# example type signature, a head and one more terminated line to the
+# next head; ``_HEADS`` keeps one head object per distinct head value,
+# so equal heads of different searches are one object.  Both are
+# emptied together when ``_STEPS`` is full, so ``_HEADS``, filled only
+# by steps, never holds more.  An entry is a pure function of its key,
+# so threads share them without a lock: a lost race recomputes one.
+_STEPS: dict[tuple, _Head] = {}
+_HEADS: dict[tuple, _Head] = {}
+_ROOT = _Head()
 
-def _remember(table: dict, key: object, value: object):
-    """``table.setdefault(key, value)``, emptying ``table`` first when it
-    holds ``_TABLE_LIMIT`` entries."""
-    if len(table) >= _TABLE_LIMIT:
-        table.clear()
-    return table.setdefault(key, value)
 
+class _SchemaKey:
+    """Stands for one schema object in the keys of the shared caches.
 
-class _SchemaTables:
-    """What checks on one schema remember across searches.
+    A schema hashes by value, which costs a walk over every column; its
+    key hashes by identity.  It is kept on the schema, so every search
+    over that object gets the same key.  ``verdict_of(lexeme, clause,
+    nested)`` reads the schema's lexeme verdicts through the shared
+    cache."""
 
-    - ``lexemes``: each lexeme's vocabulary verdict per clause and
-      nesting, so a rejection is one object however often it recurs;
-    - ``heads``: one head object per distinct head value, so equal heads
-      of different searches are one object, and ``steps`` and the
-      line-verdict cache hash them by identity;
-    - ``steps``: per example type signature, the head after a head and
-      one more terminated line.
-
-    An entry is a pure function of its key and the schema, so threads
-    share the tables without a lock: a lost race recomputes an entry.
-    Each table is emptied when it reaches ``_TABLE_LIMIT`` entries.
-    """
-
-    __slots__ = ("schema", "lexemes", "heads", "steps", "root")
+    __slots__ = ("schema", "verdict_of")
 
     def __init__(self, schema: DatabaseSchema) -> None:
         self.schema = schema
-        self.lexemes: dict[tuple[str, ClauseKind, bool], CheckVerdict] = {}
-        self.heads: dict[tuple, _Head] = {}
-        self.steps: dict[tuple[object, _Head, str], _Head] = {}
-        self.root = _Head()
-
-    def step(
-        self,
-        head: _Head,
-        line: str,
-        types: tuple[ColumnType, ...] | None,
-        example: ExampleTuple | None,
-    ) -> _Head:
-        """The head after ``head`` and one more terminated ``line``, for
-        an example with ``types`` (a step reads only the example's
-        types)."""
-        key = (types, head, line)
-        stepped = self.steps.get(key)
-        if stepped is None:
-            new = _step(head, line, self.schema, example)
-            value = (
-                new.next_clause, new.fatal, new.clause_error, new.outer,
-                new.scope, new.types, new.select,
-            )
-            # One string per distinct line: the same lines follow many heads.
-            key = (types, head, sys.intern(line))
-            stepped = _remember(self.steps, key, _remember(self.heads, value, new))
-        return stepped
+        self.verdict_of = functools.partial(_shared_lexeme_verdict, self)
 
 
-def _tables_of(schema: DatabaseSchema) -> _SchemaTables:
-    """The check tables every search over ``schema`` shares, kept on the
-    schema object so that they live as long as it does."""
-    tables = schema.derived.get(__name__)
-    if tables is None:
-        tables = schema.derived.setdefault(__name__, _SchemaTables(schema))
-    return tables
+def _key_of(schema: DatabaseSchema) -> _SchemaKey:
+    key = schema.derived.get(__name__)
+    if key is None:
+        key = schema.derived.setdefault(__name__, _SchemaKey(schema))
+    return key
+
+
+@functools.lru_cache(maxsize=_LEXEME_CACHE_SIZE)
+def _shared_lexeme_verdict(
+    key: _SchemaKey, lexeme: str, clause: ClauseKind, nested: bool
+) -> CheckVerdict:
+    """``_lexeme_verdict`` on the schema of ``key``, so a rejection is
+    one object however often it recurs."""
+    return _lexeme_verdict(key.schema, lexeme, clause, nested)
+
+
+def _shared_step(
+    key: _SchemaKey,
+    head: _Head,
+    line: str,
+    types: tuple[ColumnType, ...] | None,
+    example: ExampleTuple | None,
+) -> _Head:
+    """``_step`` through ``_STEPS``, for an example with ``types`` (a
+    step reads only the example's types)."""
+    stepped = _STEPS.get((key, types, head, line))
+    if stepped is None:
+        new = _step(head, line, key, example)
+        value = (
+            new.next_clause, new.fatal, new.clause_error, new.outer,
+            new.scope, new.types, new.select,
+        )
+        if len(_STEPS) >= _STEP_LIMIT:
+            _STEPS.clear()
+            _HEADS.clear()
+        # One string per distinct line: the same lines follow many heads.
+        entry = (key, types, head, sys.intern(line))
+        stepped = _STEPS.setdefault(entry, _HEADS.setdefault(value, new))
+    return stepped
 
 
 @functools.lru_cache(maxsize=_LINE_CACHE_SIZE)
 def _check_line(
-    tables: _SchemaTables, head: _Head, line: str, eos_seen: bool
+    key: _SchemaKey, head: _Head, line: str, eos_seen: bool
 ) -> CheckVerdict:
     """Check the current ``line`` and slot the head's verdicts in around it.
 
@@ -614,9 +629,9 @@ def _check_line(
 
     The verdict depends only on the head's value, the line, ``eos_seen``
     and the schema, so one process-wide cache of bounded size answers
-    repeats across searches; heads and tables key it by identity.
+    repeats across searches; heads and schema keys hash by identity.
     """
-    schema = tables.schema
+    schema = key.schema
     current = head.next_clause
     try:
         keyword_remaining, body, fragment, syntax_error = parse_partial(current, line)
@@ -635,7 +650,7 @@ def _check_line(
                     f"{fragment!r} cannot start the {current.value} line",
                 )
         else:
-            verdict = check_vocabulary(current, body, fragment, schema)
+            verdict = _check_lexemes(current, body, fragment, schema, key.verdict_of)
             if not verdict.ok:
                 return verdict
     if not head.scope.ok:
@@ -660,16 +675,16 @@ def make_checker(
 
     The function keeps the head of each text it has seen (the text up to
     and including the last newline), built from the head one line
-    shorter.  Heads and the steps between them come from tables shared
-    by every search over the same schema object and example types, and
-    the verdict on a head plus its current line from one process-wide
-    cache, so a check that an earlier search already made costs two
-    lookups.  A text whose head is unknown, such as a whole query, steps
-    from its longest known head one line at a time.
+    shorter.  Heads and the steps between them come from a process-wide
+    table shared by every search over the same schema object and example
+    types, and the verdict on a head plus its current line from one
+    process-wide cache, so a check that an earlier search already made
+    costs two lookups.  A text whose head is unknown, such as a whole
+    query, steps from its longest known head one line at a time.
     """
-    tables = _tables_of(schema)
+    key = _key_of(schema)
     types = None if example is None else example.types
-    heads: dict[str, _Head] = {"": tables.root}
+    heads: dict[str, _Head] = {"": _ROOT}
 
     def head_of(text: str, cut: int) -> _Head:
         """The head of ``text[:cut]``, stepped one line at a time from
@@ -682,7 +697,8 @@ def make_checker(
                 break
             cuts.append(cut)
         for end in reversed(cuts):
-            head = heads[text[:end]] = tables.step(head, text[cut:end], types, example)
+            line = text[cut:end]
+            head = heads[text[:end]] = _shared_step(key, head, line, types, example)
             cut = end
         return head
 
@@ -692,7 +708,7 @@ def make_checker(
         if head.fatal is not None:
             return head.fatal
         # Cached keys share one string per distinct line.
-        return _check_line(tables, head, sys.intern(text[cut:]), eos_seen)
+        return _check_line(key, head, sys.intern(text[cut:]), eos_seen)
 
     return check
 
@@ -709,6 +725,7 @@ def make_query_check(
     so a one-edit variant of a checked query costs its edited clause and
     the type check.
     """
+    key = _key_of(schema)
     clauses: dict[tuple[ClauseKind, tuple[str, ...], frozenset[str]], bool] = {}
 
     def check(
@@ -720,7 +737,7 @@ def make_query_check(
             ok = clauses.get((kind, body, outer))
             if ok is None:
                 ok = clauses[kind, body, outer] = (
-                    check_vocabulary(kind, body, None, schema).ok
+                    _check_lexemes(kind, body, None, schema, key.verdict_of).ok
                     and _scope(kind, body, outer).ok
                 )
             if not ok:

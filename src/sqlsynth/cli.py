@@ -76,10 +76,6 @@ def _build_config(args: argparse.Namespace) -> SearchConfig:
         pqc_enabled=not args.no_pqc,
         repair_enabled=not args.no_repair,
         include_examples=not args.no_examples,
-        # Only the dataset commands, bench and ablate, take this flag.
-        per_variant_timeout=getattr(
-            args, "per_variant_timeout", SearchConfig.per_variant_timeout
-        ),
     )
 
 
@@ -128,17 +124,6 @@ def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tasks", required=True, help="task dataset file")
     parser.add_argument("--db-root", required=True, help="directory of SQLite files")
     parser.add_argument("--limit", type=_at_least(0), help="use only the first N tasks")
-
-
-def _add_grading_options(parser: argparse.ArgumentParser) -> None:
-    """Options of the commands that grade a whole dataset."""
-    parser.add_argument("--jobs", type=_at_least(1), default=1)
-    parser.add_argument(
-        "--per-variant-timeout",
-        type=_positive_seconds,
-        default=SearchConfig.per_variant_timeout,
-        help="seconds each executed candidate or repair variant may run",
-    )
 
 
 def _refine_schemas(
@@ -312,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a dataset and report accuracy")
     _add_dataset_options(bench)
     _add_search_options(bench)
-    _add_grading_options(bench)
+    bench.add_argument("--jobs", type=_at_least(1), default=1)
     bench.add_argument("--output", help="write the full JSON report here")
     bench.set_defaults(func=_cmd_bench)
 
     ablate = sub.add_parser("ablate", help="sweep the feature switches")
     _add_dataset_options(ablate)
     _add_search_options(ablate)
-    _add_grading_options(ablate)
+    ablate.add_argument("--jobs", type=_at_least(1), default=1)
     ablate.add_argument("--output", help="write all run reports as JSON")
     ablate.set_defaults(func=_cmd_ablate)
 

@@ -18,19 +18,16 @@ from sqlsynth.tasks import (
 from tests.fixtures.build import FixturePaths, write_fixture_tree
 
 
-# Schemas that session fixtures hand to more than one test.
-_SHARED_SCHEMAS: list[DatabaseSchema] = []
-
-
 @pytest.fixture(autouse=True)
 def empty_shared_caches():
-    """Start every test from an empty clause-parse cache, an empty
-    line-verdict cache and empty check tables on the session schemas, so
-    that no test depends on which tests ran before it."""
+    """Start every test from an empty clause-parse cache and empty
+    shared check state, so that no test depends on which tests ran
+    before it."""
     grammar._parsed_clause.cache_clear()
+    checker._shared_lexeme_verdict.cache_clear()
     checker._check_line.cache_clear()
-    for schema in _SHARED_SCHEMAS:
-        schema.derived.clear()
+    checker._STEPS.clear()
+    checker._HEADS.clear()
 
 
 @pytest.fixture(scope="session")
@@ -40,19 +37,15 @@ def fixture_paths(tmp_path_factory) -> FixturePaths:
 
 @pytest.fixture(scope="session")
 def raw_schemas(fixture_paths) -> dict[str, DatabaseSchema]:
-    loaded = load_schemas(fixture_paths.tables)
-    _SHARED_SCHEMAS.extend(loaded.values())
-    return loaded
+    return load_schemas(fixture_paths.tables)
 
 
 @pytest.fixture(scope="session")
 def schemas(fixture_paths, raw_schemas) -> dict[str, DatabaseSchema]:
-    refined = {
+    return {
         db_id: refine_schema(open_database(fixture_paths.db_root, db_id), schema)
         for db_id, schema in raw_schemas.items()
     }
-    _SHARED_SCHEMAS.extend(refined.values())
-    return refined
 
 
 @pytest.fixture(scope="session")

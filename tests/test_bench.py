@@ -872,29 +872,6 @@ def test_cli_accepts_a_fractional_time_limit():
     assert args.time_limit == 2.5
 
 
-@pytest.mark.parametrize("command", ["bench", "ablate"])
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-def test_cli_rejects_a_per_variant_timeout_that_is_not_positive_and_finite(
-    command, value, capsys
-):
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main([command, *_BENCH_ARGS[1:], "--per-variant-timeout", value])
-    assert exit_info.value.code == 2
-    assert "argument --per-variant-timeout: must be a positive finite number" in (
-        capsys.readouterr().err
-    )
-
-
-@pytest.mark.parametrize("command", ["bench", "ablate"])
-def test_cli_per_variant_timeout_sets_the_search_config(command):
-    parser = cli.build_parser()
-    flag = ["--per-variant-timeout", "0.25"]
-    args = parser.parse_args([command, *_BENCH_ARGS[1:], *flag])
-    assert cli._build_config(args).per_variant_timeout == 0.25
-    default = parser.parse_args([command, *_BENCH_ARGS[1:]])
-    assert cli._build_config(default) == SearchConfig()
-
-
 def test_cli_normalize_single_statement(capsys, fixture_paths):
     code = cli.main(
         [

@@ -29,6 +29,7 @@ from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import ClauseKind, denormalize_text
 from sqlsynth.repair import ExecutionStatus, execute_text, hamming_one_queries
 from sqlsynth.tasks import (
+    ColumnType,
     EmptyResult,
     ExampleTuple,
     ExecutionError,
@@ -506,21 +507,14 @@ def test_incremental_checker_matches_the_whole_prefix_reference(
     assert checks > 50_000
 
 
-def _schema_copies(schemas):
-    """An equal copy of each schema: a reference run on a copy shares no
-    check table with the checkers under test."""
-    return {db_id: dataclasses.replace(schema) for db_id, schema in schemas.items()}
-
-
 def test_checkers_sharing_warm_tables_match_the_whole_prefix_reference(
     normalized_tasks, schemas
 ):
-    """Checkers over one schema object share its tables and the
-    process-wide line-verdict cache.  After a first pass has warmed both,
+    """Checkers over one schema object share the process-wide step table
+    and line-verdict cache.  After a first pass has warmed both,
     a replay in a shuffled task order, with every other task's example
     hidden, still gives the reference's verdict on every input."""
     texts = _differential_texts(normalized_tasks, schemas)
-    copies = _schema_copies(schemas)
     want: dict[tuple, CheckVerdict] = {}
     rng = random.Random(11)
     order = list(normalized_tasks)
@@ -531,7 +525,7 @@ def test_checkers_sharing_warm_tables_match_the_whole_prefix_reference(
             hidden = replay == 1 and position % 2 == 1
             example = None if hidden else task.sorted_examples()[0]
             check = make_checker(schemas[task.db_id], example)
-            reference = _reference_check(copies[task.db_id], example)
+            reference = _reference_check(schemas[task.db_id], example)
             for text in texts[task.id]:
                 for eos in (False, True):
                     key = (task.id, hidden, text, eos)
@@ -549,14 +543,13 @@ def test_threads_sharing_tables_match_the_whole_prefix_reference(
     normalized_tasks, schemas
 ):
     """Threads that check one text set at once, through checkers sharing
-    each schema's tables and the line-verdict cache, each get the
-    reference's verdict on every input."""
+    the step table and the line-verdict cache, each get the reference's
+    verdict on every input."""
     texts = _differential_texts(normalized_tasks, schemas)
     tasks = normalized_tasks[::3]
-    copies = _schema_copies(schemas)
     want = {}
     for task in tasks:
-        reference = _reference_check(copies[task.db_id], task.sorted_examples()[0])
+        reference = _reference_check(schemas[task.db_id], task.sorted_examples()[0])
         want[task.id] = [
             (reference(text, False), reference(text, True)) for text in texts[task.id]
         ]
@@ -594,22 +587,62 @@ def test_threads_sharing_tables_match_the_whole_prefix_reference(
     assert len(done) == workers and min(done) > 10_000
 
 
-def test_shared_check_state_stays_within_its_bounds(concerts):
-    """More distinct lexemes, heads, steps and current lines than any
-    bound leaves every shared table within its bound, and the verdicts
-    equal the reference's."""
-    count = max(checker._TABLE_LIMIT, checker._LINE_CACHE_SIZE) + 100
+def test_shared_state_keeps_schemas_and_nesting_apart(concerts):
+    """The shared caches keep verdicts apart by schema object and by
+    nesting.  Texts whose verdicts differ between two schemas, or that
+    use a lexeme allowed only inside parentheses, get the reference's
+    verdict on each schema in either order."""
+    singer, concert, _ = concerts.tables
+    name = dataclasses.replace(singer.columns[1], type=ColumnType.INTEGER)
+    columns = (singer.columns[0], name, *singer.columns[2:])
+    other = dataclasses.replace(
+        concerts, tables=(dataclasses.replace(singer, columns=columns), concert)
+    )
     example = ExampleTuple.from_values(("Ali",))
-    reference = _reference_check(dataclasses.replace(concerts), example)
+    across_schemas = [
+        "SELECT singer.name\nFROM singer\nWHERE",
+        "SELECT singer_in_concert.singer_id\nFROM",
+        "SELECT singer.name\nFROM singer_in",
+    ]
+    where = "SELECT singer.name\nFROM singer\nWHERE "
+    nested, flat = where + "singer.age IN ( SELECT COUNT (", where + "COUNT ("
+    terminated = [nested + " * ) )\nGROUP BY", flat + " * )\nGROUP BY"]
+    texts = [*across_schemas, nested, flat, *terminated]
+    for text in across_schemas:
+        verdicts = {_reference_check(s, example)(text, False) for s in (concerts, other)}
+        assert len(verdicts) == 2, text
+    assert _reference_check(concerts, example)(nested, False).ok
+    assert not _reference_check(concerts, example)(flat, False).ok
+    for order in (texts, texts[::-1]):
+        # Fresh schema objects, so each order starts from cold entries.
+        pair = (dataclasses.replace(concerts), dataclasses.replace(other))
+        for text in order:
+            for schema in pair if order is texts else pair[::-1]:
+                want = _reference_check(schema, example)(text, False)
+                assert make_checker(schema, example)(text, False) == want, text
+
+
+def test_shared_check_state_stays_within_its_bounds(concerts):
+    """More distinct lexemes, steps and current lines than any bound,
+    spread over many schema objects, leave the shared step table, its
+    interned heads and both verdict caches within their process-wide
+    bounds, and the verdicts equal the reference's."""
+    caches = (checker._shared_lexeme_verdict, checker._check_line)
+    limits = (checker._STEP_LIMIT, checker._LEXEME_CACHE_SIZE, checker._LINE_CACHE_SIZE)
+    count = max(limits) + 100
+    example = ExampleTuple.from_values(("Ali",))
+    reference = _reference_check(concerts, example)
+    copies = [dataclasses.replace(concerts) for _ in range(8)]
     for index in range(count):
         # A new lexeme, so a new rejection, head, step and line-cache key.
         text = f"SELECT v{index}\nFROM"
-        assert make_checker(concerts, example)(text, False) == reference(text, False)
-    info = checker._check_line.cache_info()
-    assert info.misses >= count > info.maxsize >= info.currsize
-    tables = checker._tables_of(concerts)
-    for table in (tables.lexemes, tables.heads, tables.steps):
-        assert 0 < len(table) <= checker._TABLE_LIMIT < count
+        check = make_checker(copies[index % len(copies)], example)
+        assert check(text, False) == reference(text, False)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses >= count > info.maxsize >= info.currsize
+    assert 0 < len(checker._HEADS) <= len(checker._STEPS) <= checker._STEP_LIMIT
+    assert checker._STEP_LIMIT < count
 
 
 @pytest.mark.parametrize("db_id", sorted(DATABASES))
