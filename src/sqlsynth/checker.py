@@ -23,12 +23,12 @@ is its parent head plus one terminated line.
 
 Searches over one schema object reach the same heads, lines and
 lexemes again, so what they derive is shared rather than per search:
-interned heads and the steps between them live in one bounded
-process-wide table, and lexeme verdicts and the verdict on a head plus
-its current line in bounded process-wide caches.  Clause bodies are
-parsed through ``nsql.grammar``'s process-wide clause cache.  Repair
-checks each finished variant from its clause bodies through
-``make_query_check``.
+steps between heads, interned heads, lexeme verdicts and the verdict on
+a head plus its current line live in bounded process-wide
+``functools.lru_cache``s keyed by the schema object, which hashes by
+identity.  Clause bodies are parsed through ``nsql.grammar``'s
+process-wide clause cache.  Repair checks each finished variant from
+its clause bodies through ``make_query_check``.
 """
 
 from __future__ import annotations
@@ -259,8 +259,7 @@ def check_vocabulary(
     schema: DatabaseSchema,
 ) -> CheckVerdict:
     """Check a clause body (keyword already stripped) lexeme by lexeme."""
-    verdict_of = functools.partial(_lexeme_verdict, schema)
-    return _check_lexemes(clause, lexemes, last_incomplete, schema, verdict_of)
+    return _check_lexemes(clause, lexemes, last_incomplete, schema, _lexeme_verdict)
 
 
 def _check_lexemes(
@@ -268,10 +267,10 @@ def _check_lexemes(
     lexemes: Sequence[str],
     last_incomplete: str | None,
     schema: DatabaseSchema,
-    verdict_of: Callable[[str, ClauseKind, bool], CheckVerdict],
+    verdict_of: Callable[[DatabaseSchema, str, ClauseKind, bool], CheckVerdict],
 ) -> CheckVerdict:
     """``check_vocabulary`` with each lexeme's verdict taken from
-    ``verdict_of(lexeme, clause, nested)``."""
+    ``verdict_of(schema, lexeme, clause, nested)``."""
     depth = 0
     for lexeme in lexemes:
         if lexeme == ")":
@@ -280,7 +279,7 @@ def _check_lexemes(
                 return CheckVerdict.rejected(
                     ErrorKind.SYNTAX, clause, "unbalanced ')'"
                 )
-        verdict = verdict_of(lexeme, clause, depth > 0 or lexeme == ")")
+        verdict = verdict_of(schema, lexeme, clause, depth > 0 or lexeme == ")")
         if not verdict.ok:
             return verdict
         if lexeme == "(":
@@ -418,10 +417,11 @@ def _item_types(
 def check_types(
     select_items: Sequence[SelectItem],
     schema: DatabaseSchema,
-    example: ExampleTuple,
+    example_types: Sequence[ColumnType],
     from_tables: Sequence[str] | None = None,
 ) -> CheckVerdict:
-    """Compare the completed SELECT clause's output types to the example.
+    """Compare the completed SELECT clause's output types to the example's
+    column types.
 
     Star items need the FROM table list to expand; when it is not yet
     known the whole check defers (a star changes the arity).
@@ -432,13 +432,13 @@ def check_types(
         if types is None:
             return PASS
         computed.extend(types)
-    if len(computed) != example.arity:
+    if len(computed) != len(example_types):
         return CheckVerdict.rejected(
             ErrorKind.EXAMPLE,
             ClauseKind.SELECT,
-            f"query returns {len(computed)} columns, example has {example.arity}",
+            f"query returns {len(computed)} columns, example has {len(example_types)}",
         )
-    for position, (types, expected) in enumerate(zip(computed, example.types)):
+    for position, (types, expected) in enumerate(zip(computed, example_types)):
         if not _compatible(types, expected):
             names = "/".join(sorted(t.value for t in types))
             return CheckVerdict.rejected(
@@ -468,8 +468,8 @@ class _Head:
     is the SELECT body while FROM is still open: SELECT's scope, and its
     types against the FROM tables, are decided when FROM terminates.
 
-    Heads compare and hash by identity: the shared step table keeps one
-    object per distinct value (``_HEADS``).
+    Heads compare and hash by identity: steps build them through
+    ``_head``, which keeps one object per distinct value.
     """
 
     next_clause: ClauseKind | None = ClauseKind.SELECT
@@ -481,43 +481,64 @@ class _Head:
     select: tuple[str, ...] | None = None
 
 
-def _step(
+# Bounds on what checks remember across searches, for the whole process
+# however many schemas it loads: steps between heads, interned heads, and
+# entries of the lexeme-verdict and line-verdict caches.  Filled, with a
+# new head at every step, they hold about 5.8 MB of heap on CPython 3.11
+# (tracemalloc).  Every shared cache is a ``functools.lru_cache`` keyed
+# by the schema object itself, which hashes by identity.  An entry is a
+# pure function of its key, so a race between threads at worst computes
+# one twice.
+_STEP_CACHE_SIZE = 4096
+_LEXEME_CACHE_SIZE = 2048
+_LINE_CACHE_SIZE = 4096
+
+# ``_Head`` through a cache, so equal heads of different searches are one
+# object.  ``_shared_step`` builds each kind of head with one argument
+# form, and no two forms build equal heads, so equal heads share a key.
+_head = functools.lru_cache(maxsize=_STEP_CACHE_SIZE)(_Head)
+_ROOT = _Head()
+
+
+@functools.lru_cache(maxsize=_STEP_CACHE_SIZE)
+def _shared_step(
+    schema: DatabaseSchema,
+    example_types: tuple[ColumnType, ...] | None,
     head: _Head,
     line: str,
-    key: _SchemaKey,
-    example: ExampleTuple | None,
 ) -> _Head:
     """The head after one more terminated ``line`` (newline included).
 
     Checks run in clause order, as over a whole prefix: line structure,
     vocabulary and grammar first, then scope once FROM is known, then
-    the output types."""
+    the output types against ``example_types`` (None skips them).  One
+    process-wide cache of bounded size answers repeats across searches.
+    """
     if head.fatal is not None:
         return head
-    schema = key.schema
     kind = head.next_clause
     try:
         _, body, _, error = parse_partial(kind, line[:-1], terminated=True)
     except ClauseOrderViolation as exc:
-        return _Head(fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc)))
+        return _head(fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc)))
     if error is not None:
-        return _Head(fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, error))
+        return _head(fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, error))
     following = _FOLLOWING[kind]
     if head.clause_error is not None:
-        return _Head(following, clause_error=head.clause_error)
-    verdict = _check_lexemes(kind, body, None, schema, key.verdict_of)
+        return _head(following, clause_error=head.clause_error)
+    verdict = _check_lexemes(kind, body, None, schema, _shared_lexeme_verdict)
     if not verdict.ok:
-        return _Head(following, clause_error=verdict)
+        return _head(following, clause_error=verdict)
     try:
         parsed = parse_clause_cached(kind, body)
     except ParseError as exc:
         verdict = CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc))
-        return _Head(following, clause_error=verdict)
+        return _head(following, clause_error=verdict)
     if kind is ClauseKind.SELECT:
         types = PASS
-        if example is not None:
-            types = check_types(parsed[1], schema, example)
-        return _Head(following, types=types, select=body)
+        if example_types is not None:
+            types = check_types(parsed[1], schema, example_types)
+        return _head(following, types=types, select=body)
     if kind is ClauseKind.FROM:
         outer = frozenset(t.lower() for t in parsed.tables)
         scope = _scope(ClauseKind.SELECT, head.select, outer)
@@ -528,97 +549,30 @@ def _step(
         if scope.ok:
             types = head.types
             items = parse_clause_cached(ClauseKind.SELECT, head.select)[1]
-            if example is not None and any(isinstance(i.expr, Star) for i in items):
-                types = check_types(items, schema, example, from_tables=parsed.tables)
-        return _Head(following, outer=outer, scope=scope, types=types)
+            if example_types is not None and any(
+                isinstance(i.expr, Star) for i in items
+            ):
+                types = check_types(items, schema, example_types, parsed.tables)
+        return _head(following, outer=outer, scope=scope, types=types)
     scope = head.scope
     if scope.ok:
         scope = _scope(kind, body, head.outer)
     types = head.types if scope.ok else PASS
-    return _Head(following, outer=head.outer, scope=scope, types=types)
-
-
-# Bounds on what checks remember across searches, for the whole process
-# however many schemas it loads: steps between heads, and entries of the
-# lexeme-verdict and line-verdict caches.  Filled, they hold about 4 MB
-# of heap on CPython 3.11 (tracemalloc): 2.5 MB of steps when every step
-# reaches a new head, 1.1 MB of line verdicts, 0.5 MB of lexeme verdicts.
-_STEP_LIMIT = 4096
-_LEXEME_CACHE_SIZE = 2048
-_LINE_CACHE_SIZE = 4096
-
-# Shared by every search in the process.  ``_STEPS`` maps a schema, an
-# example type signature, a head and one more terminated line to the
-# next head; ``_HEADS`` keeps one head object per distinct head value,
-# so equal heads of different searches are one object.  Both are
-# emptied together when ``_STEPS`` is full, so ``_HEADS``, filled only
-# by steps, never holds more.  An entry is a pure function of its key,
-# so threads share them without a lock: a lost race recomputes one.
-_STEPS: dict[tuple, _Head] = {}
-_HEADS: dict[tuple, _Head] = {}
-_ROOT = _Head()
-
-
-class _SchemaKey:
-    """Stands for one schema object in the keys of the shared caches.
-
-    A schema hashes by value, which costs a walk over every column; its
-    key hashes by identity.  It is kept on the schema, so every search
-    over that object gets the same key.  ``verdict_of(lexeme, clause,
-    nested)`` reads the schema's lexeme verdicts through the shared
-    cache."""
-
-    __slots__ = ("schema", "verdict_of")
-
-    def __init__(self, schema: DatabaseSchema) -> None:
-        self.schema = schema
-        self.verdict_of = functools.partial(_shared_lexeme_verdict, self)
-
-
-def _key_of(schema: DatabaseSchema) -> _SchemaKey:
-    key = schema.derived.get(__name__)
-    if key is None:
-        key = schema.derived.setdefault(__name__, _SchemaKey(schema))
-    return key
+    return _head(following, outer=head.outer, scope=scope, types=types)
 
 
 @functools.lru_cache(maxsize=_LEXEME_CACHE_SIZE)
 def _shared_lexeme_verdict(
-    key: _SchemaKey, lexeme: str, clause: ClauseKind, nested: bool
+    schema: DatabaseSchema, lexeme: str, clause: ClauseKind, nested: bool
 ) -> CheckVerdict:
-    """``_lexeme_verdict`` on the schema of ``key``, so a rejection is
-    one object however often it recurs."""
-    return _lexeme_verdict(key.schema, lexeme, clause, nested)
-
-
-def _shared_step(
-    key: _SchemaKey,
-    head: _Head,
-    line: str,
-    types: tuple[ColumnType, ...] | None,
-    example: ExampleTuple | None,
-) -> _Head:
-    """``_step`` through ``_STEPS``, for an example with ``types`` (a
-    step reads only the example's types)."""
-    stepped = _STEPS.get((key, types, head, line))
-    if stepped is None:
-        new = _step(head, line, key, example)
-        value = (
-            new.next_clause, new.fatal, new.clause_error, new.outer,
-            new.scope, new.types, new.select,
-        )
-        if len(_STEPS) >= _STEP_LIMIT:
-            _STEPS.clear()
-            _HEADS.clear()
-        # One string per distinct line: the same lines follow many heads.
-        entry = (key, types, head, sys.intern(line))
-        stepped = _STEPS.setdefault(entry, _HEADS.setdefault(value, new))
-    return stepped
+    """``_lexeme_verdict`` through one process-wide cache of bounded size,
+    so a rejection is one object however often it recurs."""
+    return _lexeme_verdict(schema, lexeme, clause, nested)
 
 
 @functools.lru_cache(maxsize=_LINE_CACHE_SIZE)
 def _check_line(
-    key: _SchemaKey, head: _Head, line: str, eos_seen: bool
+    schema: DatabaseSchema, head: _Head, line: str, eos_seen: bool
 ) -> CheckVerdict:
     """Check the current ``line`` and slot the head's verdicts in around it.
 
@@ -629,9 +583,8 @@ def _check_line(
 
     The verdict depends only on the head's value, the line, ``eos_seen``
     and the schema, so one process-wide cache of bounded size answers
-    repeats across searches; heads and schema keys hash by identity.
+    repeats across searches; heads and schemas hash by identity.
     """
-    schema = key.schema
     current = head.next_clause
     try:
         keyword_remaining, body, fragment, syntax_error = parse_partial(current, line)
@@ -650,7 +603,9 @@ def _check_line(
                     f"{fragment!r} cannot start the {current.value} line",
                 )
         else:
-            verdict = _check_lexemes(current, body, fragment, schema, key.verdict_of)
+            verdict = _check_lexemes(
+                current, body, fragment, schema, _shared_lexeme_verdict
+            )
             if not verdict.ok:
                 return verdict
     if not head.scope.ok:
@@ -675,14 +630,13 @@ def make_checker(
 
     The function keeps the head of each text it has seen (the text up to
     and including the last newline), built from the head one line
-    shorter.  Heads and the steps between them come from a process-wide
-    table shared by every search over the same schema object and example
-    types, and the verdict on a head plus its current line from one
-    process-wide cache, so a check that an earlier search already made
-    costs two lookups.  A text whose head is unknown, such as a whole
-    query, steps from its longest known head one line at a time.
+    shorter.  Steps between heads, and the verdict on a head plus its
+    current line, come from process-wide caches keyed by the schema
+    object, so every search over that object and the same example types
+    shares them, and a check that an earlier search already made costs
+    two lookups.  A text whose head is unknown, such as a whole query,
+    steps from its longest known head one line at a time.
     """
-    key = _key_of(schema)
     types = None if example is None else example.types
     heads: dict[str, _Head] = {"": _ROOT}
 
@@ -697,8 +651,9 @@ def make_checker(
                 break
             cuts.append(cut)
         for end in reversed(cuts):
-            line = text[cut:end]
-            head = heads[text[:end]] = _shared_step(key, head, line, types, example)
+            # Cached keys share one string per distinct line.
+            line = sys.intern(text[cut:end])
+            head = heads[text[:end]] = _shared_step(schema, types, head, line)
             cut = end
         return head
 
@@ -707,8 +662,7 @@ def make_checker(
         head = heads.get(text[:cut]) or head_of(text, cut)
         if head.fatal is not None:
             return head.fatal
-        # Cached keys share one string per distinct line.
-        return _check_line(key, head, sys.intern(text[cut:]), eos_seen)
+        return _check_line(schema, head, sys.intern(text[cut:]), eos_seen)
 
     return check
 
@@ -725,7 +679,7 @@ def make_query_check(
     so a one-edit variant of a checked query costs its edited clause and
     the type check.
     """
-    key = _key_of(schema)
+    types = None if example is None else example.types
     clauses: dict[tuple[ClauseKind, tuple[str, ...], frozenset[str]], bool] = {}
 
     def check(
@@ -737,12 +691,12 @@ def make_query_check(
             ok = clauses.get((kind, body, outer))
             if ok is None:
                 ok = clauses[kind, body, outer] = (
-                    _check_lexemes(kind, body, None, schema, key.verdict_of).ok
+                    _check_lexemes(kind, body, None, schema, _shared_lexeme_verdict).ok
                     and _scope(kind, body, outer).ok
                 )
             if not ok:
                 return False
-        return example is None or check_types(query.select, schema, example, tables).ok
+        return types is None or check_types(query.select, schema, types, tables).ok
 
     return check
 

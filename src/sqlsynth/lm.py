@@ -268,16 +268,19 @@ def load_scripted_model(path: Path | str) -> ScriptedModel | ScriptedRouter:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"cannot read scripted model spec: {exc}") from exc
-    if "routes" in data:
-        routes = [
-            (entry.get("match", ""), _model_from_mapping(entry))
-            for entry in data["routes"]
-        ]
-        default = (
-            _model_from_mapping(data["default"]) if "default" in data else None
-        )
-        return ScriptedRouter(routes, default)
-    return _model_from_mapping(data)
+    try:
+        if "routes" in data:
+            routes = [
+                (entry.get("match", ""), _model_from_mapping(entry))
+                for entry in data["routes"]
+            ]
+            default = (
+                _model_from_mapping(data["default"]) if "default" in data else None
+            )
+            return ScriptedRouter(routes, default)
+        return _model_from_mapping(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed scripted model spec: {exc!r}") from exc
 
 
 # -- HTTP completion client -------------------------------------------------

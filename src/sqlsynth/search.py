@@ -59,7 +59,6 @@ class SearchConfig:
     pqc_enabled: bool = True
     repair_enabled: bool = True
     include_examples: bool = True
-    per_variant_timeout: float = 1.0
 
 
 @dataclass
@@ -189,7 +188,7 @@ def _best_first(
             yield node
             continue
         candidates = model.top_candidates(
-            dataclasses.replace(session, prefix=node.tokens), config.k
+            GenerationSession(session.task_text, node.tokens), config.k
         )
         stats.nodes_expanded += 1
         stats.candidates_generated += len(candidates)
@@ -272,7 +271,6 @@ def run_search(
                 examples,
                 attempt_repair=config.repair_enabled,
                 prefilter=config.pqc_enabled,
-                per_variant_timeout=config.per_variant_timeout,
                 deadline=until,
             )
 

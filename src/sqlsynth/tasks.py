@@ -90,8 +90,11 @@ class Table:
         return self._by_name.get(name.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatabaseSchema:
+    """One database's tables.  Schemas compare and hash by identity, so
+    the checker's process-wide caches key by the schema object cheaply."""
+
     db_id: str
     tables: tuple[Table, ...]
     foreign_keys: tuple[tuple[str, str], ...] = ()
@@ -134,14 +137,6 @@ class DatabaseSchema:
     def column_refs(self) -> tuple[str, ...]:
         """All ``table.column`` lexemes in declaration order."""
         return self._column_refs
-
-    @cached_property
-    def derived(self) -> dict[str, object]:
-        """State other modules derive from this schema alone and share
-        among all its users, keyed by the owning module's name.  It lives
-        as long as the schema and is found through it, so no one has to
-        hash the schema to reach it."""
-        return {}
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import sqlite3
 
 import pytest
 
-from sqlsynth import checker
-from sqlsynth.nsql import grammar
+import sqlsynth
 from sqlsynth.nsql.normalize import rewrite_dataset
 from sqlsynth.tasks import (
     DatabaseSchema,
@@ -18,16 +19,24 @@ from sqlsynth.tasks import (
 from tests.fixtures.build import FixturePaths, write_fixture_tree
 
 
+@pytest.fixture(scope="session")
+def shared_caches() -> dict[str, object]:
+    """Every ``functools.lru_cache`` defined at module level in a
+    ``sqlsynth`` module, by qualified name."""
+    caches = {}
+    for info in pkgutil.walk_packages(sqlsynth.__path__, "sqlsynth."):
+        for name, value in vars(importlib.import_module(info.name)).items():
+            if hasattr(value, "cache_info") and value.__module__ == info.name:
+                caches[f"{info.name}.{name}"] = value
+    return caches
+
+
 @pytest.fixture(autouse=True)
-def empty_shared_caches():
-    """Start every test from an empty clause-parse cache and empty
-    shared check state, so that no test depends on which tests ran
-    before it."""
-    grammar._parsed_clause.cache_clear()
-    checker._shared_lexeme_verdict.cache_clear()
-    checker._check_line.cache_clear()
-    checker._STEPS.clear()
-    checker._HEADS.clear()
+def empty_shared_caches(shared_caches):
+    """Start every test from empty process-wide caches, so that no test
+    depends on which tests ran before it."""
+    for cache in shared_caches.values():
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -696,6 +696,34 @@ def test_cli_generate_exits_1_when_the_model_server_is_unreachable(
     assert payload["status"] == "adapter_failure"
 
 
+def test_cli_generate_exits_1_on_a_malformed_scripted_spec(
+    tmp_path, capsys, fixture_paths
+):
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps({"paths": []}))
+    code = cli.main(
+        [
+            "generate",
+            "--tables",
+            str(fixture_paths.tables),
+            "--db-root",
+            str(fixture_paths.db_root),
+            "--db-id",
+            "concerts",
+            "--question",
+            "how many singers",
+            "--example",
+            "[5]",
+            "--model",
+            f"scripted:{spec}",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("model adapter error: ")
+    assert "Traceback" not in err
+
+
 def test_cli_bench_exits_1_when_the_model_server_is_unreachable(
     capsys, tmp_path, fixture_paths
 ):

@@ -218,12 +218,12 @@ def _items(body):
 def test_types_match_plain_columns(concerts):
     example = ExampleTuple.from_values(("France", 30))
     items = _items(("singer.country", ",", "singer.age"))
-    assert check_types(items, concerts, example).ok
+    assert check_types(items, concerts, example.types).ok
 
 
 def test_types_arity_mismatch(concerts):
     example = ExampleTuple.from_values(("France", 30))
-    verdict = check_types(_items(("singer.country",)), concerts, example)
+    verdict = check_types(_items(("singer.country",)), concerts, example.types)
     assert not verdict.ok
     assert verdict.kind is ErrorKind.EXAMPLE
     assert "1 columns" in verdict.detail
@@ -231,37 +231,37 @@ def test_types_arity_mismatch(concerts):
 
 def test_types_count_is_integer(concerts):
     count = _items(("COUNT", "(", "*", ")"))
-    assert check_types(count, concerts, ExampleTuple.from_values((4,))).ok
-    verdict = check_types(count, concerts, ExampleTuple.from_values(("x",)))
+    assert check_types(count, concerts, ExampleTuple.from_values((4,)).types).ok
+    verdict = check_types(count, concerts, ExampleTuple.from_values(("x",)).types)
     assert not verdict.ok and verdict.kind is ErrorKind.EXAMPLE
 
 
 def test_types_avg_and_sum_are_numeric(concerts):
     avg = _items(("AVG", "(", "singer.age", ")"))
-    assert check_types(avg, concerts, ExampleTuple.from_values((29.5,))).ok
+    assert check_types(avg, concerts, ExampleTuple.from_values((29.5,)).types).ok
     total = _items(("SUM", "(", "singer.age", ")"))
-    assert check_types(total, concerts, ExampleTuple.from_values((120,))).ok
-    assert not check_types(total, concerts, ExampleTuple.from_values(("x",))).ok
+    assert check_types(total, concerts, ExampleTuple.from_values((120,)).types).ok
+    assert not check_types(total, concerts, ExampleTuple.from_values(("x",)).types).ok
 
 
 def test_types_min_max_keep_column_type(concerts):
     youngest = _items(("MIN", "(", "singer.name", ")"))
-    assert check_types(youngest, concerts, ExampleTuple.from_values(("Ali",))).ok
-    assert not check_types(youngest, concerts, ExampleTuple.from_values((3,))).ok
+    assert check_types(youngest, concerts, ExampleTuple.from_values(("Ali",)).types).ok
+    assert not check_types(youngest, concerts, ExampleTuple.from_values((3,)).types).ok
 
 
 def test_types_star_defers_without_from(concerts):
     star = _items(("*",))
     example = ExampleTuple.from_values(("x",))
-    assert check_types(star, concerts, example, from_tables=None).ok
-    verdict = check_types(star, concerts, example, from_tables=("singer",))
+    assert check_types(star, concerts, example.types, from_tables=None).ok
+    verdict = check_types(star, concerts, example.types, from_tables=("singer",))
     assert not verdict.ok  # singer has five columns, example has one
 
 
 def test_types_boolean_column_accepts_integer_examples(concerts):
     flag = _items(("singer.is_male",))
-    assert check_types(flag, concerts, ExampleTuple.from_values((1,))).ok
-    assert check_types(flag, concerts, ExampleTuple.from_values(("t",))).ok
+    assert check_types(flag, concerts, ExampleTuple.from_values((1,)).types).ok
+    assert check_types(flag, concerts, ExampleTuple.from_values(("t",)).types).ok
 
 
 # -- orchestration ----------------------------------------------------------
@@ -326,9 +326,9 @@ def test_select_types_are_checked_once_per_head(monkeypatch, concerts):
     SELECT terminated; only a star is checked again once FROM is known."""
     calls: list[bool] = []
 
-    def counting(items, schema, example, from_tables=None):
+    def counting(items, schema, example_types, from_tables=None):
         calls.append(from_tables is not None)
-        return check_types(items, schema, example, from_tables)
+        return check_types(items, schema, example_types, from_tables)
 
     monkeypatch.setattr(checker, "check_types", counting)
     example = ExampleTuple.from_values((1,))
@@ -418,7 +418,7 @@ def _reference_check(schema, example):
             verdict = check_types(
                 clauses[ClauseKind.SELECT][1],
                 schema,
-                example,
+                example.types,
                 from_tables=from_clause.tables if from_clause is not None else None,
             )
             if not verdict.ok:
@@ -623,13 +623,17 @@ def test_shared_state_keeps_schemas_and_nesting_apart(concerts):
 
 
 def test_shared_check_state_stays_within_its_bounds(concerts):
-    """More distinct lexemes, steps and current lines than any bound,
-    spread over many schema objects, leave the shared step table, its
-    interned heads and both verdict caches within their process-wide
-    bounds, and the verdicts equal the reference's."""
-    caches = (checker._shared_lexeme_verdict, checker._check_line)
-    limits = (checker._STEP_LIMIT, checker._LEXEME_CACHE_SIZE, checker._LINE_CACHE_SIZE)
-    count = max(limits) + 100
+    """More distinct lexemes, steps, heads and current lines than any
+    bound, spread over many schema objects, leave every shared checker
+    cache within its process-wide bound, and the verdicts equal the
+    reference's."""
+    caches = (
+        checker._shared_step,
+        checker._head,
+        checker._shared_lexeme_verdict,
+        checker._check_line,
+    )
+    count = max(cache.cache_info().maxsize for cache in caches) + 100
     example = ExampleTuple.from_values(("Ali",))
     reference = _reference_check(concerts, example)
     copies = [dataclasses.replace(concerts) for _ in range(8)]
@@ -641,8 +645,18 @@ def test_shared_check_state_stays_within_its_bounds(concerts):
     for cache in caches:
         info = cache.cache_info()
         assert info.misses >= count > info.maxsize >= info.currsize
-    assert 0 < len(checker._HEADS) <= len(checker._STEPS) <= checker._STEP_LIMIT
-    assert checker._STEP_LIMIT < count
+
+
+def test_every_shared_cache_is_bounded(shared_caches):
+    """Every process-wide cache in the package has a finite size, so one
+    added later is bounded as well as emptied between tests."""
+    assert "sqlsynth.checker._shared_step" in shared_caches
+    unbounded = [
+        name
+        for name, cache in shared_caches.items()
+        if cache.cache_info().maxsize is None
+    ]
+    assert unbounded == []
 
 
 @pytest.mark.parametrize("db_id", sorted(DATABASES))

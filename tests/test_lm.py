@@ -213,12 +213,28 @@ def test_load_scripted_model_router(tmp_path):
     assert isinstance(model, ScriptedRouter)
 
 
-def test_load_scripted_model_bad_file(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        json.dumps({"paths": [{"weight": 1.0}]}),
+        json.dumps({"paths": []}),
+        json.dumps(
+            {"paths": [{"query": "SELECT\n"}], "distractor": {"mass": 0.2}}
+        ),
+        json.dumps([{"paths": [{"query": "SELECT\n"}]}]),
+    ],
+    ids=[
+        "not-json",
+        "path-without-tokens",
+        "no-paths",
+        "distractor-without-surface",
+        "top-level-list",
+    ],
+)
+def test_load_scripted_model_bad_file(tmp_path, text):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ProtocolError):
-        load_scripted_model(path)
-    path.write_text(json.dumps({"paths": [{"weight": 1.0}]}))
+    path.write_text(text)
     with pytest.raises(ProtocolError):
         load_scripted_model(path)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import importlib.util
 import itertools
 import math
@@ -323,15 +324,15 @@ def _unlocked(path) -> bool:
 
 
 @pytest.mark.parametrize(
-    "config, status",
+    "per_variant_timeout, status",
     [
-        (SearchConfig(), repair.ExecutionStatus.ERROR),
-        (SearchConfig(per_variant_timeout=1e-6), repair.ExecutionStatus.TIMEOUT),
+        (None, repair.ExecutionStatus.ERROR),
+        (1e-6, repair.ExecutionStatus.TIMEOUT),
     ],
     ids=["row-cap", "timeout"],
 )
 def test_a_failed_statement_leaves_the_shared_connection_usable(
-    monkeypatch, numbers, config, status
+    monkeypatch, numbers, per_variant_timeout, status
 ):
     path, schema = numbers
     db = TaskDatabase("numbers", path)
@@ -343,13 +344,18 @@ def test_a_failed_statement_leaves_the_shared_connection_usable(
         return results[-1]
 
     monkeypatch.setattr(repair, "execute_text", recording)
-    first = run_search(
-        _task(db_id="numbers", example=(0,)),
-        schema,
-        db,
-        ScriptedModel.from_queries([(_ROWS, 1.0)]),
-        config=config,
-    )
+    with monkeypatch.context() as patch:
+        if per_variant_timeout is not None:
+            tester = functools.partial(
+                repair.test_and_repair, per_variant_timeout=per_variant_timeout
+            )
+            patch.setattr(search, "test_and_repair", tester)
+        first = run_search(
+            _task(db_id="numbers", example=(0,)),
+            schema,
+            db,
+            ScriptedModel.from_queries([(_ROWS, 1.0)]),
+        )
     assert first.status is SearchStatus.EXHAUSTED
     assert results[0].status is status
     if status is repair.ExecutionStatus.ERROR:
