@@ -11,13 +11,13 @@ fails the scope check and SQLite alike.  Constants are never touched.
 The static checks judge each variant from its clause bodies, and only
 a variant that executes is rendered.
 
-One scan answers every SELECT-column swap of an eligible query: a query
-that selects plain columns, with no DISTINCT, grouping, ordering or
-limit.  When its walk reaches the first such swap, the query runs once
-more with every column of its FROM tables appended to the SELECT list,
-and that swap and each later one is answered by projecting the widened
-rows.  Dropping a column from such a query leaves its multiset of rows
-unchanged, and its row order is unspecified anyway.
+One scan answers an eligible query and every one of its SELECT-column
+swaps: a query that selects plain columns, with no DISTINCT, grouping,
+ordering or limit.  With repair on, such a query runs as its widened
+statement, with every column of its FROM tables appended to the SELECT
+list; the query's own rows and each swap's are projections of the
+widened rows.  Dropping a column from such a query leaves its multiset
+of rows unchanged, and its row order is unspecified anyway.
 """
 
 from __future__ import annotations
@@ -314,6 +314,7 @@ class RepairOutcome:
     satisfied: bool
     repaired: bool
     variants_tried: int
+    statements: int = 0
 
 
 def test_and_repair(
@@ -334,14 +335,19 @@ def test_and_repair(
     touching the database.  ``deadline`` is an absolute
     ``time.monotonic`` value past which no further variant runs.
 
-    For an eligible query (see the module docstring) whose original
-    ran, the first admitted SELECT-column swap runs the widened
-    statement within its own budget, and that swap and every later one
-    are answered from the widened rows.  When the widened statement
-    fails, the swap runs on its own with what is left of its budget, and
-    so does every later variant.
+    With repair on, an eligible query (see the module docstring) runs as
+    its widened statement: the original's rows are the widened rows cut
+    to the query's own columns, and every SELECT-column swap is answered
+    from them.  When the widened statement fails, the original runs on
+    its own with what is left of the same budget, and every variant runs
+    as a statement of its own.  The widened statement reads every FROM
+    column a row, so an original that only just fits the budget can time
+    out with repair on, and the walk may then settle on a variant, where
+    with repair off the original runs.  The outcome counts the
+    statements sent to SQLite.
     """
     example_list = tuple(examples)
+    statements = 0
 
     def budget() -> float:
         if deadline is None:
@@ -349,22 +355,35 @@ def test_and_repair(
         return min(per_variant_timeout, deadline - time.monotonic())
 
     def run(statement: NormalizedQuery, remaining: float) -> ExecutionResult:
+        nonlocal statements
         if remaining <= 0:
             return ExecutionResult.timed_out()
+        statements += 1
         return execute_query(conn, statement, timeout=remaining)
 
-    original = run(query, budget())
+    widened = _widened(query, schema) if attempt_repair else None
+    width = len(query.select)
+    wide_rows: tuple[tuple, ...] | None = None
+    remaining = budget()
+    if widened is not None:
+        started = time.monotonic()
+        wide = run(widened[0], remaining)
+        if wide.ok:
+            wide_rows = wide.rows
+        else:
+            remaining -= time.monotonic() - started
+    if wide_rows is None:
+        original = run(query, remaining)
+    else:
+        original = ExecutionResult.success(tuple(row[:width] for row in wide_rows))
     if satisfies_examples(original, example_list):
-        return RepairOutcome(query, original, True, False, 0)
+        return RepairOutcome(query, original, True, False, 0, statements)
     if not attempt_repair:
-        return RepairOutcome(query, original, False, False, 0)
+        return RepairOutcome(query, original, False, False, 0, statements)
 
     check = None
     if prefilter:
         check = make_query_check(schema, example_list[0] if example_list else None)
-    widened = _widened(query, schema) if original.ok else None
-    wide_rows: tuple[tuple, ...] | None = None
-    width = len(query.select)
     tried = 0
     for variant, kind, bodies in hamming_one_queries(query, schema):
         if deadline is not None and time.monotonic() >= deadline:
@@ -376,16 +395,8 @@ def test_and_repair(
             break
         tried += 1
         swap = None
-        if widened is not None and kind is ClauseKind.SELECT:
+        if wide_rows is not None and kind is ClauseKind.SELECT:
             swap = _select_swap(query, variant, widened[1])
-        if swap is not None and wide_rows is None:
-            started = time.monotonic()
-            wide = run(widened[0], remaining)
-            if wide.ok:
-                wide_rows = wide.rows
-            else:
-                widened = swap = None
-                remaining -= time.monotonic() - started
         if swap is None:
             result = run(variant, remaining)
         else:
@@ -397,8 +408,8 @@ def test_and_repair(
                 )
             )
         if satisfies_examples(result, example_list):
-            return RepairOutcome(variant, result, True, True, tried)
-    return RepairOutcome(query, original, False, False, tried)
+            return RepairOutcome(variant, result, True, True, tried, statements)
+    return RepairOutcome(query, original, False, False, tried, statements)
 
 
 # -- Execution-based labeling ----------------------------------------------

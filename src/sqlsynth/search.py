@@ -69,6 +69,7 @@ class SearchStats:
     complete_queries_tested: int = 0
     backtracks: int = 0
     repair_variants_tried: int = 0
+    repair_statements: int = 0
     elapsed_seconds: float = 0.0
     adapter_error: str | None = None
     failed_queries: list[str] = field(default_factory=list)
@@ -300,6 +301,7 @@ def run_search(
                 continue
             outcome = tester(query, deadline)
             stats.repair_variants_tried += outcome.variants_tried
+            stats.repair_statements += outcome.statements
             if outcome.satisfied:
                 return finish(
                     SearchStatus.SOLVED,

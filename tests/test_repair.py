@@ -36,7 +36,7 @@ from sqlsynth.repair import (
     satisfies_examples,
 )
 from sqlsynth.repair import test_and_repair as run_with_repair
-from sqlsynth.tasks import ExampleTuple
+from sqlsynth.tasks import Column, ColumnType, DatabaseSchema, ExampleTuple, Table
 from tests.fixtures.randqueries import distinct_queries
 from tests.fixtures.textsplit import split_text
 
@@ -510,22 +510,41 @@ def test_eligible_select_column_near_miss_runs_one_widened_statement(
     assert outcome.variants_tried == 2
     assert outcome.query.render() == GOLD.replace("SELECT singer.name", "SELECT singer.age")
     assert Counter(outcome.result.rows) == Counter([(40,), (35,)])
-    # The original on its own, then one widened statement for both swaps.
-    assert len(statements) == 2
-    assert statements[0] == query and _is_widened(statements[1], query)
+    # One widened statement answers the original and both swaps.
+    assert len(statements) == 1 and _is_widened(statements[0], query)
+    assert outcome.statements == 1
 
 
-def test_satisfied_eligible_query_is_not_widened(monkeypatch, connect, schemas):
+def test_satisfied_eligible_query_runs_one_widened_statement(
+    monkeypatch, connect, schemas
+):
+    conn = connect("concerts")
+    query = parse_complete(GOLD)
+    plain = execute_query(conn, query)
+    statements = _counting_execute(monkeypatch)
+    outcome = run_with_repair(
+        query, conn, schemas["concerts"], [ExampleTuple.from_values(("Chris",))]
+    )
+    assert outcome.satisfied and not outcome.repaired
+    assert len(statements) == 1 and _is_widened(statements[0], query)
+    # The widened rows cut to the query's own columns are its rows.
+    assert Counter(outcome.result.rows) == Counter(plain.rows)
+
+
+def test_repair_off_runs_only_the_plain_original(monkeypatch, connect, schemas):
+    """With repair off no swap can use the widened rows, so the eligible
+    query runs as itself."""
     statements = _counting_execute(monkeypatch)
     query = parse_complete(GOLD)
     outcome = run_with_repair(
         query,
         connect("concerts"),
         schemas["concerts"],
-        [ExampleTuple.from_values(("Chris",))],
+        [ExampleTuple.from_values((40,))],
+        attempt_repair=False,
     )
-    assert outcome.satisfied and not outcome.repaired
-    assert statements == [query]
+    assert not outcome.satisfied
+    assert statements == [query] and outcome.statements == 1
 
 
 @pytest.mark.parametrize(
@@ -569,7 +588,9 @@ def test_scan_answers_only_a_lone_select_column_swap(schemas):
     assert repair._select_swap(query, parse_complete(venue), columns) is None
 
 
-def test_failed_original_is_not_widened(monkeypatch, connect, schemas):
+def test_failed_original_runs_on_its_own_after_the_widened_statement(
+    monkeypatch, connect, schemas
+):
     conn = connect("concerts")
     query = parse_complete(GOLD.replace("SELECT singer.name", "SELECT singer.wingspan"))
     assert execute_query(conn, query).status is ExecutionStatus.ERROR
@@ -579,8 +600,11 @@ def test_failed_original_is_not_widened(monkeypatch, connect, schemas):
     outcome = run_with_repair(query, conn, schemas["concerts"], examples)
     assert outcome.satisfied and outcome.repaired
     assert _observed(outcome) == _observed(expected)
-    assert len(statements) == 1 + outcome.variants_tried
-    assert not any(_is_widened(statement, query) for statement in statements)
+    # The widened statement fails as the original does; the original then
+    # runs on its own, and so does every variant.
+    assert _is_widened(statements[0], query) and statements[1] == query
+    assert len(statements) == 2 + outcome.variants_tried == outcome.statements
+    assert not any(_is_widened(statement, query) for statement in statements[1:])
 
 
 def _widened_fails(monkeypatch, query, failure) -> list:
@@ -601,8 +625,8 @@ def _widened_fails(monkeypatch, query, failure) -> list:
 def test_failed_widened_statement_falls_back_to_per_variant_runs(
     monkeypatch, connect, schemas
 ):
-    """When the widened statement fails at once, the swap that ran it and
-    every later variant run as in the per-variant loop."""
+    """When the widened statement fails at once, the original and every
+    variant run as in the per-variant loop."""
     conn = connect("concerts")
     query = parse_complete(GOLD)
     examples = [ExampleTuple.from_values((40,))]
@@ -612,9 +636,9 @@ def test_failed_widened_statement_falls_back_to_per_variant_runs(
     )
     outcome = run_with_repair(query, conn, schemas["concerts"], examples)
     assert _observed(outcome) == _observed(expected)
-    assert statements[0] == query and _is_widened(statements[1], query)
+    assert _is_widened(statements[0], query) and statements[1] == query
     assert len(statements) == 2 + outcome.variants_tried
-    assert not any(_is_widened(statement, query) for statement in statements[2:])
+    assert not any(_is_widened(statement, query) for statement in statements[1:])
 
 
 def _times_out(timeout: float) -> ExecutionResult:
@@ -622,30 +646,57 @@ def _times_out(timeout: float) -> ExecutionResult:
     return ExecutionResult.timed_out()
 
 
-def test_widened_timeout_spends_only_its_swaps_budget(monkeypatch, connect, schemas):
-    """A widened statement that uses up its budget leaves the swap that
-    ran it timed out, with no second statement; later variants run."""
+def test_widened_timeout_spends_the_originals_budget(monkeypatch, connect, schemas):
+    """A widened statement that uses up its budget leaves the original
+    timed out, with no statement of its own; every variant then runs on
+    its own."""
     conn = connect("concerts")
     schema = schemas["concerts"]
     query = parse_complete(GOLD)
-    examples = [ExampleTuple.from_values((40,))]
     variants = [q for q, _, _ in hamming_one_queries(query, schema)]
     statements = _widened_fails(monkeypatch, query, _times_out)
     outcome = run_with_repair(
-        query, conn, schema, examples, per_variant_timeout=0.05
+        query,
+        conn,
+        schema,
+        [ExampleTuple.from_values(("nobody",))],
+        per_variant_timeout=0.05,
     )
-    assert outcome.satisfied and outcome.variants_tried == 2
-    assert statements == [query, statements[1], variants[1]]
+    assert not outcome.satisfied and outcome.variants_tried == len(variants)
+    assert outcome.result.status is ExecutionStatus.TIMEOUT
+    assert _is_widened(statements[0], query) and statements[1:] == variants
 
 
-def test_widened_timeout_under_a_deadline_leaves_the_original(
+def test_widened_timeout_fails_an_original_that_runs_with_repair_off(
     monkeypatch, connect, schemas
 ):
-    """The original runs on its own before any widening, so a widened
-    statement that runs into the search deadline cannot change it."""
+    """The widened statement reads more columns a row than the original,
+    so an original that only just fits its budget can time out with
+    repair on, where with repair off it runs and satisfies."""
+    conn = connect("concerts")
+    schema = schemas["concerts"]
+    query = parse_complete(GOLD)
+    examples = [ExampleTuple.from_values(("Chris",))]
+    statements = _widened_fails(monkeypatch, query, _times_out)
+    off = run_with_repair(
+        query, conn, schema, examples, attempt_repair=False, per_variant_timeout=0.05
+    )
+    assert off.satisfied and not off.repaired and statements == [query]
+    statements.clear()
+    on = run_with_repair(query, conn, schema, examples, per_variant_timeout=0.05)
+    assert _is_widened(statements[0], query) and query not in statements
+    # The original reads as timed out, and the walk settles on a variant.
+    assert on.repaired and on.query != query
+    assert on.query.where != query.where
+
+
+def test_widened_timeout_under_a_deadline_times_the_original_out(
+    monkeypatch, connect, schemas
+):
+    """A widened statement that runs into the search deadline leaves the
+    original nothing to run with, and no variant runs."""
     conn = connect("concerts")
     query = parse_complete(GOLD)
-    original = execute_query(conn, query)
     statements = _widened_fails(monkeypatch, query, _times_out)
     outcome = run_with_repair(
         query,
@@ -654,9 +705,61 @@ def test_widened_timeout_under_a_deadline_leaves_the_original(
         [ExampleTuple.from_values((40,))],
         deadline=time.monotonic() + 0.2,
     )
-    assert not outcome.satisfied and outcome.variants_tried == 1
-    assert outcome.result == original
-    assert len(statements) == 2 and statements[0] == query
+    assert not outcome.satisfied and outcome.variants_tried == 0
+    assert outcome.result.status is ExecutionStatus.TIMEOUT
+    assert len(statements) == 1 and _is_widened(statements[0], query)
+
+
+def _deep_table(path) -> DatabaseSchema:
+    """One eight-column table of 4,000 rows without an index, in the
+    shape of the deep repair workload: a unique text label, six integer
+    columns of co-prime periods and a real one."""
+    columns = (
+        Column("c0", ColumnType.TEXT),
+        *(Column(f"c{c}", ColumnType.INTEGER) for c in range(1, 7)),
+        Column("c7", ColumnType.REAL),
+    )
+    with closing(sqlite3.connect(path)) as conn:
+        conn.execute(
+            "CREATE TABLE t (c0 TEXT, c1 INTEGER, c2 INTEGER, c3 INTEGER, "
+            "c4 INTEGER, c5 INTEGER, c6 INTEGER, c7 REAL)"
+        )
+        conn.executemany(
+            "INSERT INTO t VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            [
+                (f"r{i:04d}", i % 7, i % 11, i % 13, i % 17, i % 19, i % 23, i / 2)
+                for i in range(4000)
+            ],
+        )
+        conn.commit()
+    return DatabaseSchema("deep", (Table("t", columns),))
+
+
+def test_deep_where_near_miss_sends_one_statement_per_where_variant(
+    monkeypatch, tmp_path
+):
+    """A near miss on its first predicate's column: the widened statement
+    stands in for the original and answers every SELECT swap, so the
+    statements sent are one plus the WHERE variants tried."""
+    path = tmp_path / "deep.sqlite"
+    schema = _deep_table(path)
+    # Row 190 has c2 = 3 and c4 = 3, but c3 = 8: the near miss reads c3.
+    query = parse_complete(
+        "SELECT t.c0\nFROM t\nWHERE t.c3 = 3 AND t.c4 = 3\n"
+        "GROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    )
+    examples = [ExampleTuple.from_values(("r0190",))]
+    select_swaps = len(schema.tables[0].columns) - 1
+    with closing(sqlite3.connect(path)) as conn:
+        expected = _reference_repair(query, conn, schema, examples)
+        sent = _counting_execute(monkeypatch)
+        outcome = run_with_repair(query, conn, schema, examples)
+    assert _observed(outcome) == _observed(expected)
+    assert outcome.repaired and outcome.query.where != query.where
+    where_tried = outcome.variants_tried - select_swaps
+    assert where_tried > 0
+    assert len(sent) == outcome.statements == 1 + where_tried
+    assert _is_widened(sent[0], query)
 
 
 # -- test and repair --------------------------------------------------------

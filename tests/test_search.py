@@ -212,6 +212,25 @@ def test_run_search_sums_the_repair_variants_tried(schemas):
     assert result.stats.as_dict()["repair_variants_tried"] == 7
 
 
+def test_run_search_counts_one_statement_for_an_eligible_select_near_miss(
+    schemas, fixture_paths
+):
+    """The example wants an age; the scripted query selects names.  One
+    widened statement answers the query and its SELECT swaps."""
+    model = ScriptedModel.from_queries([(GOLD, 1.0)])
+    db = open_database(fixture_paths.db_root, "concerts")
+    result = run_search(
+        _task(example=(40,)),
+        schemas["concerts"],
+        db,
+        model,
+        config=SearchConfig(pqc_enabled=False),
+    )
+    assert result.status is SearchStatus.SOLVED and result.repaired
+    assert result.stats.repair_variants_tried == 2
+    assert result.stats.repair_statements == 1
+
+
 def test_run_search_single_attempt_stops_after_first_complete(
     schemas, fixture_paths
 ):
