@@ -252,16 +252,6 @@ def _fragment_plausible(
     )
 
 
-def check_vocabulary(
-    clause: ClauseKind,
-    lexemes: Sequence[str],
-    last_incomplete: str | None,
-    schema: DatabaseSchema,
-) -> CheckVerdict:
-    """Check a clause body (keyword already stripped) lexeme by lexeme."""
-    return _check_lexemes(clause, lexemes, last_incomplete, schema, _lexeme_verdict)
-
-
 def _check_lexemes(
     clause: ClauseKind,
     lexemes: Sequence[str],
@@ -269,7 +259,8 @@ def _check_lexemes(
     schema: DatabaseSchema,
     verdict_of: Callable[[DatabaseSchema, str, ClauseKind, bool], CheckVerdict],
 ) -> CheckVerdict:
-    """``check_vocabulary`` with each lexeme's verdict taken from
+    """Check a clause body (keyword already stripped) lexeme by lexeme,
+    with each lexeme's verdict taken from
     ``verdict_of(schema, lexeme, clause, nested)``."""
     depth = 0
     for lexeme in lexemes:

@@ -18,6 +18,19 @@ statement, with every column of its FROM tables appended to the SELECT
 list; the query's own rows and each swap's are projections of the
 widened rows.  Dropping a column from such a query leaves its multiset
 of rows unchanged, and its row order is unspecified anyway.
+
+The WHERE variants of an eligible query that reads one table are judged
+on the example's candidate rows.  Such a variant's rows contain an
+example exactly when some table row passes its WHERE and projects to
+the example.  ``<item> IS ?``, with the example's value bound, holds for
+every stored value that ``canonical_row`` makes equal to it (``2``
+against ``2.0``, NULL against None), so the rowids one scan collects
+cover every row that matters, and a variant none of whose candidate
+rows passes its WHERE cannot hit.  A probe reads those rows through the
+rowid B-tree; a variant whose probes all find a row still runs in full.
+Binding errors, joins, tables without a usable rowid (a view, a
+WITHOUT ROWID table, a column named ``rowid``, ``_rowid_`` or ``oid``)
+and examples of another arity fall back to full runs.
 """
 
 from __future__ import annotations
@@ -89,11 +102,14 @@ class ExecutionResult:
 def execute_text(
     conn: sqlite3.Connection,
     sql: str,
+    params: Sequence[object] = (),
     *,
     timeout: float = 1.0,
     row_limit: int = ROW_LIMIT,
 ) -> ExecutionResult:
-    """Run one statement with a wall-clock budget and a row cap.
+    """Run one statement, with ``params`` bound to its ``?`` marks, under
+    a wall-clock budget and a row cap.  A value that cannot be bound,
+    such as an integer beyond 64 bits, fails the statement.
 
     The cursor is closed and the progress handler cleared on every exit,
     so a connection reused across searches carries no unfinished
@@ -112,7 +128,7 @@ def execute_text(
     conn.set_progress_handler(watchdog, _PROGRESS_EVERY)
     try:
         with closing(conn.cursor()) as cursor:
-            cursor.execute(sql)
+            cursor.execute(sql, params)
             rows: list[tuple] = []
             while True:
                 chunk = cursor.fetchmany(1024)
@@ -124,7 +140,7 @@ def execute_text(
                         f"result exceeds {row_limit} rows"
                     )
         return ExecutionResult.success(tuple(rows))
-    except sqlite3.Error as exc:
+    except (sqlite3.Error, OverflowError) as exc:
         if timed_out:
             return ExecutionResult.timed_out()
         return ExecutionResult.failure(str(exc))
@@ -307,6 +323,27 @@ def _select_swap(
     return None
 
 
+_ROWID_NAMES = frozenset({"rowid", "_rowid_", "oid"})
+
+
+def _probe_table(
+    query: NormalizedQuery, schema: DatabaseSchema, examples: Sequence[ExampleTuple]
+) -> str | None:
+    """The FROM table on whose candidate rows the WHERE variants of
+    ``query``, an eligible query, can be judged, or None: a join, a
+    column that hides the table's rowid, and examples of another arity
+    than the SELECT list leave every variant to run in full."""
+    table = schema.table(query.from_clause.first)
+    if (
+        query.from_clause.joins
+        or table is None
+        or any(column.name.lower() in _ROWID_NAMES for column in table.columns)
+        or any(example.arity != len(query.select) for example in examples)
+    ):
+        return None
+    return query.from_clause.first
+
+
 @dataclass(frozen=True)
 class RepairOutcome:
     query: NormalizedQuery
@@ -315,6 +352,7 @@ class RepairOutcome:
     repaired: bool
     variants_tried: int
     statements: int = 0
+    probes: int = 0
 
 
 def test_and_repair(
@@ -343,11 +381,23 @@ def test_and_repair(
     as a statement of its own.  The widened statement reads every FROM
     column a row, so an original that only just fits the budget can time
     out with repair on, and the walk may then settle on a variant, where
-    with repair off the original runs.  The outcome counts the
-    statements sent to SQLite.
+    with repair off the original runs.
+
+    When the widened statement ran and the query reads one table, the
+    WHERE variants after the first are judged on candidate rows.  At the
+    second WHERE variant one candidate scan per example collects the
+    rowids of the rows that project to it; each variant then sends one
+    probe per example, and runs in full only when every probe finds a
+    candidate row that passes its WHERE.  A failed candidate scan, or a
+    candidate rowid that reads NULL as a view's does, leaves every
+    variant to run in full; a failed probe leaves its own variant to.
+
+    The outcome counts the statements sent to SQLite, and among them the
+    candidate scans and probes.
     """
     example_list = tuple(examples)
     statements = 0
+    probes = 0
 
     def budget() -> float:
         if deadline is None:
@@ -360,6 +410,48 @@ def test_and_repair(
             return ExecutionResult.timed_out()
         statements += 1
         return execute_query(conn, statement, timeout=remaining)
+
+    def probe(sql: str, params: Sequence[object]) -> ExecutionResult:
+        nonlocal statements, probes
+        remaining = budget()
+        if remaining <= 0:
+            return ExecutionResult.timed_out()
+        statements += 1
+        probes += 1
+        return execute_text(conn, sql, params, timeout=remaining)
+
+    def candidate_rowids(table: str) -> list[tuple] | None:
+        """Each example's candidate rowids, up to the first example that
+        has none, or None when the scan cannot serve the probes."""
+        tests = " AND ".join(f"{item.render()} IS ?" for item in query.select)
+        scan = f"SELECT {table}.rowid FROM {table} WHERE {tests}"
+        found: list[tuple] = []
+        for example in example_list:
+            result = probe(scan, example.values)
+            ids = tuple(row[0] for row in result.rows)
+            if not result.ok or None in ids:
+                return None
+            found.append(ids)
+            if not ids:
+                break
+        return found
+
+    def may_hit(table: str, variant: NormalizedQuery, rowids: list[tuple]) -> bool:
+        """False when some example has no candidate row that passes the
+        WHERE of ``variant``."""
+        where = variant.clause_body(ClauseKind.WHERE)
+        for ids in rowids:
+            if not ids:
+                return False
+            marks = ", ".join("?" * len(ids))
+            result = probe(
+                f"SELECT 1 FROM {table} WHERE {table}.rowid IN ({marks}) "
+                f"AND ({where}) LIMIT 1",
+                ids,
+            )
+            if result.ok and not result.rows:
+                return False
+        return True
 
     widened = _widened(query, schema) if attempt_repair else None
     width = len(query.select)
@@ -377,13 +469,18 @@ def test_and_repair(
     else:
         original = ExecutionResult.success(tuple(row[:width] for row in wide_rows))
     if satisfies_examples(original, example_list):
-        return RepairOutcome(query, original, True, False, 0, statements)
+        return RepairOutcome(query, original, True, False, 0, statements, probes)
     if not attempt_repair:
-        return RepairOutcome(query, original, False, False, 0, statements)
+        return RepairOutcome(query, original, False, False, 0, statements, probes)
 
     check = None
     if prefilter:
         check = make_query_check(schema, example_list[0] if example_list else None)
+    table = None
+    if wide_rows is not None:
+        table = _probe_table(query, schema, example_list)
+    where_tried = 0
+    rowids: list[tuple] | None = None
     tried = 0
     for variant, kind, bodies in hamming_one_queries(query, schema):
         if deadline is not None and time.monotonic() >= deadline:
@@ -397,9 +494,7 @@ def test_and_repair(
         swap = None
         if wide_rows is not None and kind is ClauseKind.SELECT:
             swap = _select_swap(query, variant, widened[1])
-        if swap is None:
-            result = run(variant, remaining)
-        else:
+        if swap is not None:
             position, index = swap
             result = ExecutionResult.success(
                 tuple(
@@ -407,9 +502,20 @@ def test_and_repair(
                     for row in wide_rows
                 )
             )
+        elif table is not None and kind is ClauseKind.WHERE:
+            where_tried += 1
+            if where_tried == 2:
+                rowids = candidate_rowids(table)
+            if rowids is not None and not may_hit(table, variant, rowids):
+                continue
+            result = run(variant, budget())
+        else:
+            result = run(variant, remaining)
         if satisfies_examples(result, example_list):
-            return RepairOutcome(variant, result, True, True, tried, statements)
-    return RepairOutcome(query, original, False, False, tried, statements)
+            return RepairOutcome(
+                variant, result, True, True, tried, statements, probes
+            )
+    return RepairOutcome(query, original, False, False, tried, statements, probes)
 
 
 # -- Execution-based labeling ----------------------------------------------

@@ -70,6 +70,7 @@ class SearchStats:
     backtracks: int = 0
     repair_variants_tried: int = 0
     repair_statements: int = 0
+    repair_probes: int = 0
     elapsed_seconds: float = 0.0
     adapter_error: str | None = None
     failed_queries: list[str] = field(default_factory=list)
@@ -302,6 +303,7 @@ def run_search(
             outcome = tester(query, deadline)
             stats.repair_variants_tried += outcome.variants_tried
             stats.repair_statements += outcome.statements
+            stats.repair_probes += outcome.probes
             if outcome.satisfied:
                 return finish(
                     SearchStatus.SOLVED,

@@ -17,7 +17,6 @@ from sqlsynth.checker import (
     ErrorKind,
     Label,
     check_types,
-    check_vocabulary,
     make_checker,
     make_query_check,
     predict_label,
@@ -73,7 +72,7 @@ def test_every_clause_has_a_vocabulary():
     ],
 )
 def test_vocabulary_accepts_canonical_bodies(clause, body, concerts):
-    assert check_vocabulary(clause, body, None, concerts).ok
+    assert _check_vocabulary(clause, body, None, concerts).ok
 
 
 @pytest.mark.parametrize(
@@ -91,19 +90,19 @@ def test_vocabulary_accepts_canonical_bodies(clause, body, concerts):
     ],
 )
 def test_vocabulary_rejects_misplaced_lexemes(clause, body, kind, concerts):
-    verdict = check_vocabulary(clause, body, None, concerts)
+    verdict = _check_vocabulary(clause, body, None, concerts)
     assert not verdict.ok
     assert verdict.kind is kind
 
 
 def test_vocabulary_aggregation_depth_rules(concerts):
     # Aggregations live in WHERE only inside a subquery's parentheses.
-    assert not check_vocabulary(ClauseKind.WHERE, ["COUNT"], None, concerts).ok
-    assert check_vocabulary(
+    assert not _check_vocabulary(ClauseKind.WHERE, ["COUNT"], None, concerts).ok
+    assert _check_vocabulary(
         ClauseKind.WHERE, ["(", "COUNT"], None, concerts
     ).ok
     # HAVING admits them at the top level.
-    assert check_vocabulary(ClauseKind.HAVING, ["COUNT"], None, concerts).ok
+    assert _check_vocabulary(ClauseKind.HAVING, ["COUNT"], None, concerts).ok
 
 
 @pytest.mark.parametrize(
@@ -111,23 +110,23 @@ def test_vocabulary_aggregation_depth_rules(concerts):
     ["sing", "singer.na", "DIST", "COU"],
 )
 def test_fragments_with_a_future_pass(fragment, concerts):
-    assert check_vocabulary(ClauseKind.SELECT, [], fragment, concerts).ok
+    assert _check_vocabulary(ClauseKind.SELECT, [], fragment, concerts).ok
 
 
 def test_fragment_case_insensitive_column_prefix(concerts):
-    assert check_vocabulary(ClauseKind.SELECT, [], "Singer.NA", concerts).ok
+    assert _check_vocabulary(ClauseKind.SELECT, [], "Singer.NA", concerts).ok
 
 
 def test_constant_fragments_only_where_constants_live(concerts):
     for fragment in ("'unfinished", "12.", "-"):
-        assert check_vocabulary(ClauseKind.WHERE, [], fragment, concerts).ok
-        assert not check_vocabulary(ClauseKind.SELECT, [], fragment, concerts).ok
+        assert _check_vocabulary(ClauseKind.WHERE, [], fragment, concerts).ok
+        assert not _check_vocabulary(ClauseKind.SELECT, [], fragment, concerts).ok
 
 
 def test_dead_fragments_are_rejected(concerts):
-    verdict = check_vocabulary(ClauseKind.SELECT, [], "xyz", concerts)
+    verdict = _check_vocabulary(ClauseKind.SELECT, [], "xyz", concerts)
     assert not verdict.ok and verdict.kind is ErrorKind.SYNTAX
-    verdict = check_vocabulary(ClauseKind.SELECT, [], "singer.zz", concerts)
+    verdict = _check_vocabulary(ClauseKind.SELECT, [], "singer.zz", concerts)
     assert not verdict.ok and verdict.kind is ErrorKind.RUNTIME
 
 
@@ -370,6 +369,14 @@ def _reference_scope(current, body, partial):
     return checker._scope(current, body, outer)
 
 
+def _check_vocabulary(clause, lexemes, last_incomplete, schema):
+    """The uncached lexeme-by-lexeme check of one clause body, the oracle
+    for the shared lexeme cache the checker uses."""
+    return checker._check_lexemes(
+        clause, lexemes, last_incomplete, schema, checker._lexeme_verdict
+    )
+
+
 def _reference_check(schema, example):
     """The whole-prefix orchestration the incremental checker replaced:
     every check re-runs every terminated clause."""
@@ -385,7 +392,7 @@ def _reference_check(schema, example):
             )
         clauses: dict[ClauseKind, object] = {}
         for kind, body in partial.completed.items():
-            verdict = check_vocabulary(kind, body, None, schema)
+            verdict = _check_vocabulary(kind, body, None, schema)
             if not verdict.ok:
                 return verdict
             try:
@@ -407,7 +414,7 @@ def _reference_check(schema, example):
                         f"{fragment!r} cannot start the {current.value} line",
                     )
             else:
-                verdict = check_vocabulary(current, body, fragment, schema)
+                verdict = _check_vocabulary(current, body, fragment, schema)
                 if not verdict.ok:
                     return verdict
         verdict = _reference_scope(current, body, partial)

@@ -21,7 +21,7 @@ from sqlsynth.nsql.lexemes import (
     split_line,
 )
 from sqlsynth.nsql.normalize import normalize
-from sqlsynth.nsql.query import denormalize_text
+from sqlsynth.nsql.query import ClauseKind, denormalize_text
 from sqlsynth.repair import (
     ExecutionResult,
     ExecutionStatus,
@@ -483,6 +483,215 @@ def test_widened_scan_matches_the_per_variant_reference(
     assert executed["scan"] < executed["reference"]
 
 
+# -- candidate probes against the per-variant reference -----------------------
+
+# A REAL that an INTEGER column made of a 23-digit text: its canonical
+# value is an integer beyond 64 bits, which no statement can bind.
+_BEYOND_64_BITS = int(float("12345678901234567890123"))
+
+_MIXED_DDL = (
+    "CREATE TABLE mixed (k TEXT, n INTEGER, r REAL, v)",
+    "CREATE TABLE shadowed (k TEXT, n INTEGER, r REAL, rowid)",
+    "CREATE TABLE keyed (k TEXT PRIMARY KEY, n INTEGER, r REAL, v) WITHOUT ROWID",
+)
+_MIXED_POOLS = (
+    (None, 2, 2.0, "2", "02", "2 apples", "12345678901234567890123", 3),
+    (None, 2, 2.0, 2.5, "2", "two"),
+    (None, 2, 2.0, 2.5, "2", "two", b"\x02"),
+)
+
+
+def _mixed_database(path) -> DatabaseSchema:
+    """Seeded tables that mix storage classes in every column: NULLs,
+    ``2`` against ``2.0``, digit text in INTEGER columns.  ``shadowed``
+    has a column named ``rowid``, ``keyed`` is a WITHOUT ROWID table and
+    ``mixed_view`` a view, so none of them has a usable rowid."""
+    rng = random.Random(21)
+    with closing(sqlite3.connect(path)) as conn:
+        for ddl in _MIXED_DDL:
+            conn.execute(ddl)
+        for table in ("mixed", "shadowed", "keyed"):
+            rows = [
+                (f"k{i:02d}", *(rng.choice(pool) for pool in _MIXED_POOLS))
+                for i in range(40)
+            ]
+            conn.executemany(f"INSERT INTO {table} VALUES (?, ?, ?, ?)", rows)
+        conn.execute("CREATE VIEW mixed_view AS SELECT k, n, r, v FROM mixed")
+        conn.commit()
+    columns = (
+        Column("k", ColumnType.TEXT),
+        Column("n", ColumnType.INTEGER),
+        Column("r", ColumnType.REAL),
+    )
+    return DatabaseSchema(
+        "mixed",
+        (
+            Table("mixed", (*columns, Column("v", ColumnType.OTHER))),
+            Table("shadowed", (*columns, Column("rowid", ColumnType.OTHER))),
+            Table("keyed", (*columns, Column("v", ColumnType.OTHER))),
+            Table("mixed_view", (*columns, Column("v", ColumnType.OTHER))),
+        ),
+    )
+
+
+def _mixed_golds(table: str) -> tuple[str, ...]:
+    last = "v" if table != "shadowed" else "rowid"
+    return (
+        f"SELECT {table}.k\nFROM {table}\nWHERE {table}.n = 2 AND {table}.r > 1\n"
+        "GROUP BY\nHAVING\nORDER BY\nLIMIT\n",
+        f"SELECT {table}.n , {table}.{last}\nFROM {table}\n"
+        f"WHERE {table}.r = 2 OR {table}.k = 'k03'\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n",
+    )
+
+
+def _mixed_examples(rows, arity: int) -> list[list[ExampleTuple]]:
+    """Each of the gold's first rows alone, two of them together, and
+    values that only canonical equality matches, beyond 64 bits or of
+    the wrong arity."""
+    rows = sorted(set(rows), key=repr)[:3]
+    values = (2.0, "2", None, b"\x02", _BEYOND_64_BITS, 2.5)
+    crafted = [(value,) for value in values]
+    if arity == 2:
+        crafted = list(zip(values, reversed(values)))
+    crafted.append((2,) * (arity + 1))
+    lists = [[ExampleTuple.from_values(row)] for row in rows + crafted]
+    if len(rows) > 1:
+        lists.append([ExampleTuple.from_values(row) for row in rows[:2]])
+    return lists
+
+
+def _compare_probes(
+    conn, schema, corruptions, example_lists, counts: Counter
+) -> None:
+    """Repair each corruption for each example list, with the prefilter
+    on and off, and compare with the reference."""
+    for examples in example_lists:
+        text_check = make_checker(schema, examples[0])
+        for corrupted in corruptions:
+            for prefilter in (True, False):
+                outcome = run_with_repair(
+                    corrupted, conn, schema, examples, prefilter=prefilter
+                )
+                expected = _reference_repair(
+                    corrupted,
+                    conn,
+                    schema,
+                    examples,
+                    prefilter=text_check if prefilter else None,
+                )
+                assert _observed(outcome) == _observed(expected), (
+                    corrupted.render(),
+                    [example.values for example in examples],
+                )
+                counts["compared"] += 1
+                counts["repaired"] += outcome.repaired
+                counts["probes"] += outcome.probes
+
+
+def test_candidate_probes_match_the_per_variant_reference(
+    normalized_tasks, schemas, connect, tmp_path
+):
+    counts: Counter = Counter()
+    for task in normalized_tasks:
+        schema = schemas[task.db_id]
+        gold = parse_complete(task.gold_query)
+        corruptions = list(_reference_neighbours(gold, schema))
+        _compare_probes(
+            connect(task.db_id), schema, corruptions, [task.sorted_examples()], counts
+        )
+    assert counts["compared"] == 2 * 1429 and counts["probes"] > 0
+    corpus = counts.copy()
+    path = tmp_path / "mixed.sqlite"
+    schema = _mixed_database(path)
+    with closing(sqlite3.connect(path)) as conn:
+        for table in schema.tables:
+            for text in _mixed_golds(table.name):
+                gold = parse_complete(text)
+                rows = execute_query(conn, gold).rows
+                assert rows, text
+                # Every column is offered at each position of the corpus
+                # golds; here only the FROM table's are, to keep it short.
+                corruptions = [q for q, _, _ in hamming_one_queries(gold, schema)]
+                examples = _mixed_examples(rows, len(gold.select))
+                _compare_probes(conn, schema, corruptions, examples, counts)
+    seeded = counts - corpus
+    assert seeded["repaired"] > 0 and seeded["probes"] > 0
+
+
+@pytest.mark.parametrize(
+    "source, example, scans",
+    [
+        ("mixed", ("k03",), None),
+        ("mixed", ("k03", 2), 0),
+        ("mixed JOIN keyed ON mixed.k = keyed.k", ("k03",), 0),
+        ("shadowed", ("k03",), 0),
+        ("keyed", ("k03",), 1),
+        ("mixed_view", ("k03",), 1),
+    ],
+    ids=["rowid-table", "other-arity", "join", "rowid-column", "without-rowid", "view"],
+)
+def test_tables_without_a_usable_rowid_run_every_where_variant(
+    monkeypatch, tmp_path, source, example, scans
+):
+    """No one-edit variant can hit, so the walk tries every one.  Only
+    the rowid table's WHERE variants after the first are left to probes
+    (``scans`` None); everywhere else each WHERE variant runs in full,
+    after ``scans`` candidate scans that fail or read NULL rowids."""
+    path = tmp_path / "mixed.sqlite"
+    schema = _mixed_database(path)
+    table = source.split()[0]
+    query = parse_complete(
+        f"SELECT {table}.k\nFROM {source}\n"
+        f"WHERE {table}.n = 12345 AND {table}.r = 12345\n"
+        "GROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    )
+    kinds = Counter(kind for _, kind, _ in hamming_one_queries(query, schema))
+    examples = [ExampleTuple.from_values(example)]
+    with closing(sqlite3.connect(path)) as conn:
+        expected = _reference_repair(query, conn, schema, examples)
+        runs = _counting_execute(monkeypatch)
+        outcome = run_with_repair(query, conn, schema, examples)
+    assert _observed(outcome) == _observed(expected)
+    assert not outcome.satisfied and outcome.variants_tried == kinds.total()
+    # The widened statement answers every SELECT swap; a join's FROM
+    # variants run in full.
+    assert _is_widened(runs[0], query) and kinds[ClauseKind.WHERE] > 2
+    full = kinds.total() - kinds[ClauseKind.SELECT]
+    if scans is None:
+        assert len(runs) == 2 and outcome.probes == kinds[ClauseKind.WHERE]
+    else:
+        assert len(runs) == 1 + full and outcome.probes == scans
+    assert outcome.statements == len(runs) + outcome.probes
+
+
+def test_a_failed_probe_runs_its_variant_in_full(monkeypatch, tmp_path):
+    """A probe that does not return OK says nothing about its variant."""
+    path = tmp_path / "deep.sqlite"
+    schema = _deep_table(path)
+    query = parse_complete(
+        "SELECT t.c0\nFROM t\nWHERE t.c3 = 3 AND t.c4 = 3\n"
+        "GROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    )
+    examples = [ExampleTuple.from_values(("r0190",))]
+    execute = repair.execute_text
+
+    def failing_probes(conn, sql, params=(), **kwargs):
+        if sql.startswith("SELECT 1 FROM"):
+            return ExecutionResult.failure("probe failed")
+        return execute(conn, sql, params, **kwargs)
+
+    with closing(sqlite3.connect(path)) as conn:
+        expected = _reference_repair(query, conn, schema, examples)
+        monkeypatch.setattr(repair, "execute_text", failing_probes)
+        runs = _counting_execute(monkeypatch)
+        outcome = run_with_repair(query, conn, schema, examples)
+    assert _observed(outcome) == _observed(expected) and outcome.repaired
+    where_tried = outcome.variants_tried - (len(schema.tables[0].columns) - 1)
+    assert where_tried > 2
+    assert len(runs) == 1 + where_tried
+    assert outcome.probes == 1 + (where_tried - 1)
+
+
 # -- test and repair --------------------------------------------------------
 
 
@@ -735,12 +944,25 @@ def _deep_table(path) -> DatabaseSchema:
     return DatabaseSchema("deep", (Table("t", columns),))
 
 
-def test_deep_where_near_miss_sends_one_statement_per_where_variant(
-    monkeypatch, tmp_path
-):
+def _counting_text(monkeypatch) -> list:
+    """Record every statement text ``test_and_repair`` sends to SQLite,
+    full runs, candidate scans and probes alike."""
+    sent: list = []
+    execute = repair.execute_text
+
+    def counting(conn, sql, params=(), **kwargs):
+        sent.append(sql)
+        return execute(conn, sql, params, **kwargs)
+
+    monkeypatch.setattr(repair, "execute_text", counting)
+    return sent
+
+
+def test_deep_where_near_miss_probes_the_later_where_variants(monkeypatch, tmp_path):
     """A near miss on its first predicate's column: the widened statement
-    stands in for the original and answers every SELECT swap, so the
-    statements sent are one plus the WHERE variants tried."""
+    stands in for the original and answers every SELECT swap, the first
+    WHERE variant runs in full, one candidate scan follows, each later
+    WHERE variant sends one probe, and only the hit runs in full again."""
     path = tmp_path / "deep.sqlite"
     schema = _deep_table(path)
     # Row 190 has c2 = 3 and c4 = 3, but c3 = 8: the near miss reads c3.
@@ -752,14 +974,45 @@ def test_deep_where_near_miss_sends_one_statement_per_where_variant(
     select_swaps = len(schema.tables[0].columns) - 1
     with closing(sqlite3.connect(path)) as conn:
         expected = _reference_repair(query, conn, schema, examples)
-        sent = _counting_execute(monkeypatch)
+        runs = _counting_execute(monkeypatch)
+        sent = _counting_text(monkeypatch)
         outcome = run_with_repair(query, conn, schema, examples)
     assert _observed(outcome) == _observed(expected)
     assert outcome.repaired and outcome.query.where != query.where
     where_tried = outcome.variants_tried - select_swaps
-    assert where_tried > 0
-    assert len(sent) == outcome.statements == 1 + where_tried
-    assert _is_widened(sent[0], query)
+    assert where_tried > 2
+    assert len(runs) == 3 and _is_widened(runs[0], query)
+    assert runs[2] == outcome.query
+    assert sent[2].startswith("SELECT t.rowid FROM t WHERE t.c0 IS ?")
+    probes = sent[3:-1]
+    assert len(probes) == where_tried - 1
+    assert all(sql.startswith("SELECT 1 FROM t WHERE t.rowid IN (?)") for sql in probes)
+    assert outcome.probes == 1 + len(probes)
+    assert len(sent) == outcome.statements == len(runs) + outcome.probes
+
+
+def test_a_hit_at_the_first_where_variant_sends_no_candidate_scan(
+    monkeypatch, tmp_path
+):
+    """A task whose first WHERE variant hits pays nothing for the probes."""
+    path = tmp_path / "deep.sqlite"
+    schema = _deep_table(path)
+    # c0 holds labels, so the original finds nothing; the first WHERE
+    # variant reads c1, and row 5 has c1 = 5.
+    query = parse_complete(
+        "SELECT t.c0\nFROM t\nWHERE t.c0 = 5\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    )
+    examples = [ExampleTuple.from_values(("r0005",))]
+    with closing(sqlite3.connect(path)) as conn:
+        expected = _reference_repair(query, conn, schema, examples)
+        runs = _counting_execute(monkeypatch)
+        sent = _counting_text(monkeypatch)
+        outcome = run_with_repair(query, conn, schema, examples)
+    assert _observed(outcome) == _observed(expected)
+    assert outcome.repaired and outcome.query.where != query.where
+    assert outcome.variants_tried == len(schema.tables[0].columns)
+    assert len(runs) == len(sent) == outcome.statements == 2
+    assert outcome.probes == 0
 
 
 # -- test and repair --------------------------------------------------------

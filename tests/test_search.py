@@ -186,17 +186,25 @@ def test_run_search_multiple_attempts_reach_the_second_path(
 
 
 def test_run_search_sums_the_repair_variants_tried(schemas):
-    """``repair_variants_tried`` adds up the variants each tested
-    candidate's repair ran, failed candidates included."""
+    """``repair_variants_tried``, ``repair_statements`` and
+    ``repair_probes`` add up what each tested candidate's repair ran,
+    failed candidates included."""
     model = ScriptedModel.from_queries(
         [(TWO_PATH_BEST, 0.55), (TWO_PATH_SECOND, 0.40)]
     )
     outcomes = iter((False, True))
-    tried = iter((3, 4))
+    counts = iter(((3, 5, 2), (4, 6, 1)))
 
     def tester(query, until):
+        tried, statements, probes = next(counts)
         return RepairOutcome(
-            query, ExecutionResult.success(()), next(outcomes), False, next(tried)
+            query,
+            ExecutionResult.success(()),
+            next(outcomes),
+            False,
+            tried,
+            statements,
+            probes,
         )
 
     result = run_search(
@@ -208,8 +216,9 @@ def test_run_search_sums_the_repair_variants_tried(schemas):
     )
     assert result.status is SearchStatus.SOLVED
     assert result.stats.complete_queries_tested == 2
-    assert result.stats.repair_variants_tried == 7
-    assert result.stats.as_dict()["repair_variants_tried"] == 7
+    stats = result.stats.as_dict()
+    assert stats["repair_variants_tried"] == 7
+    assert stats["repair_statements"] == 11 and stats["repair_probes"] == 3
 
 
 def test_run_search_counts_one_statement_for_an_eligible_select_near_miss(
