@@ -90,15 +90,20 @@ def split_line(line: str, terminated: bool) -> tuple[list[str], str | None]:
     unterminated line that does not end in a space; quoted strings may
     contain spaces and escaped quotes (``''``).
     """
-    complete: list[str] = []
-    start = 0
-    while True:
-        end = _LEXEME_RE.match(line, start).end()
-        if end == len(line):
-            break
-        complete.append(line[start:end])  # line[end] is the separating space
-        start = end + 1
-    trailing = line[start:]
+    if "'" not in line:
+        # Without a quote ``_LEXEME_RE`` is ``[^ ]*``: each space separates.
+        complete = line.split(" ")
+        trailing = complete.pop()
+    else:
+        complete = []
+        start = 0
+        while True:
+            end = _LEXEME_RE.match(line, start).end()
+            if end == len(line):
+                break
+            complete.append(line[start:end])  # line[end] is the separating space
+            start = end + 1
+        trailing = line[start:]
     if not trailing:
         return complete, None
     if terminated:

@@ -455,6 +455,17 @@ def test_and_repair(
 
     widened = _widened(query, schema) if attempt_repair else None
     width = len(query.select)
+
+    def swapped(
+        rows: Iterable[tuple], position: int, index: int
+    ) -> Iterator[tuple]:
+        # Widened rows cut to the query's columns, widened column
+        # ``index`` standing at SELECT ``position``.
+        return (
+            row[:position] + (row[index],) + row[position + 1 : width]
+            for row in rows
+        )
+
     wide_rows: tuple[tuple, ...] | None = None
     remaining = budget()
     if widened is not None:
@@ -481,6 +492,9 @@ def test_and_repair(
         table = _probe_table(query, schema, example_list)
     where_tried = 0
     rowids: list[tuple] | None = None
+    # Canonical widened rows and examples, made at the first column swap.
+    canon_wide: list[tuple] | None = None
+    wanted: set[tuple] = set()
     tried = 0
     for variant, kind, bodies in hamming_one_queries(query, schema):
         if deadline is not None and time.monotonic() >= deadline:
@@ -496,11 +510,16 @@ def test_and_repair(
             swap = _select_swap(query, variant, widened[1])
         if swap is not None:
             position, index = swap
+            if canon_wide is None:
+                canon_wide = [canonical_row(row) for row in wide_rows]
+                wanted = {canonical_row(ex.values) for ex in example_list}
+            if not wanted <= set(swapped(canon_wide, position, index)):
+                continue
             result = ExecutionResult.success(
-                tuple(
-                    row[:position] + (row[index],) + row[position + 1 : width]
-                    for row in wide_rows
-                )
+                tuple(swapped(wide_rows, position, index))
+            )
+            return RepairOutcome(
+                variant, result, True, True, tried, statements, probes
             )
         elif table is not None and kind is ClauseKind.WHERE:
             where_tried += 1

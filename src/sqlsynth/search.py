@@ -196,23 +196,25 @@ def _best_first(
         stats.candidates_generated += len(candidates)
         # Each node is popped once, so a token sequence repeats only when
         # one reply names a token id twice: its first passing child wins.
+        # A child is checked before its node is built, so a rejected one
+        # costs its check and nothing more.
+        at_limit = node.depth + 1 >= config.max_tokens
         pushed: set[str] = set()
         for candidate in candidates:
             eos = candidate.is_eos
             if candidate.prob <= 0.0 or not (eos or candidate.surface):
                 continue  # an empty token adds no text, so no new verdict
-            child = extend(node, candidate)
-            if not eos and child.depth >= config.max_tokens:
+            if at_limit and not eos:
                 continue
             if checker is not None:
-                verdict = checker(child.text, eos)
+                verdict = checker(node.text + candidate.surface, eos)
                 if not verdict.ok:
                     stats.pruned_by_checker += 1
                     continue
             if candidate.token_id in pushed:
                 continue
             pushed.add(candidate.token_id)
-            frontier.push(child)
+            frontier.push(extend(node, candidate))
 
 
 def search_task_text(

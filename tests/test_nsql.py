@@ -20,6 +20,7 @@ from sqlsynth.nsql.errors import (
     UnknownName,
 )
 from sqlsynth.nsql import grammar
+from sqlsynth.nsql import lexemes as lexemes_module
 from sqlsynth.nsql.grammar import parse_clause_cached, parse_complete
 from sqlsynth.nsql.lexemes import quote_string, scan_sql, split_line
 from sqlsynth.nsql.normalize import normalize, rewrite_dataset
@@ -86,6 +87,78 @@ def test_split_line_open_fragment():
     lexemes, fragment = split_line("SELECT sing", terminated=True)
     assert lexemes == ["SELECT", "sing"]
     assert fragment is None
+
+
+def _split_line_reference(line: str, terminated: bool) -> tuple[list[str], str | None]:
+    """``split_line`` as one regex match per lexeme, quote or none."""
+    complete: list[str] = []
+    start = 0
+    while True:
+        end = lexemes_module._LEXEME_RE.match(line, start).end()
+        if end == len(line):
+            break
+        complete.append(line[start:end])
+        start = end + 1
+    trailing = line[start:]
+    if not trailing:
+        return complete, None
+    if terminated:
+        return [*complete, trailing], None
+    return complete, trailing
+
+
+@pytest.mark.parametrize(
+    "line, complete, trailing",
+    [
+        ("", [], None),
+        (" ", [""], None),
+        ("SELECT", [], "SELECT"),
+        ("SELECT ", ["SELECT"], None),
+        ("WHERE t.a = 3", ["WHERE", "t.a", "="], "3"),
+        ("a  b", ["a", ""], "b"),
+        ("a  ", ["a", ""], None),
+        ("  a", ["", ""], "a"),
+    ],
+)
+def test_split_line_without_a_quote_splits_on_each_space(line, complete, trailing):
+    assert split_line(line, terminated=False) == (complete, trailing)
+    want = complete + [trailing] if trailing else complete
+    assert split_line(line, terminated=True) == (want, None)
+    for terminated in (False, True):
+        assert split_line(line, terminated) == _split_line_reference(line, terminated)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "WHERE t.a = 'two  words' ",
+        "'it''s' x",
+        "'ab'c'd e",
+        "x = 'open string",
+        "x = 'open ''",
+        "'' ''",
+        "a'b c",
+        "'",
+        " ' ",
+    ],
+)
+def test_split_line_with_quotes_matches_the_reference(line):
+    for terminated in (False, True):
+        assert split_line(line, terminated) == _split_line_reference(line, terminated)
+
+
+def test_split_line_matches_the_reference_on_random_lines():
+    rng = random.Random(20240522)
+    alphabet = "a1. '"
+    quoted = 0
+    for _ in range(100_000):
+        line = "".join(rng.choices(alphabet, k=rng.randrange(13)))
+        quoted += "'" in line
+        for terminated in (False, True):
+            assert split_line(line, terminated) == _split_line_reference(
+                line, terminated
+            ), (line, terminated)
+    assert 20_000 < quoted < 90_000
 
 
 # SQL text is UTF-8 and ends at a NUL, so neither a lone surrogate nor

@@ -6,6 +6,7 @@ import itertools
 import math
 import sqlite3
 import sys
+import time
 from contextlib import closing
 from pathlib import Path
 
@@ -832,6 +833,90 @@ def test_repair_checks_variants_without_the_text_checker(
         tried += result.stats.repair_variants_tried
     assert calls["search"] > 0 and tried > 0
     assert calls["repair"] == 0
+
+
+def _reference_best_first(session, model, stats, config, checker, deadline):
+    """``search._best_first`` as it built every child's node before
+    checking it."""
+    frontier = Frontier()
+    frontier.push(ROOT)
+    previous = None
+    while True:
+        if time.monotonic() > deadline:
+            raise search._DeadlinePassed
+        node = frontier.pop_best()
+        if node is None:
+            return
+        if not search._is_direct_child(previous, node):
+            stats.backtracks += 1
+        previous = node
+        if node.tokens and node.tokens[-1] == EOS_TOKEN_ID:
+            yield node
+            continue
+        candidates = model.top_candidates(
+            GenerationSession(session.task_text, node.tokens), config.k
+        )
+        stats.nodes_expanded += 1
+        stats.candidates_generated += len(candidates)
+        pushed = set()
+        for candidate in candidates:
+            eos = candidate.is_eos
+            if candidate.prob <= 0.0 or not (eos or candidate.surface):
+                continue
+            child = extend(node, candidate)
+            if not eos and child.depth >= config.max_tokens:
+                continue
+            if checker is not None and not checker(child.text, eos).ok:
+                stats.pruned_by_checker += 1
+                continue
+            if candidate.token_id in pushed:
+                continue
+            pushed.add(candidate.token_id)
+            frontier.push(child)
+
+
+@pytest.mark.parametrize(
+    "pqc_enabled, max_tokens", [(True, 128), (False, 128), (True, 12)]
+)
+def test_search_builds_a_node_only_for_a_pushed_child(
+    monkeypatch, normalized_tasks, schemas, fixture_paths, pqc_enabled, max_tokens
+):
+    """On noisy fixture searches every ``extend`` call makes a node that
+    is pushed, and statistics and answer equal those of the loop that
+    built every child before checking it."""
+    counts = {"extend": 0, "push": 0}
+    push = Frontier.push
+
+    def counting_extend(node, candidate):
+        counts["extend"] += 1
+        return extend(node, candidate)
+
+    def counting_push(frontier, node):
+        counts["push"] += 1
+        return push(frontier, node)
+
+    config = SearchConfig(
+        k=8, pqc_enabled=pqc_enabled, max_tokens=max_tokens, time_limit=20.0
+    )
+    pruned = searches = 0
+    for task in normalized_tasks:
+        schema = schemas[task.db_id]
+        model = ScriptedModel.from_queries([(task.gold_query, 0.7)], _NOISE)
+        db = open_database(fixture_paths.db_root, task.db_id)
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_best_first", _reference_best_first)
+            want = run_search(task, schema, db, model, config=config)
+        counts.update(extend=0, push=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "extend", counting_extend)
+            patch.setattr(Frontier, "push", counting_push)
+            got = run_search(task, schema, db, model, config=config)
+        assert _outcome(got) == _outcome(want), task.id
+        assert counts["extend"] == counts["push"] - 1, task.id  # less the root
+        pruned += got.stats.pruned_by_checker
+        searches += 1
+    assert searches >= 40
+    assert (pruned > 0) is pqc_enabled
 
 
 @pytest.mark.parametrize("scripted", ["noisy", "near-miss"])
