@@ -23,7 +23,7 @@ The WHERE variants of an eligible query that reads one table are judged
 on the example's candidate rows.  Such a variant's rows contain an
 example exactly when some table row passes its WHERE and projects to
 the example.  ``<item> IS ?``, with the example's value bound, holds for
-every stored value that ``canonical_row`` makes equal to it (``2``
+every stored value that Python's ``==`` makes equal to it (``2``
 against ``2.0``, NULL against None), so the rowids one scan collects
 cover every row that matters, and a variant none of whose candidate
 rows passes its WHERE cannot hit.  A probe reads those rows through the
@@ -39,6 +39,7 @@ import dataclasses
 import enum
 import sqlite3
 import time
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -67,6 +68,7 @@ from .nsql.query import (
 from .tasks import DatabaseSchema, ExampleTuple
 
 ROW_LIMIT = 100_000
+STATEMENT_TIMEOUT = 1.0
 _PROGRESS_EVERY = 1_000
 
 
@@ -105,11 +107,11 @@ def execute_text(
     params: Sequence[object] = (),
     *,
     timeout: float = 1.0,
-    row_limit: int = ROW_LIMIT,
 ) -> ExecutionResult:
     """Run one statement, with ``params`` bound to its ``?`` marks, under
-    a wall-clock budget and a row cap.  A value that cannot be bound,
-    such as an integer beyond 64 bits, fails the statement.
+    a wall-clock budget and a cap of ``ROW_LIMIT`` rows.  A value that
+    cannot be bound, such as an integer beyond 64 bits, fails the
+    statement.
 
     The cursor is closed and the progress handler cleared on every exit,
     so a connection reused across searches carries no unfinished
@@ -135,9 +137,9 @@ def execute_text(
                 if not chunk:
                     break
                 rows.extend(tuple(row) for row in chunk)
-                if len(rows) > row_limit:
+                if len(rows) > ROW_LIMIT:
                     return ExecutionResult.failure(
-                        f"result exceeds {row_limit} rows"
+                        f"result exceeds {ROW_LIMIT} rows"
                     )
         return ExecutionResult.success(tuple(rows))
     except (sqlite3.Error, OverflowError) as exc:
@@ -149,28 +151,9 @@ def execute_text(
 
 
 def execute_query(
-    conn: sqlite3.Connection,
-    query: NormalizedQuery,
-    *,
-    timeout: float = 1.0,
-    row_limit: int = ROW_LIMIT,
+    conn: sqlite3.Connection, query: NormalizedQuery, *, timeout: float = 1.0
 ) -> ExecutionResult:
-    return execute_text(
-        conn, query.render_compact(), timeout=timeout, row_limit=row_limit
-    )
-
-
-def canonical_value(value: object) -> object:
-    """Collapse numeric representations so 2, 2.0 and True compare equal."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
-
-
-def canonical_row(row: Sequence[object]) -> tuple:
-    return tuple(canonical_value(value) for value in row)
+    return execute_text(conn, query.render_compact(), timeout=timeout)
 
 
 def rows_match(
@@ -179,29 +162,27 @@ def rows_match(
     *,
     ordered: bool = False,
 ) -> bool:
-    """Compare result sets as sequences or as multisets."""
-    a = [canonical_row(row) for row in left]
-    b = [canonical_row(row) for row in right]
+    """Compare result sets as sequences or as multisets of tuples, by
+    Python's ``==``, under which 2, 2.0 and True are equal."""
+    a = [tuple(row) for row in left]
+    b = [tuple(row) for row in right]
     if ordered:
         return a == b
-    return sorted(a, key=repr) == sorted(b, key=repr)
+    return Counter(a) == Counter(b)
 
 
 def satisfies_examples(
     result: ExecutionResult, examples: Iterable[ExampleTuple]
 ) -> bool:
-    """True when every example tuple occurs among the result rows."""
+    """True when every example tuple occurs among the result rows, by
+    Python's ``==``."""
     if not result.ok:
         return False
-    produced = {canonical_row(row) for row in result.rows}
-    return all(canonical_row(ex.values) in produced for ex in examples)
+    produced = set(result.rows)
+    return all(ex.values in produced for ex in examples)
 
 
 # -- One-edit variants ------------------------------------------------------
-
-_AGG_MEMBERS = tuple(AGGREGATIONS)
-_CONNECTIVE_MEMBERS = tuple(CONNECTIVES)
-_COMPARISON_MEMBERS = tuple(COMPARISONS)
 
 
 def _named_tables(query: NormalizedQuery) -> set[str]:
@@ -221,11 +202,11 @@ def _named_tables(query: NormalizedQuery) -> set[str]:
 
 def _alternatives(lexeme: str, column_refs: tuple[str, ...]) -> tuple[str, ...]:
     if lexeme in AGGREGATIONS:
-        pool: tuple[str, ...] = _AGG_MEMBERS
+        pool: tuple[str, ...] = AGGREGATIONS
     elif lexeme in CONNECTIVES:
-        pool = _CONNECTIVE_MEMBERS
+        pool = CONNECTIVES
     elif lexeme in COMPARISONS:
-        pool = _COMPARISON_MEMBERS
+        pool = COMPARISONS
     elif is_column_ref(lexeme):
         pool = column_refs
     else:
@@ -363,25 +344,26 @@ def test_and_repair(
     *,
     attempt_repair: bool = True,
     prefilter: bool = False,
-    per_variant_timeout: float = 1.0,
     deadline: float | None = None,
 ) -> RepairOutcome:
     """Execute the candidate; on a miss, walk its one-edit neighbours.
 
     With ``prefilter``, a variant that ``make_query_check`` rejects,
     against the schema and the first example, is skipped without
-    touching the database.  ``deadline`` is an absolute
+    touching the database.  Each statement runs for at most
+    ``STATEMENT_TIMEOUT`` seconds; ``deadline`` is an absolute
     ``time.monotonic`` value past which no further variant runs.
 
     With repair on, an eligible query (see the module docstring) runs as
     its widened statement: the original's rows are the widened rows cut
     to the query's own columns, and every SELECT-column swap is answered
-    from them.  When the widened statement fails, the original runs on
-    its own with what is left of the same budget, and every variant runs
-    as a statement of its own.  The widened statement reads every FROM
-    column a row, so an original that only just fits the budget can time
-    out with repair on, and the walk may then settle on a variant, where
-    with repair off the original runs.
+    from them, its result being the widened rows cut the same way with
+    the swapped column in place.  When the widened statement fails, the
+    original runs on its own with what is left of the same budget, and
+    every variant runs as a statement of its own.  The widened statement
+    reads every FROM column a row, so an original that only just fits
+    the budget can time out with repair on, and the walk may then settle
+    on a variant, where with repair off the original runs.
 
     When the widened statement ran and the query reads one table, the
     WHERE variants after the first are judged on candidate rows.  At the
@@ -401,8 +383,8 @@ def test_and_repair(
 
     def budget() -> float:
         if deadline is None:
-            return per_variant_timeout
-        return min(per_variant_timeout, deadline - time.monotonic())
+            return STATEMENT_TIMEOUT
+        return min(STATEMENT_TIMEOUT, deadline - time.monotonic())
 
     def run(statement: NormalizedQuery, remaining: float) -> ExecutionResult:
         nonlocal statements
@@ -455,17 +437,6 @@ def test_and_repair(
 
     widened = _widened(query, schema) if attempt_repair else None
     width = len(query.select)
-
-    def swapped(
-        rows: Iterable[tuple], position: int, index: int
-    ) -> Iterator[tuple]:
-        # Widened rows cut to the query's columns, widened column
-        # ``index`` standing at SELECT ``position``.
-        return (
-            row[:position] + (row[index],) + row[position + 1 : width]
-            for row in rows
-        )
-
     wide_rows: tuple[tuple, ...] | None = None
     remaining = budget()
     if widened is not None:
@@ -492,34 +463,26 @@ def test_and_repair(
         table = _probe_table(query, schema, example_list)
     where_tried = 0
     rowids: list[tuple] | None = None
-    # Canonical widened rows and examples, made at the first column swap.
-    canon_wide: list[tuple] | None = None
-    wanted: set[tuple] = set()
     tried = 0
     for variant, kind, bodies in hamming_one_queries(query, schema):
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        if check is not None and not check(bodies, variant):
-            continue
         remaining = budget()
         if remaining <= 0:
             break
+        if check is not None and not check(bodies, variant):
+            continue
         tried += 1
         swap = None
         if wide_rows is not None and kind is ClauseKind.SELECT:
             swap = _select_swap(query, variant, widened[1])
         if swap is not None:
+            # Widened rows cut to the query's columns, widened column
+            # ``index`` standing at SELECT ``position``.
             position, index = swap
-            if canon_wide is None:
-                canon_wide = [canonical_row(row) for row in wide_rows]
-                wanted = {canonical_row(ex.values) for ex in example_list}
-            if not wanted <= set(swapped(canon_wide, position, index)):
-                continue
             result = ExecutionResult.success(
-                tuple(swapped(wide_rows, position, index))
-            )
-            return RepairOutcome(
-                variant, result, True, True, tried, statements, probes
+                tuple(
+                    row[:position] + (row[index],) + row[position + 1 : width]
+                    for row in wide_rows
+                )
             )
         elif table is not None and kind is ClauseKind.WHERE:
             where_tried += 1

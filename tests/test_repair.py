@@ -26,8 +26,6 @@ from sqlsynth.repair import (
     ExecutionResult,
     ExecutionStatus,
     RepairOutcome,
-    canonical_row,
-    canonical_value,
     execute_query,
     execute_text,
     hamming_one_queries,
@@ -77,13 +75,14 @@ def test_execute_text_timeout(connect):
     assert execute_text(conn, "SELECT 1").ok
 
 
-def test_execute_text_row_cap(connect):
+def test_execute_text_row_cap(monkeypatch, connect):
     conn = connect("concerts")
     wide = (
         "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
         "LIMIT 1000) SELECT x FROM c"
     )
-    result = execute_text(conn, wide, row_limit=500)
+    monkeypatch.setattr(repair, "ROW_LIMIT", 500)
+    result = execute_text(conn, wide)
     assert result.status is ExecutionStatus.ERROR
     assert "exceeds" in result.error
 
@@ -115,12 +114,121 @@ def test_a_line_break_inside_a_constant_reaches_sqlite_intact(line_break):
 # -- row comparison ---------------------------------------------------------
 
 
-def test_canonical_value_unifies_numbers():
-    assert canonical_value(True) == 1
-    assert canonical_value(2.0) == 2
-    assert canonical_value(2.5) == 2.5
-    assert canonical_value("x") == "x"
-    assert canonical_row((1.0, "a", False)) == (1, "a", 0)
+def _canonical_value(value: object) -> object:
+    """Collapse numeric representations so 2, 2.0 and True compare equal."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+def _canonical_row(row) -> tuple:
+    return tuple(_canonical_value(value) for value in row)
+
+
+def _reference_rows_match(left, right, *, ordered=False) -> bool:
+    """Row comparison on canonical rows, sorted by ``repr``."""
+    a = [_canonical_row(row) for row in left]
+    b = [_canonical_row(row) for row in right]
+    if ordered:
+        return a == b
+    return sorted(a, key=repr) == sorted(b, key=repr)
+
+
+def _reference_satisfies(result, examples) -> bool:
+    """Example containment on canonical rows."""
+    if not result.ok:
+        return False
+    produced = {_canonical_row(row) for row in result.rows}
+    return all(_canonical_row(ex.values) in produced for ex in examples)
+
+
+# Values that Python's ``==`` makes equal share a group.
+_VALUE_GROUPS = (
+    (None,),
+    (True, 1, 1.0),
+    (False, 0, 0.0, -0.0),
+    (2, 2.0),
+    (-3, -3.0),
+    (2.5,),
+    (-0.5,),
+    (2**63,),
+    (2**53 + 1,),
+    (2**53, float(2**53 + 1)),
+    (10**30,),
+    (1e30, int(1e30)),
+    ("a",),
+    ("2",),
+    ("",),
+    (b"a",),
+    (b"\x02",),
+)
+
+
+def test_row_equality_matches_the_canonical_reference():
+    """Rows are drawn as group indices, then each value as any member of
+    its group; the right rows are the left ones reordered, with now and
+    then a row replaced, dropped or repeated."""
+    rng = random.Random(23)
+    verdicts: Counter = Counter()
+
+    def draw(arity: int) -> tuple[int, ...]:
+        return tuple(rng.randrange(len(_VALUE_GROUPS)) for _ in range(arity))
+
+    def values(shape) -> list[tuple]:
+        return [tuple(rng.choice(_VALUE_GROUPS[g]) for g in row) for row in shape]
+
+    for _ in range(4000):
+        arity = rng.randint(1, 3)
+        shape = [draw(arity) for _ in range(rng.randint(0, 4))]
+        other = list(shape)
+        if other and rng.random() < 0.5:
+            rng.shuffle(other)
+        if other and rng.random() < 0.3:
+            other[rng.randrange(len(other))] = draw(arity)
+        if other and rng.random() < 0.1:
+            other.pop(rng.randrange(len(other)))
+        if other and rng.random() < 0.1:
+            other.append(rng.choice(other))
+        left, right = values(shape), values(other)
+        for ordered in (False, True):
+            verdict = rows_match(left, right, ordered=ordered)
+            assert verdict == _reference_rows_match(left, right, ordered=ordered), (
+                left,
+                right,
+                ordered,
+            )
+            verdicts["rows", ordered, verdict] += 1
+        result = ExecutionResult.success(tuple(left))
+        examples = [ExampleTuple.from_values(row) for row in right]
+        verdict = satisfies_examples(result, examples)
+        assert verdict == _reference_satisfies(result, examples), (left, right)
+        verdicts["examples", verdict] += 1
+    # Both verdicts occur for each comparison.
+    assert len(verdicts) == 6 and min(verdicts.values()) > 100, verdicts
+
+
+@pytest.mark.parametrize(
+    "row, other, equal",
+    [
+        ((True,), (1,), True),
+        ((2.0,), (2,), True),
+        ((-0.0,), (0,), True),
+        ((10**30,), (1e30,), False),
+        ((2**53 + 1,), (float(2**53 + 1),), False),
+        ((b"a",), ("a",), False),
+    ],
+)
+def test_row_equality_named_cases(row, other, equal):
+    for left, right in ((row, other), (other, row)):
+        for ordered in (False, True):
+            assert rows_match([left], [right], ordered=ordered) is equal
+            assert _reference_rows_match([left], [right], ordered=ordered) is equal
+        result = ExecutionResult.success((left,))
+        examples = [ExampleTuple.from_values(right)]
+        assert satisfies_examples(result, examples) is equal
+        assert _reference_satisfies(result, examples) is equal
 
 
 def test_rows_match_multiset_and_ordered():
@@ -457,13 +565,24 @@ def test_widened_scan_matches_the_per_variant_reference(
     statements = _counting_execute(monkeypatch)
     conns = {db_id: connect(db_id) for db_id in schemas}
     compared = 0
+    swaps: Counter = Counter()
     executed = {"scan": 0, "reference": 0}
-    for task in normalized_tasks:
-        schema = schemas[task.db_id]
-        conn = conns[task.db_id]
-        examples = task.sorted_examples()
+    cases = [
+        (task.db_id, task.gold_query, task.sorted_examples())
+        for task in normalized_tasks
+    ]
+    # Examples written as a bool and as an integral float, which SELECT
+    # swaps to the INTEGER columns ``singer.is_male`` and ``singer.age``
+    # satisfy.
+    cases += [
+        ("concerts", GOLD, [ExampleTuple.from_values((True,))]),
+        ("concerts", GOLD, [ExampleTuple.from_values((40.0,))]),
+    ]
+    for index, (db_id, gold_text, examples) in enumerate(cases):
+        schema = schemas[db_id]
+        conn = conns[db_id]
         text_check = make_checker(schema, examples[0])
-        gold = parse_complete(task.gold_query)
+        gold = parse_complete(gold_text)
         for corrupted in _reference_neighbours(gold, schema):
             for prefilter in (True, False):
                 observed = []
@@ -476,9 +595,14 @@ def test_widened_scan_matches_the_per_variant_reference(
                     outcome = run(corrupted, conn, schema, examples, prefilter=check)
                     executed[name] += len(statements)
                     observed.append(_observed(outcome))
-                assert observed[0] == observed[1], (task.id, corrupted.render())
+                assert observed[0] == observed[1], (gold_text, corrupted.render())
                 compared += 1
-    assert compared == 2 * 1429
+                if index >= len(normalized_tasks):
+                    swap = outcome.query.select != corrupted.select
+                    swaps[index] += outcome.repaired and swap
+    neighbours = _reference_neighbours(parse_complete(GOLD), schemas["concerts"])
+    assert compared == 2 * 1429 + 4 * len(list(neighbours))
+    assert len(swaps) == 2 and min(swaps.values()) > 0, swaps
     # The scan answers some variants without a statement of their own.
     assert executed["scan"] < executed["reference"]
 
@@ -864,12 +988,9 @@ def test_widened_timeout_spends_the_originals_budget(monkeypatch, connect, schem
     query = parse_complete(GOLD)
     variants = [q for q, _, _ in hamming_one_queries(query, schema)]
     statements = _widened_fails(monkeypatch, query, _times_out)
+    monkeypatch.setattr(repair, "STATEMENT_TIMEOUT", 0.05)
     outcome = run_with_repair(
-        query,
-        conn,
-        schema,
-        [ExampleTuple.from_values(("nobody",))],
-        per_variant_timeout=0.05,
+        query, conn, schema, [ExampleTuple.from_values(("nobody",))]
     )
     assert not outcome.satisfied and outcome.variants_tried == len(variants)
     assert outcome.result.status is ExecutionStatus.TIMEOUT
@@ -887,12 +1008,11 @@ def test_widened_timeout_fails_an_original_that_runs_with_repair_off(
     query = parse_complete(GOLD)
     examples = [ExampleTuple.from_values(("Chris",))]
     statements = _widened_fails(monkeypatch, query, _times_out)
-    off = run_with_repair(
-        query, conn, schema, examples, attempt_repair=False, per_variant_timeout=0.05
-    )
+    monkeypatch.setattr(repair, "STATEMENT_TIMEOUT", 0.05)
+    off = run_with_repair(query, conn, schema, examples, attempt_repair=False)
     assert off.satisfied and not off.repaired and statements == [query]
     statements.clear()
-    on = run_with_repair(query, conn, schema, examples, per_variant_timeout=0.05)
+    on = run_with_repair(query, conn, schema, examples)
     assert _is_widened(statements[0], query) and query not in statements
     # The original reads as timed out, and the walk settles on a variant.
     assert on.repaired and on.query != query

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 import importlib.util
 import itertools
 import math
@@ -353,7 +352,7 @@ def _unlocked(path) -> bool:
 
 
 @pytest.mark.parametrize(
-    "per_variant_timeout, status",
+    "statement_timeout, status",
     [
         (None, repair.ExecutionStatus.ERROR),
         (1e-6, repair.ExecutionStatus.TIMEOUT),
@@ -361,7 +360,7 @@ def _unlocked(path) -> bool:
     ids=["row-cap", "timeout"],
 )
 def test_a_failed_statement_leaves_the_shared_connection_usable(
-    monkeypatch, numbers, per_variant_timeout, status
+    monkeypatch, numbers, statement_timeout, status
 ):
     path, schema = numbers
     db = TaskDatabase("numbers", path)
@@ -374,11 +373,8 @@ def test_a_failed_statement_leaves_the_shared_connection_usable(
 
     monkeypatch.setattr(repair, "execute_text", recording)
     with monkeypatch.context() as patch:
-        if per_variant_timeout is not None:
-            tester = functools.partial(
-                repair.test_and_repair, per_variant_timeout=per_variant_timeout
-            )
-            patch.setattr(search, "test_and_repair", tester)
+        if statement_timeout is not None:
+            patch.setattr(repair, "STATEMENT_TIMEOUT", statement_timeout)
         first = run_search(
             _task(db_id="numbers", example=(0,)),
             schema,
