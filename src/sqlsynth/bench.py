@@ -36,6 +36,8 @@ from .search import (
 )
 from .tasks import DatabaseSchema, TaskDatabase, TaskInstance, open_database
 
+GRADE_TIMEOUT = 5.0  # seconds a gold or found query may run while grading
+
 
 @dataclass(frozen=True)
 class TaskReport:
@@ -215,8 +217,8 @@ def _execution_match(
     db: TaskDatabase, found: NormalizedQuery, gold: NormalizedQuery
 ) -> bool | None:
     conn = db.connection()
-    gold_result = execute_query(conn, gold, timeout=5.0)
-    found_result = execute_query(conn, found, timeout=5.0)
+    gold_result = execute_query(conn, gold, timeout=GRADE_TIMEOUT)
+    found_result = execute_query(conn, found, timeout=GRADE_TIMEOUT)
     if not gold_result.ok or not found_result.ok:
         return None
     ordered = bool(gold.order_by)
@@ -414,7 +416,7 @@ def run_checker_experiment(
         if task.gold_query:
             try:
                 gold = _normalized_gold(task, schema)
-                gold_result = execute_query(conn, gold, timeout=5.0)
+                gold_result = execute_query(conn, gold, timeout=GRADE_TIMEOUT)
                 if gold_result.ok:
                     gold_rows = gold_result.rows
             except SqlError:

@@ -274,12 +274,11 @@ def parse_condition_body(
     lexemes: Sequence[str],
     lenient: bool = False,
     clause: str = "WHERE",
-    allow_subquery: bool = True,
 ) -> Condition | None:
     if not lexemes:
         return None
     cur = _Cursor(lexemes, clause)
-    condition = _or_expr(cur, lenient, allow_subquery)
+    condition = _or_expr(cur, lenient, allow_subquery=True)
     if not cur.done():
         cur.fail(f"unexpected {cur.peek()!r}")
     return condition

@@ -350,20 +350,19 @@ def test_and_repair(
 
     With ``prefilter``, a variant that ``make_query_check`` rejects,
     against the schema and the first example, is skipped without
-    touching the database.  Each statement runs for at most
-    ``STATEMENT_TIMEOUT`` seconds; ``deadline`` is an absolute
-    ``time.monotonic`` value past which no further variant runs.
+    touching the database.  ``deadline`` is an absolute
+    ``time.monotonic`` value.  Every statement sent, whether the widened
+    one, the original, a variant, a candidate scan or a probe, runs for
+    at most ``STATEMENT_TIMEOUT`` seconds and never past ``deadline``;
+    one with no time left is not sent and reads as timed out.
 
     With repair on, an eligible query (see the module docstring) runs as
     its widened statement: the original's rows are the widened rows cut
     to the query's own columns, and every SELECT-column swap is answered
     from them, its result being the widened rows cut the same way with
-    the swapped column in place.  When the widened statement fails, the
-    original runs on its own with what is left of the same budget, and
-    every variant runs as a statement of its own.  The widened statement
-    reads every FROM column a row, so an original that only just fits
-    the budget can time out with repair on, and the walk may then settle
-    on a variant, where with repair off the original runs.
+    the swapped column in place.  When the widened statement fails or
+    times out, the original runs on its own with a budget of its own, as
+    with repair off, and every variant runs as a statement of its own.
 
     When the widened statement ran and the query reads one table, the
     WHERE variants after the first are judged on candidate rows.  At the
@@ -386,21 +385,20 @@ def test_and_repair(
             return STATEMENT_TIMEOUT
         return min(STATEMENT_TIMEOUT, deadline - time.monotonic())
 
-    def run(statement: NormalizedQuery, remaining: float) -> ExecutionResult:
-        nonlocal statements
-        if remaining <= 0:
-            return ExecutionResult.timed_out()
-        statements += 1
-        return execute_query(conn, statement, timeout=remaining)
-
-    def probe(sql: str, params: Sequence[object]) -> ExecutionResult:
+    def send(
+        statement: NormalizedQuery | str, params: Sequence[object] = ()
+    ) -> ExecutionResult:
+        """Run a parsed query, or a candidate scan or probe given as text,
+        with the budget left at send time."""
         nonlocal statements, probes
-        remaining = budget()
-        if remaining <= 0:
+        timeout = budget()
+        if timeout <= 0:
             return ExecutionResult.timed_out()
         statements += 1
+        if isinstance(statement, NormalizedQuery):
+            return execute_query(conn, statement, timeout=timeout)
         probes += 1
-        return execute_text(conn, sql, params, timeout=remaining)
+        return execute_text(conn, statement, params, timeout=timeout)
 
     def candidate_rowids(table: str) -> list[tuple] | None:
         """Each example's candidate rowids, up to the first example that
@@ -409,7 +407,7 @@ def test_and_repair(
         scan = f"SELECT {table}.rowid FROM {table} WHERE {tests}"
         found: list[tuple] = []
         for example in example_list:
-            result = probe(scan, example.values)
+            result = send(scan, example.values)
             ids = tuple(row[0] for row in result.rows)
             if not result.ok or None in ids:
                 return None
@@ -426,7 +424,7 @@ def test_and_repair(
             if not ids:
                 return False
             marks = ", ".join("?" * len(ids))
-            result = probe(
+            result = send(
                 f"SELECT 1 FROM {table} WHERE {table}.rowid IN ({marks}) "
                 f"AND ({where}) LIMIT 1",
                 ids,
@@ -437,17 +435,10 @@ def test_and_repair(
 
     widened = _widened(query, schema) if attempt_repair else None
     width = len(query.select)
-    wide_rows: tuple[tuple, ...] | None = None
-    remaining = budget()
-    if widened is not None:
-        started = time.monotonic()
-        wide = run(widened[0], remaining)
-        if wide.ok:
-            wide_rows = wide.rows
-        else:
-            remaining -= time.monotonic() - started
+    wide = send(widened[0]) if widened is not None else None
+    wide_rows = wide.rows if wide is not None and wide.ok else None
     if wide_rows is None:
-        original = run(query, remaining)
+        original = send(query)
     else:
         original = ExecutionResult.success(tuple(row[:width] for row in wide_rows))
     if satisfies_examples(original, example_list):
@@ -465,8 +456,7 @@ def test_and_repair(
     rowids: list[tuple] | None = None
     tried = 0
     for variant, kind, bodies in hamming_one_queries(query, schema):
-        remaining = budget()
-        if remaining <= 0:
+        if budget() <= 0:
             break
         if check is not None and not check(bodies, variant):
             continue
@@ -484,15 +474,14 @@ def test_and_repair(
                     for row in wide_rows
                 )
             )
-        elif table is not None and kind is ClauseKind.WHERE:
-            where_tried += 1
-            if where_tried == 2:
-                rowids = candidate_rowids(table)
-            if rowids is not None and not may_hit(table, variant, rowids):
-                continue
-            result = run(variant, budget())
         else:
-            result = run(variant, remaining)
+            if table is not None and kind is ClauseKind.WHERE:
+                where_tried += 1
+                if where_tried == 2:
+                    rowids = candidate_rowids(table)
+                if rowids is not None and not may_hit(table, variant, rowids):
+                    continue
+            result = send(variant)
         if satisfies_examples(result, example_list):
             return RepairOutcome(
                 variant, result, True, True, tried, statements, probes
@@ -509,14 +498,14 @@ def label_by_execution(
     *,
     gold_rows: Sequence[Sequence[object]] | None = None,
     examples: Iterable[ExampleTuple] = (),
-    timeout: float = 1.0,
 ) -> Label:
-    """Classify a finished query by actually running it.
+    """Classify a finished query by running it for at most
+    ``STATEMENT_TIMEOUT`` seconds.
 
     With ``gold_rows`` the query must reproduce them as a multiset to
     count as correct; otherwise example containment decides.
     """
-    result = execute_text(conn, denormalize_text(text), timeout=timeout)
+    result = execute_text(conn, denormalize_text(text), timeout=STATEMENT_TIMEOUT)
     if result.status is ExecutionStatus.TIMEOUT:
         return Label.RUNTIME_ERROR
     if result.status is ExecutionStatus.ERROR:

@@ -84,7 +84,10 @@ class SearchNode:
     text: str
     tokens: tuple[str, ...] = ()
     log_prob: float = 0.0
-    depth: int = 0
+
+    @property
+    def depth(self) -> int:
+        return len(self.tokens)
 
     @property
     def cum_prob(self) -> float:
@@ -106,7 +109,6 @@ def extend(node: SearchNode, candidate: TokenCandidate) -> SearchNode:
         text=node.text + candidate.surface,
         tokens=node.tokens + (candidate.token_id,),
         log_prob=node.log_prob + math.log(candidate.prob),
-        depth=node.depth + 1,
     )
 
 
@@ -128,9 +130,6 @@ class Frontier:
         if not self._heap:
             return None
         return heapq.heappop(self._heap)[3]
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 @dataclass(frozen=True)

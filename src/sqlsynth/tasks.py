@@ -48,6 +48,7 @@ class ColumnType(enum.Enum):
 
 
 NUMERIC_TYPES = frozenset({ColumnType.INTEGER, ColumnType.REAL})
+REFINE_SAMPLE = 100  # stored values refine_schema reads per Integer column
 
 _SPIDER_TYPE_MAP = {
     "number": ColumnType.INTEGER,  # provisional; refine_schema may widen to Real
@@ -263,10 +264,14 @@ def _schema_from_entry(entry: Mapping) -> DatabaseSchema:
     columns_by_table: dict[int, list[Column]] = {i: [] for i in range(len(table_names))}
     flat_refs: list[str | None] = []
     for index, item in enumerate(column_names):
+        if not (isinstance(item, list) and len(item) == 2 and type(item[0]) is int):
+            raise DatasetError(f"{db_id}: column {index} is not a [table, name] pair")
         table_index, name = item
         if table_index < 0:
             flat_refs.append(None)  # the "*" pseudo-column
             continue
+        if table_index >= len(table_names):
+            raise DatasetError(f"{db_id}: column {index} names a missing table")
         type_name = column_types[index] if index < len(column_types) else "others"
         kind = _SPIDER_TYPE_MAP.get(str(type_name).lower(), ColumnType.OTHER)
         columns_by_table[table_index].append(Column(str(name).strip(), kind))
@@ -280,11 +285,14 @@ def _schema_from_entry(entry: Mapping) -> DatabaseSchema:
 
     foreign_keys = []
     for pair in entry.get("foreign_keys", []):
-        refs = []
-        for column_index in pair:
-            if column_index >= len(flat_refs) or flat_refs[column_index] is None:
-                raise DatasetError(f"{db_id}: foreign key names a missing column")
-            refs.append(flat_refs[column_index])
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise DatasetError(f"{db_id}: foreign key {pair!r} is not a column pair")
+        refs = [
+            flat_refs[i] if type(i) is int and 0 <= i < len(flat_refs) else None
+            for i in pair
+        ]
+        if None in refs:
+            raise DatasetError(f"{db_id}: foreign key names a missing column")
         foreign_keys.append((refs[0], refs[1]))
     return DatabaseSchema(db_id, tables, tuple(foreign_keys))
 
@@ -323,18 +331,20 @@ def load_tasks(
             raise DatasetError(f"record {index}: missing field {exc}") from exc
         if db_id not in schemas:
             raise UnknownDbId(f"record {index}: unknown db_id {db_id!r}")
-        examples = frozenset(
-            ExampleTuple.from_values(row) for row in record.get("examples", [])
-        )
-        tasks.append(
-            TaskInstance(
+        rows = record.get("examples", [])
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise DatasetError(f"record {index}: examples must be a list of rows")
+        try:
+            task = TaskInstance(
                 id=str(record.get("id") or f"{db_id}-{index:04d}"),
                 db_id=db_id,
                 question=question,
                 gold_query=record.get("query") or record.get("gold_query") or "",
-                examples=examples,
+                examples=frozenset(ExampleTuple.from_values(row) for row in rows),
             )
-        )
+        except DatasetError as exc:
+            raise DatasetError(f"record {index}: {exc}") from exc
+        tasks.append(task)
     return tasks
 
 
@@ -383,8 +393,9 @@ def derive_example(db: TaskDatabase, gold_query: str) -> ExampleTuple:
 
 
 def refine_schema(db: TaskDatabase, schema: DatabaseSchema) -> DatabaseSchema:
-    """Widen provisional Integer columns to Real when stored values have
-    fractional parts; Spider's type strings are too coarse to tell."""
+    """Widen provisional Integer columns to Real when a sampled float is
+    not whole (a fraction or an infinity); Spider's type strings are too
+    coarse to tell."""
     with closing(db.connect()) as connection:
         tables = []
         for table in schema.tables:
@@ -401,19 +412,18 @@ def refine_schema(db: TaskDatabase, schema: DatabaseSchema) -> DatabaseSchema:
 
 
 def _column_holds_reals(
-    connection: sqlite3.Connection, table: str, column: str, sample: int = 100
+    connection: sqlite3.Connection, table: str, column: str
 ) -> bool:
     try:
         rows = connection.execute(
             f'SELECT "{column}" FROM "{table}" WHERE "{column}" IS NOT NULL LIMIT ?',
-            (sample,),
+            (REFINE_SAMPLE,),
         ).fetchall()
     except sqlite3.Error:
         return False
-    for (value,) in rows:
-        if isinstance(value, float) and value != int(value):
-            return True
-    return False
+    return any(
+        isinstance(value, float) and not value.is_integer() for (value,) in rows
+    )
 
 
 # -- Serialization ----------------------------------------------------------

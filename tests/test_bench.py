@@ -724,6 +724,30 @@ def test_cli_generate_exits_1_on_a_malformed_scripted_spec(
     assert "Traceback" not in err
 
 
+def test_cli_bench_exits_2_on_a_malformed_task_file(tmp_path, capsys, fixture_paths):
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(
+        json.dumps([{"db_id": "concerts", "question": "?", "examples": ["Chris"]}])
+    )
+    code = cli.main(
+        [
+            "bench",
+            "--tables",
+            str(fixture_paths.tables),
+            "--tasks",
+            str(tasks),
+            "--db-root",
+            str(fixture_paths.db_root),
+            "--model",
+            f"scripted:{tmp_path / 'unused.json'}",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: record 0: ")
+    assert "Traceback" not in err
+
+
 def test_cli_bench_exits_1_when_the_model_server_is_unreachable(
     capsys, tmp_path, fixture_paths
 ):

@@ -940,13 +940,16 @@ def test_failed_original_runs_on_its_own_after_the_widened_statement(
     assert not any(_is_widened(statement, query) for statement in statements[1:])
 
 
-def _widened_fails(monkeypatch, query, failure) -> list:
-    """Record every statement; the widened one of ``query`` fails by
-    calling ``failure`` with its timeout."""
+def _widened_fails(monkeypatch, query, failure, timeouts=None) -> list:
+    """Record every statement, and its timeout in ``timeouts`` when
+    given; the widened one of ``query`` fails by calling ``failure`` with
+    its timeout."""
     statements: list = []
 
     def execute(conn, statement, **kwargs):
         statements.append(statement)
+        if timeouts is not None:
+            timeouts.append(kwargs["timeout"])
         if _is_widened(statement, query):
             return failure(kwargs["timeout"])
         return execute_query(conn, statement, **kwargs)
@@ -979,30 +982,37 @@ def _times_out(timeout: float) -> ExecutionResult:
     return ExecutionResult.timed_out()
 
 
-def test_widened_timeout_spends_the_originals_budget(monkeypatch, connect, schemas):
-    """A widened statement that uses up its budget leaves the original
-    timed out, with no statement of its own; every variant then runs on
-    its own."""
+def test_widened_timeout_leaves_the_original_its_own_budget(
+    monkeypatch, connect, schemas
+):
+    """A widened statement that uses up its budget leaves the original a
+    full statement budget of its own; every variant then runs on its
+    own, with the same budget."""
     conn = connect("concerts")
     schema = schemas["concerts"]
     query = parse_complete(GOLD)
     variants = [q for q, _, _ in hamming_one_queries(query, schema)]
-    statements = _widened_fails(monkeypatch, query, _times_out)
+    timeouts: list = []
+    statements = _widened_fails(monkeypatch, query, _times_out, timeouts)
     monkeypatch.setattr(repair, "STATEMENT_TIMEOUT", 0.05)
     outcome = run_with_repair(
         query, conn, schema, [ExampleTuple.from_values(("nobody",))]
     )
     assert not outcome.satisfied and outcome.variants_tried == len(variants)
-    assert outcome.result.status is ExecutionStatus.TIMEOUT
-    assert _is_widened(statements[0], query) and statements[1:] == variants
+    assert outcome.result.ok
+    assert Counter(outcome.result.rows) == Counter(execute_query(conn, query).rows)
+    assert _is_widened(statements[0], query)
+    assert statements[1:] == [query, *variants]
+    assert timeouts == [0.05] * len(statements) == [0.05] * outcome.statements
 
 
-def test_widened_timeout_fails_an_original_that_runs_with_repair_off(
+def test_widened_timeout_accepts_the_original_as_repair_off_does(
     monkeypatch, connect, schemas
 ):
     """The widened statement reads more columns a row than the original,
-    so an original that only just fits its budget can time out with
-    repair on, where with repair off it runs and satisfies."""
+    so it can time out where the original fits its budget.  The original
+    then runs with a budget of its own, so repair on and repair off
+    return the same satisfied original."""
     conn = connect("concerts")
     schema = schemas["concerts"]
     query = parse_complete(GOLD)
@@ -1013,10 +1023,10 @@ def test_widened_timeout_fails_an_original_that_runs_with_repair_off(
     assert off.satisfied and not off.repaired and statements == [query]
     statements.clear()
     on = run_with_repair(query, conn, schema, examples)
-    assert _is_widened(statements[0], query) and query not in statements
-    # The original reads as timed out, and the walk settles on a variant.
-    assert on.repaired and on.query != query
-    assert on.query.where != query.where
+    assert _is_widened(statements[0], query) and statements[1:] == [query]
+    assert on.satisfied and not on.repaired and on.variants_tried == 0
+    assert _observed(on) == _observed(off)
+    assert (on.statements, on.probes) == (2, 0)
 
 
 def test_widened_timeout_under_a_deadline_times_the_original_out(
@@ -1133,6 +1143,54 @@ def test_a_hit_at_the_first_where_variant_sends_no_candidate_scan(
     assert outcome.variants_tried == len(schema.tables[0].columns)
     assert len(runs) == len(sent) == outcome.statements == 2
     assert outcome.probes == 0
+
+
+@pytest.mark.parametrize("statement_timeout", [1.0, 30.0], ids=["statement", "deadline"])
+def test_every_send_gets_the_budget_left_at_send_time(
+    monkeypatch, tmp_path, statement_timeout
+):
+    """Every statement a walk sends, full runs, candidate scans and
+    probes alike, runs for at most ``STATEMENT_TIMEOUT`` seconds and no
+    longer than the deadline leaves it when it is sent; the outcome
+    counts exactly the statements sent.  The deadline is 20 s away, so
+    a 1 s statement timeout binds, and a 30 s one leaves the deadline
+    to bind."""
+    path = tmp_path / "deep.sqlite"
+    schema = _deep_table(path)
+    query = parse_complete(
+        "SELECT t.c0\nFROM t\nWHERE t.c3 = 3 AND t.c4 = 3\n"
+        "GROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    )
+    examples = [ExampleTuple.from_values(("r0190",))]
+    monkeypatch.setattr(repair, "STATEMENT_TIMEOUT", statement_timeout)
+    deadline = time.monotonic() + 20.0
+    sends: list = []
+    # Remaining time when the previous send returned, which bounds the
+    # remaining time when the next one is sent from above.
+    left_before = deadline - time.monotonic()
+
+    def recording(conn, sql, params=(), *, timeout):
+        nonlocal left_before
+        sends.append((sql, timeout, deadline - time.monotonic(), left_before))
+        try:
+            return execute_text(conn, sql, params, timeout=timeout)
+        finally:
+            left_before = deadline - time.monotonic()
+
+    # Full runs reach SQLite through ``execute_query``, which renders the
+    # query and sends it through ``execute_text`` too.
+    monkeypatch.setattr(repair, "execute_text", recording)
+    with closing(sqlite3.connect(path)) as conn:
+        outcome = run_with_repair(query, conn, schema, examples, deadline=deadline)
+    assert outcome.repaired
+    scans = [sql for sql, *_ in sends if sql.startswith("SELECT t.rowid FROM t")]
+    probes = [sql for sql, *_ in sends if sql.startswith("SELECT 1 FROM t")]
+    assert scans and probes
+    assert outcome.statements == len(sends)
+    assert outcome.probes == len(scans) + len(probes)
+    for _, timeout, left_after, left_before in sends:
+        assert timeout <= statement_timeout and timeout <= left_before
+        assert timeout >= min(statement_timeout, left_after)
 
 
 # -- test and repair --------------------------------------------------------

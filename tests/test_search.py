@@ -119,8 +119,8 @@ def test_frontier_pops_highest_probability_first():
 
 def test_frontier_breaks_ties_toward_deeper_nodes():
     frontier = Frontier()
-    shallow = SearchNode("a ", ("a ",), math.log(0.5), 1)
-    deep = SearchNode("b c ", ("b ", "c "), math.log(0.5), 2)
+    shallow = SearchNode("a ", ("a ",), math.log(0.5))
+    deep = SearchNode("b c ", ("b ", "c "), math.log(0.5))
     frontier.push(shallow)
     frontier.push(deep)
     assert frontier.pop_best() is deep

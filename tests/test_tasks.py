@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -101,6 +102,40 @@ def test_foreign_key_to_missing_column_rejected(tmp_path):
         load_schemas(path)
 
 
+_TWO_COLUMNS = [[-1, "*"], [0, "a"], [0, "b"]]
+
+
+@pytest.mark.parametrize(
+    "columns, foreign_keys",
+    [
+        ([[-1, "*"], [0]], []),
+        ([[-1, "*"], [3, "a"]], []),
+        (_TWO_COLUMNS, [[1]]),
+        (_TWO_COLUMNS, [1]),
+        (_TWO_COLUMNS, [[1, -1]]),
+    ],
+    ids=[
+        "one-item-column-pair",
+        "table-index-out-of-range",
+        "one-item-foreign-key",
+        "foreign-key-not-a-list",
+        "negative-foreign-key-index",
+    ],
+)
+def test_malformed_schema_entry_names_its_db_id(tmp_path, columns, foreign_keys):
+    entry = {
+        "db_id": "broken",
+        "table_names_original": ["t"],
+        "column_names_original": columns,
+        "column_types": ["text", "number", "number"],
+        "foreign_keys": foreign_keys,
+    }
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([entry]))
+    with pytest.raises(DatasetError, match="^broken: "):
+        load_schemas(path)
+
+
 def test_schema_file_must_be_a_list(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text(json.dumps({"db_id": "x"}))
@@ -121,6 +156,20 @@ def test_load_tasks_rejects_a_nested_example_value(tmp_path, raw_schemas, value)
     record = {"db_id": "shop", "question": "?", "examples": [[value]]}
     path.write_text(json.dumps([record]))
     with pytest.raises(DatasetError, match="example value"):
+        load_tasks(path, raw_schemas)
+
+
+@pytest.mark.parametrize(
+    "examples",
+    [["Chris"], [5], 5, [[]]],
+    ids=["bare-string-row", "bare-number-row", "examples-not-a-list", "empty-row"],
+)
+def test_malformed_examples_name_their_record(tmp_path, raw_schemas, examples):
+    path = tmp_path / "tasks.json"
+    good = {"db_id": "shop", "question": "?", "examples": [["Chris"]]}
+    bad = {"db_id": "shop", "question": "?", "examples": examples}
+    path.write_text(json.dumps([good, bad]))
+    with pytest.raises(DatasetError, match="^record 1: "):
         load_tasks(path, raw_schemas)
 
 
@@ -316,3 +365,18 @@ def test_serialize_task_layout(schemas):
 def test_serialize_task_without_examples(schemas):
     task = TaskInstance(id="t", db_id="shop", question="q")
     assert serialize_task(task, schemas["shop"]).endswith("no examples")
+
+
+@pytest.mark.parametrize("stored", ["1e999", "-1e999"], ids=["inf", "-inf"])
+def test_refine_schema_widens_an_infinite_number_column(tmp_path, stored):
+    path = database_path(tmp_path, "inf")
+    path.parent.mkdir()
+    with closing(sqlite3.connect(path)) as conn:
+        conn.execute("CREATE TABLE t (x NUMBER, n NUMBER)")
+        conn.execute(f"INSERT INTO t VALUES ({stored}, 3.0)")
+        conn.commit()
+    columns = (Column("x", ColumnType.INTEGER), Column("n", ColumnType.INTEGER))
+    raw = DatabaseSchema("inf", (Table("t", columns),))
+    refined = refine_schema(open_database(tmp_path, "inf"), raw)
+    assert refined.column_type("t", "x") is ColumnType.REAL
+    assert refined.column_type("t", "n") is ColumnType.INTEGER
