@@ -7,23 +7,27 @@ for completion servers.  Tokenization is adapter-owned; the scripted
 model's lexeme tokens, unlike sub-word tokens, never end a prefix inside
 a lexeme, so they never reach the checker's fragment path.
 
-The HTTP client is built on ``http.client`` alone.  It keeps idle
+The HTTP client speaks a small HTTP/1.1 exchange over a plain socket:
+one ``sendall`` of the request line, the headers and the JSON body, then
+a direct read of the status line, the headers and a body sized by
+``Content-Length``, sent chunked, or read up to EOF.  It keeps idle
 keep-alive connections in a pool, so a serial search uses one TCP
 connection and each worker thread holds at most one at a time.  It reads
-no proxy variables and no ``~/.netrc``, and HTTPS verifies against the
-system CA store through ``ssl``'s default context.
+no proxy variables and no ``~/.netrc``, and loads neither ``http.client``
+nor ``email``.  HTTPS verifies against the system CA store through
+``ssl``'s default context; ``ssl`` is imported only when an https
+endpoint is built.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
-import ssl
+import socket
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import BinaryIO, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .nsql.lexemes import split_line
@@ -285,16 +289,97 @@ def load_scripted_model(path: Path | str) -> ScriptedModel | ScriptedRouter:
 
 # -- HTTP completion client -------------------------------------------------
 
+# http.client's bounds on the head of a reply.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
 
 def _probability(logprob: object) -> float:
-    """``exp(logprob)`` when it is a probability in (0, 1]."""
+    """``exp(logprob)`` when it is a number giving a probability in (0, 1]."""
+    if not isinstance(logprob, (int, float)) or isinstance(logprob, bool):
+        raise ProtocolError(f"logprob {logprob!r} is not a number")
     try:
-        prob = math.exp(float(logprob))
-    except (TypeError, ValueError, OverflowError) as exc:
+        prob = math.exp(logprob)
+    except OverflowError as exc:
         raise ProtocolError(f"malformed logprob {logprob!r}: {exc}") from exc
     if not 0 < prob <= 1:
         raise ProtocolError(f"logprob {logprob!r} out of range")
     return prob
+
+
+def _line(reader: BinaryIO) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ValueError("reply line longer than 64 KiB")
+    return line
+
+
+def _headers(reader: BinaryIO) -> dict[bytes, bytes]:
+    """Read header lines up to a blank one: lower-cased name -> value."""
+    headers = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _line(reader)
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.partition(b":")
+        headers[name.strip().lower()] = value.strip()
+    raise ValueError(f"reply has more than {_MAX_HEADERS} headers")
+
+
+def _exact(reader: BinaryIO, size: int) -> bytes:
+    if size < 0:
+        raise ValueError(f"negative body length {size}")
+    data = reader.read(size)
+    if len(data) != size:
+        raise ValueError(f"reply ended {size - len(data)} bytes short")
+    return data
+
+
+def _chunked(reader: BinaryIO) -> bytes:
+    chunks = []
+    while size := int(_line(reader).split(b";", 1)[0], 16):
+        chunks.append(_exact(reader, size))
+        _exact(reader, 2)  # the CRLF that ends the chunk
+    _headers(reader)  # the trailer
+    return b"".join(chunks)
+
+
+def _read_reply(reader: BinaryIO, head: bool) -> tuple[int, bool, bytes]:
+    """Read one reply: ``(status, keep_alive, body)``.
+
+    1xx replies are skipped.  The body is read by ``Content-Length``, by
+    chunked transfer coding, or up to EOF; a reply to HEAD has none.  A
+    malformed reply is a ``ValueError``.
+    """
+    status = 100
+    while status < 200:
+        line = _line(reader)
+        parts = line.split(None, 2)
+        if len(parts) < 2 or not parts[0].startswith(b"HTTP/"):
+            raise ValueError(f"malformed status line {line[:80]!r}")
+        status = int(parts[1])
+        if not 100 <= status <= 999:
+            raise ValueError(f"malformed status line {line[:80]!r}")
+        headers = _headers(reader)
+    keep = parts[0] == b"HTTP/1.1" and b"close" not in headers.get(
+        b"connection", b""
+    ).lower()
+    if head or status in (204, 304):
+        return status, keep, b""
+    if b"chunked" in headers.get(b"transfer-encoding", b"").lower():
+        return status, keep, _chunked(reader)
+    length = headers.get(b"content-length")
+    if length is None:
+        return status, False, reader.read()
+    return status, keep, _exact(reader, int(length))
+
+
+_Connection = tuple[socket.socket, BinaryIO]
+
+
+def _close(conn: _Connection) -> None:
+    conn[1].close()
+    conn[0].close()
 
 
 class HttpCompletionModel:
@@ -304,11 +389,20 @@ class HttpCompletionModel:
     ``{"candidates": [{"text": str, "logprob": float}], "eos_logprob":
     float|null}``.  Probabilities are exp(logprob), used raw.
 
+    One exchange sends the request line, the headers (encoded once, when
+    the model is built) and the JSON body in one ``sendall``.  It reads
+    the reply's status line (skipping 1xx replies), at most 100 headers
+    of at most 64 KiB a line, and a body sized by ``Content-Length``,
+    sent chunked, or read up to EOF; a reply to HEAD has no body.  An
+    ``OSError`` or a malformed reply is ``AdapterUnavailable``; a status
+    other than 200 is ``ProtocolError``.
+
     Idle connections wait in a pool.  A call takes one (or opens one) and
-    returns it only after reading a whole reply, so no connection is ever
-    shared by two threads.  A reused connection that the server dropped
-    while idle is reopened once; a timeout is never retried.  ``close()``
-    closes the idle connections.
+    returns it only after reading a whole HTTP/1.1 reply without
+    ``Connection: close``, so no connection is ever shared by two
+    threads.  A reused connection that the server dropped before any
+    byte of the reply arrived is replaced once; a timeout is never
+    retried.  ``close()`` closes the idle connections.
     """
 
     def __init__(
@@ -324,14 +418,35 @@ class HttpCompletionModel:
             raise ValueError(f"bad model endpoint {endpoint!r}: {exc}") from None
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"bad model endpoint {endpoint!r}: need http(s)://host")
-        self._address = (url.hostname, port)
-        self._context = ssl.create_default_context() if url.scheme == "https" else None
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._timeout = timeout
-        self._headers = {"Content-Type": "application/json"}
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        if not (target.isascii() and target.isprintable()) or " " in target:
+            raise ValueError(f"bad model endpoint {endpoint!r}: unsafe path")
+        if auth_token and ("\r" in auth_token or "\n" in auth_token):
+            raise ValueError("auth token holds a line break")
+        host = url.hostname
+        default_port = 443 if url.scheme == "https" else 80
+        self._address = (host, port or default_port)
+        self._tls = None
+        if url.scheme == "https":
+            import ssl  # loaded only for an https endpoint
+
+            self._tls = ssl.create_default_context()
+        netloc = (f"[{host}]" if ":" in host else host).encode("idna")
+        if port not in (None, default_port):
+            netloc += b":%d" % port
+        head = [
+            target.encode() + b" HTTP/1.1",
+            b"Host: " + netloc,
+            b"Accept-Encoding: identity",
+            b"Content-Type: application/json",
+        ]
         if auth_token:
-            self._headers["Authorization"] = f"Bearer {auth_token}"
-        self._idle: list[http.client.HTTPConnection] = []
+            head.append(b"Authorization: Bearer " + auth_token.encode("latin-1"))
+        head_lines = b"\r\n".join(head) + b"\r\n"
+        self._head_request = b"HEAD " + head_lines + b"\r\n"
+        self._post_prefix = b"POST " + head_lines + b"Content-Length: "
+        self._timeout = timeout
+        self._idle: list[_Connection] = []
         self._lock = threading.Lock()
         self._reachable = False
 
@@ -340,50 +455,58 @@ class HttpCompletionModel:
         with self._lock:
             idle, self._idle = self._idle, []
         for conn in idle:
-            conn.close()
+            _close(conn)
 
-    def _connection(self) -> http.client.HTTPConnection:
-        with self._lock:
-            if self._idle:
-                return self._idle.pop()
-        host, port = self._address
-        if self._context is not None:
-            return http.client.HTTPSConnection(
-                host, port, timeout=self._timeout, context=self._context
-            )
-        return http.client.HTTPConnection(host, port, timeout=self._timeout)
-
-    def _exchange(self, method: str, body: bytes | None = None) -> tuple[int, bytes]:
-        """Send one request and read its whole reply: ``(status, body)``."""
-        conn = self._connection()
-        reused = conn.sock is not None
+    def _connect(self) -> _Connection:
+        sock = socket.create_connection(self._address, self._timeout)
         try:
+            # Without TCP_NODELAY, a request larger than one segment would
+            # wait on Nagle's algorithm against the server's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except OSError:
+            sock.close()
+            raise
+        return sock, sock.makefile("rb")
+
+    def _exchange(self, request: bytes, head: bool = False) -> tuple[int, bytes]:
+        """Send one request and read its whole reply: ``(status, body)``."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        try:
+            if conn is None:
+                conn = self._connect()
             while True:
                 try:
-                    # http.client sets TCP_NODELAY on connect, so its two
-                    # sends (headers, then body) do not wait on Nagle's
-                    # algorithm against the server's delayed ACK.
-                    conn.request(method, self._path, body, self._headers)
-                    response = conn.getresponse()
-                    break
+                    conn[0].sendall(request)
+                    if conn[1].peek(1):
+                        break
+                    raise ConnectionResetError("connection closed without a reply")
                 except (ConnectionResetError, BrokenPipeError):
                     # The server closed the idle connection; the request
                     # is a pure function of its payload, so resend once.
                     if not reused:
                         raise
-                    conn.close()
+                    _close(conn)
+                    conn = self._connect()
                     reused = False
-            data = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            conn.close()
+            status, keep, data = _read_reply(conn[1], head)
+        except (OSError, ValueError) as exc:
+            if conn is not None:
+                _close(conn)
             raise AdapterUnavailable(str(exc)) from exc
-        with self._lock:
-            self._idle.append(conn)
-        return response.status, data
+        if keep:
+            with self._lock:
+                self._idle.append(conn)
+        else:
+            _close(conn)
+        return status, data
 
     def start_session(self, task_text: str) -> GenerationSession:
         if not self._reachable:
-            self._exchange("HEAD")
+            self._exchange(self._head_request, head=True)
             self._reachable = True
         return GenerationSession(task_text)
 
@@ -395,7 +518,10 @@ class HttpCompletionModel:
             "prefix": "".join(t for t in session.prefix if t != EOS_TOKEN_ID),
             "k": k,
         }
-        status, data = self._exchange("POST", json.dumps(payload).encode())
+        request = json.dumps(payload).encode()
+        status, data = self._exchange(
+            self._post_prefix + b"%d\r\n\r\n" % len(request) + request
+        )
         if status != 200:
             raise ProtocolError(f"server returned HTTP {status}")
         try:

@@ -258,8 +258,19 @@ def _schema_from_entry(entry: Mapping) -> DatabaseSchema:
         table_names = entry.get("table_names_original") or entry.get("table_names") or []
         column_names = entry.get("column_names_original") or entry.get("column_names") or []
         column_types = entry.get("column_types", [])
+        foreign_key_pairs = entry.get("foreign_keys", [])
     except (TypeError, KeyError) as exc:
         raise DatasetError(f"malformed schema entry: {exc}") from exc
+    if not isinstance(db_id, str):
+        raise DatasetError(f"malformed schema entry: db_id {db_id!r} is not a string")
+    for field, value in (
+        ("table names", table_names),
+        ("column names", column_names),
+        ("column_types", column_types),
+        ("foreign_keys", foreign_key_pairs),
+    ):
+        if not isinstance(value, list):
+            raise DatasetError(f"{db_id}: {field} is not a list")
 
     columns_by_table: dict[int, list[Column]] = {i: [] for i in range(len(table_names))}
     flat_refs: list[str | None] = []
@@ -284,7 +295,7 @@ def _schema_from_entry(entry: Mapping) -> DatabaseSchema:
     _check_name_uniqueness(db_id, tables)
 
     foreign_keys = []
-    for pair in entry.get("foreign_keys", []):
+    for pair in foreign_key_pairs:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise DatasetError(f"{db_id}: foreign key {pair!r} is not a column pair")
         refs = [

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import random
+import socket
+import ssl
 import sys
 import threading
 import time
@@ -401,6 +402,9 @@ def test_http_model_rejects_bad_payloads(canned_server):
         {"candidates": [{"text": "a", "logprob": 1000}]},  # exp overflows
         {"candidates": [], "eos_logprob": 1000},
         {"candidates": [], "eos_logprob": 0.5},
+        {"candidates": [{"text": "a", "logprob": False}]},  # a bool, not a number
+        {"candidates": [{"text": "a", "logprob": "0"}]},
+        {"candidates": [], "eos_logprob": "-0.5"},
         [],
     ):
         _CannedHandler.payload = payload
@@ -508,11 +512,174 @@ def test_http_model_rejects_a_bad_endpoint(endpoint):
         HttpCompletionModel(endpoint)
 
 
-def test_http_model_picks_the_connection_class_from_the_scheme():
-    # Building a connection object opens no socket.
-    for endpoint, kind in (
-        ("https://models.invalid/complete", http.client.HTTPSConnection),
-        ("http://models.invalid:8080/complete", http.client.HTTPConnection),
-    ):
-        conn = HttpCompletionModel(endpoint)._connection()
-        assert type(conn) is kind and conn.sock is None
+@pytest.mark.parametrize(
+    "endpoint, token",
+    [("http://host/a b", None), ("http://host/\u00e9", None), ("http://host/", "a\nX: 1")],
+    ids=["space-in-path", "non-ascii-path", "line-break-in-token"],
+)
+def test_http_model_rejects_what_would_break_the_request_head(endpoint, token):
+    with pytest.raises(ValueError):
+        HttpCompletionModel(endpoint, auth_token=token)
+
+
+def test_http_model_builds_a_tls_context_only_for_https(monkeypatch):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("building a model opened a socket")
+
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    monkeypatch.setattr(socket, "socket", no_socket)
+    https = HttpCompletionModel("https://models.invalid/complete")
+    assert isinstance(https._tls, ssl.SSLContext)
+    assert https._tls.verify_mode == ssl.CERT_REQUIRED and https._tls.check_hostname
+    assert HttpCompletionModel("http://models.invalid:8080/complete")._tls is None
+
+
+# A raw server for the exchange's edge cases: ``reply(method, count)`` gives
+# the bytes sent back for the ``count``-th request (from 1), sent as they are
+# over a connection the server leaves open.  One connection at a time.
+class _RawServer:
+    def __init__(self, reply):
+        self.reply = reply
+        self.accepted = 0
+        self.requests: list[bytes] = []  # each request's line
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self._stopped = threading.Event()
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}/complete"
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stopped.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.accepted += 1
+            conn.settimeout(10)  # a connection a test forgot to close cannot hang
+            with conn, conn.makefile("rb") as reader:
+                while request := reader.readline():
+                    length = 0
+                    while (line := reader.readline()) not in (b"\r\n", b""):
+                        name, _, value = line.partition(b":")
+                        if name.lower() == b"content-length":
+                            length = int(value)
+                    reader.read(length)
+                    self.requests.append(request)
+                    conn.sendall(self.reply(request.split()[0], len(self.requests)))
+
+    def stop(self):
+        self._stopped.set()
+        self._thread.join()
+        self._listener.close()
+
+
+@pytest.fixture()
+def raw_server():
+    started = []
+
+    def start(reply):
+        started.append(_RawServer(reply))
+        return started[-1]
+
+    yield start
+    for server in started:
+        server.stop()
+
+
+_REPLY_BODY = json.dumps({"candidates": [{"text": "SELECT ", "logprob": 0.0}]}).encode()
+_OK = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (
+    len(_REPLY_BODY),
+    _REPLY_BODY,
+)
+
+
+def _call(model):
+    return [c.token_id for c in model.top_candidates(GenerationSession("t"), 2)]
+
+
+def test_http_model_reads_a_chunked_reply_after_100_continue(raw_server):
+    chunks = b"".join(
+        b"%x;ext=1\r\n%s\r\n" % (len(part), part)
+        for part in (_REPLY_BODY[:7], _REPLY_BODY[7:])
+    )
+    reply = (
+        b"HTTP/1.1 100 Continue\r\n\r\n"
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + chunks
+        + b"0\r\nX-Trailer: 1\r\n\r\n"
+    )
+    server = raw_server(lambda method, count: reply)
+    model = HttpCompletionModel(server.url, timeout=2)
+    try:
+        assert _call(model) == ["SELECT "]
+        assert _call(model) == ["SELECT "]
+    finally:
+        model.close()
+    assert (server.accepted, len(server.requests)) == (1, 2)
+
+
+def test_http_model_reads_no_body_after_head(raw_server):
+    def reply(method, count):
+        if method == b"HEAD":
+            return b"HTTP/1.1 200 OK\r\nContent-Length: 42\r\n\r\n"
+        return _OK
+
+    server = raw_server(reply)
+    model = HttpCompletionModel(server.url, timeout=2)
+    try:
+        model.start_session("t")
+        assert _call(model) == ["SELECT "]
+    finally:
+        model.close()
+    assert server.accepted == 1
+    assert [line.split()[0] for line in server.requests] == [b"HEAD", b"POST"]
+
+
+def test_http_model_does_not_reuse_a_connection_the_reply_closes(raw_server):
+    closing = _OK.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n", 1)
+    server = raw_server(lambda method, count: closing)
+    model = HttpCompletionModel(server.url, timeout=2)
+    try:
+        assert _call(model) == ["SELECT "]
+        assert _call(model) == ["SELECT "]
+    finally:
+        model.close()
+    # A new connection for the second call; nothing is sent twice.
+    assert (server.accepted, len(server.requests)) == (2, 2)
+
+
+def test_http_model_drops_a_connection_with_a_malformed_status_line(raw_server):
+    server = raw_server(lambda method, count: b"HTTP/1.1 OK\r\n\r\n" if count == 1 else _OK)
+    model = HttpCompletionModel(server.url, timeout=2)
+    try:
+        with pytest.raises(AdapterUnavailable):
+            _call(model)
+        assert _call(model) == ["SELECT "]
+    finally:
+        model.close()
+    assert (server.accepted, len(server.requests)) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "headers, accepted",
+    [
+        (b"X-Long: %s\r\n" % (b"a" * 65526), True),  # a 64 KiB line
+        (b"X-Long: %s\r\n" % (b"a" * 65527), False),
+        (b"".join(b"X-%d: 1\r\n" % i for i in range(99)), True),  # 100 headers
+        (b"".join(b"X-%d: 1\r\n" % i for i in range(100)), False),
+    ],
+    ids=["line-of-64k", "line-over-64k", "100-headers", "101-headers"],
+)
+def test_http_model_bounds_the_reply_head(raw_server, headers, accepted):
+    reply = _OK.replace(b"\r\n", b"\r\n" + headers, 1)
+    server = raw_server(lambda method, count: reply)
+    model = HttpCompletionModel(server.url, timeout=2)
+    try:
+        if accepted:
+            assert _call(model) == ["SELECT "]
+        else:
+            with pytest.raises(AdapterUnavailable):
+                _call(model)
+    finally:
+        model.close()

@@ -83,13 +83,10 @@ def test_a_near_miss_search_reaches_every_required_tracer_entry_point(
     assert required and [key for key in required if calls[key] == 0] == []
 
 
-def test_import_loads_no_third_party_http_stack():
-    """The package has no runtime dependencies: the HTTP client is
-    ``http.client``, and ``requests`` with ``urllib3`` would add about 8 MB
-    of resident memory to every process that imports the package."""
+def _run_probe(probe: str) -> str:
+    """Run ``probe`` in a fresh interpreter that imports this checkout."""
     src = str(Path(sqlsynth.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, sqlsynth; print({'requests', 'urllib3'} & set(sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -97,4 +94,29 @@ def test_import_loads_no_third_party_http_stack():
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert result.stdout.strip() == "set()"
+    return result.stdout.strip()
+
+
+def test_import_loads_no_third_party_http_stack():
+    """The package has no runtime dependencies: the HTTP client speaks
+    HTTP/1.1 over the standard library's ``socket``, and ``requests`` with
+    ``urllib3`` would add about 8 MB of resident memory to every process
+    that imports the package."""
+    probe = "import sys, sqlsynth; print({'requests', 'urllib3'} & set(sys.modules))"
+    assert _run_probe(probe) == "set()"
+
+
+def test_import_loads_no_http_client_email_or_ssl():
+    """``http.client``, the ``email`` header parser and ``ssl`` cost about
+    5.5 MB of resident memory; importing the package or building an
+    http:// model loads none of them."""
+    probe = (
+        "import sys, sqlsynth\n"
+        "def heavy():\n"
+        "    return sorted(m for m in sys.modules if m in ('http.client', 'ssl', '_ssl')"
+        " or m.split('.')[0] == 'email')\n"
+        "print(heavy())\n"
+        "sqlsynth.HttpCompletionModel('http://127.0.0.1:9/complete')\n"
+        "print(heavy())"
+    )
+    assert _run_probe(probe).splitlines() == ["[]", "[]"]

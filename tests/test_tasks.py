@@ -136,6 +136,45 @@ def test_malformed_schema_entry_names_its_db_id(tmp_path, columns, foreign_keys)
         load_schemas(path)
 
 
+def _load_one_entry(tmp_path, **fields):
+    entry = {
+        "db_id": "broken",
+        "table_names_original": ["t"],
+        "column_names_original": _TWO_COLUMNS,
+        "column_types": ["text", "number", "number"],
+        "foreign_keys": [],
+        **fields,
+    }
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([entry]))
+    return load_schemas(path)
+
+
+def test_schema_entry_rejects_foreign_keys_that_are_not_a_list(tmp_path):
+    with pytest.raises(DatasetError, match="^broken: foreign_keys"):
+        _load_one_entry(tmp_path, foreign_keys=5)
+
+
+def test_schema_entry_rejects_column_names_that_are_not_a_list(tmp_path):
+    with pytest.raises(DatasetError, match="^broken: column names"):
+        _load_one_entry(tmp_path, column_names_original=5)
+
+
+def test_schema_entry_rejects_column_types_that_are_not_a_list(tmp_path):
+    with pytest.raises(DatasetError, match="^broken: column_types"):
+        _load_one_entry(tmp_path, column_types=5)
+
+
+def test_schema_entry_rejects_a_db_id_that_is_not_a_string(tmp_path):
+    with pytest.raises(DatasetError, match=r"db_id \['broken'\]"):
+        _load_one_entry(tmp_path, db_id=["broken"])
+
+
+def test_schema_entry_rejects_table_names_given_as_a_string(tmp_path):
+    with pytest.raises(DatasetError, match="^broken: table names"):
+        _load_one_entry(tmp_path, table_names_original="ab")
+
+
 def test_schema_file_must_be_a_list(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text(json.dumps({"db_id": "x"}))
