@@ -1,12 +1,16 @@
 """Static checks over possibly-incomplete canonical query text.
 
 The checker sees only the database schema and the example tuple, never
-the database contents.  Three checks run in order of cost: vocabulary
-(per-lexeme category membership, with prefix membership for the final
-unfinished lexeme), scope (every referenced table must appear in FROM),
-and output types against the example.  Verdicts carry the error kind an
-execution of the finished query would raise, which also powers the
-4-label classifier used by the checker-comparison experiment.
+the database contents.  Three checks run in order of cost: vocabulary,
+scope (every referenced table must appear in FROM), and output types
+against the example.  Verdicts carry the error kind an execution of the
+finished query would raise, which also powers the 4-label classifier
+used by the checker-comparison experiment.
+
+Vocabulary reads one table per clause, ``CLAUSE_VOCABULARY``: flat and
+inside parentheses, a set of exact lexemes and four open classes.  A
+finished lexeme must belong to it, the unfinished last one must be a
+prefix of something that does.
 
 One scope scan, ``_scope``, serves terminated clause bodies and the line
 still being typed.  Inside an IN-subquery a reference may also name the
@@ -37,7 +41,7 @@ import enum
 import functools
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from .nsql.errors import ClauseOrderViolation, ParseError
@@ -86,110 +90,102 @@ class CheckVerdict:
 
 PASS = CheckVerdict(ok=True)
 
+# Bounds on what checks remember across searches, for the whole process
+# however many schemas it loads: steps between heads, interned heads, and
+# entries of the lexeme-verdict and line-verdict caches.  Filled, with a
+# new head at every step, they hold about 5.8 MB of heap on CPython 3.11
+# (tracemalloc).  Every shared cache is a ``functools.lru_cache`` keyed
+# by the schema object itself, which hashes by identity.  An entry is a
+# pure function of its key, so a race between threads at worst computes
+# one twice.
+_STEP_CACHE_SIZE = 4096
+_LEXEME_CACHE_SIZE = 2048
+_LINE_CACHE_SIZE = 4096
+
 
 # -- Vocabulary -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ClauseVocabulary:
-    """Allowed lexeme sets and categories for one clause.
+    """What one clause admits at one depth: the ``exact`` lexemes, and
+    four open classes, told by spelling (``constant``, ``integer``) or
+    looked up in the schema (``column_ref``, ``table``)."""
 
-    ``nested_*`` entries apply additionally inside parentheses, where
-    IN-subqueries and aggregation arguments live.
-    """
-
-    fixed: frozenset[str] = frozenset()
-    nested_fixed: frozenset[str] = frozenset()
-    classes: frozenset[str] = frozenset()
-    nested_classes: frozenset[str] = frozenset()
-
-    def fixed_at(self, depth: int) -> frozenset[str]:
-        return self.fixed | self.nested_fixed if depth > 0 else self.fixed
-
-    def classes_at(self, depth: int) -> frozenset[str]:
-        return self.classes | self.nested_classes if depth > 0 else self.classes
+    exact: frozenset[str]
+    column_ref: bool = False
+    table: bool = False
+    constant: bool = False
+    integer: bool = False
 
 
-_SUBQUERY_KEYWORDS = frozenset({"SELECT", "FROM", "WHERE", "JOIN", "ON", "DISTINCT"})
-_CONDITION_FIXED = frozenset({"(", ")", ",", "NOT", "IN", "BETWEEN", "LIKE"})
+_PUNCTUATION = ("(", ")", ",")
+_ITEMS = (*_PUNCTUATION, *AGGREGATIONS)  # of select items and order keys
+_SUBQUERY = ("SELECT", "FROM", "WHERE", "JOIN", "ON", "DISTINCT", "*")
+_CONDITION = (*_PUNCTUATION, "NOT", "IN", "BETWEEN", "LIKE", *COMPARISONS, *CONNECTIVES)
 
-CLAUSE_VOCABULARY: Mapping[ClauseKind, ClauseVocabulary] = {
-    ClauseKind.SELECT: ClauseVocabulary(
-        fixed=frozenset({"DISTINCT", "(", ")", ","}),
-        classes=frozenset({"aggregation", "column_ref", "star"}),
+
+def _vocabulary(
+    exact: Sequence[str],
+    nested: Sequence[str] = (),
+    subquery: bool = False,
+    **open_classes: bool,
+) -> tuple[ClauseVocabulary, ClauseVocabulary]:
+    """A clause's records flat and inside parentheses, which admit
+    ``nested`` as well and, where an IN-subquery may open, its keywords,
+    ``*`` and table names."""
+    flat = ClauseVocabulary(frozenset(exact), **open_classes)
+    inner = frozenset((*exact, *nested, *(_SUBQUERY if subquery else ())))
+    return flat, replace(flat, exact=inner, table=flat.table or subquery)
+
+
+# Per clause, the records flat and nested: index it by ``nested``.
+CLAUSE_VOCABULARY: Mapping[ClauseKind, tuple[ClauseVocabulary, ClauseVocabulary]] = {
+    ClauseKind.SELECT: _vocabulary(("DISTINCT", "*", *_ITEMS), column_ref=True),
+    ClauseKind.FROM: _vocabulary(
+        ("JOIN", "ON", "=", "AND"), column_ref=True, table=True
     ),
-    ClauseKind.FROM: ClauseVocabulary(
-        fixed=frozenset({"JOIN", "ON", "=", "AND"}),
-        classes=frozenset({"table", "column_ref"}),
+    ClauseKind.WHERE: _vocabulary(
+        _CONDITION, AGGREGATIONS, subquery=True, column_ref=True, constant=True
     ),
-    ClauseKind.WHERE: ClauseVocabulary(
-        fixed=_CONDITION_FIXED,
-        nested_fixed=_SUBQUERY_KEYWORDS,
-        classes=frozenset({"column_ref", "constant", "comparison", "connective"}),
-        nested_classes=frozenset({"aggregation", "star", "table"}),
+    ClauseKind.GROUP_BY: _vocabulary((",",), column_ref=True),
+    ClauseKind.HAVING: _vocabulary(
+        (*_CONDITION, *AGGREGATIONS), subquery=True, column_ref=True, constant=True
     ),
-    ClauseKind.GROUP_BY: ClauseVocabulary(
-        fixed=frozenset({","}),
-        classes=frozenset({"column_ref"}),
+    ClauseKind.ORDER_BY: _vocabulary(
+        ("ASC", "DESC", *_ITEMS), ("DISTINCT", "*"), column_ref=True
     ),
-    ClauseKind.HAVING: ClauseVocabulary(
-        fixed=_CONDITION_FIXED,
-        nested_fixed=_SUBQUERY_KEYWORDS,
-        classes=frozenset(
-            {"column_ref", "constant", "comparison", "connective", "aggregation"}
-        ),
-        nested_classes=frozenset({"star", "table"}),
-    ),
-    ClauseKind.ORDER_BY: ClauseVocabulary(
-        fixed=frozenset({"ASC", "DESC", "(", ")", ","}),
-        nested_fixed=frozenset({"DISTINCT"}),
-        classes=frozenset({"column_ref", "aggregation"}),
-        nested_classes=frozenset({"star"}),
-    ),
-    ClauseKind.LIMIT: ClauseVocabulary(classes=frozenset({"integer"})),
+    ClauseKind.LIMIT: _vocabulary((), integer=True),
 }
 
 _NUMBER_PREFIX_RE = re.compile(r"-?\d+(\.\d*)?")
 
 
-def _schema_has_ref(schema: DatabaseSchema, lexeme: str) -> bool:
-    table, column = lexeme.split(".", 1)
-    return schema.column_type(table, column) is not None
-
-
+@functools.lru_cache(maxsize=_LEXEME_CACHE_SIZE)
 def _lexeme_verdict(
-    schema: DatabaseSchema,
-    lexeme: str,
-    clause: ClauseKind,
-    nested: bool,
+    schema: DatabaseSchema, lexeme: str, clause: ClauseKind, nested: bool
 ) -> CheckVerdict:
-    vocabulary = CLAUSE_VOCABULARY[clause]
-    if lexeme in vocabulary.fixed_at(nested):
+    """Whether ``clause`` admits the finished ``lexeme``, through one
+    process-wide cache of bounded size, so a rejection is one object
+    however often it recurs."""
+    vocabulary = CLAUSE_VOCABULARY[clause][nested]
+    if lexeme in vocabulary.exact:
         return PASS
-    classes = vocabulary.classes_at(nested)
-    if "aggregation" in classes and lexeme in AGGREGATIONS:
+    if vocabulary.constant and (is_number(lexeme) or is_string_const(lexeme)):
         return PASS
-    if "comparison" in classes and lexeme in COMPARISONS:
-        return PASS
-    if "connective" in classes and lexeme in CONNECTIVES:
-        return PASS
-    if "star" in classes and lexeme == "*":
-        return PASS
-    if "constant" in classes and (is_number(lexeme) or is_string_const(lexeme)):
-        return PASS
-    if "integer" in classes and lexeme.isdigit():
+    if vocabulary.integer and lexeme.isdigit():
         return PASS
     if is_column_ref(lexeme):
-        if "column_ref" in classes:
-            if _schema_has_ref(schema, lexeme):
-                return PASS
-            return CheckVerdict.rejected(
-                ErrorKind.RUNTIME, clause, f"{lexeme!r} is not a schema column"
-            )
+        if not vocabulary.column_ref:
+            detail = f"column reference {lexeme!r} not allowed here"
+            return CheckVerdict.rejected(ErrorKind.SYNTAX, clause, detail)
+        table, column = lexeme.split(".", 1)
+        if schema.column_type(table, column) is not None:
+            return PASS
         return CheckVerdict.rejected(
-            ErrorKind.SYNTAX, clause, f"column reference {lexeme!r} not allowed here"
+            ErrorKind.RUNTIME, clause, f"{lexeme!r} is not a schema column"
         )
-    if "table" in classes and is_identifier(lexeme):
+    if vocabulary.table and is_identifier(lexeme):
         if schema.table(lexeme) is not None:
             return PASS
         return CheckVerdict.rejected(
@@ -201,55 +197,38 @@ def _lexeme_verdict(
 
 
 def _fragment_plausible(
-    fragment: str,
-    clause: ClauseKind,
-    depth: int,
-    schema: DatabaseSchema,
+    fragment: str, clause: ClauseKind, nested: bool, schema: DatabaseSchema
 ) -> CheckVerdict:
-    vocabulary = CLAUSE_VOCABULARY[clause]
-    lowered = fragment.lower()
-    for candidate in vocabulary.fixed_at(depth):
-        if candidate.startswith(fragment):
+    """Whether the unfinished ``fragment`` can still grow into a lexeme
+    ``clause`` admits: a prefix of an exact lexeme, then of an open
+    class's member."""
+    vocabulary = CLAUSE_VOCABULARY[clause][nested]
+    for lexeme in vocabulary.exact:
+        if lexeme.startswith(fragment):
             return PASS
-    classes = vocabulary.classes_at(depth)
-    members: list[str] = []
-    if "aggregation" in classes:
-        members.extend(AGGREGATIONS)
-    if "comparison" in classes:
-        members.extend(COMPARISONS)
-    if "connective" in classes:
-        members.extend(CONNECTIVES)
-    if "star" in classes:
-        members.append("*")
-    for candidate in members:
-        if candidate.startswith(fragment):
-            return PASS
-    if "constant" in classes:
-        if fragment.startswith("'"):
-            return PASS  # constant spellings are unbounded
-        if fragment == "-" or _NUMBER_PREFIX_RE.fullmatch(fragment):
-            return PASS
-    if "integer" in classes and fragment.isdigit():
+    if vocabulary.constant and (
+        fragment.startswith("'")  # constant spellings are unbounded
+        or fragment == "-"
+        or _NUMBER_PREFIX_RE.fullmatch(fragment)
+    ):
         return PASS
-    if "column_ref" in classes:
+    if vocabulary.integer and fragment.isdigit():
+        return PASS
+    lowered = fragment.lower()
+    if vocabulary.column_ref:
         for ref in schema.column_refs():
             if ref.lower().startswith(lowered):
                 return PASS
-    if "table" in classes:
-        for table in (t.name for t in schema.tables):
-            if table.lower().startswith(lowered):
+    if vocabulary.table:
+        for table in schema.tables:
+            if table.name.lower().startswith(lowered):
                 return PASS
-    if "." in fragment and "column_ref" in classes:
+    if vocabulary.column_ref and "." in fragment:
         return CheckVerdict.rejected(
-            ErrorKind.RUNTIME,
-            clause,
-            f"no schema column starts with {fragment!r}",
+            ErrorKind.RUNTIME, clause, f"no schema column starts with {fragment!r}"
         )
-    return CheckVerdict.rejected(
-        ErrorKind.SYNTAX,
-        clause,
-        f"{fragment!r} cannot extend to a lexeme allowed in {clause.value}",
-    )
+    detail = f"{fragment!r} cannot extend to a lexeme allowed in {clause.value}"
+    return CheckVerdict.rejected(ErrorKind.SYNTAX, clause, detail)
 
 
 def _check_lexemes(
@@ -257,26 +236,21 @@ def _check_lexemes(
     lexemes: Sequence[str],
     last_incomplete: str | None,
     schema: DatabaseSchema,
-    verdict_of: Callable[[DatabaseSchema, str, ClauseKind, bool], CheckVerdict],
 ) -> CheckVerdict:
-    """Check a clause body (keyword already stripped) lexeme by lexeme,
-    with each lexeme's verdict taken from
-    ``verdict_of(schema, lexeme, clause, nested)``."""
+    """Check a clause body (keyword already stripped) lexeme by lexeme."""
     depth = 0
     for lexeme in lexemes:
         if lexeme == ")":
             depth -= 1
             if depth < 0:
-                return CheckVerdict.rejected(
-                    ErrorKind.SYNTAX, clause, "unbalanced ')'"
-                )
-        verdict = verdict_of(schema, lexeme, clause, depth > 0 or lexeme == ")")
+                return CheckVerdict.rejected(ErrorKind.SYNTAX, clause, "unbalanced ')'")
+        verdict = _lexeme_verdict(schema, lexeme, clause, depth > 0 or lexeme == ")")
         if not verdict.ok:
             return verdict
         if lexeme == "(":
             depth += 1
     if last_incomplete is not None:
-        return _fragment_plausible(last_incomplete, clause, depth, schema)
+        return _fragment_plausible(last_incomplete, clause, depth > 0, schema)
     return PASS
 
 
@@ -472,18 +446,6 @@ class _Head:
     select: tuple[str, ...] | None = None
 
 
-# Bounds on what checks remember across searches, for the whole process
-# however many schemas it loads: steps between heads, interned heads, and
-# entries of the lexeme-verdict and line-verdict caches.  Filled, with a
-# new head at every step, they hold about 5.8 MB of heap on CPython 3.11
-# (tracemalloc).  Every shared cache is a ``functools.lru_cache`` keyed
-# by the schema object itself, which hashes by identity.  An entry is a
-# pure function of its key, so a race between threads at worst computes
-# one twice.
-_STEP_CACHE_SIZE = 4096
-_LEXEME_CACHE_SIZE = 2048
-_LINE_CACHE_SIZE = 4096
-
 # ``_Head`` through a cache, so equal heads of different searches are one
 # object.  ``_shared_step`` builds each kind of head with one argument
 # form, and no two forms build equal heads, so equal heads share a key.
@@ -517,7 +479,7 @@ def _shared_step(
     following = _FOLLOWING[kind]
     if head.clause_error is not None:
         return _head(following, clause_error=head.clause_error)
-    verdict = _check_lexemes(kind, body, None, schema, _shared_lexeme_verdict)
+    verdict = _check_lexemes(kind, body, None, schema)
     if not verdict.ok:
         return _head(following, clause_error=verdict)
     try:
@@ -550,15 +512,6 @@ def _shared_step(
         scope = _scope(kind, body, head.outer)
     types = head.types if scope.ok else PASS
     return _head(following, outer=head.outer, scope=scope, types=types)
-
-
-@functools.lru_cache(maxsize=_LEXEME_CACHE_SIZE)
-def _shared_lexeme_verdict(
-    schema: DatabaseSchema, lexeme: str, clause: ClauseKind, nested: bool
-) -> CheckVerdict:
-    """``_lexeme_verdict`` through one process-wide cache of bounded size,
-    so a rejection is one object however often it recurs."""
-    return _lexeme_verdict(schema, lexeme, clause, nested)
 
 
 @functools.lru_cache(maxsize=_LINE_CACHE_SIZE)
@@ -594,9 +547,7 @@ def _check_line(
                     f"{fragment!r} cannot start the {current.value} line",
                 )
         else:
-            verdict = _check_lexemes(
-                current, body, fragment, schema, _shared_lexeme_verdict
-            )
+            verdict = _check_lexemes(current, body, fragment, schema)
             if not verdict.ok:
                 return verdict
     if not head.scope.ok:
@@ -682,7 +633,7 @@ def make_query_check(
             ok = clauses.get((kind, body, outer))
             if ok is None:
                 ok = clauses[kind, body, outer] = (
-                    _check_lexemes(kind, body, None, schema, _shared_lexeme_verdict).ok
+                    _check_lexemes(kind, body, None, schema).ok
                     and _scope(kind, body, outer).ok
                 )
             if not ok:

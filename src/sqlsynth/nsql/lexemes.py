@@ -47,7 +47,7 @@ KEYWORDS = frozenset(
 )
 
 _COLUMN_REF_RE = re.compile(r"^[A-Za-z_]\w*\.\w+$")
-_NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
+_NUMBER_RE = re.compile(r"^-?[0-9]+(\.[0-9]+)?$")
 _STRING_RE = re.compile(r"^'(?:[^']|'')*'$")
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 
@@ -135,7 +135,7 @@ def _scan_string(text: str, i: int, quote: str) -> tuple[str, int]:
 
 
 _WORD_RE = re.compile(r"[A-Za-z_]\w*")
-_NUM_RE = re.compile(r"\d+(\.\d+)?")
+_NUM_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
 def scan_sql(text: str) -> list[str]:
@@ -185,13 +185,13 @@ def scan_sql(text: str) -> list[str]:
             out.append(ch)
             i += 1
             continue
-        if ch == "-" and i + 1 < n and text[i + 1].isdigit() and _starts_value_position(out):
+        if ch == "-" and i + 1 < n and "0" <= text[i + 1] <= "9" and _starts_value_position(out):
             m = _NUM_RE.match(text, i + 1)
             assert m is not None
             out.append("-" + m.group(0))
             i = m.end()
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             m = _NUM_RE.match(text, i)
             assert m is not None
             out.append(m.group(0))

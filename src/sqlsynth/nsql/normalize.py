@@ -41,7 +41,6 @@ from .query import (
     ClauseKind,
     ColumnRef,
     Condition,
-    Constant,
     FromClause,
     JoinEdge,
     NormalizedQuery,

@@ -9,7 +9,7 @@ structure never stores aliases.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .lexemes import quote_string

@@ -340,6 +340,11 @@ def load_tasks(
             question = record["question"]
         except (TypeError, KeyError) as exc:
             raise DatasetError(f"record {index}: missing field {exc}") from exc
+        gold_query = record.get("query") or record.get("gold_query") or ""
+        fields = {"db_id": db_id, "question": question, "gold query": gold_query}
+        for name, value in fields.items():
+            if not isinstance(value, str):
+                raise DatasetError(f"record {index}: {name} must be a string")
         if db_id not in schemas:
             raise UnknownDbId(f"record {index}: unknown db_id {db_id!r}")
         rows = record.get("examples", [])
@@ -350,7 +355,7 @@ def load_tasks(
                 id=str(record.get("id") or f"{db_id}-{index:04d}"),
                 db_id=db_id,
                 question=question,
-                gold_query=record.get("query") or record.get("gold_query") or "",
+                gold_query=gold_query,
                 examples=frozenset(ExampleTuple.from_values(row) for row in rows),
             )
         except DatasetError as exc:

@@ -136,6 +136,28 @@ def test_benchmark_task_rows(report, canon):
     assert all(row.elapsed_seconds >= 0 for row in report.reports)
 
 
+def test_benchmark_grades_past_a_gold_query_with_a_non_ascii_digit(
+    schemas, fixture_paths, router
+):
+    """A gold query the normalizer cannot scan marks its own task and the
+    run grades the next one."""
+    tasks = [
+        _task(
+            "bench-001",
+            "count every singer",
+            "select count(*) from singer where age > \u00b2",
+            [5],
+        ),
+        _task("bench-002", "count every singer", "select count(*) from singer", [5]),
+    ]
+    result = run_benchmark(tasks, schemas, fixture_paths.db_root, router, config=CONFIG)
+    first, second = result.reports
+    assert first.status == "solved"
+    assert first.note.startswith("gold not normalizable: ")
+    assert first.execution_match is None and first.exact is None
+    assert second.execution_match is True and second.exact is True
+
+
 def test_benchmark_render_text(report):
     lines = report.render_text().splitlines()
     assert lines[0] == "run: unit"

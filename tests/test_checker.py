@@ -24,6 +24,7 @@ from sqlsynth.checker import (
 from sqlsynth.lm import lexeme_tokens
 from sqlsynth.nsql.errors import ClauseOrderViolation, ParseError
 from sqlsynth.nsql.grammar import parse_clause_body, parse_complete, parse_select_body
+from sqlsynth.nsql.lexemes import COMPARISONS, KEYWORDS
 from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import ClauseKind, denormalize_text
 from sqlsynth.repair import ExecutionStatus, execute_text, hamming_one_queries
@@ -35,6 +36,7 @@ from sqlsynth.tasks import (
     derive_example,
     open_database,
 )
+from tests.fixtures import vocabulary as reference_vocabulary
 from tests.fixtures.build import DATABASES
 from tests.fixtures.randqueries import distinct_queries, random_query
 from tests.fixtures.textsplit import split_text
@@ -51,7 +53,56 @@ def concerts(schemas):
 
 
 def test_every_clause_has_a_vocabulary():
+    """Every clause has a flat and a nested record, and the nested one
+    admits everything the flat one does."""
     assert set(CLAUSE_VOCABULARY) == set(ClauseKind)
+    for clause, (flat, nested) in CLAUSE_VOCABULARY.items():
+        assert flat.exact <= nested.exact, clause
+        for name in ("column_ref", "table", "constant", "integer"):
+            assert getattr(nested, name) >= getattr(flat, name), (clause, name)
+
+
+def _vocabulary_corpus(schemas) -> list[str]:
+    """Every keyword, operator and punctuation mark, sample constants, and
+    every table name and column reference of the fixture schemas, each as
+    written, upper-cased and with a suffix."""
+    corpus = [
+        *KEYWORDS, *COMPARISONS, "(", ")", ",", "*", "-", ".", ";",
+        "0", "7", "42", "-3", "2.5", "-0.25", "1.", "'a'", "'it''s'", "''",
+        "'x", "x", "_", "ab.cd", "nosuch", "SELECT.x", "\u00b2", "\u0663",
+    ]
+    for schema in schemas.values():
+        names = [table.name for table in schema.tables]
+        for name in (*names, *schema.column_refs()):
+            corpus.extend((name, name.upper(), name + "_x"))
+    return list(dict.fromkeys(corpus))
+
+
+def test_vocabulary_table_matches_the_class_name_reference(schemas):
+    """Each finished lexeme, and every character prefix of it as the
+    unfinished last lexeme, gets the same verdict from the checker's one
+    table per clause as from the frozen class-name vocabulary, in every
+    clause, flat and nested, on every fixture schema."""
+    corpus = _vocabulary_corpus(schemas)
+    fragments = list(dict.fromkeys(w[:n] for w in corpus for n in range(len(w) + 1)))
+    compared = 0
+    for schema in schemas.values():
+        for clause in ClauseKind:
+            for nested in (False, True):
+                for lexeme in corpus:
+                    want = reference_vocabulary.lexeme_verdict(
+                        schema, lexeme, clause, nested
+                    )
+                    got = checker._lexeme_verdict(schema, lexeme, clause, nested)
+                    assert got == want, (clause, nested, lexeme)
+                for fragment in fragments:
+                    want = reference_vocabulary.fragment_plausible(
+                        fragment, clause, int(nested), schema
+                    )
+                    got = checker._fragment_plausible(fragment, clause, nested, schema)
+                    assert got == want, (clause, nested, fragment)
+                compared += len(corpus) + len(fragments)
+    assert compared > 10_000
 
 
 @pytest.mark.parametrize(
@@ -370,11 +421,9 @@ def _reference_scope(current, body, partial):
 
 
 def _check_vocabulary(clause, lexemes, last_incomplete, schema):
-    """The uncached lexeme-by-lexeme check of one clause body, the oracle
-    for the shared lexeme cache the checker uses."""
-    return checker._check_lexemes(
-        clause, lexemes, last_incomplete, schema, checker._lexeme_verdict
-    )
+    """The uncached lexeme-by-lexeme check of one clause body through the
+    frozen class-name vocabulary, the oracle for the checker's table."""
+    return reference_vocabulary.check_lexemes(clause, lexemes, last_incomplete, schema)
 
 
 def _reference_check(schema, example):
@@ -637,7 +686,7 @@ def test_shared_check_state_stays_within_its_bounds(concerts):
     caches = (
         checker._shared_step,
         checker._head,
-        checker._shared_lexeme_verdict,
+        checker._lexeme_verdict,
         checker._check_line,
     )
     count = max(cache.cache_info().maxsize for cache in caches) + 100

@@ -22,7 +22,7 @@ from sqlsynth.nsql.errors import (
 from sqlsynth.nsql import grammar
 from sqlsynth.nsql import lexemes as lexemes_module
 from sqlsynth.nsql.grammar import parse_clause_cached, parse_complete
-from sqlsynth.nsql.lexemes import quote_string, scan_sql, split_line
+from sqlsynth.nsql.lexemes import is_number, quote_string, scan_sql, split_line
 from sqlsynth.nsql.normalize import normalize, rewrite_dataset
 from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import (
@@ -397,6 +397,19 @@ def test_normalize_expands_aliases(schemas):
         schemas["concerts"],
     )
     assert query.render().startswith("SELECT singer.name\nFROM singer\n")
+
+
+@pytest.mark.parametrize(
+    "digit", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"]
+)
+def test_normalize_rejects_a_non_ascii_digit(schemas, digit):
+    """A character Python calls a digit but SQLite reads as no number is
+    a scan error: not a crash (superscript two), and not a constant that
+    SQLite would take for a column name (Arabic-Indic three)."""
+    for value in (digit, f"-{digit}", f"1{digit}"):
+        with pytest.raises(ParseError):
+            normalize(f"SELECT name FROM singer WHERE age > {value}", schemas["concerts"])
+    assert not is_number(digit)
 
 
 def test_normalize_qualifies_bare_columns(schemas):

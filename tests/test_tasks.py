@@ -212,6 +212,27 @@ def test_malformed_examples_name_their_record(tmp_path, raw_schemas, examples):
         load_tasks(path, raw_schemas)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("db_id", ["shop"], "db_id must be a string"),
+        ("query", 5, "gold query must be a string"),
+        ("query", ["select 1"], "gold query must be a string"),
+        ("gold_query", 5, "gold query must be a string"),
+        ("question", 5, "question must be a string"),
+    ],
+    ids=["list-db-id", "int-query", "list-query", "int-gold-query", "int-question"],
+)
+def test_load_tasks_rejects_a_wrongly_typed_field(
+    tmp_path, raw_schemas, field, value, message
+):
+    path = tmp_path / "tasks.json"
+    good = {"db_id": "shop", "question": "?"}
+    path.write_text(json.dumps([good, {**good, field: value}]))
+    with pytest.raises(DatasetError, match=f"^record 1: {message}$"):
+        load_tasks(path, raw_schemas)
+
+
 def test_load_tasks_accepts_both_gold_field_names(tmp_path, raw_schemas):
     records = [
         {"db_id": "shop", "question": "a", "query": "select 1"},
