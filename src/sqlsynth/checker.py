@@ -158,7 +158,7 @@ CLAUSE_VOCABULARY: Mapping[ClauseKind, tuple[ClauseVocabulary, ClauseVocabulary]
     ClauseKind.LIMIT: _vocabulary((), integer=True),
 }
 
-_NUMBER_PREFIX_RE = re.compile(r"-?\d+(\.\d*)?")
+_NUMBER_PREFIX_RE = re.compile(r"-?[0-9]+(\.[0-9]*)?")
 
 
 @functools.lru_cache(maxsize=_LEXEME_CACHE_SIZE)
@@ -173,7 +173,7 @@ def _lexeme_verdict(
         return PASS
     if vocabulary.constant and (is_number(lexeme) or is_string_const(lexeme)):
         return PASS
-    if vocabulary.integer and lexeme.isdigit():
+    if vocabulary.integer and lexeme.isascii() and lexeme.isdigit():
         return PASS
     if is_column_ref(lexeme):
         if not vocabulary.column_ref:
@@ -212,7 +212,7 @@ def _fragment_plausible(
         or _NUMBER_PREFIX_RE.fullmatch(fragment)
     ):
         return PASS
-    if vocabulary.integer and fragment.isdigit():
+    if vocabulary.integer and fragment.isascii() and fragment.isdigit():
         return PASS
     lowered = fragment.lower()
     if vocabulary.column_ref:

@@ -125,11 +125,11 @@ class BoolOp:
     op: str
     operands: tuple[Union[Predicate, "BoolOp"], ...]
 
-    def render(self, parent_op: str | None = None) -> str:
+    def render(self) -> str:
         parts = []
         for term in self.operands:
             if isinstance(term, BoolOp):
-                parts.append("( " + term.render(self.op) + " )")
+                parts.append("( " + term.render() + " )")
             else:
                 parts.append(term.render())
         return f" {self.op} ".join(parts)

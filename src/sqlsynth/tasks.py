@@ -340,7 +340,9 @@ def load_tasks(
             question = record["question"]
         except (TypeError, KeyError) as exc:
             raise DatasetError(f"record {index}: missing field {exc}") from exc
-        gold_query = record.get("query") or record.get("gold_query") or ""
+        # Only a missing, null or empty "query" falls through.
+        given = (record.get("query"), record.get("gold_query"))
+        gold_query = next((q for q in given if q not in (None, "")), "")
         fields = {"db_id": db_id, "question": question, "gold query": gold_query}
         for name, value in fields.items():
             if not isinstance(value, str):

@@ -88,7 +88,7 @@ CLAUSE_VOCABULARY: Mapping[ClauseKind, ClauseVocabulary] = {
     ClauseKind.LIMIT: ClauseVocabulary(classes=frozenset({"integer"})),
 }
 
-_NUMBER_PREFIX_RE = re.compile(r"-?\d+(\.\d*)?")
+_NUMBER_PREFIX_RE = re.compile(r"-?[0-9]+(\.[0-9]*)?")
 
 
 def _schema_has_ref(schema: DatabaseSchema, lexeme: str) -> bool:
@@ -116,7 +116,7 @@ def lexeme_verdict(
         return PASS
     if "constant" in classes and (is_number(lexeme) or is_string_const(lexeme)):
         return PASS
-    if "integer" in classes and lexeme.isdigit():
+    if "integer" in classes and lexeme.isascii() and lexeme.isdigit():
         return PASS
     if is_column_ref(lexeme):
         if "column_ref" in classes:
@@ -168,7 +168,7 @@ def fragment_plausible(
             return PASS  # constant spellings are unbounded
         if fragment == "-" or _NUMBER_PREFIX_RE.fullmatch(fragment):
             return PASS
-    if "integer" in classes and fragment.isdigit():
+    if "integer" in classes and fragment.isascii() and fragment.isdigit():
         return PASS
     if "column_ref" in classes:
         for ref in schema.column_refs():

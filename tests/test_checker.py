@@ -181,6 +181,22 @@ def test_dead_fragments_are_rejected(concerts):
     assert not verdict.ok and verdict.kind is ErrorKind.RUNTIME
 
 
+def test_non_ascii_digits_are_rejected_as_they_are_written(concerts):
+    """A character Python calls a digit but the grammar refuses is
+    rejected as a fragment and as a finished lexeme, not only once its
+    line is parsed; ASCII digits still pass."""
+    check = make_checker(concerts, None)
+    head = "SELECT singer.name\nFROM singer\nWHERE\nGROUP BY\nHAVING\nORDER BY\n"
+    for text in (
+        head + "LIMIT ²",
+        head + "LIMIT ² ",
+        "SELECT singer.name\nFROM singer\nWHERE singer.age > ٣",
+    ):
+        verdict = check(text, False)
+        assert not verdict.ok and verdict.kind is ErrorKind.SYNTAX, text
+    assert check(head + "LIMIT 2 ", False).ok
+
+
 # -- scope ------------------------------------------------------------------
 
 

@@ -1,9 +1,13 @@
-"""Every module-level import in ``src/`` is used by its module.
+"""Every module-level import in ``src/`` is used by its module, and
+every function parameter by its function.
 
-A standard-library (``ast``) form of a linter's unused-import rule.  An
-import may stay unused when its name is in the module's ``__all__``, or
-when its line carries ``# noqa: F401`` with a reason, written after the
-marker or as a comment on the line above.
+Standard-library (``ast``) forms of a linter's unused-import and
+unused-argument rules.  An import may stay unused when its name is in
+the module's ``__all__``, or when its line carries ``# noqa: F401`` with
+a reason, written after the marker or as a comment on the line above.
+A parameter may stay unused when it is ``self`` or ``cls``, when its
+name starts with ``_``, or when the function is a stub whose body is
+``...`` or a docstring only, as in a protocol.
 """
 
 from __future__ import annotations
@@ -111,5 +115,74 @@ def test_no_module_in_src_imports_a_name_it_never_uses():
         f"{path.relative_to(_SRC)}:{line} {name}"
         for path in sorted(_SRC.rglob("*.py"))
         for line, name in unused_imports(path.read_text())
+    ]
+    assert found == []
+
+
+def _is_stub(function: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Whether ``function``'s body is ``...`` or a docstring, or both."""
+    return all(
+        isinstance(statement, ast.Expr)
+        and isinstance(statement.value, ast.Constant)
+        and (statement.value.value is ... or isinstance(statement.value.value, str))
+        for statement in function.body
+    )
+
+
+def unused_parameters(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` for each parameter of a function in ``source``
+    that the function's body, nested functions included, never reads."""
+    unused = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if _is_stub(function):
+            continue
+        read = {
+            node.id
+            for statement in function.body
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        arguments = function.args
+        parameters = (
+            *arguments.posonlyargs, *arguments.args, arguments.vararg,
+            *arguments.kwonlyargs, arguments.kwarg,
+        )
+        for parameter in parameters:
+            if parameter is None or parameter.arg in ("self", "cls"):
+                continue
+            if parameter.arg.startswith("_") or parameter.arg in read:
+                continue
+            unused.append((parameter.lineno, parameter.arg))
+    return sorted(unused)
+
+
+def test_the_parameter_check_finds_what_it_should():
+    source = (
+        "class Model(Protocol):\n"
+        "    def call(self, prompt: str) -> str:\n"
+        "        \"\"\"A stub.\"\"\"\n"
+        "    def other(self, prompt: str) -> str: ...\n"
+        "class Impl:\n"
+        "    @classmethod\n"
+        "    def make(cls, size, _hint):\n"
+        "        return cls()\n"
+        "def f(a, b, *args, c, d=1, **kwargs):\n"
+        "    b = 2\n"
+        "    def inner(e):\n"
+        "        return a + c\n"
+        "    return inner\n"
+    )
+    assert unused_parameters(source) == [
+        (7, "size"), (9, "args"), (9, "b"), (9, "d"), (9, "kwargs"), (11, "e"),
+    ]
+
+
+def test_no_function_in_src_takes_a_parameter_it_never_reads():
+    found = [
+        f"{path.relative_to(_SRC)}:{line} {name}"
+        for path in sorted(_SRC.rglob("*.py"))
+        for line, name in unused_parameters(path.read_text())
     ]
     assert found == []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 import sqlite3
 from collections import Counter
@@ -22,8 +23,14 @@ from sqlsynth.nsql.errors import (
 from sqlsynth.nsql import grammar
 from sqlsynth.nsql import lexemes as lexemes_module
 from sqlsynth.nsql.grammar import parse_clause_cached, parse_complete
-from sqlsynth.nsql.lexemes import is_number, quote_string, scan_sql, split_line
-from sqlsynth.nsql.normalize import normalize, rewrite_dataset
+from sqlsynth.nsql.lexemes import (
+    KEYWORDS,
+    is_number,
+    quote_string,
+    scan_sql,
+    split_line,
+)
+from sqlsynth.nsql.normalize import _split_sections, normalize, rewrite_dataset
 from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import (
     CLAUSE_ORDER,
@@ -32,8 +39,10 @@ from sqlsynth.nsql.query import (
     exact_match,
     query_skeleton,
 )
+from tests.fixtures import grammar as reference_grammar
+from tests.fixtures.corpus import CORPUS
 from tests.fixtures.randqueries import distinct_queries
-from tests.fixtures.textsplit import parse_complete_reference
+from tests.fixtures.textsplit import parse_complete_reference, split_text
 
 # -- lexemes ----------------------------------------------------------------
 
@@ -386,6 +395,128 @@ def test_parse_complete_matches_the_whole_text_splitter(schemas, normalized_task
         "StructureError": 27903,
         "ClauseOrderViolation": 145,
     }
+
+
+def _clause_parsers(module):
+    """``(dialect, kind, parse)`` for each way ``module`` reads a clause
+    body: strict through ``parse_clause_body``, lenient through the
+    entry points the normalizer calls.  LIMIT has no lenient form."""
+    for kind in ClauseKind:
+        yield "strict", kind, functools.partial(module.parse_clause_body, kind)
+    lenient = {
+        ClauseKind.SELECT: functools.partial(module.parse_select_body, lenient=True),
+        ClauseKind.FROM: module.parse_from_body_lenient,
+        ClauseKind.WHERE: functools.partial(
+            module.parse_condition_body, lenient=True, clause="WHERE"
+        ),
+        ClauseKind.GROUP_BY: functools.partial(module.parse_group_body, lenient=True),
+        ClauseKind.HAVING: functools.partial(
+            module.parse_condition_body, lenient=True, clause="HAVING"
+        ),
+        ClauseKind.ORDER_BY: functools.partial(module.parse_order_body, lenient=True),
+    }
+    for kind, parse in lenient.items():
+        yield "lenient", kind, parse
+
+
+def _body_outcome(parse, body):
+    """What ``parse`` makes of ``body``: the repr of its result, which
+    names the loose classes by name only, or the type and message of
+    what it raised."""
+    try:
+        return "parsed", repr(parse(body))
+    except SqlError as exc:
+        return type(exc), str(exc)
+
+
+_EDIT_LEXEMES = (
+    *sorted(KEYWORDS), "(", ")", ",", "*", "=", "!=", ">", "'x'", "3", "-2",
+    "2.5", "singer", "T1", "name", "singer.age", "concert.year",
+)
+
+
+def _lexeme_edits(body, rng, count):
+    """``count`` seeded edits of ``body``, each of one or two lexemes
+    deleted, inserted or replaced, from the body itself or a fixed pool."""
+    pool = (*_EDIT_LEXEMES, *body)
+    for _ in range(count):
+        edited = list(body)
+        for _ in range(rng.choice((1, 2))):
+            position = rng.randrange(len(edited) + 1)
+            action = rng.choice(("delete", "insert", "replace"))
+            if action == "insert" or position == len(edited):
+                edited.insert(position, rng.choice(pool))
+            elif action == "delete":
+                del edited[position]
+            else:
+                edited[position] = rng.choice(pool)
+        yield tuple(edited)
+
+
+def test_clause_grammar_matches_the_frozen_reference(schemas):
+    """Every clause body of the gold corpus, free-form and canonical, and
+    of seeded random queries, and seeded one- or two-lexeme edits of
+    each, gets the same result, or the same error with the same message,
+    from the grammar as from a frozen copy of the grammar from before
+    the cursor carried the dialect, in both dialects."""
+    bodies: dict[ClauseKind, dict[tuple[str, ...], None]] = {
+        kind: {} for kind in ClauseKind
+    }
+    texts = [
+        normalize(entry.raw_sql, schemas[entry.db_id]).render() for entry in CORPUS
+    ]
+    for index, db_id in enumerate(sorted(schemas)):
+        generated = distinct_queries(schemas[db_id], random.Random(index), 60)
+        texts += [query.render() for query in generated]
+    for text in texts:
+        for kind, body in split_text(text + "\n").completed.items():
+            bodies[kind][body] = None
+    for sql in (*(entry.raw_sql for entry in CORPUS), _NESTED_SUBQUERY):
+        for kind, body in _split_sections(scan_sql(sql)).items():
+            bodies[kind][tuple(body)] = None
+    rng = random.Random(27)
+    for kind in ClauseKind:
+        for body in list(bodies[kind]):
+            bodies[kind].update(dict.fromkeys(_lexeme_edits(body, rng, 30)))
+    reference = {(d, k): p for d, k, p in _clause_parsers(reference_grammar)}
+    outcomes: Counter[tuple[str, str]] = Counter()
+    for dialect, kind, parse in _clause_parsers(grammar):
+        want_parse = reference[dialect, kind]
+        for body in bodies[kind]:
+            want = _body_outcome(want_parse, body)
+            assert _body_outcome(parse, body) == want, (dialect, kind, body)
+            name = want[0] if want[0] == "parsed" else want[0].__name__
+            outcomes[dialect, name] += 1
+    assert outcomes == {
+        ("strict", "parsed"): 480,
+        ("strict", "ParseError"): 10836,
+        ("lenient", "parsed"): 669,
+        ("lenient", "ParseError"): 10509,
+    }
+
+
+_NESTED_SUBQUERY = (
+    "SELECT name FROM singer WHERE singer_id IN (SELECT singer_id"
+    " FROM singer_in_concert WHERE concert_id IN (SELECT concert_id FROM concert))"
+)
+
+
+def test_a_nested_subquery_is_refused_in_both_dialects(schemas):
+    """The dialect allows one level of ``IN (SELECT ...)``: free-form SQL
+    and canonical text with a second level inside the first raise the
+    same error."""
+    message = "WHERE: nested subqueries are not supported"
+    with pytest.raises(ParseError, match=message):
+        normalize(_NESTED_SUBQUERY, schemas["concerts"])
+    canonical = (
+        "singer.singer_id IN ( SELECT singer_in_concert.singer_id"
+        " FROM singer_in_concert WHERE singer_in_concert.concert_id IN"
+        " ( SELECT concert.concert_id FROM concert ) )"
+    )
+    with pytest.raises(ParseError, match=message):
+        grammar.parse_clause_body(ClauseKind.WHERE, canonical.split())
+    one_level = canonical.split(" WHERE")[0] + " )"
+    assert grammar.parse_clause_body(ClauseKind.WHERE, one_level.split())
 
 
 # -- normalization ----------------------------------------------------------

@@ -220,8 +220,15 @@ def test_malformed_examples_name_their_record(tmp_path, raw_schemas, examples):
         ("query", ["select 1"], "gold query must be a string"),
         ("gold_query", 5, "gold query must be a string"),
         ("question", 5, "question must be a string"),
+        ("query", 0, "gold query must be a string"),
+        ("query", False, "gold query must be a string"),
+        ("query", [], "gold query must be a string"),
+        ("query", {}, "gold query must be a string"),
     ],
-    ids=["list-db-id", "int-query", "list-query", "int-gold-query", "int-question"],
+    ids=[
+        "list-db-id", "int-query", "list-query", "int-gold-query", "int-question",
+        "zero-query", "false-query", "empty-list-query", "empty-dict-query",
+    ],
 )
 def test_load_tasks_rejects_a_wrongly_typed_field(
     tmp_path, raw_schemas, field, value, message
