@@ -1,10 +1,13 @@
 """Rewrite standard SQL into the canonical dialect.
 
-Uppercases keywords, expands and erases aliases, qualifies every column
-with its owning table, lifts comma-join conditions out of WHERE into ON,
-and completes the clause set.  Queries the alias-free dialect cannot
-express (self-joins, set operations) are rejected with dedicated errors
-so dataset rewriting can report them.
+Scans the text (uppercasing keywords), reads the whole statement with
+the grammar's one lenient production, ``parse_statement``, and resolves
+its names in one function, ``_resolve``, which serves an IN-subquery as
+well: it expands and erases aliases, qualifies every column with its
+owning table and lifts comma-join conditions out of WHERE into ON.  The
+rendered query completes the clause set.  Queries the alias-free dialect
+cannot express (self-joins, set operations) are rejected with dedicated
+errors so dataset rewriting can report them.
 """
 
 from __future__ import annotations
@@ -21,24 +24,11 @@ from .errors import (
     SetOperationUnsupported,
     UnknownName,
 )
-from .grammar import (
-    LooseFrom,
-    LooseSubquery,
-    LooseTable,
-    parse_condition_body,
-    parse_from_body_lenient,
-    parse_group_body,
-    parse_limit_body,
-    parse_order_body,
-    parse_select_body,
-)
+from .grammar import LooseFrom, LooseQuery, LooseTable, parse_statement
 from .lexemes import SET_OPERATIONS, scan_sql
 from .query import (
     AggExpr,
     BoolOp,
-    CLAUSE_ORDER,
-    CLAUSE_STARTS,
-    ClauseKind,
     ColumnRef,
     Condition,
     FromClause,
@@ -47,51 +37,7 @@ from .query import (
     OrderItem,
     Predicate,
     SelectItem,
-    Star,
 )
-
-
-def _split_sections(lexemes: Sequence[str]) -> dict[ClauseKind, list[str]]:
-    sections: dict[ClauseKind, list[str]] = {}
-    current: ClauseKind | None = None
-    order = -1
-    depth = 0
-    i = 0
-    while i < len(lexemes):
-        lexeme = lexemes[i]
-        if lexeme in SET_OPERATIONS:
-            raise SetOperationUnsupported(lexeme)
-        if lexeme == "(":
-            depth += 1
-        elif lexeme == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses")
-        kind = CLAUSE_STARTS.get(lexeme) if depth == 0 else None
-        if kind is not None:
-            keyword = kind.keyword_lexemes
-            if len(keyword) == 2:
-                if i + 1 >= len(lexemes) or lexemes[i + 1] != keyword[1]:
-                    raise ParseError(f"{lexeme} must be followed by BY")
-                i += 1
-            index = CLAUSE_ORDER.index(kind)
-            if index <= order:
-                raise ParseError(f"misplaced {kind.value} clause")
-            order = index
-            current = kind
-            sections[kind] = []
-        else:
-            if current is None:
-                raise ParseError("query must start with SELECT")
-            sections[current].append(lexeme)
-        i += 1
-    if depth != 0:
-        raise ParseError("unbalanced parentheses")
-    if ClauseKind.SELECT not in sections:
-        raise ParseError("query must start with SELECT")
-    if ClauseKind.FROM not in sections:
-        raise ParseError("query has no FROM clause")
-    return sections
 
 
 class _Scope:
@@ -186,150 +132,105 @@ def _rebuild_and(conjuncts: Sequence[Condition]) -> Condition | None:
     return BoolOp("AND", tuple(conjuncts))
 
 
-class _Normalizer:
-    def __init__(self, schema: DatabaseSchema) -> None:
-        self.schema = schema
+def _resolve(loose: LooseQuery, scope: _Scope) -> NormalizedQuery:
+    """Qualify every name of a statement, or of an IN-subquery in a scope
+    whose ``outer`` is its statement's, and lift comma joins into ON."""
+    where = _condition(loose.where, scope)
+    from_clause, where = _build_from(loose.from_clause, where, scope)
+    return NormalizedQuery(
+        select=tuple(SelectItem(_value_expr(item.expr, scope)) for item in loose.items),
+        from_clause=from_clause,
+        where=where,
+        group_by=tuple(scope.resolve_column(c) for c in loose.group_by),
+        having=_condition(loose.having, scope),
+        order_by=tuple(
+            OrderItem(_value_expr(item.expr, scope), item.descending)
+            for item in loose.order_by
+        ),
+        limit=loose.limit,
+        distinct=loose.distinct,
+    )
 
-    def run(self, sql_text: str) -> NormalizedQuery:
-        sections = _split_sections(scan_sql(sql_text))
-        distinct, items = parse_select_body(sections[ClauseKind.SELECT], lenient=True)
-        loose_from = parse_from_body_lenient(sections[ClauseKind.FROM])
-        where = parse_condition_body(
-            sections.get(ClauseKind.WHERE, []), lenient=True, clause="WHERE"
+
+def _value_expr(expr, scope: _Scope):
+    if isinstance(expr, ColumnRef):
+        return scope.resolve_column(expr)
+    if isinstance(expr, AggExpr) and isinstance(expr.arg, ColumnRef):
+        return AggExpr(expr.func, scope.resolve_column(expr.arg), expr.distinct)
+    return expr  # a star, alone or counted
+
+
+def _condition(condition: Condition | None, scope: _Scope) -> Condition | None:
+    if condition is None:
+        return None
+    if isinstance(condition, BoolOp):
+        return BoolOp(
+            condition.op, tuple(_condition(op, scope) for op in condition.operands)
         )
-        group_by = parse_group_body(sections.get(ClauseKind.GROUP_BY, []), lenient=True)
-        having = parse_condition_body(
-            sections.get(ClauseKind.HAVING, []), lenient=True, clause="HAVING"
+    lhs = _value_expr(condition.lhs, scope)
+    rhs = condition.rhs
+    if isinstance(rhs, ColumnRef):
+        rhs = scope.resolve_column(rhs)
+    elif isinstance(rhs, LooseQuery):
+        rhs = _resolve(rhs, _Scope(scope.schema, rhs.from_clause, outer=scope))
+    return Predicate(lhs, condition.op, rhs, condition.negated)
+
+
+# -- FROM assembly ----------------------------------------------------------
+
+
+def _build_from(
+    loose: LooseFrom, where: Condition | None, scope: _Scope
+) -> tuple[FromClause, Condition | None]:
+    base = scope.resolve_table(loose.base.name)
+    assert base is not None
+    joins: list[JoinEdge] = []
+    connected = {base.lower()}
+    for loose_table, conditions in loose.joined:
+        table = scope.resolve_table(loose_table.name)
+        assert table is not None
+        resolved = tuple(
+            (scope.resolve_column(a), scope.resolve_column(b)) for a, b in conditions
         )
-        order_by = parse_order_body(sections.get(ClauseKind.ORDER_BY, []), lenient=True)
-        limit = parse_limit_body(sections.get(ClauseKind.LIMIT, []))
+        joins.append(JoinEdge(table, resolved))
+        connected.add(table.lower())
 
-        scope = _Scope(self.schema, loose_from)
-        where = self._condition(where, scope)
-        from_clause, where = self._build_from(loose_from, where, scope)
-        return NormalizedQuery(
-            select=tuple(
-                SelectItem(self._select_expr(item.expr, scope)) for item in items
-            ),
-            from_clause=from_clause,
-            where=where,
-            group_by=tuple(scope.resolve_column(c) for c in group_by),
-            having=self._condition(having, scope),
-            order_by=tuple(
-                OrderItem(self._value_expr(item.expr, scope), item.descending)
-                for item in order_by
-            ),
-            limit=limit,
-            distinct=distinct,
-        )
+    pending = [scope.resolve_table(t.name) for t in loose.unjoined]
+    if pending:
+        joins, where = _lift_joins(joins, where, connected, pending)
+    return FromClause(base, tuple(joins)), where
 
-    # -- expression resolution ---------------------------------------------
 
-    def _select_expr(self, expr, scope: _Scope):
-        if isinstance(expr, Star):
-            return expr
-        return self._value_expr(expr, scope)
-
-    def _value_expr(self, expr, scope: _Scope):
-        if isinstance(expr, AggExpr):
-            if isinstance(expr.arg, Star):
-                return expr
-            return AggExpr(expr.func, scope.resolve_column(expr.arg), expr.distinct)
-        if isinstance(expr, ColumnRef):
-            return scope.resolve_column(expr)
-        raise ParseError(f"unsupported expression {expr!r}")
-
-    def _condition(self, condition: Condition | None, scope: _Scope):
-        if condition is None:
-            return None
-        if isinstance(condition, BoolOp):
-            return BoolOp(
-                condition.op,
-                tuple(self._condition(op, scope) for op in condition.operands),
+def _lift_joins(
+    joins: list[JoinEdge],
+    where: Condition | None,
+    connected: set[str],
+    pending: list[str],
+) -> tuple[list[JoinEdge], Condition | None]:
+    conjuncts = _flatten_and(where)
+    available = list(conjuncts)
+    remaining = list(pending)
+    while remaining:
+        progressed = False
+        for table in list(remaining):
+            used = [
+                conjunct for conjunct in available if _links(conjunct, table, connected)
+            ]
+            if not used:
+                continue
+            pairs = tuple(
+                (conjunct.lhs, conjunct.rhs)  # type: ignore[union-attr]
+                for conjunct in used
             )
-        return self._predicate(condition, scope)
-
-    def _predicate(self, predicate: Predicate, scope: _Scope) -> Predicate:
-        lhs = self._value_expr(predicate.lhs, scope)
-        rhs = predicate.rhs
-        if isinstance(rhs, ColumnRef):
-            rhs = scope.resolve_column(rhs)
-        elif isinstance(rhs, LooseSubquery):
-            rhs = self._subquery(rhs, scope)
-        return Predicate(lhs, predicate.op, rhs, predicate.negated)
-
-    def _subquery(self, loose: LooseSubquery, outer: _Scope) -> NormalizedQuery:
-        scope = _Scope(self.schema, loose.from_clause, outer=outer)
-        where = self._condition(loose.where, scope)
-        from_clause, where = self._build_from(loose.from_clause, where, scope)
-        return NormalizedQuery(
-            select=tuple(
-                SelectItem(self._select_expr(item.expr, scope)) for item in loose.items
-            ),
-            from_clause=from_clause,
-            where=where,
-            distinct=loose.distinct,
-        )
-
-    # -- FROM assembly ------------------------------------------------------
-
-    def _build_from(
-        self, loose: LooseFrom, where: Condition | None, scope: _Scope
-    ) -> tuple[FromClause, Condition | None]:
-        base = scope.resolve_table(loose.base.name)
-        assert base is not None
-        joins: list[JoinEdge] = []
-        connected = {base.lower()}
-        for loose_table, conditions in loose.joined:
-            table = scope.resolve_table(loose_table.name)
-            assert table is not None
-            resolved = tuple(
-                (scope.resolve_column(a), scope.resolve_column(b))
-                for a, b in conditions
-            )
-            joins.append(JoinEdge(table, resolved))
+            joins.append(JoinEdge(table, pairs))
             connected.add(table.lower())
-
-        pending = [scope.resolve_table(t.name) for t in loose.unjoined]
-        if pending:
-            joins, where = self._lift_joins(joins, where, connected, pending)
-        return FromClause(base, tuple(joins)), where
-
-    def _lift_joins(
-        self,
-        joins: list[JoinEdge],
-        where: Condition | None,
-        connected: set[str],
-        pending: list[str],
-    ) -> tuple[list[JoinEdge], Condition | None]:
-        conjuncts = _flatten_and(where)
-        available = list(conjuncts)
-        remaining = list(pending)
-        while remaining:
-            progressed = False
-            for table in list(remaining):
-                used = [
-                    conjunct
-                    for conjunct in available
-                    if _links(conjunct, table, connected)
-                ]
-                if not used:
-                    continue
-                pairs = tuple(
-                    (conjunct.lhs, conjunct.rhs)  # type: ignore[union-attr]
-                    for conjunct in used
-                )
-                joins.append(JoinEdge(table, pairs))
-                connected.add(table.lower())
-                remaining.remove(table)
-                for conjunct in used:
-                    available.remove(conjunct)
-                progressed = True
-            if not progressed:
-                raise NormalizationError(
-                    f"no join condition for table {remaining[0]!r}"
-                )
-        return joins, _rebuild_and(available)
+            remaining.remove(table)
+            for conjunct in used:
+                available.remove(conjunct)
+            progressed = True
+        if not progressed:
+            raise NormalizationError(f"no join condition for table {remaining[0]!r}")
+    return joins, _rebuild_and(available)
 
 
 def _links(conjunct: Condition, table: str, connected: set[str]) -> bool:
@@ -348,7 +249,12 @@ def normalize(sql_text: str, schema: DatabaseSchema) -> NormalizedQuery:
     Raises SelfJoinUnsupported, SetOperationUnsupported, AmbiguousColumn,
     UnknownName or ParseError when the query falls outside the dialect.
     """
-    return _Normalizer(schema).run(sql_text)
+    lexemes = scan_sql(sql_text)
+    for lexeme in lexemes:
+        if lexeme in SET_OPERATIONS:
+            raise SetOperationUnsupported(lexeme)
+    loose = parse_statement(lexemes)
+    return _resolve(loose, _Scope(schema, loose.from_clause))
 
 
 def rewrite_dataset(

@@ -492,6 +492,12 @@ def test_and_repair(
 # -- Execution-based labeling ----------------------------------------------
 
 
+# SQLite reports a parse-stage fault with one of these; an unclosed
+# parenthesis or a dangling operator reads "incomplete input" and an
+# unterminated string "unrecognized token", without the word "syntax".
+_SYNTAX_MARKERS = ("syntax", "incomplete input", "unrecognized token")
+
+
 def label_by_execution(
     text: str,
     conn: sqlite3.Connection,
@@ -509,7 +515,8 @@ def label_by_execution(
     if result.status is ExecutionStatus.TIMEOUT:
         return Label.RUNTIME_ERROR
     if result.status is ExecutionStatus.ERROR:
-        if "syntax" in result.error.lower():
+        error = result.error.lower()
+        if any(marker in error for marker in _SYNTAX_MARKERS):
             return Label.SYNTAX_ERROR
         return Label.RUNTIME_ERROR
     if gold_rows is not None:

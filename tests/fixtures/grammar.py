@@ -2,7 +2,9 @@
 
 This is the clause grammar as it stood before one cursor came to carry
 the dialect: a ``lenient`` flag passed through the private functions,
-two FROM parsers and two subquery branches.  Only the imports differ.
+two FROM parsers and two subquery branches.  Only the imports differ,
+and ``_agg_expr`` refuses ``COUNT ( DISTINCT * )``, which SQLite does not
+parse, as the grammar came to.
 ``tests/test_nsql.py`` compares ``sqlsynth.nsql.grammar`` with it.
 
 Clause-body grammars for the canonical dialect.
@@ -109,6 +111,8 @@ def _agg_expr(cur: _Cursor, lenient: bool) -> AggExpr:
     if cur.peek() == "*":
         if func != "COUNT":
             cur.fail("a star argument is only valid for COUNT")
+        if distinct:
+            cur.fail("DISTINCT takes a column, not a star")
         cur.take()
         arg = Star()
     else:

@@ -1,0 +1,383 @@
+"""Reference normalizer for the differential tests.
+
+This is the normalizer as it stood before the grammar read a whole
+statement: ``_split_sections`` cut the statement into clause bodies, the
+grammar's lenient entry points parsed each body, and ``_Normalizer``
+resolved the statement and its IN-subquery on two paths.  Only the
+imports differ: it reads the frozen grammar of ``tests/fixtures/grammar.py``.
+``tests/test_nsql.py`` compares ``sqlsynth.nsql.normalize`` with it.
+
+Rewrite standard SQL into the canonical dialect.
+
+Uppercases keywords, expands and erases aliases, qualifies every column
+with its owning table, lifts comma-join conditions out of WHERE into ON,
+and completes the clause set.  Queries the alias-free dialect cannot
+express (self-joins, set operations) are rejected with dedicated errors
+so dataset rewriting can report them.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import Iterable, Mapping, Sequence
+
+from sqlsynth.tasks import DatabaseSchema, TaskInstance
+from sqlsynth.nsql.errors import (
+    AmbiguousColumn,
+    NormalizationError,
+    ParseError,
+    SelfJoinUnsupported,
+    SetOperationUnsupported,
+    UnknownName,
+)
+from tests.fixtures.grammar import (
+    LooseFrom,
+    LooseSubquery,
+    LooseTable,
+    parse_condition_body,
+    parse_from_body_lenient,
+    parse_group_body,
+    parse_limit_body,
+    parse_order_body,
+    parse_select_body,
+)
+from sqlsynth.nsql.lexemes import SET_OPERATIONS, scan_sql
+from sqlsynth.nsql.query import (
+    AggExpr,
+    BoolOp,
+    CLAUSE_ORDER,
+    CLAUSE_STARTS,
+    ClauseKind,
+    ColumnRef,
+    Condition,
+    FromClause,
+    JoinEdge,
+    NormalizedQuery,
+    OrderItem,
+    Predicate,
+    SelectItem,
+    Star,
+)
+
+
+def _split_sections(lexemes: Sequence[str]) -> dict[ClauseKind, list[str]]:
+    sections: dict[ClauseKind, list[str]] = {}
+    current: ClauseKind | None = None
+    order = -1
+    depth = 0
+    i = 0
+    while i < len(lexemes):
+        lexeme = lexemes[i]
+        if lexeme in SET_OPERATIONS:
+            raise SetOperationUnsupported(lexeme)
+        if lexeme == "(":
+            depth += 1
+        elif lexeme == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced parentheses")
+        kind = CLAUSE_STARTS.get(lexeme) if depth == 0 else None
+        if kind is not None:
+            keyword = kind.keyword_lexemes
+            if len(keyword) == 2:
+                if i + 1 >= len(lexemes) or lexemes[i + 1] != keyword[1]:
+                    raise ParseError(f"{lexeme} must be followed by BY")
+                i += 1
+            index = CLAUSE_ORDER.index(kind)
+            if index <= order:
+                raise ParseError(f"misplaced {kind.value} clause")
+            order = index
+            current = kind
+            sections[kind] = []
+        else:
+            if current is None:
+                raise ParseError("query must start with SELECT")
+            sections[current].append(lexeme)
+        i += 1
+    if depth != 0:
+        raise ParseError("unbalanced parentheses")
+    if ClauseKind.SELECT not in sections:
+        raise ParseError("query must start with SELECT")
+    if ClauseKind.FROM not in sections:
+        raise ParseError("query has no FROM clause")
+    return sections
+
+
+class _Scope:
+    """Resolved FROM environment: alias map plus visible tables."""
+
+    def __init__(
+        self,
+        schema: DatabaseSchema,
+        loose: LooseFrom,
+        outer: "_Scope | None" = None,
+    ) -> None:
+        self.schema = schema
+        self.outer = outer
+        self.aliases: dict[str, str] = {}
+        self.tables: list[str] = []
+        for loose_table in self._all_tables(loose):
+            table = schema.table(loose_table.name)
+            if table is None:
+                raise UnknownName(f"unknown table {loose_table.name!r}")
+            if table.name.lower() in (t.lower() for t in self.tables):
+                raise SelfJoinUnsupported(table.name)
+            self.tables.append(table.name)
+            if loose_table.alias is not None:
+                alias = loose_table.alias.lower()
+                if alias in self.aliases:
+                    raise NormalizationError(f"duplicate alias {loose_table.alias!r}")
+                self.aliases[alias] = table.name
+
+    @staticmethod
+    def _all_tables(loose: LooseFrom) -> Iterable[LooseTable]:
+        yield loose.base
+        for table, _ in loose.joined:
+            yield table
+        yield from loose.unjoined
+
+    def resolve_table(self, name: str) -> str | None:
+        if name.lower() in self.aliases:
+            return self.aliases[name.lower()]
+        for table in self.tables:
+            if table.lower() == name.lower():
+                return table
+        return None
+
+    def resolve_column(self, ref: ColumnRef) -> ColumnRef:
+        if ref.table:
+            table_name = self.resolve_table(ref.table)
+            if table_name is None and self.outer is not None:
+                outer_name = self.outer.resolve_table(ref.table)
+                if outer_name is not None:
+                    table_name = outer_name
+            if table_name is None:
+                # A schema table referenced without appearing in FROM is
+                # left intact; execution surfaces the scope error.
+                if self.schema.table(ref.table) is None:
+                    raise UnknownName(f"unknown table {ref.table!r}")
+                table_name = self.schema.table(ref.table).name
+            column = self.schema.table(table_name).column(ref.column)
+            if column is None:
+                raise UnknownName(f"unknown column {table_name}.{ref.column}")
+            return ColumnRef(table_name, column.name)
+        owners = [
+            table
+            for table in self.tables
+            if self.schema.table(table).column(ref.column) is not None
+        ]
+        if len(owners) > 1:
+            raise AmbiguousColumn(ref.column)
+        if not owners:
+            if self.outer is not None:
+                return self.outer.resolve_column(ref)
+            raise UnknownName(f"no FROM table owns column {ref.column!r}")
+        column = self.schema.table(owners[0]).column(ref.column)
+        return ColumnRef(owners[0], column.name)
+
+
+def _flatten_and(condition: Condition | None) -> list[Condition]:
+    if condition is None:
+        return []
+    if isinstance(condition, BoolOp) and condition.op == "AND":
+        flattened: list[Condition] = []
+        for operand in condition.operands:
+            flattened.extend(_flatten_and(operand))
+        return flattened
+    return [condition]
+
+
+def _rebuild_and(conjuncts: Sequence[Condition]) -> Condition | None:
+    if not conjuncts:
+        return None
+    if len(conjuncts) == 1:
+        return conjuncts[0]
+    return BoolOp("AND", tuple(conjuncts))
+
+
+class _Normalizer:
+    def __init__(self, schema: DatabaseSchema) -> None:
+        self.schema = schema
+
+    def run(self, sql_text: str) -> NormalizedQuery:
+        sections = _split_sections(scan_sql(sql_text))
+        distinct, items = parse_select_body(sections[ClauseKind.SELECT], lenient=True)
+        loose_from = parse_from_body_lenient(sections[ClauseKind.FROM])
+        where = parse_condition_body(
+            sections.get(ClauseKind.WHERE, []), lenient=True, clause="WHERE"
+        )
+        group_by = parse_group_body(sections.get(ClauseKind.GROUP_BY, []), lenient=True)
+        having = parse_condition_body(
+            sections.get(ClauseKind.HAVING, []), lenient=True, clause="HAVING"
+        )
+        order_by = parse_order_body(sections.get(ClauseKind.ORDER_BY, []), lenient=True)
+        limit = parse_limit_body(sections.get(ClauseKind.LIMIT, []))
+
+        scope = _Scope(self.schema, loose_from)
+        where = self._condition(where, scope)
+        from_clause, where = self._build_from(loose_from, where, scope)
+        return NormalizedQuery(
+            select=tuple(
+                SelectItem(self._select_expr(item.expr, scope)) for item in items
+            ),
+            from_clause=from_clause,
+            where=where,
+            group_by=tuple(scope.resolve_column(c) for c in group_by),
+            having=self._condition(having, scope),
+            order_by=tuple(
+                OrderItem(self._value_expr(item.expr, scope), item.descending)
+                for item in order_by
+            ),
+            limit=limit,
+            distinct=distinct,
+        )
+
+    # -- expression resolution ---------------------------------------------
+
+    def _select_expr(self, expr, scope: _Scope):
+        if isinstance(expr, Star):
+            return expr
+        return self._value_expr(expr, scope)
+
+    def _value_expr(self, expr, scope: _Scope):
+        if isinstance(expr, AggExpr):
+            if isinstance(expr.arg, Star):
+                return expr
+            return AggExpr(expr.func, scope.resolve_column(expr.arg), expr.distinct)
+        if isinstance(expr, ColumnRef):
+            return scope.resolve_column(expr)
+        raise ParseError(f"unsupported expression {expr!r}")
+
+    def _condition(self, condition: Condition | None, scope: _Scope):
+        if condition is None:
+            return None
+        if isinstance(condition, BoolOp):
+            return BoolOp(
+                condition.op,
+                tuple(self._condition(op, scope) for op in condition.operands),
+            )
+        return self._predicate(condition, scope)
+
+    def _predicate(self, predicate: Predicate, scope: _Scope) -> Predicate:
+        lhs = self._value_expr(predicate.lhs, scope)
+        rhs = predicate.rhs
+        if isinstance(rhs, ColumnRef):
+            rhs = scope.resolve_column(rhs)
+        elif isinstance(rhs, LooseSubquery):
+            rhs = self._subquery(rhs, scope)
+        return Predicate(lhs, predicate.op, rhs, predicate.negated)
+
+    def _subquery(self, loose: LooseSubquery, outer: _Scope) -> NormalizedQuery:
+        scope = _Scope(self.schema, loose.from_clause, outer=outer)
+        where = self._condition(loose.where, scope)
+        from_clause, where = self._build_from(loose.from_clause, where, scope)
+        return NormalizedQuery(
+            select=tuple(
+                SelectItem(self._select_expr(item.expr, scope)) for item in loose.items
+            ),
+            from_clause=from_clause,
+            where=where,
+            distinct=loose.distinct,
+        )
+
+    # -- FROM assembly ------------------------------------------------------
+
+    def _build_from(
+        self, loose: LooseFrom, where: Condition | None, scope: _Scope
+    ) -> tuple[FromClause, Condition | None]:
+        base = scope.resolve_table(loose.base.name)
+        assert base is not None
+        joins: list[JoinEdge] = []
+        connected = {base.lower()}
+        for loose_table, conditions in loose.joined:
+            table = scope.resolve_table(loose_table.name)
+            assert table is not None
+            resolved = tuple(
+                (scope.resolve_column(a), scope.resolve_column(b))
+                for a, b in conditions
+            )
+            joins.append(JoinEdge(table, resolved))
+            connected.add(table.lower())
+
+        pending = [scope.resolve_table(t.name) for t in loose.unjoined]
+        if pending:
+            joins, where = self._lift_joins(joins, where, connected, pending)
+        return FromClause(base, tuple(joins)), where
+
+    def _lift_joins(
+        self,
+        joins: list[JoinEdge],
+        where: Condition | None,
+        connected: set[str],
+        pending: list[str],
+    ) -> tuple[list[JoinEdge], Condition | None]:
+        conjuncts = _flatten_and(where)
+        available = list(conjuncts)
+        remaining = list(pending)
+        while remaining:
+            progressed = False
+            for table in list(remaining):
+                used = [
+                    conjunct
+                    for conjunct in available
+                    if _links(conjunct, table, connected)
+                ]
+                if not used:
+                    continue
+                pairs = tuple(
+                    (conjunct.lhs, conjunct.rhs)  # type: ignore[union-attr]
+                    for conjunct in used
+                )
+                joins.append(JoinEdge(table, pairs))
+                connected.add(table.lower())
+                remaining.remove(table)
+                for conjunct in used:
+                    available.remove(conjunct)
+                progressed = True
+            if not progressed:
+                raise NormalizationError(
+                    f"no join condition for table {remaining[0]!r}"
+                )
+        return joins, _rebuild_and(available)
+
+
+def _links(conjunct: Condition, table: str, connected: set[str]) -> bool:
+    if not isinstance(conjunct, Predicate) or conjunct.op != "=" or conjunct.negated:
+        return False
+    lhs, rhs = conjunct.lhs, conjunct.rhs
+    if not isinstance(lhs, ColumnRef) or not isinstance(rhs, ColumnRef):
+        return False
+    sides = {lhs.table.lower(), rhs.table.lower()}
+    return table.lower() in sides and bool((sides - {table.lower()}) & connected)
+
+
+def normalize(sql_text: str, schema: DatabaseSchema) -> NormalizedQuery:
+    """Rewrite one standard-SQL query into canonical form.
+
+    Raises SelfJoinUnsupported, SetOperationUnsupported, AmbiguousColumn,
+    UnknownName or ParseError when the query falls outside the dialect.
+    """
+    return _Normalizer(schema).run(sql_text)
+
+
+def rewrite_dataset(
+    tasks: Sequence[TaskInstance], schemas: Mapping[str, DatabaseSchema]
+) -> tuple[list[TaskInstance], list[tuple[TaskInstance, str]]]:
+    """Normalize every task's gold query.
+
+    Tasks whose gold query cannot be expressed in the dialect land in the
+    rejected list together with the reason; they are data, not errors.
+    """
+    normalized: list[TaskInstance] = []
+    rejected: list[tuple[TaskInstance, str]] = []
+    for task in tasks:
+        if task.gold_query is None:
+            normalized.append(task)
+            continue
+        try:
+            query = normalize(task.gold_query, schemas[task.db_id])
+        except (NormalizationError, ParseError) as exc:
+            rejected.append((task, f"{type(exc).__name__}: {exc}"))
+            continue
+        normalized.append(dataclasses.replace(task, gold_query=query.render()))
+    return normalized, rejected

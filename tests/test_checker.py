@@ -25,6 +25,7 @@ from sqlsynth.lm import lexeme_tokens
 from sqlsynth.nsql.errors import ClauseOrderViolation, ParseError
 from sqlsynth.nsql.grammar import parse_clause_body, parse_complete, parse_select_body
 from sqlsynth.nsql.lexemes import COMPARISONS, KEYWORDS
+from sqlsynth.nsql.normalize import normalize
 from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import ClauseKind, denormalize_text
 from sqlsynth.repair import ExecutionStatus, execute_text, hamming_one_queries
@@ -195,6 +196,24 @@ def test_non_ascii_digits_are_rejected_as_they_are_written(concerts):
         verdict = check(text, False)
         assert not verdict.ok and verdict.kind is ErrorKind.SYNTAX, text
     assert check(head + "LIMIT 2 ", False).ok
+
+
+def test_count_distinct_star_is_refused_as_sqlite_refuses_it(concerts):
+    """SQLite reads ``COUNT ( DISTINCT * )`` as a syntax error, so the
+    normalizer and the grammar refuse it and the checker calls a text
+    that holds it SYNTAX; a counted star and a DISTINCT column parse."""
+    with pytest.raises(ParseError):
+        normalize("select count(distinct *) from singer", concerts)
+    with pytest.raises(ParseError):
+        parse_select_body("COUNT ( DISTINCT * )".split())
+    text = (
+        "SELECT COUNT ( DISTINCT * )\nFROM singer\n"
+        "WHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    )
+    verdict = make_checker(concerts, None)(text, True)
+    assert not verdict.ok and verdict.kind is ErrorKind.SYNTAX
+    for body in ("COUNT ( * )", "COUNT ( DISTINCT singer.age )"):
+        assert parse_select_body(body.split())
 
 
 # -- scope ------------------------------------------------------------------

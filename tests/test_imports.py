@@ -1,13 +1,17 @@
-"""Every module-level import in ``src/`` is used by its module, and
-every function parameter by its function.
+"""Every module-level import in ``src/`` is used by its module, every
+function parameter by its function, and every private definition by
+its module.
 
-Standard-library (``ast``) forms of a linter's unused-import and
-unused-argument rules.  An import may stay unused when its name is in
+Standard-library (``ast``) forms of a linter's unused-import,
+unused-argument and unused-private-definition rules.  An import may stay unused when its name is in
 the module's ``__all__``, or when its line carries ``# noqa: F401`` with
 a reason, written after the marker or as a comment on the line above.
 A parameter may stay unused when it is ``self`` or ``cls``, when its
 name starts with ``_``, or when the function is a stub whose body is
-``...`` or a docstring only, as in a protocol.
+``...`` or a docstring only, as in a protocol.  A private definition
+is a ``_``-prefixed, non-dunder module-level function, class or constant,
+or method; no module in ``src/`` imports another's private names, so a
+definition its own module never reads is dead.
 """
 
 from __future__ import annotations
@@ -19,20 +23,25 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 _NOQA = "# noqa: F401"
 
 
-def _module_level_imports(node: ast.AST):
-    """The import statements outside every function and class body."""
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _module_level(node: ast.AST):
+    """The nodes outside every function and class body, the function and
+    class definitions themselves included."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.Import, ast.ImportFrom)):
-            yield child
-        elif not isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            yield from _module_level_imports(child)
+        yield child
+        if not isinstance(child, _DEFINITIONS):
+            yield from _module_level(child)
 
 
 def _used_names(tree: ast.Module) -> set[str]:
     """Every name the module reads, quoted annotations included."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     annotations = [
         annotation
         for node in ast.walk(tree)
@@ -79,7 +88,9 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     lines = source.splitlines()
     used = _used_names(tree) | _exported(tree)
     unused = []
-    for statement in _module_level_imports(tree):
+    for statement in _module_level(tree):
+        if not isinstance(statement, (ast.Import, ast.ImportFrom)):
+            continue
         if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
             continue
         for alias in statement.names:
@@ -184,5 +195,83 @@ def test_no_function_in_src_takes_a_parameter_it_never_reads():
         f"{path.relative_to(_SRC)}:{line} {name}"
         for path in sorted(_SRC.rglob("*.py"))
         for line, name in unused_parameters(path.read_text())
+    ]
+    assert found == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _definitions(tree: ast.Module):
+    """``(node, name, is_method)`` for each module-level function, class
+    and assigned name, and each method."""
+    for node in _module_level(tree):
+        if isinstance(node, _DEFINITIONS):
+            yield node, node.name, False
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name, name.id, False
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield method, method.name, True
+
+
+def unused_private_definitions(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` for each private definition in ``source`` that
+    the module never reads: a module-level one by its name, a method by
+    its name or as an attribute."""
+    tree = ast.parse(source)
+    names = _used_names(tree)
+    attributes = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (node.lineno, name)
+        for node, name, is_method in _definitions(tree)
+        if _is_private(name)
+        and name not in names
+        and not (is_method and name in attributes)
+    )
+
+
+def test_the_private_definition_check_finds_what_it_should():
+    source = (
+        "_USED = 1\n"
+        "_UNUSED = 2\n"
+        "_ANNOTATED: int = 3\n"
+        "__version__ = '1'\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def _orphan():\n"
+        "    pass\n"
+        "class _Quoted:\n"
+        "    def __init__(self):\n"
+        "        self._run()\n"
+        "    def _run(self):\n"
+        "        pass\n"
+        "    def _idle(self):\n"
+        "        pass\n"
+        "class _Lonely:\n"
+        "    pass\n"
+        "def public(x: '_Quoted') -> None:\n"
+        "    _helper()\n"
+    )
+    assert unused_private_definitions(source) == [
+        (2, "_UNUSED"), (3, "_ANNOTATED"), (7, "_orphan"), (14, "_idle"), (16, "_Lonely"),
+    ]
+
+
+def test_no_module_in_src_defines_a_private_name_it_never_reads():
+    found = [
+        f"{path.relative_to(_SRC)}:{line} {name}"
+        for path in sorted(_SRC.rglob("*.py"))
+        for line, name in unused_private_definitions(path.read_text())
     ]
     assert found == []

@@ -25,12 +25,13 @@ from sqlsynth.nsql import lexemes as lexemes_module
 from sqlsynth.nsql.grammar import parse_clause_cached, parse_complete
 from sqlsynth.nsql.lexemes import (
     KEYWORDS,
+    SET_OPERATIONS,
     is_number,
     quote_string,
     scan_sql,
     split_line,
 )
-from sqlsynth.nsql.normalize import _split_sections, normalize, rewrite_dataset
+from sqlsynth.nsql.normalize import normalize, rewrite_dataset
 from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import (
     CLAUSE_ORDER,
@@ -40,6 +41,7 @@ from sqlsynth.nsql.query import (
     query_skeleton,
 )
 from tests.fixtures import grammar as reference_grammar
+from tests.fixtures import normalize as reference_normalize
 from tests.fixtures.corpus import CORPUS
 from tests.fixtures.randqueries import distinct_queries
 from tests.fixtures.textsplit import parse_complete_reference, split_text
@@ -397,28 +399,6 @@ def test_parse_complete_matches_the_whole_text_splitter(schemas, normalized_task
     }
 
 
-def _clause_parsers(module):
-    """``(dialect, kind, parse)`` for each way ``module`` reads a clause
-    body: strict through ``parse_clause_body``, lenient through the
-    entry points the normalizer calls.  LIMIT has no lenient form."""
-    for kind in ClauseKind:
-        yield "strict", kind, functools.partial(module.parse_clause_body, kind)
-    lenient = {
-        ClauseKind.SELECT: functools.partial(module.parse_select_body, lenient=True),
-        ClauseKind.FROM: module.parse_from_body_lenient,
-        ClauseKind.WHERE: functools.partial(
-            module.parse_condition_body, lenient=True, clause="WHERE"
-        ),
-        ClauseKind.GROUP_BY: functools.partial(module.parse_group_body, lenient=True),
-        ClauseKind.HAVING: functools.partial(
-            module.parse_condition_body, lenient=True, clause="HAVING"
-        ),
-        ClauseKind.ORDER_BY: functools.partial(module.parse_order_body, lenient=True),
-    }
-    for kind, parse in lenient.items():
-        yield "lenient", kind, parse
-
-
 def _body_outcome(parse, body):
     """What ``parse`` makes of ``body``: the repr of its result, which
     names the loose classes by name only, or the type and message of
@@ -456,9 +436,10 @@ def _lexeme_edits(body, rng, count):
 def test_clause_grammar_matches_the_frozen_reference(schemas):
     """Every clause body of the gold corpus, free-form and canonical, and
     of seeded random queries, and seeded one- or two-lexeme edits of
-    each, gets the same result, or the same error with the same message,
-    from the grammar as from a frozen copy of the grammar from before
-    the cursor carried the dialect, in both dialects."""
+    each, gets the same strict parse, or the same error with the same
+    message, from the grammar as from a frozen copy of the grammar from
+    before the cursor carried the dialect.  The free-form bodies are cut
+    by the frozen normalizer's section splitter."""
     bodies: dict[ClauseKind, dict[tuple[str, ...], None]] = {
         kind: {} for kind in ClauseKind
     }
@@ -472,32 +453,95 @@ def test_clause_grammar_matches_the_frozen_reference(schemas):
         for kind, body in split_text(text + "\n").completed.items():
             bodies[kind][body] = None
     for sql in (*(entry.raw_sql for entry in CORPUS), _NESTED_SUBQUERY):
-        for kind, body in _split_sections(scan_sql(sql)).items():
+        for kind, body in reference_normalize._split_sections(scan_sql(sql)).items():
             bodies[kind][tuple(body)] = None
     rng = random.Random(27)
     for kind in ClauseKind:
         for body in list(bodies[kind]):
             bodies[kind].update(dict.fromkeys(_lexeme_edits(body, rng, 30)))
-    reference = {(d, k): p for d, k, p in _clause_parsers(reference_grammar)}
-    outcomes: Counter[tuple[str, str]] = Counter()
-    for dialect, kind, parse in _clause_parsers(grammar):
-        want_parse = reference[dialect, kind]
+    outcomes: Counter[str] = Counter()
+    for kind in ClauseKind:
+        parse = functools.partial(grammar.parse_clause_body, kind)
+        want_parse = functools.partial(reference_grammar.parse_clause_body, kind)
         for body in bodies[kind]:
             want = _body_outcome(want_parse, body)
-            assert _body_outcome(parse, body) == want, (dialect, kind, body)
-            name = want[0] if want[0] == "parsed" else want[0].__name__
-            outcomes[dialect, name] += 1
+            assert _body_outcome(parse, body) == want, (kind, body)
+            outcomes[want[0] if want[0] == "parsed" else want[0].__name__] += 1
+    assert outcomes == {"parsed": 479, "ParseError": 10837}
+
+
+def _normalize_outcome(normalize_fn, sql, schema):
+    """The rendered query, or the class of what ``normalize_fn`` raised."""
+    try:
+        return normalize_fn(sql, schema).render()
+    except SqlError as exc:
+        return type(exc)
+
+
+def _holds_set_operation(sql):
+    try:
+        return any(lexeme in SET_OPERATIONS for lexeme in scan_sql(sql))
+    except ParseError:
+        return False
+
+
+def test_normalize_matches_the_frozen_reference(schemas):
+    """Every gold statement and its canonical render, 180 seeded random
+    queries rendered as text and as one line, the nested-subquery
+    statement, three statements at the grammar's edges, and 40 seeded
+    one- or two-lexeme edits of each, normalize to the same text as
+    through a frozen copy of the normalizer from before the grammar read
+    a whole statement, or fail with the same exception class.  A
+    statement holding a set operation always fails with
+    ``SetOperationUnsupported``: the reference raised it only when no
+    fault came earlier in the statement."""
+    gold = [(entry.db_id, entry.raw_sql) for entry in CORPUS]
+    statements = gold + [
+        (db_id, normalize(sql, schemas[db_id]).render()) for db_id, sql in gold
+    ]
+    for index, db_id in enumerate(sorted(schemas)):
+        for query in distinct_queries(schemas[db_id], random.Random(index), 60):
+            statements += [(db_id, query.render()), (db_id, query.render_compact())]
+    statements += [("concerts", sql) for sql in (_NESTED_SUBQUERY, *_STATEMENT_EDGES)]
+    corpus = dict.fromkeys(statements)
+    rng = random.Random(28)
+    for db_id, sql in statements:
+        for edited in _lexeme_edits(scan_sql(sql), rng, 40):
+            corpus[db_id, " ".join(edited)] = None
+    outcomes: Counter[tuple[str, str]] = Counter()
+    for db_id, sql in corpus:
+        want = _normalize_outcome(reference_normalize.normalize, sql, schemas[db_id])
+        got = _normalize_outcome(normalize, sql, schemas[db_id])
+        if isinstance(want, type) and _holds_set_operation(sql):
+            assert got is SetOperationUnsupported, sql
+        else:
+            assert got == want, sql
+        name = "query" if isinstance(want, str) else want.__name__
+        outcomes[name, "query" if isinstance(got, str) else got.__name__] += 1
     assert outcomes == {
-        ("strict", "parsed"): 480,
-        ("strict", "ParseError"): 10836,
-        ("lenient", "parsed"): 669,
-        ("lenient", "ParseError"): 10509,
+        ("query", "query"): 1002,
+        ("ParseError", "ParseError"): 16235,
+        ("ParseError", "SetOperationUnsupported"): 115,
+        ("SetOperationUnsupported", "SetOperationUnsupported"): 830,
+        ("UnknownName", "UnknownName"): 134,
+        ("SelfJoinUnsupported", "SelfJoinUnsupported"): 6,
     }
 
 
 _NESTED_SUBQUERY = (
     "SELECT name FROM singer WHERE singer_id IN (SELECT singer_id"
     " FROM singer_in_concert WHERE concert_id IN (SELECT concert_id FROM concert))"
+)
+
+
+# Free-form statements at the edges of the statement grammar: an
+# IN-subquery whose WHERE is its keyword alone, a statement without FROM,
+# and a statement whose clauses after FROM are all their keyword alone.
+_STATEMENT_EDGES = (
+    "SELECT name FROM singer WHERE singer_id IN"
+    " (SELECT singer_id FROM singer_in_concert WHERE)",
+    "SELECT name WHERE age > 30",
+    "SELECT name FROM singer WHERE GROUP BY HAVING ORDER BY LIMIT",
 )
 
 

@@ -1301,3 +1301,10 @@ def test_label_by_execution_error_kinds(connect):
     lines[1], lines[2] = lines[2], lines[1]
     swapped = "\n".join(lines) + "\n"
     assert label_by_execution(swapped, conn) is Label.SYNTAX_ERROR
+    # SQLite reports these parse faults without the word "syntax".
+    for broken in (
+        GOLD.replace("> 30", ">"),
+        GOLD.replace("singer.age > 30", "( singer.age > 30"),
+        GOLD.replace("> 30", "= 'Chris"),
+    ):
+        assert label_by_execution(broken, conn) is Label.SYNTAX_ERROR, broken
