@@ -21,7 +21,6 @@ from typing import Mapping, Sequence
 
 from .checker import Label, predict_label
 from .nsql.errors import SqlError
-from .nsql.grammar import parse_complete
 from .nsql.normalize import normalize
 from .nsql.query import NormalizedQuery, exact_match
 from .repair import execute_query, label_by_execution, rows_match
@@ -139,13 +138,6 @@ def _flag(value: bool | None) -> str:
     return "yes" if value else "no"
 
 
-def _normalized_gold(task: TaskInstance, schema: DatabaseSchema) -> NormalizedQuery:
-    try:
-        return parse_complete(task.gold_query)
-    except SqlError:
-        return normalize(task.gold_query, schema)
-
-
 def _open_databases(
     tasks: Sequence[TaskInstance], db_root: Path | str
 ) -> dict[str, TaskDatabase]:
@@ -188,7 +180,7 @@ def _grade_task(
         note = "no gold query"
     else:
         try:
-            gold = _normalized_gold(task, schema)
+            gold = normalize(task.gold_query, schema)
         except SqlError as exc:
             gold = None
             note = f"gold not normalizable: {exc}"
@@ -415,7 +407,7 @@ def run_checker_experiment(
         gold_rows = None
         if task.gold_query:
             try:
-                gold = _normalized_gold(task, schema)
+                gold = normalize(task.gold_query, schema)
                 gold_result = execute_query(conn, gold, timeout=GRADE_TIMEOUT)
                 if gold_result.ok:
                     gold_rows = gold_result.rows

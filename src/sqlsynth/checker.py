@@ -51,9 +51,8 @@ from .nsql.lexemes import (
     COMPARISONS,
     CONNECTIVES,
     is_column_ref,
+    is_constant,
     is_identifier,
-    is_number,
-    is_string_const,
 )
 from .nsql.partial import parse_partial
 from .nsql.query import (
@@ -171,7 +170,7 @@ def _lexeme_verdict(
     vocabulary = CLAUSE_VOCABULARY[clause][nested]
     if lexeme in vocabulary.exact:
         return PASS
-    if vocabulary.constant and (is_number(lexeme) or is_string_const(lexeme)):
+    if vocabulary.constant and is_constant(lexeme):
         return PASS
     if vocabulary.integer and lexeme.isascii() and lexeme.isdigit():
         return PASS

@@ -3,14 +3,16 @@
 A cursor reads a list of lexeme strings in one dialect.  The strict
 dialect accepts exactly what the renderer emits: qualified column
 references, explicit ASC/DESC, joins with ON and no aliases; it reads
-one clause body at a time.  The lenient dialect, for free-form SQL,
-also accepts bare column names, table aliases, comma and ON-less joins
-and omitted sort directions, producing placeholders that the normalizer
-resolves against a schema; ``parse_statement`` reads a whole free-form
-statement with it in one pass, clause by clause in the canonical order.
-The same productions read both: they ask the cursor which dialect it
-carries, so one FROM parser, one subquery body and one separated-list
-loop serve both.
+one clause body at a time, through ``parse_clause_body``.  The lenient
+dialect, for free-form SQL, also accepts bare column names, table
+aliases, comma and ON-less joins and omitted sort directions, producing
+placeholders that the normalizer resolves against a schema;
+``parse_statement`` reads a whole free-form statement with it in one
+pass, clause by clause in the canonical order.  The same productions
+read both: they ask the cursor which dialect it carries, so one FROM
+parser, one subquery body and one separated-list loop serve both, and
+one table, ``_OPTIONAL_CLAUSES``, names the production of each clause
+after FROM for a clause body and a statement alike.
 
 The checker, the parse of a finished text and repair strict-parse
 terminated clause bodies through ``parse_clause_cached``, one bounded,
@@ -108,12 +110,12 @@ class _Cursor:
 
 def _separated(
     cur: _Cursor, separator: str, item: Callable[[_Cursor], _Item]
-) -> list[_Item]:
+) -> tuple[_Item, ...]:
     """One ``item``, then one more after each ``separator``."""
     items = [item(cur)]
     while cur.accept(separator):
         items.append(item(cur))
-    return items
+    return tuple(items)
 
 
 def _column_ref(cur: _Cursor) -> ColumnRef:
@@ -160,20 +162,15 @@ def _constant(cur: _Cursor) -> Constant:
 # -- SELECT -----------------------------------------------------------------
 
 
-def parse_select_body(lexemes: Sequence[str]) -> tuple[bool, tuple[SelectItem, ...]]:
-    cur = _Cursor(lexemes, "SELECT")
-    if cur.done():
-        cur.fail("at least one output expression is required")
-    return _select(cur, stop=frozenset())
-
-
 def _select(cur: _Cursor, stop: frozenset[str]) -> tuple[bool, tuple[SelectItem, ...]]:
     """``DISTINCT`` and the output expressions, up to a lexeme in ``stop``."""
+    if cur.done():
+        cur.fail("at least one output expression is required")
     distinct = cur.accept("DISTINCT")
     items = _separated(cur, ",", _select_item)
     if not cur.done() and cur.peek() not in stop:
         cur.fail(f"unexpected {cur.peek()!r} after output expression")
-    return distinct, tuple(items)
+    return distinct, items
 
 
 def _select_item(cur: _Cursor) -> SelectItem:
@@ -200,14 +197,10 @@ class LooseFrom:
     """
 
     base: LooseTable
-    joined: list[tuple[LooseTable, list[tuple[ColumnRef, ColumnRef]]]] = field(
+    joined: list[tuple[LooseTable, tuple[tuple[ColumnRef, ColumnRef], ...]]] = field(
         default_factory=list
     )
     unjoined: list[LooseTable] = field(default_factory=list)
-
-
-def parse_from_body(lexemes: Sequence[str]) -> FromClause:
-    return _from_clause(_from(_Cursor(lexemes, "FROM"), stop=frozenset()))
 
 
 def _from(cur: _Cursor, stop: frozenset[str]) -> LooseFrom:
@@ -232,7 +225,7 @@ def _from(cur: _Cursor, stop: frozenset[str]) -> LooseFrom:
 
 def _from_clause(loose: LooseFrom) -> FromClause:
     """A FROM read in the strict dialect, which has no aliases."""
-    joins = (JoinEdge(table.name, tuple(on)) for table, on in loose.joined)
+    joins = (JoinEdge(table.name, on) for table, on in loose.joined)
     return FromClause(loose.base.name, tuple(joins))
 
 
@@ -268,26 +261,14 @@ def _join_condition(cur: _Cursor) -> tuple[ColumnRef, ColumnRef]:
 # -- WHERE / HAVING ---------------------------------------------------------
 
 
-def parse_condition_body(
-    lexemes: Sequence[str], clause: str = "WHERE"
-) -> Condition | None:
-    if not lexemes:
-        return None
-    cur = _Cursor(lexemes, clause)
-    condition = _or_expr(cur)
-    if not cur.done():
-        cur.fail(f"unexpected {cur.peek()!r}")
-    return condition
-
-
 def _or_expr(cur: _Cursor) -> Condition:
     terms = _separated(cur, "OR", _and_expr)
-    return terms[0] if len(terms) == 1 else BoolOp("OR", tuple(terms))
+    return terms[0] if len(terms) == 1 else BoolOp("OR", terms)
 
 
 def _and_expr(cur: _Cursor) -> Condition:
     terms = _separated(cur, "AND", _condition_atom)
-    return terms[0] if len(terms) == 1 else BoolOp("AND", tuple(terms))
+    return terms[0] if len(terms) == 1 else BoolOp("AND", terms)
 
 
 def _condition_atom(cur: _Cursor) -> Condition:
@@ -331,7 +312,7 @@ def _in_predicate(cur: _Cursor, lhs: ColumnRef | AggExpr, negated: bool) -> Pred
             cur.fail("nested subqueries are not supported")
         rhs = _subquery(cur)
     else:
-        rhs = tuple(_separated(cur, ",", _constant))
+        rhs = _separated(cur, ",", _constant)
     cur.expect(")")
     return Predicate(lhs, "IN", rhs, negated)
 
@@ -374,26 +355,6 @@ def _subquery(cur: _Cursor) -> NormalizedQuery | LooseQuery:
 # -- GROUP BY / ORDER BY / LIMIT -------------------------------------------
 
 
-def parse_group_body(lexemes: Sequence[str]) -> tuple[ColumnRef, ...]:
-    if not lexemes:
-        return ()
-    cur = _Cursor(lexemes, "GROUP BY")
-    columns = _separated(cur, ",", _column_ref)
-    if not cur.done():
-        cur.fail(f"unexpected {cur.peek()!r}")
-    return tuple(columns)
-
-
-def parse_order_body(lexemes: Sequence[str]) -> tuple[OrderItem, ...]:
-    if not lexemes:
-        return ()
-    cur = _Cursor(lexemes, "ORDER BY")
-    items = _separated(cur, ",", _order_item)
-    if not cur.done():
-        cur.fail(f"unexpected {cur.peek()!r}")
-    return tuple(items)
-
-
 def _order_item(cur: _Cursor) -> OrderItem:
     expr = _value_expr(cur)
     direction = cur.peek()
@@ -405,16 +366,6 @@ def _order_item(cur: _Cursor) -> OrderItem:
     return OrderItem(expr)
 
 
-def parse_limit_body(lexemes: Sequence[str]) -> Constant | None:
-    if not lexemes:
-        return None
-    cur = _Cursor(lexemes, "LIMIT")
-    limit = _limit(cur)
-    if not cur.done():
-        cur.fail(f"unexpected {cur.peek()!r}")
-    return limit
-
-
 def _limit(cur: _Cursor) -> Constant:
     lexeme = cur.take()
     if not is_number(lexeme) or not lexeme.isdigit():
@@ -422,19 +373,52 @@ def _limit(cur: _Cursor) -> Constant:
     return Constant(lexeme)
 
 
-# -- Whole free-form statements ---------------------------------------------
+# -- Clause bodies and whole statements ------------------------------------
+
+# The clauses after FROM, in clause order: the production that reads a
+# clause's body and the value of an empty one.  Each production's result
+# is the query field named after its clause, ``kind.name.lower()``.
+_OPTIONAL_CLAUSES: dict[ClauseKind, tuple[Callable[[_Cursor], object], object]] = {
+    ClauseKind.WHERE: (_or_expr, None),
+    ClauseKind.GROUP_BY: (lambda cur: _separated(cur, ",", _column_ref), ()),
+    ClauseKind.HAVING: (_or_expr, None),
+    ClauseKind.ORDER_BY: (lambda cur: _separated(cur, ",", _order_item), ()),
+    ClauseKind.LIMIT: (_limit, None),
+}
 
 # The lexemes that end a clause of a statement.
 _CLAUSE_KEYWORDS = frozenset(CLAUSE_STARTS)
 
 
+def parse_clause_body(kind: ClauseKind, body: Sequence[str]) -> object:
+    """Strict-parse one terminated clause body (keyword stripped).
+
+    The result is ``(distinct, items)`` for SELECT, a ``FromClause`` for
+    FROM, and for a clause after FROM the value of the query field named
+    after it: its production in ``_OPTIONAL_CLAUSES`` reads a body, and
+    an empty body is that table's empty value.
+    """
+    cur = _Cursor(body, kind.value)
+    if kind is ClauseKind.SELECT:
+        return _select(cur, frozenset())
+    if kind is ClauseKind.FROM:
+        return _from_clause(_from(cur, frozenset()))
+    production, empty = _OPTIONAL_CLAUSES[kind]
+    if cur.done():
+        return empty
+    value = production(cur)
+    if not cur.done():
+        cur.fail(f"unexpected {cur.peek()!r}")
+    return value
+
+
 def parse_statement(lexemes: Sequence[str]) -> LooseQuery:
     """Read a whole free-form statement in the lenient dialect.
 
-    SELECT and a FROM come first, then WHERE, GROUP BY, HAVING, ORDER BY
-    and LIMIT, each optional, in that order.  Any of these five may be
-    its keyword alone, as canonical text writes an empty clause.  Each
-    error names the clause being read when it was found.
+    SELECT and a FROM come first, then the clauses of
+    ``_OPTIONAL_CLAUSES``, each optional, in that order.  Any of these
+    may be its keyword alone, as canonical text writes an empty clause.
+    Each error names the clause being read when it was found.
     """
     cur = _Cursor(lexemes, "SELECT", lenient=True)
     cur.expect("SELECT")
@@ -442,16 +426,9 @@ def parse_statement(lexemes: Sequence[str]) -> LooseQuery:
     cur.expect("FROM")
     cur.clause = "FROM"
     query = LooseQuery(distinct, items, _from(cur, _CLAUSE_KEYWORDS))
-    if _clause_keyword(cur, ClauseKind.WHERE):
-        query.where = _or_expr(cur)
-    if _clause_keyword(cur, ClauseKind.GROUP_BY):
-        query.group_by = tuple(_separated(cur, ",", _column_ref))
-    if _clause_keyword(cur, ClauseKind.HAVING):
-        query.having = _or_expr(cur)
-    if _clause_keyword(cur, ClauseKind.ORDER_BY):
-        query.order_by = tuple(_separated(cur, ",", _order_item))
-    if _clause_keyword(cur, ClauseKind.LIMIT):
-        query.limit = _limit(cur)
+    for kind, (production, _) in _OPTIONAL_CLAUSES.items():
+        if _clause_keyword(cur, kind):
+            setattr(query, kind.name.lower(), production(cur))
     if not cur.done():
         cur.fail(f"unexpected {cur.peek()!r}")
     return query
@@ -470,27 +447,6 @@ def _clause_keyword(cur: _Cursor, kind: ClauseKind) -> bool:
 
 
 # -- Whole canonical queries -----------------------------------------------
-
-_CLAUSE_GRAMMARS: dict[ClauseKind, Callable[[Sequence[str]], object]] = {
-    ClauseKind.SELECT: parse_select_body,
-    ClauseKind.FROM: parse_from_body,
-    ClauseKind.WHERE: functools.partial(parse_condition_body, clause="WHERE"),
-    ClauseKind.GROUP_BY: parse_group_body,
-    ClauseKind.HAVING: functools.partial(parse_condition_body, clause="HAVING"),
-    ClauseKind.ORDER_BY: parse_order_body,
-    ClauseKind.LIMIT: parse_limit_body,
-}
-
-
-def parse_clause_body(kind: ClauseKind, body: Sequence[str]) -> object:
-    """Strict-parse one terminated clause body (keyword stripped).
-
-    ``_CLAUSE_GRAMMARS`` is the single place that knows which grammar
-    parses which clause.  The result is ``(distinct, items)`` for SELECT
-    and the matching ``parse_*_body`` result for every other clause.
-    """
-    return _CLAUSE_GRAMMARS[kind](body)
-
 
 # A clause parse depends only on its kind and body, so every search in
 # the process, on any thread, shares one cache; two threads at worst
@@ -532,12 +488,8 @@ def parse_clause_bodies(
     return NormalizedQuery(
         select=items,
         from_clause=clauses[ClauseKind.FROM],
-        where=clauses[ClauseKind.WHERE],
-        group_by=clauses[ClauseKind.GROUP_BY],
-        having=clauses[ClauseKind.HAVING],
-        order_by=clauses[ClauseKind.ORDER_BY],
-        limit=clauses[ClauseKind.LIMIT],
         distinct=distinct,
+        **{kind.name.lower(): clauses[kind] for kind in _OPTIONAL_CLAUSES},
     )
 
 

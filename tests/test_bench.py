@@ -258,10 +258,17 @@ def test_benchmark_workers_hold_their_own_connections(
     finally:
         sys.setswitchinterval(interval)
     # A handle used from a second thread would raise ProgrammingError,
-    # which grading turns into an "error" row.
+    # which grading turns into an "error" row.  On a mismatch, name each
+    # differing task with both statuses and its note, which tells a time
+    # out, a broken pairing barrier and a race apart.
+    differing = [
+        f"{row.task_id}: {row.status} (serial {serial.status}), note {row.note!r}"
+        for row, serial in zip(parallel.reports, report.reports * jobs)
+        if row.status != serial.status
+    ]
     assert [row.status for row in parallel.reports] == [
         row.status for row in report.reports
-    ] * jobs
+    ] * jobs, differing
     # Every task names one database: one connection per worker thread.
     threads = [thread for thread, _ in opened]
     assert 2 <= len(set(threads)) == len(threads) <= jobs

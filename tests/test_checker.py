@@ -23,7 +23,7 @@ from sqlsynth.checker import (
 )
 from sqlsynth.lm import lexeme_tokens
 from sqlsynth.nsql.errors import ClauseOrderViolation, ParseError
-from sqlsynth.nsql.grammar import parse_clause_body, parse_complete, parse_select_body
+from sqlsynth.nsql.grammar import parse_clause_body, parse_complete
 from sqlsynth.nsql.lexemes import COMPARISONS, KEYWORDS
 from sqlsynth.nsql.normalize import normalize
 from sqlsynth.nsql.partial import parse_partial
@@ -205,7 +205,7 @@ def test_count_distinct_star_is_refused_as_sqlite_refuses_it(concerts):
     with pytest.raises(ParseError):
         normalize("select count(distinct *) from singer", concerts)
     with pytest.raises(ParseError):
-        parse_select_body("COUNT ( DISTINCT * )".split())
+        parse_clause_body(ClauseKind.SELECT, "COUNT ( DISTINCT * )".split())
     text = (
         "SELECT COUNT ( DISTINCT * )\nFROM singer\n"
         "WHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
@@ -213,7 +213,7 @@ def test_count_distinct_star_is_refused_as_sqlite_refuses_it(concerts):
     verdict = make_checker(concerts, None)(text, True)
     assert not verdict.ok and verdict.kind is ErrorKind.SYNTAX
     for body in ("COUNT ( * )", "COUNT ( DISTINCT singer.age )"):
-        assert parse_select_body(body.split())
+        assert parse_clause_body(ClauseKind.SELECT, body.split())
 
 
 # -- scope ------------------------------------------------------------------
@@ -296,7 +296,7 @@ def test_scope_covers_order_by(concerts):
 
 
 def _items(body):
-    _, items = parse_select_body(body)
+    _, items = parse_clause_body(ClauseKind.SELECT, body)
     return items
 
 

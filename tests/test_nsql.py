@@ -288,12 +288,13 @@ def test_parse_complete_rejects_damage():
 
 def test_a_failing_clause_body_is_parsed_once_and_fails_alike(monkeypatch):
     calls = []
+    parse = grammar.parse_clause_body
 
-    def counting(body):
+    def counting(kind, body):
         calls.append(tuple(body))
-        return grammar.parse_limit_body(body)
+        return parse(kind, body)
 
-    monkeypatch.setitem(grammar._CLAUSE_GRAMMARS, ClauseKind.LIMIT, counting)
+    monkeypatch.setattr(grammar, "parse_clause_body", counting)
     raised = []
     for _ in range(2):
         with pytest.raises(ParseError) as caught:
@@ -653,6 +654,20 @@ def test_normalize_is_idempotent_on_canonical_text(schemas, normalized_tasks):
         schema = schemas[task.db_id]
         again = normalize(task.gold_query, schema)
         assert again.render() == task.gold_query
+
+
+def test_normalize_reads_canonical_text_as_parse_complete_does(
+    schemas, normalized_tasks
+):
+    """Grading reads gold through ``normalize`` alone, so on canonical
+    text it must build the query ``parse_complete`` builds."""
+    cases = [(task.gold_query, schemas[task.db_id]) for task in normalized_tasks]
+    rng = random.Random(29)
+    for schema in schemas.values():
+        cases.extend((q.render(), schema) for q in distinct_queries(schema, rng, 200))
+    assert len(cases) >= 650
+    for text, schema in cases:
+        assert normalize(text, schema) == parse_complete(text), text
 
 
 def test_rewrite_dataset_reports_rejections(tasks, schemas):

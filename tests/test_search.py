@@ -674,15 +674,13 @@ def parsed(monkeypatch) -> list[tuple[object, tuple[str, ...]]]:
     """Every ``(kind, body)`` a clause grammar runs on, in order."""
     seen: list[tuple[object, tuple[str, ...]]] = []
 
-    def counting(kind, original):
-        def parse(body, *args, **kwargs):
-            seen.append((kind, tuple(body)))
-            return original(body, *args, **kwargs)
+    parse = grammar.parse_clause_body
 
-        return parse
+    def counting(kind, body):
+        seen.append((kind, tuple(body)))
+        return parse(kind, body)
 
-    for kind, parse in list(grammar._CLAUSE_GRAMMARS.items()):
-        monkeypatch.setitem(grammar._CLAUSE_GRAMMARS, kind, counting(kind, parse))
+    monkeypatch.setattr(grammar, "parse_clause_body", counting)
     # A grammar imported directly would bypass the count.
     for module in (checker, search, repair):
         imported = {name for name in vars(module) if name.endswith("_body")}
