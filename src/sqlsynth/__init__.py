@@ -1,97 +1,34 @@
-"""Search-based synthesis of SQL queries from questions and example rows."""
+"""Search-based synthesis of SQL queries from questions and example rows.
 
-from .checker import (
-    CheckVerdict,
-    ErrorKind,
-    Label,
-    make_checker,
-    predict_label,
-)
-from .lm import (
-    EOS_TOKEN_ID,
-    AdapterError,
-    HttpCompletionModel,
-    ScriptedModel,
-    ScriptedRouter,
-    TokenCandidate,
-    load_scripted_model,
-)
-from .repair import (
-    ExecutionResult,
-    RepairOutcome,
-    execute_query,
-    execute_text,
-    hamming_one_queries,
-    label_by_execution,
-    satisfies_examples,
-    test_and_repair,
-)
-from .search import (
-    AttemptMode,
-    SearchConfig,
-    SearchNode,
-    SearchResult,
-    SearchStats,
-    SearchStatus,
-    collect_complete,
-    extend,
-    run_search,
-)
+The package root exports what a library caller needs to load a dataset,
+build a model and run a search; every other name is imported from the
+module that defines it.
+"""
+
+from .checker import make_checker
+from .lm import HttpCompletionModel, ScriptedModel
+from .search import SearchConfig, run_search
 from .tasks import (
-    ColumnType,
-    DatabaseSchema,
     ExampleTuple,
-    TaskDatabase,
     TaskInstance,
-    derive_example,
     load_schemas,
     load_tasks,
     open_database,
     refine_schema,
-    serialize_task,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdapterError",
-    "AttemptMode",
-    "CheckVerdict",
-    "ColumnType",
-    "DatabaseSchema",
-    "EOS_TOKEN_ID",
-    "ErrorKind",
     "ExampleTuple",
-    "ExecutionResult",
     "HttpCompletionModel",
-    "Label",
-    "RepairOutcome",
     "ScriptedModel",
-    "ScriptedRouter",
     "SearchConfig",
-    "SearchNode",
-    "SearchResult",
-    "SearchStats",
-    "SearchStatus",
-    "TaskDatabase",
     "TaskInstance",
-    "TokenCandidate",
-    "collect_complete",
-    "derive_example",
-    "execute_query",
-    "execute_text",
-    "extend",
-    "hamming_one_queries",
-    "label_by_execution",
     "load_schemas",
-    "load_scripted_model",
     "load_tasks",
     "make_checker",
     "open_database",
-    "predict_label",
     "refine_schema",
     "run_search",
-    "satisfies_examples",
-    "serialize_task",
-    "test_and_repair",
 ]

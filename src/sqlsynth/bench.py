@@ -331,15 +331,13 @@ class CheckerExperiment:
             for truth in LABEL_ORDER
         }
     )
-    samples: list[tuple[str, Label, Label]] = field(default_factory=list)
 
-    def record(self, text: str, truth: Label, predicted: Label) -> None:
+    def record(self, truth: Label, predicted: Label) -> None:
         self.matrix[truth][predicted] += 1
-        self.samples.append((text, truth, predicted))
 
     @property
     def total(self) -> int:
-        return len(self.samples)
+        return sum(sum(row.values()) for row in self.matrix.values())
 
     @property
     def agreements(self) -> int:
@@ -390,11 +388,11 @@ def run_checker_experiment(
 ) -> CheckerExperiment:
     """Label the top finished generations statically and by execution.
 
-    Generations are collected with pruning disabled so the static
-    checker is judged on raw model output.  Ground truth for result
-    mismatches comes from each task's gold query.
+    ``collect_complete`` gathers the generations with checks off, so the
+    static checker is judged on raw model output.  Ground truth for
+    result mismatches comes from each task's gold query.
     """
-    config = dataclasses.replace(config or SearchConfig(), pqc_enabled=False)
+    config = config or SearchConfig()
     experiment = CheckerExperiment()
     dbs = _open_databases(tasks, db_root)
     for task in tasks:
@@ -418,5 +416,5 @@ def run_checker_experiment(
             truth = label_by_execution(
                 text, conn, gold_rows=gold_rows, examples=examples
             )
-            experiment.record(text, truth, predicted)
+            experiment.record(truth, predicted)
     return experiment

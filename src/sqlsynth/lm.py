@@ -344,12 +344,12 @@ def _chunked(reader: BinaryIO) -> bytes:
     return b"".join(chunks)
 
 
-def _read_reply(reader: BinaryIO, head: bool) -> tuple[int, bool, bytes]:
+def _read_reply(reader: BinaryIO) -> tuple[int, bool, bytes]:
     """Read one reply: ``(status, keep_alive, body)``.
 
     1xx replies are skipped.  The body is read by ``Content-Length``, by
-    chunked transfer coding, or up to EOF; a reply to HEAD has none.  A
-    malformed reply is a ``ValueError``.
+    chunked transfer coding, or up to EOF.  A malformed reply is a
+    ``ValueError``.
     """
     status = 100
     while status < 200:
@@ -364,7 +364,7 @@ def _read_reply(reader: BinaryIO, head: bool) -> tuple[int, bool, bytes]:
     keep = parts[0] == b"HTTP/1.1" and b"close" not in headers.get(
         b"connection", b""
     ).lower()
-    if head or status in (204, 304):
+    if status in (204, 304):
         return status, keep, b""
     if b"chunked" in headers.get(b"transfer-encoding", b"").lower():
         return status, keep, _chunked(reader)
@@ -393,9 +393,10 @@ class HttpCompletionModel:
     the model is built) and the JSON body in one ``sendall``.  It reads
     the reply's status line (skipping 1xx replies), at most 100 headers
     of at most 64 KiB a line, and a body sized by ``Content-Length``,
-    sent chunked, or read up to EOF; a reply to HEAD has no body.  An
-    ``OSError`` or a malformed reply is ``AdapterUnavailable``; a status
-    other than 200 is ``ProtocolError``.
+    sent chunked, or read up to EOF.  An ``OSError`` or a malformed reply
+    is ``AdapterUnavailable``; a status other than 200 is
+    ``ProtocolError``.  A session sends nothing: an unreachable server
+    is reported by the first ``top_candidates``.
 
     Idle connections wait in a pool.  A call takes one (or opens one) and
     returns it only after reading a whole HTTP/1.1 reply without
@@ -434,21 +435,18 @@ class HttpCompletionModel:
         netloc = (f"[{host}]" if ":" in host else host).encode("idna")
         if port not in (None, default_port):
             netloc += b":%d" % port
-        head = [
-            target.encode() + b" HTTP/1.1",
+        lines = [
+            b"POST " + target.encode() + b" HTTP/1.1",
             b"Host: " + netloc,
             b"Accept-Encoding: identity",
             b"Content-Type: application/json",
         ]
         if auth_token:
-            head.append(b"Authorization: Bearer " + auth_token.encode("latin-1"))
-        head_lines = b"\r\n".join(head) + b"\r\n"
-        self._head_request = b"HEAD " + head_lines + b"\r\n"
-        self._post_prefix = b"POST " + head_lines + b"Content-Length: "
+            lines.append(b"Authorization: Bearer " + auth_token.encode("latin-1"))
+        self._post_prefix = b"\r\n".join(lines) + b"\r\nContent-Length: "
         self._timeout = timeout
         self._idle: list[_Connection] = []
         self._lock = threading.Lock()
-        self._reachable = False
 
     def close(self) -> None:
         """Close the idle connections; a later call opens a new one."""
@@ -470,7 +468,7 @@ class HttpCompletionModel:
             raise
         return sock, sock.makefile("rb")
 
-    def _exchange(self, request: bytes, head: bool = False) -> tuple[int, bytes]:
+    def _exchange(self, request: bytes) -> tuple[int, bytes]:
         """Send one request and read its whole reply: ``(status, body)``."""
         with self._lock:
             conn = self._idle.pop() if self._idle else None
@@ -492,7 +490,7 @@ class HttpCompletionModel:
                     _close(conn)
                     conn = self._connect()
                     reused = False
-            status, keep, data = _read_reply(conn[1], head)
+            status, keep, data = _read_reply(conn[1])
         except (OSError, ValueError) as exc:
             if conn is not None:
                 _close(conn)
@@ -505,9 +503,6 @@ class HttpCompletionModel:
         return status, data
 
     def start_session(self, task_text: str) -> GenerationSession:
-        if not self._reachable:
-            self._exchange(self._head_request, head=True)
-            self._reachable = True
         return GenerationSession(task_text)
 
     def top_candidates(

@@ -1,86 +1,9 @@
-"""Canonical SQL dialect: grammar, parsing, rendering, normalization."""
+"""Canonical SQL dialect: grammar, parsing, rendering, normalization.
 
-from .errors import (
-    AmbiguousColumn,
-    ClauseOrderViolation,
-    NormalizationError,
-    ParseError,
-    SelfJoinUnsupported,
-    SetOperationUnsupported,
-    SqlError,
-    StructureError,
-    UnknownName,
-)
-from .grammar import parse_complete
-from .lexemes import (
-    AGGREGATIONS,
-    COMPARISONS,
-    CONNECTIVES,
-    is_column_ref,
-    is_constant,
-    is_number,
-    is_string_const,
-    split_line,
-)
-from .normalize import normalize, rewrite_dataset
-from .partial import parse_partial
-from .query import (
-    AggExpr,
-    BoolOp,
-    CLAUSE_ORDER,
-    ClauseKind,
-    ColumnRef,
-    Condition,
-    Constant,
-    FromClause,
-    JoinEdge,
-    NormalizedQuery,
-    OrderItem,
-    Predicate,
-    SelectItem,
-    Star,
-    denormalize_text,
-    exact_match,
-    query_skeleton,
-)
+The package exports ``rewrite_dataset``; every other name is imported
+from the module that defines it.
+"""
 
-__all__ = [
-    "AGGREGATIONS",
-    "AggExpr",
-    "AmbiguousColumn",
-    "BoolOp",
-    "CLAUSE_ORDER",
-    "COMPARISONS",
-    "CONNECTIVES",
-    "ClauseKind",
-    "ClauseOrderViolation",
-    "ColumnRef",
-    "Condition",
-    "Constant",
-    "FromClause",
-    "JoinEdge",
-    "NormalizationError",
-    "NormalizedQuery",
-    "OrderItem",
-    "ParseError",
-    "Predicate",
-    "SelectItem",
-    "SelfJoinUnsupported",
-    "SetOperationUnsupported",
-    "SqlError",
-    "Star",
-    "StructureError",
-    "UnknownName",
-    "denormalize_text",
-    "exact_match",
-    "is_column_ref",
-    "is_constant",
-    "is_number",
-    "is_string_const",
-    "normalize",
-    "parse_complete",
-    "parse_partial",
-    "query_skeleton",
-    "rewrite_dataset",
-    "split_line",
-]
+from .normalize import rewrite_dataset
+
+__all__ = ["rewrite_dataset"]

@@ -262,13 +262,14 @@ def rewrite_dataset(
 ) -> tuple[list[TaskInstance], list[tuple[TaskInstance, str]]]:
     """Normalize every task's gold query.
 
-    Tasks whose gold query cannot be expressed in the dialect land in the
-    rejected list together with the reason; they are data, not errors.
+    A task without a gold query is kept as it is.  Tasks whose gold query
+    cannot be expressed in the dialect land in the rejected list together
+    with the reason; they are data, not errors.
     """
     normalized: list[TaskInstance] = []
     rejected: list[tuple[TaskInstance, str]] = []
     for task in tasks:
-        if task.gold_query is None:
+        if not task.gold_query:
             normalized.append(task)
             continue
         try:

@@ -106,7 +106,7 @@ def execute_text(
     sql: str,
     params: Sequence[object] = (),
     *,
-    timeout: float = 1.0,
+    timeout: float = STATEMENT_TIMEOUT,
 ) -> ExecutionResult:
     """Run one statement, with ``params`` bound to its ``?`` marks, under
     a wall-clock budget and a cap of ``ROW_LIMIT`` rows.  A value that
@@ -151,7 +151,10 @@ def execute_text(
 
 
 def execute_query(
-    conn: sqlite3.Connection, query: NormalizedQuery, *, timeout: float = 1.0
+    conn: sqlite3.Connection,
+    query: NormalizedQuery,
+    *,
+    timeout: float = STATEMENT_TIMEOUT,
 ) -> ExecutionResult:
     return execute_text(conn, query.render_compact(), timeout=timeout)
 

@@ -175,7 +175,7 @@ class TaskInstance:
     id: str
     db_id: str
     question: str
-    gold_query: str | None = None
+    gold_query: str = ""
     examples: frozenset[ExampleTuple] = frozenset()
 
     def __post_init__(self) -> None:

@@ -29,9 +29,14 @@ from sqlsynth.lm import (
     ScriptedRouter,
     lexeme_tokens,
 )
-from sqlsynth.nsql.normalize import normalize
+from sqlsynth.nsql.normalize import normalize, rewrite_dataset
 from sqlsynth.search import AttemptMode, SearchConfig, search_task_text
-from sqlsynth.tasks import ExampleTuple, TaskDatabase, TaskInstance
+from sqlsynth.tasks import (
+    ExampleTuple,
+    TaskDatabase,
+    TaskInstance,
+    load_tasks,
+)
 from tests.test_lm import (  # noqa: F401 (fixtures)
     DROP,
     STALL,
@@ -522,8 +527,8 @@ def test_run_ablation_sixteen_runs(bench_tasks, schemas, fixture_paths, router):
 
 def test_checker_experiment_bookkeeping():
     experiment = CheckerExperiment()
-    experiment.record("SELECT a\n", Label.CORRECT, Label.CORRECT)
-    experiment.record("SELECT b\n", Label.SYNTAX_ERROR, Label.CORRECT)
+    experiment.record(Label.CORRECT, Label.CORRECT)
+    experiment.record(Label.SYNTAX_ERROR, Label.CORRECT)
     assert experiment.total == 2
     assert experiment.agreements == 1
     data = experiment.as_dict()
@@ -1027,6 +1032,35 @@ def test_cli_normalize_dataset(tmp_path, capsys, fixture_paths):
     kept = json.loads(output.read_text())
     assert len(kept) == 1
     assert kept[0]["query"].startswith("SELECT COUNT ( * )\nFROM singer\n")
+
+
+def test_a_task_without_a_gold_query_is_kept_unchanged(
+    tmp_path, capsys, fixture_paths, schemas
+):
+    """``query`` is optional in a task file: normalizing keeps a task
+    without one as it is, in the library and on the command line."""
+    no_query = {key: value for key, value in COUNT_RECORD.items() if key != "query"}
+    no_query["id"] = "cli-004"
+    dataset = _dataset_file(tmp_path, [COUNT_RECORD, no_query])
+    tasks = load_tasks(dataset, schemas)
+    kept, rejected = rewrite_dataset(tasks, schemas)
+    assert rejected == [] and kept[1] == tasks[1]
+    assert tasks[1].gold_query == ""
+    output = tmp_path / "kept.json"
+    code = cli.main(
+        [
+            "normalize",
+            "--tables",
+            str(fixture_paths.tables),
+            "--tasks",
+            dataset,
+            "--output",
+            str(output),
+        ]
+    )
+    assert code == 0
+    assert "normalized 2 tasks, rejected 0" in capsys.readouterr().out
+    assert load_tasks(output, schemas)[1] == tasks[1]
 
 
 def test_cli_checker_experiment(tmp_path, capsys, fixture_paths, canon):

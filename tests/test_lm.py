@@ -248,10 +248,6 @@ class _CannedHandler(BaseHTTPRequestHandler):
     requests_seen: list[dict] = []
     status = 200
 
-    def do_HEAD(self):
-        self.send_response(200)
-        self.end_headers()
-
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
@@ -309,9 +305,6 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
         self.wfile.write(head.encode() + body)
         if self.server.close_after_reply:
             self.close_connection = True  # without saying Connection: close
-
-    def do_HEAD(self):
-        self._send(200, b"")
 
     def do_POST(self):
         request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -419,8 +412,9 @@ def test_http_model_rejects_bad_payloads(canned_server):
 
 def test_http_model_unreachable_host():
     model = HttpCompletionModel("http://127.0.0.1:1/nothing", timeout=0.2)
+    session = model.start_session("t")
     with pytest.raises(AdapterUnavailable):
-        model.start_session("t")
+        model.top_candidates(session, 2)
 
 
 def _echo(request):
@@ -438,8 +432,8 @@ def test_http_model_reopens_a_connection_the_server_closed(keepalive_server):
             assert [c.token_id for c in cands] == [prefix + "x "]
     finally:
         model.close()
-    # The HEAD, then one fresh connection for each call; nothing is sent twice.
-    assert (server.accepted, len(server.posted)) == (4, 3)
+    # One fresh connection for each call; nothing is sent twice.
+    assert (server.accepted, len(server.posted)) == (3, 3)
 
 
 def test_http_model_timeout_is_not_retried(keepalive_server):
@@ -619,21 +613,18 @@ def test_http_model_reads_a_chunked_reply_after_100_continue(raw_server):
     assert (server.accepted, len(server.requests)) == (1, 2)
 
 
-def test_http_model_reads_no_body_after_head(raw_server):
-    def reply(method, count):
-        if method == b"HEAD":
-            return b"HTTP/1.1 200 OK\r\nContent-Length: 42\r\n\r\n"
-        return _OK
-
-    server = raw_server(reply)
+def test_http_model_session_sends_nothing_before_its_first_completion(raw_server):
+    server = raw_server(lambda method, count: _OK)
     model = HttpCompletionModel(server.url, timeout=2)
     try:
-        model.start_session("t")
-        assert _call(model) == ["SELECT "]
+        session = model.start_session("t")
+        time.sleep(0.2)  # the server's accept loop polls every 0.05 s
+        assert server.accepted == 0
+        assert [c.token_id for c in model.top_candidates(session, 2)] == ["SELECT "]
     finally:
         model.close()
     assert server.accepted == 1
-    assert [line.split()[0] for line in server.requests] == [b"HEAD", b"POST"]
+    assert [line.split()[:2] for line in server.requests] == [[b"POST", b"/complete"]]
 
 
 def test_http_model_does_not_reuse_a_connection_the_reply_closes(raw_server):

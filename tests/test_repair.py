@@ -93,6 +93,20 @@ def test_execute_query_drops_empty_clauses(connect):
     assert result.ok and len(result.rows) == 2
 
 
+def test_label_by_execution_calls_a_timed_out_statement_a_runtime_error(
+    monkeypatch, connect
+):
+    budgets = []
+
+    def timed_out(conn, sql, params=(), *, timeout):
+        budgets.append(timeout)
+        return ExecutionResult.timed_out()
+
+    monkeypatch.setattr(repair, "execute_text", timed_out)
+    assert label_by_execution(GOLD, connect("concerts")) is Label.RUNTIME_ERROR
+    assert budgets == [repair.STATEMENT_TIMEOUT]
+
+
 # Every line break str.splitlines() knows besides "\n", which the
 # canonical text keeps out of string constants.
 _OTHER_LINE_BREAKS = [

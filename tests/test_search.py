@@ -481,6 +481,36 @@ def test_run_search_skips_misordered_eos_with_checks_off(schemas):
     assert result.stats.failed_queries == []
 
 
+@pytest.mark.parametrize(
+    "mode, status, tested",
+    [
+        (AttemptMode.SINGLE, SearchStatus.EXHAUSTED, 1),
+        (AttemptMode.MULTIPLE, SearchStatus.SOLVED, 2),
+    ],
+)
+def test_run_search_records_an_unparsable_eos_with_checks_off(
+    schemas, mode, status, tested
+):
+    """Seven clause lines whose WHERE body does not parse: a failed
+    attempt, recorded as the model wrote it."""
+    bad = GOLD.replace("singer.age > 30", "singer.age >")
+    model = ScriptedModel([
+        (lexeme_tokens(bad), 0.6),
+        (lexeme_tokens(GOLD), 0.4),
+    ])
+    result = run_search(
+        _task(),
+        schemas["concerts"],
+        None,
+        model,
+        tester=_accept_all,
+        config=SearchConfig(pqc_enabled=False, attempt_mode=mode),
+    )
+    assert result.status is status
+    assert result.stats.complete_queries_tested == tested
+    assert result.stats.failed_queries == [bad]
+
+
 def test_run_search_prunes_malformed_paths_with_checks_on(schemas):
     bad = GOLD.replace("singer.age", "singer.wingspan")
     model = ScriptedModel([
@@ -625,6 +655,29 @@ def test_collect_complete_orders_by_probability():
     assert collected == [texts[1], texts[2], texts[0]]
     assert collect_complete("task", model, 2) == [texts[1], texts[2]]
     assert collect_complete("task", model, 10) == [texts[1], texts[2], texts[0]]
+
+
+class _StallingModel(ScriptedModel):
+    """A scripted model that stalls past any short time limit once asked
+    to continue a prefix holding ``stall_on``."""
+
+    def __init__(self, paths, stall_on: str) -> None:
+        super().__init__(paths)
+        self._stall_on = stall_on
+
+    def top_candidates(self, session, k):
+        if self._stall_on in "".join(session.prefix):
+            time.sleep(0.3)
+        return super().top_candidates(session, k)
+
+
+def test_collect_complete_returns_what_it_gathered_by_the_deadline():
+    first = "SELECT t.a\nFROM t\nWHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    second = first.replace("t.a", "t.b")
+    model = _StallingModel(
+        [(lexeme_tokens(first), 0.6), (lexeme_tokens(second), 0.4)], "t.b"
+    )
+    assert collect_complete("task", model, 2, SearchConfig(time_limit=0.2)) == [first]
 
 
 def test_benchmark_entry_points_still_resolve():

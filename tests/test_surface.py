@@ -9,10 +9,12 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
 import sqlsynth
+import sqlsynth.nsql
 from sqlsynth.lm import ScriptedModel
 from sqlsynth.search import SearchStatus, run_search
 from sqlsynth.tasks import ExampleTuple, TaskInstance, open_database
@@ -22,6 +24,26 @@ _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 def test_every_public_name_resolves():
     assert [name for name in sqlsynth.__all__ if not hasattr(sqlsynth, name)] == []
+
+
+def test_the_package_roots_export_what_their_importers_import():
+    """The README's library example and the benchmark import these names
+    from the package roots; everything else comes from its module."""
+    assert sorted(sqlsynth.__all__) == [
+        "ExampleTuple",
+        "HttpCompletionModel",
+        "ScriptedModel",
+        "SearchConfig",
+        "TaskInstance",
+        "load_schemas",
+        "load_tasks",
+        "make_checker",
+        "open_database",
+        "refine_schema",
+        "run_search",
+    ]
+    assert sqlsynth.nsql.__all__ == ["rewrite_dataset"]
+    assert isinstance(sqlsynth.nsql.normalize, types.ModuleType)
 
 
 def _tracer_entry_points():
