@@ -1,10 +1,13 @@
 """Best-first decoding of canonical queries guided by token probabilities.
 
-The frontier holds partial generations ordered by cumulative probability
-(tracked in log space); the most probable prefix is extended with the
-model's top-k continuations.  Static checks veto children at push time,
-finished candidates go to the tester, and a failed candidate simply
-falls out of the frontier so search resumes from the next best prefix.
+The frontier is a heap of ``(cost, -depth, tokens, text)`` tuples, where
+``cost`` is the negated cumulative log-probability: the most probable
+prefix pops first, then the deeper one, then the token sequence.  The
+popped prefix is extended with the model's top-k continuations.  Static
+checks veto children at push time, and a child's tokens and entry are
+built only after it passes its check.  Finished candidates go to the
+tester, and a failed candidate simply falls out of the frontier so
+search resumes from the next best prefix.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import enum
 import heapq
 import itertools
 import math
-import sqlite3
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Protocol, Sequence
@@ -79,57 +81,27 @@ class SearchStats:
         return dataclasses.asdict(self)
 
 
-@dataclass(frozen=True)
-class SearchNode:
-    text: str
-    tokens: tuple[str, ...] = ()
-    log_prob: float = 0.0
+# A frontier entry: (cost, -depth, tokens, text), cost the negated
+# log-probability, so heapq pops the most probable, then deepest, first.
+Node = tuple[float, int, tuple[str, ...], str]
 
-    @property
-    def depth(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def cum_prob(self) -> float:
-        return math.exp(self.log_prob)
+ROOT: Node = (0.0, 0, (), "")
 
 
-ROOT = SearchNode(text="")
-
-
-def extend(node: SearchNode, candidate: TokenCandidate) -> SearchNode:
+def extend(node: Node, candidate: TokenCandidate) -> Node:
     """Fold one continuation into a node, accumulating in log space.
 
     Long generations underflow a plain probability product, so the node
-    carries ``log_prob`` and ``cum_prob`` is recovered on demand.
+    carries its negated log-probability; ``math.log`` raises
+    ``ValueError`` for a probability of zero or less.
     """
-    if candidate.prob <= 0.0:
-        raise ValueError("cannot extend with a zero-probability candidate")
-    return SearchNode(
-        text=node.text + candidate.surface,
-        tokens=node.tokens + (candidate.token_id,),
-        log_prob=node.log_prob + math.log(candidate.prob),
+    cost, neg_depth, tokens, text = node
+    return (
+        cost - math.log(candidate.prob),
+        neg_depth - 1,
+        tokens + (candidate.token_id,),
+        text + candidate.surface,
     )
-
-
-class Frontier:
-    """Max-probability heap with ties broken toward deeper prefixes.
-
-    Token sequences must be distinct; the search pushes each at most once.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, tuple[str, ...], SearchNode]] = []
-
-    def push(self, node: SearchNode) -> None:
-        heapq.heappush(
-            self._heap, (-node.log_prob, -node.depth, node.tokens, node)
-        )
-
-    def pop_best(self) -> SearchNode | None:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[3]
 
 
 @dataclass(frozen=True)
@@ -149,14 +121,6 @@ Checker = Callable[[str, bool], CheckVerdict]
 Tester = Callable[[NormalizedQuery, float | None], RepairOutcome]
 
 
-def _is_direct_child(parent: SearchNode | None, node: SearchNode) -> bool:
-    if parent is None:
-        return True
-    return (
-        node.depth == parent.depth + 1 and node.tokens[: parent.depth] == parent.tokens
-    )
-
-
 class _DeadlinePassed(Exception):
     """The time budget ran out before the frontier did."""
 
@@ -168,36 +132,37 @@ def _best_first(
     config: SearchConfig,
     checker: Checker | None,
     deadline: float,
-) -> Iterator[SearchNode]:
-    """Pop nodes best first; yield each end-of-sequence node and expand
+) -> Iterator[str]:
+    """Pop nodes best first; yield each end-of-sequence text and expand
     the rest with the model's top-k continuations that pass ``checker``.
     Ends when the frontier is empty and raises ``_DeadlinePassed`` when
-    time runs out first."""
-    frontier = Frontier()
-    frontier.push(ROOT)
-    previous: SearchNode | None = None
+    time runs out first.  A pop backtracks when it does not extend the
+    previous pop."""
+    frontier = [ROOT]
+    previous: tuple[str, ...] = ()
     while True:
         if time.monotonic() > deadline:
             raise _DeadlinePassed
-        node = frontier.pop_best()
-        if node is None:
+        if not frontier:
             return
-        if not _is_direct_child(previous, node):
+        node = heapq.heappop(frontier)
+        _, _, tokens, text = node
+        if tokens[:-1] != previous:
             stats.backtracks += 1
-        previous = node
-        if node.tokens and node.tokens[-1] == EOS_TOKEN_ID:
-            yield node
+        previous = tokens
+        if tokens and tokens[-1] == EOS_TOKEN_ID:
+            yield text
             continue
         candidates = model.top_candidates(
-            GenerationSession(session.task_text, node.tokens), config.k
+            GenerationSession(session.task_text, tokens), config.k
         )
         stats.nodes_expanded += 1
         stats.candidates_generated += len(candidates)
         # Each node is popped once, so a token sequence repeats only when
         # one reply names a token id twice: its first passing child wins.
-        # A child is checked before its node is built, so a rejected one
+        # A child is checked before its entry is built, so a rejected one
         # costs its check and nothing more.
-        at_limit = node.depth + 1 >= config.max_tokens
+        at_limit = len(tokens) + 1 >= config.max_tokens
         pushed: set[str] = set()
         for candidate in candidates:
             eos = candidate.is_eos
@@ -206,14 +171,14 @@ def _best_first(
             if at_limit and not eos:
                 continue
             if checker is not None:
-                verdict = checker(node.text + candidate.surface, eos)
+                verdict = checker(text + candidate.surface, eos)
                 if not verdict.ok:
                     stats.pruned_by_checker += 1
                     continue
             if candidate.token_id in pushed:
                 continue
             pushed.add(candidate.token_id)
-            frontier.push(extend(node, candidate))
+            heapq.heappush(frontier, extend(node, candidate))
 
 
 def search_task_text(
@@ -229,7 +194,7 @@ def search_task_text(
 def run_search(
     task: TaskInstance,
     schema: DatabaseSchema,
-    db: TaskDatabase | sqlite3.Connection | None,
+    db: TaskDatabase | None,
     model: CompletionModel,
     *,
     checker: Checker | None = None,
@@ -242,10 +207,9 @@ def run_search(
     and the execute-then-repair tester over ``db``; tests may inject
     either.  ``checker`` vets prefixes only: the default tester checks
     repair variants from their clause bodies.  ``db`` may be omitted only
-    when ``tester`` is given.  A ``TaskDatabase`` lends this thread's
-    connection and a raw connection is used as given; neither is closed
-    here.  Checks, end-of-sequence parses and repair variants parse
-    clause bodies through one process-wide cache.
+    when ``tester`` is given; it lends this thread's connection, which is
+    not closed here.  Checks, end-of-sequence parses and repair variants
+    parse clause bodies through one process-wide cache.
     """
     config = config or SearchConfig()
     stats = SearchStats()
@@ -259,12 +223,9 @@ def run_search(
     prune: Checker | None = checker if config.pqc_enabled else None
 
     if tester is None:
-        if isinstance(db, TaskDatabase):
-            conn = db.connection()
-        elif isinstance(db, sqlite3.Connection):
-            conn = db
-        else:
+        if db is None:
             raise ValueError("run_search needs a database or an injected tester")
+        conn = db.connection()
 
         def tester(query: NormalizedQuery, until: float | None) -> RepairOutcome:
             return test_and_repair(
@@ -288,16 +249,16 @@ def run_search(
 
     try:
         session = model.start_session(search_task_text(task, schema, config))
-        for node in _best_first(session, model, stats, config, prune, deadline):
+        for text in _best_first(session, model, stats, config, prune, deadline):
             try:
-                query = parse_complete(node.text)
+                query = parse_complete(text)
             except StructureError:
                 continue  # ended mid-query; only reachable with checks off
             except ParseError:
                 query = None
             stats.complete_queries_tested += 1
             if query is None:
-                stats.failed_queries.append(node.text)
+                stats.failed_queries.append(text)
                 if config.attempt_mode is AttemptMode.SINGLE:
                     break
                 continue
@@ -337,11 +298,11 @@ def collect_complete(
     config = config or SearchConfig()
     deadline = time.monotonic() + config.time_limit
     session = model.start_session(task_text)
-    nodes = _best_first(session, model, SearchStats(), config, None, deadline)
+    texts = _best_first(session, model, SearchStats(), config, None, deadline)
     collected: list[str] = []
     try:
-        for node in itertools.islice(nodes, n):
-            collected.append(node.text)
+        for text in itertools.islice(texts, n):
+            collected.append(text)
     except _DeadlinePassed:
         pass
     return collected

@@ -1,9 +1,8 @@
 """Task model: schemas, databases, tasks and example tuples.
 
 Loads Spider-format ``tables.json`` and task files, opens the SQLite
-database behind each task read-only, derives example tuples from gold
-queries, and serializes the task description consumed by the language
-model adapters.
+database behind each task read-only, and serializes the task description
+consumed by the language model adapters.
 """
 
 from __future__ import annotations
@@ -29,14 +28,6 @@ class DuplicateDbId(DatasetError):
 
 class UnknownDbId(DatasetError):
     """A task record names a db_id with no loaded schema."""
-
-
-class EmptyResult(Exception):
-    """A gold query returned no rows, so no example can be derived."""
-
-
-class ExecutionError(Exception):
-    """A gold query failed to execute while deriving an example."""
 
 
 class ColumnType(enum.Enum):
@@ -394,20 +385,6 @@ def open_database(db_root: Path | str, db_id: str) -> TaskDatabase:
     if not path.is_file():
         raise DatasetError(f"no database file at {path}")
     return TaskDatabase(db_id, path)
-
-
-def derive_example(db: TaskDatabase, gold_query: str) -> ExampleTuple:
-    """The first tuple of the gold query's result, under the query's own
-    ordering; raises EmptyResult when the query returns no rows."""
-    with closing(db.connect()) as connection:
-        try:
-            cursor = connection.execute(gold_query)
-            row = cursor.fetchone()
-        except sqlite3.Error as exc:
-            raise ExecutionError(str(exc)) from exc
-    if row is None:
-        raise EmptyResult(gold_query)
-    return ExampleTuple.from_values(tuple(row))
 
 
 def refine_schema(db: TaskDatabase, schema: DatabaseSchema) -> DatabaseSchema:

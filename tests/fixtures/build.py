@@ -2,7 +2,8 @@
 
 Usable as a module (``write_fixture_tree``) from conftest and as a
 script (``python -m tests.fixtures.build --dest DIR``) to materialize
-the same tree for CLI experiments.
+the same tree for CLI experiments.  ``derive_example`` takes an example
+tuple from a gold query's result, as the tests do with generated queries.
 """
 
 from __future__ import annotations
@@ -10,8 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sqlite3
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
+
+from sqlsynth.tasks import ExampleTuple, TaskDatabase
 
 from .corpus import CORPUS
 
@@ -220,6 +224,28 @@ def _task_records(db_root: Path) -> list[dict]:
             }
         )
     return records
+
+
+class EmptyResult(Exception):
+    """A gold query returned no rows, so no example can be derived."""
+
+
+class ExecutionError(Exception):
+    """A gold query failed to execute while deriving an example."""
+
+
+def derive_example(db: TaskDatabase, gold_query: str) -> ExampleTuple:
+    """The first tuple of the gold query's result, under the query's own
+    ordering; raises EmptyResult when the query returns no rows."""
+    with closing(db.connect()) as connection:
+        try:
+            cursor = connection.execute(gold_query)
+            row = cursor.fetchone()
+        except sqlite3.Error as exc:
+            raise ExecutionError(str(exc)) from exc
+    if row is None:
+        raise EmptyResult(gold_query)
+    return ExampleTuple.from_values(tuple(row))
 
 
 def write_fixture_tree(root: Path) -> FixturePaths:

@@ -552,8 +552,8 @@ def test_criterion_09_probability_accumulation_accuracy():
         for prob in chain:
             node = extend(node, TokenCandidate("t", "t ", float(prob)))
         oracle_log = math.fsum(math.log(p) for p in chain)
-        log_err = abs(node.log_prob - oracle_log) / abs(oracle_log)
-        cum_err = abs(node.cum_prob - math.exp(oracle_log)) / math.exp(oracle_log)
+        log_err = abs(-node[0] - oracle_log) / abs(oracle_log)
+        cum_err = abs(math.exp(-node[0]) - math.exp(oracle_log)) / math.exp(oracle_log)
         worst = max(worst, log_err, cum_err)
     elapsed = time.perf_counter() - started
     assert worst <= 1e-12

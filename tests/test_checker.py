@@ -29,16 +29,14 @@ from sqlsynth.nsql.normalize import normalize
 from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import ClauseKind, denormalize_text
 from sqlsynth.repair import ExecutionStatus, execute_text, hamming_one_queries
-from sqlsynth.tasks import (
-    ColumnType,
+from sqlsynth.tasks import ColumnType, ExampleTuple, open_database
+from tests.fixtures import vocabulary as reference_vocabulary
+from tests.fixtures.build import (
+    DATABASES,
     EmptyResult,
-    ExampleTuple,
     ExecutionError,
     derive_example,
-    open_database,
 )
-from tests.fixtures import vocabulary as reference_vocabulary
-from tests.fixtures.build import DATABASES
 from tests.fixtures.randqueries import distinct_queries, random_query
 from tests.fixtures.textsplit import split_text
 from tests.test_acceptance import _MUTATION_FAMILIES

@@ -1,6 +1,7 @@
 """Every module-level import in ``src/`` is used by its module, every
-function parameter by its function, and every private definition by
-its module.
+function parameter by its function, every private definition by its
+module, and every public function and class by ``src/`` or a reader
+outside the tests.
 
 Standard-library (``ast``) forms of a linter's unused-import,
 unused-argument and unused-private-definition rules.  An import may stay unused when its name is in
@@ -11,15 +12,20 @@ name starts with ``_``, or when the function is a stub whose body is
 ``...`` or a docstring only, as in a protocol.  A private definition
 is a ``_``-prefixed, non-dunder module-level function, class or constant,
 or method; no module in ``src/`` imports another's private names, so a
-definition its own module never reads is dead.
+definition its own module never reads is dead.  A public module-level
+function or class must be read by some module in ``src/``, by name or as
+an attribute, or be named in ``perfbench/*.py`` or the README: one that
+only the tests read belongs in ``tests/fixtures/``.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src"
 _NOQA = "# noqa: F401"
 
 
@@ -221,17 +227,21 @@ def _definitions(tree: ast.Module):
                     yield method, method.name, True
 
 
+def _read_attributes(tree: ast.Module) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def unused_private_definitions(source: str) -> list[tuple[int, str]]:
     """``(line, name)`` for each private definition in ``source`` that
     the module never reads: a module-level one by its name, a method by
     its name or as an attribute."""
     tree = ast.parse(source)
     names = _used_names(tree)
-    attributes = {
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+    attributes = _read_attributes(tree)
     return sorted(
         (node.lineno, name)
         for node, name, is_method in _definitions(tree)
@@ -275,3 +285,65 @@ def test_no_module_in_src_defines_a_private_name_it_never_reads():
         for line, name in unused_private_definitions(path.read_text())
     ]
     assert found == []
+
+
+def unread_public_definitions(
+    sources: dict[str, str], mentions: str
+) -> list[tuple[str, int, str]]:
+    """``(module, line, name)`` for each public module-level function and
+    class in ``sources`` that no source reads, by name or as an attribute,
+    and that ``mentions`` never names."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set(re.findall(r"\w+", mentions))
+    for tree in trees.values():
+        read |= _used_names(tree) | _read_attributes(tree)
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, tree in trees.items()
+        for node in _module_level(tree)
+        if isinstance(node, _DEFINITIONS)
+        and not node.name.startswith("_")
+        and node.name not in read
+    )
+
+
+def test_the_public_definition_check_finds_what_it_should():
+    sources = {
+        "a.py": (
+            "def used():\n"
+            "    return Quoted\n"
+            "def orphan():\n"
+            "    pass\n"
+            "def documented():\n"
+            "    pass\n"
+            "def _private():\n"
+            "    pass\n"
+            "class Quoted:\n"
+            "    def method(self):\n"
+            "        pass\n"
+            "class Lonely:\n"
+            "    pass\n"
+        ),
+        "b.py": (
+            "import a\n"
+            "def caller(x: 'Annotated') -> None:\n"
+            "    a.used()\n"
+            "class Annotated:\n"
+            "    pass\n"
+        ),
+    }
+    assert unread_public_definitions(sources, "call documented() first") == [
+        ("a.py", 3, "orphan"), ("a.py", 12, "Lonely"), ("b.py", 2, "caller"),
+    ]
+
+
+def test_no_public_definition_in_src_is_read_only_by_tests():
+    sources = {
+        str(path.relative_to(_SRC)): path.read_text()
+        for path in sorted(_SRC.rglob("*.py"))
+    }
+    mentions = "\n".join(
+        path.read_text()
+        for path in [_ROOT / "README.md", *sorted((_ROOT / "perfbench").glob("*.py"))]
+    )
+    assert unread_public_definitions(sources, mentions) == []

@@ -36,9 +36,8 @@ from sqlsynth.repair import (
 from sqlsynth.search import (
     ROOT,
     AttemptMode,
-    Frontier,
     SearchConfig,
-    SearchNode,
+    SearchStats,
     SearchStatus,
     collect_complete,
     extend,
@@ -54,6 +53,7 @@ from sqlsynth.tasks import (
     TaskInstance,
     open_database,
 )
+from tests.fixtures import search as reference
 from tests.fixtures.corpus import (
     TWO_PATH_BEST,
     TWO_PATH_DB,
@@ -91,11 +91,12 @@ def _reject_all(query, until):
 def test_extend_accumulates_in_log_space():
     node = extend(ROOT, TokenCandidate("a ", "a ", 0.5))
     node = extend(node, TokenCandidate("b ", "b ", 0.25))
-    assert node.text == "a b "
-    assert node.tokens == ("a ", "b ")
-    assert node.depth == 2
-    assert node.log_prob == pytest.approx(math.log(0.125))
-    assert node.cum_prob == pytest.approx(0.125)
+    cost, depth, tokens, text = node
+    assert text == "a b "
+    assert tokens == ("a ", "b ")
+    assert depth == -2
+    assert cost == pytest.approx(-math.log(0.125))
+    assert math.exp(-cost) == pytest.approx(0.125)
 
 
 def test_extend_rejects_zero_probability():
@@ -106,24 +107,54 @@ def test_extend_rejects_zero_probability():
 # -- frontier ---------------------------------------------------------------
 
 
+class _TreeModel:
+    """Replies to each prefix from a fixed tree of ``(token, prob)`` lists,
+    each token its own surface, and logs the prefixes it is asked for."""
+
+    def __init__(self, tree: dict[tuple[str, ...], list[tuple[str, float]]]):
+        self.tree = tree
+        self.asked: list[tuple[str, ...]] = []
+
+    def start_session(self, task_text):
+        return GenerationSession(task_text)
+
+    def top_candidates(self, session, k):
+        self.asked.append(session.prefix)
+        return [
+            TokenCandidate(token, "" if token == EOS_TOKEN_ID else token, prob)
+            for token, prob in self.tree.get(session.prefix, [])[:k]
+        ]
+
+
 def test_frontier_pops_highest_probability_first():
-    frontier = Frontier()
-    low = extend(ROOT, TokenCandidate("low ", "low ", 0.2))
-    high = extend(ROOT, TokenCandidate("high ", "high ", 0.7))
-    frontier.push(low)
-    frontier.push(high)
-    assert frontier.pop_best() is high
-    assert frontier.pop_best() is low
-    assert frontier.pop_best() is None
+    model = _TreeModel(
+        {
+            (): [("low ", 0.2), ("high ", 0.7)],
+            ("low ",): [(EOS_TOKEN_ID, 1.0)],
+            ("high ",): [(EOS_TOKEN_ID, 1.0)],
+        }
+    )
+    assert collect_complete("t", model, 3) == ["high ", "low "]
+    assert model.asked == [(), ("high ",), ("low ",)]
 
 
 def test_frontier_breaks_ties_toward_deeper_nodes():
-    frontier = Frontier()
-    shallow = SearchNode("a ", ("a ",), math.log(0.5))
-    deep = SearchNode("b c ", ("b ", "c "), math.log(0.5))
-    frontier.push(shallow)
-    frontier.push(deep)
-    assert frontier.pop_best() is deep
+    """Once ``a `` is expanded, its end-of-sequence child at depth 2 and
+    its sibling ``b `` at depth 1 are both at 0.5: the deeper pops first."""
+    model = _TreeModel(
+        {
+            (): [("a ", 0.5), ("b ", 0.5)],
+            ("a ",): [(EOS_TOKEN_ID, 1.0)],
+            ("b ",): [(EOS_TOKEN_ID, 1.0)],
+        }
+    )
+    texts = search._best_first(
+        model.start_session("t"), model, SearchStats(), SearchConfig(), None, math.inf
+    )
+    assert next(texts) == "a "
+    assert model.asked == [(), ("a ",)]
+    assert list(texts) == ["b "]
+    assert model.asked == [(), ("a ",), ("b ",)]
 
 
 # -- end-to-end over scripted models ----------------------------------------
@@ -285,15 +316,6 @@ def test_run_search_needs_a_database_or_tester(schemas):
     model = ScriptedModel.from_queries([(GOLD, 1.0)])
     with pytest.raises(ValueError):
         run_search(_task(), schemas["concerts"], None, model)
-
-
-def test_run_search_accepts_a_raw_connection(schemas, connect):
-    model = ScriptedModel.from_queries([(GOLD, 1.0)])
-    conn = connect("concerts")
-    result = run_search(_task(), schemas["concerts"], conn, model)
-    assert result.status is SearchStatus.SOLVED
-    # The injected connection stays open for the caller.
-    assert conn.execute("SELECT 1").fetchone() == (1,)
 
 
 def test_searches_on_one_database_share_one_connection(
@@ -884,9 +906,9 @@ def test_repair_checks_variants_without_the_text_checker(
 
 def _reference_best_first(session, model, stats, config, checker, deadline):
     """``search._best_first`` as it built every child's node before
-    checking it."""
-    frontier = Frontier()
-    frontier.push(ROOT)
+    checking it, on the reference nodes and frontier."""
+    frontier = reference.Frontier()
+    frontier.push(reference.ROOT)
     previous = None
     while True:
         if time.monotonic() > deadline:
@@ -894,11 +916,11 @@ def _reference_best_first(session, model, stats, config, checker, deadline):
         node = frontier.pop_best()
         if node is None:
             return
-        if not search._is_direct_child(previous, node):
+        if not reference.is_direct_child(previous, node):
             stats.backtracks += 1
         previous = node
         if node.tokens and node.tokens[-1] == EOS_TOKEN_ID:
-            yield node
+            yield node.text
             continue
         candidates = model.top_candidates(
             GenerationSession(session.task_text, node.tokens), config.k
@@ -910,7 +932,7 @@ def _reference_best_first(session, model, stats, config, checker, deadline):
             eos = candidate.is_eos
             if candidate.prob <= 0.0 or not (eos or candidate.surface):
                 continue
-            child = extend(node, candidate)
+            child = reference.extend(node, candidate)
             if not eos and child.depth >= config.max_tokens:
                 continue
             if checker is not None and not checker(child.text, eos).ok:
@@ -928,19 +950,29 @@ def _reference_best_first(session, model, stats, config, checker, deadline):
 def test_search_builds_a_node_only_for_a_pushed_child(
     monkeypatch, normalized_tasks, schemas, fixture_paths, pqc_enabled, max_tokens
 ):
-    """On noisy fixture searches every ``extend`` call makes a node that
-    is pushed, and statistics and answer equal those of the loop that
-    built every child before checking it."""
-    counts = {"extend": 0, "push": 0}
-    push = Frontier.push
+    """On noisy fixture searches ``extend`` builds only the children that
+    are pushed: none the checker rejected, none past ``max_tokens`` and no
+    token sequence twice.  Statistics and answer equal those of the loop
+    that built every child before checking it."""
+    rejected: set[tuple[str, bool]] = set()
+    children: list[tuple[tuple, bool]] = []
+    make = search.make_checker
 
-    def counting_extend(node, candidate):
-        counts["extend"] += 1
-        return extend(node, candidate)
+    def recording_make_checker(schema, example):
+        check = make(schema, example)
 
-    def counting_push(frontier, node):
-        counts["push"] += 1
-        return push(frontier, node)
+        def recording(text, eos):
+            verdict = check(text, eos)
+            if not verdict.ok:
+                rejected.add((text, eos))
+            return verdict
+
+        return recording
+
+    def recording_extend(node, candidate):
+        child = extend(node, candidate)
+        children.append((child, candidate.is_eos))
+        return child
 
     config = SearchConfig(
         k=8, pqc_enabled=pqc_enabled, max_tokens=max_tokens, time_limit=20.0
@@ -953,13 +985,17 @@ def test_search_builds_a_node_only_for_a_pushed_child(
         with monkeypatch.context() as patch:
             patch.setattr(search, "_best_first", _reference_best_first)
             want = run_search(task, schema, db, model, config=config)
-        counts.update(extend=0, push=0)
+        rejected.clear()
+        children.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(search, "extend", counting_extend)
-            patch.setattr(Frontier, "push", counting_push)
+            patch.setattr(search, "make_checker", recording_make_checker)
+            patch.setattr(search, "extend", recording_extend)
             got = run_search(task, schema, db, model, config=config)
         assert _outcome(got) == _outcome(want), task.id
-        assert counts["extend"] == counts["push"] - 1, task.id  # less the root
+        assert not {(child[3], eos) for child, eos in children} & rejected, task.id
+        assert all(eos or -child[1] < max_tokens for child, eos in children), task.id
+        tokens = [child[2] for child, _ in children]
+        assert len(set(tokens)) == len(tokens), task.id
         pruned += got.stats.pruned_by_checker
         searches += 1
     assert searches >= 40

@@ -13,14 +13,11 @@ from sqlsynth.tasks import (
     DatabaseSchema,
     DatasetError,
     DuplicateDbId,
-    EmptyResult,
     ExampleTuple,
-    ExecutionError,
     Table,
     TaskInstance,
     UnknownDbId,
     database_path,
-    derive_example,
     dump_tasks,
     load_schemas,
     load_tasks,
@@ -29,6 +26,7 @@ from sqlsynth.tasks import (
     serialize_task,
     value_type,
 )
+from tests.fixtures.build import EmptyResult, ExecutionError, derive_example
 
 
 def test_load_schemas_reads_spider_layout(raw_schemas):
