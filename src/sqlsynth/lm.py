@@ -139,7 +139,7 @@ class ScriptedModel:
             if weight <= 0:
                 raise ValueError("path weights must be positive")
             self._insert(tuple(tokens), weight)
-        self._accumulate(self._root)
+        self._accumulate()
         if self._root.weight > 1 + _PROB_SUM_SLACK:
             raise ValueError("path weights must sum to at most 1")
         self._distractor = distractor
@@ -167,11 +167,17 @@ class ScriptedModel:
             node = node.children.setdefault(token, _TrieNode())
         node.end_weight += weight
 
-    def _accumulate(self, node: _TrieNode) -> float:
-        node.weight = node.end_weight + sum(
-            self._accumulate(child) for child in node.children.values()
-        )
-        return node.weight
+    def _accumulate(self) -> None:
+        """Set each node's weight to its end weight plus its children's
+        weights, children first, without recursion: a path may be longer
+        than the interpreter's recursion limit."""
+        nodes = [self._root]
+        for node in nodes:  # breadth first: each parent before its children
+            nodes.extend(node.children.values())
+        for node in reversed(nodes):
+            node.weight = node.end_weight + sum(
+                child.weight for child in node.children.values()
+            )
 
     # -- adapter protocol ---------------------------------------------------
 

@@ -19,6 +19,19 @@ list; the query's own rows and each swap's are projections of the
 widened rows.  Dropping a column from such a query leaves its multiset
 of rows unchanged, and its row order is unspecified anyway.
 
+Those swaps are taken straight from the SELECT body, in the order
+``hamming_one_queries`` yields them: positions left to right, columns in
+schema order.  A swap to a FROM table's column is judged from the
+widened rows by its widened column index, and only a hit is built as a
+query.  The static checks' verdict on such a swap depends only on the
+SELECT item it edits and the new column's declared type: the other six
+clause bodies and the other lexemes do not change, and a FROM table's
+schema column passes the vocabulary and scope checks wherever a plain
+column stands.  So the checks run once per item and type, on the first
+swap of each.  A swap to the column of a table only an IN-subquery
+names is built, checked and run on its own, as every variant of a query
+without widened rows is.
+
 The WHERE variants of an eligible query that reads one table are judged
 on the example's candidate rows.  Such a variant's rows contain an
 example exactly when some table row passes its WHERE and projects to
@@ -42,7 +55,7 @@ import time
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .checker import Label, make_query_check
 from .nsql.errors import ParseError
@@ -65,7 +78,7 @@ from .nsql.query import (
     SelectItem,
     denormalize_text,
 )
-from .tasks import DatabaseSchema, ExampleTuple
+from .tasks import ColumnType, DatabaseSchema, ExampleTuple
 
 ROW_LIMIT = 100_000
 STATEMENT_TIMEOUT = 1.0
@@ -217,13 +230,36 @@ def _alternatives(lexeme: str, column_refs: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(member for member in pool if member != lexeme)
 
 
+def _column_refs(query: NormalizedQuery, schema: DatabaseSchema) -> tuple[str, ...]:
+    """What a column reference of ``query`` may be swapped for: every
+    column of the tables it names, in schema order."""
+    named = _named_tables(query)
+    return tuple(
+        f"{table.name}.{column.name}"
+        for table in schema.tables
+        if table.name.lower() in named
+        for column in table.columns
+    )
+
+
+def _clause_bodies(query: NormalizedQuery) -> dict[ClauseKind, tuple[str, ...]]:
+    return {
+        kind: tuple(split_line(query.clause_body(kind), terminated=True)[0])
+        for kind in CLAUSE_ORDER
+    }
+
+
 def hamming_one_queries(
-    query: NormalizedQuery, schema: DatabaseSchema
+    query: NormalizedQuery,
+    schema: DatabaseSchema,
+    *,
+    edited: Sequence[ClauseKind] = CLAUSE_ORDER,
 ) -> Iterator[tuple[NormalizedQuery, ClauseKind, dict[ClauseKind, tuple[str, ...]]]]:
     """Yield every parseable query one lexeme-substitution away, as
     ``(variant, kind, bodies)``: ``kind`` is the edited clause and
     ``bodies`` maps each clause to the body lexemes ``variant`` parses
-    from.
+    from.  Only the ``edited`` clauses are edited; ``test_and_repair``
+    leaves out SELECT when it has judged the SELECT edits itself.
 
     Positions are visited left to right through the clause bodies, in
     clause order; alternatives keep their declaration order.  Column
@@ -234,18 +270,10 @@ def hamming_one_queries(
     variant's clauses are parsed through the clause cache, so the six it
     shares with the query cost a lookup.
     """
-    named = _named_tables(query)
-    column_refs = tuple(
-        f"{table.name}.{column.name}"
-        for table in schema.tables
-        if table.name.lower() in named
-        for column in table.columns
-    )
-    clauses = {
-        kind: tuple(split_line(query.clause_body(kind), terminated=True)[0])
-        for kind in CLAUSE_ORDER
-    }
-    for kind, body in clauses.items():
+    column_refs = _column_refs(query, schema)
+    clauses = _clause_bodies(query)
+    for kind in edited:
+        body = clauses[kind]
         for position, lexeme in enumerate(body):
             for replacement in _alternatives(lexeme, column_refs):
                 patched = (*body[:position], replacement, *body[position + 1 :])
@@ -292,19 +320,71 @@ def _widened(
     return statement, columns
 
 
-def _select_swap(
-    original: NormalizedQuery,
-    variant: NormalizedQuery,
-    columns: Mapping[ColumnRef, int],
-) -> tuple[int, int] | None:
-    """The SELECT position that ``variant``, a one-edit SELECT variant of
-    ``original``, edits and the widened-row index of the column it puts
-    there, when ``columns`` holds that column."""
-    for position, (old, new) in enumerate(zip(original.select, variant.select)):
-        if old != new:
-            index = columns.get(new.expr)
-            return None if index is None else (position, index)
-    return None
+def _select_swaps(
+    query: NormalizedQuery,
+    schema: DatabaseSchema,
+    clauses: Mapping[ClauseKind, tuple[str, ...]],
+) -> Iterator[tuple[int, str]]:
+    """The SELECT edits ``hamming_one_queries`` makes of ``query``, a
+    query that selects plain columns, in its order: each as its position
+    in the SELECT body and the column reference put there."""
+    column_refs = _column_refs(query, schema)
+    for position, lexeme in enumerate(clauses[ClauseKind.SELECT]):
+        for replacement in _alternatives(lexeme, column_refs):
+            if is_column_ref(replacement):  # any other would not parse
+                yield position, replacement
+
+
+def _swapped(
+    query: NormalizedQuery,
+    clauses: Mapping[ClauseKind, tuple[str, ...]],
+    position: int,
+    replacement: str,
+) -> tuple[dict[ClauseKind, tuple[str, ...]], NormalizedQuery]:
+    """The bodies and the query of the swap that puts ``replacement``, a
+    column reference, at ``position`` of the SELECT body of ``query``, a
+    query that selects plain columns: what ``parse_clause_bodies`` makes
+    of those bodies is ``query`` with SELECT item ``position // 2``
+    replaced."""
+    item = position // 2
+    body = clauses[ClauseKind.SELECT]
+    bodies = {
+        **clauses,
+        ClauseKind.SELECT: (*body[:position], replacement, *body[position + 1 :]),
+    }
+    ref = SelectItem(ColumnRef(*replacement.split(".", 1)))
+    select = (*query.select[:item], ref, *query.select[item + 1 :])
+    return bodies, dataclasses.replace(query, select=select)
+
+
+def _swap_hits(
+    rows: Sequence[tuple], width: int, examples: Sequence[ExampleTuple]
+) -> Callable[[int, int], bool]:
+    """Whether the widened ``rows``, cut to the query's ``width`` columns
+    with widened column ``index`` standing at SELECT ``item``, contain
+    every example, by Python's ``==`` as ``satisfies_examples`` compares.
+
+    A row can only match an example at ``item`` when its other columns
+    already do; those rows are collected once per example and item.
+    """
+    targets = [example.values for example in examples]
+    if any(len(target) != width for target in targets):
+        return lambda item, index: False
+    near: dict[tuple[int, int], list[tuple]] = {}
+
+    def hits(item: int, index: int) -> bool:
+        for number, target in enumerate(targets):
+            matching = near.get((number, item))
+            if matching is None:
+                rest = target[:item] + target[item + 1 :]
+                matching = near[number, item] = [
+                    row for row in rows if row[:item] + row[item + 1 : width] == rest
+                ]
+            if target[item] not in [row[index] for row in matching]:
+                return False
+        return True
+
+    return hits
 
 
 _ROWID_NAMES = frozenset({"rowid", "_rowid_", "oid"})
@@ -361,11 +441,15 @@ def test_and_repair(
 
     With repair on, an eligible query (see the module docstring) runs as
     its widened statement: the original's rows are the widened rows cut
-    to the query's own columns, and every SELECT-column swap is answered
-    from them, its result being the widened rows cut the same way with
-    the swapped column in place.  When the widened statement fails or
-    times out, the original runs on its own with a budget of its own, as
-    with repair off, and every variant runs as a statement of its own.
+    to the query's own columns, and every SELECT-column swap to a FROM
+    table's column is answered from them, its result being the widened
+    rows cut the same way with the swapped column in place.  Those swaps
+    are neither parsed nor checked one by one: the prefilter's verdict is
+    taken once per SELECT item and column type, and only the hit is built
+    as a query.  The walk then goes on to the other clauses' variants.
+    When the widened statement fails or times out, the original runs on
+    its own with a budget of its own, as with repair off, and every
+    variant runs as a statement of its own.
 
     When the widened statement ran and the query reads one table, the
     WHERE variants after the first are judged on candidate rows.  At the
@@ -452,39 +536,72 @@ def test_and_repair(
     check = None
     if prefilter:
         check = make_query_check(schema, example_list[0] if example_list else None)
+    tried = 0
+    if wide_rows is not None:
+        columns = widened[1]
+        clauses = _clause_bodies(query)
+        hits = _swap_hits(wide_rows, width, example_list)
+        # The check's verdicts on swaps to a FROM table's column, by SELECT
+        # item and the column's type (see the module docstring).
+        verdicts: dict[tuple[int, ColumnType | None], bool] = {}
+        for position, replacement in _select_swaps(query, schema, clauses):
+            if budget() <= 0:
+                return RepairOutcome(
+                    query, original, False, False, tried, statements, probes
+                )
+            item = position // 2
+            ref = ColumnRef(*replacement.split(".", 1))
+            index = columns.get(ref)
+            if index is None:  # an IN-subquery table's column
+                bodies, variant = _swapped(query, clauses, position, replacement)
+                if check is not None and not check(bodies, variant):
+                    continue
+                tried += 1
+                result = send(variant)
+            else:
+                if check is not None:
+                    key = item, schema.column_type(ref.table, ref.column)
+                    if key not in verdicts:
+                        verdicts[key] = check(
+                            *_swapped(query, clauses, position, replacement)
+                        )
+                    if not verdicts[key]:
+                        continue
+                tried += 1
+                if not hits(item, index):
+                    continue
+                variant = _swapped(query, clauses, position, replacement)[1]
+                result = ExecutionResult.success(
+                    tuple(
+                        row[:item] + (row[index],) + row[item + 1 : width]
+                        for row in wide_rows
+                    )
+                )
+            if satisfies_examples(result, example_list):
+                return RepairOutcome(
+                    variant, result, True, True, tried, statements, probes
+                )
+
     table = None
+    edited = CLAUSE_ORDER
     if wide_rows is not None:
         table = _probe_table(query, schema, example_list)
+        edited = CLAUSE_ORDER[1:]  # the SELECT edits are judged above
     where_tried = 0
     rowids: list[tuple] | None = None
-    tried = 0
-    for variant, kind, bodies in hamming_one_queries(query, schema):
+    for variant, kind, bodies in hamming_one_queries(query, schema, edited=edited):
         if budget() <= 0:
             break
         if check is not None and not check(bodies, variant):
             continue
         tried += 1
-        swap = None
-        if wide_rows is not None and kind is ClauseKind.SELECT:
-            swap = _select_swap(query, variant, widened[1])
-        if swap is not None:
-            # Widened rows cut to the query's columns, widened column
-            # ``index`` standing at SELECT ``position``.
-            position, index = swap
-            result = ExecutionResult.success(
-                tuple(
-                    row[:position] + (row[index],) + row[position + 1 : width]
-                    for row in wide_rows
-                )
-            )
-        else:
-            if table is not None and kind is ClauseKind.WHERE:
-                where_tried += 1
-                if where_tried == 2:
-                    rowids = candidate_rowids(table)
-                if rowids is not None and not may_hit(table, variant, rowids):
-                    continue
-            result = send(variant)
+        if table is not None and kind is ClauseKind.WHERE:
+            where_tried += 1
+            if where_tried == 2:
+                rowids = candidate_rowids(table)
+            if rowids is not None and not may_hit(table, variant, rowids):
+                continue
+        result = send(variant)
         if satisfies_examples(result, example_list):
             return RepairOutcome(
                 variant, result, True, True, tried, statements, probes

@@ -132,6 +132,65 @@ def test_scripted_weight_validation():
         ScriptedModel.from_queries([(QUERY_A, 0.7), (QUERY_B, 0.7)])
 
 
+
+def _recursive_weights(node) -> list[float]:
+    """Each node's weight, summed recursively as the model once did, in
+    pre-order."""
+    weights = []
+
+    def accumulate(node) -> float:
+        index = len(weights)
+        weights.append(None)
+        weight = node.end_weight + sum(
+            accumulate(child) for child in node.children.values()
+        )
+        weights[index] = weight
+        return weight
+
+    accumulate(node)
+    return weights
+
+
+def _stored_weights(node) -> list[float]:
+    weights = []
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        weights.append(node.weight)
+        pending.extend(reversed(node.children.values()))
+    return weights
+
+
+def test_scripted_weights_are_the_recursive_sums_bit_for_bit():
+    rng = random.Random(5)
+    tokens = [f"t{i} " for i in range(6)]
+    paths = [
+        ([rng.choice(tokens) for _ in range(rng.randint(1, 12))], rng.random() / 400)
+        for _ in range(300)
+    ]
+    model = ScriptedModel(paths)
+    assert _stored_weights(model._root) == _recursive_weights(model._root)
+
+
+def test_a_scripted_path_deeper_than_the_recursion_limit(tmp_path):
+    tokens = [f"t{i % 7} " for i in range(2000)]
+    assert len(tokens) > sys.getrecursionlimit()
+    spec = {
+        "paths": [
+            {"tokens": tokens, "weight": 0.75},
+            {"query": QUERY_A, "weight": 0.25},
+        ]
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(spec))
+    built = ScriptedModel([(tokens, 0.75), (lexeme_tokens(QUERY_A), 0.25)])
+    for model in (built, load_scripted_model(path)):
+        candidates = model.top_candidates(_session(model), 10)
+        first = {c.token_id: c.prob for c in candidates}
+        assert first == {"t0 ": 0.75, "SELECT ": 0.25}
+        last = model.top_candidates(_session(model, tokens), 10)
+        assert [(c.token_id, c.prob) for c in last] == [(EOS_TOKEN_ID, 1.0)]
+
 def test_scripted_top_k_truncates():
     model = ScriptedModel.from_queries([(QUERY_A, 0.6), (QUERY_B, 0.3)])
     second = model.top_candidates(_session(model, ("SELECT ",)), 1)

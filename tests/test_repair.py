@@ -9,7 +9,7 @@ from contextlib import closing
 import pytest
 
 from sqlsynth import repair
-from sqlsynth.checker import ErrorKind, Label, make_checker
+from sqlsynth.checker import ErrorKind, Label, make_checker, make_query_check
 from sqlsynth.nsql.errors import ParseError
 from sqlsynth.nsql.grammar import parse_clause_bodies, parse_complete
 from sqlsynth.nsql.lexemes import (
@@ -21,7 +21,7 @@ from sqlsynth.nsql.lexemes import (
     split_line,
 )
 from sqlsynth.nsql.normalize import normalize
-from sqlsynth.nsql.query import ClauseKind, denormalize_text
+from sqlsynth.nsql.query import CLAUSE_ORDER, ClauseKind, ColumnRef, denormalize_text
 from sqlsynth.repair import (
     ExecutionResult,
     ExecutionStatus,
@@ -35,6 +35,7 @@ from sqlsynth.repair import (
 )
 from sqlsynth.repair import test_and_repair as run_with_repair
 from sqlsynth.tasks import Column, ColumnType, DatabaseSchema, ExampleTuple, Table
+from tests.fixtures import repair as frozen
 from tests.fixtures.randqueries import distinct_queries
 from tests.fixtures.textsplit import split_text
 
@@ -399,14 +400,16 @@ def _reference_neighbours(query, schema):
                     continue
 
 
-def _reference_variants(query, schema):
+def _reference_variants(query, schema, *, edited=CLAUSE_ORDER):
     """``_reference_neighbours`` as ``hamming_one_queries`` yields them:
-    each variant with its edited clause and its clause bodies."""
+    each variant of an ``edited`` clause with that clause and its clause
+    bodies."""
     original = split_text(query.render()).completed
     for variant in _reference_neighbours(query, schema):
         bodies = split_text(variant.render()).completed
         (kind,) = [kind for kind, body in bodies.items() if body != original[kind]]
-        yield variant, kind, bodies
+        if kind in edited:
+            yield variant, kind, bodies
 
 
 def test_bounded_neighbourhood_drops_only_failing_variants(
@@ -928,11 +931,15 @@ def test_scan_answers_only_a_lone_select_column_swap(schemas):
     statement, columns = widened
     assert statement.select[:1] == query.select
     assert len(statement.select) == 1 + len(columns)
-    age = GOLD.replace("SELECT singer.name", "SELECT singer.age")
-    assert repair._select_swap(query, parse_complete(age), columns) == (0, 3)
+    assert columns[ColumnRef("singer", "age")] == 3
+    # A swap's query is what its clause bodies parse to.
+    bodies, variant = repair._swapped(
+        query, repair._clause_bodies(query), 0, "singer.age"
+    )
+    assert variant == parse_clause_bodies(bodies)
+    assert variant.render() == GOLD.replace("SELECT singer.name", "SELECT singer.age")
     # A column the widened rows lack needs a statement of its own.
-    venue = GOLD.replace("singer.name", "concert.venue", 1)
-    assert repair._select_swap(query, parse_complete(venue), columns) is None
+    assert ColumnRef("concert", "venue") not in columns
 
 
 def test_failed_original_runs_on_its_own_after_the_widened_statement(
@@ -1205,6 +1212,311 @@ def test_every_send_gets_the_budget_left_at_send_time(
     for _, timeout, left_after, left_before in sends:
         assert timeout <= statement_timeout and timeout <= left_before
         assert timeout >= min(statement_timeout, left_after)
+
+
+# -- SELECT swaps against the frozen per-variant walk ---------------------
+
+
+def _against_frozen(query, conn, schema, examples, **options):
+    """Repair ``query`` and its frozen reference, which parses and checks
+    every SELECT swap on its own, and require equal outcomes."""
+    outcome = run_with_repair(query, conn, schema, examples, **options)
+    expected = frozen.test_and_repair(query, conn, schema, examples, **options)
+    assert outcome == expected, (query.render(), [e.values for e in examples])
+    return outcome
+
+
+def _select_hit(outcome, query) -> bool:
+    return outcome.repaired and outcome.query.select != query.select
+
+
+def test_select_swaps_match_the_frozen_walk(normalized_tasks, schemas, connect):
+    """Over the gold corpus, seeded random queries and every full-schema
+    one-edit corruption of either, each repaired against the rows of its
+    original, the outcome is the frozen walk's in every field, with the
+    prefilter on and off."""
+    conns = {db_id: connect(db_id) for db_id in schemas}
+    originals = [
+        (task.db_id, parse_complete(task.gold_query), task.sorted_examples())
+        for task in normalized_tasks
+    ]
+    for index, db_id in enumerate(sorted(schemas)):
+        for query in distinct_queries(schemas[db_id], random.Random(index), 10):
+            rows = execute_query(conns[db_id], query).rows
+            if rows:
+                examples = [ExampleTuple.from_values(row) for row in rows[:2]]
+                originals.append((db_id, query, examples))
+    counts: Counter = Counter()
+    for db_id, original, examples in originals:
+        schema = schemas[db_id]
+        for query in (original, *_reference_neighbours(original, schema)):
+            for prefilter in (True, False):
+                outcome = _against_frozen(
+                    query, conns[db_id], schema, examples, prefilter=prefilter
+                )
+                counts["compared"] += 1
+                counts["select hit"] += _select_hit(outcome, query)
+                counts["repaired"] += outcome.repaired
+    assert counts["compared"] > 2 * (1429 + len(normalized_tasks))
+    assert 0 < counts["select hit"] < counts["repaired"], counts
+
+
+def test_a_join_takes_its_select_swaps_in_schema_order(connect, schemas):
+    """The FROM order, which the widened columns follow, lists
+    singer_in_concert first; the schema lists singer first.  Both
+    tables' singer_id columns read 4 on Dina's row, and the swap to the
+    one of the schema's first table wins."""
+    schema = schemas["concerts"]
+    names = [table.name for table in schema.tables]
+    assert names.index("singer") < names.index("singer_in_concert")
+    query = parse_complete(
+        "SELECT singer.name\nFROM singer_in_concert JOIN singer ON "
+        "singer_in_concert.singer_id = singer.singer_id\n"
+        "WHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    )
+    assert next(iter(repair._widened(query, schema)[1])).table == "singer_in_concert"
+    examples = [ExampleTuple.from_values((4,))]
+    for prefilter in (True, False):
+        outcome = _against_frozen(
+            query, connect("concerts"), schema, examples, prefilter=prefilter
+        )
+        assert outcome.repaired
+        assert outcome.query.select[0].expr == ColumnRef("singer", "singer_id")
+    other = query.render().replace(
+        "SELECT singer.name", "SELECT singer_in_concert.singer_id"
+    )
+    conn = connect("concerts")
+    assert run_with_repair(parse_complete(other), conn, schema, examples).satisfied
+
+
+@pytest.mark.parametrize("prefilter", [True, False], ids=["prefilter", "no-prefilter"])
+def test_a_swap_to_an_in_subquery_tables_column_runs_on_its_own(
+    monkeypatch, connect, schemas, prefilter
+):
+    """has_pet is named only in the IN-subquery, so the widened rows lack
+    its columns: a swap to one runs as a statement of its own, which
+    SQLite refuses, unless the prefilter's scope check rejects it first."""
+    schema = schemas["pets"]
+    query = normalize(
+        "select pettype from pets where petid in (select petid from has_pet)", schema
+    )
+    examples = [ExampleTuple.from_values(("fish",))]
+    statements = _counting_execute(monkeypatch)
+    outcome = _against_frozen(
+        query, connect("pets"), schema, examples, prefilter=prefilter
+    )
+    assert not outcome.satisfied
+    swaps = [
+        statement
+        for statement in statements
+        if not _is_widened(statement, query)
+        and statement.select != query.select
+        and statement.where == query.where
+    ]
+    has_pet = [s for s in swaps if s.select[0].expr.table == "has_pet"]
+    # Each run twice: once by the walk under test, once by the reference.
+    assert len(has_pet) == (0 if prefilter else 2 * 2)
+    assert len(swaps) == len(has_pet)
+
+
+def test_a_swap_of_another_type_than_the_example_is_skipped_uncounted(
+    monkeypatch, connect, schemas
+):
+    """The example is text: with the prefilter, the two integer columns
+    before singer.country are rejected unseen and uncounted."""
+    schema = schemas["concerts"]
+    query = parse_complete(GOLD)
+    examples = [ExampleTuple.from_values(("France",))]
+    on = _against_frozen(query, connect("concerts"), schema, examples, prefilter=True)
+    off = _against_frozen(query, connect("concerts"), schema, examples, prefilter=False)
+    for outcome in (on, off):
+        assert outcome.repaired
+        assert outcome.query.select[0].expr == ColumnRef("singer", "country")
+    assert (on.variants_tried, off.variants_tried) == (1, 3)
+    assert on.statements == off.statements == 1
+
+
+@pytest.mark.parametrize(
+    "values, column",
+    [
+        (((40,), (35,)), "age"),  # Chris and Dina both
+        (((40,), (1,)), None),  # an age and an is_male on no one row
+        (((3,), (4,)), "singer_id"),
+    ],
+    ids=["age", "no-one-column", "singer-id"],
+)
+def test_two_examples_must_both_be_in_a_swaps_rows(connect, schemas, values, column):
+    schema = schemas["concerts"]
+    query = parse_complete(GOLD)
+    examples = [ExampleTuple.from_values(value) for value in values]
+    for prefilter in (True, False):
+        outcome = _against_frozen(
+            query, connect("concerts"), schema, examples, prefilter=prefilter
+        )
+        hit = _select_hit(outcome, query)
+        assert hit == (column is not None)
+        if hit:
+            assert outcome.query.select[0].expr == ColumnRef("singer", column)
+
+
+@pytest.mark.parametrize(
+    "value, column",
+    [
+        (None, "n"),
+        (2, "n"),
+        (2.0, "n"),
+        ("2", "v"),  # n's INTEGER affinity stored its "2" as 2
+        (b"\x02", "v"),
+        (_BEYOND_64_BITS, "n"),
+        (2.5, "r"),
+        (True, None),
+    ],
+)
+def test_select_swaps_compare_null_and_mixed_numbers_as_the_walk_does(
+    tmp_path, value, column
+):
+    """The mixed table's columns hold NULL, 2 and 2.0, digit text and a
+    blob; an example value hits a swap exactly when Python's ``==``
+    finds it among a column's values."""
+    path = tmp_path / "mixed.sqlite"
+    schema = _mixed_database(path)
+    query = parse_complete(
+        "SELECT mixed.k\nFROM mixed\nWHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    )
+    examples = [ExampleTuple.from_values((value,))]
+    with closing(sqlite3.connect(path)) as conn:
+        stored = execute_text(conn, "SELECT n, r, v FROM mixed").rows
+        expected = next(
+            (
+                name
+                for number, name in enumerate(("n", "r", "v"))
+                if any(row[number] == value for row in stored)
+            ),
+            None,
+        )
+        for prefilter in (True, False):
+            outcome = _against_frozen(
+                query, conn, schema, examples, prefilter=prefilter
+            )
+            if not prefilter:
+                swapped = outcome.query.select[0].expr.column
+                found = swapped if outcome.repaired else None
+                assert found == expected == column, value
+
+
+def test_swap_hits_is_containment_in_the_projected_rows():
+    """``_swap_hits`` says exactly whether the widened rows, cut to the
+    query's columns with one swapped in, contain every example."""
+    rng = random.Random(8)
+    pool = (None, 2, 2.0, "2", 3, b"\x02", "a")
+    for width in (1, 2, 3):
+        rows = tuple(
+            tuple(rng.choice(pool) for _ in range(width + 3)) for _ in range(12)
+        )
+        for _ in range(40):
+            examples = [
+                ExampleTuple.from_values([rng.choice(pool) for _ in range(width)])
+                for _ in range(rng.randint(1, 2))
+            ]
+            hits = repair._swap_hits(rows, width, examples)
+            for item in range(width):
+                for index in range(width, width + 3):
+                    projected = ExecutionResult.success(
+                        tuple(
+                            row[:item] + (row[index],) + row[item + 1 : width]
+                            for row in rows
+                        )
+                    )
+                    expected = satisfies_examples(projected, examples)
+                    assert hits(item, index) == expected
+
+class _TickingClock:
+    """A ``time.monotonic`` that reads one second later at every call."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+def test_a_deadline_that_passes_during_the_select_swaps_ends_the_walk(
+    monkeypatch, connect, schemas
+):
+    """The clock ticks once for the widened statement's budget, once as
+    it is sent, and once for each swap's budget; the deadline leaves
+    three swaps of four, and the walk stops there as the frozen one
+    does."""
+    schema = schemas["concerts"]
+    query = parse_complete(GOLD)
+    examples = [ExampleTuple.from_values(("nobody",))]
+    swaps = len(schema.table("singer").columns) - 1
+    for prefilter in (True, False):
+        outcomes = []
+        for walk in (run_with_repair, frozen.test_and_repair):
+            monkeypatch.setattr(time, "monotonic", _TickingClock())
+            outcomes.append(
+                walk(
+                    query,
+                    connect("concerts"),
+                    schema,
+                    examples,
+                    prefilter=prefilter,
+                    deadline=5.5,
+                )
+            )
+            monkeypatch.undo()
+        assert outcomes[0] == outcomes[1]
+        assert not outcomes[0].satisfied and outcomes[0].statements == 1
+        assert 0 < outcomes[0].variants_tried < swaps
+
+
+def test_a_select_swap_hit_parses_and_checks_no_swap_it_need_not(
+    monkeypatch, connect, schemas
+):
+    """Judging SELECT swaps from the widened rows builds a query only for
+    the hit and one per SELECT item and column type the prefilter has to
+    judge, and sends the widened statement alone."""
+    schema = schemas["concerts"]
+    query = parse_complete(GOLD)
+    built: list = []
+    checked: list = []
+
+    def counting_parse(bodies):
+        built.append(bodies)
+        return parse_clause_bodies(bodies)
+
+    def counting_make_query_check(*args):
+        check = make_query_check(*args)
+
+        def counting(bodies, variant):
+            checked.append(variant)
+            return check(bodies, variant)
+
+        return counting
+
+    monkeypatch.setattr(repair, "parse_clause_bodies", counting_parse)
+    monkeypatch.setattr(repair, "make_query_check", counting_make_query_check)
+    statements = _counting_execute(monkeypatch)
+    # Chris and Dina have is_male 1 and 0: the last of four swaps hits.
+    outcome = run_with_repair(
+        query,
+        connect("concerts"),
+        schema,
+        [ExampleTuple.from_values((1,))],
+        prefilter=True,
+    )
+    # singer.country is text, and the prefilter rejects it uncounted.
+    assert outcome.repaired and outcome.variants_tried == 3
+    assert outcome.query.select[0].expr == ColumnRef("singer", "is_male")
+    kinds = {
+        schema.column_type("singer", column.name)
+        for column in schema.table("singer").columns
+        if column.name != "name"
+    }
+    assert len(checked) <= len(kinds) and len(built) <= 1 + len(kinds)
+    assert len(statements) == outcome.statements == 1
 
 
 # -- test and repair --------------------------------------------------------
