@@ -8,8 +8,13 @@ aggregation function, a connective, a comparison operator, or a column
 reference.  A column reference is only swapped for a column of a table
 the query names (in its FROM or an IN-subquery's FROM); any other table
 fails the scope check and SQLite alike.  Constants are never touched.
-The static checks judge each variant from its clause bodies, and only
-a variant that executes is rendered.
+
+Repair walks the one-edit neighbourhood once, in the order
+``hamming_one_queries`` yields its unparsed edits: clauses in order,
+positions left to right, alternatives in declaration order.  Each edit
+is judged in one of three ways: from the widened rows, by candidate-row
+probes, or as a full statement.  Only a variant that executes is
+rendered.
 
 One scan answers an eligible query and every one of its SELECT-column
 swaps: a query that selects plain columns, with no DISTINCT, grouping,
@@ -19,18 +24,13 @@ list; the query's own rows and each swap's are projections of the
 widened rows.  Dropping a column from such a query leaves its multiset
 of rows unchanged, and its row order is unspecified anyway.
 
-Those swaps are taken straight from the SELECT body, in the order
-``hamming_one_queries`` yields them: positions left to right, columns in
-schema order.  A swap to a FROM table's column is judged from the
-widened rows by its widened column index, and only a hit is built as a
-query.  The static checks' verdict on such a swap depends only on the
-SELECT item it edits and the new column's declared type: the other six
-clause bodies and the other lexemes do not change, and a FROM table's
-schema column passes the vocabulary and scope checks wherever a plain
-column stands.  So the checks run once per item and type, on the first
-swap of each.  A swap to the column of a table only an IN-subquery
-names is built, checked and run on its own, as every variant of a query
-without widened rows is.
+A swap to a FROM table's column is judged from the widened rows by its
+widened column index, and only a hit is built as a query.  The static
+checks' verdict on such a swap depends only on the SELECT item it edits
+and the new column's declared type: the other six clause bodies and the
+other lexemes do not change, and a FROM table's schema column passes
+the vocabulary and scope checks wherever a plain column stands.  So the
+checks run once per item and type, on the first swap of each.
 
 The WHERE variants of an eligible query that reads one table are judged
 on the example's candidate rows.  Such a variant's rows contain an
@@ -44,12 +44,19 @@ rowid B-tree; a variant whose probes all find a row still runs in full.
 Binding errors, joins, tables without a usable rowid (a view, a
 WITHOUT ROWID table, a column named ``rowid``, ``_rowid_`` or ``oid``)
 and examples of another arity fall back to full runs.
+
+Every edit but a swap answered from the widened rows is parsed from
+its clause bodies, a swap to the column of a table only an IN-subquery
+names included; one that does not parse is dropped uncounted.  The
+static checks judge the rest from their clause bodies before any probe
+or full run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import sqlite3
 import time
 from collections import Counter
@@ -230,62 +237,61 @@ def _alternatives(lexeme: str, column_refs: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(member for member in pool if member != lexeme)
 
 
-def _column_refs(query: NormalizedQuery, schema: DatabaseSchema) -> tuple[str, ...]:
-    """What a column reference of ``query`` may be swapped for: every
-    column of the tables it names, in schema order."""
+def hamming_one_queries(
+    query: NormalizedQuery, schema: DatabaseSchema
+) -> Iterator[tuple[ClauseKind, int, dict[ClauseKind, tuple[str, ...]]]]:
+    """Yield every substitution of one lexeme, unparsed, as ``(kind,
+    position, bodies)``: ``kind`` is the edited clause, ``position`` the
+    index of the substituted lexeme in its body, and ``bodies`` maps
+    each clause to its body lexemes after the edit.
+
+    Positions are visited left to right through the clause bodies, in
+    clause order; alternatives keep their declaration order.  Column
+    references are swapped only for columns of the tables the query
+    names, in schema order, so the neighbourhood grows with the query
+    rather than the schema.  An edit need not parse: turning a join
+    condition's ``=`` into ``!=`` does not.
+    """
     named = _named_tables(query)
-    return tuple(
+    column_refs = tuple(
         f"{table.name}.{column.name}"
         for table in schema.tables
         if table.name.lower() in named
         for column in table.columns
     )
-
-
-def _clause_bodies(query: NormalizedQuery) -> dict[ClauseKind, tuple[str, ...]]:
-    return {
+    clauses = {
         kind: tuple(split_line(query.clause_body(kind), terminated=True)[0])
         for kind in CLAUSE_ORDER
     }
-
-
-def hamming_one_queries(
-    query: NormalizedQuery,
-    schema: DatabaseSchema,
-    *,
-    edited: Sequence[ClauseKind] = CLAUSE_ORDER,
-) -> Iterator[tuple[NormalizedQuery, ClauseKind, dict[ClauseKind, tuple[str, ...]]]]:
-    """Yield every parseable query one lexeme-substitution away, as
-    ``(variant, kind, bodies)``: ``kind`` is the edited clause and
-    ``bodies`` maps each clause to the body lexemes ``variant`` parses
-    from.  Only the ``edited`` clauses are edited; ``test_and_repair``
-    leaves out SELECT when it has judged the SELECT edits itself.
-
-    Positions are visited left to right through the clause bodies, in
-    clause order; alternatives keep their declaration order.  Column
-    references are swapped only for columns of the tables the query
-    names, so the neighbourhood grows with the query rather than the
-    schema.  Substitutions that do not parse (for instance turning a
-    join condition's ``=`` into ``!=``) are dropped silently.  A
-    variant's clauses are parsed through the clause cache, so the six it
-    shares with the query cost a lookup.
-    """
-    column_refs = _column_refs(query, schema)
-    clauses = _clause_bodies(query)
-    for kind in edited:
-        body = clauses[kind]
+    for kind, body in clauses.items():
         for position, lexeme in enumerate(body):
             for replacement in _alternatives(lexeme, column_refs):
                 patched = (*body[:position], replacement, *body[position + 1 :])
-                bodies = {**clauses, kind: patched}
-                try:
-                    variant = parse_clause_bodies(bodies)
-                except ParseError:
-                    continue
-                yield variant, kind, bodies
+                yield kind, position, {**clauses, kind: patched}
 
 
 # -- Test and repair --------------------------------------------------------
+
+
+# Bound on the FROM-table column lists kept across searches, keyed by the
+# schema object, which hashes by identity, and the FROM table names.
+_FROM_COLUMNS_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_FROM_COLUMNS_CACHE_SIZE)
+def _from_columns(
+    schema: DatabaseSchema, tables: tuple[str, ...]
+) -> tuple[SelectItem, ...] | None:
+    """Every column of the FROM ``tables``, each once, as SELECT items in
+    widened order, or None when the schema lacks a table."""
+    columns: dict[ColumnRef, None] = {}
+    for name in tables:
+        table = schema.table(name)
+        if table is None:
+            return None
+        for column in table.columns:
+            columns.setdefault(ColumnRef(table.name, column.name))
+    return tuple(SelectItem(ref) for ref in columns)
 
 
 def _widened(
@@ -305,56 +311,20 @@ def _widened(
         or not all(isinstance(item.expr, ColumnRef) for item in query.select)
     ):
         return None
-    columns: dict[ColumnRef, int] = {}
-    for name in query.from_clause.tables:
-        table = schema.table(name)
-        if table is None:
-            return None
-        for column in table.columns:
-            columns.setdefault(
-                ColumnRef(table.name, column.name), len(query.select) + len(columns)
-            )
-    statement = dataclasses.replace(
-        query, select=query.select + tuple(SelectItem(ref) for ref in columns)
-    )
-    return statement, columns
+    appended = _from_columns(schema, query.from_clause.tables)
+    if appended is None:
+        return None
+    statement = dataclasses.replace(query, select=query.select + appended)
+    width = len(query.select)
+    return statement, {item.expr: index for index, item in enumerate(appended, width)}
 
 
-def _select_swaps(
-    query: NormalizedQuery,
-    schema: DatabaseSchema,
-    clauses: Mapping[ClauseKind, tuple[str, ...]],
-) -> Iterator[tuple[int, str]]:
-    """The SELECT edits ``hamming_one_queries`` makes of ``query``, a
-    query that selects plain columns, in its order: each as its position
-    in the SELECT body and the column reference put there."""
-    column_refs = _column_refs(query, schema)
-    for position, lexeme in enumerate(clauses[ClauseKind.SELECT]):
-        for replacement in _alternatives(lexeme, column_refs):
-            if is_column_ref(replacement):  # any other would not parse
-                yield position, replacement
-
-
-def _swapped(
-    query: NormalizedQuery,
-    clauses: Mapping[ClauseKind, tuple[str, ...]],
-    position: int,
-    replacement: str,
-) -> tuple[dict[ClauseKind, tuple[str, ...]], NormalizedQuery]:
-    """The bodies and the query of the swap that puts ``replacement``, a
-    column reference, at ``position`` of the SELECT body of ``query``, a
-    query that selects plain columns: what ``parse_clause_bodies`` makes
-    of those bodies is ``query`` with SELECT item ``position // 2``
-    replaced."""
-    item = position // 2
-    body = clauses[ClauseKind.SELECT]
-    bodies = {
-        **clauses,
-        ClauseKind.SELECT: (*body[:position], replacement, *body[position + 1 :]),
-    }
-    ref = SelectItem(ColumnRef(*replacement.split(".", 1)))
-    select = (*query.select[:item], ref, *query.select[item + 1 :])
-    return bodies, dataclasses.replace(query, select=select)
+def _swapped(query: NormalizedQuery, item: int, ref: ColumnRef) -> NormalizedQuery:
+    """``query``, a query that selects plain columns, with SELECT item
+    ``item`` swapped for ``ref``: what ``parse_clause_bodies`` makes of
+    that edit's bodies."""
+    select = (*query.select[:item], SelectItem(ref), *query.select[item + 1 :])
+    return dataclasses.replace(query, select=select)
 
 
 def _swap_hits(
@@ -429,11 +399,16 @@ def test_and_repair(
     prefilter: bool = False,
     deadline: float | None = None,
 ) -> RepairOutcome:
-    """Execute the candidate; on a miss, walk its one-edit neighbours.
+    """Execute the candidate; on a miss, walk its one-edit neighbours
+    in one pass over ``hamming_one_queries``.
 
+    Each edit is judged in one of three ways: a SELECT swap to a FROM
+    table's column from the widened rows, a WHERE edit after the first
+    of a one-table query by candidate-row probes, and any other edit as
+    a full statement.  An edit that does not parse is dropped uncounted.
     With ``prefilter``, a variant that ``make_query_check`` rejects,
-    against the schema and the first example, is skipped without
-    touching the database.  ``deadline`` is an absolute
+    against the schema and the first example, is skipped uncounted
+    without touching the database.  ``deadline`` is an absolute
     ``time.monotonic`` value.  Every statement sent, whether the widened
     one, the original, a variant, a candidate scan or a probe, runs for
     at most ``STATEMENT_TIMEOUT`` seconds and never past ``deadline``;
@@ -446,10 +421,9 @@ def test_and_repair(
     rows cut the same way with the swapped column in place.  Those swaps
     are neither parsed nor checked one by one: the prefilter's verdict is
     taken once per SELECT item and column type, and only the hit is built
-    as a query.  The walk then goes on to the other clauses' variants.
-    When the widened statement fails or times out, the original runs on
-    its own with a budget of its own, as with repair off, and every
-    variant runs as a statement of its own.
+    as a query.  When the widened statement fails or times out, the
+    original runs on its own with a budget of its own, as with repair
+    off, and every variant runs as a statement of its own.
 
     When the widened statement ran and the query reads one table, the
     WHERE variants after the first are judged on candidate rows.  At the
@@ -536,76 +510,60 @@ def test_and_repair(
     check = None
     if prefilter:
         check = make_query_check(schema, example_list[0] if example_list else None)
-    tried = 0
+    columns: Mapping[ColumnRef, int] = {}
+    table = None
     if wide_rows is not None:
         columns = widened[1]
-        clauses = _clause_bodies(query)
         hits = _swap_hits(wide_rows, width, example_list)
-        # The check's verdicts on swaps to a FROM table's column, by SELECT
-        # item and the column's type (see the module docstring).
-        verdicts: dict[tuple[int, ColumnType | None], bool] = {}
-        for position, replacement in _select_swaps(query, schema, clauses):
-            if budget() <= 0:
-                return RepairOutcome(
-                    query, original, False, False, tried, statements, probes
-                )
-            item = position // 2
-            ref = ColumnRef(*replacement.split(".", 1))
-            index = columns.get(ref)
-            if index is None:  # an IN-subquery table's column
-                bodies, variant = _swapped(query, clauses, position, replacement)
-                if check is not None and not check(bodies, variant):
-                    continue
-                tried += 1
-                result = send(variant)
-            else:
-                if check is not None:
-                    key = item, schema.column_type(ref.table, ref.column)
-                    if key not in verdicts:
-                        verdicts[key] = check(
-                            *_swapped(query, clauses, position, replacement)
-                        )
-                    if not verdicts[key]:
-                        continue
-                tried += 1
-                if not hits(item, index):
-                    continue
-                variant = _swapped(query, clauses, position, replacement)[1]
-                result = ExecutionResult.success(
-                    tuple(
-                        row[:item] + (row[index],) + row[item + 1 : width]
-                        for row in wide_rows
-                    )
-                )
-            if satisfies_examples(result, example_list):
-                return RepairOutcome(
-                    variant, result, True, True, tried, statements, probes
-                )
-
-    table = None
-    edited = CLAUSE_ORDER
-    if wide_rows is not None:
         table = _probe_table(query, schema, example_list)
-        edited = CLAUSE_ORDER[1:]  # the SELECT edits are judged above
-    where_tried = 0
+    # The check's verdicts on swaps to a FROM table's column, by SELECT
+    # item and the column's type (see the module docstring).
+    verdicts: dict[tuple[int, ColumnType | None], bool] = {}
+    tried = where_tried = 0
     rowids: list[tuple] | None = None
-    for variant, kind, bodies in hamming_one_queries(query, schema, edited=edited):
+    for kind, position, bodies in hamming_one_queries(query, schema):
+        index = None
+        if kind is ClauseKind.SELECT and columns:
+            ref = ColumnRef(*bodies[kind][position].split(".", 1))
+            index = columns.get(ref)
+        if index is None:
+            try:
+                variant = parse_clause_bodies(bodies)
+            except ParseError:
+                continue
         if budget() <= 0:
             break
-        if check is not None and not check(bodies, variant):
-            continue
-        tried += 1
-        if table is not None and kind is ClauseKind.WHERE:
-            where_tried += 1
-            if where_tried == 2:
-                rowids = candidate_rowids(table)
-            if rowids is not None and not may_hit(table, variant, rowids):
+        if index is not None:
+            item = position // 2
+            if check is not None:
+                key = item, schema.column_type(ref.table, ref.column)
+                if key not in verdicts:
+                    verdicts[key] = check(bodies, _swapped(query, item, ref))
+                if not verdicts[key]:
+                    continue
+            tried += 1
+            if not hits(item, index):
                 continue
-        result = send(variant)
-        if satisfies_examples(result, example_list):
-            return RepairOutcome(
-                variant, result, True, True, tried, statements, probes
+            variant = _swapped(query, item, ref)
+            result = ExecutionResult.success(
+                tuple(
+                    row[:item] + (row[index],) + row[item + 1 : width]
+                    for row in wide_rows
+                )
             )
+        else:
+            if check is not None and not check(bodies, variant):
+                continue
+            tried += 1
+            if table is not None and kind is ClauseKind.WHERE:
+                where_tried += 1
+                if where_tried == 2:
+                    rowids = candidate_rowids(table)
+                if rowids is not None and not may_hit(table, variant, rowids):
+                    continue
+            result = send(variant)
+        if satisfies_examples(result, example_list):
+            return RepairOutcome(variant, result, True, True, tried, statements, probes)
     return RepairOutcome(query, original, False, False, tried, statements, probes)
 
 

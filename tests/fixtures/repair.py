@@ -1,6 +1,7 @@
-"""Reference repair walk for the differential repair tests.
+"""Reference repair walk for the differential repair tests, and the
+parse that turns the repair enumerator's edits into variants.
 
-These are ``hamming_one_queries`` and ``test_and_repair`` of
+``hamming_one_queries`` and ``test_and_repair`` here are those of
 ``sqlsynth.repair`` as they stood before the SELECT-column swaps of a
 widened query were judged from the clause bodies: every variant,
 SELECT swaps included, is parsed from its patched clause bodies and
@@ -24,6 +25,20 @@ from sqlsynth.nsql.lexemes import split_line
 from sqlsynth.nsql.query import CLAUSE_ORDER, ClauseKind, ColumnRef, NormalizedQuery
 from sqlsynth.repair import ExecutionResult, RepairOutcome, satisfies_examples
 from sqlsynth.tasks import DatabaseSchema, ExampleTuple
+
+
+def parsed_edits(
+    edits: Iterable[tuple[ClauseKind, int, dict[ClauseKind, tuple[str, ...]]]],
+) -> Iterator[tuple[NormalizedQuery, ClauseKind, dict[ClauseKind, tuple[str, ...]]]]:
+    """The ``(kind, position, bodies)`` edits that parse, such as
+    ``repair.hamming_one_queries`` yields, as ``(variant, kind, bodies)``
+    in their order."""
+    for kind, _, bodies in edits:
+        try:
+            variant = parse_clause_bodies(bodies)
+        except ParseError:
+            continue
+        yield variant, kind, bodies
 
 
 def hamming_one_queries(

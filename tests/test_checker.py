@@ -38,6 +38,7 @@ from tests.fixtures.build import (
     derive_example,
 )
 from tests.fixtures.randqueries import distinct_queries, random_query
+from tests.fixtures.repair import parsed_edits
 from tests.fixtures.textsplit import split_text
 from tests.test_acceptance import _MUTATION_FAMILIES
 from tests.test_repair import _reference_neighbours, _reference_variants
@@ -562,7 +563,8 @@ def _differential_texts(normalized_tasks, schemas) -> dict[str, list[str]]:
             for _ in range(2):
                 at, edited = _edited(rng, base)
                 out.extend(edited[:cut] for cut in range(at, len(edited) + 1))
-        for variant, _, _ in hamming_one_queries(parse_complete(task.gold_query), schema):
+        gold = parse_complete(task.gold_query)
+        for variant, _, _ in parsed_edits(hamming_one_queries(gold, schema)):
             out.append(variant.render())
         rng.shuffle(out)
         # Repeats come back after other heads have been seen.
@@ -911,8 +913,8 @@ def test_query_check_matches_the_text_checker(
         bodies = split_text(original.render()).completed
         cases = [
             (original, bodies),
-            *((v, b) for v, _, b in hamming_one_queries(original, schema)),
-            *((v, b) for v, _, b in _reference_variants(original, schema)),
+            *((v, b) for v, _, b in parsed_edits(hamming_one_queries(original, schema))),
+            *((v, b) for v, _, b in parsed_edits(_reference_variants(original, schema))),
         ]
         for example in {derived, None}:
             query_check = make_query_check(schema, example)

@@ -11,8 +11,8 @@ A parameter may stay unused when it is ``self`` or ``cls``, when its
 name starts with ``_``, or when the function is a stub whose body is
 ``...`` or a docstring only, as in a protocol.  A private definition
 is a ``_``-prefixed, non-dunder module-level function, class or constant,
-or method; no module in ``src/`` imports another's private names, so a
-definition its own module never reads is dead.  A public module-level
+or method; no module in ``src/`` imports another's private names (also
+checked here), so a definition its own module never reads is dead.  A public module-level
 function or class must be read by some module in ``src/``, by name or as
 an attribute, or be named in ``perfbench/*.py`` or the README: one that
 only the tests read belongs in ``tests/fixtures/``.
@@ -283,6 +283,70 @@ def test_no_module_in_src_defines_a_private_name_it_never_reads():
         f"{path.relative_to(_SRC)}:{line} {name}"
         for path in sorted(_SRC.rglob("*.py"))
         for line, name in unused_private_definitions(path.read_text())
+    ]
+    assert found == []
+
+
+def _in_package(statement: ast.ImportFrom) -> bool:
+    return statement.level > 0 or (statement.module or "").startswith("sqlsynth")
+
+
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` for each private name ``source`` takes from
+    another module of the package: imported by name, or read as an
+    attribute of a package module or name it imports."""
+    tree = ast.parse(source)
+    found = []
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _in_package(node):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append((node.lineno, alias.name))
+                imported.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("sqlsynth"):
+                    imported.add(alias.asname or alias.name.split(".", 1)[0])
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and _is_private(node.attr)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported
+        ):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_the_private_import_check_finds_what_it_should():
+    source = (
+        "import sys\n"
+        "import sqlsynth.tasks as tasks\n"
+        "from os import _exit\n"
+        "from . import grammar\n"
+        "from .query import Query, _render\n"
+        "from sqlsynth.lexemes import _SPLIT as split\n"
+        "def f(schema):\n"
+        "    from .errors import _fail\n"
+        "    sys._getframe()\n"
+        "    schema._by_name\n"
+        "    Query._cached\n"
+        "    return grammar._parse(tasks._load)\n"
+    )
+    assert private_imports(source) == [
+        (5, "_render"), (6, "_SPLIT"), (8, "_fail"),
+        (11, "_cached"), (12, "_load"), (12, "_parse"),
+    ]
+
+
+def test_no_module_in_src_imports_a_private_name_of_another():
+    """The private-definition check above rests on this: a private name
+    read only by another module would look dead to its own."""
+    found = [
+        f"{path.relative_to(_SRC)}:{line} {name}"
+        for path in sorted(_SRC.rglob("*.py"))
+        for line, name in private_imports(path.read_text())
     ]
     assert found == []
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import sqlite3
 import time
@@ -21,7 +22,7 @@ from sqlsynth.nsql.lexemes import (
     split_line,
 )
 from sqlsynth.nsql.normalize import normalize
-from sqlsynth.nsql.query import CLAUSE_ORDER, ClauseKind, ColumnRef, denormalize_text
+from sqlsynth.nsql.query import ClauseKind, ColumnRef, SelectItem, denormalize_text
 from sqlsynth.repair import (
     ExecutionResult,
     ExecutionStatus,
@@ -37,6 +38,7 @@ from sqlsynth.repair import test_and_repair as run_with_repair
 from sqlsynth.tasks import Column, ColumnType, DatabaseSchema, ExampleTuple, Table
 from tests.fixtures import repair as frozen
 from tests.fixtures.randqueries import distinct_queries
+from tests.fixtures.repair import parsed_edits
 from tests.fixtures.textsplit import split_text
 
 GOLD = (
@@ -272,9 +274,8 @@ def test_hamming_variants_cover_the_four_classes(schemas):
         "WHERE singer.age > 30 AND singer.age < 50\n"
         "GROUP BY\nHAVING\nORDER BY\nLIMIT\n"
     )
-    variants = [
-        q.render() for q, _, _ in hamming_one_queries(parse_complete(text), schemas["concerts"])
-    ]
+    edits = hamming_one_queries(parse_complete(text), schemas["concerts"])
+    variants = [q.render() for q, _, _ in parsed_edits(edits)]
     assert text.replace("MIN", "MAX") in variants
     assert text.replace("AND", "OR") in variants
     assert text.replace("> 30", ">= 30") in variants
@@ -286,7 +287,8 @@ def test_hamming_variants_cover_the_four_classes(schemas):
 
 def test_hamming_variants_visit_positions_left_to_right(schemas):
     query = parse_complete(GOLD)
-    variants = [q for q, _, _ in hamming_one_queries(query, schemas["concerts"])]
+    edits = hamming_one_queries(query, schemas["concerts"])
+    variants = [q for q, _, _ in parsed_edits(edits)]
     # First edits rewrite the SELECT column, in schema declaration order.
     assert variants[0].select[0].expr.render() == "singer.singer_id"
     assert variants[1].select[0].expr.render() == "singer.age"
@@ -299,7 +301,8 @@ def test_hamming_skips_unparseable_substitutions(schemas):
         "singer.singer_id = singer_in_concert.singer_id\n"
         "WHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
     )
-    variants = [q for q, _, _ in hamming_one_queries(parse_complete(text), schemas["concerts"])]
+    edits = hamming_one_queries(parse_complete(text), schemas["concerts"])
+    variants = [q for q, _, _ in parsed_edits(edits)]
     # The join's '=' has comparison alternatives, but none of them parse,
     # so every variant is still a well-formed join query.
     assert all(v.from_clause.joins for v in variants)
@@ -310,7 +313,7 @@ def test_hamming_counts_column_alternatives(schemas):
     simple = parse_complete(
         "SELECT singer.name\nFROM singer\nWHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
     )
-    variants = [q for q, _, _ in hamming_one_queries(simple, schema)]
+    variants = [q for q, _, _ in parsed_edits(hamming_one_queries(simple, schema))]
     assert len(variants) == len(schema.table("singer").columns) - 1
 
 
@@ -346,7 +349,8 @@ def _swapped_refs(query, variants) -> set[str]:
 def test_hamming_offers_columns_of_the_named_tables_only(schemas, db_id, sql, named):
     schema = schemas[db_id]
     query = normalize(sql, schema)
-    swapped = _swapped_refs(query, (q for q, _, _ in hamming_one_queries(query, schema)))
+    edits = hamming_one_queries(query, schema)
+    swapped = _swapped_refs(query, (q for q, _, _ in parsed_edits(edits)))
     expected = {
         f"{table.name}.{column.name}"
         for table in schema.tables
@@ -400,16 +404,21 @@ def _reference_neighbours(query, schema):
                     continue
 
 
-def _reference_variants(query, schema, *, edited=CLAUSE_ORDER):
-    """``_reference_neighbours`` as ``hamming_one_queries`` yields them:
-    each variant of an ``edited`` clause with that clause and its clause
-    bodies."""
+def _reference_variants(query, schema):
+    """``_reference_neighbours`` as ``hamming_one_queries`` yields its
+    edits: each as its clause, the position of the substituted lexeme in
+    that clause's body, and the clause bodies."""
     original = split_text(query.render()).completed
     for variant in _reference_neighbours(query, schema):
         bodies = split_text(variant.render()).completed
         (kind,) = [kind for kind, body in bodies.items() if body != original[kind]]
-        if kind in edited:
-            yield variant, kind, bodies
+        assert len(bodies[kind]) == len(original[kind]), variant.render()
+        (position,) = [
+            position
+            for position, (old, new) in enumerate(zip(original[kind], bodies[kind]))
+            if old != new
+        ]
+        yield kind, position, bodies
 
 
 def test_bounded_neighbourhood_drops_only_failing_variants(
@@ -421,7 +430,8 @@ def test_bounded_neighbourhood_drops_only_failing_variants(
         schema = schemas[task.db_id]
         check = make_checker(schema, None)
         gold = parse_complete(task.gold_query)
-        bounded = [q.render() for q, _, _ in hamming_one_queries(gold, schema)]
+        edits = hamming_one_queries(gold, schema)
+        bounded = [q.render() for q, _, _ in parsed_edits(edits)]
         reference = [q.render() for q in _reference_neighbours(gold, schema)]
         kept = 0
         for text in reference:
@@ -446,6 +456,7 @@ def test_bounded_repair_matches_reference_repair(
 ):
     conns = {db_id: connect(db_id) for db_id in schemas}
     compared = 0
+    tried: Counter = Counter()
     for task in normalized_tasks:
         schema = schemas[task.db_id]
         conn = conns[task.db_id]
@@ -464,9 +475,13 @@ def test_bounded_repair_matches_reference_repair(
                     outcomes.append(
                         (outcome.satisfied, outcome.repaired, outcome.query.render())
                     )
+                    tried[enumerate_variants, prefilter] += outcome.variants_tried
                 assert outcomes[0] == outcomes[1], (task.id, corrupted.render())
                 compared += 1
     assert compared == 2 * 1429
+    # The walk tried the reference's edits: without the prefilter, the
+    # columns of tables a query does not name count as tried too.
+    assert tried[_reference_variants, False] > tried[hamming_one_queries, False]
 
 
 # -- clause bodies and statements against the whole-text split ------------
@@ -510,14 +525,14 @@ def test_variants_and_statements_match_the_whole_text_split(normalized_tasks, sc
     queries = originals + [
         (db_id, variant)
         for db_id, original in originals
-        for variant, _, _ in hamming_one_queries(original, schemas[db_id])
+        for variant, _, _ in parsed_edits(hamming_one_queries(original, schemas[db_id]))
     ]
     counts = Counter()
     for db_id, query in queries:
         schema = schemas[db_id]
         text = query.render()
         assert query.render_compact() == denormalize_text(text), text
-        variants = list(hamming_one_queries(query, schema))
+        variants = list(parsed_edits(hamming_one_queries(query, schema)))
         assert variants == list(_whole_text_variants(query, schema)), text
         for variant, _, bodies in variants:
             variant_text = variant.render()
@@ -541,7 +556,7 @@ def _reference_repair(
     if satisfies_examples(original, example_list):
         return RepairOutcome(query, original, True, False, 0)
     tried = 0
-    for variant, _, _ in repair.hamming_one_queries(query, schema):
+    for variant, _, _ in parsed_edits(repair.hamming_one_queries(query, schema)):
         if prefilter is not None and not prefilter(variant.render(), True).ok:
             continue
         tried += 1
@@ -752,7 +767,8 @@ def test_candidate_probes_match_the_per_variant_reference(
                 assert rows, text
                 # Every column is offered at each position of the corpus
                 # golds; here only the FROM table's are, to keep it short.
-                corruptions = [q for q, _, _ in hamming_one_queries(gold, schema)]
+                edits = hamming_one_queries(gold, schema)
+                corruptions = [q for q, _, _ in parsed_edits(edits)]
                 examples = _mixed_examples(rows, len(gold.select))
                 _compare_probes(conn, schema, corruptions, examples, counts)
     seeded = counts - corpus
@@ -786,7 +802,8 @@ def test_tables_without_a_usable_rowid_run_every_where_variant(
         f"WHERE {table}.n = 12345 AND {table}.r = 12345\n"
         "GROUP BY\nHAVING\nORDER BY\nLIMIT\n"
     )
-    kinds = Counter(kind for _, kind, _ in hamming_one_queries(query, schema))
+    edits = hamming_one_queries(query, schema)
+    kinds = Counter(kind for _, kind, _ in parsed_edits(edits))
     examples = [ExampleTuple.from_values(example)]
     with closing(sqlite3.connect(path)) as conn:
         expected = _reference_repair(query, conn, schema, examples)
@@ -933,13 +950,48 @@ def test_scan_answers_only_a_lone_select_column_swap(schemas):
     assert len(statement.select) == 1 + len(columns)
     assert columns[ColumnRef("singer", "age")] == 3
     # A swap's query is what its clause bodies parse to.
-    bodies, variant = repair._swapped(
-        query, repair._clause_bodies(query), 0, "singer.age"
-    )
+    ((position, bodies),) = [
+        (position, bodies)
+        for kind, position, bodies in hamming_one_queries(query, schema)
+        if kind is ClauseKind.SELECT and bodies[kind] == ("singer.age",)
+    ]
+    variant = repair._swapped(query, position // 2, ColumnRef("singer", "age"))
     assert variant == parse_clause_bodies(bodies)
     assert variant.render() == GOLD.replace("SELECT singer.name", "SELECT singer.age")
     # A column the widened rows lack needs a statement of its own.
     assert ColumnRef("concert", "venue") not in columns
+
+
+def test_widened_columns_are_shared_across_queries_over_the_same_tables(schemas):
+    """Queries over the same FROM tables share one build of the appended
+    columns, and get the statement and indices a build of their own
+    gives, whatever the number of their SELECT items."""
+    schema = schemas["concerts"]
+
+    def uncached(query):
+        columns: dict[ColumnRef, int] = {}
+        for name in query.from_clause.tables:
+            table = schema.table(name)
+            for column in table.columns:
+                columns.setdefault(
+                    ColumnRef(table.name, column.name), len(query.select) + len(columns)
+                )
+        appended = tuple(SelectItem(ref) for ref in columns)
+        return dataclasses.replace(query, select=query.select + appended), columns
+
+    tail = (
+        "FROM singer_in_concert JOIN singer ON "
+        "singer_in_concert.singer_id = singer.singer_id\n"
+        "WHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    )
+    one = parse_complete("SELECT singer.name\n" + tail)
+    two = parse_complete("SELECT singer.name , singer.age\n" + tail)
+    repair._from_columns.cache_clear()
+    for query in (one, two, one):
+        assert repair._widened(query, schema) == uncached(query)
+    info = repair._from_columns.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert repair._widened(two, schema)[1][ColumnRef("singer", "singer_id")] == 4
 
 
 def test_failed_original_runs_on_its_own_after_the_widened_statement(
@@ -1012,7 +1064,7 @@ def test_widened_timeout_leaves_the_original_its_own_budget(
     conn = connect("concerts")
     schema = schemas["concerts"]
     query = parse_complete(GOLD)
-    variants = [q for q, _, _ in hamming_one_queries(query, schema)]
+    variants = [q for q, _, _ in parsed_edits(hamming_one_queries(query, schema))]
     timeouts: list = []
     statements = _widened_fails(monkeypatch, query, _times_out, timeouts)
     monkeypatch.setattr(repair, "STATEMENT_TIMEOUT", 0.05)
@@ -1259,6 +1311,32 @@ def test_select_swaps_match_the_frozen_walk(normalized_tasks, schemas, connect):
                 counts["repaired"] += outcome.repaired
     assert counts["compared"] > 2 * (1429 + len(normalized_tasks))
     assert 0 < counts["select hit"] < counts["repaired"], counts
+
+
+def test_an_edit_that_does_not_parse_is_dropped_uncounted(connect, schemas):
+    """The enumerator yields the join condition's ``=`` turned into
+    ``!=``, which does not parse; the walk drops such edits uncounted, as
+    the frozen walk, which never saw them, did."""
+    schema = schemas["concerts"]
+    query = parse_complete(
+        "SELECT singer.name\nFROM singer JOIN singer_in_concert ON "
+        "singer.singer_id = singer_in_concert.singer_id\n"
+        "WHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    )
+    edits = list(hamming_one_queries(query, schema))
+    assert any(
+        kind is ClauseKind.FROM and "!=" in bodies[kind] for kind, _, bodies in edits
+    )
+    parsed = list(parsed_edits(edits))
+    assert len(parsed) < len(edits)
+    examples = [ExampleTuple.from_values(("nobody",))]
+    for prefilter in (True, False):
+        outcome = _against_frozen(
+            query, connect("concerts"), schema, examples, prefilter=prefilter
+        )
+        assert not outcome.satisfied
+        if not prefilter:  # every edit that parses is tried
+            assert outcome.variants_tried == len(parsed)
 
 
 def test_a_join_takes_its_select_swaps_in_schema_order(connect, schemas):

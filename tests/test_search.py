@@ -60,6 +60,7 @@ from tests.fixtures.corpus import (
     TWO_PATH_EXAMPLE,
     TWO_PATH_SECOND,
 )
+from tests.fixtures.repair import parsed_edits
 from tests.test_checker import _reference_check
 
 GOLD = (
@@ -725,7 +726,8 @@ def _near_miss(task, schema, conn) -> str | None:
     checks but misses the examples, so that repair must recover it."""
     examples = task.sorted_examples()
     check = make_checker(schema, examples[0])
-    for variant, _, _ in hamming_one_queries(parse_complete(task.gold_query), schema):
+    gold = parse_complete(task.gold_query)
+    for variant, _, _ in parsed_edits(hamming_one_queries(gold, schema)):
         text = variant.render()
         if check(text, True).ok and not satisfies_examples(
             execute_query(conn, variant), examples
