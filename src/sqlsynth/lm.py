@@ -7,6 +7,13 @@ for completion servers.  Tokenization is adapter-owned; the scripted
 model's lexeme tokens, unlike sub-word tokens, never end a prefix inside
 a lexeme, so they never reach the checker's fragment path.
 
+The scripted model keeps each distinct path once, as a tuple of interned
+tokens in one sorted list with its weight beside it.  Its candidates at
+a prefix come from the paths that extend the prefix, which sort into one
+contiguous run; their next tokens and the path that ends there share
+the prefix's probability mass by weight.  Interning makes every model in
+a process share one string per distinct token.
+
 The HTTP client speaks a small HTTP/1.1 exchange over a plain socket:
 one ``sendall`` of the request line, the headers and the JSON body, then
 a direct read of the status line, the headers and a body sized by
@@ -24,7 +31,9 @@ from __future__ import annotations
 import json
 import math
 import socket
+import sys
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Mapping, Sequence
@@ -107,23 +116,17 @@ class DistractorSpec:
         return self.steps is None or step in self.steps
 
 
-class _TrieNode:
-    __slots__ = ("children", "end_weight", "weight")
-
-    def __init__(self) -> None:
-        self.children: dict[str, _TrieNode] = {}
-        self.end_weight = 0.0
-        self.weight = 0.0
-
-
 class ScriptedModel:
     """Deterministic model over a weighted set of token paths.
 
-    At each step the candidates are the trie children of the current
-    prefix, with probability proportional to the weight of the paths
-    below each child; a path ending at the current node contributes an
-    EOS candidate.  Optional distractor noise reserves a fixed mass for
-    one off-path token per step.
+    At each step the candidates are the next tokens of the paths that
+    extend the current prefix, each with probability proportional to the
+    weight of the paths it continues; the path that ends at the prefix
+    contributes an EOS candidate.  Each distinct path is kept once, with
+    its tokens interned and its weights summed, in a sorted list, so the
+    paths that extend a prefix are one contiguous run found by bisection.
+    Optional distractor noise reserves a fixed mass for one off-path
+    token per step.
     """
 
     def __init__(
@@ -133,22 +136,26 @@ class ScriptedModel:
     ) -> None:
         if not paths:
             raise ValueError("a scripted model needs at least one path")
-        self._root = _TrieNode()
-        self._vocabulary: set[str] = {EOS_TOKEN_ID}
+        merged: dict[tuple[str, ...], float] = {}
         for tokens, weight in paths:
             if weight <= 0:
                 raise ValueError("path weights must be positive")
-            self._insert(tuple(tokens), weight)
-        self._accumulate()
-        if self._root.weight > 1 + _PROB_SUM_SLACK:
+            for token in tokens:
+                if not isinstance(token, str):
+                    raise ValueError(f"path token is not a string: {token!r}")
+            key = tuple(map(sys.intern, tokens))
+            merged[key] = merged.get(key, 0.0) + weight
+        self._paths = sorted(merged)
+        self._weights = [merged[path] for path in self._paths]
+        if sum(self._weights) > 1 + _PROB_SUM_SLACK:
             raise ValueError("path weights must sum to at most 1")
         self._distractor = distractor
         if distractor is not None:
             if not 0 < distractor.mass < 1:
                 raise ValueError("distractor mass must be in (0, 1)")
-            if distractor.surface in self._vocabulary:
+            surface = distractor.surface
+            if surface == EOS_TOKEN_ID or any(surface in path for path in self._paths):
                 raise ValueError("distractor surface collides with a path token")
-            self._vocabulary.add(distractor.surface)
 
     @classmethod
     def from_queries(
@@ -160,25 +167,6 @@ class ScriptedModel:
             [(lexeme_tokens(text), weight) for text, weight in queries], distractor
         )
 
-    def _insert(self, tokens: tuple[str, ...], weight: float) -> None:
-        node = self._root
-        for token in tokens:
-            self._vocabulary.add(token)
-            node = node.children.setdefault(token, _TrieNode())
-        node.end_weight += weight
-
-    def _accumulate(self) -> None:
-        """Set each node's weight to its end weight plus its children's
-        weights, children first, without recursion: a path may be longer
-        than the interpreter's recursion limit."""
-        nodes = [self._root]
-        for node in nodes:  # breadth first: each parent before its children
-            nodes.extend(node.children.values())
-        for node in reversed(nodes):
-            node.weight = node.end_weight + sum(
-                child.weight for child in node.children.values()
-            )
-
     # -- adapter protocol ---------------------------------------------------
 
     def start_session(self, task_text: str) -> GenerationSession:
@@ -187,26 +175,33 @@ class ScriptedModel:
     def top_candidates(
         self, session: GenerationSession, k: int
     ) -> list[TokenCandidate]:
-        if EOS_TOKEN_ID in session.prefix:
+        prefix = session.prefix
+        if EOS_TOKEN_ID in prefix:
             raise ProtocolError("session already ended with EOS")
-        node: _TrieNode | None = self._root
-        for token in session.prefix:
-            node = node.children.get(token) if node is not None else None
-        if node is None:
+        paths, n = self._paths, len(prefix)
+        # A prefix sorts before its extensions, and they sort together.
+        index = bisect_left(paths, prefix)
+        eos = 0.0
+        nexts: dict[str, float] = {}
+        while index < len(paths) and paths[index][:n] == prefix:
+            path, weight = paths[index], self._weights[index]
+            if len(path) == n:
+                eos = weight
+            else:
+                nexts[path[n]] = nexts.get(path[n], 0.0) + weight
+            index += 1
+        if not nexts and not eos:
             return []  # off the scripted paths: dead end
-        step = len(session.prefix)
         noise = 0.0
-        if self._distractor is not None and self._distractor.applies_at(step):
+        if self._distractor is not None and self._distractor.applies_at(n):
             noise = self._distractor.mass
-        scale = (1 - noise) / node.weight
+        scale = (1 - noise) / (eos + sum(nexts.values()))
         candidates = [
-            TokenCandidate(token, token, child.weight * scale)
-            for token, child in node.children.items()
+            TokenCandidate(token, token, weight * scale)
+            for token, weight in nexts.items()
         ]
-        if node.end_weight > 0:
-            candidates.append(
-                TokenCandidate(EOS_TOKEN_ID, "", node.end_weight * scale)
-            )
+        if eos > 0:
+            candidates.append(TokenCandidate(EOS_TOKEN_ID, "", eos * scale))
         if noise > 0:
             assert self._distractor is not None
             candidates.append(

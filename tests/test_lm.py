@@ -8,6 +8,7 @@ import ssl
 import sys
 import threading
 import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -28,6 +29,7 @@ from sqlsynth.lm import (
 )
 from sqlsynth.nsql.lexemes import split_line
 from tests.fixtures.randqueries import distinct_queries
+from tests.fixtures.trie import TrieModel
 
 QUERY_A = "SELECT t.a\nFROM t\nWHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
 QUERY_B = "SELECT t.b\nFROM t\nWHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
@@ -71,7 +73,7 @@ def test_lexeme_tokens_are_split_line_lexemes(normalized_tasks, schemas):
         assert lines == expected, text
 
 
-# -- scripted trie model ----------------------------------------------------
+# -- scripted model ---------------------------------------------------------
 
 
 def _session(model, prefix=()):
@@ -132,44 +134,101 @@ def test_scripted_weight_validation():
         ScriptedModel.from_queries([(QUERY_A, 0.7), (QUERY_B, 0.7)])
 
 
-
-def _recursive_weights(node) -> list[float]:
-    """Each node's weight, summed recursively as the model once did, in
-    pre-order."""
-    weights = []
-
-    def accumulate(node) -> float:
-        index = len(weights)
-        weights.append(None)
-        weight = node.end_weight + sum(
-            accumulate(child) for child in node.children.values()
-        )
-        weights[index] = weight
-        return weight
-
-    accumulate(node)
-    return weights
+def _built(cls, paths, distractor):
+    try:
+        return cls(paths, distractor)
+    except ValueError as exc:
+        return ValueError, str(exc)
 
 
-def _stored_weights(node) -> list[float]:
-    weights = []
-    pending = [node]
-    while pending:
-        node = pending.pop()
-        weights.append(node.weight)
-        pending.extend(reversed(node.children.values()))
-    return weights
+def _outcome(model, prefix, k):
+    try:
+        candidates = model.top_candidates(_session(model, prefix), k)
+    except ProtocolError as exc:
+        return ProtocolError, str(exc)
+    return [(c.token_id, c.surface, c.prob) for c in candidates]
 
 
-def test_scripted_weights_are_the_recursive_sums_bit_for_bit():
-    rng = random.Random(5)
-    tokens = [f"t{i} " for i in range(6)]
-    paths = [
-        ([rng.choice(tokens) for _ in range(rng.randint(1, 12))], rng.random() / 400)
-        for _ in range(300)
+def _differential_path_sets(rng):
+    """Seeded ``(paths, distractor, single)`` sets: shared prefixes, a
+    path that extends another, a duplicate, sometimes the empty path, and
+    distractors with and without steps, some colliding with a token."""
+    tokens = [f"t{i} " for i in range(5)]
+
+    def path(low, high):
+        return tuple(rng.choice(tokens) for _ in range(rng.randint(low, high)))
+
+    distractors = [
+        None,
+        DistractorSpec("zz ", 0.2),
+        DistractorSpec("zz ", 0.35, frozenset({0, 2, 3})),
+        DistractorSpec("t4 ", 0.1),
     ]
-    model = ScriptedModel(paths)
-    assert _stored_weights(model._root) == _recursive_weights(model._root)
+    for case in range(120):
+        distractor = distractors[case % len(distractors)]
+        yield [(path(1, 30), rng.uniform(0.01, 1.0))], distractor, True
+        paths = [path(0, 8) for _ in range(rng.randint(1, 10))]
+        paths.append(paths[0] + path(1, 3))
+        paths.append(rng.choice(paths))
+        if case % 3 == 0:
+            paths.append(())
+        weights = [rng.random() + 1e-3 for _ in paths]
+        total = sum(weights) / rng.uniform(0.5, 1.0)
+        yield [(p, w / total) for p, w in zip(paths, weights)], distractor, False
+
+
+def test_scripted_model_matches_the_frozen_trie():
+    """Over every prefix of every path, off-path prefixes, prefixes that
+    end in the distractor or hold EOS, the path model gives the frozen
+    trie's candidates in the same order, with the same exceptions, and
+    probabilities equal for one path and within 1e-12 relative
+    otherwise: the flat sums associate differently from the trie's
+    nested ones."""
+    rng = random.Random(11)
+    cases = list(_differential_path_sets(rng))
+    cases += [
+        ([], None, True),
+        ([(("a ",), 0.0)], None, True),
+        ([(("a ",), -0.5)], None, True),
+        ([(("a ",), 0.7), (("b ",), 0.7)], None, False),
+        ([(("a ",), 0.5)], DistractorSpec("zz ", 0.0), True),
+        ([(("a ",), 0.5)], DistractorSpec("zz ", 1.0), True),
+        ([(("a ",), 0.5)], DistractorSpec("a ", 0.2), True),
+        ([(("a ",), 0.5)], DistractorSpec(EOS_TOKEN_ID, 0.2), True),
+    ]
+    compared = multi = rejected = 0
+    for paths, distractor, single in cases:
+        model = _built(ScriptedModel, paths, distractor)
+        reference = _built(TrieModel, paths, distractor)
+        assert isinstance(model, tuple) == isinstance(reference, tuple)
+        if isinstance(reference, tuple):
+            assert model == reference
+            rejected += 1
+            continue
+        prefixes = {()}
+        for tokens, _ in paths:
+            for end in range(len(tokens) + 1):
+                head = tuple(tokens[:end])
+                prefixes |= {head, head + ("nowhere ",), head + (EOS_TOKEN_ID,)}
+                if distractor is not None:
+                    prefixes.add(head + (distractor.surface,))
+        prefixes |= {tuple(rng.choice(["t0 ", "t1 ", "t9 "]) for _ in range(4))}
+        for prefix in sorted(prefixes):
+            for k in (2, 100):
+                got = _outcome(model, prefix, k)
+                want = _outcome(reference, prefix, k)
+                compared += 1
+                if isinstance(want, tuple):
+                    assert got == want
+                    continue
+                assert [c[:2] for c in got] == [c[:2] for c in want], prefix
+                multi += sum(c[0] != EOS_TOKEN_ID for c in want) > 1
+                for (_, _, prob), (_, _, expected) in zip(got, want):
+                    if single:
+                        assert prob == expected, prefix
+                    else:
+                        assert math.isclose(prob, expected, rel_tol=1e-12), prefix
+    assert rejected > 50 and compared > 20_000 and multi > 2_000
 
 
 def test_a_scripted_path_deeper_than_the_recursion_limit(tmp_path):
@@ -190,6 +249,52 @@ def test_a_scripted_path_deeper_than_the_recursion_limit(tmp_path):
         assert first == {"t0 ": 0.75, "SELECT ": 0.25}
         last = model.top_candidates(_session(model, tokens), 10)
         assert [(c.token_id, c.prob) for c in last] == [(EOS_TOKEN_ID, 1.0)]
+
+
+def test_scripted_rejects_a_non_string_token():
+    with pytest.raises(ValueError, match="path token is not a string: 5"):
+        ScriptedModel([(("SELECT ", 5, "x"), 0.5)])
+
+
+def test_scripted_models_take_a_third_of_the_tries_memory(normalized_tasks, schemas):
+    """200 single-path models with the benchmark's distractor, built from
+    the fixture corpus's gold queries and then seeded random ones over
+    its schemas, as the benchmark's fixture workload mixes them."""
+    rng = random.Random(3)
+    texts = [task.gold_query for task in normalized_tasks]
+    for schema in schemas.values():
+        texts.extend(query.render() for query in distinct_queries(schema, rng, 100))
+    texts = texts[:200]
+    assert len(texts) == 200
+    distractor = DistractorSpec("frobnicate ", 0.2)
+
+    def traced_bytes(cls) -> int:
+        tracemalloc.start()
+        try:
+            models = [cls.from_queries([(text, 0.7)], distractor) for text in texts]
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(models) == len(texts)
+        return size
+
+    trie_bytes = traced_bytes(TrieModel)
+    assert traced_bytes(ScriptedModel) * 3 <= trie_bytes
+
+
+def test_scripted_models_of_one_query_share_their_tokens(normalized_tasks):
+    text = normalized_tasks[0].gold_query
+    first, second = (ScriptedModel.from_queries([(text, 1.0)]) for _ in range(2))
+    prefix: tuple[str, ...] = ()
+    while True:
+        [one] = first.top_candidates(_session(first, prefix), 1)
+        [other] = second.top_candidates(_session(second, prefix), 1)
+        assert one.token_id is other.token_id
+        if one.is_eos:
+            break
+        prefix += (one.token_id,)
+    assert "".join(prefix) == text
+
 
 def test_scripted_top_k_truncates():
     model = ScriptedModel.from_queries([(QUERY_A, 0.6), (QUERY_B, 0.3)])
@@ -283,6 +388,7 @@ def test_load_scripted_model_router(tmp_path):
             {"paths": [{"query": "SELECT\n"}], "distractor": {"mass": 0.2}}
         ),
         json.dumps([{"paths": [{"query": "SELECT\n"}]}]),
+        json.dumps({"paths": [{"tokens": ["SELECT ", 5, "x"], "weight": 0.5}]}),
     ],
     ids=[
         "not-json",
@@ -290,6 +396,7 @@ def test_load_scripted_model_router(tmp_path):
         "no-paths",
         "distractor-without-surface",
         "top-level-list",
+        "non-string-token",
     ],
 )
 def test_load_scripted_model_bad_file(tmp_path, text):
