@@ -2,11 +2,12 @@
 
 A benchmark run drives the search once per task and grades the result
 two ways: execution accuracy (the found query's rows match the gold
-query's rows) and exact match (identical canonical structure).  The
-ablation driver repeats a run over every combination of the four
-feature switches.  The checker comparison collects finished generations
-with checks disabled and labels each one twice, statically and by
-execution, to measure how often the static verdict agrees.
+query's rows, in order when gold has ORDER BY) and exact match
+(identical canonical structure).  The ablation driver repeats a run
+over every combination of the four feature switches.  The checker
+comparison collects finished generations with checks disabled and
+labels each one twice, statically and by execution, to measure how
+often the static verdict agrees.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .checker import Label, predict_label
 from .nsql.errors import SqlError
 from .nsql.normalize import normalize
 from .nsql.query import NormalizedQuery, exact_match
-from .repair import execute_query, label_by_execution, rows_match
+from .repair import execute_query, label_by_execution, matches_gold
 from .search import (
     AttemptMode,
     CompletionModel,
@@ -148,6 +149,18 @@ def _open_databases(
     }
 
 
+def _normalized_gold(
+    task: TaskInstance, schema: DatabaseSchema
+) -> tuple[NormalizedQuery | None, str]:
+    """The task's gold query in canonical form, or None and why not."""
+    if not task.gold_query:
+        return None, "no gold query"
+    try:
+        return normalize(task.gold_query, schema), ""
+    except SqlError as exc:
+        return None, f"gold not normalizable: {exc}"
+
+
 def _grade_task(
     task: TaskInstance,
     schema: DatabaseSchema,
@@ -173,23 +186,14 @@ def _grade_task(
             note=f"{type(exc).__name__}: {exc}",
         )
     solved = result.status is SearchStatus.SOLVED
-    execution = None
-    exact = None
-    note = ""
-    if not task.gold_query:
-        note = "no gold query"
-    else:
-        try:
-            gold = normalize(task.gold_query, schema)
-        except SqlError as exc:
-            gold = None
-            note = f"gold not normalizable: {exc}"
-        if gold is not None and solved and result.query is not None:
-            exact = exact_match(result.query, gold)
-            execution = _execution_match(db, result.query, gold)
-        elif gold is not None:
-            exact = False
-            execution = False
+    gold, note = _normalized_gold(task, schema)
+    execution = exact = None if gold is None else False
+    if gold is not None and solved and result.query is not None:
+        conn = db.connection()
+        gold_result = execute_query(conn, gold, timeout=GRADE_TIMEOUT)
+        found = execute_query(conn, result.query, timeout=GRADE_TIMEOUT)
+        execution = matches_gold(found, gold, gold_result)
+        exact = exact_match(result.query, gold)
     return TaskReport(
         task_id=task.id,
         db_id=task.db_id,
@@ -203,18 +207,6 @@ def _grade_task(
         stats=result.stats.as_dict(),
         note=note,
     )
-
-
-def _execution_match(
-    db: TaskDatabase, found: NormalizedQuery, gold: NormalizedQuery
-) -> bool | None:
-    conn = db.connection()
-    gold_result = execute_query(conn, gold, timeout=GRADE_TIMEOUT)
-    found_result = execute_query(conn, found, timeout=GRADE_TIMEOUT)
-    if not gold_result.ok or not found_result.ok:
-        return None
-    ordered = bool(gold.order_by)
-    return rows_match(found_result.rows, gold_result.rows, ordered=ordered)
 
 
 def run_benchmark(
@@ -390,7 +382,8 @@ def run_checker_experiment(
 
     ``collect_complete`` gathers the generations with checks off, so the
     static checker is judged on raw model output.  Ground truth for
-    result mismatches comes from each task's gold query.
+    result mismatches comes from each task's gold query, compared by
+    ``matches_gold`` as the benchmark's execution accuracy is.
     """
     config = config or SearchConfig()
     experiment = CheckerExperiment()
@@ -402,19 +395,12 @@ def run_checker_experiment(
         task_text = search_task_text(task, schema, config)
         texts = collect_complete(task_text, model, per_task, config)
         conn = dbs[task.db_id].connection()
-        gold_rows = None
-        if task.gold_query:
-            try:
-                gold = normalize(task.gold_query, schema)
-                gold_result = execute_query(conn, gold, timeout=GRADE_TIMEOUT)
-                if gold_result.ok:
-                    gold_rows = gold_result.rows
-            except SqlError:
-                gold_rows = None
+        gold_query, _ = _normalized_gold(task, schema)
+        gold = None
+        if gold_query is not None and texts:
+            gold = (gold_query, execute_query(conn, gold_query, timeout=GRADE_TIMEOUT))
         for text in texts:
             predicted = predict_label(text, schema, example)
-            truth = label_by_execution(
-                text, conn, gold_rows=gold_rows, examples=examples
-            )
+            truth = label_by_execution(text, conn, gold=gold, examples=examples)
             experiment.record(truth, predicted)
     return experiment

@@ -333,11 +333,8 @@ def _compatible(computed: frozenset[ColumnType], example: ColumnType) -> bool:
         return bool(computed & (NUMERIC_TYPES | {ColumnType.BOOLEAN}))
     if example is ColumnType.TEXT:
         return bool(computed & {ColumnType.TEXT, ColumnType.BOOLEAN})
-    if example is ColumnType.BOOLEAN:
-        return bool(
-            computed & {ColumnType.BOOLEAN, ColumnType.INTEGER, ColumnType.TEXT}
-        )
-    return example in computed
+    # ColumnType.BOOLEAN, the one member left
+    return bool(computed & {ColumnType.BOOLEAN, ColumnType.INTEGER, ColumnType.TEXT})
 
 
 def _column_type_set(

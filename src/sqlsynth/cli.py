@@ -9,6 +9,7 @@ static labels against execution labels (``checker-exp``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -68,15 +69,11 @@ def _model(spec: str) -> Iterator:
 
 
 def _build_config(args: argparse.Namespace) -> SearchConfig:
-    return SearchConfig(
-        k=args.k,
-        time_limit=args.time_limit,
-        max_tokens=args.max_tokens,
-        attempt_mode=AttemptMode(args.mode),
-        pqc_enabled=not args.no_pqc,
-        repair_enabled=not args.no_repair,
-        include_examples=not args.no_examples,
-    )
+    """The search config from this command's options; an option the
+    command lacks or leaves unset keeps its ``SearchConfig`` default."""
+    fields = {field.name for field in dataclasses.fields(SearchConfig)}
+    options = {name: value for name, value in vars(args).items() if value is not None}
+    return SearchConfig(**{name: options[name] for name in fields & options.keys()})
 
 
 def _at_least(minimum: int):
@@ -102,21 +99,9 @@ def _positive_seconds(text: str) -> float:
 
 def _add_search_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True, help="scripted:<path> or http(s) URL")
-    parser.add_argument(
-        "--k", type=_at_least(1), default=5, help="continuations per expansion"
-    )
-    parser.add_argument(
-        "--time-limit", type=_positive_seconds, default=60.0, help="seconds per task"
-    )
-    parser.add_argument("--max-tokens", type=_at_least(1), default=128)
-    parser.add_argument(
-        "--mode", choices=[mode.value for mode in AttemptMode], default="multiple"
-    )
-    parser.add_argument("--no-pqc", action="store_true", help="disable static pruning")
-    parser.add_argument("--no-repair", action="store_true", help="disable repair")
-    parser.add_argument(
-        "--no-examples", action="store_true", help="hide example tuples from the model"
-    )
+    parser.add_argument("--k", type=_at_least(1), help="continuations per expansion")
+    parser.add_argument("--time-limit", type=_positive_seconds, help="seconds per task")
+    parser.add_argument("--max-tokens", type=_at_least(1))
 
 
 def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
@@ -164,7 +149,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         id=f"{args.db_id}-cli",
         db_id=args.db_id,
         question=args.question,
-        gold_query=args.gold or "",
         examples=examples,
     )
     db = open_database(args.db_root, args.db_id)
@@ -233,8 +217,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 def _cmd_normalize(args: argparse.Namespace) -> int:
     schemas = load_schemas(args.tables)
     if args.sql is not None:
-        if not args.db_id:
-            raise CliError("--sql needs --db-id")
+        if args.output or not args.db_id:
+            raise CliError("--sql needs --db-id and takes no --output")
         if args.db_id not in schemas:
             raise CliError(f"unknown database id {args.db_id!r}")
         try:
@@ -243,8 +227,8 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
             print(f"rejected: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
         return 0
-    if not args.tasks:
-        raise CliError("provide --tasks or --sql")
+    if args.db_id:
+        raise CliError("--tasks takes no --db-id")
     tasks = load_tasks(args.tasks, schemas)
     kept, rejected = rewrite_dataset(tasks, schemas)
     if args.output:
@@ -290,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="expected output row as a JSON array; repeatable",
     )
-    generate.add_argument("--gold", help="reference query, used only for grading")
     _add_search_options(generate)
     generate.set_defaults(func=_cmd_generate)
 
@@ -310,9 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     norm = sub.add_parser("normalize", help="rewrite queries into canonical form")
     norm.add_argument("--tables", required=True)
-    norm.add_argument("--tasks", help="dataset whose gold queries to rewrite")
+    source = norm.add_mutually_exclusive_group(required=True)
+    source.add_argument("--tasks", help="dataset whose gold queries to rewrite")
+    source.add_argument("--sql", help="normalize one statement instead")
     norm.add_argument("--output", help="write the rewritten dataset here")
-    norm.add_argument("--sql", help="normalize one statement instead")
     norm.add_argument("--db-id", help="database for --sql")
     norm.set_defaults(func=_cmd_normalize)
 
@@ -324,6 +308,33 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--per-task", type=_at_least(1), default=4)
     exp.add_argument("--output", help="write the matrix as JSON")
     exp.set_defaults(func=_cmd_checker_exp)
+
+    # ablate sweeps these switches itself; checker-exp never checks or repairs.
+    for command in (generate, bench):
+        command.add_argument(
+            "--mode", dest="attempt_mode", type=AttemptMode, help="single or multiple"
+        )
+        command.add_argument(
+            "--no-pqc",
+            dest="pqc_enabled",
+            action="store_false",
+            help="disable static pruning",
+        )
+        command.add_argument(
+            "--no-repair",
+            dest="repair_enabled",
+            action="store_false",
+            help="disable repair",
+        )
+    for command in (generate, bench, exp):
+        command.add_argument(
+            "--no-examples",
+            dest="include_examples",
+            action="store_false",
+            help="hide example tuples from the model",
+        )
+    for command in sub.choices.values():
+        command.allow_abbrev = False  # or ablate would read --mode as --model
     return parser
 
 
@@ -332,10 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DatasetError, FileNotFoundError) as exc:
+    except (CliError, DatasetError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AdapterError as exc:

@@ -143,6 +143,8 @@ class ScriptedModel:
             for token in tokens:
                 if not isinstance(token, str):
                     raise ValueError(f"path token is not a string: {token!r}")
+                if token == EOS_TOKEN_ID:
+                    raise ValueError(f"path token {token!r} is the end-of-sequence id")
             key = tuple(map(sys.intern, tokens))
             merged[key] = merged.get(key, 0.0) + weight
         self._paths = sorted(merged)

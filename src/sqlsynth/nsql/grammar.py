@@ -294,8 +294,6 @@ def _condition_atom(cur: _Cursor) -> Condition:
             cur.fail(f"LIKE pattern must be a string, found {pattern!r}")
         return Predicate(lhs, "LIKE", Constant(pattern), negated)
     if op in COMPARISONS:
-        if negated:
-            cur.fail("NOT is only valid before IN, BETWEEN or LIKE")
         lexeme = cur.peek()
         if lexeme is not None and is_constant(lexeme):
             return Predicate(lhs, op, _constant(cur))

@@ -194,6 +194,17 @@ def rows_match(
     return Counter(a) == Counter(b)
 
 
+def matches_gold(
+    result: ExecutionResult, gold: NormalizedQuery, gold_result: ExecutionResult
+) -> bool | None:
+    """Whether ``result`` reproduces the rows of ``gold``, run as
+    ``gold_result``: in order when gold has ORDER BY, as multisets
+    otherwise.  None when either statement failed."""
+    if not result.ok or not gold_result.ok:
+        return None
+    return rows_match(result.rows, gold_result.rows, ordered=bool(gold.order_by))
+
+
 def satisfies_examples(
     result: ExecutionResult, examples: Iterable[ExampleTuple]
 ) -> bool:
@@ -580,14 +591,15 @@ def label_by_execution(
     text: str,
     conn: sqlite3.Connection,
     *,
-    gold_rows: Sequence[Sequence[object]] | None = None,
+    gold: tuple[NormalizedQuery, ExecutionResult] | None = None,
     examples: Iterable[ExampleTuple] = (),
 ) -> Label:
     """Classify a finished query by running it for at most
     ``STATEMENT_TIMEOUT`` seconds.
 
-    With ``gold_rows`` the query must reproduce them as a multiset to
-    count as correct; otherwise example containment decides.
+    With ``gold``, a gold query and its result, ``matches_gold`` decides
+    whether the query counts as correct; when it cannot (the gold
+    statement failed), or without ``gold``, example containment decides.
     """
     result = execute_text(conn, denormalize_text(text), timeout=STATEMENT_TIMEOUT)
     if result.status is ExecutionStatus.TIMEOUT:
@@ -597,10 +609,7 @@ def label_by_execution(
         if any(marker in error for marker in _SYNTAX_MARKERS):
             return Label.SYNTAX_ERROR
         return Label.RUNTIME_ERROR
-    if gold_rows is not None:
-        if rows_match(result.rows, gold_rows):
-            return Label.CORRECT
-        return Label.EXAMPLE_ERROR
-    if satisfies_examples(result, examples):
-        return Label.CORRECT
-    return Label.EXAMPLE_ERROR
+    match = None if gold is None else matches_gold(result, *gold)
+    if match is None:
+        match = satisfies_examples(result, examples)
+    return Label.CORRECT if match else Label.EXAMPLE_ERROR

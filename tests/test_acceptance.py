@@ -17,7 +17,6 @@ from collections import Counter
 from pathlib import Path
 from statistics import fmean
 
-import numpy as np
 import pytest
 
 from sqlsynth.checker import ErrorKind, Label, make_checker
@@ -539,18 +538,14 @@ def test_criterion_08_checker_experiment_matrix(schemas, fixture_paths, connect)
 
 def test_criterion_09_probability_accumulation_accuracy():
     started = time.perf_counter()
-    rng = np.random.default_rng(2024)
+    rng = random.Random(2024)
     chain_count = 100_000
-    lengths = rng.integers(2, 9, size=chain_count)
-    probs = rng.uniform(1e-4, 1.0, size=int(lengths.sum()))
     worst = 0.0
-    cursor = 0
-    for length in lengths:
+    for _ in range(chain_count):
         node = ROOT
-        chain = probs[cursor : cursor + length]
-        cursor += length
+        chain = [rng.uniform(1e-4, 1.0) for _ in range(rng.randint(2, 8))]
         for prob in chain:
-            node = extend(node, TokenCandidate("t", "t ", float(prob)))
+            node = extend(node, TokenCandidate("t", "t ", prob))
         oracle_log = math.fsum(math.log(p) for p in chain)
         log_err = abs(-node[0] - oracle_log) / abs(oracle_log)
         cum_err = abs(math.exp(-node[0]) - math.exp(oracle_log)) / math.exp(oracle_log)

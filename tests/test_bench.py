@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import itertools
 import json
@@ -581,6 +582,29 @@ def test_run_checker_experiment_hides_examples_when_asked(
     assert model.task_texts[0].endswith("---\nno examples")
 
 
+@pytest.mark.parametrize("direction, matches", [("desc", True), ("asc", False)])
+def test_bench_and_checker_exp_share_one_gold_rule(
+    direction, matches, tasks, schemas, fixture_paths
+):
+    """Gold orders its rows, so both graders compare them in order: the
+    same query sorted the other way matches neither grade."""
+    [task] = [task for task in tasks if task.id == "concerts-020"]
+    assert task.gold_query.endswith("order by count(*) desc")
+    answer = task.gold_query.replace("desc", direction)
+    model = ScriptedModel.from_queries(
+        [(normalize(answer, schemas["concerts"]).render(), 0.9)]
+    )
+    [graded] = run_benchmark(
+        [task], schemas, fixture_paths.db_root, model, config=CONFIG
+    ).reports
+    assert graded.solved and graded.execution_match is matches
+    experiment = run_checker_experiment(
+        [task], schemas, fixture_paths.db_root, model, per_task=1, config=CONFIG
+    )
+    truth = Label.CORRECT if matches else Label.EXAMPLE_ERROR
+    assert experiment.total == sum(experiment.matrix[truth].values()) == 1
+
+
 # -- CLI -------------------------------------------------------------------
 
 
@@ -836,6 +860,33 @@ def test_cli_generate_rejects_malformed_example(tmp_path, capsys, fixture_paths,
     assert capsys.readouterr().err.startswith("error: example is not valid JSON")
 
 
+@pytest.mark.parametrize("example", ["[]", "5", '"Ali"', '{"a": 1}'])
+def test_cli_generate_rejects_an_example_that_is_not_a_non_empty_array(
+    example, capsys, fixture_paths
+):
+    argv = [
+        "generate", "--tables", str(fixture_paths.tables), "--db-root",
+        str(fixture_paths.db_root), "--db-id", "concerts", "--question", "q",
+        "--example", example, "--model", "scripted:m.json",
+    ]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: example must be a non-empty JSON array\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--db-root", "db", "--question", "q", "--model", "m"],
+        ["normalize", "--sql", "select 1"],
+    ],
+    ids=["generate", "normalize"],
+)
+def test_cli_rejects_an_unknown_db_id(argv, capsys, fixture_paths):
+    tables = ["--tables", str(fixture_paths.tables), "--db-id", "nope"]
+    assert cli.main([*argv, *tables]) == 2
+    assert capsys.readouterr().err == "error: unknown database id 'nope'\n"
+
+
 def test_cli_generate_rejects_a_nested_example_value(
     tmp_path, capsys, fixture_paths, canon
 ):
@@ -956,6 +1007,120 @@ def test_cli_rejects_a_time_limit_that_is_not_positive_and_finite(value, capsys)
 def test_cli_accepts_a_fractional_time_limit():
     args = cli.build_parser().parse_args([*_BENCH_ARGS, "--time-limit", "2.5"])
     assert args.time_limit == 2.5
+
+
+_DATASET_ARGS = ["--tables", "t.json", "--tasks", "d.json", "--db-root", "db"]
+_GENERATE_ARGS = [
+    "--tables", "t.json", "--db-root", "db", "--db-id", "concerts",
+    "--question", "q",
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("ablate", "--mode single"),
+        ("ablate", "--no-pqc"),
+        ("ablate", "--no-repair"),
+        ("ablate", "--no-examples"),
+        ("checker-exp", "--mode single"),
+        ("checker-exp", "--no-pqc"),
+        ("checker-exp", "--no-repair"),
+        ("generate", "--gold select"),
+    ],
+)
+def test_cli_refuses_a_switch_its_command_ignores(command, flag, capsys):
+    """``ablate`` sweeps the feature switches itself, ``checker-exp``
+    collects generations with checks off and never repairs, and nothing
+    that ``generate`` runs reads a gold query.  Each switch comes before
+    ``--model``, which an abbreviated ``--mode`` must not stand for."""
+    args = _GENERATE_ARGS if command == "generate" else _DATASET_ARGS
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, *flag.split(), *args, "--model", "scripted:m.json"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--sql", "select 1", "--tasks", "d.json", "--db-id", "concerts"],
+         "argument --tasks: not allowed with argument --sql"),
+        (["--sql", "select 1", "--db-id", "concerts", "--output", "{tmp}/o.json"],
+         "error: --sql needs --db-id and takes no --output"),
+        (["--tasks", "d.json", "--db-id", "concerts"],
+         "error: --tasks takes no --db-id"),
+        ([], "one of the arguments --tasks --sql is required"),
+    ],
+)
+def test_cli_normalize_refuses_options_of_the_other_source(
+    args, message, tmp_path, capsys, fixture_paths
+):
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    argv = ["normalize", "--tables", str(fixture_paths.tables), *args]
+    assert _exit_code(argv) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, args, config",
+    [
+        (
+            "generate",
+            [*_GENERATE_ARGS, "--mode", "single", "--no-pqc", "--no-repair",
+             "--no-examples"],
+            SearchConfig(
+                k=3, time_limit=2.0, max_tokens=9, attempt_mode=AttemptMode.SINGLE,
+                pqc_enabled=False, repair_enabled=False, include_examples=False,
+            ),
+        ),
+        (
+            "bench",
+            [*_DATASET_ARGS, "--no-repair"],
+            SearchConfig(k=3, time_limit=2.0, max_tokens=9, repair_enabled=False),
+        ),
+        (
+            "checker-exp",
+            [*_DATASET_ARGS, "--no-examples"],
+            SearchConfig(k=3, time_limit=2.0, max_tokens=9, include_examples=False),
+        ),
+        ("ablate", _DATASET_ARGS, SearchConfig(k=3, time_limit=2.0, max_tokens=9)),
+    ],
+)
+def test_cli_builds_the_config_from_the_switches_its_search_reads(
+    command, args, config
+):
+    argv = [command, *args, "--model", "m", "--k", "3", "--time-limit", "2"]
+    parsed = cli.build_parser().parse_args([*argv, "--max-tokens", "9"])
+    assert cli._build_config(parsed) == config
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parsed = cli.build_parser().parse_args([*_BENCH_ARGS])
+    assert cli._build_config(parsed) == SearchConfig()
+
+
+def test_cli_settable_values_per_command():
+    [commands] = [
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    settable = {
+        name: sum(not isinstance(a, argparse._HelpAction) for a in parser._actions)
+        for name, parser in commands.choices.items()
+    }
+    assert settable == {
+        "generate": 13, "bench": 14, "ablate": 10, "normalize": 5, "checker-exp": 11
+    }
 
 
 def test_cli_normalize_single_statement(capsys, fixture_paths):

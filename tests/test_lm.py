@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -24,6 +25,7 @@ from sqlsynth.lm import (
     ProtocolError,
     ScriptedModel,
     ScriptedRouter,
+    _read_reply,
     lexeme_tokens,
     load_scripted_model,
 )
@@ -256,6 +258,13 @@ def test_scripted_rejects_a_non_string_token():
         ScriptedModel([(("SELECT ", 5, "x"), 0.5)])
 
 
+def test_scripted_rejects_the_eos_id_as_a_path_token():
+    """The search would take such a candidate for end of sequence while
+    appending the text ``<eos>``."""
+    with pytest.raises(ValueError, match="path token '<eos>' is the end-of-sequence"):
+        ScriptedModel([(("SELECT ", EOS_TOKEN_ID), 0.5)])
+
+
 def test_scripted_models_take_a_third_of_the_tries_memory(normalized_tasks, schemas):
     """200 single-path models with the benchmark's distractor, built from
     the fixture corpus's gold queries and then seeded random ones over
@@ -389,6 +398,7 @@ def test_load_scripted_model_router(tmp_path):
         ),
         json.dumps([{"paths": [{"query": "SELECT\n"}]}]),
         json.dumps({"paths": [{"tokens": ["SELECT ", 5, "x"], "weight": 0.5}]}),
+        json.dumps({"paths": [{"tokens": ["SELECT ", EOS_TOKEN_ID], "weight": 0.5}]}),
     ],
     ids=[
         "not-json",
@@ -397,6 +407,7 @@ def test_load_scripted_model_router(tmp_path):
         "distractor-without-surface",
         "top-level-list",
         "non-string-token",
+        "eos-token",
     ],
 )
 def test_load_scripted_model_bad_file(tmp_path, text):
@@ -756,6 +767,30 @@ _OK = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (
 
 def _call(model):
     return [c.token_id for c in model.top_candidates(GenerationSession("t"), 2)]
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "negative body length -1"),
+        (
+            b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc",
+            "reply ended 7 bytes short",
+        ),
+        (b"SMTP 200 OK\r\n\r\n", "malformed status line b'SMTP 200 OK\\r\\n'"),
+        (b"HTTP/1.1 1000 OK\r\n\r\n", "malformed status line b'HTTP/1.1 1000 OK"),
+    ],
+    ids=["negative-length", "short-body", "not-http", "status-out-of-range"],
+)
+def test_read_reply_rejects_a_malformed_reply(reply, message):
+    with pytest.raises(ValueError) as raised:
+        _read_reply(io.BytesIO(reply))
+    assert str(raised.value).startswith(message)
+
+
+def test_read_reply_reads_no_body_after_a_204():
+    reply = b"HTTP/1.1 204 No Content\r\nContent-Length: 3\r\n\r\nabc"
+    assert _read_reply(io.BytesIO(reply)) == (204, True, b"")
 
 
 def test_http_model_reads_a_chunked_reply_after_100_continue(raw_server):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sqlsynth.nsql.errors import (
     AmbiguousColumn,
     ClauseOrderViolation,
+    NormalizationError,
     ParseError,
     SelfJoinUnsupported,
     SetOperationUnsupported,
@@ -83,6 +84,21 @@ def test_scan_sql_string_escapes():
 
 def test_scan_sql_backtick_identifiers():
     assert scan_sql("select `order` from t") == ["SELECT", "order", "FROM", "t"]
+
+
+@pytest.mark.parametrize(
+    "sql, message",
+    [
+        ("select 'a\nb' from t", "newline inside string constant"),
+        ("select `name from t", "unterminated quoted identifier"),
+        ("select t. from t", "dangling '.' after 't'"),
+    ],
+    ids=["newline-in-string", "open-backtick", "dangling-dot"],
+)
+def test_scan_sql_rejects_malformed_text(sql, message):
+    with pytest.raises(ParseError) as raised:
+        scan_sql(sql)
+    assert str(raised.value) == message
 
 
 def test_split_line_basic():
@@ -615,6 +631,51 @@ def test_normalize_lifts_implicit_joins(schemas):
     assert "WHERE singer.age > 30" in rendered
 
 
+def test_normalize_refuses_a_comma_join_without_where(schemas):
+    message = "^no join condition for table 'concert'$"
+    with pytest.raises(NormalizationError, match=message):
+        normalize("select singer.name from singer, concert", schemas["concerts"])
+
+
+def test_normalize_lifts_a_table_once_it_can_link(schemas):
+    """concert links only to singer_in_concert, which is lifted after it
+    in the first pass, and the two conjuncts left over stay one AND."""
+    query = normalize(
+        "select singer.name from singer, concert, singer_in_concert "
+        "where concert.concert_id = singer_in_concert.concert_id "
+        "and singer.singer_id = singer_in_concert.singer_id "
+        "and singer.age > 30 and concert.year = 2014",
+        schemas["concerts"],
+    )
+    assert query.render().splitlines()[1:3] == [
+        "FROM singer JOIN singer_in_concert ON singer.singer_id = "
+        "singer_in_concert.singer_id JOIN concert ON concert.concert_id = "
+        "singer_in_concert.concert_id",
+        "WHERE singer.age > 30 AND concert.year = 2014",
+    ]
+
+
+def test_normalize_resolves_a_qualified_outer_reference_in_a_subquery(schemas):
+    query = normalize(
+        "select name from singer as s where singer_id in (select singer_id "
+        "from singer_in_concert where singer_in_concert.singer_id = s.singer_id)",
+        schemas["concerts"],
+    )
+    assert query.render().splitlines()[2] == (
+        "WHERE singer.singer_id IN ( SELECT singer_in_concert.singer_id "
+        "FROM singer_in_concert "
+        "WHERE singer_in_concert.singer_id = singer.singer_id )"
+    )
+
+
+def test_an_in_list_renders_and_parses_back(schemas):
+    query = normalize(
+        "select name from singer where age in (1, 2)", schemas["concerts"]
+    )
+    assert query.render().splitlines()[2] == "WHERE singer.age IN ( 1 , 2 )"
+    assert parse_complete(query.render()) == query
+
+
 def test_normalize_keeps_uppercase_keywords_and_case_of_names(schemas):
     query = normalize("SELECT NAME FROM SINGER LIMIT 1", schemas["concerts"])
     assert query.render() == (
@@ -713,6 +774,16 @@ def test_exact_match_respects_structure(schemas):
     assert not exact_match(
         left, parse_complete(_GOLD.replace("ORDER BY singer.age ASC", "ORDER BY"))
     )
+
+
+def test_exact_match_on_a_column_to_column_predicate(schemas):
+    def where(condition):
+        sql = f"select name from singer where {condition}"
+        return normalize(sql, schemas["concerts"])
+
+    assert exact_match(where("age > singer_id"), where("age > singer_id"))
+    assert not exact_match(where("age > singer_id"), where("age > 5"))
+    assert not exact_match(where("age > singer_id"), where("age > is_male"))
 
 
 def test_exact_match_ignores_select_order(schemas):

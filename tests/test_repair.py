@@ -125,7 +125,8 @@ def test_a_line_break_inside_a_constant_reaches_sqlite_intact(line_break):
         conn.execute("CREATE TABLE singer (name TEXT)")
         conn.executemany("INSERT INTO singer VALUES (?)", [(value,), ("a b",)])
         assert execute_query(conn, parse_complete(text)).rows == ((value,),)
-        assert label_by_execution(text, conn, gold_rows=[(value,)]) is Label.CORRECT
+        gold = (parse_complete(text), ExecutionResult.success(((value,),)))
+        assert label_by_execution(text, conn, gold=gold) is Label.CORRECT
 
 
 # -- row comparison ---------------------------------------------------------
@@ -1613,6 +1614,23 @@ def test_original_query_that_satisfies_needs_no_repair(connect, schemas):
     assert outcome.query.render() == GOLD
 
 
+def test_a_table_the_schema_object_lacks_runs_the_plain_original(connect):
+    """The database has concert, the schema object does not, so there is
+    no widened statement: with pruning off, the original runs as written."""
+    singer = Table("singer", (Column("name", ColumnType.TEXT),))
+    schema = DatabaseSchema("concerts", (singer,))
+    query = parse_complete(
+        "SELECT concert.venue\nFROM concert\nWHERE concert.year = 2014\n"
+        "GROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    )
+    outcome = run_with_repair(
+        query, connect("concerts"), schema, [ExampleTuple.from_values(("Grand Hall",))]
+    )
+    assert outcome.satisfied and not outcome.repaired
+    assert (outcome.variants_tried, outcome.statements) == (0, 1)
+    assert outcome.query is query
+
+
 def test_repair_finds_a_one_edit_fix(connect, schemas):
     # Ali is exactly 30, so the gold's strict '>' misses her.
     conn = connect("concerts")
@@ -1679,12 +1697,10 @@ def test_repair_respects_the_deadline(connect, schemas):
 
 def test_label_by_execution_with_gold_rows(connect):
     conn = connect("concerts")
-    gold_rows = [("Chris",), ("Dina",)]
-    assert (
-        label_by_execution(GOLD, conn, gold_rows=gold_rows) is Label.CORRECT
-    )
+    gold = (parse_complete(GOLD), ExecutionResult.success((("Chris",), ("Dina",))))
+    assert label_by_execution(GOLD, conn, gold=gold) is Label.CORRECT
     off = GOLD.replace("> 30", "> 36")
-    assert label_by_execution(off, conn, gold_rows=gold_rows) is Label.EXAMPLE_ERROR
+    assert label_by_execution(off, conn, gold=gold) is Label.EXAMPLE_ERROR
 
 
 def test_label_by_execution_without_gold_uses_examples(connect):

@@ -173,6 +173,35 @@ def test_schema_entry_rejects_table_names_given_as_a_string(tmp_path):
         _load_one_entry(tmp_path, table_names_original="ab")
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"table_names_original": ["t"]}, "malformed schema entry: 'db_id'"),
+        (["broken"], "malformed schema entry: list indices must be integers"),
+    ],
+    ids=["missing-db-id", "entry-not-an-object"],
+)
+def test_malformed_schema_entry_is_a_dataset_error(tmp_path, entry, message):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([entry]))
+    with pytest.raises(DatasetError) as raised:
+        load_schemas(path)
+    assert str(raised.value).startswith(message)
+
+
+def test_schema_entry_rejects_table_names_equal_but_for_case(tmp_path):
+    with pytest.raises(DatasetError, match="^broken: duplicate table name 'T'$"):
+        _load_one_entry(
+            tmp_path, table_names_original=["t", "T"], column_names_original=[]
+        )
+
+
+def test_schema_entry_rejects_column_names_equal_but_for_case(tmp_path):
+    columns = [[-1, "*"], [0, "a"], [0, "A"]]
+    with pytest.raises(DatasetError, match="^broken: duplicate column t.A$"):
+        _load_one_entry(tmp_path, column_names_original=columns)
+
+
 def test_schema_file_must_be_a_list(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text(json.dumps({"db_id": "x"}))
@@ -185,6 +214,28 @@ def test_load_tasks_unknown_db_id(tmp_path, raw_schemas):
     path.write_text(json.dumps([{"db_id": "nope", "question": "?"}]))
     with pytest.raises(UnknownDbId):
         load_tasks(path, raw_schemas)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "cannot read task file: Expecting property name"),
+        ('{"db_id": "shop"}', "task file must contain a list of records"),
+        ('[{"db_id": "shop"}]', "record 0: missing field 'question'"),
+    ],
+    ids=["not-json", "not-a-list", "missing-question"],
+)
+def test_load_tasks_rejects_a_malformed_task_file(tmp_path, raw_schemas, text, message):
+    path = tmp_path / "tasks.json"
+    path.write_text(text)
+    with pytest.raises(DatasetError) as raised:
+        load_tasks(path, raw_schemas)
+    assert str(raised.value).startswith(message)
+
+
+def test_load_tasks_rejects_an_unreadable_file(tmp_path, raw_schemas):
+    with pytest.raises(DatasetError, match="^cannot read task file: .*No such file"):
+        load_tasks(tmp_path / "missing.json", raw_schemas)
 
 
 @pytest.mark.parametrize("value", [[1, 2], {"a": 1}])
