@@ -46,10 +46,18 @@ KEYWORDS = frozenset(
     | set(SET_OPERATIONS)
 )
 
-_COLUMN_REF_RE = re.compile(r"^[A-Za-z_]\w*\.\w+$")
-_NUMBER_RE = re.compile(r"^-?[0-9]+(\.[0-9]+)?$")
-_STRING_RE = re.compile(r"^'(?:[^']|'')*'$")
-_IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
+# Each lexeme class is spelled once, here; the predicates, the clause-line
+# splitter and the free-form scanner below are built from these patterns.
+_IDENT = r"[A-Za-z_]\w*"
+_NUMBER = r"[0-9]+(?:\.[0-9]+)?"
+# A single-quoted string constant up to its closing quote; doubled quotes
+# escape.
+_OPEN_STRING = r"'(?:[^']|'')*"
+
+_COLUMN_REF_RE = re.compile(rf"^{_IDENT}\.\w+$")
+_NUMBER_RE = re.compile(rf"^-?{_NUMBER}$")
+_STRING_RE = re.compile(rf"^{_OPEN_STRING}'$")
+_IDENT_RE = re.compile(rf"^{_IDENT}$")
 
 
 def is_column_ref(lexeme: str) -> bool:
@@ -79,7 +87,7 @@ def quote_string(value: str) -> str:
 # One lexeme: a string constant (doubled quotes escape, an unclosed one
 # runs to the end of the line) and anything glued to it, or a run of
 # non-space characters.  A quote only opens a string at a lexeme's start.
-_LEXEME_RE = re.compile(r"(?:'(?:[^']|'')*(?:'|\Z))?[^ ]*")
+_LEXEME_RE = re.compile(rf"(?:{_OPEN_STRING}(?:'|\Z))?[^ ]*")
 
 
 def split_line(line: str, terminated: bool) -> tuple[list[str], str | None]:
@@ -112,105 +120,67 @@ def split_line(line: str, terminated: bool) -> tuple[list[str], str | None]:
     return complete, trailing
 
 
-def _scan_string(text: str, i: int, quote: str) -> tuple[str, int]:
-    # Returns the canonical single-quoted lexeme and the index past the
-    # closing quote.  Doubled quote characters escape themselves.
-    value: list[str] = []
-    i += 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == quote:
-            if i + 1 < n and text[i + 1] == quote:
-                value.append(quote)
-                i += 2
-                continue
-            raw = "".join(value)
-            if "\n" in raw:
-                raise ParseError("newline inside string constant")
-            return quote_string(raw), i + 1
-        value.append(ch)
-        i += 1
-    raise ParseError(f"unterminated string constant near {text[max(0, i - 20):i]!r}")
-
-
-_WORD_RE = re.compile(r"[A-Za-z_]\w*")
-_NUM_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
+# The lexeme classes of free-form SQL, tried in this order after any run of
+# whitespace and ';', which the scanner skips.  An unclosed string or
+# backtick name runs to the end of the text, and a word takes a dangling
+# '.', so that the scanner can name the fault.
+_OPEN_DOUBLE_STRING = _OPEN_STRING.replace("'", '"')
+_SQL_LEXEMES = (
+    # Either quote kind; ``close`` is empty when the string is unclosed.
+    ("string", f"(?:{_OPEN_STRING}|{_OPEN_DOUBLE_STRING})(?P<close>['\"]?)"),
+    ("name", r"`[^`]*`?"),
+    ("operator", r"<=|>=|!=|==|<>|[(),*<>=]"),
+    ("number", rf"-?{_NUMBER}"),
+    ("column_ref", rf"{_IDENT}\.{_IDENT}"),
+    ("word", rf"{_IDENT}\.?"),
+    ("other", r"[^\s;]"),
+)
+_SQL_LEXEME_RE = re.compile(
+    r"[\s;]*(?:"
+    + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _SQL_LEXEMES)
+    + ")"
+)
+_CANONICAL_OPERATORS = {"==": "=", "<>": "!="}
 
 
 def scan_sql(text: str) -> list[str]:
     """Scan free-form SQL into canonical lexeme strings.
 
-    Keywords are uppercased, ``<>`` becomes ``!=``, double-quoted literals
-    become single-quoted, and dotted references collapse into a single
-    ``table.column`` lexeme.
+    Keywords are uppercased, ``==`` becomes ``=`` and ``<>`` becomes
+    ``!=``, double-quoted literals become single-quoted, backticks are
+    dropped from a quoted name, ``;`` is skipped, and a dotted reference
+    is one ``table.column`` lexeme.  A ``-`` signs a number only where a
+    value may start.
     """
     out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "'\"":
-            lexeme, i = _scan_string(text, i, ch)
-            out.append(lexeme)
-            continue
-        if ch in "(),*":
-            out.append(ch)
-            i += 1
-            continue
-        if ch == ";":
-            i += 1
-            continue
-        if ch == "`":
-            # Backtick-quoted identifier; emit the bare name.
-            end = text.find("`", i + 1)
-            if end < 0:
+    # Each match starts where the last one ended: some class matches any
+    # character but whitespace and ';'.
+    for match in _SQL_LEXEME_RE.finditer(text):
+        kind = match.lastgroup
+        lexeme = match[kind]
+        if kind == "word":
+            if lexeme[-1] == ".":
+                raise ParseError(f"dangling '.' after {lexeme[:-1]!r}")
+            if lexeme.upper() in KEYWORDS:
+                lexeme = lexeme.upper()
+        elif kind == "other" or (
+            kind == "number" and lexeme[0] == "-" and not _starts_value_position(out)
+        ):
+            raise ParseError(f"unexpected character {lexeme[0]!r} in SQL text")
+        elif kind == "string":
+            if not match["close"]:
+                raise ParseError(f"unterminated string constant near {text[-20:]!r}")
+            if "\n" in lexeme:
+                raise ParseError("newline inside string constant")
+            quote = lexeme[0]
+            lexeme = quote_string(lexeme[1:-1].replace(quote * 2, quote))
+        elif kind == "name":
+            if len(lexeme) == 1 or lexeme[-1] != "`":
                 raise ParseError("unterminated quoted identifier")
-            out.append(text[i + 1 : end])
-            i = end + 1
-            continue
-        if text.startswith(("<=", ">=", "!=", "=="), i):
-            op = text[i : i + 2]
-            out.append("=" if op == "==" else op)
-            i += 2
-            continue
-        if text.startswith("<>", i):
-            out.append("!=")
-            i += 2
-            continue
-        if ch in "<>=":
-            out.append(ch)
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and "0" <= text[i + 1] <= "9" and _starts_value_position(out):
-            m = _NUM_RE.match(text, i + 1)
-            assert m is not None
-            out.append("-" + m.group(0))
-            i = m.end()
-            continue
-        if "0" <= ch <= "9":
-            m = _NUM_RE.match(text, i)
-            assert m is not None
-            out.append(m.group(0))
-            i = m.end()
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            i = m.end()
-            if i < n and text[i] == ".":
-                rest = _WORD_RE.match(text, i + 1)
-                if rest is None:
-                    raise ParseError(f"dangling '.' after {word!r}")
-                out.append(f"{word}.{rest.group(0)}")
-                i = rest.end()
-                continue
-            out.append(word.upper() if word.upper() in KEYWORDS else word)
-            continue
-        raise ParseError(f"unexpected character {ch!r} in SQL text")
+            lexeme = lexeme[1:-1]
+        elif kind == "operator":
+            lexeme = _CANONICAL_OPERATORS.get(lexeme, lexeme)
+        out.append(lexeme)
     return out
 
 

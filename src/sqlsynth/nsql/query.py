@@ -12,8 +12,6 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
-from .lexemes import quote_string
-
 
 class ClauseKind(enum.Enum):
     SELECT = "SELECT"
@@ -68,10 +66,6 @@ class Constant:
     """A literal lexeme, kept verbatim (strings retain their quotes)."""
 
     lexeme: str
-
-    @classmethod
-    def string(cls, value: str) -> Constant:
-        return cls(quote_string(value))
 
     def render(self) -> str:
         return self.lexeme

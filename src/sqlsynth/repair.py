@@ -292,26 +292,30 @@ _FROM_COLUMNS_CACHE_SIZE = 256
 @functools.lru_cache(maxsize=_FROM_COLUMNS_CACHE_SIZE)
 def _from_columns(
     schema: DatabaseSchema, tables: tuple[str, ...]
-) -> tuple[SelectItem, ...] | None:
+) -> tuple[tuple[SelectItem, ...], Mapping[ColumnRef, int]] | None:
     """Every column of the FROM ``tables``, each once, as SELECT items in
-    widened order, or None when the schema lacks a table."""
-    columns: dict[ColumnRef, None] = {}
+    widened order, and each column's offset among those items; or None
+    when the schema lacks a table.  Every caller shares the offsets, so
+    none may change them."""
+    offsets: dict[ColumnRef, int] = {}
     for name in tables:
         table = schema.table(name)
         if table is None:
             return None
         for column in table.columns:
-            columns.setdefault(ColumnRef(table.name, column.name))
-    return tuple(SelectItem(ref) for ref in columns)
+            offsets.setdefault(ColumnRef(table.name, column.name), len(offsets))
+    return tuple(SelectItem(ref) for ref in offsets), offsets
 
 
 def _widened(
     query: NormalizedQuery, schema: DatabaseSchema
-) -> tuple[NormalizedQuery, dict[ColumnRef, int]] | None:
+) -> tuple[NormalizedQuery, Mapping[ColumnRef, int]] | None:
     """The widened statement of an eligible ``query``, or None.
 
     The statement appends every column of the FROM tables to the SELECT
-    list; the map gives each such column's index in a widened row.
+    list; the map gives each such column's offset past the query's own
+    SELECT items, so its index in a widened row is that offset plus
+    ``len(query.select)``.
     """
     if (
         query.distinct
@@ -322,12 +326,11 @@ def _widened(
         or not all(isinstance(item.expr, ColumnRef) for item in query.select)
     ):
         return None
-    appended = _from_columns(schema, query.from_clause.tables)
-    if appended is None:
+    columns = _from_columns(schema, query.from_clause.tables)
+    if columns is None:
         return None
-    statement = dataclasses.replace(query, select=query.select + appended)
-    width = len(query.select)
-    return statement, {item.expr: index for index, item in enumerate(appended, width)}
+    appended, offsets = columns
+    return dataclasses.replace(query, select=query.select + appended), offsets
 
 
 def _swapped(query: NormalizedQuery, item: int, ref: ColumnRef) -> NormalizedQuery:
@@ -521,10 +524,10 @@ def test_and_repair(
     check = None
     if prefilter:
         check = make_query_check(schema, example_list[0] if example_list else None)
-    columns: Mapping[ColumnRef, int] = {}
+    offsets: Mapping[ColumnRef, int] = {}
     table = None
     if wide_rows is not None:
-        columns = widened[1]
+        offsets = widened[1]
         hits = _swap_hits(wide_rows, width, example_list)
         table = _probe_table(query, schema, example_list)
     # The check's verdicts on swaps to a FROM table's column, by SELECT
@@ -533,19 +536,19 @@ def test_and_repair(
     tried = where_tried = 0
     rowids: list[tuple] | None = None
     for kind, position, bodies in hamming_one_queries(query, schema):
-        index = None
-        if kind is ClauseKind.SELECT and columns:
+        offset = None
+        if kind is ClauseKind.SELECT and offsets:
             ref = ColumnRef(*bodies[kind][position].split(".", 1))
-            index = columns.get(ref)
-        if index is None:
+            offset = offsets.get(ref)
+        if offset is None:
             try:
                 variant = parse_clause_bodies(bodies)
             except ParseError:
                 continue
         if budget() <= 0:
             break
-        if index is not None:
-            item = position // 2
+        if offset is not None:
+            item, index = position // 2, width + offset
             if check is not None:
                 key = item, schema.column_type(ref.table, ref.column)
                 if key not in verdicts:

@@ -326,10 +326,12 @@ def load_tasks(
         raise DatasetError("task file must contain a list of records")
     tasks: list[TaskInstance] = []
     for index, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise DatasetError(f"record {index} is not an object")
         try:
             db_id = record["db_id"]
             question = record["question"]
-        except (TypeError, KeyError) as exc:
+        except KeyError as exc:
             raise DatasetError(f"record {index}: missing field {exc}") from exc
         # Only a missing, null or empty "query" falls through.
         given = (record.get("query"), record.get("gold_query"))

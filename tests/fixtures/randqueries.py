@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from sqlsynth.nsql.lexemes import quote_string
 from sqlsynth.nsql.query import (
     AggExpr,
     BoolOp,
@@ -65,11 +66,10 @@ def _predicate(
         return Predicate(column, rng.choice(_COMPARISONS), Constant(str(rng.randrange(100))))
     if rng.random() < 0.2:
         return Predicate(
-            column, "LIKE", Constant.string(rng.choice(_TEXT_POOL)[:1] + "%")
+            column, "LIKE", Constant(quote_string(rng.choice(_TEXT_POOL)[:1] + "%"))
         )
-    return Predicate(
-        column, rng.choice(("=", "!=")), Constant.string(rng.choice(_TEXT_POOL))
-    )
+    op = rng.choice(("=", "!="))
+    return Predicate(column, op, Constant(quote_string(rng.choice(_TEXT_POOL))))
 
 
 def random_query(schema: DatabaseSchema, rng: random.Random) -> NormalizedQuery:

@@ -159,6 +159,9 @@ def test_and_repair(
     table = None
     if wide_rows is not None:
         table = repair._probe_table(query, schema, example_list)
+        # ``repair._widened`` gives each column's offset past the query's
+        # own SELECT items; ``select_swap`` takes its index in a row.
+        indices = {ref: width + offset for ref, offset in widened[1].items()}
     where_tried = 0
     rowids: list[tuple] | None = None
     tried = 0
@@ -170,7 +173,7 @@ def test_and_repair(
         tried += 1
         swap = None
         if wide_rows is not None and kind is ClauseKind.SELECT:
-            swap = select_swap(query, variant, widened[1])
+            swap = select_swap(query, variant, indices)
         if swap is not None:
             position, index = swap
             result = ExecutionResult.success(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 import sqlite3
 from collections import Counter
 from contextlib import closing
@@ -43,6 +44,7 @@ from sqlsynth.nsql.query import (
 )
 from tests.fixtures import grammar as reference_grammar
 from tests.fixtures import normalize as reference_normalize
+from tests.fixtures import scan as reference_scan
 from tests.fixtures.corpus import CORPUS
 from tests.fixtures.randqueries import distinct_queries
 from tests.fixtures.textsplit import parse_complete_reference, split_text
@@ -71,6 +73,7 @@ def test_scan_sql_canonicalizes_operators_and_keywords():
 
 def test_scan_sql_negative_numbers_only_in_value_position():
     assert scan_sql("where a.x > -4")[-1] == "-4"
+    assert scan_sql("where a.x in (-4, -5)")[-5:] == ["(", "-4", ",", "-5", ")"]
     # After an identifier a '-' is not a number sign; the scanner rejects it.
     with pytest.raises(ParseError):
         scan_sql("a - b")
@@ -78,6 +81,7 @@ def test_scan_sql_negative_numbers_only_in_value_position():
 
 def test_scan_sql_string_escapes():
     assert scan_sql("where t.a = 'it''s'") == ["WHERE", "t.a", "=", "'it''s'"]
+    assert scan_sql('where t.a = "say ""hi"""') == ["WHERE", "t.a", "=", "'say \"hi\"'"]
     with pytest.raises(ParseError):
         scan_sql("where t.a = 'open")
 
@@ -92,8 +96,28 @@ def test_scan_sql_backtick_identifiers():
         ("select 'a\nb' from t", "newline inside string constant"),
         ("select `name from t", "unterminated quoted identifier"),
         ("select t. from t", "dangling '.' after 't'"),
+        (
+            "select name from singer where name = 'open",
+            "unterminated string constant near \"r where name = 'open\"",
+        ),
+        (
+            'where t.a = "open',
+            "unterminated string constant near 'where t.a = \"open'",
+        ),
+        ("a - b", "unexpected character '-' in SQL text"),
+        ("a.b.c", "unexpected character '.' in SQL text"),
+        ("select # from t", "unexpected character '#' in SQL text"),
     ],
-    ids=["newline-in-string", "open-backtick", "dangling-dot"],
+    ids=[
+        "newline-in-string",
+        "open-backtick",
+        "dangling-dot",
+        "open-single-quote",
+        "open-double-quote",
+        "minus-after-a-name",
+        "two-dots",
+        "hash",
+    ],
 )
 def test_scan_sql_rejects_malformed_text(sql, message):
     with pytest.raises(ParseError) as raised:
@@ -502,16 +526,12 @@ def _holds_set_operation(sql):
         return False
 
 
-def test_normalize_matches_the_frozen_reference(schemas):
+@pytest.fixture(scope="module")
+def normalize_corpus(schemas) -> dict[tuple[str, str], None]:
     """Every gold statement and its canonical render, 180 seeded random
     queries rendered as text and as one line, the nested-subquery
     statement, three statements at the grammar's edges, and 40 seeded
-    one- or two-lexeme edits of each, normalize to the same text as
-    through a frozen copy of the normalizer from before the grammar read
-    a whole statement, or fail with the same exception class.  A
-    statement holding a set operation always fails with
-    ``SetOperationUnsupported``: the reference raised it only when no
-    fault came earlier in the statement."""
+    one- or two-lexeme edits of each, as ``(db_id, sql)`` keys."""
     gold = [(entry.db_id, entry.raw_sql) for entry in CORPUS]
     statements = gold + [
         (db_id, normalize(sql, schemas[db_id]).render()) for db_id, sql in gold
@@ -525,8 +545,18 @@ def test_normalize_matches_the_frozen_reference(schemas):
     for db_id, sql in statements:
         for edited in _lexeme_edits(scan_sql(sql), rng, 40):
             corpus[db_id, " ".join(edited)] = None
+    return corpus
+
+
+def test_normalize_matches_the_frozen_reference(schemas, normalize_corpus):
+    """Every statement of ``normalize_corpus`` normalizes to the same
+    text as through a frozen copy of the normalizer from before the
+    grammar read a whole statement, or fails with the same exception
+    class.  A statement holding a set operation always fails with
+    ``SetOperationUnsupported``: the reference raised it only when no
+    fault came earlier in the statement."""
     outcomes: Counter[tuple[str, str]] = Counter()
-    for db_id, sql in corpus:
+    for db_id, sql in normalize_corpus:
         want = _normalize_outcome(reference_normalize.normalize, sql, schemas[db_id])
         got = _normalize_outcome(normalize, sql, schemas[db_id])
         if isinstance(want, type) and _holds_set_operation(sql):
@@ -542,6 +572,55 @@ def test_normalize_matches_the_frozen_reference(schemas):
         ("SetOperationUnsupported", "SetOperationUnsupported"): 830,
         ("UnknownName", "UnknownName"): 134,
         ("SelfJoinUnsupported", "SelfJoinUnsupported"): 6,
+    }
+
+
+def _scan_outcome(scan, text):
+    """The lexemes ``scan`` makes of ``text``, or the text of the
+    ``ParseError`` it raises."""
+    try:
+        return scan(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+# Pieces of free-form SQL that reach every branch of the scanner: both
+# quote kinds, open, closed and doubled; open and closed backticks; ';';
+# every operator, '==' and '<>' among them; '-' before a digit, in and out
+# of a value position; dots; newlines; and non-ASCII letters, digits and
+# spaces.
+_SCAN_PIECES = (
+    *("'", '"', "''", '""', "'a b'", '"x y"', "`", "`n m`", ";"),
+    *("==", "<>", "<=", ">=", "!=", "<", ">", "=", "(", ")", ",", "*"),
+    *("-", "-1", "7", "2.5", ".", "\n", " ", "\t", "a", "t.c", "select"),
+    *("where", "in", "\u00e9", "\u0131", "\u0663", "\u00b2", "\u3000", "\xa0"),
+    *("#", "!"),
+)
+
+
+def test_scan_sql_matches_the_frozen_reference(normalize_corpus):
+    """``scan_sql`` returns the same lexemes, or raises a ``ParseError``
+    with the same text, as a frozen copy of the character-loop scanner,
+    on every statement of ``normalize_corpus`` and on 20,000 seeded
+    strings of one to twelve ``_SCAN_PIECES``."""
+    texts = [sql for _, sql in normalize_corpus]
+    rng = random.Random(36)
+    for _ in range(20_000):
+        pieces = rng.choices(_SCAN_PIECES, k=rng.randint(1, 12))
+        texts.append("".join(pieces))
+    outcomes: Counter[str] = Counter()
+    for text in texts:
+        want = _scan_outcome(reference_scan.scan_sql, text)
+        assert _scan_outcome(scan_sql, text) == want, text
+        kind = "lexemes" if isinstance(want, list) else re.match(r"[^'\"]*", want)[0]
+        outcomes[kind] += 1
+    assert outcomes == {
+        "lexemes": 23059,
+        "unexpected character ": 11135,
+        "unterminated string constant near ": 2536,
+        "unterminated quoted identifier": 1302,
+        "dangling ": 261,
+        "newline inside string constant": 29,
     }
 
 

@@ -949,7 +949,7 @@ def test_scan_answers_only_a_lone_select_column_swap(schemas):
     statement, columns = widened
     assert statement.select[:1] == query.select
     assert len(statement.select) == 1 + len(columns)
-    assert columns[ColumnRef("singer", "age")] == 3
+    assert len(query.select) + columns[ColumnRef("singer", "age")] == 3
     # A swap's query is what its clause bodies parse to.
     ((position, bodies),) = [
         (position, bodies)
@@ -965,11 +965,12 @@ def test_scan_answers_only_a_lone_select_column_swap(schemas):
 
 def test_widened_columns_are_shared_across_queries_over_the_same_tables(schemas):
     """Queries over the same FROM tables share one build of the appended
-    columns, and get the statement and indices a build of their own
-    gives, whatever the number of their SELECT items."""
-    schema = schemas["concerts"]
+    columns and their offsets, and get the statement and the absolute
+    column indices a build of their own gives, whatever the number of
+    their SELECT items: on the concerts schema and on a schema of the
+    wide-repair benchmark's shape."""
 
-    def uncached(query):
+    def uncached(query, schema):
         columns: dict[ColumnRef, int] = {}
         for name in query.from_clause.tables:
             table = schema.table(name)
@@ -980,19 +981,38 @@ def test_widened_columns_are_shared_across_queries_over_the_same_tables(schemas)
         appended = tuple(SelectItem(ref) for ref in columns)
         return dataclasses.replace(query, select=query.select + appended), columns
 
+    def absolute(query, schema):
+        statement, offsets = repair._widened(query, schema)
+        width = len(query.select)
+        return statement, {ref: width + offset for ref, offset in offsets.items()}
+
     tail = (
         "FROM singer_in_concert JOIN singer ON "
         "singer_in_concert.singer_id = singer.singer_id\n"
         "WHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
     )
-    one = parse_complete("SELECT singer.name\n" + tail)
-    two = parse_complete("SELECT singer.name , singer.age\n" + tail)
-    repair._from_columns.cache_clear()
-    for query in (one, two, one):
-        assert repair._widened(query, schema) == uncached(query)
-    info = repair._from_columns.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    assert repair._widened(two, schema)[1][ColumnRef("singer", "singer_id")] == 4
+    wide_tail = "FROM t07\nWHERE t07.c01 > 3\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    # The wide-repair benchmark's shape: 60 tables of 20 columns, their
+    # types cycling integer, real, text.
+    kinds = (ColumnType.INTEGER, ColumnType.REAL, ColumnType.TEXT)
+    columns = tuple(Column(f"c{c:02d}", kinds[c % 3]) for c in range(20))
+    wide = DatabaseSchema("wide", tuple(Table(f"t{t:02d}", columns) for t in range(60)))
+    concerts = schemas["concerts"]
+    cases = {
+        concerts: ("SELECT singer.name\n" + tail, "SELECT singer.name , singer.age\n" + tail),
+        wide: ("SELECT t07.c02\n" + wide_tail, "SELECT t07.c02 , t07.c11\n" + wide_tail),
+    }
+    for schema, texts in cases.items():
+        one, two = map(parse_complete, texts)
+        repair._from_columns.cache_clear()
+        for query in (one, two, one):
+            assert absolute(query, schema) == uncached(query, schema)
+        info = repair._from_columns.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+    indices = absolute(parse_complete(cases[concerts][1]), concerts)[1]
+    assert indices[ColumnRef("singer", "singer_id")] == 4
+    indices = absolute(parse_complete(cases[wide][1]), wide)[1]
+    assert len(indices) == 20 and indices[ColumnRef("t07", "c19")] == 21
 
 
 def test_failed_original_runs_on_its_own_after_the_widened_statement(

@@ -222,8 +222,20 @@ def test_load_tasks_unknown_db_id(tmp_path, raw_schemas):
         ("{not json", "cannot read task file: Expecting property name"),
         ('{"db_id": "shop"}', "task file must contain a list of records"),
         ('[{"db_id": "shop"}]', "record 0: missing field 'question'"),
+        ("[5]", "record 0 is not an object"),
+        ('["x"]', "record 0 is not an object"),
+        ("[null]", "record 0 is not an object"),
+        ("[[1]]", "record 0 is not an object"),
     ],
-    ids=["not-json", "not-a-list", "missing-question"],
+    ids=[
+        "not-json",
+        "not-a-list",
+        "missing-question",
+        "number-record",
+        "string-record",
+        "null-record",
+        "list-record",
+    ],
 )
 def test_load_tasks_rejects_a_malformed_task_file(tmp_path, raw_schemas, text, message):
     path = tmp_path / "tasks.json"
