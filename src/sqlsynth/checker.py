@@ -31,8 +31,8 @@ steps between heads, interned heads, lexeme verdicts and the verdict on
 a head plus its current line live in bounded process-wide
 ``functools.lru_cache``s keyed by the schema object, which hashes by
 identity.  Clause bodies are parsed through ``nsql.grammar``'s
-process-wide clause cache.  Repair checks each finished variant from
-its clause bodies through ``make_query_check``.
+process-wide clause cache.  Repair's ``make_query_check`` steps each
+finished variant's clause lines through the same heads: one rule.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .nsql.query import (
     AggExpr,
     ClauseKind,
     ColumnRef,
-    NormalizedQuery,
     SelectItem,
     Star,
 )
@@ -607,34 +606,24 @@ def make_checker(
 
 def make_query_check(
     schema: DatabaseSchema, example: ExampleTuple | None
-) -> Callable[[Mapping[ClauseKind, tuple[str, ...]], NormalizedQuery], bool]:
+) -> Callable[[Mapping[ClauseKind, tuple[str, ...]]], bool]:
     """Bind schema and example into a check of a finished query given as
-    its seven clause bodies and their parse.
-
-    The function accepts exactly what ``make_checker(schema, example)``
-    accepts as the query's rendered text at end of sequence.  It keeps
-    each clause's vocabulary and scope verdict per body and FROM tables,
-    so a one-edit variant of a checked query costs its edited clause and
-    the type check.
-    """
+    its seven clause bodies, in clause order: what ``make_checker`` says
+    of its rendered text at end of sequence, stepped through the same
+    shared heads, so a variant reuses those of its unedited clauses.  It
+    stops at the first head that no later line can clear."""
     types = None if example is None else example.types
-    clauses: dict[tuple[ClauseKind, tuple[str, ...], frozenset[str]], bool] = {}
 
-    def check(
-        bodies: Mapping[ClauseKind, tuple[str, ...]], query: NormalizedQuery
-    ) -> bool:
-        tables = query.from_clause.tables
-        outer = frozenset(table.lower() for table in tables)
+    def check(bodies: Mapping[ClauseKind, tuple[str, ...]]) -> bool:
+        head = _ROOT
         for kind, body in bodies.items():
-            ok = clauses.get((kind, body, outer))
-            if ok is None:
-                ok = clauses[kind, body, outer] = (
-                    _check_lexemes(kind, body, None, schema).ok
-                    and _scope(kind, body, outer).ok
-                )
-            if not ok:
+            line = f"{kind.value} {' '.join(body)}\n" if body else kind.value + "\n"
+            head = _shared_step(schema, types, head, sys.intern(line))
+            if head.fatal or head.clause_error or not (
+                head.scope.ok and head.types.ok
+            ):
                 return False
-        return types is None or check_types(query.select, schema, types, tables).ok
+        return _check_line(schema, head, "", True).ok
 
     return check
 

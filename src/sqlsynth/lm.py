@@ -277,10 +277,13 @@ def load_scripted_model(path: Path | str) -> ScriptedModel | ScriptedRouter:
         raise ProtocolError(f"cannot read scripted model spec: {exc}") from exc
     try:
         if "routes" in data:
+            # Every route spells its key: a missing one would match any text.
             routes = [
-                (entry.get("match", ""), _model_from_mapping(entry))
+                (entry["match"], _model_from_mapping(entry))
                 for entry in data["routes"]
             ]
+            if not all(isinstance(key, str) for key, _ in routes):
+                raise TypeError("a route's match is not a string")
             default = (
                 _model_from_mapping(data["default"]) if "default" in data else None
             )

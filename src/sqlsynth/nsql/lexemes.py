@@ -76,8 +76,13 @@ def is_constant(lexeme: str) -> bool:
     return is_number(lexeme) or is_string_const(lexeme)
 
 
+def is_keyword(word: str) -> bool:
+    # SQLite folds ASCII case alone: "joın", with a dotless i, is a name.
+    return word.isascii() and word.upper() in KEYWORDS
+
+
 def is_identifier(lexeme: str) -> bool:
-    return bool(_IDENT_RE.match(lexeme)) and lexeme.upper() not in KEYWORDS
+    return bool(_IDENT_RE.match(lexeme)) and not is_keyword(lexeme)
 
 
 def quote_string(value: str) -> str:
@@ -161,7 +166,7 @@ def scan_sql(text: str) -> list[str]:
         if kind == "word":
             if lexeme[-1] == ".":
                 raise ParseError(f"dangling '.' after {lexeme[:-1]!r}")
-            if lexeme.upper() in KEYWORDS:
+            if is_keyword(lexeme):
                 lexeme = lexeme.upper()
         elif kind == "other" or (
             kind == "number" and lexeme[0] == "-" and not _starts_value_position(out)
@@ -189,4 +194,4 @@ def _starts_value_position(scanned: list[str]) -> bool:
     if not scanned:
         return True
     prev = scanned[-1]
-    return prev in {"(", ","} or prev in COMPARISONS or prev.upper() in KEYWORDS
+    return prev in {"(", ","} or prev in COMPARISONS or is_keyword(prev)

@@ -552,7 +552,7 @@ def test_and_repair(
             if check is not None:
                 key = item, schema.column_type(ref.table, ref.column)
                 if key not in verdicts:
-                    verdicts[key] = check(bodies, _swapped(query, item, ref))
+                    verdicts[key] = check(bodies)
                 if not verdicts[key]:
                     continue
             tried += 1
@@ -566,7 +566,7 @@ def test_and_repair(
                 )
             )
         else:
-            if check is not None and not check(bodies, variant):
+            if check is not None and not check(bodies):
                 continue
             tried += 1
             if table is not None and kind is ClauseKind.WHERE:

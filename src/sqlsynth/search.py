@@ -257,23 +257,19 @@ def run_search(
             except ParseError:
                 query = None
             stats.complete_queries_tested += 1
-            if query is None:
-                stats.failed_queries.append(text)
-                if config.attempt_mode is AttemptMode.SINGLE:
-                    break
-                continue
-            outcome = tester(query, deadline)
-            stats.repair_variants_tried += outcome.variants_tried
-            stats.repair_statements += outcome.statements
-            stats.repair_probes += outcome.probes
-            if outcome.satisfied:
-                return finish(
-                    SearchStatus.SOLVED,
-                    outcome.query,
-                    outcome.result,
-                    outcome.repaired,
-                )
-            stats.failed_queries.append(query.render())
+            if query is not None:
+                outcome = tester(query, deadline)
+                stats.repair_variants_tried += outcome.variants_tried
+                stats.repair_statements += outcome.statements
+                stats.repair_probes += outcome.probes
+                if outcome.satisfied:
+                    return finish(
+                        SearchStatus.SOLVED,
+                        outcome.query,
+                        outcome.result,
+                        outcome.repaired,
+                    )
+            stats.failed_queries.append(text if query is None else query.render())
             if config.attempt_mode is AttemptMode.SINGLE:
                 break
     except AdapterError as exc:

@@ -168,7 +168,7 @@ def test_and_repair(
     for variant, kind, bodies in hamming_one_queries(query, schema):
         if budget() <= 0:
             break
-        if check is not None and not check(bodies, variant):
+        if check is not None and not check(bodies):
             continue
         tried += 1
         swap = None

@@ -922,7 +922,7 @@ def test_query_check_matches_the_text_checker(
             original_ok = text_check(original.render(), True).ok
             for variant, variant_bodies in cases:
                 want = text_check(variant.render(), True).ok
-                assert query_check(variant_bodies, variant) == want, variant.render()
+                assert query_check(variant_bodies) == want, variant.render()
                 compared[original_ok, want] += 1
     # Keyed by (original accepted, variant accepted): variants of
     # originals that fail a check are among them.
@@ -933,6 +933,31 @@ def test_query_check_matches_the_text_checker(
         (False, False): 4198,
     }
 
+
+def test_repair_check_reuses_the_search_heads(normalized_tasks, schemas):
+    """Once the text checker has checked a gold query, as a search does
+    before repair, ``make_query_check`` steps that query's seven clause
+    lines through the heads it built, each a cache hit, and rejects a
+    SELECT edit with at most two new steps: the edited SELECT line and
+    the FROM line that decides its scope and a star's types."""
+    steps = checker._shared_step.cache_info
+    rejected = 0
+    for task in normalized_tasks:
+        schema = schemas[task.db_id]
+        original = parse_complete(task.gold_query)
+        example = task.sorted_examples()[0]
+        make_checker(schema, example)(original.render(), True)
+        query_check = make_query_check(schema, example)
+        before = steps()
+        assert query_check(split_text(original.render()).completed)
+        after = steps()
+        assert (after.hits - before.hits, after.misses) == (7, before.misses)
+        for kind, _, bodies in hamming_one_queries(original, schema):
+            before = steps().misses
+            if kind is ClauseKind.SELECT and not query_check(bodies):
+                assert steps().misses - before <= 2, bodies
+                rejected += 1
+    assert rejected
 
 # -- labels -----------------------------------------------------------------
 

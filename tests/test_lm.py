@@ -399,6 +399,15 @@ def test_load_scripted_model_router(tmp_path):
         json.dumps([{"paths": [{"query": "SELECT\n"}]}]),
         json.dumps({"paths": [{"tokens": ["SELECT ", 5, "x"], "weight": 0.5}]}),
         json.dumps({"paths": [{"tokens": ["SELECT ", EOS_TOKEN_ID], "weight": 0.5}]}),
+        json.dumps(
+            {
+                "routes": [
+                    {"matches": "alpha", "paths": [{"query": "SELECT\n"}]},
+                    {"match": "beta", "paths": [{"query": "FROM\n"}]},
+                ]
+            }
+        ),
+        json.dumps({"routes": [{"match": 1, "paths": [{"query": "SELECT\n"}]}]}),
     ],
     ids=[
         "not-json",
@@ -408,6 +417,8 @@ def test_load_scripted_model_router(tmp_path):
         "top-level-list",
         "non-string-token",
         "eos-token",
+        "route-without-match",
+        "non-string-match",
     ],
 )
 def test_load_scripted_model_bad_file(tmp_path, text):

@@ -28,6 +28,7 @@ from sqlsynth.nsql.grammar import parse_clause_cached, parse_complete
 from sqlsynth.nsql.lexemes import (
     KEYWORDS,
     SET_OPERATIONS,
+    is_identifier,
     is_number,
     quote_string,
     scan_sql,
@@ -681,6 +682,26 @@ def test_normalize_rejects_a_non_ascii_digit(schemas, digit):
         with pytest.raises(ParseError):
             normalize(f"SELECT name FROM singer WHERE age > {value}", schemas["concerts"])
     assert not is_number(digit)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "SELECT singer.name FROM singer jo\u0131n singer_in_concert"
+        " ON singer.singer_id = singer_in_concert.singer_id",
+        "SELECT name FROM singer WHERE name l\u0131ke 'A%'",
+    ],
+    ids=["dotless-i-join", "dotless-i-like"],
+)
+def test_normalize_refuses_a_keyword_spelled_with_a_dotless_i(schemas, connect, text):
+    """``str.upper`` turns a dotless i into ``I``, but SQLite folds ASCII
+    case alone: it reads ``jo\u0131n`` as an alias and ``l\u0131ke`` as
+    no keyword, and refuses both statements.  So does ``normalize``."""
+    with pytest.raises(sqlite3.OperationalError, match="syntax error"):
+        connect("concerts").execute(text)
+    with pytest.raises(ParseError):
+        normalize(text, schemas["concerts"])
+    assert is_identifier("jo\u0131n")
 
 
 def test_normalize_qualifies_bare_columns(schemas):

@@ -1589,9 +1589,9 @@ def test_a_select_swap_hit_parses_and_checks_no_swap_it_need_not(
     def counting_make_query_check(*args):
         check = make_query_check(*args)
 
-        def counting(bodies, variant):
-            checked.append(variant)
-            return check(bodies, variant)
+        def counting(bodies):
+            checked.append(bodies)
+            return check(bodies)
 
         return counting
 
