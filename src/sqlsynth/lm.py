@@ -1,18 +1,23 @@
 """Language-model adapters: top-k next-token probability sources.
 
 The search engine only ever sees ``TokenCandidate`` lists, so anything
-that can produce them can drive generation.  Two adapters live here: a
-deterministic scripted model used by tests and demos, and an HTTP client
-for completion servers.  Tokenization is adapter-owned; the scripted
-model's lexeme tokens, unlike sub-word tokens, never end a prefix inside
-a lexeme, so they never reach the checker's fragment path.
+that can produce them can drive generation.  A candidate is a named
+tuple ``(token_id, surface, prob)``; both adapters rank plain
+``(-prob, token_id)`` keys and build candidates only for the k they
+return.  Two adapters live here: a deterministic scripted model used by
+tests and demos, and an HTTP client for completion servers.
+Tokenization is adapter-owned; the scripted model's lexeme tokens,
+unlike sub-word tokens, never end a prefix inside a lexeme, so they
+never reach the checker's fragment path.
 
 The scripted model keeps each distinct path once, as a tuple of interned
 tokens in one sorted list with its weight beside it.  Its candidates at
 a prefix come from the paths that extend the prefix, which sort into one
 contiguous run; their next tokens and the path that ends there share
-the prefix's probability mass by weight.  Interning makes every model in
-a process share one string per distinct token.
+the prefix's probability mass by weight.  Each next token's paths form
+a sub-run of their own, skipped by bisection, so a call reads a few
+paths per next token, not every path under the prefix.  Interning makes
+every model in a process share one string per distinct token.
 
 The HTTP client speaks a small HTTP/1.1 exchange over a plain socket:
 one ``sendall`` of the request line, the headers and the JSON body, then
@@ -36,7 +41,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Mapping, Sequence
+from typing import BinaryIO, Mapping, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 from .nsql.lexemes import split_line
@@ -58,8 +63,12 @@ class ProtocolError(AdapterError):
     """The model backend replied with something unusable."""
 
 
-@dataclass(frozen=True)
-class TokenCandidate:
+class TokenCandidate(NamedTuple):
+    """One next-token option: its id, the text it appends, and its
+    probability.  An immutable, hashable tuple without a per-instance
+    ``__dict__``, so it is cheap to build and a search unpacks it as
+    ``(token_id, surface, prob)``.  Only ``EOS_TOKEN_ID`` is EOS."""
+
     token_id: str
     surface: str
     prob: float
@@ -124,7 +133,8 @@ class ScriptedModel:
     weight of the paths it continues; the path that ends at the prefix
     contributes an EOS candidate.  Each distinct path is kept once, with
     its tokens interned and its weights summed, in a sorted list, so the
-    paths that extend a prefix are one contiguous run found by bisection.
+    paths that extend a prefix are one contiguous run found by bisection,
+    and each next token's share of it ends where bisection says.
     Optional distractor noise reserves a fixed mass for one off-path
     token per step.
     """
@@ -178,41 +188,49 @@ class ScriptedModel:
         self, session: GenerationSession, k: int
     ) -> list[TokenCandidate]:
         prefix = session.prefix
-        if EOS_TOKEN_ID in prefix:
-            raise ProtocolError("session already ended with EOS")
-        paths, n = self._paths, len(prefix)
-        # A prefix sorts before its extensions, and they sort together.
+        paths, weights, n = self._paths, self._weights, len(prefix)
+        end = len(paths)
+        # A prefix sorts before its extensions, and they sort together,
+        # each next token's paths in one sub-run.
         index = bisect_left(paths, prefix)
-        eos = 0.0
-        nexts: dict[str, float] = {}
-        while index < len(paths) and paths[index][:n] == prefix:
-            path, weight = paths[index], self._weights[index]
-            if len(path) == n:
-                eos = weight
-            else:
-                nexts[path[n]] = nexts.get(path[n], 0.0) + weight
+        eos = total = 0.0
+        if index < end and paths[index] == prefix:
+            eos = weights[index]
             index += 1
+        nexts: list[tuple[str, float]] = []
+        while index < end and paths[index][:n] == prefix:
+            token = paths[index][n]
+            stop = index + 1
+            if stop < end and len(paths[stop]) > n and paths[stop][n] == token:
+                # token + "\0" is the least string after token.
+                stop = bisect_left(paths, prefix + (token + "\0",), stop)
+                weight = sum(weights[index:stop])
+            else:
+                weight = weights[index]
+            nexts.append((token, weight))
+            total += weight
+            index = stop
         if not nexts and not eos:
+            # No path holds EOS, so no path extends a prefix that does.
+            if EOS_TOKEN_ID in prefix:
+                raise ProtocolError("session already ended with EOS")
             return []  # off the scripted paths: dead end
         noise = 0.0
-        if self._distractor is not None and self._distractor.applies_at(n):
-            noise = self._distractor.mass
-        scale = (1 - noise) / (eos + sum(nexts.values()))
-        candidates = [
-            TokenCandidate(token, token, weight * scale)
-            for token, weight in nexts.items()
-        ]
+        distractor = self._distractor
+        if distractor is not None and distractor.applies_at(n):
+            noise = distractor.mass
+        scale = (1 - noise) / (eos + total)
+        # Rank (-prob, token_id) pairs; build candidates only for the top k.
+        ranked = [(-weight * scale, token) for token, weight in nexts]
         if eos > 0:
-            candidates.append(TokenCandidate(EOS_TOKEN_ID, "", eos * scale))
+            ranked.append((-eos * scale, EOS_TOKEN_ID))
         if noise > 0:
-            assert self._distractor is not None
-            candidates.append(
-                TokenCandidate(
-                    self._distractor.surface, self._distractor.surface, noise
-                )
-            )
-        candidates.sort(key=lambda c: (-c.prob, c.token_id))
-        return candidates[:k]
+            ranked.append((-noise, distractor.surface))
+        ranked.sort()
+        return [
+            TokenCandidate(token, "" if token == EOS_TOKEN_ID else token, -cost)
+            for cost, token in ranked[:k]
+        ]
 
 
 class ScriptedRouter:
@@ -531,12 +549,17 @@ class HttpCompletionModel:
             eos = body.get("eos_logprob")
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed server reply: {exc}") from exc
-        candidates = []
-        for text, logprob in entries:
+        # (-prob, token_id, index) ranks ties by token id, then by reply
+        # order; the index also tells the EOS entry's empty surface apart.
+        ranked = []
+        for index, (text, logprob) in enumerate(entries):
             if not isinstance(text, str):
                 raise ProtocolError(f"candidate text is not a string: {text!r}")
-            candidates.append(TokenCandidate(text, text, _probability(logprob)))
+            ranked.append((-_probability(logprob), text, index))
         if eos is not None:
-            candidates.append(TokenCandidate(EOS_TOKEN_ID, "", _probability(eos)))
-        candidates.sort(key=lambda c: (-c.prob, c.token_id))
-        return candidates[:k]
+            ranked.append((-_probability(eos), EOS_TOKEN_ID, len(entries)))
+        ranked.sort()
+        return [
+            TokenCandidate(token, token if index < len(entries) else "", -cost)
+            for cost, token, index in ranked[:k]
+        ]

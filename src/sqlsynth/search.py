@@ -62,6 +62,13 @@ class SearchConfig:
     repair_enabled: bool = True
     include_examples: bool = True
 
+    def __post_init__(self) -> None:
+        # A negative k would slice off the least likely candidates, and
+        # zero would end every search exhausted without saying why.
+        for name in ("k", "max_tokens"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"SearchConfig.{name} must be at least 1")
+
 
 @dataclass
 class SearchStats:
@@ -96,12 +103,8 @@ def extend(node: Node, candidate: TokenCandidate) -> Node:
     ``ValueError`` for a probability of zero or less.
     """
     cost, neg_depth, tokens, text = node
-    return (
-        cost - math.log(candidate.prob),
-        neg_depth - 1,
-        tokens + (candidate.token_id,),
-        text + candidate.surface,
-    )
+    token_id, surface, prob = candidate
+    return (cost - math.log(prob), neg_depth - 1, tokens + (token_id,), text + surface)
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,10 @@ def _best_first(
     Ends when the frontier is empty and raises ``_DeadlinePassed`` when
     time runs out first.  A pop backtracks when it does not extend the
     previous pop."""
+    # Per-search invariants, read once.  The tracer wraps
+    # ``top_candidates`` on the model before any search starts.
+    top_candidates, k, max_tokens = model.top_candidates, config.k, config.max_tokens
+    push, pop, task_text = heapq.heappush, heapq.heappop, session.task_text
     frontier = [ROOT]
     previous: tuple[str, ...] = ()
     while True:
@@ -145,7 +152,7 @@ def _best_first(
             raise _DeadlinePassed
         if not frontier:
             return
-        node = heapq.heappop(frontier)
+        node = pop(frontier)
         _, _, tokens, text = node
         if tokens[:-1] != previous:
             stats.backtracks += 1
@@ -153,32 +160,29 @@ def _best_first(
         if tokens and tokens[-1] == EOS_TOKEN_ID:
             yield text
             continue
-        candidates = model.top_candidates(
-            GenerationSession(session.task_text, tokens), config.k
-        )
+        candidates = top_candidates(GenerationSession(task_text, tokens), k)
         stats.nodes_expanded += 1
         stats.candidates_generated += len(candidates)
         # Each node is popped once, so a token sequence repeats only when
         # one reply names a token id twice: its first passing child wins.
         # A child is checked before its entry is built, so a rejected one
         # costs its check and nothing more.
-        at_limit = len(tokens) + 1 >= config.max_tokens
+        at_limit = len(tokens) + 1 >= max_tokens
         pushed: set[str] = set()
         for candidate in candidates:
-            eos = candidate.is_eos
-            if candidate.prob <= 0.0 or not (eos or candidate.surface):
+            token_id, surface, prob = candidate
+            eos = token_id == EOS_TOKEN_ID
+            if prob <= 0.0 or not (eos or surface):
                 continue  # an empty token adds no text, so no new verdict
             if at_limit and not eos:
                 continue
-            if checker is not None:
-                verdict = checker(text + candidate.surface, eos)
-                if not verdict.ok:
-                    stats.pruned_by_checker += 1
-                    continue
-            if candidate.token_id in pushed:
+            if checker is not None and not checker(text + surface, eos).ok:
+                stats.pruned_by_checker += 1
                 continue
-            pushed.add(candidate.token_id)
-            heapq.heappush(frontier, extend(node, candidate))
+            if token_id in pushed:
+                continue
+            pushed.add(token_id)
+            push(frontier, extend(node, candidate))
 
 
 def search_task_text(

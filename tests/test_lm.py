@@ -25,6 +25,7 @@ from sqlsynth.lm import (
     ProtocolError,
     ScriptedModel,
     ScriptedRouter,
+    TokenCandidate,
     _read_reply,
     lexeme_tokens,
     load_scripted_model,
@@ -231,6 +232,46 @@ def test_scripted_model_matches_the_frozen_trie():
                     else:
                         assert math.isclose(prob, expected, rel_tol=1e-12), prefix
     assert rejected > 50 and compared > 20_000 and multi > 2_000
+
+
+class _CountingList(list):
+    """A list that counts its item reads, ``bisect``'s included."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_a_root_call_reads_a_few_paths_per_next_token():
+    """On 10,000 paths of 12 tokens over 50, a root call bisects past
+    each next token's paths instead of reading them all, and gives the
+    same candidates."""
+    rng = random.Random(11)
+    tokens = [f"t{i} " for i in range(50)]
+    paths = {tuple(rng.choice(tokens) for _ in range(12)) for _ in range(10_000)}
+    model = ScriptedModel([(path, 1 / len(paths)) for path in paths])
+    want = model.top_candidates(_session(model), 100)
+    model._paths = _CountingList(model._paths)
+    got = model.top_candidates(_session(model), 100)
+    assert got == want and len(got) == len(tokens)
+    # Each next token costs a few reads plus one bisection.
+    assert model._paths.reads <= len(tokens) * (len(paths).bit_length() + 8)
+
+
+def test_token_candidate_is_an_immutable_hashable_triple():
+    candidate = TokenCandidate("a ", "a", 0.5)
+    with pytest.raises(AttributeError):
+        candidate.prob = 0.9
+    assert not hasattr(candidate, "__dict__")
+    assert hash(candidate) == hash(TokenCandidate("a ", "a", 0.5))
+    assert len({candidate, TokenCandidate("a ", "a", 0.5)}) == 1
+    token_id, surface, prob = candidate
+    assert (token_id, surface, prob) == ("a ", "a", 0.5)
+    assert TokenCandidate(EOS_TOKEN_ID, "", 0.1).is_eos
+    for token_id in ("", "a ", "<EOS>", EOS_TOKEN_ID + " "):
+        assert not TokenCandidate(token_id, EOS_TOKEN_ID, 0.1).is_eos
 
 
 def test_a_scripted_path_deeper_than_the_recursion_limit(tmp_path):
@@ -568,6 +609,29 @@ def test_http_model_round_trip(canned_server):
     seen = _CannedHandler.requests_seen[-1]
     assert seen["body"] == {"task": "the task", "prefix": "SELECT ", "k": 3}
     assert seen["auth"] == "Bearer sesame"
+
+
+def test_http_model_ranks_by_probability_then_token_id(canned_server):
+    """The candidates a reply gives, in the order the old sort of built
+    candidates gave them: ties by token id, then in reply order, so a
+    text spelled like the EOS id stays apart from EOS itself."""
+    quarter, tenth = math.log(0.25), math.log(0.1)
+    texts = [("b ", quarter), ("c ", tenth), ("a ", quarter), (EOS_TOKEN_ID, quarter)]
+    _CannedHandler.payload = {
+        "candidates": [{"text": text, "logprob": lp} for text, lp in texts],
+        "eos_logprob": quarter,
+    }
+    built = [TokenCandidate(text, text, math.exp(lp)) for text, lp in texts]
+    built.append(TokenCandidate(EOS_TOKEN_ID, "", math.exp(quarter)))
+    want = sorted(built, key=lambda c: (-c.prob, c.token_id))
+    model = HttpCompletionModel(canned_server)
+    session = model.start_session("t")
+    try:
+        for k in (1, 3, 5, 10):
+            assert model.top_candidates(session, k) == want[:k]
+    finally:
+        model.close()
+    assert [c.surface for c in want[:2]] == [EOS_TOKEN_ID, ""]
 
 
 def test_http_model_rejects_bad_payloads(canned_server):

@@ -100,6 +100,20 @@ def test_extend_accumulates_in_log_space():
     assert math.exp(-cost) == pytest.approx(0.125)
 
 
+def test_search_config_refuses_k_below_one():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=r"SearchConfig\.k "):
+            SearchConfig(k=k)
+    assert SearchConfig(k=1).k == 1
+
+
+def test_search_config_refuses_max_tokens_below_one():
+    for max_tokens in (0, -1):
+        with pytest.raises(ValueError, match=r"SearchConfig\.max_tokens "):
+            SearchConfig(max_tokens=max_tokens)
+    assert SearchConfig(max_tokens=1).max_tokens == 1
+
+
 def test_extend_rejects_zero_probability():
     with pytest.raises(ValueError):
         extend(ROOT, TokenCandidate("a ", "a ", 0.0))
@@ -994,6 +1008,8 @@ def test_search_builds_a_node_only_for_a_pushed_child(
             patch.setattr(search, "extend", recording_extend)
             got = run_search(task, schema, db, model, config=config)
         assert _outcome(got) == _outcome(want), task.id
+        # A loop that stopped building through ``extend`` records nothing.
+        assert children, task.id
         assert not {(child[3], eos) for child, eos in children} & rejected, task.id
         assert all(eos or -child[1] < max_tokens for child, eos in children), task.id
         tokens = [child[2] for child, _ in children]
