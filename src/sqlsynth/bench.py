@@ -225,7 +225,9 @@ def run_benchmark(
     grading query on one thread borrows that thread's connection to it.
     With ``jobs`` above one, tasks run on a thread pool of at most one
     worker per task, and each worker thread opens its own connection, so
-    SQLite stays on one thread.
+    SQLite stays on one thread.  An exception that reaches the pool, an
+    interrupt included, cancels the tasks not yet started; the serial
+    path lets an interrupt stop the running search at once.
     """
     config = config or SearchConfig()
     report = BenchmarkReport(label=label)
@@ -244,7 +246,11 @@ def run_benchmark(
             )
             for task in tasks
         ]
-        report.reports.extend(future.result() for future in futures)
+        try:
+            report.reports.extend(future.result() for future in futures)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return report
 
 

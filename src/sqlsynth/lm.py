@@ -2,10 +2,10 @@
 
 The search engine only ever sees ``TokenCandidate`` lists, so anything
 that can produce them can drive generation.  A candidate is a named
-tuple ``(token_id, surface, prob)``; both adapters rank plain
-``(-prob, token_id)`` keys and build candidates only for the k they
-return.  Two adapters live here: a deterministic scripted model used by
-tests and demos, and an HTTP client for completion servers.
+tuple ``(token_id, surface, prob)``; both adapters rank and cut their
+``(-prob, token_id)`` pairs through ``_top_k``, and ``EOS_TOKEN_ID`` is
+never a token's text.  Two adapters live here: a deterministic scripted
+model used by tests and demos, and an HTTP client for completion servers.
 Tokenization is adapter-owned; the scripted model's lexeme tokens,
 unlike sub-word tokens, never end a prefix inside a lexeme, so they
 never reach the checker's fragment path.
@@ -84,6 +84,17 @@ class GenerationSession:
 
     task_text: str
     prefix: tuple[str, ...] = ()
+
+
+def _top_k(ranked: list[tuple[float, str]], k: int) -> list[TokenCandidate]:
+    """The k most probable ``(-prob, token_id)`` pairs as candidates, ties
+    by token id, then in input order (the sort is stable).  Only
+    ``EOS_TOKEN_ID`` gets the empty surface."""
+    ranked.sort()
+    return [
+        TokenCandidate(token, "" if token == EOS_TOKEN_ID else token, -cost)
+        for cost, token in ranked[:k]
+    ]
 
 
 def lexeme_tokens(text: str) -> tuple[str, ...]:
@@ -220,21 +231,19 @@ class ScriptedModel:
         if distractor is not None and distractor.applies_at(n):
             noise = distractor.mass
         scale = (1 - noise) / (eos + total)
-        # Rank (-prob, token_id) pairs; build candidates only for the top k.
         ranked = [(-weight * scale, token) for token, weight in nexts]
         if eos > 0:
             ranked.append((-eos * scale, EOS_TOKEN_ID))
         if noise > 0:
             ranked.append((-noise, distractor.surface))
-        ranked.sort()
-        return [
-            TokenCandidate(token, "" if token == EOS_TOKEN_ID else token, -cost)
-            for cost, token in ranked[:k]
-        ]
+        return _top_k(ranked, k)
 
 
 class ScriptedRouter:
-    """Routes task texts to scripted models by substring match."""
+    """Routes task texts to scripted models by substring match: the first
+    route whose key the text holds, else the default.  The last task
+    text's model is kept as one ``(text, model)`` tuple, which threads
+    read and replace whole, so a search scans the routes once."""
 
     def __init__(
         self,
@@ -243,14 +252,19 @@ class ScriptedRouter:
     ) -> None:
         self._routes = list(routes)
         self._default = default
+        self._last: tuple[str, ScriptedModel] | None = None
 
     def _model_for(self, task_text: str) -> ScriptedModel:
-        for key, model in self._routes:
-            if key in task_text:
-                return model
-        if self._default is not None:
-            return self._default
-        raise AdapterUnavailable("no scripted route matches the task text")
+        last = self._last
+        if last is not None and last[0] == task_text:
+            return last[1]
+        model = next(
+            (model for key, model in self._routes if key in task_text), self._default
+        )
+        if model is None:
+            raise AdapterUnavailable("no scripted route matches the task text")
+        self._last = (task_text, model)
+        return model
 
     def start_session(self, task_text: str) -> GenerationSession:
         return self._model_for(task_text).start_session(task_text)
@@ -411,7 +425,8 @@ class HttpCompletionModel:
 
     Request: ``{"task": str, "prefix": str, "k": int}``.  Response:
     ``{"candidates": [{"text": str, "logprob": float}], "eos_logprob":
-    float|null}``.  Probabilities are exp(logprob), used raw.
+    float|null}``.  Probabilities are exp(logprob), used raw.  A candidate
+    text ``EOS_TOKEN_ID``, or a prefix holding it, is a ``ProtocolError``.
 
     One exchange sends the request line, the headers (encoded once, when
     the model is built) and the JSON body in one ``sendall``.  It reads
@@ -532,11 +547,9 @@ class HttpCompletionModel:
     def top_candidates(
         self, session: GenerationSession, k: int
     ) -> list[TokenCandidate]:
-        payload = {
-            "task": session.task_text,
-            "prefix": "".join(t for t in session.prefix if t != EOS_TOKEN_ID),
-            "k": k,
-        }
+        if EOS_TOKEN_ID in session.prefix:
+            raise ProtocolError("session already ended with EOS")
+        payload = {"task": session.task_text, "prefix": "".join(session.prefix), "k": k}
         request = json.dumps(payload).encode()
         status, data = self._exchange(
             self._post_prefix + b"%d\r\n\r\n" % len(request) + request
@@ -549,17 +562,11 @@ class HttpCompletionModel:
             eos = body.get("eos_logprob")
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed server reply: {exc}") from exc
-        # (-prob, token_id, index) ranks ties by token id, then by reply
-        # order; the index also tells the EOS entry's empty surface apart.
         ranked = []
-        for index, (text, logprob) in enumerate(entries):
-            if not isinstance(text, str):
-                raise ProtocolError(f"candidate text is not a string: {text!r}")
-            ranked.append((-_probability(logprob), text, index))
+        for text, logprob in entries:
+            if not isinstance(text, str) or text == EOS_TOKEN_ID:
+                raise ProtocolError(f"candidate text is not a token's text: {text!r}")
+            ranked.append((-_probability(logprob), text))
         if eos is not None:
-            ranked.append((-_probability(eos), EOS_TOKEN_ID, len(entries)))
-        ranked.sort()
-        return [
-            TokenCandidate(token, token if index < len(entries) else "", -cost)
-            for cost, token, index in ranked[:k]
-        ]
+            ranked.append((-_probability(eos), EOS_TOKEN_ID))
+        return _top_k(ranked, k)

@@ -68,6 +68,9 @@ class SearchConfig:
         for name in ("k", "max_tokens"):
             if getattr(self, name) < 1:
                 raise ValueError(f"SearchConfig.{name} must be at least 1")
+        # A NaN deadline compares false, so the search would never time out.
+        if math.isnan(self.time_limit):
+            raise ValueError("SearchConfig.time_limit must not be NaN")
 
 
 @dataclass

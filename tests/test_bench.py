@@ -10,7 +10,7 @@ import socket
 import sqlite3
 import sys
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -345,6 +345,44 @@ def test_benchmark_contains_model_crash(schemas, fixture_paths):
     assert row.solved is False
     assert row.execution_match is None
     assert row.stats == {}
+
+
+class _Interrupt(BaseException):
+    """Stands for ``KeyboardInterrupt``, which grading does not contain."""
+
+
+def test_an_interrupt_cancels_the_tasks_queued_behind_it(
+    monkeypatch, schemas, fixture_paths
+):
+    """Under two workers, a ``BaseException`` from the first task reaches
+    the caller, and no task queued behind it starts.  Every other task
+    holds its worker until the pool has been shut down, so at most one
+    task a worker is in flight when the first one raises."""
+    tasks = [_task(f"bench-{i:03d}", f"question {i}", "", [5]) for i in range(8)]
+    started: list[str] = []
+    shut = threading.Event()
+
+    class Model:
+        def start_session(self, task_text):
+            if task_text.startswith("question 0"):
+                raise _Interrupt
+            started.append(task_text.split("\n", 1)[0])
+            shut.wait(10)
+            raise RuntimeError("stopped")
+
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            shut.set()
+            super().shutdown(wait=wait)
+
+    monkeypatch.setattr(bench, "ThreadPoolExecutor", Pool)
+    with pytest.raises(_Interrupt):
+        run_benchmark(
+            tasks, schemas, fixture_paths.db_root, Model(), config=CONFIG, jobs=2
+        )
+    assert shut.is_set()
+    assert len(started) <= 2, started
 
 
 def test_benchmark_records_adapter_failure(schemas, fixture_paths, router):
