@@ -240,13 +240,14 @@ def run_benchmark(
             )
         return report
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                _grade_task, task, schemas[task.db_id], dbs[task.db_id], model, config
-            )
-            for task in tasks
-        ]
         try:
+            futures = [
+                pool.submit(
+                    _grade_task,
+                    task, schemas[task.db_id], dbs[task.db_id], model, config,
+                )
+                for task in tasks
+            ]
             report.reports.extend(future.result() for future in futures)
         except BaseException:
             pool.shutdown(cancel_futures=True)

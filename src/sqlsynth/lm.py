@@ -88,8 +88,7 @@ class GenerationSession:
 
 def _top_k(ranked: list[tuple[float, str]], k: int) -> list[TokenCandidate]:
     """The k most probable ``(-prob, token_id)`` pairs as candidates, ties
-    by token id, then in input order (the sort is stable).  Only
-    ``EOS_TOKEN_ID`` gets the empty surface."""
+    by token id.  Only ``EOS_TOKEN_ID`` gets the empty surface."""
     ranked.sort()
     return [
         TokenCandidate(token, "" if token == EOS_TOKEN_ID else token, -cost)
@@ -241,9 +240,7 @@ class ScriptedModel:
 
 class ScriptedRouter:
     """Routes task texts to scripted models by substring match: the first
-    route whose key the text holds, else the default.  The last task
-    text's model is kept as one ``(text, model)`` tuple, which threads
-    read and replace whole, so a search scans the routes once."""
+    route whose key the text holds, else the default."""
 
     def __init__(
         self,
@@ -252,18 +249,13 @@ class ScriptedRouter:
     ) -> None:
         self._routes = list(routes)
         self._default = default
-        self._last: tuple[str, ScriptedModel] | None = None
 
     def _model_for(self, task_text: str) -> ScriptedModel:
-        last = self._last
-        if last is not None and last[0] == task_text:
-            return last[1]
         model = next(
             (model for key, model in self._routes if key in task_text), self._default
         )
         if model is None:
             raise AdapterUnavailable("no scripted route matches the task text")
-        self._last = (task_text, model)
         return model
 
     def start_session(self, task_text: str) -> GenerationSession:

@@ -351,26 +351,36 @@ class _Interrupt(BaseException):
     """Stands for ``KeyboardInterrupt``, which grading does not contain."""
 
 
+@pytest.mark.parametrize("source", ["first-task", "fifth-submit"])
 def test_an_interrupt_cancels_the_tasks_queued_behind_it(
-    monkeypatch, schemas, fixture_paths
+    monkeypatch, schemas, fixture_paths, source
 ):
-    """Under two workers, a ``BaseException`` from the first task reaches
-    the caller, and no task queued behind it starts.  Every other task
-    holds its worker until the pool has been shut down, so at most one
-    task a worker is in flight when the first one raises."""
+    """Under two workers, a ``BaseException`` from the first task, or from
+    submitting the fifth, reaches the caller, and no task queued behind
+    the ones in flight starts.  Every other task holds its worker until
+    the pool has been shut down, so at most one task a worker is in
+    flight when the exception is raised."""
     tasks = [_task(f"bench-{i:03d}", f"question {i}", "", [5]) for i in range(8)]
     started: list[str] = []
     shut = threading.Event()
 
     class Model:
         def start_session(self, task_text):
-            if task_text.startswith("question 0"):
+            if source == "first-task" and task_text.startswith("question 0"):
                 raise _Interrupt
             started.append(task_text.split("\n", 1)[0])
             shut.wait(10)
             raise RuntimeError("stopped")
 
     class Pool(ThreadPoolExecutor):
+        submitted = 0
+
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            if source == "fifth-submit" and self.submitted == 5:
+                raise _Interrupt
+            return super().submit(*args, **kwargs)
+
         def shutdown(self, wait=True, *, cancel_futures=False):
             super().shutdown(wait=False, cancel_futures=cancel_futures)
             shut.set()

@@ -324,35 +324,6 @@ def test_run_search_times_out(schemas):
     assert result.status is SearchStatus.TIMED_OUT
 
 
-class _CountingRoutes(list):
-    """A route list that counts its scans."""
-
-    scans = 0
-
-    def __iter__(self):
-        self.scans += 1
-        return super().__iter__()
-
-
-def test_a_routed_search_scans_the_routes_once(schemas):
-    """A router resolves a task text once, however many model calls its
-    search makes; the first matching route wins over later ones."""
-    gold = ScriptedModel.from_queries([(GOLD, 1.0)])
-    other = ScriptedModel.from_queries([(GOLD.replace("30", "40"), 1.0)])
-    routes = [(f"route {i}\n", other) for i in range(1000)]
-    router = ScriptedRouter(routes + [("who?", gold), ("who", other)])
-    router._routes = _CountingRoutes(router._routes)
-    for question, scans in (("who?", 1), ("who?", 1), ("and who?", 2)):
-        result = run_search(
-            _task(question=question), schemas["concerts"], None, router,
-            tester=_accept_all,
-        )
-        assert result.status is SearchStatus.SOLVED
-        assert result.query_text == GOLD
-        assert result.stats.nodes_expanded == len(lexeme_tokens(GOLD)) + 1
-        assert router._routes.scans == scans
-
-
 def test_run_search_exhausts_when_nothing_satisfies(schemas):
     model = ScriptedModel.from_queries([(GOLD, 1.0)])
     result = run_search(
