@@ -312,13 +312,6 @@ def run_ablation(
 
 # -- Checker comparison ----------------------------------------------------
 
-LABEL_ORDER = (
-    Label.CORRECT,
-    Label.EXAMPLE_ERROR,
-    Label.RUNTIME_ERROR,
-    Label.SYNTAX_ERROR,
-)
-
 
 @dataclass
 class CheckerExperiment:
@@ -326,8 +319,8 @@ class CheckerExperiment:
 
     matrix: dict[Label, dict[Label, int]] = field(
         default_factory=lambda: {
-            truth: {predicted: 0 for predicted in LABEL_ORDER}
-            for truth in LABEL_ORDER
+            truth: {predicted: 0 for predicted in Label}
+            for truth in Label
         }
     )
 
@@ -340,7 +333,7 @@ class CheckerExperiment:
 
     @property
     def agreements(self) -> int:
-        return sum(self.matrix[label][label] for label in LABEL_ORDER)
+        return sum(self.matrix[label][label] for label in Label)
 
     def as_dict(self) -> dict:
         return {
@@ -352,25 +345,25 @@ class CheckerExperiment:
             "matrix": {
                 truth.value: {
                     predicted.value: self.matrix[truth][predicted]
-                    for predicted in LABEL_ORDER
+                    for predicted in Label
                 }
-                for truth in LABEL_ORDER
+                for truth in Label
             },
         }
 
     def render_text(self) -> str:
-        width = max(len(label.value) for label in LABEL_ORDER) + 2
+        width = max(len(label.value) for label in Label) + 2
         lines = [
             f"generations labeled: {self.total}",
             f"agreement: {self.agreements} ({_rate(self.agreements, self.total)})",
             "rows: by execution, columns: by static checks",
             " " * width
-            + "".join(f"{label.value:>{width}}" for label in LABEL_ORDER),
+            + "".join(f"{label.value:>{width}}" for label in Label),
         ]
-        for truth in LABEL_ORDER:
+        for truth in Label:
             cells = "".join(
                 f"{self.matrix[truth][predicted]:>{width}}"
-                for predicted in LABEL_ORDER
+                for predicted in Label
             )
             lines.append(f"{truth.value:<{width}}" + cells)
         return "\n".join(lines)

@@ -3,9 +3,9 @@
 The checker sees only the database schema and the example tuple, never
 the database contents.  Three checks run in order of cost: vocabulary,
 scope (every referenced table must appear in FROM), and output types
-against the example.  Verdicts carry the error kind an execution of the
-finished query would raise, which also powers the 4-label classifier
-used by the checker-comparison experiment.
+against the example.  A rejecting verdict carries the ``Label`` of the
+error an execution of the finished query would raise, which also powers
+the 4-label classifier used by the checker-comparison experiment.
 
 Vocabulary reads one table per clause, ``CLAUSE_VOCABULARY``: flat and
 inside parentheses, a set of exact lexemes and four open classes.  A
@@ -66,23 +66,31 @@ from .nsql.query import (
 from .tasks import ColumnType, DatabaseSchema, ExampleTuple, NUMERIC_TYPES
 
 
-class ErrorKind(enum.Enum):
-    SYNTAX = "Syntax"
-    RUNTIME = "Runtime"
-    EXAMPLE = "Example"
+class Label(enum.Enum):
+    """The 4-label classification of a finished query.  A rejecting
+    verdict carries one of the three error labels: the error an
+    execution of the finished query would raise.  Declaration order is
+    the row and column order of the checker-comparison matrix."""
+
+    CORRECT = "Correct"
+    EXAMPLE_ERROR = "ExampleError"
+    RUNTIME_ERROR = "RuntimeError"
+    SYNTAX_ERROR = "SyntaxError"
 
 
 @dataclass(frozen=True)
 class CheckVerdict:
     ok: bool
-    kind: ErrorKind | None = None
+    kind: Label | None = None
     clause: ClauseKind | None = None
     detail: str = ""
 
     @classmethod
     def rejected(
-        cls, kind: ErrorKind, clause: ClauseKind | None, detail: str
+        cls, kind: Label, clause: ClauseKind | None, detail: str
     ) -> "CheckVerdict":
+        if kind is Label.CORRECT:
+            raise ValueError("a rejected verdict needs an error label")
         return cls(ok=False, kind=kind, clause=clause, detail=detail)
 
 
@@ -176,21 +184,21 @@ def _lexeme_verdict(
     if is_column_ref(lexeme):
         if not vocabulary.column_ref:
             detail = f"column reference {lexeme!r} not allowed here"
-            return CheckVerdict.rejected(ErrorKind.SYNTAX, clause, detail)
+            return CheckVerdict.rejected(Label.SYNTAX_ERROR, clause, detail)
         table, column = lexeme.split(".", 1)
         if schema.column_type(table, column) is not None:
             return PASS
         return CheckVerdict.rejected(
-            ErrorKind.RUNTIME, clause, f"{lexeme!r} is not a schema column"
+            Label.RUNTIME_ERROR, clause, f"{lexeme!r} is not a schema column"
         )
     if vocabulary.table and is_identifier(lexeme):
         if schema.table(lexeme) is not None:
             return PASS
         return CheckVerdict.rejected(
-            ErrorKind.RUNTIME, clause, f"{lexeme!r} is not a schema table"
+            Label.RUNTIME_ERROR, clause, f"{lexeme!r} is not a schema table"
         )
     return CheckVerdict.rejected(
-        ErrorKind.SYNTAX, clause, f"{lexeme!r} not allowed in {clause.value}"
+        Label.SYNTAX_ERROR, clause, f"{lexeme!r} not allowed in {clause.value}"
     )
 
 
@@ -223,10 +231,10 @@ def _fragment_plausible(
                 return PASS
     if vocabulary.column_ref and "." in fragment:
         return CheckVerdict.rejected(
-            ErrorKind.RUNTIME, clause, f"no schema column starts with {fragment!r}"
+            Label.RUNTIME_ERROR, clause, f"no schema column starts with {fragment!r}"
         )
     detail = f"{fragment!r} cannot extend to a lexeme allowed in {clause.value}"
-    return CheckVerdict.rejected(ErrorKind.SYNTAX, clause, detail)
+    return CheckVerdict.rejected(Label.SYNTAX_ERROR, clause, detail)
 
 
 def _check_lexemes(
@@ -241,7 +249,9 @@ def _check_lexemes(
         if lexeme == ")":
             depth -= 1
             if depth < 0:
-                return CheckVerdict.rejected(ErrorKind.SYNTAX, clause, "unbalanced ')'")
+                return CheckVerdict.rejected(
+                    Label.SYNTAX_ERROR, clause, "unbalanced ')'"
+                )
         verdict = _lexeme_verdict(schema, lexeme, clause, depth > 0 or lexeme == ")")
         if not verdict.ok:
             return verdict
@@ -317,7 +327,7 @@ def _scope(
                 if table.lower() not in tables:
                     where = "FROM" if sub is None else "the subquery's FROM"
                     return CheckVerdict.rejected(
-                        ErrorKind.RUNTIME, kind, f"table {table!r} not in {where}"
+                        Label.RUNTIME_ERROR, kind, f"table {table!r} not in {where}"
                     )
     return PASS
 
@@ -394,7 +404,7 @@ def check_types(
         computed.extend(types)
     if len(computed) != len(example_types):
         return CheckVerdict.rejected(
-            ErrorKind.EXAMPLE,
+            Label.EXAMPLE_ERROR,
             ClauseKind.SELECT,
             f"query returns {len(computed)} columns, example has {len(example_types)}",
         )
@@ -402,7 +412,7 @@ def check_types(
         if not _compatible(types, expected):
             names = "/".join(sorted(t.value for t in types))
             return CheckVerdict.rejected(
-                ErrorKind.EXAMPLE,
+                Label.EXAMPLE_ERROR,
                 ClauseKind.SELECT,
                 f"column {position + 1} yields {names}, example has {expected.value}",
             )
@@ -468,9 +478,9 @@ def _shared_step(
     try:
         _, body, _, error = parse_partial(kind, line[:-1], terminated=True)
     except ClauseOrderViolation as exc:
-        return _head(fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc)))
+        return _head(fatal=CheckVerdict.rejected(Label.SYNTAX_ERROR, None, str(exc)))
     if error is not None:
-        return _head(fatal=CheckVerdict.rejected(ErrorKind.SYNTAX, None, error))
+        return _head(fatal=CheckVerdict.rejected(Label.SYNTAX_ERROR, None, error))
     following = _FOLLOWING[kind]
     if head.clause_error is not None:
         return _head(following, clause_error=head.clause_error)
@@ -480,7 +490,7 @@ def _shared_step(
     try:
         parsed = parse_clause_cached(kind, body)
     except ParseError as exc:
-        verdict = CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc))
+        verdict = CheckVerdict.rejected(Label.SYNTAX_ERROR, kind, str(exc))
         return _head(following, clause_error=verdict)
     if kind is ClauseKind.SELECT:
         types = PASS
@@ -528,16 +538,16 @@ def _check_line(
     try:
         keyword_remaining, body, fragment, syntax_error = parse_partial(current, line)
     except ClauseOrderViolation as exc:
-        return CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc))
+        return CheckVerdict.rejected(Label.SYNTAX_ERROR, None, str(exc))
     if syntax_error is not None:
-        return CheckVerdict.rejected(ErrorKind.SYNTAX, current, syntax_error)
+        return CheckVerdict.rejected(Label.SYNTAX_ERROR, current, syntax_error)
     if head.clause_error is not None:
         return head.clause_error
     if current is not None:
         if keyword_remaining:
             if fragment is not None and not keyword_remaining[0].startswith(fragment):
                 return CheckVerdict.rejected(
-                    ErrorKind.SYNTAX,
+                    Label.SYNTAX_ERROR,
                     current,
                     f"{fragment!r} cannot start the {current.value} line",
                 )
@@ -555,7 +565,7 @@ def _check_line(
         return head.types
     if eos_seen and current is not None:
         return CheckVerdict.rejected(
-            ErrorKind.SYNTAX, current, "generation ended before the LIMIT line"
+            Label.SYNTAX_ERROR, current, "generation ended before the LIMIT line"
         )
     return PASS
 
@@ -611,7 +621,8 @@ def make_query_check(
     its seven clause bodies, in clause order: what ``make_checker`` says
     of its rendered text at end of sequence, stepped through the same
     shared heads, so a variant reuses those of its unedited clauses.  It
-    stops at the first head that no later line can clear."""
+    stops at the first head that no later line can clear; a head past
+    LIMIT that none failed leaves the empty last line nothing to reject."""
     types = None if example is None else example.types
 
     def check(bodies: Mapping[ClauseKind, tuple[str, ...]]) -> bool:
@@ -623,7 +634,7 @@ def make_query_check(
                 head.scope.ok and head.types.ok
             ):
                 return False
-        return _check_line(schema, head, "", True).ok
+        return True
 
     return check
 
@@ -631,26 +642,8 @@ def make_query_check(
 # -- 4-label classification -------------------------------------------------
 
 
-class Label(enum.Enum):
-    CORRECT = "Correct"
-    EXAMPLE_ERROR = "ExampleError"
-    RUNTIME_ERROR = "RuntimeError"
-    SYNTAX_ERROR = "SyntaxError"
-
-
-_KIND_TO_LABEL = {
-    ErrorKind.SYNTAX: Label.SYNTAX_ERROR,
-    ErrorKind.RUNTIME: Label.RUNTIME_ERROR,
-    ErrorKind.EXAMPLE: Label.EXAMPLE_ERROR,
-}
-
-
 def predict_label(
     text: str, schema: DatabaseSchema, example: ExampleTuple | None
 ) -> Label:
     """Label a complete query using static checks only."""
-    verdict = make_checker(schema, example)(text, True)
-    if verdict.ok:
-        return Label.CORRECT
-    assert verdict.kind is not None
-    return _KIND_TO_LABEL[verdict.kind]
+    return make_checker(schema, example)(text, True).kind or Label.CORRECT

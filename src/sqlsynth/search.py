@@ -17,6 +17,7 @@ import enum
 import heapq
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Protocol, Sequence
@@ -63,11 +64,18 @@ class SearchConfig:
     include_examples: bool = True
 
     def __post_init__(self) -> None:
-        # A negative k would slice off the least likely candidates, and
-        # zero would end every search exhausted without saying why.
+        # A negative k would slice off the least likely candidates, zero
+        # would end every search exhausted without saying why, and a
+        # fraction would fail the first model call's slice.
         for name in ("k", "max_tokens"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"SearchConfig.{name} must be at least 1")
+            try:
+                valid = operator.index(getattr(self, name)) >= 1
+            except TypeError:
+                valid = False
+            if not valid:
+                raise ValueError(
+                    f"SearchConfig.{name} must be an integer of at least 1"
+                )
         # A NaN deadline compares false, so the search would never time out.
         if math.isnan(self.time_limit):
             raise ValueError("SearchConfig.time_limit must not be NaN")

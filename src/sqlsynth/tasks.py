@@ -238,7 +238,7 @@ def load_schemas(tables_file: Path | str) -> dict[str, DatabaseSchema]:
     for entry in data:
         schema = _schema_from_entry(entry)
         if schema.db_id in schemas:
-            raise DuplicateDbId(schema.db_id)
+            raise DuplicateDbId(f"duplicate db_id {schema.db_id!r}")
         schemas[schema.db_id] = schema
     return schemas
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from sqlsynth.checker import PASS, CheckVerdict, ErrorKind
+from sqlsynth.checker import PASS, CheckVerdict, Label
 from sqlsynth.nsql.lexemes import (
     AGGREGATIONS,
     COMPARISONS,
@@ -123,19 +123,19 @@ def lexeme_verdict(
             if _schema_has_ref(schema, lexeme):
                 return PASS
             return CheckVerdict.rejected(
-                ErrorKind.RUNTIME, clause, f"{lexeme!r} is not a schema column"
+                Label.RUNTIME_ERROR, clause, f"{lexeme!r} is not a schema column"
             )
         return CheckVerdict.rejected(
-            ErrorKind.SYNTAX, clause, f"column reference {lexeme!r} not allowed here"
+            Label.SYNTAX_ERROR, clause, f"column reference {lexeme!r} not allowed here"
         )
     if "table" in classes and is_identifier(lexeme):
         if schema.table(lexeme) is not None:
             return PASS
         return CheckVerdict.rejected(
-            ErrorKind.RUNTIME, clause, f"{lexeme!r} is not a schema table"
+            Label.RUNTIME_ERROR, clause, f"{lexeme!r} is not a schema table"
         )
     return CheckVerdict.rejected(
-        ErrorKind.SYNTAX, clause, f"{lexeme!r} not allowed in {clause.value}"
+        Label.SYNTAX_ERROR, clause, f"{lexeme!r} not allowed in {clause.value}"
     )
 
 
@@ -180,12 +180,12 @@ def fragment_plausible(
                 return PASS
     if "." in fragment and "column_ref" in classes:
         return CheckVerdict.rejected(
-            ErrorKind.RUNTIME,
+            Label.RUNTIME_ERROR,
             clause,
             f"no schema column starts with {fragment!r}",
         )
     return CheckVerdict.rejected(
-        ErrorKind.SYNTAX,
+        Label.SYNTAX_ERROR,
         clause,
         f"{fragment!r} cannot extend to a lexeme allowed in {clause.value}",
     )
@@ -204,7 +204,7 @@ def check_lexemes(
             depth -= 1
             if depth < 0:
                 return CheckVerdict.rejected(
-                    ErrorKind.SYNTAX, clause, "unbalanced ')'"
+                    Label.SYNTAX_ERROR, clause, "unbalanced ')'"
                 )
         verdict = lexeme_verdict(schema, lexeme, clause, depth > 0 or lexeme == ")")
         if not verdict.ok:

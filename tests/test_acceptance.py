@@ -19,7 +19,7 @@ from statistics import fmean
 
 import pytest
 
-from sqlsynth.checker import ErrorKind, Label, make_checker
+from sqlsynth.checker import Label, make_checker
 from sqlsynth.bench import run_checker_experiment
 from sqlsynth.lm import (
     DistractorSpec,
@@ -191,10 +191,10 @@ def _mutate_select_arity(rng, task, schema):
 
 
 _MUTATION_FAMILIES = (
-    ("unknown column", _mutate_unknown_column, ErrorKind.RUNTIME),
-    ("scope violation", _mutate_scope, ErrorKind.RUNTIME),
-    ("clause order", _mutate_clause_order, ErrorKind.SYNTAX),
-    ("select arity", _mutate_select_arity, ErrorKind.EXAMPLE),
+    ("unknown column", _mutate_unknown_column, Label.RUNTIME_ERROR),
+    ("scope violation", _mutate_scope, Label.RUNTIME_ERROR),
+    ("clause order", _mutate_clause_order, Label.SYNTAX_ERROR),
+    ("select arity", _mutate_select_arity, Label.EXAMPLE_ERROR),
 )
 
 

@@ -14,7 +14,6 @@ from sqlsynth import checker
 from sqlsynth.checker import (
     CLAUSE_VOCABULARY,
     CheckVerdict,
-    ErrorKind,
     Label,
     check_types,
     make_checker,
@@ -129,15 +128,15 @@ def test_vocabulary_accepts_canonical_bodies(clause, body, concerts):
 @pytest.mark.parametrize(
     "clause, body, kind",
     [
-        (ClauseKind.SELECT, [">"], ErrorKind.SYNTAX),
-        (ClauseKind.SELECT, ["'text'"], ErrorKind.SYNTAX),
-        (ClauseKind.WHERE, ["singer.wingspan"], ErrorKind.RUNTIME),
-        (ClauseKind.FROM, ["starship"], ErrorKind.RUNTIME),
-        (ClauseKind.FROM, ["DISTINCT"], ErrorKind.SYNTAX),
-        (ClauseKind.GROUP_BY, ["COUNT"], ErrorKind.SYNTAX),
-        (ClauseKind.LIMIT, ["singer.age"], ErrorKind.SYNTAX),
-        (ClauseKind.LIMIT, ["-3"], ErrorKind.SYNTAX),
-        (ClauseKind.WHERE, [")"], ErrorKind.SYNTAX),
+        (ClauseKind.SELECT, [">"], Label.SYNTAX_ERROR),
+        (ClauseKind.SELECT, ["'text'"], Label.SYNTAX_ERROR),
+        (ClauseKind.WHERE, ["singer.wingspan"], Label.RUNTIME_ERROR),
+        (ClauseKind.FROM, ["starship"], Label.RUNTIME_ERROR),
+        (ClauseKind.FROM, ["DISTINCT"], Label.SYNTAX_ERROR),
+        (ClauseKind.GROUP_BY, ["COUNT"], Label.SYNTAX_ERROR),
+        (ClauseKind.LIMIT, ["singer.age"], Label.SYNTAX_ERROR),
+        (ClauseKind.LIMIT, ["-3"], Label.SYNTAX_ERROR),
+        (ClauseKind.WHERE, [")"], Label.SYNTAX_ERROR),
     ],
 )
 def test_vocabulary_rejects_misplaced_lexemes(clause, body, kind, concerts):
@@ -176,9 +175,9 @@ def test_constant_fragments_only_where_constants_live(concerts):
 
 def test_dead_fragments_are_rejected(concerts):
     verdict = _check_vocabulary(ClauseKind.SELECT, [], "xyz", concerts)
-    assert not verdict.ok and verdict.kind is ErrorKind.SYNTAX
+    assert not verdict.ok and verdict.kind is Label.SYNTAX_ERROR
     verdict = _check_vocabulary(ClauseKind.SELECT, [], "singer.zz", concerts)
-    assert not verdict.ok and verdict.kind is ErrorKind.RUNTIME
+    assert not verdict.ok and verdict.kind is Label.RUNTIME_ERROR
 
 
 def test_non_ascii_digits_are_rejected_as_they_are_written(concerts):
@@ -193,7 +192,7 @@ def test_non_ascii_digits_are_rejected_as_they_are_written(concerts):
         "SELECT singer.name\nFROM singer\nWHERE singer.age > ٣",
     ):
         verdict = check(text, False)
-        assert not verdict.ok and verdict.kind is ErrorKind.SYNTAX, text
+        assert not verdict.ok and verdict.kind is Label.SYNTAX_ERROR, text
     assert check(head + "LIMIT 2 ", False).ok
 
 
@@ -210,7 +209,7 @@ def test_count_distinct_star_is_refused_as_sqlite_refuses_it(concerts):
         "WHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
     )
     verdict = make_checker(concerts, None)(text, True)
-    assert not verdict.ok and verdict.kind is ErrorKind.SYNTAX
+    assert not verdict.ok and verdict.kind is Label.SYNTAX_ERROR
     for body in ("COUNT ( * )", "COUNT ( DISTINCT singer.age )"):
         assert parse_clause_body(ClauseKind.SELECT, body.split())
 
@@ -230,14 +229,14 @@ def test_scope_checks_select_once_from_is_known(concerts):
     assert _check(concerts, "SELECT singer.name\nFROM singer\nWHERE ").ok
     verdict = _check(concerts, "SELECT concert.venue\nFROM singer\nWHERE ")
     assert not verdict.ok
-    assert verdict.kind is ErrorKind.RUNTIME
+    assert verdict.kind is Label.RUNTIME_ERROR
     assert verdict.clause is ClauseKind.SELECT
 
 
 def test_scope_scans_the_open_clause(concerts):
     verdict = _check(concerts, "SELECT singer.name\nFROM singer\nWHERE concert.year ")
     assert not verdict.ok
-    assert verdict.kind is ErrorKind.RUNTIME and verdict.clause is ClauseKind.WHERE
+    assert verdict.kind is Label.RUNTIME_ERROR and verdict.clause is ClauseKind.WHERE
     assert _check(concerts, "SELECT singer.name\nFROM singer\nWHERE singer.age ").ok
 
 
@@ -262,7 +261,7 @@ def test_scope_rejects_strays_inside_subqueries(concerts):
     )
     verdict = _check(concerts, text)
     assert not verdict.ok
-    assert verdict.kind is ErrorKind.RUNTIME
+    assert verdict.kind is Label.RUNTIME_ERROR
     assert "subquery's FROM" in verdict.detail
 
 
@@ -276,7 +275,7 @@ def test_scope_judges_subquery_columns_at_its_where(concerts):
     assert _check(concerts, prefix).ok
     verdict = _check(concerts, prefix + "WHERE ")
     assert not verdict.ok
-    assert verdict.kind is ErrorKind.RUNTIME and verdict.clause is ClauseKind.WHERE
+    assert verdict.kind is Label.RUNTIME_ERROR and verdict.clause is ClauseKind.WHERE
     assert "subquery's FROM" in verdict.detail
     assert not _check(concerts, prefix + ") ").ok
 
@@ -288,7 +287,7 @@ def test_scope_covers_order_by(concerts):
         "ORDER BY concert.year ",
     )
     assert not verdict.ok
-    assert verdict.kind is ErrorKind.RUNTIME and verdict.clause is ClauseKind.ORDER_BY
+    assert verdict.kind is Label.RUNTIME_ERROR and verdict.clause is ClauseKind.ORDER_BY
 
 
 # -- types ------------------------------------------------------------------
@@ -309,7 +308,7 @@ def test_types_arity_mismatch(concerts):
     example = ExampleTuple.from_values(("France", 30))
     verdict = check_types(_items(("singer.country",)), concerts, example.types)
     assert not verdict.ok
-    assert verdict.kind is ErrorKind.EXAMPLE
+    assert verdict.kind is Label.EXAMPLE_ERROR
     assert "1 columns" in verdict.detail
 
 
@@ -317,7 +316,7 @@ def test_types_count_is_integer(concerts):
     count = _items(("COUNT", "(", "*", ")"))
     assert check_types(count, concerts, ExampleTuple.from_values((4,)).types).ok
     verdict = check_types(count, concerts, ExampleTuple.from_values(("x",)).types)
-    assert not verdict.ok and verdict.kind is ErrorKind.EXAMPLE
+    assert not verdict.ok and verdict.kind is Label.EXAMPLE_ERROR
 
 
 def test_types_avg_and_sum_are_numeric(concerts):
@@ -353,7 +352,7 @@ def test_types_boolean_column_accepts_integer_examples(concerts):
 
 def test_check_partial_prefers_structural_errors(concerts):
     verdict = _check(concerts, "SELECT singer.name \nFROM singer\n")
-    assert not verdict.ok and verdict.kind is ErrorKind.SYNTAX
+    assert not verdict.ok and verdict.kind is Label.SYNTAX_ERROR
 
 
 def test_check_partial_keyword_fragments(concerts):
@@ -371,14 +370,14 @@ def test_check_partial_requires_eos_at_the_end(concerts):
     )
     assert check(full, True).ok
     early = check("SELECT singer.name\nFROM singer\n", True)
-    assert not early.ok and early.kind is ErrorKind.SYNTAX
+    assert not early.ok and early.kind is Label.SYNTAX_ERROR
 
 
 def test_check_partial_clause_order_becomes_syntax(concerts):
     check = make_checker(concerts, None)
     verdict = check("SELECT singer.name\nWHERE singer.age > 3\n", False)
     assert not verdict.ok
-    assert verdict.kind is ErrorKind.SYNTAX
+    assert verdict.kind is Label.SYNTAX_ERROR
 
 
 def test_checker_passes_every_prefix_of_a_gold(concerts):
@@ -432,7 +431,7 @@ def test_select_types_are_checked_once_per_head(monkeypatch, concerts):
     assert not check("SELECT singer.name\nFROM singer\nWHERE", False).ok
     assert check("SELECT singer.age\nFROM singer\nWHERE", False).ok
     # singer has five columns, the example one.
-    assert check("SELECT *\nFROM singer\nWHERE", False).kind is ErrorKind.EXAMPLE
+    assert check("SELECT *\nFROM singer\nWHERE", False).kind is Label.EXAMPLE_ERROR
 
 
 # -- incremental checker against the whole-prefix reference ---------------
@@ -468,10 +467,10 @@ def _reference_check(schema, example):
         try:
             partial = split_text(text)
         except ClauseOrderViolation as exc:
-            return CheckVerdict.rejected(ErrorKind.SYNTAX, None, str(exc))
+            return CheckVerdict.rejected(Label.SYNTAX_ERROR, None, str(exc))
         if partial.syntax_error is not None:
             return CheckVerdict.rejected(
-                ErrorKind.SYNTAX, partial.current_clause, partial.syntax_error
+                Label.SYNTAX_ERROR, partial.current_clause, partial.syntax_error
             )
         clauses: dict[ClauseKind, object] = {}
         for kind, body in partial.completed.items():
@@ -481,7 +480,7 @@ def _reference_check(schema, example):
             try:
                 clauses[kind] = parse_clause_body(kind, body)
             except ParseError as exc:
-                return CheckVerdict.rejected(ErrorKind.SYNTAX, kind, str(exc))
+                return CheckVerdict.rejected(Label.SYNTAX_ERROR, kind, str(exc))
         current = partial.current_clause
         keyword_remaining, body, fragment, _ = parse_partial(
             current, text[text.rfind("\n") + 1 :]
@@ -492,7 +491,7 @@ def _reference_check(schema, example):
                     fragment
                 ):
                     return CheckVerdict.rejected(
-                        ErrorKind.SYNTAX,
+                        Label.SYNTAX_ERROR,
                         current,
                         f"{fragment!r} cannot start the {current.value} line",
                     )
@@ -515,7 +514,7 @@ def _reference_check(schema, example):
                 return verdict
         if eos_seen and current is not None:
             return CheckVerdict.rejected(
-                ErrorKind.SYNTAX, current, "generation ended before the LIMIT line"
+                Label.SYNTAX_ERROR, current, "generation ended before the LIMIT line"
             )
         return checker.PASS
 
@@ -579,7 +578,7 @@ def test_incremental_checker_matches_the_whole_prefix_reference(
     sharing one memo across each task's inputs so that head hits and
     misses interleave."""
     texts = _differential_texts(normalized_tasks, schemas)
-    kinds: set[ErrorKind | None] = set()
+    kinds: set[Label | None] = set()
     checks = 0
     for task in normalized_tasks:
         schema = schemas[task.db_id]
@@ -594,7 +593,7 @@ def test_incremental_checker_matches_the_whole_prefix_reference(
                     pytest.fail(f"{task.id} eos={eos} {text!r}: {got} != {want}")
                 kinds.add(got.kind)
                 checks += 1
-    assert kinds == {None, *ErrorKind}
+    assert kinds == {None, *Label} - {Label.CORRECT}
     assert checks > 50_000
 
 
@@ -836,9 +835,9 @@ def test_scope_rejects_exactly_what_sqlite_cannot_resolve(
     seen = set()
     for db_id, text in scope_corpus:
         verdict = make_checker(schemas[db_id], None)(text, True)
-        assert verdict.ok or verdict.kind is ErrorKind.RUNTIME, (text, verdict)
+        assert verdict.ok or verdict.kind is Label.RUNTIME_ERROR, (text, verdict)
         runs = _runs(conns[db_id], text)
-        assert (verdict.kind is ErrorKind.RUNTIME) == (runs is False), (text, verdict)
+        assert (verdict.kind is Label.RUNTIME_ERROR) == (runs is False), (text, verdict)
         seen.add((verdict.clause, runs))
     # Strays in the outer SELECT and in subqueries, and runnable texts.
     assert {(ClauseKind.SELECT, False), (ClauseKind.WHERE, False), (None, True)} <= seen
@@ -982,3 +981,10 @@ def test_predict_label_four_ways(concerts):
     lines[1], lines[2] = lines[2], lines[1]
     swapped = "\n".join(lines) + "\n"
     assert predict_label(swapped, concerts, example) is Label.SYNTAX_ERROR
+
+
+def test_a_rejected_verdict_needs_an_error_label():
+    with pytest.raises(ValueError, match="error label"):
+        CheckVerdict.rejected(Label.CORRECT, None, "not an error")
+    verdict = CheckVerdict.rejected(Label.SYNTAX_ERROR, None, "bad")
+    assert not verdict.ok and verdict.kind is Label.SYNTAX_ERROR

@@ -10,7 +10,7 @@ from contextlib import closing
 import pytest
 
 from sqlsynth import repair
-from sqlsynth.checker import ErrorKind, Label, make_checker, make_query_check
+from sqlsynth.checker import Label, make_checker, make_query_check
 from sqlsynth.nsql.errors import ParseError
 from sqlsynth.nsql.grammar import parse_clause_bodies, parse_complete
 from sqlsynth.nsql.lexemes import (
@@ -440,7 +440,7 @@ def test_bounded_neighbourhood_drops_only_failing_variants(
                 kept += 1
                 continue
             verdict = check(text, True)
-            assert not verdict.ok and verdict.kind is ErrorKind.RUNTIME, text
+            assert not verdict.ok and verdict.kind is Label.RUNTIME_ERROR, text
             result = execute_text(conns[task.db_id], denormalize_text(text))
             assert result.status is ExecutionStatus.ERROR, text
             assert "no such column" in result.error, (text, result.error)

@@ -101,14 +101,14 @@ def test_extend_accumulates_in_log_space():
 
 
 def test_search_config_refuses_k_below_one():
-    for k in (0, -1):
+    for k in (0, -1, 2.5):
         with pytest.raises(ValueError, match=r"SearchConfig\.k "):
             SearchConfig(k=k)
     assert SearchConfig(k=1).k == 1
 
 
 def test_search_config_refuses_max_tokens_below_one():
-    for max_tokens in (0, -1):
+    for max_tokens in (0, -1, 2.5):
         with pytest.raises(ValueError, match=r"SearchConfig\.max_tokens "):
             SearchConfig(max_tokens=max_tokens)
     assert SearchConfig(max_tokens=1).max_tokens == 1

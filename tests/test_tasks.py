@@ -82,7 +82,7 @@ def test_duplicate_db_id_rejected(tmp_path):
     }
     path = tmp_path / "tables.json"
     path.write_text(json.dumps([entry, entry]))
-    with pytest.raises(DuplicateDbId):
+    with pytest.raises(DuplicateDbId, match=r"^duplicate db_id 'twice'$"):
         load_schemas(path)
 
 
