@@ -336,14 +336,14 @@ def _scope(
 
 
 def _compatible(computed: frozenset[ColumnType], example: ColumnType) -> bool:
-    if ColumnType.OTHER in computed or example is ColumnType.OTHER:
+    # SQLite returns no bool, and True == 1 == 1.0, so a Boolean example
+    # may match an output of any type.
+    if ColumnType.OTHER in computed or example in (ColumnType.OTHER, ColumnType.BOOLEAN):
         return True
     if example in NUMERIC_TYPES:
         return bool(computed & (NUMERIC_TYPES | {ColumnType.BOOLEAN}))
-    if example is ColumnType.TEXT:
-        return bool(computed & {ColumnType.TEXT, ColumnType.BOOLEAN})
-    # ColumnType.BOOLEAN, the one member left
-    return bool(computed & {ColumnType.BOOLEAN, ColumnType.INTEGER, ColumnType.TEXT})
+    # ColumnType.TEXT, the one member left
+    return bool(computed & {ColumnType.TEXT, ColumnType.BOOLEAN})
 
 
 def _column_type_set(

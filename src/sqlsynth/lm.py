@@ -158,7 +158,7 @@ class ScriptedModel:
             raise ValueError("a scripted model needs at least one path")
         merged: dict[tuple[str, ...], float] = {}
         for tokens, weight in paths:
-            if weight <= 0:
+            if not weight > 0:  # NaN fails this test too
                 raise ValueError("path weights must be positive")
             for token in tokens:
                 if not isinstance(token, str):

@@ -103,7 +103,7 @@ class Predicate:
             return f"{lhs} {neg}BETWEEN {low.render()} AND {high.render()}"
         if self.op == "IN":
             if isinstance(self.rhs, NormalizedQuery):
-                return f"{lhs} {neg}IN ( {self.rhs.render_compact()} )"
+                return f"{lhs} {neg}IN ( {denormalize_text(self.rhs.render())} )"
             items = " , ".join(c.render() for c in self.rhs)  # type: ignore[union-attr]
             return f"{lhs} {neg}IN ( {items} )"
         rhs = self.rhs.render()  # type: ignore[union-attr]
@@ -208,15 +208,6 @@ class NormalizedQuery:
             lines.append(f"{kind.value} {body}" if body else kind.value)
         return "\n".join(lines) + "\n"
 
-    def render_compact(self) -> str:
-        # Subquery form: only non-empty clauses, joined on one line.
-        parts = []
-        for kind in CLAUSE_ORDER:
-            body = self.clause_body(kind)
-            if body:
-                parts.append(f"{kind.value} {body}")
-        return " ".join(parts)
-
 
 _KEYWORD_LINES = frozenset(kind.value for kind in CLAUSE_ORDER)
 
@@ -224,8 +215,7 @@ _KEYWORD_LINES = frozenset(kind.value for kind in CLAUSE_ORDER)
 def denormalize_text(rendered: str) -> str:
     """Collapse canonical text to one executable line, dropping the
     bare keyword lines that stand for empty clauses.  Lines end at
-    ``"\n"`` only: a string constant may hold any other line break.
-    A parsed query gives the same line through ``render_compact``."""
+    ``"\n"`` only: a string constant may hold any other line break."""
     return " ".join(
         line for line in rendered.split("\n") if line and line not in _KEYWORD_LINES
     )

@@ -150,17 +150,9 @@ def execute_text(
     conn.set_progress_handler(watchdog, _PROGRESS_EVERY)
     try:
         with closing(conn.cursor()) as cursor:
-            cursor.execute(sql, params)
-            rows: list[tuple] = []
-            while True:
-                chunk = cursor.fetchmany(1024)
-                if not chunk:
-                    break
-                rows.extend(tuple(row) for row in chunk)
-                if len(rows) > ROW_LIMIT:
-                    return ExecutionResult.failure(
-                        f"result exceeds {ROW_LIMIT} rows"
-                    )
+            rows = cursor.execute(sql, params).fetchmany(ROW_LIMIT + 1)
+        if len(rows) > ROW_LIMIT:
+            return ExecutionResult.failure(f"result exceeds {ROW_LIMIT} rows")
         return ExecutionResult.success(tuple(rows))
     except (sqlite3.Error, OverflowError) as exc:
         if timed_out:
@@ -176,7 +168,7 @@ def execute_query(
     *,
     timeout: float = STATEMENT_TIMEOUT,
 ) -> ExecutionResult:
-    return execute_text(conn, query.render_compact(), timeout=timeout)
+    return execute_text(conn, denormalize_text(query.render()), timeout=timeout)
 
 
 def rows_match(

@@ -133,32 +133,28 @@ class DatabaseSchema:
 
 @dataclass(frozen=True)
 class ExampleTuple:
-    """One output tuple the synthesized query must return."""
+    """One output tuple the synthesized query must return.  ``types``
+    holds each value's type, so equality and hashing tell ``[1]`` from
+    ``[true]``."""
 
-    entries: tuple[tuple[object, ColumnType], ...]
+    values: tuple[object, ...]
+    types: tuple[ColumnType, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.entries:
+        if not self.values:
             raise DatasetError("example tuples must have arity >= 1")
-        for value, _ in self.entries:  # what SQLite returns; a BLOB is bytes
+        for value in self.values:  # what SQLite returns; a BLOB is bytes
             if not isinstance(value, (type(None), int, float, str, bytes)):
                 raise DatasetError(f"example value {value!r} is not a scalar")
+        object.__setattr__(self, "types", tuple(map(value_type, self.values)))
 
     @classmethod
     def from_values(cls, values: Sequence[object]) -> ExampleTuple:
-        return cls(tuple((value, value_type(value)) for value in values))
-
-    @property
-    def values(self) -> tuple[object, ...]:
-        return tuple(value for value, _ in self.entries)
-
-    @property
-    def types(self) -> tuple[ColumnType, ...]:
-        return tuple(kind for _, kind in self.entries)
+        return cls(tuple(values))
 
     @property
     def arity(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -333,7 +329,10 @@ def load_tasks(
             question = record["question"]
         except KeyError as exc:
             raise DatasetError(f"record {index}: missing field {exc}") from exc
-        # Only a missing, null or empty "query" falls through.
+        # Only a missing, null or empty "id" or "query" falls through.
+        task_id = record.get("id")
+        if task_id in (None, ""):
+            task_id = f"{db_id}-{index:04d}"
         given = (record.get("query"), record.get("gold_query"))
         gold_query = next((q for q in given if q not in (None, "")), "")
         fields = {"db_id": db_id, "question": question, "gold query": gold_query}
@@ -347,7 +346,7 @@ def load_tasks(
             raise DatasetError(f"record {index}: examples must be a list of rows")
         try:
             task = TaskInstance(
-                id=str(record.get("id") or f"{db_id}-{index:04d}"),
+                id=str(task_id),
                 db_id=db_id,
                 question=question,
                 gold_query=gold_query,

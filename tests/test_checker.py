@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sqlite3
 import sys
 import threading
 from collections import Counter
+from contextlib import closing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,8 +29,20 @@ from sqlsynth.nsql.lexemes import COMPARISONS, KEYWORDS
 from sqlsynth.nsql.normalize import normalize
 from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import ClauseKind, denormalize_text
-from sqlsynth.repair import ExecutionStatus, execute_text, hamming_one_queries
-from sqlsynth.tasks import ColumnType, ExampleTuple, open_database
+from sqlsynth.repair import (
+    ExecutionStatus,
+    execute_text,
+    hamming_one_queries,
+    satisfies_examples,
+)
+from sqlsynth.tasks import (
+    Column,
+    ColumnType,
+    DatabaseSchema,
+    ExampleTuple,
+    Table,
+    open_database,
+)
 from tests.fixtures import vocabulary as reference_vocabulary
 from tests.fixtures.build import (
     DATABASES,
@@ -345,6 +359,31 @@ def test_types_boolean_column_accepts_integer_examples(concerts):
     flag = _items(("singer.is_male",))
     assert check_types(flag, concerts, ExampleTuple.from_values((1,)).types).ok
     assert check_types(flag, concerts, ExampleTuple.from_values(("t",)).types).ok
+
+
+def test_a_boolean_example_admits_real_outputs_that_equal_it():
+    """SQLite returns no bool, and ``True == 1 == 1.0``: a Real output
+    that reads 1.0 satisfies the example ``[true]``, so the checker
+    passes it."""
+    table = Table(
+        "t", (Column("flag", ColumnType.INTEGER), Column("score", ColumnType.REAL))
+    )
+    schema = DatabaseSchema("flags", (table,))
+    example = ExampleTuple.from_values((True,))
+    empty = "WHERE\nGROUP BY\nHAVING\nORDER BY\nLIMIT\n"
+    with closing(sqlite3.connect(":memory:")) as conn:
+        conn.execute("CREATE TABLE t (flag integer, score real)")
+        conn.execute("INSERT INTO t VALUES (1, 1.0)")
+        for select in ("AVG ( t.flag )", "t.score"):
+            text = f"SELECT {select}\nFROM t\n{empty}"
+            check = make_checker(schema, example)
+            for cut in range(len(text) + 1):
+                assert check(text[:cut], False).ok, text[:cut]
+            assert check(text, True).ok, text
+            assert predict_label(text, schema, example) is Label.CORRECT
+            result = execute_text(conn, denormalize_text(text))
+            assert result.rows == ((1.0,),)
+            assert satisfies_examples(result, [example])
 
 
 # -- orchestration ----------------------------------------------------------

@@ -137,6 +137,13 @@ def test_scripted_weight_validation():
         ScriptedModel.from_queries([(QUERY_A, 0.7), (QUERY_B, 0.7)])
 
 
+def test_scripted_model_refuses_a_nan_weight():
+    # NaN passes both "weight <= 0" and "sum > 1"; its candidates would
+    # leave the frontier's order undefined.
+    with pytest.raises(ValueError, match="positive"):
+        ScriptedModel([(("SELECT ", "a "), math.nan), (("SELECT ", "b "), 0.5)])
+
+
 def _built(cls, paths, distractor):
     try:
         return cls(paths, distractor)
@@ -449,6 +456,7 @@ def test_load_scripted_model_router(tmp_path):
             }
         ),
         json.dumps({"routes": [{"match": 1, "paths": [{"query": "SELECT\n"}]}]}),
+        json.dumps({"paths": [{"query": "SELECT\n", "weight": math.nan}]}),
     ],
     ids=[
         "not-json",
@@ -460,6 +468,7 @@ def test_load_scripted_model_router(tmp_path):
         "eos-token",
         "route-without-match",
         "non-string-match",
+        "nan-weight",
     ],
 )
 def test_load_scripted_model_bad_file(tmp_path, text):

@@ -539,7 +539,8 @@ def normalize_corpus(schemas) -> dict[tuple[str, str], None]:
     ]
     for index, db_id in enumerate(sorted(schemas)):
         for query in distinct_queries(schemas[db_id], random.Random(index), 60):
-            statements += [(db_id, query.render()), (db_id, query.render_compact())]
+            text = query.render()
+            statements += [(db_id, text), (db_id, denormalize_text(text))]
     statements += [("concerts", sql) for sql in (_NESTED_SUBQUERY, *_STATEMENT_EDGES)]
     corpus = dict.fromkeys(statements)
     rng = random.Random(28)

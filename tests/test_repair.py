@@ -90,6 +90,38 @@ def test_execute_text_row_cap(monkeypatch, connect):
     assert "exceeds" in result.error
 
 
+@pytest.mark.parametrize("count, ok", [(5, True), (6, False)], ids=["at", "past"])
+def test_execute_text_reads_up_to_the_row_limit(monkeypatch, connect, count, ok):
+    """``ROW_LIMIT`` rows come back whole; one more is a failure."""
+    monkeypatch.setattr(repair, "ROW_LIMIT", 5)
+    rows = (
+        "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+        "LIMIT ?) SELECT x FROM c"
+    )
+    result = execute_text(connect("concerts"), rows, (count,))
+    if ok:
+        assert result.ok and result.rows == tuple((x,) for x in range(1, 6))
+    else:
+        assert result.status is ExecutionStatus.ERROR
+        assert result.error == "result exceeds 5 rows"
+
+
+def test_execute_text_times_out_while_rows_keep_coming(monkeypatch, connect):
+    """A statement still yielding rows at its deadline times out, however
+    many rows the limit would admit."""
+    monkeypatch.setattr(repair, "ROW_LIMIT", 10**9)
+    conn = connect("concerts")
+    endless = (
+        "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
+        "SELECT x FROM c WHERE x % 10000 = 0"
+    )
+    start = time.monotonic()
+    result = execute_text(conn, endless, timeout=0.2)
+    assert result.status is ExecutionStatus.TIMEOUT
+    assert time.monotonic() - start < 5.0
+    assert execute_text(conn, "SELECT 1").rows == ((1,),)
+
+
 def test_execute_query_drops_empty_clauses(connect):
     conn = connect("concerts")
     result = execute_query(conn, parse_complete(GOLD))
@@ -511,14 +543,25 @@ def _whole_text_variants(query, schema):
                 yield variant, kind, bodies
 
 
-def test_variants_and_statements_match_the_whole_text_split(normalized_tasks, schemas):
-    """Repair splits clause bodies and builds statements without a round
-    trip through the rendered text.  Over the gold corpus, seeded random
-    queries and every one-edit variant of either, ``hamming_one_queries``
-    yields the same variants, edits and bodies in the same order as from
-    the whole-text split, each variant's bodies are the split of its
-    rendering, and ``render_compact`` is the statement
-    ``denormalize_text`` makes of the rendering."""
+def test_variants_and_statements_match_the_whole_text_split(
+    monkeypatch, normalized_tasks, schemas
+):
+    """Repair splits clause bodies without a round trip through the
+    rendered text.  Over the gold corpus, seeded random queries and every
+    one-edit variant of either, ``hamming_one_queries`` yields the same
+    variants, edits and bodies in the same order as from the whole-text
+    split, each variant's bodies are the split of its rendering, and
+    ``execute_query`` sends the statement ``denormalize_text`` makes of
+    the rendering."""
+    sent: list[str] = []
+    monkeypatch.setattr(
+        repair, "execute_text", lambda conn, sql, **_: sent.append(sql)
+    )
+
+    def statement(query) -> str:
+        repair.execute_query(None, query)
+        return sent.pop()
+
     originals = [(t.db_id, parse_complete(t.gold_query)) for t in normalized_tasks]
     for index, db_id in enumerate(sorted(schemas)):
         generated = distinct_queries(schemas[db_id], random.Random(index), 10)
@@ -532,13 +575,13 @@ def test_variants_and_statements_match_the_whole_text_split(normalized_tasks, sc
     for db_id, query in queries:
         schema = schemas[db_id]
         text = query.render()
-        assert query.render_compact() == denormalize_text(text), text
+        assert statement(query) == denormalize_text(text), text
         variants = list(parsed_edits(hamming_one_queries(query, schema)))
         assert variants == list(_whole_text_variants(query, schema)), text
         for variant, _, bodies in variants:
             variant_text = variant.render()
             assert bodies == split_text(variant_text).completed, variant_text
-            assert variant.render_compact() == denormalize_text(variant_text)
+            assert statement(variant) == denormalize_text(variant_text)
         counts["query"] += 1
         counts["variant"] += len(variants)
     assert counts == {"query": 1472, "variant": 40910}

@@ -314,6 +314,19 @@ def test_load_tasks_accepts_both_gold_field_names(tmp_path, raw_schemas):
     assert tasks[2].id == "shop-0002"
 
 
+def test_load_tasks_keeps_a_zero_id(tmp_path, raw_schemas):
+    """Only a missing, null or empty id falls back to the record's index."""
+    ids = [0, 7, None, "", "a"]
+    records = [{"db_id": "shop", "question": "?", "id": i} for i in ids]
+    records.append({"db_id": "shop", "question": "?"})
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps(records))
+    tasks = load_tasks(path, raw_schemas)
+    assert [t.id for t in tasks] == [
+        "0", "7", "shop-0002", "shop-0003", "a", "shop-0005"
+    ]
+
+
 def test_dump_load_roundtrip(tmp_path, tasks, raw_schemas):
     path = tmp_path / "roundtrip.json"
     path.write_text(json.dumps(dump_tasks(tasks)))
@@ -334,6 +347,14 @@ def test_example_tuple_from_values():
     assert example.values == ("Ali", 30)
     assert example.types == (ColumnType.TEXT, ColumnType.INTEGER)
     assert example.arity == 2
+
+
+def test_example_tuples_tell_a_boolean_from_an_equal_number():
+    one, true = ExampleTuple.from_values([1]), ExampleTuple.from_values([True])
+    assert one.values == true.values
+    assert one != true and len({one, true}) == 2
+    assert one == ExampleTuple.from_values((1,))
+    assert hash(one) == hash(ExampleTuple.from_values((1,)))
 
 
 def test_example_tuple_must_not_be_empty():
