@@ -315,7 +315,8 @@ def run_ablation(
 
 @dataclass
 class CheckerExperiment:
-    """Executed-vs-predicted label counts over collected generations."""
+    """Executed-vs-predicted label counts over collected generations,
+    and each task that failed, as its id and ``Type: message``."""
 
     matrix: dict[Label, dict[Label, int]] = field(
         default_factory=lambda: {
@@ -323,6 +324,7 @@ class CheckerExperiment:
             for truth in Label
         }
     )
+    failures: list[tuple[str, str]] = field(default_factory=list)
 
     def record(self, truth: Label, predicted: Label) -> None:
         self.matrix[truth][predicted] += 1
@@ -349,6 +351,10 @@ class CheckerExperiment:
                 }
                 for truth in Label
             },
+            "failures": [
+                {"task_id": task_id, "error": error}
+                for task_id, error in self.failures
+            ],
         }
 
     def render_text(self) -> str:
@@ -366,7 +372,38 @@ class CheckerExperiment:
                 for predicted in Label
             )
             lines.append(f"{truth.value:<{width}}" + cells)
+        if self.failures:
+            lines.append(f"failed tasks: {len(self.failures)}")
+            lines.extend(f"  {task_id}: {error}" for task_id, error in self.failures)
         return "\n".join(lines)
+
+
+def _generation_labels(
+    task: TaskInstance,
+    schema: DatabaseSchema,
+    db: TaskDatabase,
+    model: CompletionModel,
+    per_task: int,
+    config: SearchConfig,
+) -> list[tuple[Label, Label]]:
+    """The execution and static labels of each of the task's top
+    ``per_task`` finished generations."""
+    examples = tuple(task.sorted_examples())
+    example = examples[0] if examples else None
+    task_text = search_task_text(task, schema, config)
+    texts = collect_complete(task_text, model, per_task, config)
+    conn = db.connection()
+    gold_query, _ = _normalized_gold(task, schema)
+    gold = None
+    if gold_query is not None and texts:
+        gold = (gold_query, execute_query(conn, gold_query, timeout=GRADE_TIMEOUT))
+    return [
+        (
+            label_by_execution(text, conn, gold=gold, examples=examples),
+            predict_label(text, schema, example),
+        )
+        for text in texts
+    ]
 
 
 def run_checker_experiment(
@@ -383,24 +420,20 @@ def run_checker_experiment(
     ``collect_complete`` gathers the generations with checks off, so the
     static checker is judged on raw model output.  Ground truth for
     result mismatches comes from each task's gold query, compared by
-    ``matches_gold`` as the benchmark's execution accuracy is.
+    ``matches_gold`` as the benchmark's execution accuracy is.  A task
+    that raises records none of its generations, and is listed in
+    ``failures`` instead.
     """
     config = config or SearchConfig()
     experiment = CheckerExperiment()
     dbs = _open_databases(tasks, db_root)
     for task in tasks:
-        schema = schemas[task.db_id]
-        examples = tuple(task.sorted_examples())
-        example = examples[0] if examples else None
-        task_text = search_task_text(task, schema, config)
-        texts = collect_complete(task_text, model, per_task, config)
-        conn = dbs[task.db_id].connection()
-        gold_query, _ = _normalized_gold(task, schema)
-        gold = None
-        if gold_query is not None and texts:
-            gold = (gold_query, execute_query(conn, gold_query, timeout=GRADE_TIMEOUT))
-        for text in texts:
-            predicted = predict_label(text, schema, example)
-            truth = label_by_execution(text, conn, gold=gold, examples=examples)
+        schema, db = schemas[task.db_id], dbs[task.db_id]
+        try:
+            labels = _generation_labels(task, schema, db, model, per_task, config)
+        except Exception as exc:  # a task failure must not sink the batch
+            experiment.failures.append((task.id, f"{type(exc).__name__}: {exc}"))
+            continue
+        for truth, predicted in labels:
             experiment.record(truth, predicted)
     return experiment

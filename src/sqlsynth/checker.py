@@ -30,9 +30,10 @@ lexemes again, so what they derive is shared rather than per search:
 steps between heads, interned heads, lexeme verdicts and the verdict on
 a head plus its current line live in bounded process-wide
 ``functools.lru_cache``s keyed by the schema object, which hashes by
-identity.  Clause bodies are parsed through ``nsql.grammar``'s
-process-wide clause cache.  Repair's ``make_query_check`` steps each
-finished variant's clause lines through the same heads: one rule.
+identity.  ``nsql.grammar``'s line reader and process-wide clause cache
+return a fault as a value, which a check turns into a verdict.
+Repair's ``make_query_check`` steps each finished variant's clause lines
+through the same heads: one rule.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from .nsql.errors import ClauseOrderViolation, ParseError
-from .nsql.grammar import parse_clause_cached
+from .nsql.grammar import parse_clause_cached, parse_partial
 from .nsql.lexemes import (
     AGGREGATIONS,
     COMPARISONS,
@@ -54,7 +55,6 @@ from .nsql.lexemes import (
     is_constant,
     is_identifier,
 )
-from .nsql.partial import parse_partial
 from .nsql.query import (
     CLAUSE_ORDER,
     AggExpr,
@@ -336,8 +336,9 @@ def _scope(
 
 
 def _compatible(computed: frozenset[ColumnType], example: ColumnType) -> bool:
-    # SQLite returns no bool, and True == 1 == 1.0, so a Boolean example
-    # may match an output of any type.
+    # Integer, Real and Boolean agree, as in ``tasks._types_agree``.
+    # Against declared types the rule is looser: SQLite returns no bool,
+    # so a Boolean example may match an output of any type.
     if ColumnType.OTHER in computed or example in (ColumnType.OTHER, ColumnType.BOOLEAN):
         return True
     if example in NUMERIC_TYPES:
@@ -430,7 +431,8 @@ _FOLLOWING: Mapping[ClauseKind, ClauseKind | None] = dict(
 class _Head:
     """What the terminated lines of a prefix decide, whatever line follows.
 
-    ``fatal`` is a structural error that ends every continuation.
+    ``fatal`` is a terminated line's ``parse_partial`` fault, such as a
+    ``ClauseOrderViolation``, which ends every continuation.
     Otherwise ``next_clause`` is the clause the following line belongs
     to (None after LIMIT) and ``clause_error`` the first vocabulary or
     grammar failure among the terminated clauses; ``outer``, ``scope``,
@@ -475,22 +477,18 @@ def _shared_step(
     if head.fatal is not None:
         return head
     kind = head.next_clause
-    try:
-        _, body, _, error = parse_partial(kind, line[:-1], terminated=True)
-    except ClauseOrderViolation as exc:
-        return _head(fatal=CheckVerdict.rejected(Label.SYNTAX_ERROR, None, str(exc)))
-    if error is not None:
-        return _head(fatal=CheckVerdict.rejected(Label.SYNTAX_ERROR, None, error))
+    _, body, _, fault = parse_partial(kind, line[:-1], terminated=True)
+    if fault is not None:
+        return _head(fatal=CheckVerdict.rejected(Label.SYNTAX_ERROR, None, str(fault)))
     following = _FOLLOWING[kind]
     if head.clause_error is not None:
         return _head(following, clause_error=head.clause_error)
     verdict = _check_lexemes(kind, body, None, schema)
     if not verdict.ok:
         return _head(following, clause_error=verdict)
-    try:
-        parsed = parse_clause_cached(kind, body)
-    except ParseError as exc:
-        verdict = CheckVerdict.rejected(Label.SYNTAX_ERROR, kind, str(exc))
+    parsed = parse_clause_cached(kind, body)
+    if isinstance(parsed, ParseError):
+        verdict = CheckVerdict.rejected(Label.SYNTAX_ERROR, kind, str(parsed))
         return _head(following, clause_error=verdict)
     if kind is ClauseKind.SELECT:
         types = PASS
@@ -535,12 +533,11 @@ def _check_line(
     repeats across searches; heads and schemas hash by identity.
     """
     current = head.next_clause
-    try:
-        keyword_remaining, body, fragment, syntax_error = parse_partial(current, line)
-    except ClauseOrderViolation as exc:
-        return CheckVerdict.rejected(Label.SYNTAX_ERROR, None, str(exc))
-    if syntax_error is not None:
-        return CheckVerdict.rejected(Label.SYNTAX_ERROR, current, syntax_error)
+    keyword_remaining, body, fragment, fault = parse_partial(current, line)
+    if fault is not None:
+        # A clause out of order is a fault of the text, not of a clause.
+        clause = None if isinstance(fault, ClauseOrderViolation) else current
+        return CheckVerdict.rejected(Label.SYNTAX_ERROR, clause, str(fault))
     if head.clause_error is not None:
         return head.clause_error
     if current is not None:

@@ -254,7 +254,7 @@ def _cmd_checker_exp(args: argparse.Namespace) -> int:
     if args.output:
         Path(args.output).write_text(json.dumps(experiment.as_dict(), indent=2))
         print(f"wrote {args.output}")
-    return 0
+    return 1 if experiment.failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,10 +14,15 @@ parser, one subquery body and one separated-list loop serve both, and
 one table, ``_OPTIONAL_CLAUSES``, names the production of each clause
 after FROM for a clause body and a statement alike.
 
-The checker, the parse of a finished text and repair strict-parse
+``parse_partial`` splits one line of possibly unfinished canonical text,
+the line at position ``i`` belonging to ``CLAUSE_ORDER[i]``, into the
+keyword lexemes still owed and the body lexemes, without judging the
+body.  The checker, ``parse_complete`` and repair strict-parse
 terminated clause bodies through ``parse_clause_cached``, one bounded,
 process-wide cache: they meet the same bodies again and again, within a
-search and across searches.
+search and across searches.  Both return a fault, never raise it; only
+``parse_complete`` and ``parse_clause_bodies``, which read a whole
+query, raise.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from .errors import ParseError, StructureError
+from .errors import ClauseOrderViolation, ParseError, StructureError
 from .lexemes import (
     AGGREGATIONS,
     COMPARISONS,
@@ -35,8 +40,8 @@ from .lexemes import (
     is_identifier,
     is_number,
     is_string_const,
+    split_line,
 )
-from .partial import parse_partial
 from .query import (
     AggExpr,
     BoolOp,
@@ -456,32 +461,27 @@ _PARSE_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
-def _parsed_clause(kind: ClauseKind, body: tuple[str, ...]) -> object:
+def parse_clause_cached(kind: ClauseKind, body: tuple[str, ...]) -> object:
+    """``parse_clause_body`` through the process-wide clause cache: the
+    shared, immutable AST, or the ``ParseError`` the body raised, with
+    its traceback cleared, returned and never raised."""
     try:
         return parse_clause_body(kind, body)
     except ParseError as exc:
         return exc.with_traceback(None)
 
 
-def parse_clause_cached(kind: ClauseKind, body: tuple[str, ...]) -> object:
-    """``parse_clause_body`` through the process-wide clause cache.
-
-    The AST is shared, which is safe because it is immutable; a body
-    that does not parse raises a fresh ``ParseError`` with the same
-    message each time.
-    """
-    parsed = _parsed_clause(kind, body)
-    if isinstance(parsed, ParseError):
-        raise ParseError(str(parsed))
-    return parsed
-
-
 def parse_clause_bodies(
     bodies: Mapping[ClauseKind, tuple[str, ...]],
 ) -> NormalizedQuery:
     """Parse the seven clause bodies of a finished query into a query
-    structure, through the clause cache."""
-    clauses = {kind: parse_clause_cached(kind, body) for kind, body in bodies.items()}
+    structure, through the clause cache.  Raises a fresh ``ParseError``
+    with the message of the first clause's cached fault."""
+    clauses: dict[ClauseKind, object] = {}
+    for kind, body in bodies.items():
+        parsed = clauses[kind] = parse_clause_cached(kind, body)
+        if isinstance(parsed, ParseError):
+            raise ParseError(str(parsed))
     distinct, items = clauses[ClauseKind.SELECT]
     return NormalizedQuery(
         select=items,
@@ -491,6 +491,52 @@ def parse_clause_bodies(
     )
 
 
+_KEYWORDS = {kind: kind.keyword_lexemes for kind in CLAUSE_ORDER}
+
+# One clause line: (keyword lexemes still owed, body lexemes after the
+# keyword, final open fragment, fault).  A plain tuple: a named tuple
+# took about 0.65 us more to build (Python 3.11), and every line of
+# every parse and every check builds one.
+LineParse = tuple[tuple[str, ...], tuple[str, ...], str | None, StructureError | None]
+
+
+def parse_partial(
+    kind: ClauseKind | None, line: str, *, terminated: bool = False
+) -> LineParse:
+    """Split one line that must belong to clause ``kind``.
+
+    ``kind`` is None once the LIMIT line has terminated, when any
+    further text is a fault.  A ``terminated`` line (given without its
+    newline) must be canonically spaced and carry its whole keyword.
+    The fault is returned, never raised: a :class:`ClauseOrderViolation`
+    when the line starts with the keyword of another clause, else a
+    :class:`StructureError`.
+    """
+    if kind is None:
+        if line or terminated:
+            return (), (), None, StructureError("text continues after the LIMIT line")
+        return (), (), None, None
+    if terminated and (line == "" or line.endswith(" ")):
+        fault = StructureError(f"non-canonical spacing in {kind.value} line")
+        return (), (), None, fault
+    lexemes, fragment = split_line(line, terminated=terminated)
+    keyword = _KEYWORDS[kind]
+    matched = 0
+    for lexeme in lexemes[: len(keyword)]:
+        if lexeme != keyword[matched]:
+            break
+        matched += 1
+    else:  # a keyword prefix: whole, or still being typed
+        if matched == len(keyword) or not terminated:
+            return keyword[matched:], tuple(lexemes[matched:]), fragment, None
+    other = CLAUSE_STARTS.get(lexemes[0]) if matched == 0 else None
+    if other is not None:
+        message = f"{other.value} line where {kind.value} was expected"
+        return keyword, (), fragment, ClauseOrderViolation(message)
+    fault = StructureError(f"{kind.value} line does not start with its keyword")
+    return keyword[matched:], (), fragment, fault
+
+
 # The clause each line of a text belongs to, by position; None after LIMIT.
 _LINE_CLAUSES = (*CLAUSE_ORDER, None)
 
@@ -498,22 +544,22 @@ _LINE_CLAUSES = (*CLAUSE_ORDER, None)
 def parse_complete(text: str) -> NormalizedQuery:
     """Parse fully rendered canonical text back into a query structure.
 
-    Splits the lines in clause order with ``parse_partial``.  Raises
-    :class:`StructureError` (:class:`ClauseOrderViolation` among them)
-    when the text is not seven terminated clause lines, and
-    :class:`ParseError` when a clause body does not parse.
+    Splits the lines in clause order with ``parse_partial`` and raises
+    the first line's fault, a :class:`StructureError` (or its subclass
+    :class:`ClauseOrderViolation`), or :class:`ParseError` when a clause
+    body does not parse.
     """
     *lines, current = text.split("\n")
     bodies: dict[ClauseKind, tuple[str, ...]] = {}
     for kind, line in zip(_LINE_CLAUSES, lines):
-        _, body, _, error = parse_partial(kind, line, terminated=True)
-        if error is not None:
-            raise StructureError(error)
+        _, body, _, fault = parse_partial(kind, line, terminated=True)
+        if fault is not None:
+            raise fault
         bodies[kind] = body
     kind = _LINE_CLAUSES[len(bodies)]
-    error = parse_partial(kind, current)[3]
-    if error is not None:
-        raise StructureError(error)
+    fault = parse_partial(kind, current)[3]
+    if fault is not None:
+        raise fault
     if kind is not None:
         raise StructureError("query text is incomplete")
     return parse_clause_bodies(bodies)

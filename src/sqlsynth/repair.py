@@ -25,7 +25,7 @@ widened rows.  Dropping a column from such a query leaves its multiset
 of rows unchanged, and its row order is unspecified anyway.
 
 A swap to a FROM table's column is judged from the widened rows by its
-widened column index, and only a hit is built as a query.  The static
+widened column index, and only a hit is parsed as a query.  The static
 checks' verdict on such a swap depends only on the SELECT item it edits
 and the new column's declared type: the other six clause bodies and the
 other lexemes do not change, and a FROM table's schema column passes
@@ -325,14 +325,6 @@ def _widened(
     return dataclasses.replace(query, select=query.select + appended), offsets
 
 
-def _swapped(query: NormalizedQuery, item: int, ref: ColumnRef) -> NormalizedQuery:
-    """``query``, a query that selects plain columns, with SELECT item
-    ``item`` swapped for ``ref``: what ``parse_clause_bodies`` makes of
-    that edit's bodies."""
-    select = (*query.select[:item], SelectItem(ref), *query.select[item + 1 :])
-    return dataclasses.replace(query, select=select)
-
-
 def _swap_hits(
     rows: Sequence[tuple], width: int, examples: Sequence[ExampleTuple]
 ) -> Callable[[int, int], bool]:
@@ -426,8 +418,8 @@ def test_and_repair(
     table's column is answered from them, its result being the widened
     rows cut the same way with the swapped column in place.  Those swaps
     are neither parsed nor checked one by one: the prefilter's verdict is
-    taken once per SELECT item and column type, and only the hit is built
-    as a query.  When the widened statement fails or times out, the
+    taken once per SELECT item and column type, and only the hit is
+    parsed.  When the widened statement fails or times out, the
     original runs on its own with a budget of its own, as with repair
     off, and every variant runs as a statement of its own.
 
@@ -550,7 +542,7 @@ def test_and_repair(
             tried += 1
             if not hits(item, index):
                 continue
-            variant = _swapped(query, item, ref)
+            variant = parse_clause_bodies(bodies)
             result = ExecutionResult.success(
                 tuple(
                     row[:item] + (row[index],) + row[item + 1 : width]

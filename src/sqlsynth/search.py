@@ -25,9 +25,8 @@ from typing import Callable, Iterator, Protocol, Sequence
 from .checker import CheckVerdict, make_checker
 from .lm import AdapterError, EOS_TOKEN_ID, GenerationSession, TokenCandidate
 from .nsql.errors import ParseError, StructureError
-from .nsql.grammar import parse_complete
-# Unused here: perfbench/tracer.py looks this name up in this module.
-from .nsql.partial import parse_partial  # noqa: F401
+# parse_partial is unused here: perfbench/tracer.py looks it up in this module.
+from .nsql.grammar import parse_complete, parse_partial  # noqa: F401
 from .nsql.query import NormalizedQuery
 from .repair import ExecutionResult, RepairOutcome, test_and_repair
 from .tasks import DatabaseSchema, TaskDatabase, TaskInstance, serialize_task

@@ -39,6 +39,18 @@ class ColumnType(enum.Enum):
 
 
 NUMERIC_TYPES = frozenset({ColumnType.INTEGER, ColumnType.REAL})
+
+
+def _types_agree(left: ColumnType, right: ColumnType) -> bool:
+    """Whether values of these types may stand in one result column.
+    SQLite returns no bool and ``True == 1 == 1.0``, so Integer, Real and
+    Boolean agree with each other; OTHER (NULL or bytes) agrees with any
+    type, and Text only with Text."""
+    if ColumnType.OTHER in (left, right):
+        return True
+    return (left is ColumnType.TEXT) == (right is ColumnType.TEXT)
+
+
 REFINE_SAMPLE = 100  # stored values refine_schema reads per Integer column
 
 _SPIDER_TYPE_MAP = {
@@ -173,20 +185,20 @@ class TaskInstance:
 
 
 def _check_example_consistency(examples: Iterable[ExampleTuple]) -> None:
-    arity: int | None = None
-    types: tuple[ColumnType, ...] | None = None
+    """Every example has one arity, and every column's values agree by
+    ``_types_agree``: each with the column's first type other than OTHER."""
+    columns: list[ColumnType] | None = None
     for example in examples:
-        if arity is None:
-            arity, types = example.arity, example.types
+        if columns is None:
+            columns = list(example.types)
             continue
-        if example.arity != arity:
+        if example.arity != len(columns):
             raise DatasetError("example tuples disagree on arity")
-        assert types is not None
-        for left, right in zip(types, example.types):
-            if ColumnType.OTHER in (left, right):
-                continue
-            if left is not right:
+        for index, kind in enumerate(example.types):
+            if not _types_agree(columns[index], kind):
                 raise DatasetError("example tuples disagree on column types")
+            if columns[index] is ColumnType.OTHER:
+                columns[index] = kind
 
 
 @dataclass(frozen=True)
@@ -321,6 +333,7 @@ def load_tasks(
     if not isinstance(records, list):
         raise DatasetError("task file must contain a list of records")
     tasks: list[TaskInstance] = []
+    ids: set[str] = set()
     for index, record in enumerate(records):
         if not isinstance(record, dict):
             raise DatasetError(f"record {index} is not an object")
@@ -333,6 +346,12 @@ def load_tasks(
         task_id = record.get("id")
         if task_id in (None, ""):
             task_id = f"{db_id}-{index:04d}"
+        if isinstance(task_id, bool) or not isinstance(task_id, (str, int)):
+            raise DatasetError(f"record {index}: id must be a string or an integer")
+        task_id = str(task_id)
+        if task_id in ids:
+            raise DatasetError(f"record {index}: duplicate id {task_id!r}")
+        ids.add(task_id)
         given = (record.get("query"), record.get("gold_query"))
         gold_query = next((q for q in given if q not in (None, "")), "")
         fields = {"db_id": db_id, "question": question, "gold query": gold_query}
@@ -346,7 +365,7 @@ def load_tasks(
             raise DatasetError(f"record {index}: examples must be a list of rows")
         try:
             task = TaskInstance(
-                id=str(task_id),
+                id=task_id,
                 db_id=db_id,
                 question=question,
                 gold_query=gold_query,

@@ -38,7 +38,7 @@ from sqlsynth.nsql.lexemes import (
     is_number,
     is_string_const,
 )
-from sqlsynth.nsql.partial import parse_partial
+from sqlsynth.nsql.grammar import parse_partial
 from sqlsynth.nsql.query import (
     AggExpr,
     BoolOp,

@@ -1,7 +1,7 @@
 """Reference whole-text splitter for the differential tests.
 
 The package splits canonical text one clause line at a time
-(``nsql.partial.parse_partial``).  This module keeps the whole-text
+(``nsql.grammar.parse_partial``).  This module keeps the whole-text
 splitter it had before, built on that same line splitter: the checker's
 whole-prefix reference, the reference parse of a finished text and the
 reference repair enumerator read a text through it.
@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from sqlsynth.nsql.errors import StructureError
-from sqlsynth.nsql.grammar import parse_clause_bodies
-from sqlsynth.nsql.partial import parse_partial
+from sqlsynth.nsql.errors import ClauseOrderViolation, StructureError
+from sqlsynth.nsql.grammar import parse_clause_bodies, parse_partial
 from sqlsynth.nsql.query import CLAUSE_ORDER, ClauseKind, NormalizedQuery
 
 
@@ -35,6 +34,14 @@ def _clause_after(terminated: int) -> ClauseKind | None:
     return CLAUSE_ORDER[terminated] if terminated < len(CLAUSE_ORDER) else None
 
 
+def _message(fault: StructureError | None) -> str | None:
+    """The message of a line's fault; a ``ClauseOrderViolation`` is
+    raised."""
+    if isinstance(fault, ClauseOrderViolation):
+        raise fault
+    return None if fault is None else str(fault)
+
+
 def split_text(text: str) -> SplitText:
     """Split generated text into terminated clauses and the current line.
 
@@ -46,12 +53,13 @@ def split_text(text: str) -> SplitText:
     completed: dict[ClauseKind, tuple[str, ...]] = {}
     for index, line in enumerate(terminated):
         kind = _clause_after(index)
-        _, body, _, error = parse_partial(kind, line, terminated=True)
+        _, body, _, fault = parse_partial(kind, line, terminated=True)
+        error = _message(fault)
         if error is not None:
             return SplitText(completed=completed, syntax_error=error)
         completed[kind] = body
     kind = _clause_after(len(completed))
-    error = parse_partial(kind, current)[3]
+    error = _message(parse_partial(kind, current)[3])
     return SplitText(completed=completed, current_clause=kind, syntax_error=error)
 
 

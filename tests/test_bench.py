@@ -653,6 +653,38 @@ def test_bench_and_checker_exp_share_one_gold_rule(
     assert experiment.total == sum(experiment.matrix[truth].values()) == 1
 
 
+def _count_only_router(canon) -> ScriptedRouter:
+    return ScriptedRouter(
+        [("count every singer", ScriptedModel.from_queries([(canon["count"], 0.9)]))]
+    )
+
+
+def test_a_failing_task_does_not_sink_the_checker_experiment(
+    schemas, fixture_paths, canon, bench_tasks
+):
+    """A router that serves only the first of three tasks: the matrix
+    counts the first task's generation, and the other two are listed as
+    failed, as ``run_benchmark`` grades them and goes on."""
+    tasks, router = bench_tasks[:3], _count_only_router(canon)
+    report = run_benchmark(tasks, schemas, fixture_paths.db_root, router, config=CONFIG)
+    assert [row.status for row in report.reports] == [
+        "solved", "adapter_failure", "adapter_failure"
+    ]
+    experiment = run_checker_experiment(
+        tasks, schemas, fixture_paths.db_root, router, per_task=1, config=CONFIG
+    )
+    assert experiment.total == experiment.matrix[Label.CORRECT][Label.CORRECT] == 1
+    error = "AdapterUnavailable: no scripted route matches the task text"
+    assert experiment.failures == [("bench-002", error), ("bench-003", error)]
+    assert experiment.as_dict()["failures"] == [
+        {"task_id": "bench-002", "error": error},
+        {"task_id": "bench-003", "error": error},
+    ]
+    assert experiment.render_text().splitlines()[-3:] == [
+        "failed tasks: 2", f"  bench-002: {error}", f"  bench-003: {error}"
+    ]
+
+
 # -- CLI -------------------------------------------------------------------
 
 
@@ -1302,6 +1334,42 @@ def test_cli_checker_experiment(tmp_path, capsys, fixture_paths, canon):
     assert capsys.readouterr().out.startswith("generations labeled: 1\n")
     data = json.loads(output.read_text())
     assert data["matrix"]["Correct"]["Correct"] == 1
+
+
+def test_cli_checker_experiment_exits_1_when_a_task_fails(
+    tmp_path, capsys, fixture_paths, canon
+):
+    """A router that serves only the first of three tasks."""
+    paths = [{"query": canon["count"], "weight": 0.9}]
+    spec = _write_json(
+        tmp_path / "router.json",
+        {"routes": [{"match": "count every singer", "paths": paths}]},
+    )
+    name_record = {**COUNT_RECORD, "id": "cli-003", "question": "every singer name"}
+    dataset = _dataset_file(tmp_path, [COUNT_RECORD, FRANCE_RECORD, name_record])
+    output = tmp_path / "matrix.json"
+    code = cli.main(
+        [
+            "checker-exp",
+            "--tables",
+            str(fixture_paths.tables),
+            "--tasks",
+            dataset,
+            "--db-root",
+            str(fixture_paths.db_root),
+            "--model",
+            f"scripted:{spec}",
+            "--per-task",
+            "1",
+            "--output",
+            str(output),
+        ]
+    )
+    assert code == 1
+    assert "failed tasks: 2\n  cli-002: AdapterUnavailable" in capsys.readouterr().out
+    data = json.loads(output.read_text())
+    assert data["total"] == data["matrix"]["Correct"]["Correct"] == 1
+    assert [row["task_id"] for row in data["failures"]] == ["cli-002", "cli-003"]
 
 
 def test_cli_ablate(tmp_path, capsys, fixture_paths, canon):

@@ -24,10 +24,9 @@ from sqlsynth.checker import (
 )
 from sqlsynth.lm import lexeme_tokens
 from sqlsynth.nsql.errors import ClauseOrderViolation, ParseError
-from sqlsynth.nsql.grammar import parse_clause_body, parse_complete
+from sqlsynth.nsql.grammar import parse_clause_body, parse_complete, parse_partial
 from sqlsynth.nsql.lexemes import COMPARISONS, KEYWORDS
 from sqlsynth.nsql.normalize import normalize
-from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import ClauseKind, denormalize_text
 from sqlsynth.repair import (
     ExecutionStatus,

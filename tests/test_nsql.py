@@ -24,7 +24,12 @@ from sqlsynth.nsql.errors import (
 )
 from sqlsynth.nsql import grammar
 from sqlsynth.nsql import lexemes as lexemes_module
-from sqlsynth.nsql.grammar import parse_clause_cached, parse_complete
+from sqlsynth.nsql.grammar import (
+    parse_clause_bodies,
+    parse_clause_cached,
+    parse_complete,
+    parse_partial,
+)
 from sqlsynth.nsql.lexemes import (
     KEYWORDS,
     SET_OPERATIONS,
@@ -35,7 +40,6 @@ from sqlsynth.nsql.lexemes import (
     split_line,
 )
 from sqlsynth.nsql.normalize import normalize, rewrite_dataset
-from sqlsynth.nsql.partial import parse_partial
 from sqlsynth.nsql.query import (
     CLAUSE_ORDER,
     ClauseKind,
@@ -263,37 +267,47 @@ def test_parse_partial_two_word_keywords():
     )
     assert parse_partial(ClauseKind.GROUP_BY, "GROUP ") == (("BY",), (), None, None)
     assert parse_partial(ClauseKind.GROUP_BY, "GROUP BY ")[0] == ()
-    assert parse_partial(ClauseKind.GROUP_BY, "GROUP", terminated=True)[3] == (
-        "GROUP BY line does not start with its keyword"
-    )
+    fault = parse_partial(ClauseKind.GROUP_BY, "GROUP", terminated=True)[3]
+    assert type(fault) is StructureError
+    assert str(fault) == "GROUP BY line does not start with its keyword"
     with pytest.raises(StructureError, match="incomplete"):
         parse_complete("SELECT singer.name\nFROM singer\nWHERE\nGROUP ")
 
 
 def test_parse_partial_clause_order_violation():
-    with pytest.raises(ClauseOrderViolation):
-        parse_partial(ClauseKind.FROM, "WHERE singer.age > 3", terminated=True)
+    """The line reader returns a clause out of order as its fault;
+    ``parse_complete`` raises it."""
+    for kind, line, terminated, message in [
+        (ClauseKind.FROM, "WHERE singer.age > 3", True, "WHERE line where FROM"),
+        (ClauseKind.WHERE, "GROUP ", False, "GROUP BY line where WHERE"),
+    ]:
+        fault = parse_partial(kind, line, terminated=terminated)[3]
+        assert type(fault) is ClauseOrderViolation
+        assert str(fault) == f"{message} was expected"
     with pytest.raises(ClauseOrderViolation):
         parse_complete("SELECT singer.name\nWHERE singer.age > 3\n")
-    with pytest.raises(ClauseOrderViolation):
-        parse_partial(ClauseKind.WHERE, "GROUP ")
     with pytest.raises(ClauseOrderViolation):
         parse_complete("SELECT singer.name\nFROM singer\nGROUP ")
 
 
 def test_parse_partial_reports_structural_damage():
     after_limit = "text continues after the LIMIT line"
-    assert parse_partial(None, "extra")[3] == after_limit
-    assert parse_partial(None, "", terminated=True)[3] == after_limit
-    spacing = parse_partial(ClauseKind.SELECT, "SELECT singer.name ", terminated=True)
-    assert spacing[3] == "non-canonical spacing in SELECT line"
-    bad = parse_partial(ClauseKind.SELECT, "SELECTX singer.name", terminated=True)
-    assert bad[3] == "SELECT line does not start with its keyword"
+    spacing = "non-canonical spacing in SELECT line"
+    bad = "SELECT line does not start with its keyword"
+    for kind, line, terminated, message in [
+        (None, "extra", False, after_limit),
+        (None, "", True, after_limit),
+        (ClauseKind.SELECT, "SELECT singer.name ", True, spacing),
+        (ClauseKind.SELECT, "SELECTX singer.name", True, bad),
+    ]:
+        fault = parse_partial(kind, line, terminated=terminated)[3]
+        assert type(fault) is StructureError
+        assert str(fault) == message
     for text, message in [
         (_GOLD + "extra", after_limit),
         (_GOLD + "\n", after_limit),
-        ("SELECT singer.name \nFROM singer\n", spacing[3]),
-        ("SELECTX singer.name\nFROM singer\n", bad[3]),
+        ("SELECT singer.name \nFROM singer\n", spacing),
+        ("SELECTX singer.name\nFROM singer\n", bad),
     ]:
         with pytest.raises(StructureError) as raised:
             parse_complete(text)
@@ -336,15 +350,21 @@ def test_a_failing_clause_body_is_parsed_once_and_fails_alike(monkeypatch):
         return parse(kind, body)
 
     monkeypatch.setattr(grammar, "parse_clause_body", counting)
+    faults = [parse_clause_cached(ClauseKind.LIMIT, ("5.5",)) for _ in range(2)]
+    assert calls == [("5.5",)]
+    # The cache returns one shared fault, with no traceback to hold on to.
+    assert type(faults[0]) is ParseError and faults[0] is faults[1]
+    assert str(faults[0]) != "" and faults[0].__traceback__ is None
+    bodies = {**split_text(_GOLD).completed, ClauseKind.LIMIT: ("5.5",)}
     raised = []
     for _ in range(2):
         with pytest.raises(ParseError) as caught:
-            parse_clause_cached(ClauseKind.LIMIT, ("5.5",))
+            parse_clause_bodies(bodies)
         raised.append(caught.value)
-    assert calls == [("5.5",)]
-    assert str(raised[0]) == str(raised[1]) != ""
+    assert calls.count(("5.5",)) == 1
+    assert str(raised[0]) == str(raised[1]) == str(faults[0])
     # Each raise is a fresh exception, with its own traceback.
-    assert raised[0] is not raised[1]
+    assert raised[0] is not raised[1] and faults[0] not in raised
 
 
 def test_parse_complete_star_only_under_count():

@@ -808,7 +808,7 @@ def test_each_clause_is_parsed_once_per_search(
     for task, schema, db, model in _near_miss_searches(
         normalized_tasks, schemas, fixture_paths, connect
     ):
-        grammar._parsed_clause.cache_clear()
+        grammar.parse_clause_cached.cache_clear()
         parsed.clear()
         result = run_search(
             task, schema, db, model, config=SearchConfig(k=8, time_limit=20.0)
@@ -863,7 +863,7 @@ def test_parallel_benchmark_from_an_empty_clause_cache_matches_serial(
     config = SearchConfig(k=8, time_limit=20.0)
 
     def outcomes(jobs):
-        grammar._parsed_clause.cache_clear()
+        grammar.parse_clause_cached.cache_clear()
         report = run_benchmark(
             tasks, schemas, fixture_paths.db_root, router, config=config, jobs=jobs
         )

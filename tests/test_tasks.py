@@ -327,6 +327,60 @@ def test_load_tasks_keeps_a_zero_id(tmp_path, raw_schemas):
     ]
 
 
+@pytest.mark.parametrize(
+    "value", [[1], True, {"a": 1}, 2.5], ids=["list", "bool", "object", "real"]
+)
+def test_load_tasks_refuses_an_id_that_is_not_a_string_or_an_integer(
+    tmp_path, raw_schemas, value
+):
+    path = tmp_path / "tasks.json"
+    good = {"db_id": "shop", "question": "?", "id": "a"}
+    path.write_text(json.dumps([good, {**good, "id": value}]))
+    with pytest.raises(
+        DatasetError, match="^record 1: id must be a string or an integer$"
+    ):
+        load_tasks(path, raw_schemas)
+
+
+@pytest.mark.parametrize(
+    "ids, duplicate",
+    [(["dup", "dup"], "dup"), ([1, "1"], "1"), (["shop-0001", None], "shop-0001")],
+    ids=["given-twice", "integer-and-string", "given-and-generated"],
+)
+def test_load_tasks_refuses_a_duplicate_id(tmp_path, raw_schemas, ids, duplicate):
+    records = [{"db_id": "shop", "question": "?", "id": i} for i in ids]
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps(records))
+    with pytest.raises(DatasetError, match=f"^record 1: duplicate id '{duplicate}'$"):
+        load_tasks(path, raw_schemas)
+
+
+@pytest.mark.parametrize(
+    "rows, agree",
+    [
+        ([[10], [12.5]], True),
+        ([[1], [True]], True),
+        ([[1], ["a"]], False),
+        ([[None], [1], ["a"]], False),
+    ],
+    ids=["integer-real", "integer-boolean", "integer-text", "null-between"],
+)
+def test_example_columns_agree_by_type_family(tmp_path, raw_schemas, rows, agree):
+    """SQLite returns Integer and Real values from one column, and no
+    bool, so Integer, Real and Boolean share a column; Text shares one
+    with none of them, and a NULL joins any column without bridging
+    the two."""
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps([{"db_id": "shop", "question": "?", "examples": rows}]))
+    if agree:
+        [task] = load_tasks(path, raw_schemas)
+        assert len(task.examples) == len(rows)
+    else:
+        message = "^record 0: example tuples disagree on column types$"
+        with pytest.raises(DatasetError, match=message):
+            load_tasks(path, raw_schemas)
+
+
 def test_dump_load_roundtrip(tmp_path, tasks, raw_schemas):
     path = tmp_path / "roundtrip.json"
     path.write_text(json.dumps(dump_tasks(tasks)))
