@@ -3,7 +3,8 @@
 The checker sees only the database schema and the example tuple, never
 the database contents.  Three checks run in order of cost: vocabulary,
 scope (every referenced table must appear in FROM), and output types
-against the example.  A rejecting verdict carries the ``Label`` of the
+against the example by ``tasks.types_agree``, the rule that also holds
+example rows together.  A rejecting verdict carries the ``Label`` of the
 error an execution of the finished query would raise, which also powers
 the 4-label classifier used by the checker-comparison experiment.
 
@@ -63,7 +64,7 @@ from .nsql.query import (
     SelectItem,
     Star,
 )
-from .tasks import ColumnType, DatabaseSchema, ExampleTuple, NUMERIC_TYPES
+from .tasks import ColumnType, DatabaseSchema, ExampleTuple, types_agree
 
 
 class Label(enum.Enum):
@@ -335,54 +336,33 @@ def _scope(
 # -- Types ------------------------------------------------------------------
 
 
-def _compatible(computed: frozenset[ColumnType], example: ColumnType) -> bool:
-    # Integer, Real and Boolean agree, as in ``tasks._types_agree``.
-    # Against declared types the rule is looser: SQLite returns no bool,
-    # so a Boolean example may match an output of any type.
-    if ColumnType.OTHER in computed or example in (ColumnType.OTHER, ColumnType.BOOLEAN):
-        return True
-    if example in NUMERIC_TYPES:
-        return bool(computed & (NUMERIC_TYPES | {ColumnType.BOOLEAN}))
-    # ColumnType.TEXT, the one member left
-    return bool(computed & {ColumnType.TEXT, ColumnType.BOOLEAN})
-
-
-def _column_type_set(
-    schema: DatabaseSchema, ref: ColumnRef
-) -> frozenset[ColumnType]:
-    kind = schema.column_type(ref.table, ref.column)
-    return frozenset({kind}) if kind is not None else frozenset({ColumnType.OTHER})
-
-
 def _item_types(
     item: SelectItem,
     schema: DatabaseSchema,
     from_tables: Sequence[str] | None,
-) -> list[frozenset[ColumnType]] | None:
-    """Output type sets produced by one select item; None defers."""
+) -> list[ColumnType] | None:
+    """Output types produced by one select item; None defers.  SUM is
+    typed Real, though it may yield Integer: ``types_agree`` does not
+    tell the two apart."""
     expr = item.expr
     if isinstance(expr, Star):
         if from_tables is None:
             return None
-        types: list[frozenset[ColumnType]] = []
+        types: list[ColumnType] = []
         for name in from_tables:
             table = schema.table(name)
             if table is None:
                 return None
-            types.extend(frozenset({column.type}) for column in table.columns)
+            types.extend(column.type for column in table.columns)
         return types
-    if isinstance(expr, ColumnRef):
-        return [_column_type_set(schema, expr)]
     if isinstance(expr, AggExpr):
         if expr.func == "COUNT":
-            return [frozenset({ColumnType.INTEGER})]
-        if expr.func == "AVG":
-            return [frozenset({ColumnType.REAL})]
-        if expr.func == "SUM":
-            return [NUMERIC_TYPES]
-        assert isinstance(expr.arg, ColumnRef)
-        return [_column_type_set(schema, expr.arg)]
-    raise TypeError(f"unexpected select item {item!r}")
+            return [ColumnType.INTEGER]
+        if expr.func in ("AVG", "SUM"):
+            return [ColumnType.REAL]
+        expr = expr.arg  # MIN and MAX yield their column's type
+    assert isinstance(expr, ColumnRef)
+    return [schema.column_type(expr.table, expr.column) or ColumnType.OTHER]
 
 
 def check_types(
@@ -392,12 +372,12 @@ def check_types(
     from_tables: Sequence[str] | None = None,
 ) -> CheckVerdict:
     """Compare the completed SELECT clause's output types to the example's
-    column types.
+    column types by ``types_agree``.
 
     Star items need the FROM table list to expand; when it is not yet
     known the whole check defers (a star changes the arity).
     """
-    computed: list[frozenset[ColumnType]] = []
+    computed: list[ColumnType] = []
     for item in select_items:
         types = _item_types(item, schema, from_tables)
         if types is None:
@@ -409,13 +389,14 @@ def check_types(
             ClauseKind.SELECT,
             f"query returns {len(computed)} columns, example has {len(example_types)}",
         )
-    for position, (types, expected) in enumerate(zip(computed, example_types)):
-        if not _compatible(types, expected):
-            names = "/".join(sorted(t.value for t in types))
+    for position, (kind, expected) in enumerate(zip(computed, example_types)):
+        # SQLite returns no bool, so a declared Boolean column may yield
+        # any type, and a Boolean example equals 1 and 1.0.
+        if ColumnType.BOOLEAN not in (kind, expected) and not types_agree(kind, expected):
             return CheckVerdict.rejected(
                 Label.EXAMPLE_ERROR,
                 ClauseKind.SELECT,
-                f"column {position + 1} yields {names}, example has {expected.value}",
+                f"column {position + 1} yields {kind.value}, example has {expected.value}",
             )
     return PASS
 

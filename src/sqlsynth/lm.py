@@ -122,9 +122,9 @@ def lexeme_tokens(text: str) -> tuple[str, ...]:
 class DistractorSpec:
     """Per-step noise: one extra candidate with fixed probability mass.
 
-    ``steps`` limits noise to those depths; None means every step.  A
-    distractor token is always a dead end: a prefix ending in it gets no
-    further candidates.
+    ``steps`` limits noise to those depths, integers from 0; None means
+    every step.  A distractor token is always a dead end: a prefix ending
+    in it gets no further candidates.
     """
 
     surface: str
@@ -175,6 +175,10 @@ class ScriptedModel:
         if distractor is not None:
             if not 0 < distractor.mass < 1:
                 raise ValueError("distractor mass must be in (0, 1)")
+            if distractor.steps is not None and not all(
+                type(step) is int and step >= 0 for step in distractor.steps
+            ):
+                raise ValueError("distractor steps must be integers >= 0")
             surface = distractor.surface
             if surface == EOS_TOKEN_ID or any(surface in path for path in self._paths):
                 raise ValueError("distractor surface collides with a path token")

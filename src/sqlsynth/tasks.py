@@ -38,10 +38,7 @@ class ColumnType(enum.Enum):
     OTHER = "Other"
 
 
-NUMERIC_TYPES = frozenset({ColumnType.INTEGER, ColumnType.REAL})
-
-
-def _types_agree(left: ColumnType, right: ColumnType) -> bool:
+def types_agree(left: ColumnType, right: ColumnType) -> bool:
     """Whether values of these types may stand in one result column.
     SQLite returns no bool and ``True == 1 == 1.0``, so Integer, Real and
     Boolean agree with each other; OTHER (NULL or bytes) agrees with any
@@ -158,6 +155,8 @@ class ExampleTuple:
         for value in self.values:  # what SQLite returns; a BLOB is bytes
             if not isinstance(value, (type(None), int, float, str, bytes)):
                 raise DatasetError(f"example value {value!r} is not a scalar")
+            if value != value:  # SQLite stores NaN as NULL: no row can hold it
+                raise DatasetError(f"example value {value!r} is NaN, which no row holds")
         object.__setattr__(self, "types", tuple(map(value_type, self.values)))
 
     @classmethod
@@ -186,7 +185,7 @@ class TaskInstance:
 
 def _check_example_consistency(examples: Iterable[ExampleTuple]) -> None:
     """Every example has one arity, and every column's values agree by
-    ``_types_agree``: each with the column's first type other than OTHER."""
+    ``types_agree``: each with the column's first type other than OTHER."""
     columns: list[ColumnType] | None = None
     for example in examples:
         if columns is None:
@@ -195,7 +194,7 @@ def _check_example_consistency(examples: Iterable[ExampleTuple]) -> None:
         if example.arity != len(columns):
             raise DatasetError("example tuples disagree on arity")
         for index, kind in enumerate(example.types):
-            if not _types_agree(columns[index], kind):
+            if not types_agree(columns[index], kind):
                 raise DatasetError("example tuples disagree on column types")
             if columns[index] is ColumnType.OTHER:
                 columns[index] = kind

@@ -23,8 +23,9 @@ from sqlsynth.nsql.query import (
     SelectItem,
     Star,
 )
-from sqlsynth.tasks import ColumnType, DatabaseSchema, NUMERIC_TYPES
+from sqlsynth.tasks import ColumnType, DatabaseSchema
 
+NUMERIC_TYPES = frozenset({ColumnType.INTEGER, ColumnType.REAL})
 _TEXT_POOL = ("France", "Japan", "dog", "Grand Hall", "paid", "BAL", "x")
 _COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 

@@ -164,6 +164,20 @@ def test_benchmark_grades_past_a_gold_query_with_a_non_ascii_digit(
     assert second.execution_match is True and second.exact is True
 
 
+def test_benchmark_leaves_execution_unjudged_when_sqlite_refuses_the_gold(
+    schemas, fixture_paths, router
+):
+    """The gold normalizes, but SQLite refuses an aggregate in WHERE, so a
+    solved task's execution match is unknown rather than False."""
+    gold = "select name from singer where count(*) > 1"
+    task = _task("bench-001", "count every singer", gold, [5])
+    result = run_benchmark([task], schemas, fixture_paths.db_root, router, config=CONFIG)
+    row = result.reports[0]
+    assert row.status == "solved" and row.note == ""
+    assert row.execution_match is None
+    assert result.execution_matches == 0
+
+
 def test_benchmark_render_text(report):
     lines = report.render_text().splitlines()
     assert lines[0] == "run: unit"
@@ -991,6 +1005,31 @@ def test_cli_generate_rejects_a_nested_example_value(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: example value [1, 2]")
+    assert "Traceback" not in err
+
+
+def test_cli_generate_refuses_a_nan_example(tmp_path, capsys, fixture_paths, canon):
+    spec = _single_model_spec(tmp_path, canon["count"])
+    code = cli.main(
+        [
+            "generate",
+            "--tables",
+            str(fixture_paths.tables),
+            "--db-root",
+            str(fixture_paths.db_root),
+            "--db-id",
+            "concerts",
+            "--question",
+            "how many singers",
+            "--example",
+            "[NaN]",
+            "--model",
+            f"scripted:{spec}",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: example value nan is NaN")
     assert "Traceback" not in err
 
 

@@ -227,6 +227,13 @@ def test_count_distinct_star_is_refused_as_sqlite_refuses_it(concerts):
         assert parse_clause_body(ClauseKind.SELECT, body.split())
 
 
+def test_a_close_paren_with_nothing_open_on_the_line_being_typed_is_syntax(concerts):
+    verdict = make_checker(concerts, None)("SELECT singer.name ) ", False)
+    assert not verdict.ok
+    assert (verdict.kind, verdict.clause) == (Label.SYNTAX_ERROR, ClauseKind.SELECT)
+    assert verdict.detail == "unbalanced ')'"
+
+
 # -- scope ------------------------------------------------------------------
 
 
@@ -337,7 +344,8 @@ def test_types_avg_and_sum_are_numeric(concerts):
     assert check_types(avg, concerts, ExampleTuple.from_values((29.5,)).types).ok
     total = _items(("SUM", "(", "singer.age", ")"))
     assert check_types(total, concerts, ExampleTuple.from_values((120,)).types).ok
-    assert not check_types(total, concerts, ExampleTuple.from_values(("x",)).types).ok
+    verdict = check_types(total, concerts, ExampleTuple.from_values(("x",)).types)
+    assert verdict.detail == "column 1 yields Real, example has Text"
 
 
 def test_types_min_max_keep_column_type(concerts):
@@ -383,6 +391,41 @@ def test_a_boolean_example_admits_real_outputs_that_equal_it():
             result = execute_text(conn, denormalize_text(text))
             assert result.rows == ((1.0,),)
             assert satisfies_examples(result, [example])
+
+
+_TYPED = DatabaseSchema(
+    "typed",
+    (Table("t", tuple(Column(f"c_{kind.name.lower()}", kind) for kind in ColumnType)),),
+)
+_TEXT_AND_NUMBER = (
+    {ColumnType.TEXT, ColumnType.INTEGER},
+    {ColumnType.TEXT, ColumnType.REAL},
+)
+
+
+@pytest.mark.parametrize(
+    "example", [1, 2.5, "x", True, None], ids=["int", "real", "text", "bool", "null"]
+)
+@pytest.mark.parametrize(
+    "body, output",
+    [
+        *(((f"t.c_{kind.name.lower()}",), kind) for kind in ColumnType),
+        (("SUM", "(", "t.c_integer", ")"), ColumnType.REAL),
+    ],
+    ids=[*(kind.name.lower() for kind in ColumnType), "sum"],
+)
+def test_output_types_meet_example_types_by_one_rule(body, output, example):
+    """The type rule as a truth table: a column is rejected exactly when
+    one side is Text and the other Integer or Real.  A declared Boolean
+    column may yield any type, and a Boolean example equals 1 and 1.0;
+    Other (an undeclared type, or a NULL example) agrees with any type.
+    SUM yields a number, Integer or Real."""
+    kind = ExampleTuple.from_values((example,)).types[0]
+    rejected = {output, kind} in _TEXT_AND_NUMBER
+    verdict = check_types(_items(body), _TYPED, (kind,))
+    assert verdict.ok is not rejected
+    if rejected:
+        assert (verdict.kind, verdict.clause) == (Label.EXAMPLE_ERROR, ClauseKind.SELECT)
 
 
 # -- orchestration ----------------------------------------------------------

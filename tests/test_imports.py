@@ -13,9 +13,9 @@ name starts with ``_``, or when the function is a stub whose body is
 is a ``_``-prefixed, non-dunder module-level function, class or constant,
 or method; no module in ``src/`` imports another's private names (also
 checked here), so a definition its own module never reads is dead.  A public module-level
-function or class must be read by some module in ``src/``, by name or as
-an attribute, or be named in ``perfbench/*.py`` or the README: one that
-only the tests read belongs in ``tests/fixtures/``.
+function, class or constant must be read by some module in ``src/``, by
+name or as an attribute, or be named in ``perfbench/*.py`` or the README:
+one that only the tests read belongs in ``tests/fixtures/``.
 """
 
 from __future__ import annotations
@@ -354,20 +354,18 @@ def test_no_module_in_src_imports_a_private_name_of_another():
 def unread_public_definitions(
     sources: dict[str, str], mentions: str
 ) -> list[tuple[str, int, str]]:
-    """``(module, line, name)`` for each public module-level function and
-    class in ``sources`` that no source reads, by name or as an attribute,
-    and that ``mentions`` never names."""
+    """``(module, line, name)`` for each public module-level function,
+    class and constant in ``sources`` that no source reads, by name or as
+    an attribute, and that ``mentions`` never names."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set(re.findall(r"\w+", mentions))
     for tree in trees.values():
         read |= _used_names(tree) | _read_attributes(tree)
     return sorted(
-        (module, node.lineno, node.name)
+        (module, node.lineno, name)
         for module, tree in trees.items()
-        for node in _module_level(tree)
-        if isinstance(node, _DEFINITIONS)
-        and not node.name.startswith("_")
-        and node.name not in read
+        for node, name, is_method in _definitions(tree)
+        if not is_method and not name.startswith("_") and name not in read
     )
 
 
@@ -387,17 +385,24 @@ def test_the_public_definition_check_finds_what_it_should():
             "        pass\n"
             "class Lonely:\n"
             "    pass\n"
+            "LIMIT = 3\n"
+            "SPARE: int = 4\n"
+            "__all__ = ['used']\n"
         ),
         "b.py": (
             "import a\n"
             "def caller(x: 'Annotated') -> None:\n"
             "    a.used()\n"
+            "    return a.LIMIT\n"
             "class Annotated:\n"
             "    pass\n"
+            "SHARED, ALONE = 1, 2\n"
+            "TIMEOUT = SHARED\n"
         ),
     }
     assert unread_public_definitions(sources, "call documented() first") == [
-        ("a.py", 3, "orphan"), ("a.py", 12, "Lonely"), ("b.py", 2, "caller"),
+        ("a.py", 3, "orphan"), ("a.py", 12, "Lonely"), ("a.py", 15, "SPARE"),
+        ("b.py", 2, "caller"), ("b.py", 7, "ALONE"), ("b.py", 8, "TIMEOUT"),
     ]
 
 

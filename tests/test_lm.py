@@ -424,6 +424,38 @@ def test_load_scripted_model_single(tmp_path):
     assert cands["zzz "] == pytest.approx(0.05)
 
 
+def _distractor_spec(tmp_path, steps):
+    spec = {
+        "paths": [{"query": QUERY_A}],
+        "distractor": {"surface": "zzz ", "mass": 0.2, "steps": steps},
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+@pytest.mark.parametrize(
+    "steps", ["01", [0.5], [-1], [True]], ids=["string", "fraction", "negative", "bool"]
+)
+def test_load_scripted_model_refuses_distractor_steps_that_are_not_depths(
+    tmp_path, steps
+):
+    """A string would load as a set of characters, and a fraction or a
+    negative number as a depth no step reaches; ``true`` would read as 1."""
+    with pytest.raises(ProtocolError, match="distractor steps"):
+        load_scripted_model(_distractor_spec(tmp_path, steps))
+
+
+def test_load_scripted_model_applies_distractor_steps_at_their_depths(tmp_path):
+    model = load_scripted_model(_distractor_spec(tmp_path, [0, 2]))
+    prefix = lexeme_tokens(QUERY_A)
+    noisy = [
+        "zzz " in {c.token_id for c in model.top_candidates(_session(model, prefix[:n]), 5)}
+        for n in range(3)
+    ]
+    assert noisy == [True, False, True]
+
+
 def test_load_scripted_model_router(tmp_path):
     spec = {
         "routes": [{"match": "alpha", "paths": [{"query": QUERY_A}]}],
@@ -806,6 +838,37 @@ def test_http_model_builds_a_tls_context_only_for_https(monkeypatch):
     assert isinstance(https._tls, ssl.SSLContext)
     assert https._tls.verify_mode == ssl.CERT_REQUIRED and https._tls.check_hostname
     assert HttpCompletionModel("http://models.invalid:8080/complete")._tls is None
+
+
+def test_an_https_model_closes_its_socket_when_tls_setup_fails():
+    """A plain-TCP listener answers the TLS hello with HTTP bytes: the
+    handshake fails, the client closes its socket, and the call is
+    ``AdapterUnavailable``."""
+    closed = threading.Event()
+
+    def serve(listener):
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5)
+            conn.recv(4096)  # the client hello
+            conn.sendall(b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n")
+            try:
+                while conn.recv(4096):
+                    pass
+            except ConnectionResetError:
+                pass
+            closed.set()
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5)
+        thread = threading.Thread(target=serve, args=(listener,), daemon=True)
+        thread.start()
+        port = listener.getsockname()[1]
+        model = HttpCompletionModel(f"https://127.0.0.1:{port}/complete", timeout=5)
+        with pytest.raises(AdapterUnavailable):
+            model.top_candidates(model.start_session("task"), 3)
+        thread.join(5)
+    assert closed.is_set()
 
 
 # A raw server for the exchange's edge cases: ``reply(method, count)`` gives

@@ -752,6 +752,15 @@ def test_normalize_lifts_implicit_joins(schemas):
     assert "WHERE singer.age > 30" in rendered
 
 
+def test_normalize_refuses_a_duplicate_alias(schemas):
+    with pytest.raises(NormalizationError, match="^duplicate alias 'a'$"):
+        normalize(
+            "select a.name from singer as a join singer_in_concert as a "
+            "on a.singer_id = a.singer_id",
+            schemas["concerts"],
+        )
+
+
 def test_normalize_refuses_a_comma_join_without_where(schemas):
     message = "^no join condition for table 'concert'$"
     with pytest.raises(NormalizationError, match=message):

@@ -1775,6 +1775,22 @@ def test_label_by_execution_without_gold_uses_examples(connect):
     )
 
 
+def test_label_by_execution_falls_back_to_examples_when_the_gold_fails(
+    connect, schemas
+):
+    """A gold that normalizes but that SQLite refuses grades nothing, so
+    example containment decides."""
+    conn = connect("concerts")
+    gold = normalize("select name from singer where count(*) > 1", schemas["concerts"])
+    gold_result = execute_query(conn, gold)
+    assert not gold_result.ok and "misuse of aggregate" in gold_result.error
+    examples = [ExampleTuple.from_values(("Chris",))]
+    graded = dict(gold=(gold, gold_result), examples=examples)
+    assert label_by_execution(GOLD, conn, **graded) is Label.CORRECT
+    off = GOLD.replace("> 30", "> 999")
+    assert label_by_execution(off, conn, **graded) is Label.EXAMPLE_ERROR
+
+
 def test_label_by_execution_error_kinds(connect):
     conn = connect("concerts")
     runtime = GOLD.replace("singer.age", "singer.wingspan")

@@ -421,6 +421,28 @@ def test_example_tuple_keeps_every_value_sqlite_returns():
     assert ExampleTuple.from_values(values).values == values
 
 
+def test_example_tuple_refuses_nan_and_keeps_infinity():
+    """SQLite stores NaN as NULL, so no row holds a NaN example; it stores
+    an infinity and returns it, equal to the example."""
+    with pytest.raises(DatasetError, match=r"^example value nan is NaN"):
+        ExampleTuple.from_values(("x", float("nan")))
+    infinite = ExampleTuple.from_values((float("inf"),))
+    with closing(sqlite3.connect(":memory:")) as conn:
+        conn.execute("CREATE TABLE t (x REAL)")
+        conn.execute("INSERT INTO t VALUES (?), (?)", (float("inf"), float("nan")))
+        rows = conn.execute("SELECT x FROM t").fetchall()
+    assert rows == [infinite.values, (None,)]
+
+
+def test_load_tasks_refuses_a_nan_example_naming_its_record(tmp_path, raw_schemas):
+    path = tmp_path / "tasks.json"
+    good = '{"db_id": "shop", "question": "?", "examples": [[1.5]]}'
+    bad = '{"db_id": "shop", "question": "?", "examples": [[NaN]]}'
+    path.write_text(f"[{good}, {bad}]")
+    with pytest.raises(DatasetError, match="^record 1: example value nan is NaN"):
+        load_tasks(path, raw_schemas)
+
+
 def test_task_rejects_examples_with_mixed_arity():
     with pytest.raises(DatasetError):
         TaskInstance(
@@ -568,6 +590,25 @@ def test_serialize_task_layout(schemas):
 def test_serialize_task_without_examples(schemas):
     task = TaskInstance(id="t", db_id="shop", question="q")
     assert serialize_task(task, schemas["shop"]).endswith("no examples")
+
+
+def test_refine_schema_keeps_a_column_the_database_lacks(tmp_path):
+    """A ``tables.json`` column the database lacks keeps its declared
+    type: SQLite reads a missing column's quoted name as a string, and
+    refuses a missing table, which the sample then skips."""
+    path = database_path(tmp_path, "gap")
+    path.parent.mkdir()
+    with closing(sqlite3.connect(path)) as conn:
+        conn.execute("CREATE TABLE t (x NUMBER)")
+        conn.execute("INSERT INTO t VALUES (2.5)")
+        conn.commit()
+    columns = (Column("x", ColumnType.INTEGER), Column("ghost", ColumnType.INTEGER))
+    gone = Table("gone", (Column("y", ColumnType.INTEGER),))
+    raw = DatabaseSchema("gap", (Table("t", columns), gone))
+    refined = refine_schema(open_database(tmp_path, "gap"), raw)
+    assert refined.column_type("t", "x") is ColumnType.REAL
+    assert refined.column_type("t", "ghost") is ColumnType.INTEGER
+    assert refined.column_type("gone", "y") is ColumnType.INTEGER
 
 
 @pytest.mark.parametrize("stored", ["1e999", "-1e999"], ids=["inf", "-inf"])
