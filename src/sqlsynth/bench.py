@@ -44,13 +44,13 @@ class TaskReport:
     task_id: str
     db_id: str
     status: str
-    solved: bool
-    execution_match: bool | None
-    exact: bool | None
-    repaired: bool
-    query_text: str | None
-    elapsed_seconds: float
-    stats: Mapping[str, object]
+    solved: bool = False
+    execution_match: bool | None = None
+    exact: bool | None = None
+    repaired: bool = False
+    query_text: str | None = None
+    elapsed_seconds: float = 0.0
+    stats: Mapping[str, object] = field(default_factory=dict)
     note: str = ""
 
     def as_dict(self) -> dict:
@@ -176,13 +176,7 @@ def _grade_task(
             task_id=task.id,
             db_id=task.db_id,
             status="error",
-            solved=False,
-            execution_match=None,
-            exact=None,
-            repaired=False,
-            query_text=None,
             elapsed_seconds=time.monotonic() - started,
-            stats={},
             note=f"{type(exc).__name__}: {exc}",
         )
     solved = result.status is SearchStatus.SOLVED

@@ -129,6 +129,13 @@ def _load_dataset(args: argparse.Namespace):
     return schemas, tasks
 
 
+def _write_output(path: str | None, payload: object) -> None:
+    """Write ``payload`` as indented JSON to ``--output``, if one was given."""
+    if path:
+        Path(path).write_text(json.dumps(payload, indent=2))
+        print(f"wrote {path}")
+
+
 def _parse_example(raw: str) -> ExampleTuple:
     try:
         values = json.loads(raw)
@@ -182,9 +189,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             jobs=args.jobs,
         )
     print(report.render_text())
-    if args.output:
-        Path(args.output).write_text(report.to_json())
-        print(f"wrote {args.output}")
+    _write_output(args.output, report.as_dict())
     failed = SearchStatus.ADAPTER_FAILURE.value
     return 1 if any(task.status == failed for task in report.reports) else 0
 
@@ -207,10 +212,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             f"exec {run.execution_matches}/{run.total}  "
             f"exact {run.exact_matches}/{run.total}"
         )
-    if args.output:
-        payload = [run.as_dict() for run in runs]
-        Path(args.output).write_text(json.dumps(payload, indent=2))
-        print(f"wrote {args.output}")
+    _write_output(args.output, [run.as_dict() for run in runs])
     return 0
 
 
@@ -251,9 +253,7 @@ def _cmd_checker_exp(args: argparse.Namespace) -> int:
             config=_build_config(args),
         )
     print(experiment.render_text())
-    if args.output:
-        Path(args.output).write_text(json.dumps(experiment.as_dict(), indent=2))
-        print(f"wrote {args.output}")
+    _write_output(args.output, experiment.as_dict())
     return 1 if experiment.failures else 0
 
 

@@ -5,9 +5,11 @@ The frontier is a heap of ``(cost, -depth, tokens, text)`` tuples, where
 prefix pops first, then the deeper one, then the token sequence.  The
 popped prefix is extended with the model's top-k continuations.  Static
 checks veto children at push time, and a child's tokens and entry are
-built only after it passes its check.  Finished candidates go to the
-tester, and a failed candidate simply falls out of the frontier so
-search resumes from the next best prefix.
+built only after it passes its check.  Every end-of-sequence text is
+one attempt, whether or not it parses: one that parses goes to the
+tester, and one that does not parse or does not satisfy is recorded as
+generated.  A SINGLE-mode search ends after its first attempt; a
+MULTIPLE-mode search resumes from the next best prefix.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Iterator, Protocol, Sequence
 
 from .checker import CheckVerdict, make_checker
 from .lm import AdapterError, EOS_TOKEN_ID, GenerationSession, TokenCandidate
-from .nsql.errors import ParseError, StructureError
+from .nsql.errors import ParseError
 # parse_partial is unused here: perfbench/tracer.py looks it up in this module.
 from .nsql.grammar import parse_complete, parse_partial  # noqa: F401
 from .nsql.query import NormalizedQuery
@@ -85,13 +87,14 @@ class SearchStats:
     nodes_expanded: int = 0
     candidates_generated: int = 0
     pruned_by_checker: int = 0
-    complete_queries_tested: int = 0
+    complete_queries_tested: int = 0  # end-of-sequence texts, parsed or not
     backtracks: int = 0
     repair_variants_tried: int = 0
     repair_statements: int = 0
     repair_probes: int = 0
     elapsed_seconds: float = 0.0
     adapter_error: str | None = None
+    # Every attempt that did not solve the task, as generated.
     failed_queries: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
@@ -264,13 +267,11 @@ def run_search(
     try:
         session = model.start_session(search_task_text(task, schema, config))
         for text in _best_first(session, model, stats, config, prune, deadline):
+            stats.complete_queries_tested += 1
             try:
                 query = parse_complete(text)
-            except StructureError:
-                continue  # ended mid-query; only reachable with checks off
             except ParseError:
                 query = None
-            stats.complete_queries_tested += 1
             if query is not None:
                 outcome = tester(query, deadline)
                 stats.repair_variants_tried += outcome.variants_tried
@@ -283,7 +284,7 @@ def run_search(
                         outcome.result,
                         outcome.repaired,
                     )
-            stats.failed_queries.append(text if query is None else query.render())
+            stats.failed_queries.append(text)
             if config.attempt_mode is AttemptMode.SINGLE:
                 break
     except AdapterError as exc:

@@ -428,9 +428,12 @@ def refine_schema(db: TaskDatabase, schema: DatabaseSchema) -> DatabaseSchema:
 def _column_holds_reals(
     connection: sqlite3.Connection, table: str, column: str
 ) -> bool:
+    # Backticks, not double quotes: SQLite reads a double-quoted name that
+    # is no column as a string, so a missing column would sample its name.
+    table, column = (name.replace("`", "``") for name in (table, column))
     try:
         rows = connection.execute(
-            f'SELECT "{column}" FROM "{table}" WHERE "{column}" IS NOT NULL LIMIT ?',
+            f"SELECT `{column}` FROM `{table}` WHERE `{column}` IS NOT NULL LIMIT ?",
             (REFINE_SAMPLE,),
         ).fetchall()
     except sqlite3.Error:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import math
+import random
 import sqlite3
 import sys
 import time
@@ -25,6 +26,7 @@ from sqlsynth.lm import (
     lexeme_tokens,
 )
 from sqlsynth.nsql import grammar
+from sqlsynth.nsql.errors import StructureError
 from sqlsynth.nsql.grammar import parse_clause_body, parse_complete
 from sqlsynth.repair import (
     ExecutionResult,
@@ -484,59 +486,35 @@ def test_run_search_max_tokens_cuts_long_prefixes(schemas):
     assert result.stats.nodes_expanded <= 5
 
 
-def test_run_search_skips_malformed_eos_with_checks_off(schemas):
-    bad = "SELECT singer.name\nFROM singer\n"  # stops before WHERE
-    model = ScriptedModel([
-        (lexeme_tokens(bad), 0.6),
-        (lexeme_tokens(GOLD), 0.4),
-    ])
-    result = run_search(
-        _task(),
-        schemas["concerts"],
-        None,
-        model,
-        tester=_accept_all,
-        config=SearchConfig(pqc_enabled=False),
-    )
-    assert result.status is SearchStatus.SOLVED
-    assert result.query_text == GOLD
-    assert result.stats.complete_queries_tested == 1
+_LINES = GOLD.splitlines(keepends=True)
 
-
-def test_run_search_skips_misordered_eos_with_checks_off(schemas):
-    lines = GOLD.splitlines(keepends=True)
-    misordered = "".join([lines[2], lines[0], lines[1], *lines[3:]])
-    model = ScriptedModel([
-        (lexeme_tokens(misordered), 0.6),
-        (lexeme_tokens(GOLD), 0.4),
-    ])
-    result = run_search(
-        _task(),
-        schemas["concerts"],
-        None,
-        model,
-        tester=_accept_all,
-        config=SearchConfig(pqc_enabled=False),
-    )
-    assert result.status is SearchStatus.SOLVED
-    assert result.query_text == GOLD
-    assert result.stats.complete_queries_tested == 1
-    assert result.stats.failed_queries == []
+# Finished generations that parse_complete refuses: a WHERE body that
+# does not parse (the ids without a suffix), then three faults in the
+# line structure.
+_UNPARSABLE = [
+    ("", GOLD.replace("singer.age > 30", "singer.age >")),
+    ("-early-eos", "SELECT singer.name\nFROM singer\n"),  # stops before WHERE
+    ("-misordered", "".join([_LINES[2], _LINES[0], _LINES[1], *_LINES[3:]])),
+    ("-no-select-keyword", GOLD.replace("SELECT ", "", 1)),
+]
 
 
 @pytest.mark.parametrize(
-    "mode, status, tested",
+    "bad, mode, status, tested",
     [
-        (AttemptMode.SINGLE, SearchStatus.EXHAUSTED, 1),
-        (AttemptMode.MULTIPLE, SearchStatus.SOLVED, 2),
+        pytest.param(bad, mode, status, tested, id=f"{mode}-{status}-{tested}{case}")
+        for case, bad in _UNPARSABLE
+        for mode, status, tested in [
+            (AttemptMode.SINGLE, SearchStatus.EXHAUSTED, 1),
+            (AttemptMode.MULTIPLE, SearchStatus.SOLVED, 2),
+        ]
     ],
 )
 def test_run_search_records_an_unparsable_eos_with_checks_off(
-    schemas, mode, status, tested
+    schemas, bad, mode, status, tested
 ):
-    """Seven clause lines whose WHERE body does not parse: a failed
-    attempt, recorded as the model wrote it."""
-    bad = GOLD.replace("singer.age > 30", "singer.age >")
+    """A finished generation that does not parse is one failed attempt,
+    whatever its fault, recorded as the model wrote it."""
     model = ScriptedModel([
         (lexeme_tokens(bad), 0.6),
         (lexeme_tokens(GOLD), 0.4),
@@ -721,6 +699,52 @@ def test_collect_complete_returns_what_it_gathered_by_the_deadline():
         [(lexeme_tokens(first), 0.6), (lexeme_tokens(second), 0.4)], "t.b"
     )
     assert collect_complete("task", model, 2, SearchConfig(time_limit=0.2)) == [first]
+
+
+def _malformed(gold: str, rng: random.Random) -> str:
+    """``gold`` with one seeded fault in its line structure: a clause
+    line dropped, two adjacent clause lines swapped, or the text cut
+    before its LIMIT line."""
+    lines = gold.splitlines(keepends=True)
+    at = rng.randrange(len(lines) - 1)
+    fault = rng.choice(("drop", "swap", "cut"))
+    if fault == "drop":
+        del lines[at]
+    elif fault == "swap":
+        lines[at], lines[at + 1] = lines[at + 1], lines[at]
+    else:
+        del lines[at + 1 :]
+    return "".join(lines)
+
+
+def test_failed_attempts_are_the_collected_generations(normalized_tasks, schemas):
+    """With checks off and nothing satisfying, a MULTIPLE-mode search
+    fails every finished generation, so it records exactly the texts
+    ``collect_complete`` gathers, in the same order."""
+    rng = random.Random(46)
+    config = SearchConfig(
+        k=2, max_tokens=96, pqc_enabled=False, repair_enabled=False,
+        attempt_mode=AttemptMode.MULTIPLE,
+    )
+    for task in normalized_tasks:
+        bad = _malformed(task.gold_query, rng)
+        with pytest.raises(StructureError):
+            parse_complete(bad)
+        weight = rng.uniform(0.2, 0.8)
+        model = ScriptedModel.from_queries(
+            [(task.gold_query, weight), (bad, 1.0 - weight)]
+        )
+        schema = schemas[task.db_id]
+        result = run_search(
+            task, schema, None, model, tester=_reject_all, config=config
+        )
+        collected = collect_complete(
+            search.search_task_text(task, schema, config), model, 10, config
+        )
+        assert result.status is SearchStatus.EXHAUSTED
+        assert bad in collected, task.id
+        assert result.stats.failed_queries == collected, task.id
+        assert result.stats.complete_queries_tested == len(collected), task.id
 
 
 def test_benchmark_entry_points_still_resolve():

@@ -15,6 +15,7 @@ from sqlsynth.tasks import (
     DuplicateDbId,
     ExampleTuple,
     Table,
+    TaskDatabase,
     TaskInstance,
     UnknownDbId,
     database_path,
@@ -592,23 +593,39 @@ def test_serialize_task_without_examples(schemas):
     assert serialize_task(task, schemas["shop"]).endswith("no examples")
 
 
-def test_refine_schema_keeps_a_column_the_database_lacks(tmp_path):
-    """A ``tables.json`` column the database lacks keeps its declared
-    type: SQLite reads a missing column's quoted name as a string, and
-    refuses a missing table, which the sample then skips."""
+def test_refine_schema_keeps_a_column_the_database_lacks(tmp_path, monkeypatch):
+    """A ``tables.json`` column or table the database lacks keeps its
+    declared type: SQLite refuses to prepare its sample, so the sample
+    never runs (a statement that cannot prepare is never traced)."""
     path = database_path(tmp_path, "gap")
     path.parent.mkdir()
     with closing(sqlite3.connect(path)) as conn:
-        conn.execute("CREATE TABLE t (x NUMBER)")
-        conn.execute("INSERT INTO t VALUES (2.5)")
+        conn.execute("CREATE TABLE t (x NUMBER, `a``b` NUMBER)")
+        conn.execute("INSERT INTO t VALUES (2.5, 3.5)")
         conn.commit()
-    columns = (Column("x", ColumnType.INTEGER), Column("ghost", ColumnType.INTEGER))
+    traced: list[str] = []
+    connect = TaskDatabase.connect
+
+    def tracing_connect(self):
+        conn = connect(self)
+        conn.set_trace_callback(traced.append)
+        return conn
+
+    monkeypatch.setattr(TaskDatabase, "connect", tracing_connect)
+    columns = (
+        Column("x", ColumnType.INTEGER),
+        Column("a`b", ColumnType.INTEGER),
+        Column("ghost", ColumnType.INTEGER),
+    )
     gone = Table("gone", (Column("y", ColumnType.INTEGER),))
     raw = DatabaseSchema("gap", (Table("t", columns), gone))
     refined = refine_schema(open_database(tmp_path, "gap"), raw)
     assert refined.column_type("t", "x") is ColumnType.REAL
+    assert refined.column_type("t", "a`b") is ColumnType.REAL
     assert refined.column_type("t", "ghost") is ColumnType.INTEGER
     assert refined.column_type("gone", "y") is ColumnType.INTEGER
+    assert len(traced) == 2
+    assert not any("ghost" in statement for statement in traced)
 
 
 @pytest.mark.parametrize("stored", ["1e999", "-1e999"], ids=["inf", "-inf"])
