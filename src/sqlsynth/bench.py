@@ -13,7 +13,6 @@ often the static verdict agrees.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -105,9 +104,6 @@ class BenchmarkReport:
             "mean_elapsed_seconds": self.mean_stat("elapsed_seconds"),
             "tasks": [report.as_dict() for report in self.reports],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
 
     def render_text(self) -> str:
         lines = [

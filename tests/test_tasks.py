@@ -15,7 +15,6 @@ from sqlsynth.tasks import (
     DuplicateDbId,
     ExampleTuple,
     Table,
-    TaskDatabase,
     TaskInstance,
     UnknownDbId,
     database_path,
@@ -593,7 +592,7 @@ def test_serialize_task_without_examples(schemas):
     assert serialize_task(task, schemas["shop"]).endswith("no examples")
 
 
-def test_refine_schema_keeps_a_column_the_database_lacks(tmp_path, monkeypatch):
+def test_refine_schema_keeps_a_column_the_database_lacks(tmp_path, traced_statements):
     """A ``tables.json`` column or table the database lacks keeps its
     declared type: SQLite refuses to prepare its sample, so the sample
     never runs (a statement that cannot prepare is never traced)."""
@@ -603,15 +602,6 @@ def test_refine_schema_keeps_a_column_the_database_lacks(tmp_path, monkeypatch):
         conn.execute("CREATE TABLE t (x NUMBER, `a``b` NUMBER)")
         conn.execute("INSERT INTO t VALUES (2.5, 3.5)")
         conn.commit()
-    traced: list[str] = []
-    connect = TaskDatabase.connect
-
-    def tracing_connect(self):
-        conn = connect(self)
-        conn.set_trace_callback(traced.append)
-        return conn
-
-    monkeypatch.setattr(TaskDatabase, "connect", tracing_connect)
     columns = (
         Column("x", ColumnType.INTEGER),
         Column("a`b", ColumnType.INTEGER),
@@ -624,8 +614,55 @@ def test_refine_schema_keeps_a_column_the_database_lacks(tmp_path, monkeypatch):
     assert refined.column_type("t", "a`b") is ColumnType.REAL
     assert refined.column_type("t", "ghost") is ColumnType.INTEGER
     assert refined.column_type("gone", "y") is ColumnType.INTEGER
-    assert len(traced) == 2
-    assert not any("ghost" in statement for statement in traced)
+    assert len(traced_statements) == 2
+    assert not any("ghost" in statement for statement in traced_statements)
+
+
+def _number_database(tmp_path, db_id: str, tables: dict[str, list[tuple]]):
+    """A database of NUMBER columns ``c0``, ``c1``, … per table, filled
+    with ``tables``' rows, and its schema with every column Integer."""
+    path = database_path(tmp_path, db_id)
+    path.parent.mkdir()
+    schema_tables = []
+    with closing(sqlite3.connect(path)) as conn:
+        for name, rows in tables.items():
+            names = [f"c{index}" for index in range(len(rows[0]))]
+            declared = ", ".join(f"{column} NUMBER" for column in names)
+            conn.execute(f"CREATE TABLE {name} ({declared})")
+            marks = ", ".join("?" * len(names))
+            conn.executemany(f"INSERT INTO {name} VALUES ({marks})", rows)
+            columns = tuple(Column(c, ColumnType.INTEGER) for c in names)
+            schema_tables.append(Table(name, columns))
+        conn.commit()
+    schema = DatabaseSchema(db_id, tuple(schema_tables))
+    return open_database(tmp_path, db_id), schema
+
+
+def test_refine_schema_sends_one_statement_a_table(tmp_path, traced_statements):
+    rows = [(i, i + 0.5, 2 * i) for i in range(150)]
+    db, raw = _number_database(tmp_path, "two", {"t": rows, "u": rows[:3]})
+    refined = refine_schema(db, raw)
+    assert len(traced_statements) == 2
+    for table in ("t", "u"):
+        assert refined.column_type(table, "c0") is ColumnType.INTEGER
+        assert refined.column_type(table, "c1") is ColumnType.REAL
+        assert refined.column_type(table, "c2") is ColumnType.INTEGER
+
+
+def test_refine_schema_samples_a_column_that_reads_null_on_its_own(
+    tmp_path, traced_statements
+):
+    """A full table sample that reads NULL in a column saw fewer than
+    ``REFINE_SAMPLE`` of its values, so the column is sampled alone and
+    still finds a fraction stored past the table sample."""
+    rows = [(i, None, None) for i in range(150)]
+    rows[149] = (149, 2.5, None)
+    db, raw = _number_database(tmp_path, "late", {"t": rows})
+    refined = refine_schema(db, raw)
+    assert refined.column_type("t", "c0") is ColumnType.INTEGER
+    assert refined.column_type("t", "c1") is ColumnType.REAL
+    assert refined.column_type("t", "c2") is ColumnType.INTEGER
+    assert len(traced_statements) == 3
 
 
 @pytest.mark.parametrize("stored", ["1e999", "-1e999"], ids=["inf", "-inf"])
