@@ -23,7 +23,12 @@ from .checker import Label, predict_label
 from .nsql.errors import SqlError
 from .nsql.normalize import normalize
 from .nsql.query import NormalizedQuery, exact_match
-from .repair import execute_query, label_by_execution, matches_gold
+from .repair import (
+    ExecutionResult,
+    execute_query,
+    label_by_execution,
+    matches_gold,
+)
 from .search import (
     AttemptMode,
     CompletionModel,
@@ -157,8 +162,27 @@ def _normalized_gold(
         return None, f"gold not normalizable: {exc}"
 
 
+@dataclass
+class _Gold:
+    """A task's gold query in canonical form, or None and why not, and
+    its result once a search has solved the task.  An ablation grades
+    every run against one ``_Gold`` a task, so each gold is normalized
+    once and run at most once for the whole grid."""
+
+    query: NormalizedQuery | None
+    note: str
+    result: ExecutionResult | None = None
+
+
+def _golds(
+    tasks: Sequence[TaskInstance], schemas: Mapping[str, DatabaseSchema]
+) -> list[_Gold]:
+    return [_Gold(*_normalized_gold(task, schemas[task.db_id])) for task in tasks]
+
+
 def _grade_task(
     task: TaskInstance,
+    gold: _Gold,
     schema: DatabaseSchema,
     db: TaskDatabase,
     model: CompletionModel,
@@ -176,14 +200,14 @@ def _grade_task(
             note=f"{type(exc).__name__}: {exc}",
         )
     solved = result.status is SearchStatus.SOLVED
-    gold, note = _normalized_gold(task, schema)
-    execution = exact = None if gold is None else False
-    if gold is not None and solved and result.query is not None:
+    execution = exact = None if gold.query is None else False
+    if gold.query is not None and solved and result.query is not None:
         conn = db.connection()
-        gold_result = execute_query(conn, gold, timeout=GRADE_TIMEOUT)
+        if gold.result is None:
+            gold.result = execute_query(conn, gold.query, timeout=GRADE_TIMEOUT)
         found = execute_query(conn, result.query, timeout=GRADE_TIMEOUT)
-        execution = matches_gold(found, gold, gold_result)
-        exact = exact_match(result.query, gold)
+        execution = matches_gold(found, gold.query, gold.result)
+        exact = exact_match(result.query, gold.query)
     return TaskReport(
         task_id=task.id,
         db_id=task.db_id,
@@ -195,7 +219,7 @@ def _grade_task(
         query_text=result.query_text,
         elapsed_seconds=result.stats.elapsed_seconds,
         stats=result.stats.as_dict(),
-        note=note,
+        note=gold.note,
     )
 
 
@@ -219,14 +243,33 @@ def run_benchmark(
     interrupt included, cancels the tasks not yet started; the serial
     path lets an interrupt stop the running search at once.
     """
-    config = config or SearchConfig()
+    return _run_benchmark(
+        tasks, _golds(tasks, schemas), schemas, db_root, model,
+        config or SearchConfig(), jobs, label,
+    )
+
+
+def _run_benchmark(
+    tasks: Sequence[TaskInstance],
+    golds: Sequence[_Gold],
+    schemas: Mapping[str, DatabaseSchema],
+    db_root: Path | str,
+    model: CompletionModel,
+    config: SearchConfig,
+    jobs: int,
+    label: str,
+) -> BenchmarkReport:
+    """``run_benchmark``, grading each task against its entry of
+    ``golds``."""
     report = BenchmarkReport(label=label)
     dbs = _open_databases(tasks, db_root)
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        for task in tasks:
+        for task, gold in zip(tasks, golds):
             report.reports.append(
-                _grade_task(task, schemas[task.db_id], dbs[task.db_id], model, config)
+                _grade_task(
+                    task, gold, schemas[task.db_id], dbs[task.db_id], model, config
+                )
             )
         return report
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -234,9 +277,9 @@ def run_benchmark(
             futures = [
                 pool.submit(
                     _grade_task,
-                    task, schemas[task.db_id], dbs[task.db_id], model, config,
+                    task, gold, schemas[task.db_id], dbs[task.db_id], model, config,
                 )
-                for task in tasks
+                for task, gold in zip(tasks, golds)
             ]
             report.reports.extend(future.result() for future in futures)
         except BaseException:
@@ -284,20 +327,16 @@ def run_ablation(
     base_config: SearchConfig | None = None,
     jobs: int = 1,
 ) -> list[BenchmarkReport]:
-    runs = []
-    for config in ablation_grid(base_config):
-        runs.append(
-            run_benchmark(
-                tasks,
-                schemas,
-                db_root,
-                model,
-                config=config,
-                jobs=jobs,
-                label=config_label(config),
-            )
+    """``run_benchmark`` under each configuration of ``ablation_grid``.
+    Every run grades against the same normalized gold queries, and a
+    gold's result, once run, serves every later run."""
+    golds = _golds(tasks, schemas)
+    return [
+        _run_benchmark(
+            tasks, golds, schemas, db_root, model, config, jobs, config_label(config)
         )
-    return runs
+        for config in ablation_grid(base_config)
+    ]
 
 
 # -- Checker comparison ----------------------------------------------------

@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import BinaryIO, Mapping, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
-from .nsql.lexemes import split_line
+from .nsql.lexemes import separated_lexemes
 
 EOS_TOKEN_ID = "<eos>"
 
@@ -104,15 +104,7 @@ def lexeme_tokens(text: str) -> tuple[str, ...]:
     the ones ``split_line`` finds on each line, so string constants stay
     single tokens even when they contain spaces.
     """
-    tokens: list[str] = []
-    for line in text.split("\n"):
-        lexemes, fragment = split_line(line, terminated=False)
-        tokens += [lexeme + " " for lexeme in lexemes]
-        tokens.append((fragment or "") + "\n")
-    last = tokens.pop()[:-1]  # the text's last line has no newline
-    if last:
-        tokens.append(last)
-    return tuple(tokens)
+    return tuple(separated_lexemes(text))
 
 
 # -- Scripted model ---------------------------------------------------------
@@ -133,6 +125,23 @@ class DistractorSpec:
 
     def applies_at(self, step: int) -> bool:
         return self.steps is None or step in self.steps
+
+
+def _interned(tokens: Sequence[str]) -> tuple[str, ...]:
+    """A path's tokens, interned, in one pass of ``map``; only a path
+    that fails it is read token by token, for the first bad one."""
+    try:
+        key = tuple(map(sys.intern, tokens))
+    except TypeError:
+        key = None
+    if key is None or EOS_TOKEN_ID in key:
+        for token in tokens:
+            if not isinstance(token, str):
+                raise ValueError(f"path token is not a string: {token!r}")
+            if token == EOS_TOKEN_ID:
+                raise ValueError(f"path token {token!r} is the end-of-sequence id")
+        key = tuple(map(sys.intern, tokens))  # a str subclass: intern's TypeError
+    return key
 
 
 class ScriptedModel:
@@ -160,12 +169,7 @@ class ScriptedModel:
         for tokens, weight in paths:
             if not weight > 0:  # NaN fails this test too
                 raise ValueError("path weights must be positive")
-            for token in tokens:
-                if not isinstance(token, str):
-                    raise ValueError(f"path token is not a string: {token!r}")
-                if token == EOS_TOKEN_ID:
-                    raise ValueError(f"path token {token!r} is the end-of-sequence id")
-            key = tuple(map(sys.intern, tokens))
+            key = _interned(tokens)
             merged[key] = merged.get(key, 0.0) + weight
         self._paths = sorted(merged)
         self._weights = [merged[path] for path in self._paths]

@@ -78,17 +78,19 @@ class _Cursor:
     def __init__(
         self, lexemes: Sequence[str], clause: str, lenient: bool = False
     ) -> None:
-        self._lexemes = list(lexemes)
+        # A None after the last lexeme stands for the end, so no read
+        # checks the length; no read moves past it.
+        self._lexemes = [*lexemes, None]
         self.clause = clause
         self._pos = 0
         self.lenient = lenient
         self.in_subquery = False
 
     def peek(self) -> str | None:
-        return self._lexemes[self._pos] if self._pos < len(self._lexemes) else None
+        return self._lexemes[self._pos]
 
     def take(self) -> str:
-        lexeme = self.peek()
+        lexeme = self._lexemes[self._pos]
         if lexeme is None:
             self.fail("unexpected end of clause")
         self._pos += 1
@@ -96,7 +98,7 @@ class _Cursor:
 
     def accept(self, lexeme: str) -> bool:
         """Take ``lexeme`` if it comes next."""
-        if self.peek() != lexeme:
+        if self._lexemes[self._pos] != lexeme:
             return False
         self._pos += 1
         return True
@@ -107,7 +109,7 @@ class _Cursor:
             self.fail(f"expected {lexeme!r}, found {got!r}")
 
     def done(self) -> bool:
-        return self._pos >= len(self._lexemes)
+        return self._lexemes[self._pos] is None
 
     def fail(self, message: str) -> None:
         raise ParseError(f"{self.clause}: {message}")
@@ -301,7 +303,8 @@ def _condition_atom(cur: _Cursor) -> Condition:
     if op in COMPARISONS:
         lexeme = cur.peek()
         if lexeme is not None and is_constant(lexeme):
-            return Predicate(lhs, op, _constant(cur))
+            cur.take()
+            return Predicate(lhs, op, Constant(lexeme))
         return Predicate(lhs, op, _column_ref(cur))
     cur.fail(f"expected a comparison operator, found {op!r}")
     raise AssertionError("unreachable")
@@ -380,7 +383,7 @@ def _limit(cur: _Cursor) -> Constant:
 
 # The clauses after FROM, in clause order: the production that reads a
 # clause's body and the value of an empty one.  Each production's result
-# is the query field named after its clause, ``kind.name.lower()``.
+# is the query field named after its clause, in ``_FIELDS``.
 _OPTIONAL_CLAUSES: dict[ClauseKind, tuple[Callable[[_Cursor], object], object]] = {
     ClauseKind.WHERE: (_or_expr, None),
     ClauseKind.GROUP_BY: (lambda cur: _separated(cur, ",", _column_ref), ()),
@@ -389,8 +392,20 @@ _OPTIONAL_CLAUSES: dict[ClauseKind, tuple[Callable[[_Cursor], object], object]] 
     ClauseKind.LIMIT: (_limit, None),
 }
 
+# The query field each clause after FROM fills, ``kind.name.lower()``.
+_FIELDS = {kind: kind.name.lower() for kind in _OPTIONAL_CLAUSES}
+
 # The lexemes that end a clause of a statement.
 _CLAUSE_KEYWORDS = frozenset(CLAUSE_STARTS)
+
+# Each clause after FROM as a statement reads it: the clause's name, its
+# keyword's first lexeme and the rest, its field and its production,
+# looked up once here rather than at every statement.
+_STATEMENT_CLAUSES = tuple(
+    (kind.value, kind.keyword_lexemes[0], kind.keyword_lexemes[1:], _FIELDS[kind],
+     production)
+    for kind, (production, _) in _OPTIONAL_CLAUSES.items()
+)
 
 
 def parse_clause_body(kind: ClauseKind, body: Sequence[str]) -> object:
@@ -429,24 +444,17 @@ def parse_statement(lexemes: Sequence[str]) -> LooseQuery:
     cur.expect("FROM")
     cur.clause = "FROM"
     query = LooseQuery(distinct, items, _from(cur, _CLAUSE_KEYWORDS))
-    for kind, (production, _) in _OPTIONAL_CLAUSES.items():
-        if _clause_keyword(cur, kind):
-            setattr(query, kind.name.lower(), production(cur))
+    for clause, first, rest, name, production in _STATEMENT_CLAUSES:
+        if not cur.accept(first):
+            continue
+        cur.clause = clause
+        for lexeme in rest:
+            cur.expect(lexeme)
+        if not cur.done() and cur.peek() not in _CLAUSE_KEYWORDS:  # a body follows
+            setattr(query, name, production(cur))
     if not cur.done():
         cur.fail(f"unexpected {cur.peek()!r}")
     return query
-
-
-def _clause_keyword(cur: _Cursor, kind: ClauseKind) -> bool:
-    """Read the keyword of ``kind`` if it comes next; true when a body
-    follows it."""
-    first, *rest = kind.keyword_lexemes
-    if not cur.accept(first):
-        return False
-    cur.clause = kind.value
-    for lexeme in rest:
-        cur.expect(lexeme)
-    return not cur.done() and cur.peek() not in _CLAUSE_KEYWORDS
 
 
 # -- Whole canonical queries -----------------------------------------------
@@ -487,7 +495,7 @@ def parse_clause_bodies(
         select=items,
         from_clause=clauses[ClauseKind.FROM],
         distinct=distinct,
-        **{kind.name.lower(): clauses[kind] for kind in _OPTIONAL_CLAUSES},
+        **{name: clauses[kind] for kind, name in _FIELDS.items()},
     )
 
 

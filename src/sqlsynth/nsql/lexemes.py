@@ -58,6 +58,7 @@ _COLUMN_REF_RE = re.compile(rf"^{_IDENT}\.\w+$")
 _NUMBER_RE = re.compile(rf"^-?{_NUMBER}$")
 _STRING_RE = re.compile(rf"^{_OPEN_STRING}'$")
 _IDENT_RE = re.compile(rf"^{_IDENT}$")
+_CONSTANT_RE = re.compile(rf"^(?:-?{_NUMBER}|{_OPEN_STRING}')$")
 
 
 def is_column_ref(lexeme: str) -> bool:
@@ -73,7 +74,8 @@ def is_string_const(lexeme: str) -> bool:
 
 
 def is_constant(lexeme: str) -> bool:
-    return is_number(lexeme) or is_string_const(lexeme)
+    """``is_number(lexeme) or is_string_const(lexeme)``, in one match."""
+    return bool(_CONSTANT_RE.match(lexeme))
 
 
 def is_keyword(word: str) -> bool:
@@ -125,21 +127,44 @@ def split_line(line: str, terminated: bool) -> tuple[list[str], str | None]:
     return complete, trailing
 
 
-# The lexeme classes of free-form SQL, tried in this order after any run of
-# whitespace and ';', which the scanner skips.  An unclosed string or
-# backtick name runs to the end of the text, and a word takes a dangling
-# '.', so that the scanner can name the fault.
+# ``_LEXEME_RE`` over a whole text, with the space or newline after the
+# lexeme: a newline ends a line, and a string constant with it.  The
+# text's last lexeme may lack a separator, and one empty match follows it.
+_OPEN_LINE_STRING = _OPEN_STRING.replace("[^']", r"[^'\n]")
+_SEPARATED_LEXEME_RE = re.compile(
+    rf"(?:{_OPEN_LINE_STRING}(?:'|(?=\n)|\Z))?[^ \n]*(?:[ \n]|\Z)"
+)
+
+
+def separated_lexemes(text: str) -> list[str]:
+    """Each lexeme of every line of ``text``, as ``split_line`` reads an
+    unterminated line, with the space or newline after it; a line's
+    final fragment, or an empty line, ends in its newline.  The pieces
+    concatenate to the text."""
+    pieces = _SEPARATED_LEXEME_RE.findall(text)
+    pieces.pop()  # the empty match at the end
+    return pieces
+
+
+# The lexeme classes of free-form SQL, tried after any run of whitespace
+# and ';', which the scanner skips.  No two classes start with the same
+# character, so the order is by frequency, with ``other`` last.  A word
+# takes a dotted column reference or a dangling '.', and an unclosed
+# string or backtick name runs to the end of the text, so that the
+# scanner can name the fault.
 _OPEN_DOUBLE_STRING = _OPEN_STRING.replace("'", '"')
 _SQL_LEXEMES = (
+    ("word", rf"{_IDENT}(?:\.(?:{_IDENT})?)?"),
+    ("operator", r"<=|>=|!=|==|<>|[(),*<>=]"),
+    ("number", rf"-?{_NUMBER}"),
     # Either quote kind; ``close`` is empty when the string is unclosed.
     ("string", f"(?:{_OPEN_STRING}|{_OPEN_DOUBLE_STRING})(?P<close>['\"]?)"),
     ("name", r"`[^`]*`?"),
-    ("operator", r"<=|>=|!=|==|<>|[(),*<>=]"),
-    ("number", rf"-?{_NUMBER}"),
-    ("column_ref", rf"{_IDENT}\.{_IDENT}"),
-    ("word", rf"{_IDENT}\.?"),
     ("other", r"[^\s;]"),
 )
+# ``findall`` gives each lexeme as one tuple of the groups, in this order
+# with the string's ``close`` after it; the lexeme's class alone is not
+# empty.
 _SQL_LEXEME_RE = re.compile(
     r"[\s;]*(?:"
     + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _SQL_LEXEMES)
@@ -160,32 +185,38 @@ def scan_sql(text: str) -> list[str]:
     out: list[str] = []
     # Each match starts where the last one ended: some class matches any
     # character but whitespace and ';'.
-    for match in _SQL_LEXEME_RE.finditer(text):
-        kind = match.lastgroup
-        lexeme = match[kind]
-        if kind == "word":
-            if lexeme[-1] == ".":
-                raise ParseError(f"dangling '.' after {lexeme[:-1]!r}")
-            if is_keyword(lexeme):
-                lexeme = lexeme.upper()
-        elif kind == "other" or (
-            kind == "number" and lexeme[0] == "-" and not _starts_value_position(out)
-        ):
-            raise ParseError(f"unexpected character {lexeme[0]!r} in SQL text")
-        elif kind == "string":
-            if not match["close"]:
+    for word, operator, number, string, close, name, other in (
+        _SQL_LEXEME_RE.findall(text)
+    ):
+        if word:
+            if "." in word:
+                if word[-1] == ".":
+                    raise ParseError(f"dangling '.' after {word[:-1]!r}")
+            elif word not in KEYWORDS:  # an uppercase keyword stays as it is
+                upper = word.upper()
+                # SQLite folds ASCII case alone, as ``is_keyword`` does.
+                if upper in KEYWORDS and word.isascii():
+                    word = upper
+            out.append(word)
+        elif operator:
+            out.append(_CANONICAL_OPERATORS.get(operator, operator))
+        elif number:
+            if number[0] == "-" and not _starts_value_position(out):
+                raise ParseError("unexpected character '-' in SQL text")
+            out.append(number)
+        elif string:
+            if not close:
                 raise ParseError(f"unterminated string constant near {text[-20:]!r}")
-            if "\n" in lexeme:
+            if "\n" in string:
                 raise ParseError("newline inside string constant")
-            quote = lexeme[0]
-            lexeme = quote_string(lexeme[1:-1].replace(quote * 2, quote))
-        elif kind == "name":
-            if len(lexeme) == 1 or lexeme[-1] != "`":
+            quote = string[0]
+            out.append(quote_string(string[1:-1].replace(quote * 2, quote)))
+        elif name:
+            if len(name) == 1 or name[-1] != "`":
                 raise ParseError("unterminated quoted identifier")
-            lexeme = lexeme[1:-1]
-        elif kind == "operator":
-            lexeme = _CANONICAL_OPERATORS.get(lexeme, lexeme)
-        out.append(lexeme)
+            out.append(name[1:-1])
+        else:
+            raise ParseError(f"unexpected character {other!r} in SQL text")
     return out
 
 

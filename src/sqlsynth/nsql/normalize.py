@@ -12,10 +12,9 @@ errors so dataset rewriting can report them.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable, Mapping, Sequence
 
-from ..tasks import DatabaseSchema, TaskInstance
+from ..tasks import DatabaseSchema, Table, TaskInstance
 from .errors import (
     AmbiguousColumn,
     NormalizationError,
@@ -41,7 +40,8 @@ from .query import (
 
 
 class _Scope:
-    """Resolved FROM environment: alias map plus visible tables."""
+    """Resolved FROM environment: the FROM tables, and the table each
+    alias names, by lowercased name."""
 
     def __init__(
         self,
@@ -51,20 +51,21 @@ class _Scope:
     ) -> None:
         self.schema = schema
         self.outer = outer
-        self.aliases: dict[str, str] = {}
-        self.tables: list[str] = []
+        self.aliases: dict[str, Table] = {}
+        self.tables: dict[str, Table] = {}
         for loose_table in self._all_tables(loose):
             table = schema.table(loose_table.name)
             if table is None:
                 raise UnknownName(f"unknown table {loose_table.name!r}")
-            if table.name.lower() in (t.lower() for t in self.tables):
+            key = table.name.lower()
+            if key in self.tables:
                 raise SelfJoinUnsupported(table.name)
-            self.tables.append(table.name)
+            self.tables[key] = table
             if loose_table.alias is not None:
                 alias = loose_table.alias.lower()
                 if alias in self.aliases:
                     raise NormalizationError(f"duplicate alias {loose_table.alias!r}")
-                self.aliases[alias] = table.name
+                self.aliases[alias] = table
 
     @staticmethod
     def _all_tables(loose: LooseFrom) -> Iterable[LooseTable]:
@@ -73,44 +74,42 @@ class _Scope:
             yield table
         yield from loose.unjoined
 
-    def resolve_table(self, name: str) -> str | None:
-        if name.lower() in self.aliases:
-            return self.aliases[name.lower()]
-        for table in self.tables:
-            if table.lower() == name.lower():
-                return table
-        return None
+    def resolve_table(self, name: str) -> Table | None:
+        key = name.lower()
+        return self.aliases.get(key) or self.tables.get(key)
 
     def resolve_column(self, ref: ColumnRef) -> ColumnRef:
+        """``ref`` with its owning table's and its column's schema names;
+        ``ref`` itself when it already spells both."""
         if ref.table:
-            table_name = self.resolve_table(ref.table)
-            if table_name is None and self.outer is not None:
-                outer_name = self.outer.resolve_table(ref.table)
-                if outer_name is not None:
-                    table_name = outer_name
-            if table_name is None:
+            table = self.resolve_table(ref.table)
+            if table is None and self.outer is not None:
+                table = self.outer.resolve_table(ref.table)
+            if table is None:
                 # A schema table referenced without appearing in FROM is
                 # left intact; execution surfaces the scope error.
-                if self.schema.table(ref.table) is None:
+                table = self.schema.table(ref.table)
+                if table is None:
                     raise UnknownName(f"unknown table {ref.table!r}")
-                table_name = self.schema.table(ref.table).name
-            column = self.schema.table(table_name).column(ref.column)
+            column = table.column(ref.column)
             if column is None:
-                raise UnknownName(f"unknown column {table_name}.{ref.column}")
-            return ColumnRef(table_name, column.name)
-        owners = [
-            table
-            for table in self.tables
-            if self.schema.table(table).column(ref.column) is not None
-        ]
-        if len(owners) > 1:
-            raise AmbiguousColumn(ref.column)
-        if not owners:
-            if self.outer is not None:
-                return self.outer.resolve_column(ref)
-            raise UnknownName(f"no FROM table owns column {ref.column!r}")
-        column = self.schema.table(owners[0]).column(ref.column)
-        return ColumnRef(owners[0], column.name)
+                raise UnknownName(f"unknown column {table.name}.{ref.column}")
+        else:
+            owners = [
+                (table, column)
+                for table in self.tables.values()
+                if (column := table.column(ref.column)) is not None
+            ]
+            if len(owners) > 1:
+                raise AmbiguousColumn(ref.column)
+            if not owners:
+                if self.outer is not None:
+                    return self.outer.resolve_column(ref)
+                raise UnknownName(f"no FROM table owns column {ref.column!r}")
+            table, column = owners[0]
+        if ref.table == table.name and ref.column == column.name:
+            return ref
+        return ColumnRef(table.name, column.name)
 
 
 def _flatten_and(condition: Condition | None) -> list[Condition]:
@@ -134,19 +133,18 @@ def _rebuild_and(conjuncts: Sequence[Condition]) -> Condition | None:
 
 def _resolve(loose: LooseQuery, scope: _Scope) -> NormalizedQuery:
     """Qualify every name of a statement, or of an IN-subquery in a scope
-    whose ``outer`` is its statement's, and lift comma joins into ON."""
+    whose ``outer`` is its statement's, and lift comma joins into ON.
+    A part that needs no change is kept, not copied: every part is
+    immutable."""
     where = _condition(loose.where, scope)
     from_clause, where = _build_from(loose.from_clause, where, scope)
     return NormalizedQuery(
-        select=tuple(SelectItem(_value_expr(item.expr, scope)) for item in loose.items),
+        select=tuple([_select_item(item, scope) for item in loose.items]),
         from_clause=from_clause,
         where=where,
-        group_by=tuple(scope.resolve_column(c) for c in loose.group_by),
+        group_by=tuple([scope.resolve_column(c) for c in loose.group_by]),
         having=_condition(loose.having, scope),
-        order_by=tuple(
-            OrderItem(_value_expr(item.expr, scope), item.descending)
-            for item in loose.order_by
-        ),
+        order_by=tuple([_order_item(item, scope) for item in loose.order_by]),
         limit=loose.limit,
         distinct=loose.distinct,
     )
@@ -156,8 +154,19 @@ def _value_expr(expr, scope: _Scope):
     if isinstance(expr, ColumnRef):
         return scope.resolve_column(expr)
     if isinstance(expr, AggExpr) and isinstance(expr.arg, ColumnRef):
-        return AggExpr(expr.func, scope.resolve_column(expr.arg), expr.distinct)
+        arg = scope.resolve_column(expr.arg)
+        return expr if arg is expr.arg else AggExpr(expr.func, arg, expr.distinct)
     return expr  # a star, alone or counted
+
+
+def _select_item(item: SelectItem, scope: _Scope) -> SelectItem:
+    expr = _value_expr(item.expr, scope)
+    return item if expr is item.expr else SelectItem(expr)
+
+
+def _order_item(item: OrderItem, scope: _Scope) -> OrderItem:
+    expr = _value_expr(item.expr, scope)
+    return item if expr is item.expr else OrderItem(expr, item.descending)
 
 
 def _condition(condition: Condition | None, scope: _Scope) -> Condition | None:
@@ -165,7 +174,7 @@ def _condition(condition: Condition | None, scope: _Scope) -> Condition | None:
         return None
     if isinstance(condition, BoolOp):
         return BoolOp(
-            condition.op, tuple(_condition(op, scope) for op in condition.operands)
+            condition.op, tuple([_condition(op, scope) for op in condition.operands])
         )
     lhs = _value_expr(condition.lhs, scope)
     rhs = condition.rhs
@@ -173,6 +182,8 @@ def _condition(condition: Condition | None, scope: _Scope) -> Condition | None:
         rhs = scope.resolve_column(rhs)
     elif isinstance(rhs, LooseQuery):
         rhs = _resolve(rhs, _Scope(scope.schema, rhs.from_clause, outer=scope))
+    if lhs is condition.lhs and rhs is condition.rhs:
+        return condition
     return Predicate(lhs, condition.op, rhs, condition.negated)
 
 
@@ -182,20 +193,18 @@ def _condition(condition: Condition | None, scope: _Scope) -> Condition | None:
 def _build_from(
     loose: LooseFrom, where: Condition | None, scope: _Scope
 ) -> tuple[FromClause, Condition | None]:
-    base = scope.resolve_table(loose.base.name)
-    assert base is not None
+    base = scope.resolve_table(loose.base.name).name
     joins: list[JoinEdge] = []
     connected = {base.lower()}
     for loose_table, conditions in loose.joined:
-        table = scope.resolve_table(loose_table.name)
-        assert table is not None
+        table = scope.resolve_table(loose_table.name).name
         resolved = tuple(
-            (scope.resolve_column(a), scope.resolve_column(b)) for a, b in conditions
+            [(scope.resolve_column(a), scope.resolve_column(b)) for a, b in conditions]
         )
         joins.append(JoinEdge(table, resolved))
         connected.add(table.lower())
 
-    pending = [scope.resolve_table(t.name) for t in loose.unjoined]
+    pending = [scope.resolve_table(t.name).name for t in loose.unjoined]
     if pending:
         joins, where = _lift_joins(joins, where, connected, pending)
     return FromClause(base, tuple(joins)), where
@@ -243,6 +252,9 @@ def _links(conjunct: Condition, table: str, connected: set[str]) -> bool:
     return table.lower() in sides and bool((sides - {table.lower()}) & connected)
 
 
+_SET_OPERATIONS = frozenset(SET_OPERATIONS)
+
+
 def normalize(sql_text: str, schema: DatabaseSchema) -> NormalizedQuery:
     """Rewrite one standard-SQL query into canonical form.
 
@@ -250,9 +262,8 @@ def normalize(sql_text: str, schema: DatabaseSchema) -> NormalizedQuery:
     UnknownName or ParseError when the query falls outside the dialect.
     """
     lexemes = scan_sql(sql_text)
-    for lexeme in lexemes:
-        if lexeme in SET_OPERATIONS:
-            raise SetOperationUnsupported(lexeme)
+    if not _SET_OPERATIONS.isdisjoint(lexemes):
+        raise SetOperationUnsupported(next(x for x in lexemes if x in _SET_OPERATIONS))
     loose = parse_statement(lexemes)
     return _resolve(loose, _Scope(schema, loose.from_clause))
 
@@ -277,5 +288,15 @@ def rewrite_dataset(
         except (NormalizationError, ParseError) as exc:
             rejected.append((task, f"{type(exc).__name__}: {exc}"))
             continue
-        normalized.append(dataclasses.replace(task, gold_query=query.render()))
+        # ``dataclasses.replace(task, gold_query=...)`` spelled out, as
+        # replace walks the fields on every call; a test pins the two.
+        normalized.append(
+            TaskInstance(
+                id=task.id,
+                db_id=task.db_id,
+                question=task.question,
+                gold_query=query.render(),
+                examples=task.examples,
+            )
+        )
     return normalized, rejected

@@ -25,9 +25,9 @@ class ClauseKind(enum.Enum):
     # Members are singletons that compare by identity; Enum.__hash__ is Python.
     __hash__ = object.__hash__
 
-    @property
-    def keyword_lexemes(self) -> tuple[str, ...]:
-        return tuple(self.value.split(" "))
+    def __init__(self, keyword: str) -> None:
+        # A plain attribute: an enum property costs a call a read.
+        self.keyword_lexemes = tuple(keyword.split(" "))
 
 
 CLAUSE_ORDER: tuple[ClauseKind, ...] = (
@@ -202,14 +202,31 @@ class NormalizedQuery:
         return self.limit.render() if self.limit else ""
 
     def render(self) -> str:
-        lines = []
-        for kind in CLAUSE_ORDER:
-            body = self.clause_body(kind)
-            lines.append(f"{kind.value} {body}" if body else kind.value)
-        return "\n".join(lines) + "\n"
+        """One line per clause, in clause order: the keyword and
+        ``clause_body(kind)``, or the keyword alone for an empty body.
+        The bodies are spelled out here, not fetched clause by clause:
+        every gold query and every executed query renders."""
+        where, having, limit = self.where, self.having, self.limit
+        select = " , ".join([item.expr.render() for item in self.select])
+        bodies = (
+            "DISTINCT " + select if self.distinct else select,
+            self.from_clause.render(),
+            where.render() if where else "",
+            " , ".join([column.render() for column in self.group_by]),
+            having.render() if having else "",
+            " , ".join([item.render() for item in self.order_by]),
+            limit.render() if limit else "",
+        )
+        return "".join(
+            [
+                f"{keyword} {body}\n" if body else keyword + "\n"
+                for keyword, body in zip(_CLAUSE_NAMES, bodies)
+            ]
+        )
 
 
-_KEYWORD_LINES = frozenset(kind.value for kind in CLAUSE_ORDER)
+_CLAUSE_NAMES = tuple(kind.value for kind in CLAUSE_ORDER)
+_KEYWORD_LINES = frozenset(_CLAUSE_NAMES)
 
 
 def denormalize_text(rendered: str) -> str:

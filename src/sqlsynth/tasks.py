@@ -220,7 +220,9 @@ class TaskDatabase:
     )
 
     def connect(self) -> sqlite3.Connection:
-        uri = f"file:{self.path}?mode=ro"
+        # A percent-encoded URI: a '#', '?' or '%' in the path is a name,
+        # not a fragment, a query or an escape.
+        uri = self.path.absolute().as_uri() + "?mode=ro"
         return sqlite3.connect(uri, uri=True)
 
     def connection(self) -> sqlite3.Connection:

@@ -588,6 +588,50 @@ def test_run_ablation_sixteen_runs(bench_tasks, schemas, fixture_paths, router):
     assert all(run.solved == 2 for run in runs)
 
 
+def _timeless(report) -> dict:
+    """A run's report without its wall-clock times."""
+    data = report.as_dict()
+    data["mean_elapsed_seconds"] = 0.0
+    for task in data["tasks"]:
+        task["elapsed_seconds"] = task["stats"]["elapsed_seconds"] = 0.0
+    return data
+
+
+def test_run_ablation_normalizes_and_runs_each_gold_once(
+    bench_tasks, schemas, fixture_paths, router, monkeypatch
+):
+    """The grid grades every run against one normalized gold a task, run
+    once: 2 normalizations, not 32, and 2 gold statements beside the 32
+    found ones, not 32.  The reports equal a run_benchmark per
+    configuration."""
+    solvable = bench_tasks[:2]
+    expected = [
+        _timeless(
+            run_benchmark(
+                solvable, schemas, fixture_paths.db_root, router,
+                config=config, label=config_label(config),
+            )
+        )
+        for config in ablation_grid(CONFIG)
+    ]
+    calls = {"normalize": 0, "execute_query": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, wrapper)
+
+    counted("normalize", bench.normalize)
+    counted("execute_query", bench.execute_query)
+    runs = run_ablation(
+        solvable, schemas, fixture_paths.db_root, router, base_config=CONFIG
+    )
+    assert calls == {"normalize": 2, "execute_query": 2 + 16 * 2}
+    assert [_timeless(run) for run in runs] == expected
+
+
 def test_checker_experiment_bookkeeping():
     experiment = CheckerExperiment()
     experiment.record(Label.CORRECT, Label.CORRECT)

@@ -60,6 +60,28 @@ def test_lexeme_tokens_roundtrip(text):
     assert "".join(lexeme_tokens(text)) == text
 
 
+def _lexeme_tokens_by_line(text: str) -> tuple[str, ...]:
+    """``lexeme_tokens`` as ``split_line`` reads each open line."""
+    tokens: list[str] = []
+    for line in text.split("\n"):
+        lexemes, fragment = split_line(line, terminated=False)
+        tokens += [lexeme + " " for lexeme in lexemes]
+        tokens.append((fragment or "") + "\n")
+    last = tokens.pop()[:-1]
+    return tuple(tokens + [last] if last else tokens)
+
+
+def test_lexeme_tokens_match_split_line_on_random_texts():
+    """One scan of the whole text splits it as ``split_line`` splits each
+    line, open and closed strings, doubled quotes and empty lines
+    included."""
+    rng = random.Random(41)
+    pieces = ("a", " ", "\n", "'", "''", "b c")
+    for _ in range(50_000):
+        text = "".join(rng.choices(pieces, k=rng.randrange(12)))
+        assert lexeme_tokens(text) == _lexeme_tokens_by_line(text), text
+
+
 def test_lexeme_tokens_are_split_line_lexemes(normalized_tasks, schemas):
     rng = random.Random(5)
     texts = [task.gold_query for task in normalized_tasks]
@@ -311,6 +333,20 @@ def test_scripted_rejects_the_eos_id_as_a_path_token():
     appending the text ``<eos>``."""
     with pytest.raises(ValueError, match="path token '<eos>' is the end-of-sequence"):
         ScriptedModel([(("SELECT ", EOS_TOKEN_ID), 0.5)])
+
+
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        ((5, EOS_TOKEN_ID), "path token is not a string: 5"),
+        ((EOS_TOKEN_ID, 5), "path token '<eos>' is the end-of-sequence id"),
+        (("a ", None), "path token is not a string: None"),
+    ],
+)
+def test_scripted_names_the_first_bad_path_token(tokens, message):
+    with pytest.raises(ValueError) as raised:
+        ScriptedModel([(tokens, 0.5)])
+    assert str(raised.value) == message
 
 
 def test_scripted_models_take_a_third_of_the_tries_memory(normalized_tasks, schemas):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 import re
@@ -874,6 +875,69 @@ def test_rewrite_dataset_reports_rejections(tasks, schemas):
     assert len(kept) == len(tasks)
     assert [task.id for task, _ in rejected] == ["bad-1"]
     assert "SelfJoin" in rejected[0][1]
+
+
+def test_rewrite_dataset_changes_only_the_gold_query(tasks, schemas):
+    """Each kept task is ``dataclasses.replace`` of the task with its gold
+    rendered by ``normalize``, a task without gold is kept as it is, and
+    a task is rejected exactly when ``normalize`` raises, with its class
+    and message, on the fixture tasks and a seeded batch of generated
+    queries as text, as one line and as edited gold."""
+    from sqlsynth.tasks import TaskInstance
+
+    batch = list(tasks)
+    rng = random.Random(31)
+    for index, db_id in enumerate(sorted(schemas)):
+        for number, query in enumerate(distinct_queries(schemas[db_id], rng, 40)):
+            text = query.render()
+            sql = (text, denormalize_text(text), text.replace("FROM", "FROM FROM"))
+            batch.append(
+                TaskInstance(
+                    id=f"gen-{index}-{number}",
+                    db_id=db_id,
+                    question="?",
+                    gold_query=sql[number % 3],
+                    examples=tasks[0].examples if number % 2 else frozenset(),
+                )
+            )
+    batch.append(TaskInstance(id="no-gold", db_id="concerts", question="?"))
+    kept, rejected = rewrite_dataset(batch, schemas)
+    want_kept, want_rejected = [], []
+    for task in batch:
+        if not task.gold_query:
+            want_kept.append(task)
+            continue
+        try:
+            text = normalize(task.gold_query, schemas[task.db_id]).render()
+        except SqlError as exc:
+            want_rejected.append((task, f"{type(exc).__name__}: {exc}"))
+            continue
+        want_kept.append(dataclasses.replace(task, gold_query=text))
+    assert kept == want_kept
+    assert rejected == want_rejected
+    assert kept[-1] is batch[-1]
+    assert len(want_rejected) > 10 and len(want_kept) > 100
+
+
+def test_render_is_the_lines_of_the_clause_bodies(schemas, normalize_corpus):
+    """``render`` spells the clause bodies out; they must stay the text
+    of ``clause_body``, which repair's edits and probes read, on every
+    query of ``normalize_corpus`` and of seeded generated queries."""
+    queries = []
+    for db_id, sql in normalize_corpus:
+        try:
+            queries.append(normalize(sql, schemas[db_id]))
+        except SqlError:
+            pass
+    for index, db_id in enumerate(sorted(schemas)):
+        queries += distinct_queries(schemas[db_id], random.Random(40 + index), 200)
+    assert len(queries) > 1500
+    for query in queries:
+        lines = []
+        for kind in CLAUSE_ORDER:
+            body = query.clause_body(kind)
+            lines.append(f"{kind.value} {body}\n" if body else f"{kind.value}\n")
+        assert query.render() == "".join(lines)
 
 
 # -- rendering and equality -------------------------------------------------

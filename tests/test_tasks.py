@@ -525,6 +525,26 @@ def test_connections_are_read_only(fixture_paths):
         conn.close()
 
 
+@pytest.mark.parametrize("root", ["a#b", "a?b", "a%41b", "a b"])
+def test_a_database_opens_read_only_under_any_path(tmp_path, root):
+    """A '#', '?' or '%' in the path is part of the name: read as a URI
+    fragment, query or escape, it opened (and created) an empty database
+    at a cut path, or none at all."""
+    db_root = tmp_path / root
+    path = database_path(db_root, "odd")
+    path.parent.mkdir(parents=True)
+    with closing(sqlite3.connect(path)) as conn:
+        conn.execute("CREATE TABLE t (x)")
+        conn.execute("INSERT INTO t VALUES (1)")
+        conn.commit()
+    before = sorted(tmp_path.rglob("*"))
+    with closing(open_database(db_root, "odd").connect()) as conn:
+        assert conn.execute("SELECT x FROM t").fetchall() == [(1,)]
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            conn.execute("INSERT INTO t VALUES (2)")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_each_thread_borrows_its_own_connection(fixture_paths):
     db = open_database(fixture_paths.db_root, "shop")
     conn = db.connection()
