@@ -233,8 +233,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         raise CliError("--tasks takes no --db-id")
     tasks = load_tasks(args.tasks, schemas)
     kept, rejected = rewrite_dataset(tasks, schemas)
-    if args.output:
-        Path(args.output).write_text(json.dumps(dump_tasks(kept), indent=2))
+    _write_output(args.output, dump_tasks(kept))
     print(f"normalized {len(kept)} tasks, rejected {len(rejected)}")
     for task, reason in rejected:
         print(f"  {task.id}: {reason}")

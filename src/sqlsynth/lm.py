@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import BinaryIO, Mapping, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
-from .nsql.lexemes import separated_lexemes
+from .nsql.lexemes import lexeme_tokens
 
 EOS_TOKEN_ID = "<eos>"
 
@@ -94,17 +94,6 @@ def _top_k(ranked: list[tuple[float, str]], k: int) -> list[TokenCandidate]:
         TokenCandidate(token, "" if token == EOS_TOKEN_ID else token, -cost)
         for cost, token in ranked[:k]
     ]
-
-
-def lexeme_tokens(text: str) -> tuple[str, ...]:
-    """Split canonical query text into lexeme tokens.
-
-    Each token carries its trailing separator (space or newline), so the
-    concatenation of tokens reproduces the text exactly.  Lexemes are
-    the ones ``split_line`` finds on each line, so string constants stay
-    single tokens even when they contain spaces.
-    """
-    return tuple(separated_lexemes(text))
 
 
 # -- Scripted model ---------------------------------------------------------
@@ -280,7 +269,10 @@ def _model_from_mapping(data: Mapping) -> ScriptedModel:
     for entry in data.get("paths", []):
         weight = float(entry.get("weight", 1.0))
         if "tokens" in entry:
-            paths.append((tuple(entry["tokens"]), weight))
+            tokens = entry["tokens"]
+            if not isinstance(tokens, list):
+                raise ProtocolError("scripted path 'tokens' is not a list")
+            paths.append((tuple(tokens), weight))
         elif "query" in entry:
             paths.append((lexeme_tokens(entry["query"]), weight))
         else:

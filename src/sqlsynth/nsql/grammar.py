@@ -20,9 +20,11 @@ keyword lexemes still owed and the body lexemes, without judging the
 body.  The checker, ``parse_complete`` and repair strict-parse
 terminated clause bodies through ``parse_clause_cached``, one bounded,
 process-wide cache: they meet the same bodies again and again, within a
-search and across searches.  Both return a fault, never raise it; only
-``parse_complete`` and ``parse_clause_bodies``, which read a whole
-query, raise.
+search and across searches.  Both return a fault, never raise it.
+``clause_bodies``, the one reader of finished text, splits each of its
+lines with ``parse_partial``, for ``parse_complete`` and repair; only
+the whole-query readers, ``clause_bodies``, ``parse_complete`` and
+``parse_clause_bodies``, raise.
 """
 
 from __future__ import annotations
@@ -549,13 +551,12 @@ def parse_partial(
 _LINE_CLAUSES = (*CLAUSE_ORDER, None)
 
 
-def parse_complete(text: str) -> NormalizedQuery:
-    """Parse fully rendered canonical text back into a query structure.
+def clause_bodies(text: str) -> dict[ClauseKind, tuple[str, ...]]:
+    """The body lexemes of each clause of fully rendered canonical text,
+    in clause order: its lines split with ``parse_partial``.
 
-    Splits the lines in clause order with ``parse_partial`` and raises
-    the first line's fault, a :class:`StructureError` (or its subclass
-    :class:`ClauseOrderViolation`), or :class:`ParseError` when a clause
-    body does not parse.
+    Raises the first line's fault, a :class:`StructureError` (or its
+    subclass :class:`ClauseOrderViolation`).
     """
     *lines, current = text.split("\n")
     bodies: dict[ClauseKind, tuple[str, ...]] = {}
@@ -570,4 +571,13 @@ def parse_complete(text: str) -> NormalizedQuery:
         raise fault
     if kind is not None:
         raise StructureError("query text is incomplete")
-    return parse_clause_bodies(bodies)
+    return bodies
+
+
+def parse_complete(text: str) -> NormalizedQuery:
+    """Parse fully rendered canonical text back into a query structure.
+
+    Raises the first line's fault, as ``clause_bodies`` does, or
+    :class:`ParseError` when a clause body does not parse.
+    """
+    return parse_clause_bodies(clause_bodies(text))

@@ -91,14 +91,33 @@ def quote_string(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
 
 
-# One lexeme: a string constant (doubled quotes escape, an unclosed one
-# runs to the end of the line) and anything glued to it, or a run of
-# non-space characters.  A quote only opens a string at a lexeme's start.
-_LEXEME_RE = re.compile(rf"(?:{_OPEN_STRING}(?:'|\Z))?[^ ]*")
+# One lexeme of canonical text with the space or newline after it: a
+# string constant (doubled quotes escape; an unclosed one runs to the
+# end of its line) and anything glued to it, or a run of characters that
+# are neither space nor newline.  A quote only opens a string at a
+# lexeme's start.  The text's last lexeme may lack a separator, and one
+# empty match follows it.
+_OPEN_LINE_STRING = _OPEN_STRING.replace("[^']", r"[^'\n]")
+_SEPARATED_LEXEME_RE = re.compile(
+    rf"(?:{_OPEN_LINE_STRING}(?:'|(?=\n)|\Z))?[^ \n]*(?:[ \n]|\Z)"
+)
+
+
+def lexeme_tokens(text: str) -> tuple[str, ...]:
+    """Split canonical query text into lexeme tokens.
+
+    Each token is one lexeme of a line with the space or newline after
+    it, so the tokens concatenate to the text; a line's final fragment,
+    or an empty line, ends in its newline.  String constants stay single
+    tokens even when they contain spaces.
+    """
+    pieces = _SEPARATED_LEXEME_RE.findall(text)
+    pieces.pop()  # the empty match at the end
+    return tuple(pieces)
 
 
 def split_line(line: str, terminated: bool) -> tuple[list[str], str | None]:
-    """Split one clause line into lexemes.
+    """Split one clause line into lexemes, as ``lexeme_tokens`` reads it.
 
     Returns ``(complete, trailing)`` where ``trailing`` is the final
     fragment still open for extension.  A fragment only exists on an
@@ -106,44 +125,18 @@ def split_line(line: str, terminated: bool) -> tuple[list[str], str | None]:
     contain spaces and escaped quotes (``''``).
     """
     if "'" not in line:
-        # Without a quote ``_LEXEME_RE`` is ``[^ ]*``: each space separates.
+        # Without a quote each space separates.
         complete = line.split(" ")
-        trailing = complete.pop()
     else:
-        complete = []
-        start = 0
-        while True:
-            end = _LEXEME_RE.match(line, start).end()
-            if end == len(line):
-                break
-            complete.append(line[start:end])  # line[end] is the separating space
-            start = end + 1
-        trailing = line[start:]
+        # With the newline every token ends in exactly one separator.
+        complete = [token[:-1] for token in lexeme_tokens(line + "\n")]
+    trailing = complete.pop()
     if not trailing:
         return complete, None
     if terminated:
         complete.append(trailing)
         return complete, None
     return complete, trailing
-
-
-# ``_LEXEME_RE`` over a whole text, with the space or newline after the
-# lexeme: a newline ends a line, and a string constant with it.  The
-# text's last lexeme may lack a separator, and one empty match follows it.
-_OPEN_LINE_STRING = _OPEN_STRING.replace("[^']", r"[^'\n]")
-_SEPARATED_LEXEME_RE = re.compile(
-    rf"(?:{_OPEN_LINE_STRING}(?:'|(?=\n)|\Z))?[^ \n]*(?:[ \n]|\Z)"
-)
-
-
-def separated_lexemes(text: str) -> list[str]:
-    """Each lexeme of every line of ``text``, as ``split_line`` reads an
-    unterminated line, with the space or newline after it; a line's
-    final fragment, or an empty line, ends in its newline.  The pieces
-    concatenate to the text."""
-    pieces = _SEPARATED_LEXEME_RE.findall(text)
-    pieces.pop()  # the empty match at the end
-    return pieces
 
 
 # The lexeme classes of free-form SQL, tried after any run of whitespace

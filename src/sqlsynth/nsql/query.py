@@ -185,27 +185,11 @@ class NormalizedQuery:
     limit: Constant | None = None
     distinct: bool = False
 
-    def clause_body(self, kind: ClauseKind) -> str:
-        if kind is ClauseKind.SELECT:
-            items = " , ".join(i.render() for i in self.select)
-            return f"DISTINCT {items}" if self.distinct else items
-        if kind is ClauseKind.FROM:
-            return self.from_clause.render()
-        if kind is ClauseKind.WHERE:
-            return self.where.render() if self.where else ""
-        if kind is ClauseKind.GROUP_BY:
-            return " , ".join(c.render() for c in self.group_by)
-        if kind is ClauseKind.HAVING:
-            return self.having.render() if self.having else ""
-        if kind is ClauseKind.ORDER_BY:
-            return " , ".join(i.render() for i in self.order_by)
-        return self.limit.render() if self.limit else ""
-
     def render(self) -> str:
-        """One line per clause, in clause order: the keyword and
-        ``clause_body(kind)``, or the keyword alone for an empty body.
-        The bodies are spelled out here, not fetched clause by clause:
-        every gold query and every executed query renders."""
+        """One line per clause, in clause order: the keyword and the
+        clause body, or the keyword alone for an empty body.  This is the
+        one spelling of a clause body: ``grammar.clause_bodies`` reads
+        the bodies back as lexemes."""
         where, having, limit = self.where, self.having, self.limit
         select = " , ".join([item.expr.render() for item in self.select])
         bodies = (

@@ -11,9 +11,11 @@ fails the scope check and SQLite alike.  Constants are never touched.
 
 Repair walks the one-edit neighbourhood once, in the order
 ``hamming_one_queries`` yields its unparsed edits: clauses in order,
-positions left to right, alternatives in declaration order.  Each edit
-is judged in one of three ways: from the widened rows, by candidate-row
-probes, or as a full statement.  Only a variant that executes is
+positions left to right, alternatives in declaration order.  The
+bodies it edits are read from the query's rendered text by
+``clause_bodies``.  Each edit is judged in one of three ways: from the
+widened rows, by candidate-row probes, which send the edited WHERE body
+as it stands, or as a full statement.  Only a variant that executes is
 rendered.
 
 One scan answers an eligible query and every one of its SELECT-column
@@ -66,16 +68,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .checker import Label, make_query_check
 from .nsql.errors import ParseError
-from .nsql.grammar import parse_clause_bodies
-from .nsql.lexemes import (
-    AGGREGATIONS,
-    COMPARISONS,
-    CONNECTIVES,
-    is_column_ref,
-    split_line,
-)
+from .nsql.grammar import clause_bodies, parse_clause_bodies
+from .nsql.lexemes import AGGREGATIONS, COMPARISONS, CONNECTIVES, is_column_ref
 from .nsql.query import (
-    CLAUSE_ORDER,
     BoolOp,
     ClauseKind,
     ColumnRef,
@@ -262,10 +257,7 @@ def hamming_one_queries(
         if table.name.lower() in named
         for column in table.columns
     )
-    clauses = {
-        kind: tuple(split_line(query.clause_body(kind), terminated=True)[0])
-        for kind in CLAUSE_ORDER
-    }
+    clauses = clause_bodies(query.render())
     for kind, body in clauses.items():
         for position, lexeme in enumerate(body):
             for replacement in _alternatives(lexeme, column_refs):
@@ -475,17 +467,17 @@ def test_and_repair(
                 break
         return found
 
-    def may_hit(table: str, variant: NormalizedQuery, rowids: list[tuple]) -> bool:
+    def may_hit(table: str, where: Sequence[str], rowids: list[tuple]) -> bool:
         """False when some example has no candidate row that passes the
-        WHERE of ``variant``."""
-        where = variant.clause_body(ClauseKind.WHERE)
+        WHERE clause whose body lexemes are ``where``."""
+        condition = " ".join(where)
         for ids in rowids:
             if not ids:
                 return False
             marks = ", ".join("?" * len(ids))
             result = send(
                 f"SELECT 1 FROM {table} WHERE {table}.rowid IN ({marks}) "
-                f"AND ({where}) LIMIT 1",
+                f"AND ({condition}) LIMIT 1",
                 ids,
             )
             if result.ok and not result.rows:
@@ -557,7 +549,7 @@ def test_and_repair(
                 where_tried += 1
                 if where_tried == 2:
                     rowids = candidate_rowids(table)
-                if rowids is not None and not may_hit(table, variant, rowids):
+                if rowids is not None and not may_hit(table, bodies[kind], rowids):
                     continue
             result = send(variant)
         if satisfies_examples(result, example_list):

@@ -8,7 +8,10 @@ SELECT swaps included, is parsed from its patched clause bodies and
 checked on its own, and a SELECT swap whose column the widened rows
 hold is answered from them by ``select_swap``.  Statements go through
 ``repair.execute_query`` and ``repair.execute_text``, looked up at call
-time, so a test that wraps those sees what the reference sends.
+time, so a test that wraps those sees what the reference sends.  The
+walk reads each clause body from ``clause_body`` here, a frozen copy of
+the per-clause renderer that ``NormalizedQuery`` once carried, so it
+stays independent of ``render`` and ``grammar.clause_bodies``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,24 @@ from sqlsynth.nsql.lexemes import split_line
 from sqlsynth.nsql.query import CLAUSE_ORDER, ClauseKind, ColumnRef, NormalizedQuery
 from sqlsynth.repair import ExecutionResult, RepairOutcome, satisfies_examples
 from sqlsynth.tasks import DatabaseSchema, ExampleTuple
+
+
+def clause_body(query: NormalizedQuery, kind: ClauseKind) -> str:
+    """The text of one clause body of ``query``, without its keyword."""
+    if kind is ClauseKind.SELECT:
+        items = " , ".join(i.render() for i in query.select)
+        return f"DISTINCT {items}" if query.distinct else items
+    if kind is ClauseKind.FROM:
+        return query.from_clause.render()
+    if kind is ClauseKind.WHERE:
+        return query.where.render() if query.where else ""
+    if kind is ClauseKind.GROUP_BY:
+        return " , ".join(c.render() for c in query.group_by)
+    if kind is ClauseKind.HAVING:
+        return query.having.render() if query.having else ""
+    if kind is ClauseKind.ORDER_BY:
+        return " , ".join(i.render() for i in query.order_by)
+    return query.limit.render() if query.limit else ""
 
 
 def parsed_edits(
@@ -52,7 +73,7 @@ def hamming_one_queries(
         for column in table.columns
     )
     clauses = {
-        kind: tuple(split_line(query.clause_body(kind), terminated=True)[0])
+        kind: tuple(split_line(clause_body(query, kind), terminated=True)[0])
         for kind in CLAUSE_ORDER
     }
     for kind, body in clauses.items():
@@ -126,7 +147,7 @@ def test_and_repair(
         return found
 
     def may_hit(table: str, variant: NormalizedQuery, rowids: list[tuple]) -> bool:
-        where = variant.clause_body(ClauseKind.WHERE)
+        where = clause_body(variant, ClauseKind.WHERE)
         for ids in rowids:
             if not ids:
                 return False

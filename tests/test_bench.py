@@ -1355,6 +1355,7 @@ def test_cli_normalize_dataset(tmp_path, capsys, fixture_paths):
     )
     assert code == 0
     out = capsys.readouterr().out
+    assert f"wrote {output}\n" in out
     assert "normalized 1 tasks, rejected 1" in out
     assert "cli-003: SelfJoinUnsupported" in out
     kept = json.loads(output.read_text())

@@ -482,6 +482,16 @@ def test_load_scripted_model_refuses_distractor_steps_that_are_not_depths(
         load_scripted_model(_distractor_spec(tmp_path, steps))
 
 
+@pytest.mark.parametrize("tokens", ["SELECT ", {"SELECT ": 1}], ids=["string", "object"])
+def test_load_scripted_model_refuses_tokens_that_are_not_a_list(tmp_path, tokens):
+    """A string would load as a path of its characters, and an object as
+    a path of its keys."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"paths": [{"tokens": tokens}]}))
+    with pytest.raises(ProtocolError, match="'tokens' is not a list"):
+        load_scripted_model(path)
+
+
 def test_load_scripted_model_applies_distractor_steps_at_their_depths(tmp_path):
     model = load_scripted_model(_distractor_spec(tmp_path, [0, 2]))
     prefix = lexeme_tokens(QUERY_A)

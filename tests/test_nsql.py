@@ -24,8 +24,8 @@ from sqlsynth.nsql.errors import (
     UnknownName,
 )
 from sqlsynth.nsql import grammar
-from sqlsynth.nsql import lexemes as lexemes_module
 from sqlsynth.nsql.grammar import (
+    clause_bodies,
     parse_clause_bodies,
     parse_clause_cached,
     parse_complete,
@@ -146,12 +146,19 @@ def test_split_line_open_fragment():
     assert fragment is None
 
 
+# One lexeme of a line: a string constant (doubled quotes escape, an
+# unclosed one runs to the end of the line) and anything glued to it, or
+# a run of non-space characters.  A quote only opens a string at a
+# lexeme's start.  Spelled here apart from ``sqlsynth.nsql.lexemes``.
+_REFERENCE_LEXEME_RE = re.compile(r"(?:'(?:[^']|'')*(?:'|\Z))?[^ ]*")
+
+
 def _split_line_reference(line: str, terminated: bool) -> tuple[list[str], str | None]:
     """``split_line`` as one regex match per lexeme, quote or none."""
     complete: list[str] = []
     start = 0
     while True:
-        end = lexemes_module._LEXEME_RE.match(line, start).end()
+        end = _REFERENCE_LEXEME_RE.match(line, start).end()
         if end == len(line):
             break
         complete.append(line[start:end])
@@ -216,6 +223,23 @@ def test_split_line_matches_the_reference_on_random_lines():
                 line, terminated
             ), (line, terminated)
     assert 20_000 < quoted < 90_000
+
+
+def test_split_line_matches_the_reference_on_random_pieces():
+    """Lines of lexeme-sized pieces, in which quotes open, close and
+    double, and strings hold spaces, dots and parentheses."""
+    rng = random.Random(50)
+    pieces = ("a", " ", "'", "''", "x.y", "(")
+    open_quote = doubled = 0
+    for _ in range(100_000):
+        line = "".join(rng.choices(pieces, k=rng.randrange(10)))
+        open_quote += line.count("'") % 2
+        doubled += "''" in line
+        for terminated in (False, True):
+            assert split_line(line, terminated) == _split_line_reference(
+                line, terminated
+            ), (line, terminated)
+    assert open_quote > 20_000 and doubled > 20_000
 
 
 # SQL text is UTF-8 and ends at a NUL, so neither a lone surrogate nor
@@ -919,10 +943,12 @@ def test_rewrite_dataset_changes_only_the_gold_query(tasks, schemas):
     assert len(want_rejected) > 10 and len(want_kept) > 100
 
 
-def test_render_is_the_lines_of_the_clause_bodies(schemas, normalize_corpus):
-    """``render`` spells the clause bodies out; they must stay the text
-    of ``clause_body``, which repair's edits and probes read, on every
-    query of ``normalize_corpus`` and of seeded generated queries."""
+def test_clause_bodies_read_back_what_render_spells(schemas, normalize_corpus):
+    """``render`` is the one spelling of a clause body and
+    ``clause_bodies`` the one reader of finished text: the bodies it
+    reads, spelled again as lines, are the rendered text, and they parse
+    back to the query, on every query of ``normalize_corpus`` and of
+    seeded generated queries."""
     queries = []
     for db_id, sql in normalize_corpus:
         try:
@@ -933,11 +959,12 @@ def test_render_is_the_lines_of_the_clause_bodies(schemas, normalize_corpus):
         queries += distinct_queries(schemas[db_id], random.Random(40 + index), 200)
     assert len(queries) > 1500
     for query in queries:
-        lines = []
-        for kind in CLAUSE_ORDER:
-            body = query.clause_body(kind)
-            lines.append(f"{kind.value} {body}\n" if body else f"{kind.value}\n")
-        assert query.render() == "".join(lines)
+        text = query.render()
+        bodies = clause_bodies(text)
+        assert list(bodies) == list(CLAUSE_ORDER)
+        lines = [" ".join((kind.value, *body)) + "\n" for kind, body in bodies.items()]
+        assert "".join(lines) == text
+        assert parse_clause_bodies(bodies) == query
 
 
 # -- rendering and equality -------------------------------------------------
